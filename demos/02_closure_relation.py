@@ -1,10 +1,13 @@
-"""Solve a generalized closure relation exactly and verify it as an operator
-identity, order by order in the derivative.
+"""Solve a generalized closure relation exactly and certify it as an
+operator identity on eigenpolynomials.
 
 The fourth commutator of the transformed Hamiltonian with the minimal X is
-expressed through lower commutators with polynomial right-coefficients; the
-solve is an exact linear system, uniqueness comes from the kernel, and a
-deliberately perturbed coefficient breaks the identity.
+expressed through lower commutators with polynomial right-coefficients.  On
+P_n every R(H) is the number R(E_n) and [(ad H)^i X] P_n = (H - E_n)^i X P_n,
+so the solve is an exact linear system over these images, uniqueness comes
+from the kernel, and a relation of operator order <= N that vanishes on
+P_0..P_N is the zero operator.  A deliberately perturbed coefficient breaks
+the identity.
 """
 
 from fractions import Fraction
@@ -23,8 +26,8 @@ for i, Ri in enumerate(cd.R):
     print(f"  R_{i}(z) = {Ri}")
 print(f"  R_-1(z) = {cd.R_minus1}")
 
-assert verify_closure_identity(family.H_tilde, X, cd)
-print("operator identity verified coefficient-wise")
+assert verify_closure_identity(family, X, cd)
+print("operator identity certified on P_0..P_K")
 
 conj = conjectured_R("L", cd.K // 2, params)
 assert all(cd.R[i] == conj.R[i] for i in range(cd.K))
@@ -35,7 +38,7 @@ print(compare_reference("L", "1I", "1", cd, {"g": params.g}))
 # negative control: perturbing one coefficient must break the identity
 broken = ClosureData(cd.K, list(cd.R), cd.R_minus1, "solved", "L")
 broken.R[2] = ParamPoly.const(81)
-assert not verify_closure_identity(family.H_tilde, X, broken)
+assert not verify_closure_identity(family, X, broken)
 print("perturbed R_2 = 81 fails, as it must")
 
 # higher order: Y = eta gives a seven-term recurrence and order K = 6

@@ -22,11 +22,11 @@ from . import __version__
 from .exactalg import ParamPoly, parse_poly, rat, rat_str
 from .families import (DeformedFamily, EigenValidationFailed, MultiIndex,
                        ParamSet, SchemaError, DegreeMismatch,
-                       builtin_deformed, load_family_plugin)
+                       builtin_deformed, energy, load_family_plugin)
 from .closure import (NoSolution, TableMissing,
                       closure_for_family, compare_reference, conjectured_R,
                       load_reference_tables, reference_expanded,
-                      verify_closure_identity)
+                      symbolic_closure, verify_closure_identity)
 from .recurrence import (build_X, check_h_symmetry, closed_form_compare,
                          compute_table, leading_coeff_identity,
                          table_formulas_J1I, table_formulas_L1I)
@@ -111,11 +111,38 @@ def _validate_ranges(fam: str, params: ParamSet, L: int) -> list[str]:
     return notes
 
 
+def _parse_Y(text: str) -> ParamPoly:
+    """--Y as an exact polynomial in eta; empty means Y = 1."""
+    try:
+        return parse_poly(text) if text else ParamPoly.const(1)
+    except ValueError as exc:
+        raise ConfigError(f"--Y {text!r}: {exc}") from None
+
+
+def _parse_D(text: str) -> MultiIndex:
+    try:
+        return MultiIndex.parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"--D {text!r}: {exc}") from None
+
+
+def _load_plugin(path: str) -> DeformedFamily:
+    """A plugin file that cannot be read, parsed or validated is a
+    configuration error."""
+    try:
+        return load_family_plugin(path)
+    except (OSError, ValueError, SchemaError, DegreeMismatch,
+            EigenValidationFailed) as exc:
+        raise ConfigError(f"plugin {path}: {exc}") from None
+
+
 def _family_instance(args, params: ParamSet) -> DeformedFamily:
     if getattr(args, "plugin", None):
-        df = load_family_plugin(args.plugin)
-        return df
-    return builtin_deformed(args.family, args.D, params)
+        return _load_plugin(args.plugin)
+    try:
+        return builtin_deformed(args.family, _parse_D(args.D), params)
+    except (SchemaError, DegreeMismatch, EigenValidationFailed, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _emit(report: Report, args) -> int:
@@ -136,11 +163,11 @@ def _emit(report: Report, args) -> int:
 
 def cmd_verify_closure(args) -> int:
     params = _parse_params(args.family, args.params)
-    Y = parse_poly(args.Y) if args.Y else ParamPoly.const(1)
+    Y = _parse_Y(args.Y)
     report = Report("verify-closure", _config_echo(args, params, Y))
     fam = args.family
     if fam in ("W", "AW"):
-        L = MultiIndex.parse(args.D).ell + Y.degree("eta") + 1
+        L = _parse_D(args.D).ell + Y.degree("eta") + 1
         for note in _validate_ranges(fam, params, L):
             report.add(f"range/{note}", None)
         report.add_all("spectral", check_alpha_spectrum(fam, L, params,
@@ -149,84 +176,37 @@ def cmd_verify_closure(args) -> int:
         report.add("operator-level", None, notice="plugin required: difference-"
                    "operator closure needs externally supplied family data")
         return _emit(report, args)
-    try:
-        df = _family_instance(args, params)
-    except (SchemaError, DegreeMismatch, EigenValidationFailed, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    df = _family_instance(args, params)
     if args.mode == "symbolic":
         if df.source != "builtin":
             raise ConfigError("symbolic mode reconstructs built-in families only")
-        return _verify_closure_symbolic(args, report, df, Y)
+        cd = symbolic_closure(df.fam, df.D.label(), Y)
+        report.add("closure/solve", True, K=cd.K, unique=cd.unique,
+                   kernel_dim=cd.kernel_dim, mode="symbolic")
+        report.add("closure/degree-bounds", cd.bounds_ok())
+        return _closure_values(report, args, df, cd, conjectured_R(df.fam, cd.K // 2))
     try:
         cd, X = closure_for_family(df, Y)
-    except NoSolution as exc:
+    except (NoSolution, EigenValidationFailed) as exc:
         report.add("closure/solve", False, error=str(exc))
         return _emit(report, args)
-    L = cd.K // 2
     report.add("closure/solve", True, K=cd.K, unique=cd.unique,
                kernel_dim=cd.kernel_dim)
     report.add("closure/degree-bounds", cd.bounds_ok())
-    report.add("closure/identity", verify_closure_identity(df.H_tilde, X, cd))
-    conj = conjectured_R(df.fam, L, df.params)
+    report.add("closure/identity", verify_closure_identity(df, X, cd))
+    return _closure_values(report, args, df, cd,
+                           conjectured_R(df.fam, cd.K // 2, df.params),
+                           _family_bindings(df))
+
+
+def _closure_values(report: Report, args, df: DeformedFamily, cd,
+                    conj, bindings: dict | None = None) -> int:
+    """The checks shared by sampled and symbolic closure reports: the
+    conjectured R_i, the stored reference row, and the solved values."""
     report.add("closure/conjectured-R",
                all(cd.R[i] == conj.R[i] for i in range(cd.K)))
     try:
-        cmp = compare_reference(df.fam, df.D.label(), args.Y or "1", cd,
-                                _family_bindings(df))
-        report.add("closure/reference-table", cmp["ok"])
-    except TableMissing:
-        report.add("closure/reference-table", None, notice="no stored row")
-    for i in range(cd.K):
-        report.add(f"closure/value/R{i}", True, value=str(cd.R[i]))
-    report.add("closure/value/R-1", True, value=str(cd.R_minus1))
-    return _emit(report, args)
-
-
-SYMBOLIC_NODES = {
-    "L": ({"g": [rat(x) for x in
-                 ("2", "7/3", "3", "7/2", "4", "9/2", "5", "11/2", "6",
-                  "13/2", "7", "15/2")]},
-          {"g": [rat("8"), rat("17/2")]}),
-    "J": ({"a": [rat(x) for x in ("8", "17/2", "9", "19/2", "10", "21/2",
-                                  "11", "23/2", "12")],
-           "b": [rat(x) for x in ("-1", "-1/2", "1/2", "1", "3/2", "5/2",
-                                  "3", "7/2", "4")]},
-          {"a": [rat("25/2"), rat("13")], "b": [rat("-5/2"), rat("9/2")]}),
-}
-
-
-def _verify_closure_symbolic(args, report: Report, df: DeformedFamily,
-                             Y: ParamPoly) -> int:
-    """Reconstruct the closure data symbolically in the family parameters
-    (exact solves at rational samples + interpolation + fresh-sample
-    certification) and compare against the stored reference row."""
-    from .closure import reconstruct_closure
-    from .families import builtin_deformed as make_builtin
-
-    fam, D_label = df.fam, df.D.label()
-    K = 2 * (df.ell + Y.degree("eta") + 1)
-    nodes, extra = SYMBOLIC_NODES[fam]
-
-    def solve_at(binding):
-        if fam == "L":
-            ps = ParamSet("L", {"g": binding["g"]})
-        else:
-            ps = ParamSet("J", {"g": (binding["a"] + binding["b"]) / 2,
-                                "h": (binding["a"] - binding["b"]) / 2})
-        inst = make_builtin(fam, D_label, ps)
-        cd, _ = closure_for_family(inst, Y)
-        return cd
-
-    bounds = {"g": K // 2} if fam == "L" else {"a": K, "b": K - 1}
-    cd = reconstruct_closure(solve_at, fam, K, nodes, bounds, extra)
-    report.add("closure/solve", True, K=cd.K, unique=cd.unique,
-               kernel_dim=cd.kernel_dim, mode="symbolic")
-    report.add("closure/degree-bounds", cd.bounds_ok())
-    conj = conjectured_R(fam, K // 2, None if fam in ("L", "J") else df.params)
-    report.add("closure/conjectured-R",
-               all(cd.R[i] == conj.R[i] for i in range(cd.K)))
-    try:
-        cmp = compare_reference(fam, D_label, args.Y or "1", cd)
+        cmp = compare_reference(df.fam, df.D.label(), args.Y or "1", cd, bindings)
         report.add("closure/reference-table", cmp["ok"])
     except TableMissing:
         report.add("closure/reference-table", None, notice="no stored row")
@@ -246,7 +226,7 @@ def _family_bindings(df: DeformedFamily) -> dict:
 
 def cmd_recurrence(args) -> int:
     params = _parse_params(args.family, args.params)
-    Y = parse_poly(args.Y) if args.Y else ParamPoly.const(1)
+    Y = _parse_Y(args.Y)
     report = Report("recurrence", _config_echo(args, params, Y))
     if args.family in ("W", "AW"):
         raise ConfigError("recurrence tables need polynomial family data (L or J)")
@@ -279,8 +259,8 @@ def cmd_recurrence(args) -> int:
 
 def cmd_spectrum(args) -> int:
     params = _parse_params(args.family, args.params)
-    Y = parse_poly(args.Y) if args.Y else ParamPoly.const(1)
-    L = MultiIndex.parse(args.D).ell + Y.degree("eta") + 1
+    Y = _parse_Y(args.Y)
+    L = _parse_D(args.D).ell + Y.degree("eta") + 1
     report = Report("spectrum", _config_echo(args, params, Y))
     for note in _validate_ranges(args.family, params, L):
         report.add(f"range/{note}", None)
@@ -291,7 +271,7 @@ def cmd_spectrum(args) -> int:
     conj = conjectured_R(args.family, L, params)
     for n in range(min(args.n_max, 4) + 1):
         alphas = alpha_values_at_energy(args.family, L, params, n)
-        R_vals = [Ri.subs({"z": _energy(args.family, params, n)}).constant_value()
+        R_vals = [Ri.subs({"z": energy(params, n)}).constant_value()
                   for Ri in conj.R]
         suite = spectral_suite(R_vals, alphas)
         report.add(f"spectrum/companion[n={n}]",
@@ -310,12 +290,6 @@ def cmd_spectrum(args) -> int:
     report.add(f"spectrum/random-spectra[count={args.random_spectra},seed={seed}]",
                ok_all)
     return _emit(report, args)
-
-
-def _energy(fam, params, n):
-    from .families import energy
-
-    return energy(params, n)
 
 
 def _random_distinct_rationals(rng, K):
@@ -343,12 +317,16 @@ def _elementary_R_values(alphas):
 
 def cmd_heisenberg(args) -> int:
     params = _parse_params(args.family, args.params)
-    Y = parse_poly(args.Y) if args.Y else ParamPoly.const(1)
+    Y = _parse_Y(args.Y)
     report = Report("heisenberg", _config_echo(args, params, Y))
     if args.family in ("W", "AW"):
         raise ConfigError("the ladder suite needs polynomial family data (L or J)")
     df = _family_instance(args, params)
-    cd, X = closure_for_family(df, Y)
+    try:
+        cd, X = closure_for_family(df, Y)
+    except (NoSolution, EigenValidationFailed) as exc:
+        report.add("heisenberg/closure", False, error=str(exc))
+        return _emit(report, args)
     n_top = min(args.n_max, 6)
     table = compute_table(df, X, range(n_top + cd.K // 2 + 1))
     ctx = LadderContext(df, cd, X, table)
@@ -364,7 +342,7 @@ def cmd_appendix_b(args) -> int:
     report = Report("appendix-b", {"filter": args.filter or "",
                                    "plugin": args.plugin or ""})
     tables = load_reference_tables()
-    plugin_df = load_family_plugin(args.plugin) if args.plugin else None
+    plugin_df = _load_plugin(args.plugin) if args.plugin else None
     keys = sorted(k for k in tables if k != "_meta")
     for fam, D, Ylabel in keys:
         if args.filter and not f"{fam}/{D}".startswith(args.filter):
@@ -388,7 +366,11 @@ def cmd_appendix_b(args) -> int:
             report.add(label, None, notice="plugin required")
             continue
         Y = parse_poly(Ylabel) if Ylabel != "1" else ParamPoly.const(1)
-        cd, X = closure_for_family(df, Y)
+        try:
+            cd, X = closure_for_family(df, Y)
+        except (NoSolution, EigenValidationFailed) as exc:
+            report.add(label, False, error=str(exc))
+            continue
         expected = reference_expanded(entry).subs(_family_bindings(df))
         report.add(label, cd.R_minus1 == expected)
     meta = tables["_meta"].get("extension_targets", {})
@@ -402,8 +384,8 @@ def cmd_appendix_b(args) -> int:
 def cmd_plugin_validate(args) -> int:
     report = Report("plugin-validate", {"plugin": args.plugin})
     try:
-        df = load_family_plugin(args.plugin)
-    except (SchemaError, DegreeMismatch, EigenValidationFailed) as exc:
+        df = _load_plugin(args.plugin)
+    except ConfigError as exc:
         report.add("plugin/load", False, error=str(exc))
         return _emit(report, args)
     report.add("plugin/load", True, family=df.fam, D=df.D.label(),
@@ -482,7 +464,8 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except ConfigError as exc:
+    except (ConfigError, SchemaError) as exc:
+        # SchemaError here: plugin data short of the levels a command needs
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,11 +1,13 @@
-"""Generalized closure relations: nested commutators, the exact linear solve
-for the right-coefficient polynomials, identity verification, conjectured
-coefficients from the eigenvalue lists, and comparison against the shipped
-reference tables.
+"""Generalized closure relations: the exact linear solve for the
+right-coefficient polynomials, identity certification, conjectured
+coefficients from the eigenvalue lists, symbolic reconstruction in the
+family parameters, and comparison against the shipped reference tables.
 
 The order-K relation expresses the K-fold commutator of H with X as a
 right-linear combination of the lower commutators with polynomial
-coefficients R_i(H) plus an inhomogeneous R_-1(H).  Unknown coefficients
+coefficients R_i(H) plus an inhomogeneous R_-1(H).  Solve and certificate
+both work on eigenpolynomials (``ad_images``), where every R(H) collapses to
+the rational R(E_n), so no operator is ever composed.  Unknown coefficients
 enter linearly, so one exact linear solve per parameter point settles
 existence and uniqueness; parameter dependence is then reconstructed by
 interpolation at rational samples and certified at fresh samples.
@@ -17,13 +19,14 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
-from .exactalg import (ParamPoly, Rat, RationalFunc, SampleMismatch,
-                       interpolate_grid, poly_gcd_univar, poly_div_exact,
-                       rat, rat_str, solve_linear_exact)
-from .families import DeformedFamily, ParamSet
-from .opalg import CoefficientBlowup, DiffOp
+from .exactalg import (ParamPoly, Rat, SampleMismatch, interpolate_grid, rat,
+                       solve_linear_exact)
+from .families import (DeformedFamily, EigenValidationFailed, MultiIndex,
+                       ParamSet, SchemaError, builtin_deformed)
+from .opalg import CoefficientBlowup, DiffOp, NonPolynomialImage
+from .recurrence import build_X
 from .spectral import alpha_conjecture, elementary_symmetric_R
 
 
@@ -48,12 +51,45 @@ def degree_bounds(fam: str, K: int) -> dict[int, int]:
     return bounds
 
 
+def ad_images(df: DeformedFamily, X: ParamPoly, n: int,
+              count: int) -> list[ParamPoly]:
+    """[(ad H)^i X] P_n for i = 0..count, exact polynomials in eta.
+
+    First checks H P_n = E_n P_n (EigenValidationFailed names n otherwise).
+    For any operator A, [H, A] P_n = H A P_n - A H P_n = (H - E_n) A P_n, so
+    by induction [(ad H)^i X] P_n = (H - E_n)^i (X P_n): each entry costs
+    one application of H to a polynomial.
+    """
+    H, Pn, En = df.H_tilde, df.P(n), df.E(n)
+    try:
+        eigen = H.apply_poly(Pn) == Pn * En
+    except NonPolynomialImage:
+        eigen = False
+    if not eigen:
+        raise EigenValidationFailed(f"{df.label}: eigen-equation fails at n={n}")
+    images = [X * Pn]
+    for _ in range(count):
+        images.append(H.apply_poly(images[-1]) - images[-1] * En)
+    return images
+
+
+def _images_through(df: DeformedFamily, X: ParamPoly, N: int,
+                    count: int) -> Iterator[list[ParamPoly]]:
+    """ad_images on P_0..P_N in turn; a plugin that lists fewer levels is a
+    SchemaError naming the levels needed."""
+    if df.p_max is not None and df.p_max < N:
+        raise SchemaError(f"{df.label}: the closure certificate needs "
+                          f"P_0..P_{N}, the plugin lists P_0..P_{df.p_max}")
+    return (ad_images(df, X, n, count) for n in range(N + 1))
+
+
 def ad_powers(H: DiffOp, X: ParamPoly, count: int,
               max_terms: int | None = None) -> list[DiffOp]:
-    """[X, [H,X], [H,[H,X]], ...] with count+1 entries, exact.
+    """[X, [H,X], [H,[H,X]], ...] with count+1 entries, as operators.
 
+    Reference route only: the tests cross-check ``ad_images`` against it.
     Entry 0 is the multiplication operator by X.  ``max_terms`` is a size
-    guard; exceeding it raises CoefficientBlowup (switch to smaller samples).
+    guard; exceeding it raises CoefficientBlowup.
     """
     ads = [DiffOp.mul_by(X, H.var, H.factors)]
     for _ in range(count):
@@ -114,65 +150,34 @@ def _unknown_layout(fam: str, K: int) -> list[tuple[int, int]]:
     return layout
 
 
-def _poly_lcm(dens: Iterable[ParamPoly], var: str) -> ParamPoly:
-    acc = ParamPoly.const(1, (var,))
-    for d in dens:
-        if d.is_constant():
-            continue
-        g = poly_gcd_univar(acc, d, var)
-        extra = poly_div_exact(d, g) if g.degree(var) > 0 else d
-        acc = acc * extra
-    lead = acc.leading_coeff(var)
-    if not lead.is_constant() or lead.constant_value() != 1:
-        acc = acc * (1 / lead.constant_value())
-    return acc
-
-
-def solve_closure(ads: Sequence[DiffOp], H: DiffOp, fam: str,
+def solve_closure(df: DeformedFamily, X: ParamPoly, K: int,
                   conjectured: "ClosureData | None" = None) -> ClosureData:
     """Exact solve of the order-K closure relation at bound parameters.
 
-    Uses coefficient-wise operator equality (the authoritative identity
-    check; no sampling).  Returns the solved data; a nontrivial kernel is
-    reported via kernel_dim/unique, and when ``conjectured`` is supplied the
-    conjectured point is required to lie in the affine solution set.
-    Raises NoSolution when the linear system is inconsistent.
+    The unknown coefficient of z^j in R_i contributes E_n^j [(ad H)^i X] P_n
+    (E_n^j P_n for i = -1) and the target is [(ad H)^K X] P_n, for
+    n = 0..K; each eta-coefficient of each level is one row.  The degree
+    bounds keep every term (ad H)^i X o H^j at operator order i + 2j <= K,
+    so by the argument in ``verify_closure_identity`` a candidate relation
+    vanishes on P_0..P_K exactly when it holds as an operator identity: the
+    solution set, and with it kernel_dim, is that of coefficient-wise
+    operator equality.  A nontrivial kernel is reported via
+    kernel_dim/unique, and when ``conjectured`` is supplied the conjectured
+    point is required to lie in the affine solution set.  Raises NoSolution
+    when the linear system is inconsistent.
     """
-    K = len(ads) - 1
-    var = H.var
-    layout = _unknown_layout(fam, K)
-    hcache: dict[int, DiffOp] = {}
-    max_j = max(j for _, j in layout)
-    for j in range(max_j + 1):
-        H.power(j, hcache)
-    columns: list[DiffOp] = []
-    for i, j in layout:
-        base = ads[i] if i >= 0 else DiffOp.identity(var, H.factors)
-        columns.append(base.compose(hcache[j]))
-    target = ads[K]
-    orders = sorted({k for op in columns + [target] for k in op.coeffs})
+    layout = _unknown_layout(df.fam, K)
     rows: list[list[Rat]] = []
     rhs: list[Rat] = []
-    zero_rf = RationalFunc(ParamPoly.zero())
-    for m in orders:
-        coeffs = [op.coeffs.get(m, zero_rf) for op in columns]
-        tgt = target.coeffs.get(m, zero_rf)
-        den = _poly_lcm([c.den for c in coeffs] + [tgt.den], var)
-        cleared = []
-        for c in coeffs + [tgt]:
-            scale = poly_div_exact(den, c.den)
-            assert scale is not None
-            cleared.append(c.num * scale)
-        degs = [p.degree(var) for p in cleared if not p.is_zero]
-        top = max(degs) if degs else -1
-        for d in range(top + 1):
-            row = []
-            for p in cleared[:-1]:
-                cd = p.coeffs_in(var).get(d)
-                row.append(cd.constant_value() if cd is not None else Fraction(0))
-            td = cleared[-1].coeffs_in(var).get(d)
-            rows.append(row)
-            rhs.append(td.constant_value() if td is not None else Fraction(0))
+    for n, images in enumerate(_images_through(df, X, K, K)):
+        En, Pn = df.E(n), df.P(n)
+        polys = [(images[i] if i >= 0 else Pn) * En ** j for i, j in layout]
+        polys.append(images[K])
+        coeffs = [p.coeffs_in("eta") for p in polys]
+        for d in range(max(p.degree("eta") for p in polys) + 1):
+            row = [c[d].constant_value() if d in c else Fraction(0) for c in coeffs]
+            rows.append(row[:-1])
+            rhs.append(row[-1])
     sol = solve_linear_exact(rows, rhs)
     if not sol.consistent:
         raise NoSolution(f"order-{K} closure relation has no solution")
@@ -188,36 +193,46 @@ def solve_closure(ads: Sequence[DiffOp], H: DiffOp, fam: str,
             [[vec[idx] for vec in sol.kernel_basis] for idx in known], diff)
         if not fit.consistent:
             raise NoSolution("conjectured data lies outside the solution set")
+    return _solved_data(df.fam, K, values, kernel_dim)
+
+
+def _solved_data(fam: str, K: int, values: Mapping[tuple[int, int], object],
+                 kernel_dim: int) -> ClosureData:
+    """ClosureData from the coefficients values[(i, j)] of z^j in R_i."""
     z = ParamPoly.var("z")
     bounds = degree_bounds(fam, K)
     R = [sum((values[(i, j)] * z ** j for j in range(bounds[i] + 1)),
-             ParamPoly.zero(("z",))) for i in range(K)]
-    Rm1 = sum((values[(-1, j)] * z ** j for j in range(bounds[-1] + 1)),
-              ParamPoly.zero(("z",)))
-    return ClosureData(K, R, Rm1, "solved", fam,
+             ParamPoly.zero(("z",))) for i in [*range(K), -1]]
+    return ClosureData(K, R[:-1], R[-1], "solved", fam,
                        kernel_dim=kernel_dim, unique=kernel_dim == 0)
 
 
-def verify_closure_identity(H: DiffOp, X: ParamPoly, cd: ClosureData,
-                            ads: Sequence[DiffOp] | None = None) -> bool:
-    """Exact operator-equality verdict for the order-K relation.
+def verify_closure_identity(df: DeformedFamily, X: ParamPoly,
+                            cd: ClosureData) -> bool:
+    """Exact verdict on the order-K relation as an operator identity.
 
-    Coefficient-wise comparison after clearing denominators; a False verdict
-    is a report, not an error.  R data must be numeric in z (bind symbolic
+    The relation A = (ad H)^K X - sum_i (ad H)^i X o R_i(H) - R_-1(H) is a
+    differential operator of order at most N = max(K, i + 2 deg R_i,
+    2 deg R_-1), since (ad H)^i X has order <= i and H has order 2.  On an
+    eigenpolynomial R(H) P_n = R(E_n) P_n, so A P_n is built from
+    ``ad_images`` alone.  A nonzero operator of order <= N has at most N
+    linearly independent solutions, while P_0..P_N, of the distinct degrees
+    ell..ell+N, are N+1 independent ones: A P_n = 0 for n = 0..N, with
+    H P_n = E_n P_n checked at each n, proves A = 0.  A False verdict is a
+    report, not an error.  R data must be numeric in z (bind symbolic
     parameters first).
     """
-    from .opalg import right_mul_poly_of_H
-
     K = cd.K
-    if ads is None:
-        ads = ad_powers(H, X, K)
-    hcache: dict[int, DiffOp] = {}
-    rhs = DiffOp.zero(H.var, H.factors)
-    for i in range(K):
-        rhs = rhs + right_mul_poly_of_H(ads[i], cd.R[i], H, "z", hcache)
-    rhs = rhs + right_mul_poly_of_H(DiffOp.identity(H.var, H.factors),
-                                    cd.R_minus1, H, "z", hcache)
-    return ads[K] == rhs
+    N = max([K, 2 * cd.R_minus1.degree("z")]
+            + [i + 2 * Ri.degree("z") for i, Ri in enumerate(cd.R)])
+    for n, images in enumerate(_images_through(df, X, N, K)):
+        at = {"z": df.E(n)}
+        rhs = df.P(n) * cd.R_minus1.evaluate(at)
+        for i, Ri in enumerate(cd.R):
+            rhs = rhs + images[i] * Ri.evaluate(at)
+        if images[K] != rhs:
+            return False
+    return True
 
 
 def conjectured_R(fam: str, L: int, params: ParamSet | None = None) -> ClosureData:
@@ -285,38 +300,53 @@ def reconstruct_closure(solve_at: Callable[[Mapping[str, Rat]], ClosureData],
             bounds = {k: 2 * v + 1 for k, v in bounds.items()}
     else:
         raise SampleMismatch("reconstruction failed after doubling the bounds")
-    z = ParamPoly.var("z")
-    K_bounds = degree_bounds(fam, K)
-    any_point = points[0]
-    base = solved(any_point)
-    R = []
-    for i in range(K):
-        acc = ParamPoly.zero(("z",))
-        for j in range(K_bounds[i] + 1):
-            acc = acc + rebuilt[(i, j)] * z ** j
-        R.append(acc)
-    acc = ParamPoly.zero(("z",))
-    for j in range(K_bounds[-1] + 1):
-        acc = acc + rebuilt[(-1, j)] * z ** j
-    kernel = max(solved(p).kernel_dim for p in points)
-    return ClosureData(K, R, acc, "solved", fam,
-                       kernel_dim=kernel, unique=kernel == 0)
+    return _solved_data(fam, K, rebuilt,
+                        max(solved(p).kernel_dim for p in points))
 
 
-def closure_for_family(df: DeformedFamily, Y: ParamPoly,
-                       conjectured_check: bool = True,
-                       max_terms: int | None = None) -> tuple[ClosureData, ParamPoly]:
+def closure_for_family(df: DeformedFamily,
+                       Y: ParamPoly) -> tuple[ClosureData, ParamPoly]:
     """Solve the closure relation for one family instance at its bound
     parameters, with the minimal-or-higher X built from (xi, Y)."""
-    from .recurrence import build_X
-
     X = build_X(df.xi, Y)
     L = X.degree("eta")
-    K = 2 * L
-    ads = ad_powers(df.H_tilde, X, K, max_terms)
-    conj = conjectured_R(df.fam, L, df.params) if conjectured_check else None
-    cd = solve_closure(ads, df.H_tilde, df.fam, conj)
-    return cd, X
+    return solve_closure(df, X, 2 * L, conjectured_R(df.fam, L, df.params)), X
+
+
+# Sample pools for symbolic reconstruction: interpolation nodes, enough for
+# one bound doubling, and fresh certification samples.  J is sampled in
+# a = g + h and b = g - h, the variables of its reference rows.
+SYMBOLIC_POOLS = {
+    "L": ({"g": [rat(x) for x in
+                 ("2", "7/3", "3", "7/2", "4", "9/2", "5", "11/2", "6",
+                  "13/2", "7", "15/2")]},
+          {"g": [rat("8"), rat("17/2")]}),
+    "J": ({"a": [rat(x) for x in ("8", "17/2", "9", "19/2", "10", "21/2",
+                                  "11", "23/2", "12")],
+           "b": [rat(x) for x in ("-1", "-1/2", "1/2", "1", "3/2", "5/2",
+                                  "3", "7/2", "4")]},
+          {"a": [rat("25/2"), rat("13")], "b": [rat("-5/2"), rat("9/2")]}),
+}
+
+
+def symbolic_closure(fam: str, D_label: str, Y: ParamPoly) -> ClosureData:
+    """Closure data of the built-in family (fam, D_label) symbolically in its
+    parameters: g for L, (a, b) for J.  Exact solves at the rational samples
+    of SYMBOLIC_POOLS, interpolation with degree bounds K/2 in g, K in a and
+    K - 1 in b, then certification at the fresh samples."""
+    K = 2 * (MultiIndex.parse(D_label).ell + Y.degree("eta") + 1)
+    nodes, extra = SYMBOLIC_POOLS[fam]
+
+    def solve_at(binding: Mapping[str, Rat]) -> ClosureData:
+        if fam == "L":
+            ps = ParamSet("L", {"g": binding["g"]})
+        else:
+            a, b = binding["a"], binding["b"]
+            ps = ParamSet("J", {"g": (a + b) / 2, "h": (a - b) / 2})
+        return closure_for_family(builtin_deformed(fam, D_label, ps), Y)[0]
+
+    bounds = {"g": K // 2} if fam == "L" else {"a": K, "b": K - 1}
+    return reconstruct_closure(solve_at, fam, K, nodes, bounds, extra)
 
 
 # -- reference tables -------------------------------------------------------------

@@ -416,17 +416,6 @@ def _coerce_poly(value, vars: Sequence[str]) -> ParamPoly:
     raise TypeError(f"cannot treat {value!r} as a polynomial")
 
 
-def poly_arith(a: ParamPoly, b: ParamPoly, op: str) -> ParamPoly:
-    """Exact polynomial arithmetic; variable sets are merged automatically."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def poly_div_exact(a: ParamPoly, b: ParamPoly) -> ParamPoly | None:
     """Return q with a == q*b, or None when b does not divide a exactly.
 
@@ -540,16 +529,9 @@ class RationalFunc:
     def __setattr__(self, *_):
         raise AttributeError("RationalFunc is immutable")
 
-    @staticmethod
-    def from_const(value, factors: tuple = ()) -> "RationalFunc":
-        return RationalFunc(ParamPoly.const(value), 1, factors)
-
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
-
-    def is_polynomial(self) -> bool:
-        return self.den.is_constant()
 
     def as_poly(self) -> ParamPoly:
         if self.den.is_constant():

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .exactalg import ParamPoly, Rat
-from .closure import ClosureData, ad_powers
+from .closure import ClosureData, ad_images
 from .families import DeformedFamily
 from .recurrence import RecurrenceTable
 from .spectral import (SpectralData, alpha_values_at_energy,
@@ -45,7 +45,7 @@ class LadderContext:
     """Shared exact data for ladder checks on one family instance."""
 
     def __init__(self, df: DeformedFamily, cd: ClosureData, X: ParamPoly,
-                 table: RecurrenceTable, extra_ads: int = 2):
+                 table: RecurrenceTable):
         if cd.R_minus1 is None:
             raise ValueError("need solved closure data including the inhomogeneous term")
         self.df = df
@@ -54,9 +54,8 @@ class LadderContext:
         self.table = table
         self.K = cd.K
         self.L = cd.K // 2
-        self.ads = ad_powers(df.H_tilde, X, cd.K + extra_ads)
         self._spectral: dict[int, tuple[list[Rat], SpectralData]] = {}
-        self._images: dict[tuple[int, int], ParamPoly] = {}
+        self._images: dict[int, list[ParamPoly]] = {}
 
     def spectral_at(self, n: int) -> tuple[list[Rat], SpectralData]:
         """(alpha_j(E_n), closed-form eigendata of the companion matrix at E_n)."""
@@ -68,11 +67,13 @@ class LadderContext:
         return self._spectral[n]
 
     def ad_image(self, i: int, n: int) -> ParamPoly:
-        """((ad H)^i X) P(n), exact polynomial."""
-        key = (i, n)
-        if key not in self._images:
-            self._images[key] = self.ads[i].apply_poly(self.df.P(n))
-        return self._images[key]
+        """((ad H)^i X) P(n), exact polynomial (see closure.ad_images); the
+        images at each n are computed once, through order max(i, K + 2)."""
+        images = self._images.get(n)
+        if images is None or len(images) <= i:
+            images = ad_images(self.df, self.X, n, max(i, self.K + 2))
+            self._images[n] = images
+        return images[i]
 
     def r_minus1_at(self, n: int) -> Rat:
         return self.cd.R_minus1.evaluate({"z": self.df.E(n)})
@@ -179,8 +180,6 @@ def heisenberg_series_check(ctx: LadderContext, n: int, m_max: int) -> list[dict
     Order m >= 1: (ad H)^m X P(n) = sum_j alpha_j(E_n)^m (a^(j) P(n)).
     Order m = 0: X P(n) = sum_j a^(j) P(n) - R_-1(E_n)/R_0(E_n) P(n).
     """
-    if m_max > len(ctx.ads) - 1:
-        raise ValueError("m_max exceeds the computed commutator powers")
     out = []
     alphas, _ = ctx.spectral_at(n)
     images = [ladder_apply(ctx, j, n).image for j in range(1, ctx.K + 1)]

@@ -1,14 +1,12 @@
-"""Exact operator algebra: differential operators in the polynomial variable
-and shift operators for the difference families.
+"""Exact differential-operator algebra in the polynomial variable.
 
 A DiffOp is sum_k f_k(eta) d^k with RationalFunc coefficients; composition
 uses the generalized Leibniz rule and every coefficient is reduced after each
 step, so operator equality is decided coefficient-wise (never by sampling).
-A ShiftOp is sum_s f_s(v) T_s with T_s either an additive imaginary shift
-(v -> v - i*s, coefficients over the Gaussian rationals via the symbol 'i_'
-with i_^2 -> -1) or a q-multiplicative shift (v -> q^s v, q a square of a
-rational so that half-integer shifts stay rational).  Shift indices are
-doubled internally so half-integer steps are plain ints.
+The closure engine never composes operators: it applies H to polynomials
+(``apply_poly``).  Composition serves the gauge transforms of the seed
+machinery (``gauge_transform``); ``power`` and ``right_mul_poly_of_H`` only
+build the operator-level reference that the tests cross-check against.
 
 Operators are immutable; all operations are pure.
 """
@@ -16,21 +14,10 @@ Operators are immutable; all operations are pure.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Mapping
 
-from .exactalg import ParamPoly, Rat, RationalFunc, rat
-
-_BINOM_CACHE: dict[tuple[int, int], int] = {}
-
-
-def _binom(n: int, k: int) -> int:
-    key = (n, k)
-    if key not in _BINOM_CACHE:
-        import math
-
-        _BINOM_CACHE[key] = math.comb(n, k)
-    return _BINOM_CACHE[key]
-
+from .exactalg import ParamPoly, RationalFunc
 
 class AlgebraMismatch(Exception):
     """Operands live in different operator algebras."""
@@ -186,7 +173,7 @@ class DiffOp:
                     if fj.is_zero:
                         continue
                     key = ka - j + kb
-                    term = fa * fj * _binom(ka, j)
+                    term = fa * fj * comb(ka, j)
                     cur = out.get(key)
                     out[key] = term if cur is None else cur + term
         result = DiffOp(var, out, factors)
@@ -248,193 +235,6 @@ def right_mul_poly_of_H(op: DiffOp, R: ParamPoly, H: DiffOp,
         term = op.compose(H.power(k, cache))
         out = out + term.scale(coeff)
     return out
-
-
-def compose(a, b):
-    """Exact operator product in a shared algebra (dispatches on type)."""
-    if isinstance(a, DiffOp) and isinstance(b, DiffOp):
-        return a.compose(b)
-    if isinstance(a, ShiftOp) and isinstance(b, ShiftOp):
-        return a.compose(b)
-    raise AlgebraMismatch(f"cannot compose {type(a).__name__} with {type(b).__name__}")
-
-
-def commutator(a, b):
-    """[a, b] = a o b - b o a."""
-    if isinstance(a, DiffOp) and isinstance(b, DiffOp):
-        return a.commutator(b)
-    if isinstance(a, ShiftOp) and isinstance(b, ShiftOp):
-        return a.compose(b) - b.compose(a)
-    raise AlgebraMismatch(f"cannot commute {type(a).__name__} with {type(b).__name__}")
-
-
-# -- shift operators ----------------------------------------------------------
-
-IMAG = "i_"  # imaginary unit as a polynomial symbol, reduced by i_^2 -> -1
-
-
-def reduce_imag(p: ParamPoly) -> ParamPoly:
-    """Fold powers of the imaginary symbol: i_^(2m+r) -> (-1)^m i_^r."""
-    if IMAG not in p.vars:
-        return p
-    i = p.vars.index(IMAG)
-    terms: dict[tuple[int, ...], Rat] = {}
-    for exps, coeff in p.terms.items():
-        e = exps[i]
-        if e >= 2:
-            sign = -1 if (e // 2) % 2 else 1
-            new = list(exps)
-            new[i] = e % 2
-            exps = tuple(new)
-            coeff = coeff * sign
-        terms[exps] = terms.get(exps, Fraction(0)) + coeff
-    return ParamPoly(p.vars, {e: c for e, c in terms.items() if c})
-
-
-class ShiftOp:
-    """Shift operator sum_s f_s(v) T_s with exact composition.
-
-    kind='imag':  T_s : v -> v - i*s   (coefficients may involve 'i_')
-    kind='qmul':  T_s : v -> q^s v     with q = r^2, r rational
-    Shift indices are stored doubled (s2 = 2s) so half-integer shifts are ints.
-
-    ``eta_binding`` records how the polynomial variable is expressed in the
-    shift variable ('v^2' for the imaginary-shift family, '(v+1/v)/2' for the
-    q-multiplicative family); eta_poly_times(k) gives the numerator of eta^k
-    over the stated denominator power, for building multiplication operators.
-    """
-
-    __slots__ = ("var", "kind", "coeffs", "r", "eta_binding")
-
-    ETA_BINDINGS = {"imag": "v^2", "qmul": "(v+1/v)/2"}
-
-    def __init__(self, var: str, kind: str, coeffs: Mapping[int, object],
-                 r: Rat | None = None):
-        if kind not in ("imag", "qmul"):
-            raise ValueError("kind must be 'imag' or 'qmul'")
-        if kind == "qmul":
-            if r is None:
-                raise ValueError("q-multiplicative shifts need r = sqrt(q)")
-            r = rat(r)
-        cleaned = {}
-        for s2, f in coeffs.items():
-            rf = _coerce_coeff(f, ())
-            rf = RationalFunc(reduce_imag(rf.num), reduce_imag(rf.den))
-            if not rf.is_zero:
-                cleaned[int(s2)] = rf
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "eta_binding", self.ETA_BINDINGS[kind])
-
-    def __setattr__(self, *_):
-        raise AttributeError("ShiftOp is immutable")
-
-    def eta_mul_op(self) -> "ShiftOp":
-        """Multiplication by the polynomial variable, expressed in v.
-
-        imag: eta = v^2 (a polynomial); qmul: eta = (v + 1/v)/2, returned as
-        a rational-coefficient multiplication operator.
-        """
-        v = ParamPoly.var(self.var)
-        if self.kind == "imag":
-            return ShiftOp.mul_by(v * v, self.var, self.kind, self.r)
-        half = RationalFunc(v * v + 1, v * 2)
-        return ShiftOp(self.var, self.kind, {0: half}, self.r)
-
-    @staticmethod
-    def shift(var: str, kind: str, s2: int, r: Rat | None = None) -> "ShiftOp":
-        """The bare shift T_{s2/2}."""
-        return ShiftOp(var, kind, {s2: 1}, r)
-
-    @staticmethod
-    def mul_by(poly, var: str, kind: str, r: Rat | None = None) -> "ShiftOp":
-        return ShiftOp(var, kind, {0: poly}, r)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def _check(self, other: "ShiftOp"):
-        if (not isinstance(other, ShiftOp) or other.var != self.var
-                or other.kind != self.kind or other.r != self.r):
-            raise AlgebraMismatch("ShiftOp operands must share algebra data")
-
-    def _shift_arg(self, s2: int) -> ParamPoly:
-        v = ParamPoly.var(self.var)
-        if self.kind == "imag":
-            if s2 % 2:
-                raise ValueError("imaginary shifts must be integers (s2 even)")
-            return v - ParamPoly.var(IMAG) * Fraction(s2, 2)
-        return v * (self.r ** s2)
-
-    def shifted_coeff(self, f: RationalFunc, s2: int) -> RationalFunc:
-        arg = self._shift_arg(s2)
-        num = reduce_imag(f.num.subs({self.var: arg}))
-        den = reduce_imag(f.den.subs({self.var: arg}))
-        return RationalFunc(num, den)
-
-    def __add__(self, other: "ShiftOp") -> "ShiftOp":
-        self._check(other)
-        coeffs = dict(self.coeffs)
-        for s2, f in other.coeffs.items():
-            cur = coeffs.get(s2)
-            s = f if cur is None else cur + f
-            if s.is_zero:
-                coeffs.pop(s2, None)
-            else:
-                coeffs[s2] = s
-        return ShiftOp(self.var, self.kind, coeffs, self.r)
-
-    def __neg__(self) -> "ShiftOp":
-        return ShiftOp(self.var, self.kind,
-                       {s2: -f for s2, f in self.coeffs.items()}, self.r)
-
-    def __sub__(self, other: "ShiftOp") -> "ShiftOp":
-        return self + (-other)
-
-    def compose(self, other: "ShiftOp") -> "ShiftOp":
-        """(f T_a) o (g T_b) = f * (g shifted by a) * T_{a+b}."""
-        self._check(other)
-        out: dict[int, RationalFunc] = {}
-        for s2a, fa in self.coeffs.items():
-            for s2b, fb in other.coeffs.items():
-                term = fa * self.shifted_coeff(fb, s2a)
-                key = s2a + s2b
-                cur = out.get(key)
-                out[key] = term if cur is None else cur + term
-        return ShiftOp(self.var, self.kind, out, self.r)
-
-    def apply(self, p: ParamPoly) -> RationalFunc:
-        out = RationalFunc(ParamPoly.zero())
-        for s2, f in self.coeffs.items():
-            shifted = reduce_imag(p.subs({self.var: self._shift_arg(s2)}))
-            out = out + f * RationalFunc(shifted)
-        return RationalFunc(reduce_imag(out.num), reduce_imag(out.den))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ShiftOp):
-            return NotImplemented
-        if (self.var, self.kind, self.r) != (other.var, other.kind, other.r):
-            return False
-        keys = set(self.coeffs) | set(other.coeffs)
-        zero = RationalFunc(ParamPoly.zero())
-        return all(self.coeffs.get(k, zero) == other.coeffs.get(k, zero) for k in keys)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for s2 in sorted(self.coeffs, reverse=True):
-            f = self.coeffs[s2]
-            s = Fraction(s2, 2)
-            tag = "" if s == 0 else f"T[{s}]"
-            parts.append(f"({f}){tag}")
-        return " + ".join(parts)
-
-
-OperatorExpr = DiffOp | ShiftOp
 
 
 def gauge_transform(H: DiffOp, m: RationalFunc) -> DiffOp:

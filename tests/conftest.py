@@ -1,12 +1,15 @@
 """Shared exact fixtures; heavy solves are session-scoped and reused."""
 
+import json
+import pathlib
 from fractions import Fraction
 
 import pytest
 
 from closurelab.exactalg import ParamPoly
 from closurelab.closure import closure_for_family
-from closurelab.families import ParamSet, builtin_deformed, classical_family
+from closurelab.families import (ParamSet, builtin_deformed, classical_family,
+                                 load_family_plugin)
 from closurelab.recurrence import compute_table
 
 
@@ -93,3 +96,24 @@ def l1i_table(l1i, l1i_closure):
 def j1i_table(j1i, j1i_closure):
     _, X = j1i_closure
     return compute_table(j1i, X, range(10))
+
+
+@pytest.fixture
+def explicit_plugin(tmp_path):
+    """Writer of the shipped L[2I] plugin with P listed explicitly for
+    n < levels; P_broken gets P_(broken-1) added, which keeps its degree
+    but makes it no eigenpolynomial."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "plugins" / "laguerre_2I.json"
+
+    def write(levels: int, broken: int | None = None) -> pathlib.Path:
+        data = json.loads(path.read_text())
+        df = load_family_plugin(path)
+        polys = [df.P(n) for n in range(levels)]
+        if broken is not None:
+            polys[broken] = polys[broken] + polys[broken - 1]
+        data["P"] = {"kind": "explicit", "polys": [p.record() for p in polys]}
+        out = tmp_path / f"explicit_{levels}_{broken}.json"
+        out.write_text(json.dumps(data))
+        return out
+
+    return write

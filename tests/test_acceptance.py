@@ -17,8 +17,7 @@ import pytest
 from closurelab.exactalg import ParamPoly
 from closurelab.closure import (closure_for_family, compare_reference,
                                 conjectured_R, load_reference_tables,
-                                reconstruct_closure, reference_expanded,
-                                verify_closure_identity)
+                                reference_expanded, symbolic_closure)
 from closurelab.families import (ParamSet, builtin_deformed, classical_family,
                                  energy, load_family_plugin)
 from closurelab.heisenberg import (LadderContext, check_r0_relation,
@@ -38,52 +37,25 @@ a = ParamPoly.var("a")
 b = ParamPoly.var("b")
 eta = ParamPoly.var("eta")
 
-L_NODES = {"g": [F(x) for x in ("2", "7/3", "3", "7/2", "4", "9/2", "5",
-                                "11/2", "6", "13/2", "7", "15/2")]}
-L_EXTRA = {"g": [F(8), F(17, 2)]}
-J_NODES = {"a": [F(x) for x in ("8", "17/2", "9", "19/2", "10")],
-           "b": [F(x) for x in ("-1", "-1/2", "1/2", "1")]}
-J_EXTRA = {"a": [F(21, 2), F(11)], "b": [F(3, 2), F(-3, 2)]}
-
 
 def _record(num: int, ok: bool, text: str):
     print(f"ACCEPTANCE {num:2d}: {'PASS' if ok else 'FAIL'} - {text}")
     assert ok, f"criterion {num} failed: {text}"
 
 
-def _solve_L_symbolic(D: str, Y: ParamPoly, K: int):
-    def solve_at(binding):
-        df = builtin_deformed("L", D, ParamSet("L", {"g": binding["g"]}))
-        cd, _ = closure_for_family(df, Y)
-        return cd
-
-    return reconstruct_closure(solve_at, "L", K, L_NODES, {"g": K // 2}, L_EXTRA)
-
-
-def _solve_J_symbolic(D: str, Y: ParamPoly, K: int):
-    def solve_at(binding):
-        av, bv = binding["a"], binding["b"]
-        ps = ParamSet("J", {"g": (av + bv) / 2, "h": (av - bv) / 2})
-        cd, _ = closure_for_family(builtin_deformed("J", D, ps), Y)
-        return cd
-
-    return reconstruct_closure(solve_at, "J", K, J_NODES,
-                               {"a": K, "b": K - 1}, J_EXTRA)
-
-
 @pytest.fixture(scope="module")
 def cd_L1I_sym():
-    return _solve_L_symbolic("1I", ParamPoly.const(1), 4)
+    return symbolic_closure("L", "1I", ParamPoly.const(1))
 
 
 @pytest.fixture(scope="module")
 def cd_L1I_Y1_sym():
-    return _solve_L_symbolic("1I", eta, 6)
+    return symbolic_closure("L", "1I", eta)
 
 
 @pytest.fixture(scope="module")
 def cd_L1I_Y2_sym():
-    return _solve_L_symbolic("1I", eta ** 2, 8)
+    return symbolic_closure("L", "1I", eta ** 2)
 
 
 def test_criterion_01_laguerre_1I_order4_symbolic(cd_L1I_sym):
@@ -109,7 +81,7 @@ def test_criterion_02_laguerre_higher_Y_symbolic(cd_L1I_Y1_sym, cd_L1I_Y2_sym):
 
 
 def test_criterion_03_laguerre_1II_symbolic():
-    cd = _solve_L_symbolic("1II", ParamPoly.const(1), 4)
+    cd = symbolic_closure("L", "1II", ParamPoly.const(1))
     ok = ([r.constant_value() for r in cd.R] == [-1024, 0, 80, 0]
           and cd.R_minus1 == -64 * (3 * z ** 2 + 2 * (10 * g - 9) * z
                                     + 2 * (2 * g - 3) * (6 * g + 1)))
@@ -119,13 +91,13 @@ def test_criterion_03_laguerre_1II_symbolic():
 
 def test_criterion_04_jacobi_both_types_symbolic():
     tables = load_reference_tables()
-    cd1 = _solve_J_symbolic("1I", ParamPoly.const(1), 4)
+    cd1 = symbolic_closure("J", "1I", ParamPoly.const(1))
     okR = (cd1.R[3] == ParamPoly.const(40)
            and cd1.R[2] == 80 * (z + a * a) - 528
            and cd1.R[1] == -1024 * (z + a * a - F(5, 2))
            and cd1.R[0] == -1024 * (z + a * a - 1) * (z + a * a - 4))
     ok1 = okR and cd1.R_minus1 == reference_expanded(tables[("J", "1I", "1")])
-    cd2 = _solve_J_symbolic("1II", ParamPoly.const(1), 4)
+    cd2 = symbolic_closure("J", "1II", ParamPoly.const(1))
     ok2 = (all(cd2.R[i] == cd1.R[i] for i in range(4))
            and cd2.R_minus1 == reference_expanded(tables[("J", "1II", "1")])
            and cd2.R_minus1 == cd1.R_minus1.subs({"b": -b}))

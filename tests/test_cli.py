@@ -62,11 +62,28 @@ def test_reports_are_byte_stable(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
-def test_config_error_exit_code():
-    assert run_cli("verify-closure", "--family", "L", "--params", "g") == 2
-    assert run_cli("recurrence", "--family", "W") == 2
-    assert run_cli("verify-closure", "--family", "AW",
-                   "--params", "q=1/2") == 2  # q must be a rational square
+@pytest.mark.parametrize("argv", [
+    ["verify-closure", "--family", "L", "--params", "g"],
+    ["recurrence", "--family", "W"],
+    ["verify-closure", "--family", "AW", "--params", "q=1/2"],  # q: a square
+    ["verify-closure", "--Y", "eta^"],
+    ["heisenberg", "--D", "9Z"],
+    ["appendix-b", "--plugin", "{truncated}"],
+    ["recurrence", "--plugin", "{missing}"],
+    ["verify-closure", "--D", "2I", "--plugin", "{six-levels}"],
+], ids=["params", "W-recurrence", "AW-q", "Y", "D", "truncated-plugin",
+        "missing-plugin", "plugin-levels"])
+def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
+    truncated = tmp_path / "truncated.json"
+    truncated.write_text((ROOT / "plugins" / "laguerre_2I.json").read_text()[:200])
+    files = {"{truncated}": str(truncated),
+             "{missing}": str(tmp_path / "missing.json"),
+             "{six-levels}": str(explicit_plugin(6))}
+    assert run_cli(*(files.get(a, a) for a in argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    if "{six-levels}" in argv:
+        assert "needs P_0..P_6" in err
 
 
 def test_failing_check_exit_code(tmp_path):

@@ -1,19 +1,23 @@
-"""Closure relations: nested commutators, exact solve, identity verification,
-conjectured coefficients, reference tables, spectral consequences."""
+"""Closure relations: eigenbasis images and their operator reference, exact
+solve, identity certification with negative controls, conjectured
+coefficients, reference tables, spectral consequences."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
 
+from closurelab.cli import main
 from closurelab.exactalg import ParamPoly, SampleMismatch
 from closurelab.closure import (ClosureData, NoSolution, TableMissing,
-                                ad_powers, closure_for_family,
+                                ad_images, ad_powers, closure_for_family,
                                 compare_reference, conjectured_R,
                                 degree_bounds, load_reference_tables,
                                 reconstruct_closure, reference_expanded,
                                 solve_closure, verify_closure_identity)
-from closurelab.families import ParamSet, builtin_deformed, classical_family
-from closurelab.opalg import DiffOp
+from closurelab.families import (DeformedFamily, EigenValidationFailed,
+                                 ParamSet, builtin_deformed, classical_family)
+from closurelab.opalg import DiffOp, right_mul_poly_of_H
 from closurelab.spectral import alpha_values_at_energy
 from closurelab.families import energy
 
@@ -43,7 +47,7 @@ def test_classical_L_order2_closure(l_classical, lag_params):
     assert cd.R[1].is_zero
     assert cd.R_minus1 == -8 * (z + 2 * gv + 1)
     assert cd.unique
-    assert verify_closure_identity(l_classical.H_tilde, X, cd)
+    assert verify_closure_identity(l_classical, X, cd)
 
 
 def test_classical_J_order2_closure(j_classical, jac_params):
@@ -66,10 +70,10 @@ def test_L1I_order4_golden(l1i_closure, lag_params):
 
 def test_L1I_order4_identity_and_perturbation(l1i, l1i_closure):
     cd, X = l1i_closure
-    assert verify_closure_identity(l1i.H_tilde, X, cd)
+    assert verify_closure_identity(l1i, X, cd)
     broken = ClosureData(cd.K, list(cd.R), cd.R_minus1, "solved", "L")
     broken.R[2] = ParamPoly.const(81, ("z",))
-    assert not verify_closure_identity(l1i.H_tilde, X, broken)
+    assert not verify_closure_identity(l1i, X, broken)
 
 
 def test_L1II_order4_golden(l1ii_closure, lag_params):
@@ -123,9 +127,8 @@ def test_reference_comparison_and_missing(l1i_closure, lag_params):
 def test_no_solution_for_understated_order(l1i, l1i_closure):
     # order 2 cannot close for the deformed system (needs K = 4)
     _, X = l1i_closure
-    ads = ad_powers(l1i.H_tilde, X, 2)
     with pytest.raises(NoSolution):
-        solve_closure(ads, l1i.H_tilde, "L")
+        solve_closure(l1i, X, 2)
 
 
 def test_spectral_consequence_beta_identity(lag_params, jac_params, wil_params,
@@ -192,9 +195,78 @@ def test_reconstruct_detects_wrong_bound_then_doubles():
 def test_kernel_reporting_on_padded_order(l_classical):
     # asking for order 4 on the classical system: consistent but non-unique
     X = ParamPoly.var("eta")
-    ads = ad_powers(l_classical.H_tilde, X, 4)
     conj = conjectured_R("L", 2, l_classical.params)
-    cd = solve_closure(ads, l_classical.H_tilde, "L", conj)
+    cd = solve_closure(l_classical, X, 4, conj)
     assert cd.kernel_dim > 0 and not cd.unique
-    assert verify_closure_identity(l_classical.H_tilde, X, cd,
-                                   ads=ads)
+    assert verify_closure_identity(l_classical, X, cd)
+
+
+def test_eigenbasis_images_match_operator_reference(l_classical, l1i, j1i):
+    # classical L (K=2), L[1I] (K=4), J[1I] (K=4): the images equal the
+    # composed commutators applied to P_n, and the eigenbasis-solved data
+    # satisfies the composed operator identity coefficient by coefficient
+    for df in (l_classical, l1i, j1i):
+        cd, X = closure_for_family(df, ParamPoly.const(1))
+        H, K = df.H_tilde, cd.K
+        ads = ad_powers(H, X, K)
+        for n in range(K + 1):
+            assert [op.apply_poly(df.P(n)) for op in ads] == ad_images(df, X, n, K)
+        rhs = right_mul_poly_of_H(DiffOp.identity(H.var, H.factors),
+                                  cd.R_minus1, H)
+        for i in range(K):
+            rhs = rhs + right_mul_poly_of_H(ads[i], cd.R[i], H)
+        assert ads[K] == rhs
+
+
+def test_perturbed_inhomogeneous_term_fails(l1i, l1i_closure):
+    cd, X = l1i_closure
+    broken = ClosureData(cd.K, list(cd.R), cd.R_minus1 + 1, "solved", "L")
+    assert not verify_closure_identity(l1i, X, broken)
+
+
+def test_degree_above_bound_is_certified_on_more_levels(l1i, l1i_closure):
+    # adding prod_{n<=K} (z - E_n) to R_0 leaves the relation true on
+    # P_0..P_K, but it now has operator order N = 2(K+1) > K and is false:
+    # the certificate must run on P_0..P_N and say no
+    cd, X = l1i_closure
+    vanishing = ParamPoly.const(1, ("z",))
+    for n in range(cd.K + 1):
+        vanishing = vanishing * (z - l1i.E(n))
+    raised = ClosureData(cd.K, list(cd.R), cd.R_minus1, "solved", "L")
+    raised.R[0] = cd.R[0] + vanishing
+    assert not raised.bounds_ok()
+    assert not verify_closure_identity(l1i, X, raised)
+
+
+def test_eigen_failure_beyond_validation_names_the_level(l1i, l1i_closure):
+    # P_4 is broken but only levels 0..3 are validated on construction; the
+    # order-4 solve needs P_0..P_4 and must stop there, naming n = 4
+    cd, X = l1i_closure
+
+    def make_P(n):
+        return l1i.P(n) + l1i.P(3) if n == 4 else l1i.P(n)
+
+    bad = DeformedFamily("L", l1i.D, l1i.params, l1i.xi, make_P, validate_n=3)
+    with pytest.raises(EigenValidationFailed, match="n=4"):
+        solve_closure(bad, X, 4)
+    with pytest.raises(EigenValidationFailed, match="n=4"):
+        verify_closure_identity(bad, X, cd)
+
+
+def test_eigen_failure_in_plugin_is_a_failing_check(explicit_plugin, tmp_path):
+    # levels 0..5 are validated on load; L[2I] has K = 6, so P_6 is first
+    # touched by the closure solve, which every command reports as a failed
+    # check naming n = 6
+    plugin = str(explicit_plugin(7, broken=6))
+    report = tmp_path / "r.json"
+    for argv, check_id in (
+            (["verify-closure", "--family", "L", "--D", "2I"], "closure/solve"),
+            (["heisenberg", "--family", "L", "--D", "2I"], "heisenberg/closure"),
+            (["appendix-b", "--filter", "L/2I"], "appendix-b/L/2I/Y=1")):
+        code = main(argv + ["--plugin", plugin, "--report", str(report)])
+        assert code == 1
+        checks = json.loads(report.read_text())["checks"]
+        failed = next(c for c in checks if c["id"] == check_id)
+        assert failed["status"] == "fail"
+        assert "n=6" in failed["detail"]["error"]
+        assert all(c["status"] != "pass" for c in checks)

@@ -8,8 +8,8 @@ import pytest
 
 from closurelab.exactalg import (LinearSolution, ParamPoly, RationalFunc,
                                  SampleMismatch, interpolate_grid,
-                                 interpolate_param, parse_poly, poly_arith,
-                                 poly_div_exact, poly_gcd_univar, rat,
+                                 interpolate_param, parse_poly, poly_div_exact,
+                                 poly_gcd_univar, rat,
                                  rat_str, solve_linear_exact)
 
 eta = ParamPoly.var("eta")
@@ -25,7 +25,7 @@ def test_rat_string_round_trip():
 
 
 def test_poly_arith_distributes():
-    p = poly_arith(eta + g + F(1, 2), 2 * eta, "mul")
+    p = (eta + g + F(1, 2)) * (2 * eta)
     assert p == 2 * eta ** 2 + (2 * g + 1) * eta
 
 

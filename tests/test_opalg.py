@@ -1,4 +1,4 @@
-"""Operator algebra: composition, commutators, polynomial action, shifts."""
+"""Operator algebra: composition, commutators, polynomial action."""
 
 import random
 from fractions import Fraction as F
@@ -6,9 +6,9 @@ from fractions import Fraction as F
 import pytest
 
 from closurelab.exactalg import ParamPoly, RationalFunc
-from closurelab.opalg import (IMAG, AlgebraMismatch, CoefficientBlowup, DiffOp,
-                              NonPolynomialImage, ShiftOp, commutator, compose,
-                              gauge_transform, right_mul_poly_of_H)
+from closurelab.opalg import (AlgebraMismatch, CoefficientBlowup, DiffOp,
+                              NonPolynomialImage, gauge_transform,
+                              right_mul_poly_of_H)
 
 eta = ParamPoly.var("eta")
 
@@ -19,12 +19,12 @@ def classical_L(g):
 
 def test_canonical_commutation():
     d = DiffOp("eta", {1: 1})
-    assert compose(d, DiffOp.mul_by(eta)) == DiffOp("eta", {1: eta, 0: 1})
+    assert d.compose(DiffOp.mul_by(eta)) == DiffOp("eta", {1: eta, 0: 1})
 
 
 def test_second_order_commutator():
     d2 = DiffOp("eta", {2: 1})
-    assert commutator(d2, DiffOp.mul_by(eta)) == DiffOp("eta", {1: 2})
+    assert d2.commutator(DiffOp.mul_by(eta)) == DiffOp("eta", {1: 2})
 
 
 def _operator_from_action(op: DiffOp, order: int) -> dict[int, RationalFunc]:
@@ -50,7 +50,7 @@ def _operator_from_action(op: DiffOp, order: int) -> dict[int, RationalFunc]:
 def test_commutator_against_action_reconstruction():
     g = F(7, 3)
     H = classical_L(g)
-    adX = commutator(H, DiffOp.mul_by(eta))
+    adX = H.commutator(DiffOp.mul_by(eta))
     expected = DiffOp("eta", {1: -8 * eta, 0: 4 * eta - 4 * (g + F(1, 2))})
     assert adX == expected
     rebuilt = _operator_from_action(adX, adX.order)
@@ -70,7 +70,7 @@ def test_order2_closure_identity_for_classical_L():
     g = F(7, 3)
     H = classical_L(g)
     X = DiffOp.mul_by(eta)
-    ad2 = commutator(H, commutator(H, X))
+    ad2 = H.commutator(H.commutator(X))
     rhs = X.scale(16) - (H + DiffOp.mul_by(ParamPoly.const(2 * g + 1))).scale(8)
     assert ad2 == rhs
 
@@ -103,7 +103,7 @@ def test_right_mul_identity_and_constant(l1i):
 
 def test_right_mul_scales_commutator(l1i):
     H = l1i.H_tilde
-    adX = commutator(H, DiffOp.mul_by(eta))
+    adX = H.commutator(DiffOp.mul_by(eta))
     R2 = ParamPoly.const(80, ("z",))
     assert right_mul_poly_of_H(adX, R2, H) == adX.scale(80)
 
@@ -122,9 +122,9 @@ def test_jacobi_identity_randomized():
     rng = random.Random(4)
     for _ in range(15):
         a, b, c = (_random_small_op(rng) for _ in range(3))
-        lhs = (commutator(a, commutator(b, c))
-               + commutator(b, commutator(c, a))
-               + commutator(c, commutator(a, b)))
+        lhs = (a.commutator(b.commutator(c))
+               + b.commutator(c.commutator(a))
+               + c.commutator(a.commutator(b)))
         assert lhs == DiffOp.zero("eta")
 
 
@@ -132,7 +132,7 @@ def test_compose_associative_randomized():
     rng = random.Random(5)
     for _ in range(15):
         a, b, c = (_random_small_op(rng) for _ in range(3))
-        assert compose(compose(a, b), c) == compose(a, compose(b, c))
+        assert a.compose(b).compose(c) == a.compose(b.compose(c))
 
 
 def test_apply_compose_property_randomized():
@@ -140,7 +140,7 @@ def test_apply_compose_property_randomized():
     for _ in range(15):
         a, b = _random_small_op(rng), _random_small_op(rng)
         p = ParamPoly.univar("eta", {j: F(rng.randint(-3, 3)) for j in range(3)})
-        lhs = compose(a, b).apply(p)
+        lhs = a.compose(b).apply(p)
         rhs = a.apply(b.apply(p))
         assert lhs == rhs
 
@@ -149,9 +149,9 @@ def test_algebra_mismatch():
     a = DiffOp("eta", {1: 1})
     b = DiffOp("x", {1: 1})
     with pytest.raises(AlgebraMismatch):
-        compose(a, b)
+        a.compose(b)
     with pytest.raises(AlgebraMismatch):
-        compose(a, ShiftOp.shift("x", "imag", 2))
+        a.commutator(b)
 
 
 def test_blowup_guard():
@@ -160,45 +160,11 @@ def test_blowup_guard():
         big.compose(big, max_terms=3)
 
 
-# -- shift operators -----------------------------------------------------------
-
-
-def test_shift_inverse_pair():
-    T = ShiftOp.shift("x", "imag", 2)
-    Tm = ShiftOp.shift("x", "imag", -2)
-    assert T.compose(Tm) == ShiftOp("x", "imag", {0: 1})
-
-
-def test_shift_composition_rule():
-    x = ParamPoly.var("x")
-    i_ = ParamPoly.var(IMAG)
-    fT = ShiftOp("x", "imag", {2: x})
-    gT = ShiftOp("x", "imag", {2: x + 1})
-    assert fT.compose(gT) == ShiftOp("x", "imag", {4: x * (x - i_ + 1)})
-
-
 def test_multiplication_operators_commute():
-    x = ParamPoly.var("x")
-    a = ShiftOp.mul_by(x ** 2 + 1, "x", "imag")
-    b = ShiftOp.mul_by(x - 3, "x", "imag")
-    assert a.compose(b) - b.compose(a) == ShiftOp("x", "imag", {})
-
-
-def test_imag_symbol_squares_to_minus_one():
-    x = ParamPoly.var("x")
-    T = ShiftOp.shift("x", "imag", 2)
-    # T_1 T_1 acting on x^2: (x - 2i)^2 = x^2 - 4ix - 4
-    img = T.compose(T).apply(x ** 2).as_poly()
-    i_ = ParamPoly.var(IMAG)
-    assert img == x ** 2 - 4 * i_ * x - 4
-
-
-def test_qmul_shift_half_integer():
-    z = ParamPoly.var("z")
-    T = ShiftOp.shift("z", "qmul", 1, r=F(1, 2))  # shift by 1/2: z -> z/2
-    assert T.apply(z ** 2).as_poly() == z ** 2 * F(1, 4)
-    Tm = ShiftOp.shift("z", "qmul", -1, r=F(1, 2))
-    assert T.compose(Tm) == ShiftOp("z", "qmul", {0: 1}, r=F(1, 2))
+    a = DiffOp.mul_by(eta ** 2 + 1)
+    b = DiffOp.mul_by(eta - 3)
+    assert a.commutator(b) == DiffOp.zero("eta")
+    assert a.compose(b) == DiffOp.mul_by((eta ** 2 + 1) * (eta - 3))
 
 
 def test_gauge_transform_exponential():
@@ -206,25 +172,6 @@ def test_gauge_transform_exponential():
     gt = gauge_transform(d, RationalFunc(ParamPoly.const(1)))
     assert gt == DiffOp("eta", {1: 1, 0: 1})
 
-
-def test_eta_binding_metadata_and_multiplication():
-    w = ShiftOp.shift("v", "imag", 2)
-    assert w.eta_binding == "v^2"
-    aw = ShiftOp.shift("v", "qmul", 1, r=F(1, 2))
-    assert aw.eta_binding == "(v+1/v)/2"
-    # multiplication-by-eta operators commute with each other and themselves
-    for op in (w, aw):
-        m = op.eta_mul_op()
-        assert m.compose(m) == m.compose(m)
-        assert m.compose(op).coeffs.keys() == op.compose(m).coeffs.keys()
-    # qmul: T_{1/2} eta T_{-1/2} acting on 1 gives eta evaluated back: the
-    # conjugated multiplication is multiplication by eta(q^{1/2} v)
-    v = ParamPoly.var("v")
-    m = aw.eta_mul_op()
-    Tm = ShiftOp.shift("v", "qmul", -1, r=F(1, 2))
-    conj = aw.compose(m).compose(Tm)
-    img = conj.apply(ParamPoly.const(1, ("v",)))
-    assert img == RationalFunc(v * v * F(1, 4) + 1, v)  # (v/2 + 2/v)/2 ... exact
 
 def test_ad_powers_blowup_guard(l1i):
     from closurelab.closure import ad_powers
