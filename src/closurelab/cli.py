@@ -173,8 +173,8 @@ def cmd_verify_closure(args) -> int:
         report.add_all("spectral", check_alpha_spectrum(fam, L, params,
                                                         range(args.n_max + 1)))
         report.add_all("spectral", pairing_identities(fam, L, params))
-        report.add("operator-level", None, notice="plugin required: difference-"
-                   "operator closure needs externally supplied family data")
+        report.add("operator-level", None, notice="not implemented: "
+                   "operator-level closure for difference operators")
         return _emit(report, args)
     df = _family_instance(args, params)
     if args.mode == "symbolic":
@@ -350,8 +350,8 @@ def cmd_appendix_b(args) -> int:
         label = f"appendix-b/{fam}/{D}/Y={Ylabel}"
         entry = tables[(fam, D, Ylabel)]
         if fam in ("W", "AW"):
-            report.add(label, None, notice="reference-only: difference-operator "
-                       "closure is plugin-gated")
+            report.add(label, None, notice="not implemented: operator-level "
+                       "closure for difference operators")
             continue
         D_idx = MultiIndex.parse(D)
         derivable = all(d == 1 for d, _ in D_idx.entries) and D_idx.M <= 1

@@ -55,22 +55,31 @@ def ad_images(df: DeformedFamily, X: ParamPoly, n: int,
               count: int) -> list[ParamPoly]:
     """[(ad H)^i X] P_n for i = 0..count, exact polynomials in eta.
 
-    First checks H P_n = E_n P_n (EigenValidationFailed names n otherwise).
     For any operator A, [H, A] P_n = H A P_n - A H P_n = (H - E_n) A P_n, so
     by induction [(ad H)^i X] P_n = (H - E_n)^i (X P_n): each entry costs
-    one application of H to a polynomial.
+    one application of H to a polynomial.  The images live in the family's
+    ``ad_image_store`` under (X, n) and are extended on demand, so solve,
+    certificate and ladder checks on one family compute each image once.
+    H P_n = E_n P_n is checked when level n first enters the store
+    (EigenValidationFailed names n otherwise), and a failed level is never
+    stored.  Reuse is exact: the family is immutable, so a stored image is
+    the one a fresh computation gives, and every level read from the store
+    has had its eigen-equation checked.
     """
-    H, Pn, En = df.H_tilde, df.P(n), df.E(n)
-    try:
-        eigen = H.apply_poly(Pn) == Pn * En
-    except NonPolynomialImage:
-        eigen = False
-    if not eigen:
-        raise EigenValidationFailed(f"{df.label}: eigen-equation fails at n={n}")
-    images = [X * Pn]
-    for _ in range(count):
+    H, En = df.H_tilde, df.E(n)
+    images = df.ad_image_store.get((X, n))
+    if images is None:
+        Pn = df.P(n)
+        try:
+            eigen = H.apply_poly(Pn) == Pn * En
+        except NonPolynomialImage:
+            eigen = False
+        if not eigen:
+            raise EigenValidationFailed(f"{df.label}: eigen-equation fails at n={n}")
+        images = df.ad_image_store[(X, n)] = [X * Pn]
+    while len(images) <= count:
         images.append(H.apply_poly(images[-1]) - images[-1] * En)
-    return images
+    return images[:count + 1]
 
 
 def _images_through(df: DeformedFamily, X: ParamPoly, N: int,
@@ -218,7 +227,9 @@ def verify_closure_identity(df: DeformedFamily, X: ParamPoly,
     ``ad_images`` alone.  A nonzero operator of order <= N has at most N
     linearly independent solutions, while P_0..P_N, of the distinct degrees
     ell..ell+N, are N+1 independent ones: A P_n = 0 for n = 0..N, with
-    H P_n = E_n P_n checked at each n, proves A = 0.  A False verdict is a
+    H P_n = E_n P_n checked at each n, proves A = 0.  The images of
+    P_0..P_K that ``solve_closure`` built are read back from the family's
+    store, whose levels were each checked on entry.  A False verdict is a
     report, not an error.  R data must be numeric in z (bind symbolic
     parameters first).
     """

@@ -706,9 +706,25 @@ def solve_linear_exact(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolut
 
 
 def _solve_fraction(matrix, rhs) -> LinearSolution:
+    """Gauss-Jordan elimination for rational entries, run on integer rows.
+
+    Each augmented row is scaled to integers by the lcm of its denominators,
+    and elimination stays in the integers: row_i <- p*row_i - a*row_r for the
+    pivot p of row r, then row_i is divided by the gcd of its entries.
+    Scaling a row by a nonzero number keeps the row space, so the final rows
+    are nonzero multiples of the rows of the reduced row echelon form, which
+    is unique: pivot columns, rank and consistency are those of elimination
+    over Fraction, and dividing each pivot row by its pivot gives the RREF
+    exactly.  Fractions are formed only for those final quotients.
+    """
     rows = len(matrix)
     cols = len(matrix[0]) if rows else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    aug: list[list[int]] = []
+    for i, row in enumerate(matrix):
+        entries = [Fraction(x) for x in row] + [Fraction(rhs[i])]
+        scale = math.lcm(*(x.denominator for x in entries))
+        aug.append(_gcd_reduced([x.numerator * (scale // x.denominator)
+                                 for x in entries]))
     pivot_cols: list[int] = []
     r = 0
     for c in range(cols):
@@ -716,12 +732,11 @@ def _solve_fraction(matrix, rhs) -> LinearSolution:
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
+        prow, p = aug[r], aug[r][c]
         for i in range(rows):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+            a = aug[i][c]
+            if i != r and a:
+                aug[i] = _gcd_reduced([p * x - a * y for x, y in zip(aug[i], prow)])
         pivot_cols.append(c)
         r += 1
         if r == rows:
@@ -731,16 +746,21 @@ def _solve_fraction(matrix, rhs) -> LinearSolution:
             return LinearSolution(False, None, [], r, tuple(pivot_cols))
     solution = [Fraction(0)] * cols
     for i, c in enumerate(pivot_cols):
-        solution[c] = aug[i][cols]
+        solution[c] = Fraction(aug[i][cols], aug[i][c])
     free_cols = [c for c in range(cols) if c not in pivot_cols]
     kernel = []
     for fc in free_cols:
         vec = [Fraction(0)] * cols
         vec[fc] = Fraction(1)
         for i, c in enumerate(pivot_cols):
-            vec[c] = -aug[i][fc]
+            vec[c] = Fraction(-aug[i][fc], aug[i][c])
         kernel.append(vec)
     return LinearSolution(True, solution, kernel, r, tuple(pivot_cols))
+
+
+def _gcd_reduced(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def _to_poly_entry(x) -> tuple[ParamPoly, ParamPoly]:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .exactalg import (ParamPoly, Rat, RationalFunc, poly_div_exact, rat,
+from .exactalg import (ParamPoly, Rat, RationalFunc, rat,
                        rat_str, solve_linear_exact)
 from .opalg import DiffOp, NonPolynomialImage, gauge_transform
 
@@ -499,8 +499,9 @@ def _conjugated_H_jacobi_1I(params: ParamSet) -> DiffOp:
 class DeformedFamily:
     """One solvable system: family tag, multi-index, parameters, exact data.
 
-    P(n) generation is memoized per instance; instances are otherwise
-    immutable, so parallel tasks should each own their instance.
+    P(n) generation is memoized per instance, and so are the eigenpolynomial
+    images of ``closure.ad_images`` (``ad_image_store``); instances are
+    otherwise immutable, so parallel tasks should each own their instance.
     """
 
     def __init__(self, fam: str, D: MultiIndex, params: ParamSet | None,
@@ -517,6 +518,7 @@ class DeformedFamily:
         self.p_max = p_max
         self._make_P = make_P
         self._P_cache: dict[int, ParamPoly] = {}
+        self.ad_image_store: dict[tuple[ParamPoly, int], list[ParamPoly]] = {}
         self.Etilde = ([virtual_energy(params, t, d) for d, t in D.entries]
                        if params is not None else None)
         self.H_tilde: DiffOp | None = None
@@ -640,14 +642,10 @@ def one_step_seed(fam: str, t: str, d: int, params: ParamSet) -> ParamPoly:
     Hg = gauge_transform(cls.H_tilde, m)
     et = virtual_energy(params, t, d)
     eta = ParamPoly.var("eta")
-    # residual of (Hg - et) on eta^k, cleared to a common polynomial denominator
-    den = _poly_lcm_simple([Hg.coeffs[k].den for k in Hg.coeffs])
-    imgs = []
-    for k in range(d + 1):
-        img = Hg.apply(eta ** k) - RationalFunc(eta ** k) * et
-        scale = poly_div_exact(den, img.den)
-        assert scale is not None
-        imgs.append(img.num * scale)
+    # residual of (Hg - et) on eta^k times the common denominator D of the
+    # cleared form; D != 0, so it vanishes exactly when the residual does
+    D, _ = Hg.cleared()
+    imgs = [Hg.apply_cleared(eta ** k) - D * eta ** k * et for k in range(d + 1)]
     max_deg = max(p.degree("eta") for p in imgs if not p.is_zero)
     rows, rhs = [], []
     for degree in range(max_deg + 1):
@@ -663,19 +661,6 @@ def one_step_seed(fam: str, t: str, d: int, params: ParamSet) -> ParamPoly:
         raise EigenValidationFailed(
             f"{fam} type {t} degree-{d} seed is not uniquely determined")
     return eta ** d + ParamPoly.univar("eta", {k: sol.solution[k] for k in range(d)})
-
-
-def _poly_lcm_simple(dens: Sequence[ParamPoly]) -> ParamPoly:
-    from .exactalg import poly_gcd_univar
-
-    acc = ParamPoly.const(1, ("eta",))
-    for dpoly in dens:
-        if dpoly.is_constant():
-            continue
-        g = poly_gcd_univar(acc, dpoly, "eta")
-        extra = poly_div_exact(dpoly, g) if g.degree("eta") > 0 else dpoly
-        acc = acc * extra
-    return acc
 
 
 def canonical_seed(fam: str, t: str, d: int, params: ParamSet) -> ParamPoly:

@@ -55,7 +55,6 @@ class LadderContext:
         self.K = cd.K
         self.L = cd.K // 2
         self._spectral: dict[int, tuple[list[Rat], SpectralData]] = {}
-        self._images: dict[int, list[ParamPoly]] = {}
 
     def spectral_at(self, n: int) -> tuple[list[Rat], SpectralData]:
         """(alpha_j(E_n), closed-form eigendata of the companion matrix at E_n)."""
@@ -67,13 +66,9 @@ class LadderContext:
         return self._spectral[n]
 
     def ad_image(self, i: int, n: int) -> ParamPoly:
-        """((ad H)^i X) P(n), exact polynomial (see closure.ad_images); the
-        images at each n are computed once, through order max(i, K + 2)."""
-        images = self._images.get(n)
-        if images is None or len(images) <= i:
-            images = ad_images(self.df, self.X, n, max(i, self.K + 2))
-            self._images[n] = images
-        return images[i]
+        """((ad H)^i X) P(n), exact polynomial, read from the family's image
+        store (see closure.ad_images)."""
+        return ad_images(self.df, self.X, n, i)[i]
 
     def r_minus1_at(self, n: int) -> Rat:
         return self.cd.R_minus1.evaluate({"z": self.df.E(n)})

@@ -1,12 +1,15 @@
 """Exact differential-operator algebra in the polynomial variable.
 
 A DiffOp is sum_k f_k(eta) d^k with RationalFunc coefficients; composition
-uses the generalized Leibniz rule and every coefficient is reduced after each
+uses the generalized Leibniz rule and reduces every coefficient after each
 step, so operator equality is decided coefficient-wise (never by sampling).
 The closure engine never composes operators: it applies H to polynomials
-(``apply_poly``).  Composition serves the gauge transforms of the seed
-machinery (``gauge_transform``); ``power`` and ``right_mul_poly_of_H`` only
-build the operator-level reference that the tests cross-check against.
+(``apply_poly``) through the cleared form H = D^-1 sum_k N_k d^k, with
+polynomial N_k and one common denominator D, so an image costs polynomial
+products and a single exact division.  Composition serves the gauge
+transforms of the seed machinery (``gauge_transform``); ``power``,
+``right_mul_poly_of_H`` and the RationalFunc route ``apply`` only build the
+references that the tests cross-check against.
 
 Operators are immutable; all operations are pure.
 """
@@ -17,7 +20,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .exactalg import ParamPoly, RationalFunc
+from .exactalg import ParamPoly, RationalFunc, poly_div_exact, poly_gcd_univar
 
 class AlgebraMismatch(Exception):
     """Operands live in different operator algebras."""
@@ -48,9 +51,10 @@ class DiffOp:
     ``factors`` lists known denominator building blocks (the family's
     denominator polynomial); they are propagated through all operations so
     coefficient reduction stays cheap in multi-parameter computations.
+    The cleared form (``cleared``) is computed on first use and kept.
     """
 
-    __slots__ = ("var", "coeffs", "factors")
+    __slots__ = ("var", "coeffs", "factors", "_cleared")
 
     def __init__(self, var: str, coeffs: Mapping[int, object], factors: tuple = ()):
         cleaned = {}
@@ -63,6 +67,7 @@ class DiffOp:
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "coeffs", cleaned)
         object.__setattr__(self, "factors", tuple(factors))
+        object.__setattr__(self, "_cleared", None)
 
     def __setattr__(self, *_):
         raise AttributeError("DiffOp is immutable")
@@ -201,7 +206,9 @@ class DiffOp:
         return result
 
     def apply(self, p) -> RationalFunc:
-        """Image of a polynomial (or rational function) of the working variable."""
+        """Image of a polynomial (or rational function) of the working
+        variable as a reduced RationalFunc: the reference route for
+        ``apply_poly``."""
         if isinstance(p, ParamPoly):
             p = RationalFunc(p, 1, self.factors)
         out = RationalFunc(ParamPoly.zero(), 1, self.factors)
@@ -214,13 +221,58 @@ class DiffOp:
             out = out + self.coeffs[k] * deriv
         return out
 
+    def cleared(self) -> tuple[ParamPoly, dict[int, ParamPoly]]:
+        """(D, {k: N_k}) with self = D^-1 sum_k N_k d^k and polynomial N_k.
+
+        D is a common multiple of the coefficient denominators, their lcm
+        when all of them are univariate in one variable; any common multiple
+        serves ``apply_poly``.  Computed once.
+        """
+        if self._cleared is None:
+            D = ParamPoly.const(1)
+            for f in self.coeffs.values():
+                if poly_div_exact(D, f.den) is not None:
+                    continue
+                used = set(D.used_vars()) | set(f.den.used_vars())
+                if D.is_constant() or len(used) > 1:
+                    D = D * f.den
+                else:
+                    gcd = poly_gcd_univar(D, f.den, used.pop())
+                    D = D * poly_div_exact(f.den, gcd)
+            nums = {k: f.num * poly_div_exact(D, f.den)
+                    for k, f in self.coeffs.items()}
+            object.__setattr__(self, "_cleared", (D, nums))
+        return self._cleared
+
+    def apply_cleared(self, p: ParamPoly) -> ParamPoly:
+        """D * (self p) = sum_k N_k p^(k), a polynomial for every polynomial p
+        (D and N_k from ``cleared``)."""
+        _, nums = self.cleared()
+        out = ParamPoly.zero((self.var,))
+        deriv = p
+        last = 0
+        for k in sorted(nums):
+            for _ in range(k - last):
+                deriv = deriv.diff(self.var)
+            last = k
+            out = out + nums[k] * deriv
+        return out
+
     def apply_poly(self, p: ParamPoly) -> ParamPoly:
-        """Image asserted polynomial; the denominator must divide out exactly."""
-        img = self.apply(p)
-        try:
-            return img.as_poly()
-        except ValueError as exc:
-            raise NonPolynomialImage(str(exc)) from None
+        """Image of a polynomial that must itself be a polynomial.
+
+        Computed as (sum_k N_k p^(k)) / D with one exact division.  Exact for
+        any common multiple D of the coefficient denominators: the image q
+        is a polynomial exactly when sum_k N_k p^(k) = D q, that is exactly
+        when D divides it, and the quotient is then q.  Raises
+        NonPolynomialImage otherwise.
+        """
+        D, _ = self.cleared()
+        num = self.apply_cleared(p)
+        q = poly_div_exact(num, D)
+        if q is None:
+            raise NonPolynomialImage(f"not a polynomial: ({num})/({D})")
+        return q
 
 
 def right_mul_poly_of_H(op: DiffOp, R: ParamPoly, H: DiffOp,

@@ -50,7 +50,8 @@ def test_verify_closure_wilson_spectral_notice(tmp_path):
     payload = json.loads(report.read_text())
     op = next(c for c in payload["checks"] if c["id"] == "operator-level")
     assert op["status"] == "skip"
-    assert "plugin required" in op["detail"]["notice"]
+    assert op["detail"]["notice"] == ("not implemented: operator-level "
+                                      "closure for difference operators")
     assert payload["summary"]["fail"] == 0
 
 

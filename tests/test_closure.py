@@ -218,10 +218,31 @@ def test_eigenbasis_images_match_operator_reference(l_classical, l1i, j1i):
         assert ads[K] == rhs
 
 
+def test_verify_reuses_the_images_of_the_solve(lag_params, monkeypatch):
+    # solved data meets the degree bounds, so the certificate needs only
+    # P_0..P_K, whose images solve_closure has already stored on the family
+    df = builtin_deformed("L", "1I", lag_params)
+    cd, X = closure_for_family(df, ParamPoly.const(1))
+    calls = []
+    original = DiffOp.apply_poly
+    monkeypatch.setattr(DiffOp, "apply_poly",
+                        lambda self, p: calls.append(p) or original(self, p))
+    assert verify_closure_identity(df, X, cd)
+    assert calls == []
+
+
+def _cold_and_warm(df):
+    """A fresh copy of the built-in family df, with an empty image store, and
+    df itself, whose store the session's closure solve has filled."""
+    return builtin_deformed(df.fam, df.D, df.params), df
+
+
 def test_perturbed_inhomogeneous_term_fails(l1i, l1i_closure):
     cd, X = l1i_closure
     broken = ClosureData(cd.K, list(cd.R), cd.R_minus1 + 1, "solved", "L")
-    assert not verify_closure_identity(l1i, X, broken)
+    assert (X, cd.K) in l1i.ad_image_store
+    for df in _cold_and_warm(l1i):
+        assert not verify_closure_identity(df, X, broken)
 
 
 def test_degree_above_bound_is_certified_on_more_levels(l1i, l1i_closure):
@@ -235,7 +256,8 @@ def test_degree_above_bound_is_certified_on_more_levels(l1i, l1i_closure):
     raised = ClosureData(cd.K, list(cd.R), cd.R_minus1, "solved", "L")
     raised.R[0] = cd.R[0] + vanishing
     assert not raised.bounds_ok()
-    assert not verify_closure_identity(l1i, X, raised)
+    for df in _cold_and_warm(l1i):
+        assert not verify_closure_identity(df, X, raised)
 
 
 def test_eigen_failure_beyond_validation_names_the_level(l1i, l1i_closure):
@@ -247,10 +269,14 @@ def test_eigen_failure_beyond_validation_names_the_level(l1i, l1i_closure):
         return l1i.P(n) + l1i.P(3) if n == 4 else l1i.P(n)
 
     bad = DeformedFamily("L", l1i.D, l1i.params, l1i.xi, make_P, validate_n=3)
-    with pytest.raises(EigenValidationFailed, match="n=4"):
-        solve_closure(bad, X, 4)
-    with pytest.raises(EigenValidationFailed, match="n=4"):
-        verify_closure_identity(bad, X, cd)
+    for _ in range(2):  # the image store never records the failed level
+        with pytest.raises(EigenValidationFailed, match="n=4"):
+            solve_closure(bad, X, 4)
+        with pytest.raises(EigenValidationFailed, match="n=4"):
+            verify_closure_identity(bad, X, cd)
+        with pytest.raises(EigenValidationFailed, match="n=4"):
+            ad_images(bad, X, 4, 0)
+    assert (X, 4) not in bad.ad_image_store
 
 
 def test_eigen_failure_in_plugin_is_a_failing_check(explicit_plugin, tmp_path):

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from closurelab.exactalg import (LinearSolution, ParamPoly, RationalFunc,
                                  SampleMismatch, interpolate_grid,
@@ -140,6 +141,85 @@ def test_solve_residual_properties_randomized():
         for vec in sol.kernel_basis:
             for i in range(rows):
                 assert sum(M[i][j] * vec[j] for j in range(cols)) == 0
+
+
+def _reference_solve_fraction(matrix, rhs) -> LinearSolution:
+    """Gauss-Jordan elimination over Fraction: the reference for the
+    integer-row elimination behind solve_linear_exact."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    aug = [[F(x) for x in row] + [F(rhs[i])] for i, row in enumerate(matrix)]
+    pivot_cols: list[int] = []
+    r = 0
+    for c in range(cols):
+        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
+        if pivot is None:
+            continue
+        aug[r], aug[pivot] = aug[pivot], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(rows):
+            if i != r and aug[i][c]:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivot_cols.append(c)
+        r += 1
+        if r == rows:
+            break
+    for i in range(r, rows):
+        if aug[i][cols]:
+            return LinearSolution(False, None, [], r, tuple(pivot_cols))
+    solution = [F(0)] * cols
+    for i, c in enumerate(pivot_cols):
+        solution[c] = aug[i][cols]
+    kernel = []
+    for fc in (c for c in range(cols) if c not in pivot_cols):
+        vec = [F(0)] * cols
+        vec[fc] = F(1)
+        for i, c in enumerate(pivot_cols):
+            vec[c] = -aug[i][fc]
+        kernel.append(vec)
+    return LinearSolution(True, solution, kernel, r, tuple(pivot_cols))
+
+
+_small_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
+
+
+@st.composite
+def _linear_systems(draw):
+    """Rectangular rational systems, with zero rows, duplicate rows and
+    combinations of other rows (rank deficiency) mixed in; an added row's
+    right-hand side is either the consistent one or perturbed."""
+    cols = draw(st.integers(1, 6))
+    row = st.lists(_small_fractions, min_size=cols, max_size=cols)
+    matrix = draw(st.lists(row, min_size=1, max_size=5))
+    rhs = draw(st.lists(_small_fractions, min_size=len(matrix),
+                        max_size=len(matrix)))
+    for kind in draw(st.lists(st.sampled_from(["zero", "duplicate", "combination"]),
+                              max_size=3)):
+        i = draw(st.integers(0, len(matrix) - 1))
+        j = draw(st.integers(0, len(matrix) - 1))
+        c = draw(_small_fractions)
+        if kind == "zero":
+            new, b = [F(0)] * cols, F(0)
+        elif kind == "duplicate":
+            new, b = list(matrix[i]), rhs[i]
+        else:
+            new = [x + c * y for x, y in zip(matrix[i], matrix[j])]
+            b = rhs[i] + c * rhs[j]
+        if draw(st.booleans()):
+            b += draw(_small_fractions)
+        at = draw(st.integers(0, len(matrix)))
+        matrix.insert(at, new)
+        rhs.insert(at, b)
+    return matrix, rhs
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_linear_systems())
+def test_solve_matches_fraction_reference(system):
+    matrix, rhs = system
+    assert solve_linear_exact(matrix, rhs) == _reference_solve_fraction(matrix, rhs)
 
 
 def test_bareiss_symbolic_solve():

@@ -1,16 +1,21 @@
 """Operator algebra: composition, commutators, polynomial action."""
 
+import pathlib
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from closurelab.closure import ad_powers
 from closurelab.exactalg import ParamPoly, RationalFunc
+from closurelab.families import build_H_tilde, load_family_plugin
 from closurelab.opalg import (AlgebraMismatch, CoefficientBlowup, DiffOp,
                               NonPolynomialImage, gauge_transform,
                               right_mul_poly_of_H)
+from closurelab.recurrence import build_X
 
 eta = ParamPoly.var("eta")
+PLUGINS = pathlib.Path(__file__).resolve().parent.parent / "plugins"
 
 
 def classical_L(g):
@@ -88,8 +93,40 @@ def test_zero_operator_application():
 
 
 def test_nonpolynomial_image_raises(l1i):
+    # eta^2 is no eigenpolynomial of the family: both routes must refuse it
     with pytest.raises(NonPolynomialImage):
-        l1i.H_tilde.apply_poly(eta ** 2)  # not an eigenpolynomial of the family
+        l1i.H_tilde.apply_poly(eta ** 2)
+    with pytest.raises(ValueError):
+        l1i.H_tilde.apply(eta ** 2).as_poly()
+
+
+def _assert_cleared_matches_reference(H, polys):
+    for p in polys:
+        assert H.apply_poly(p) == H.apply(p).as_poly()
+
+
+def test_cleared_form_matches_rational_route(l1i, l1ii, j1i, j1ii, lag_params,
+                                             jac_params):
+    # H of L[1I], L[1II], J[1I], J[1II] and the L[2I] plugin on P_0..P_6;
+    # then the conjugation-route operators, whose coefficients have unequal
+    # denominators (products of eta or 1 -+ eta with powers of xi),
+    # including the mirror_diffop image that gives J[1II]
+    l2i = load_family_plugin(str(PLUGINS / "laguerre_2I.json"))
+    for df in (l1i, l1ii, j1i, j1ii, l2i):
+        _assert_cleared_matches_reference(df.H_tilde, [df.P(n) for n in range(7)])
+    for df, params in ((l1i, lag_params), (j1i, jac_params), (j1ii, jac_params)):
+        H = build_H_tilde(df.fam, df.D, params, route="conjugation")
+        assert len({f.den for f in H.coeffs.values()}) > 1
+        _assert_cleared_matches_reference(H, [df.P(n) for n in range(7)])
+
+
+def test_cleared_form_matches_rational_route_on_ad_powers(l1i, j1ii):
+    # the nested commutators carry denominators that are powers of xi
+    for df in (l1i, j1ii):
+        ads = ad_powers(df.H_tilde, build_X(df.xi, ParamPoly.const(1)), 4)
+        assert ads[4].cleared()[0].degree("eta") > 1
+        for op in ads:
+            _assert_cleared_matches_reference(op, [df.P(n) for n in range(5)])
 
 
 def test_right_mul_identity_and_constant(l1i):
@@ -174,8 +211,5 @@ def test_gauge_transform_exponential():
 
 
 def test_ad_powers_blowup_guard(l1i):
-    from closurelab.closure import ad_powers
-    from closurelab.exactalg import ParamPoly as PP
-
     with pytest.raises(CoefficientBlowup):
-        ad_powers(l1i.H_tilde, PP.var("eta") ** 4, 8, max_terms=40)
+        ad_powers(l1i.H_tilde, eta ** 4, 8, max_terms=40)
