@@ -30,8 +30,8 @@ from .closure import (NoSolution, TableMissing,
 from .recurrence import (build_X, check_h_symmetry, closed_form_compare,
                          compute_table, leading_coeff_identity,
                          table_formulas_J1I, table_formulas_L1I)
-from .spectral import (alpha_values_at_energy, check_alpha_spectrum,
-                       pairing_identities, spectral_suite)
+from .spectral import (DegenerateSpectrum, alpha_values_at_energy,
+                       check_alpha_spectrum, pairing_identities, spectral_suite)
 from .heisenberg import (LadderContext, check_r0_relation, commutation_check,
                          heisenberg_series_check, ladder_suite)
 
@@ -136,13 +136,28 @@ def _load_plugin(path: str) -> DeformedFamily:
         raise ConfigError(f"plugin {path}: {exc}") from None
 
 
+def _builtin(fam: str, D: MultiIndex, params: ParamSet) -> DeformedFamily:
+    """A built-in family that cannot be built at these parameters is a
+    configuration error."""
+    try:
+        return builtin_deformed(fam, D, params)
+    except (SchemaError, DegreeMismatch, EigenValidationFailed, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _family_instance(args, params: ParamSet) -> DeformedFamily:
     if getattr(args, "plugin", None):
         return _load_plugin(args.plugin)
-    try:
-        return builtin_deformed(args.family, _parse_D(args.D), params)
-    except (SchemaError, DegreeMismatch, EigenValidationFailed, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    return _builtin(args.family, _parse_D(args.D), params)
+
+
+def _outside_ordering_range(fam: str, params: ParamSet, L: int,
+                            exc: DegenerateSpectrum) -> Exception:
+    """A degenerate companion spectrum is a configuration error when the
+    parameters violate the family's ordering bound (named in the message);
+    inside the range it stays an error of the program."""
+    notes = _validate_ranges(fam, params, L)
+    return ConfigError("; ".join(notes)) if notes else exc
 
 
 def _emit(report: Report, args) -> int:
@@ -273,7 +288,10 @@ def cmd_spectrum(args) -> int:
         alphas = alpha_values_at_energy(args.family, L, params, n)
         R_vals = [Ri.subs({"z": energy(params, n)}).constant_value()
                   for Ri in conj.R]
-        suite = spectral_suite(R_vals, alphas)
+        try:
+            suite = spectral_suite(R_vals, alphas)
+        except DegenerateSpectrum as exc:
+            raise _outside_ordering_range(args.family, params, L, exc) from None
         report.add(f"spectrum/companion[n={n}]",
                    suite["recursion_ok"] and suite["eigen_ok"] and suite["initial_ok"])
     # randomized distinct-rational spectra
@@ -330,11 +348,14 @@ def cmd_heisenberg(args) -> int:
     n_top = min(args.n_max, 6)
     table = compute_table(df, X, range(n_top + cd.K // 2 + 1))
     ctx = LadderContext(df, cd, X, table)
-    report.add_all("heisenberg", ladder_suite(ctx, range(n_top + 1)))
-    report.add_all("heisenberg", check_r0_relation(ctx, range(n_top + 1)))
-    report.add_all("heisenberg", commutation_check(ctx, range(n_top + 1)))
-    for n in range(min(n_top, 3) + 1):
-        report.add_all("heisenberg", heisenberg_series_check(ctx, n, cd.K + 2))
+    try:
+        report.add_all("heisenberg", ladder_suite(ctx, range(n_top + 1)))
+        report.add_all("heisenberg", check_r0_relation(ctx, range(n_top + 1)))
+        report.add_all("heisenberg", commutation_check(ctx, range(n_top + 1)))
+        for n in range(min(n_top, 3) + 1):
+            report.add_all("heisenberg", heisenberg_series_check(ctx, n, cd.K + 2))
+    except DegenerateSpectrum as exc:
+        raise _outside_ordering_range(df.fam, df.params, cd.K // 2, exc) from None
     return _emit(report, args)
 
 
@@ -345,7 +366,7 @@ def cmd_appendix_b(args) -> int:
     plugin_df = _load_plugin(args.plugin) if args.plugin else None
     keys = sorted(k for k in tables if k != "_meta")
     for fam, D, Ylabel in keys:
-        if args.filter and not f"{fam}/{D}".startswith(args.filter):
+        if args.filter and not _selected(f"{fam}/{D}", args.filter):
             continue
         label = f"appendix-b/{fam}/{D}/Y={Ylabel}"
         entry = tables[(fam, D, Ylabel)]
@@ -354,15 +375,12 @@ def cmd_appendix_b(args) -> int:
                        "closure for difference operators")
             continue
         D_idx = MultiIndex.parse(D)
-        derivable = all(d == 1 for d, _ in D_idx.entries) and D_idx.M <= 1
-        df = None
-        if derivable:
-            params = _parse_params(fam, args.params)
-            df = builtin_deformed(fam, D, params)
-        elif (plugin_df is not None and plugin_df.fam == fam
-              and plugin_df.D.label() == D):
+        if (plugin_df is not None and plugin_df.fam == fam
+                and plugin_df.D.label() == D):
             df = plugin_df
-        if df is None:
+        elif D_idx.M <= 1:
+            df = _builtin(fam, D_idx, _parse_params(fam, args.params))
+        else:
             report.add(label, None, notice="plugin required")
             continue
         Y = parse_poly(Ylabel) if Ylabel != "1" else ParamPoly.const(1)
@@ -379,6 +397,12 @@ def cmd_appendix_b(args) -> int:
             report.add(f"appendix-b/{fam}/K={K}/extension-targets", None,
                        targets=", ".join(labels), notice="no printed values")
     return _emit(report, args)
+
+
+def _selected(key: str, prefix: str) -> bool:
+    """--filter selects whole labels: the row itself or its continuations
+    after '/' or ',' ('L/2I' selects 'L/2I' and 'L/2I,3I', not 'L/2II')."""
+    return key == prefix or key.startswith((prefix + "/", prefix + ","))
 
 
 def cmd_plugin_validate(args) -> int:
@@ -446,7 +470,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_heisenberg)
     p = sub.add_parser("appendix-b", help="diff derivable reference rows")
-    p.add_argument("--filter", default="", help="prefix filter like 'L/2I'")
+    p.add_argument("--filter", default="",
+                   help="row filter like 'L' or 'L/2I' (whole labels only)")
     p.add_argument("--params", nargs="*", metavar="k=v")
     _add_common(p, with_family=False)
     p.set_defaults(fn=cmd_appendix_b)

@@ -688,37 +688,22 @@ class LinearSolution:
 
 
 def solve_linear_exact(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolution:
-    """Solve M x = rhs exactly for rectangular M.
+    """Solve M x = rhs exactly for rectangular M with rational entries.
 
-    Entries may be Fractions/ints (plain exact Gaussian elimination) or
-    ParamPoly/RationalFunc (fraction-free Bareiss elimination; solution
-    components come back as RationalFunc).
+    Gauss-Jordan elimination, run on integer rows.  Each augmented row is
+    scaled to integers by the lcm of its denominators, and elimination stays
+    in the integers: row_i <- p*row_i - a*row_r for the pivot p of row r,
+    then row_i is divided by the gcd of its entries.  Scaling a row by a
+    nonzero number keeps the row space, so the final rows are nonzero
+    multiples of the rows of the reduced row echelon form, which is unique:
+    pivot columns, rank and consistency are those of elimination over
+    Fraction, and dividing each pivot row by its pivot gives the RREF
+    exactly.  Fractions are formed only for those final quotients.
     """
     rows = len(matrix)
     if rows == 0:
         return LinearSolution(True, [], [], 0)
-    symbolic = any(
-        isinstance(x, (ParamPoly, RationalFunc)) for row in matrix for x in row
-    ) or any(isinstance(x, (ParamPoly, RationalFunc)) for x in rhs)
-    if symbolic:
-        return _solve_bareiss(matrix, rhs)
-    return _solve_fraction(matrix, rhs)
-
-
-def _solve_fraction(matrix, rhs) -> LinearSolution:
-    """Gauss-Jordan elimination for rational entries, run on integer rows.
-
-    Each augmented row is scaled to integers by the lcm of its denominators,
-    and elimination stays in the integers: row_i <- p*row_i - a*row_r for the
-    pivot p of row r, then row_i is divided by the gcd of its entries.
-    Scaling a row by a nonzero number keeps the row space, so the final rows
-    are nonzero multiples of the rows of the reduced row echelon form, which
-    is unique: pivot columns, rank and consistency are those of elimination
-    over Fraction, and dividing each pivot row by its pivot gives the RREF
-    exactly.  Fractions are formed only for those final quotients.
-    """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
+    cols = len(matrix[0])
     aug: list[list[int]] = []
     for i, row in enumerate(matrix):
         entries = [Fraction(x) for x in row] + [Fraction(rhs[i])]
@@ -761,102 +746,6 @@ def _solve_fraction(matrix, rhs) -> LinearSolution:
 def _gcd_reduced(row: list[int]) -> list[int]:
     g = math.gcd(*row)
     return [x // g for x in row] if g > 1 else row
-
-
-def _to_poly_entry(x) -> tuple[ParamPoly, ParamPoly]:
-    if isinstance(x, RationalFunc):
-        return x.num, x.den
-    if isinstance(x, ParamPoly):
-        return x, ParamPoly.const(1)
-    return ParamPoly.const(x), ParamPoly.const(1)
-
-
-def _solve_bareiss(matrix, rhs) -> LinearSolution:
-    """Fraction-free Gaussian elimination for polynomial entries.
-
-    Rows are cleared to a common polynomial denominator first; the Bareiss
-    step  a_ij <- (p*a_ij - a_ic*a_pj) / prev_pivot  keeps every entry a
-    genuine polynomial (the division is exact).
-    """
-    rows = len(matrix)
-    cols = len(matrix[0])
-    aug: list[list[ParamPoly]] = []
-    for i in range(rows):
-        entries = [_to_poly_entry(x) for x in list(matrix[i]) + [rhs[i]]]
-        common = ParamPoly.const(1)
-        for _, d in entries:
-            if not d.is_constant():
-                q = poly_div_exact(common, d)
-                if q is None:
-                    common = common * d
-        row = []
-        for n, d in entries:
-            scale = poly_div_exact(common, d)
-            if scale is None:
-                scale = common * (1 / d.constant_value())
-            row.append(n * scale)
-        aug.append(row)
-    pivot_cols: list[int] = []
-    prev = ParamPoly.const(1)
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        p = aug[r][c]
-        for i in range(r + 1, rows):
-            if not any(aug[i][j] for j in range(c, cols + 1)):
-                continue
-            fi = aug[i][c]
-            new_row = []
-            for j in range(cols + 1):
-                val = p * aug[i][j] - fi * aug[r][j]
-                if not prev.is_constant() or prev.constant_value() != 1:
-                    q = poly_div_exact(val, prev)
-                    assert q is not None, "Bareiss division must be exact"
-                    val = q
-                new_row.append(val)
-            aug[i] = new_row
-        prev = p
-        pivot_cols.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if aug[i][cols]:
-            return LinearSolution(False, None, [], r, tuple(pivot_cols))
-    # back substitution over the fraction field
-    zero = RationalFunc(ParamPoly.zero())
-    solution: list[RationalFunc] = [zero] * cols
-    free_cols = [c for c in range(cols) if c not in pivot_cols]
-
-    def back_subst(assign: dict[int, RationalFunc]) -> list[RationalFunc]:
-        sol = [assign.get(c, zero) for c in range(cols)]
-        for i in range(len(pivot_cols) - 1, -1, -1):
-            c = pivot_cols[i]
-            acc = RationalFunc(aug[i][cols])
-            for j in range(c + 1, cols):
-                if aug[i][j]:
-                    acc = acc - RationalFunc(aug[i][j]) * sol[j]
-            sol[c] = acc / RationalFunc(aug[i][c])
-        return sol
-
-    solution = back_subst({})
-    kernel = []
-    one = RationalFunc(ParamPoly.const(1))
-    for fc in free_cols:
-        # kernel vector: solve with rhs 0 and x_fc = 1
-        saved = [row[cols] for row in aug]
-        for row in aug:
-            row[cols] = ParamPoly.zero(row[cols].vars)
-        vec = back_subst({fc: one})
-        # remove the particular contribution of other free columns (all zero here)
-        for row, s in zip(aug, saved):
-            row[cols] = s
-        # subtract: back_subst({fc:1}) with zero rhs is homogeneous already
-        kernel.append(vec)
-    return LinearSolution(True, solution, kernel, r, tuple(pivot_cols))
 
 
 # -- interpolation -----------------------------------------------------------

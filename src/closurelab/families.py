@@ -2,26 +2,27 @@
 
 Covers the four polynomial families (Laguerre L, Jacobi J, Wilson W,
 Askey-Wilson AW): exact energies, virtual-state energies, norm ratios,
-classical polynomial generators for L/J, the built-in one-index deformations
-(types I and II for L and J), similarity-transformed Hamiltonians built by
-two independent routes, and a JSON plugin loader for externally supplied
-multi-index data.
+classical polynomial generators for L/J, the built-in single-seed
+deformations (any degree, types I and II, for L and J), similarity-transformed
+Hamiltonians built by two independent routes, and a JSON plugin loader for
+externally supplied multi-index data.
 
 Built-in construction notes
 ---------------------------
-The deformed polynomials for L type I and J type I are explicit classical
-combinations.  The matching type II systems are obtained here from two exact
-mechanisms, both verified by tests:
+Every built-in system comes from one constructor per multi-index shape:
+D = {} is the undeformed family, and every single seed (d, t) of L or J is
+one Darboux-Crum step (``one_step_family``).  The step uses the seed
+prefactor rho with logarithmic derivative m = rho'/rho = p/q (``seed_data``)
+and the seed polynomial xi in the classical normalization: the classical
+polynomial of the twisted parameters (``canonical_seed``).  rho*xi is a
+quasi-eigenfunction of the undeformed operator at the virtual energy, and
+``check_seed`` verifies that exactly on every bound-parameter build.  The
+intertwined polynomials
 
-* J type II is the image of J type I under the exact symmetry
-  (g, h) -> (h, g), eta -> -eta, which fixes energies and maps the
-  denominator polynomial and eigenpolynomials onto the type II system.
-* L type II comes from a one-step intertwiner built on the seed
-  rho(eta) * xi(eta) with rho = eta^(1/2-g) and xi = eta + g - 3/2, which is
-  an exact quasi-eigenfunction of the undeformed operator (checked via
-  gauge_transform) with the type II virtual energy.  The intertwined
-  polynomials P(n) = eta*xi*P_n' - ((1/2-g)*xi + eta)*P_n carry the canonical
-  normalization, so the norm-ratio identities hold with no extra constants.
+    P(n) = q*xi*P_n' - (p*xi + q*xi')*P_n
+
+are direct images of the classical P_n, so the norm-ratio identities hold
+with no extra constants.
 
 Hamiltonians are always eigen-validated against independently constructed
 polynomials before use.
@@ -37,7 +38,7 @@ from typing import Callable, Mapping, Sequence
 
 from .exactalg import (ParamPoly, Rat, RationalFunc, rat,
                        rat_str, solve_linear_exact)
-from .opalg import DiffOp, NonPolynomialImage, gauge_transform
+from .opalg import DiffOp, NonPolynomialImage
 
 HALF = Fraction(1, 2)
 
@@ -154,7 +155,7 @@ class ParamSet:
         return out
 
     def swapped(self) -> "ParamSet":
-        """J only: exchange g and h (used by the type II mirror)."""
+        """J only: exchange g and h (used by the J[1II] conjugation route)."""
         assert self.fam == "J"
         return ParamSet("J", {"g": self.values["h"], "h": self.values["g"]})
 
@@ -365,6 +366,19 @@ def c2_poly(fam: str) -> ParamPoly:
     if fam == "J":
         return 1 - eta ** 2
     raise ValueError("c2 is defined for the differential families L and J")
+
+
+def c1_poly(fam: str, params: ParamSet | None = None) -> ParamPoly:
+    """First-order coefficient of the classical operator
+    H_cl = -4*(c2*d^2 + c1*d); symbolic in g (and h) when params is None."""
+    eta = ParamPoly.var("eta")
+    g = params.g if params else ParamPoly.var("g")
+    if fam == "L":
+        return g + HALF - eta
+    if fam == "J":
+        h = params.h if params else ParamPoly.var("h")
+        return (h - g) - (g + h + 1) * eta
+    raise ValueError("c1 is defined for the differential families L and J")
 
 
 # -- Hamiltonian builders --------------------------------------------------------
@@ -594,138 +608,113 @@ class DeformedFamily:
         return f"DeformedFamily({self.label}, source={self.source})"
 
 
-def seed_data(fam: str, t: str, params: ParamSet | None = None):
-    """Log-derivative m of the seed prefactor and its virtual-energy check.
-
-    Returns (m, xi_seed, Etilde) for degree-1 seeds; gauge-transforming the
-    classical operator by m and applying to xi_seed must give Etilde*xi_seed.
-    """
-    eta = ParamPoly.var("eta")
+def seed_data(fam: str, t: str, params: ParamSet | None = None) -> RationalFunc:
+    """Logarithmic derivative m = rho'/rho of the type I/II seed prefactor
+    rho (the same for every seed degree); symbolic when params is None."""
+    eta, half = ParamPoly.var("eta"), ParamPoly.const(HALF)
+    g = params.g if params else ParamPoly.var("g")
     if fam == "L":
-        g = params.g if params else ParamPoly.var("g")
         if t == "I":
-            m = RationalFunc(ParamPoly.const(1))  # rho = exp(eta)
-            xi_seed = eta + g + HALF
-        else:
-            sigma = ParamPoly.const(HALF) - g  # rho = eta^(1/2-g)
-            m = RationalFunc(sigma, eta)
-            xi_seed = eta + g - 3 * HALF
-        et = virtual_energy(params, t, 1) if params else None
-        return m, xi_seed, et
+            return RationalFunc(ParamPoly.const(1))  # rho = exp(eta)
+        return RationalFunc(half - g, eta)  # rho = eta^(1/2-g)
     if fam == "J":
-        g = params.g if params else ParamPoly.var("g")
-        h = params.h if params else ParamPoly.var("h")
-        a, b = g + h, g - h
         if t == "I":
-            m = RationalFunc(ParamPoly.const(HALF) - h, 1 + eta)  # rho = (1+eta)^(1/2-h)
-        else:
-            # rho = (1-eta)^(1/2-g), so m = rho'/rho = (g-1/2)/(1-eta)
-            m = RationalFunc(ParamPoly.const(g) - HALF, 1 - eta)
-        if t == "I":
-            xi_seed = ((b + 2) * eta + (a - 1)) * HALF
-        else:
-            xi_seed = ((2 - b) * eta - (a - 1)) * HALF
-        et = virtual_energy(params, t, 1) if params else None
-        return m, xi_seed, et
+            h = params.h if params else ParamPoly.var("h")
+            return RationalFunc(half - h, 1 + eta)  # rho = (1+eta)^(1/2-h)
+        return RationalFunc(half - g, eta - 1)  # rho = (1-eta)^(1/2-g)
     raise ValueError("seed data is provided for L and J")
 
 
-def one_step_seed(fam: str, t: str, d: int, params: ParamSet) -> ParamPoly:
-    """Monic degree-d seed polynomial: the polynomial part of the type I/II
-    quasi-eigenfunction of the undeformed operator at the virtual energy.
-
-    Found by an exact linear solve of the gauge-transformed eigen-equation;
-    existence and uniqueness are part of the family structure and checked.
-    """
-    m, _, _ = seed_data(fam, t, params)
-    cls = classical_family(fam, params)
-    Hg = gauge_transform(cls.H_tilde, m)
-    et = virtual_energy(params, t, d)
-    eta = ParamPoly.var("eta")
-    # residual of (Hg - et) on eta^k times the common denominator D of the
-    # cleared form; D != 0, so it vanishes exactly when the residual does
-    D, _ = Hg.cleared()
-    imgs = [Hg.apply_cleared(eta ** k) - D * eta ** k * et for k in range(d + 1)]
-    max_deg = max(p.degree("eta") for p in imgs if not p.is_zero)
-    rows, rhs = [], []
-    for degree in range(max_deg + 1):
-        row = []
-        for k in range(d):
-            c = imgs[k].coeffs_in("eta").get(degree)
-            row.append(c.constant_value() if c is not None else Fraction(0))
-        c = imgs[d].coeffs_in("eta").get(degree)
-        rows.append(row)
-        rhs.append(-(c.constant_value() if c is not None else Fraction(0)))
-    sol = solve_linear_exact(rows, rhs)
-    if not sol.consistent or sol.kernel_basis:
-        raise EigenValidationFailed(
-            f"{fam} type {t} degree-{d} seed is not uniquely determined")
-    return eta ** d + ParamPoly.univar("eta", {k: sol.solution[k] for k in range(d)})
-
-
-def canonical_seed(fam: str, t: str, d: int, params: ParamSet) -> ParamPoly:
+def canonical_seed(fam: str, t: str, d: int, params: ParamSet | None) -> ParamPoly:
     """Degree-d seed polynomial in the classical normalization: the
     classical polynomial of the twisted parameters.
 
     L type I: degree-d Laguerre polynomial at -eta; L type II: Laguerre at
     g -> 1-g.  J type I: Jacobi at (g, 1-h); J type II: Jacobi at (1-g, h).
-    Cross-checked against the monic quasi-eigenfunction solve.
+    Symbolic in g (and h) when params is None.  With bound parameters the
+    seed is checked as a quasi-eigenfunction (``check_seed``).
     """
-    eta = ParamPoly.var("eta")
-    if fam == "L":
-        if t == "I":
-            seed = classical_poly("L", d, params).subs({"eta": -eta})
-        else:
-            seed = classical_poly("L", d, ParamSet("L", {"g": 1 - params.g}))
-    elif fam == "J":
-        if t == "I":
-            twisted = ParamSet("J", {"g": params.g, "h": 1 - params.h})
-        else:
-            twisted = ParamSet("J", {"g": 1 - params.g, "h": params.h})
-        seed = classical_poly("J", d, twisted)
-    else:
+    if fam not in ("L", "J"):
         raise ValueError("seeds are provided for L and J")
-    monic = one_step_seed(fam, t, d, params)
-    lead = seed.leading_coeff("eta").constant_value()
-    if not lead or seed != monic * lead:
-        raise EigenValidationFailed(
-            f"{fam} type {t} degree-{d}: twisted classical polynomial is not "
-            f"the quasi-eigenfunction seed")
+    twisted = "h" if (fam, t) == ("J", "I") else "g"
+    if (fam, t) == ("L", "I"):
+        seed = classical_poly("L", d, params).subs({"eta": -ParamPoly.var("eta")})
+    elif params is None:
+        seed = classical_poly(fam, d).subs({twisted: 1 - ParamPoly.var(twisted)})
+    else:
+        values = dict(params.values)
+        values[twisted] = 1 - values[twisted]
+        seed = classical_poly(fam, d, ParamSet(fam, values))
+    if params is not None:
+        check_seed(fam, t, d, params, seed)
     return seed
 
 
-def one_step_family(fam: str, t: str, d: int, params: ParamSet,
+def check_seed(fam: str, t: str, d: int, params: ParamSet, seed: ParamPoly) -> None:
+    """Raise EigenValidationFailed unless rho*seed is an eigenfunction of the
+    classical operator H_cl = -4*(c2*d^2 + c1*d) at the virtual energy Et
+    of the degree-d type-t seed (rho the prefactor of ``seed_data``).
+
+    With m = rho'/rho = p/q:  (rho*xi)' = rho*(xi' + m*xi) and
+    (rho*xi)'' = rho*(xi'' + 2*m*xi' + (m' + m^2)*xi).  Dividing
+    H_cl(rho*xi) = Et*rho*xi by -4*rho and clearing q^2, where
+    (m' + m^2)*q^2 = p'q - pq' + p^2, the condition is that
+
+        c2*q^2*xi'' + (2*c2*p*q + c1*q^2)*xi'
+          + (c2*(p'q - pq' + p^2) + c1*p*q)*xi + (Et/4)*q^2*xi
+
+    vanishes.  rho and q are nonzero, so this polynomial is zero exactly when
+    rho*xi is the quasi-eigenfunction.
+    """
+    m = seed_data(fam, t, params)
+    p, q = m.num, m.den
+    c2, c1 = c2_poly(fam), c1_poly(fam, params)
+    et = virtual_energy(params, t, d)
+    d1 = seed.diff("eta")
+    residual = (c2 * q * q * d1.diff("eta")
+                + (2 * c2 * p * q + c1 * q * q) * d1
+                + (c2 * (p.diff("eta") * q - p * q.diff("eta") + p * p) + c1 * p * q
+                   + et * HALF * HALF * q * q) * seed)
+    if residual:
+        raise EigenValidationFailed(
+            f"{fam} type {t} degree-{d}: the seed is not a quasi-eigenfunction "
+            f"at the virtual energy")
+
+
+def one_step_family(fam: str, t: str, d: int, params: ParamSet | None,
                     **kw) -> DeformedFamily:
     """Single-seed deformation of degree d, built from the exact intertwiner.
 
-    P(n) = q_m * xi * P_n' - (p_m * xi + q_m * xi') * P_n, with m = p_m/q_m
-    the seed prefactor's logarithmic derivative.  The seed carries the
-    classical normalization (canonical_seed), which reproduces the stored
-    minimal-X reference rows; the intertwined P(n) are direct images of the
-    classical polynomials, so the norm-ratio identities hold without extra
-    constants.
+    P(n) = q * xi * P_n' - (p * xi + q * xi') * P_n, with m = p/q the seed
+    prefactor's logarithmic derivative and xi the seed in the classical
+    normalization (canonical_seed), which reproduces the stored minimal-X
+    reference rows; the intertwined P(n) are direct images of the classical
+    polynomials, so the norm-ratio identities hold without extra constants.
+    With params=None the family is symbolic and needs build_H=False.
     """
-    m, _, _ = seed_data(fam, t, params)
     seed = canonical_seed(fam, t, d, params)
-    seed_prime = seed.diff("eta")
-    q_m, p_m = m.den, m.num
+    dp_c, p_c = _intertwiner(fam, t, params, seed)
 
     def make_P(n: int) -> ParamPoly:
         Pn = classical_poly(fam, n, params)
-        return q_m * seed * Pn.diff("eta") - (p_m * seed + q_m * seed_prime) * Pn
+        return dp_c * Pn.diff("eta") + p_c * Pn
 
     D = MultiIndex(((d, t),))
     return DeformedFamily(fam, D, params, seed, make_P,
                           label=f"{fam}[{d}{t}]", **kw)
 
 
+def _intertwiner(fam: str, t: str, params: ParamSet | None,
+                 seed: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
+    """Coefficients (q*xi, -(p*xi + q*xi')) of P_n' and P_n in P(n)."""
+    m = seed_data(fam, t, params)
+    return m.den * seed, -(m.num * seed + m.den * seed.diff("eta"))
+
+
 def plugin_dict_from_family(df: DeformedFamily) -> dict:
-    """Serialize a classical-combination family as a plugin dictionary
-    (round-trips through family_from_plugin_dict)."""
-    m, _, _ = seed_data(df.fam, df.D.entries[0][1], df.params)
-    seed = df.xi
-    dp_c = m.den * seed
-    p_c = -(m.num * seed + m.den * seed.diff("eta"))
+    """Serialize a single-seed family as a classical-combination plugin
+    dictionary (round-trips through family_from_plugin_dict)."""
+    dp_c, p_c = _intertwiner(df.fam, df.D.entries[0][1], df.params, df.xi)
     return {
         "family": df.fam,
         "parameters": {k: rat_str(v) for k, v in df.params.values.items()},
@@ -748,56 +737,17 @@ def classical_family(fam: str, params: ParamSet | None, **kw) -> DeformedFamily:
 
 def builtin_deformed(fam: str, D: MultiIndex | str, params: ParamSet | None,
                      **kw) -> DeformedFamily:
-    """Built-in one-index deformations: (L or J) x (1I or 1II)."""
+    """Built-in systems: the undeformed family for D = {} and the one-step
+    deformation for a single L/J seed of any degree; other multi-indices
+    need a plugin."""
     if isinstance(D, str):
         D = MultiIndex.parse(D)
     if D.entries == ():
         return classical_family(fam, params, **kw)
-    if D.entries not in (((1, "I"),), ((1, "II"),)):
+    if D.M != 1:
         raise ValueError(f"no built-in family for D={D.label()} (supply a plugin)")
-    t = D.entries[0][1]
-    eta = ParamPoly.var("eta")
-    if fam == "L":
-        g = params.g if params else ParamPoly.var("g")
-        if t == "I":
-            xi = eta + g + HALF
-
-            def make_P(n: int) -> ParamPoly:
-                Pn = classical_poly("L", n, params)
-                return xi * Pn.diff("eta") - (eta + g + 3 * HALF) * Pn
-        else:
-            seed = eta + g - 3 * HALF
-            xi = -seed  # derivative of the printed minimal X
-
-            def make_P(n: int) -> ParamPoly:
-                Pn = classical_poly("L", n, params)
-                return eta * seed * Pn.diff("eta") - ((HALF - g) * seed + eta) * Pn
-    elif fam == "J":
-        g = params.g if params else ParamPoly.var("g")
-        h = params.h if params else ParamPoly.var("h")
-        a, b = g + h, g - h
-        if t == "I":
-            xi = ((b + 2) * eta + (a - 1)) * HALF
-
-            def make_P(n: int) -> ParamPoly:
-                Pn = classical_poly("J", n, params)
-                lead = (1 + eta) * ((b + 2) * eta + (a - 1)) * Fraction(1, 4)
-                tail = (3 * HALF - h) * ((b + 2) * eta + (a + 1)) * Fraction(1, 4)
-                return lead * Pn.diff("eta") - tail * Pn
-        else:
-            # exact mirror of type I: (g,h) -> (h,g), eta -> -eta
-            if params is None:
-                raise ValueError("symbolic J type II is not provided")
-            xi = ((2 - b) * eta - (a - 1)) * HALF
-            base = builtin_deformed("J", MultiIndex(((1, "I"),)), params.swapped(),
-                                    build_H=False)
-
-            def make_P(n: int) -> ParamPoly:
-                return base.P(n).subs({"eta": -eta})
-    else:
-        raise ValueError("built-in deformations exist for L and J only")
-    build = kw.pop("build_H", params is not None)
-    return DeformedFamily(fam, D, params, xi, make_P, build_H=build, **kw)
+    (d, t), = D.entries
+    return one_step_family(fam, t, d, params, **kw)
 
 
 def build_H_tilde(fam: str, D: MultiIndex | str, params: ParamSet,

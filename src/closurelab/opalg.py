@@ -6,10 +6,9 @@ step, so operator equality is decided coefficient-wise (never by sampling).
 The closure engine never composes operators: it applies H to polynomials
 (``apply_poly``) through the cleared form H = D^-1 sum_k N_k d^k, with
 polynomial N_k and one common denominator D, so an image costs polynomial
-products and a single exact division.  Composition serves the gauge
-transforms of the seed machinery (``gauge_transform``); ``power``,
-``right_mul_poly_of_H`` and the RationalFunc route ``apply`` only build the
-references that the tests cross-check against.
+products and a single exact division.  Composition, ``gauge_transform``,
+``power``, ``right_mul_poly_of_H`` and the RationalFunc route ``apply`` only
+build the references that the tests cross-check against.
 
 Operators are immutable; all operations are pure.
 """

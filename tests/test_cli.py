@@ -72,8 +72,12 @@ def test_reports_are_byte_stable(tmp_path):
     ["appendix-b", "--plugin", "{truncated}"],
     ["recurrence", "--plugin", "{missing}"],
     ["verify-closure", "--D", "2I", "--plugin", "{six-levels}"],
+    ["verify-closure", "--D", "1I,2I"],
+    ["spectrum", "--family", "J", "--Y", "eta"],  # a = 5 = 2L-1
+    ["heisenberg", "--family", "J", "--Y", "eta"],
 ], ids=["params", "W-recurrence", "AW-q", "Y", "D", "truncated-plugin",
-        "missing-plugin", "plugin-levels"])
+        "missing-plugin", "plugin-levels", "multi-seed", "J-range-spectrum",
+        "J-range-heisenberg"])
 def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
     truncated = tmp_path / "truncated.json"
     truncated.write_text((ROOT / "plugins" / "laguerre_2I.json").read_text()[:200])
@@ -85,6 +89,8 @@ def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     if "{six-levels}" in argv:
         assert "needs P_0..P_6" in err
+    if "J" in argv:
+        assert "a=5 is not above the ordering bound 2L-1=5" in err
 
 
 def test_failing_check_exit_code(tmp_path):
@@ -118,6 +124,30 @@ def test_appendix_b_marks_plugin_gated(tmp_path):
                if c["id"] == "appendix-b/L/1I,2I/Y=1")
     assert row["status"] == "skip"
     assert row["detail"]["notice"] == "plugin required"
+
+
+def test_appendix_b_checks_single_seed_rows_in_core(tmp_path):
+    report = tmp_path / "r.json"
+    assert run_cli("appendix-b", "--report", str(report)) == 0
+    payload = json.loads(report.read_text())
+    status = {c["id"]: c["status"] for c in payload["checks"]}
+    for label in ("L/2I", "L/2II", "L/3I", "L/3II", "J/2I", "J/2II"):
+        assert status[f"appendix-b/{label}/Y=1"] == "pass"
+    for c in payload["checks"]:
+        if "," in c["id"].split("/")[2]:
+            assert c["detail"]["notice"] == "plugin required"
+    assert payload["summary"] == {"pass": 14, "fail": 0, "skip": 17}
+
+
+def test_appendix_b_filter_selects_whole_labels(tmp_path):
+    report = tmp_path / "r.json"
+    assert run_cli("appendix-b", "--filter", "L/1I", "--report", str(report)) == 0
+    rows = {c["id"] for c in json.loads(report.read_text())["checks"]
+            if "extension-targets" not in c["id"]}
+    assert rows == {"appendix-b/L/1I/Y=1", "appendix-b/L/1I/Y=eta",
+                    "appendix-b/L/1I/Y=eta^2", "appendix-b/L/1I,1II/Y=1",
+                    "appendix-b/L/1I,2I/Y=1", "appendix-b/L/1I,2I,3I/Y=1",
+                    "appendix-b/L/1I,3I/Y=1"}
 
 
 def test_spectrum_seed_env(tmp_path, monkeypatch):

@@ -222,36 +222,6 @@ def test_solve_matches_fraction_reference(system):
     assert solve_linear_exact(matrix, rhs) == _reference_solve_fraction(matrix, rhs)
 
 
-def test_bareiss_symbolic_solve():
-    M = [[g, ParamPoly.const(1)], [ParamPoly.const(0), g]]
-    rhs = [g + 1, g]
-    sol = solve_linear_exact(M, rhs)
-    one = RationalFunc(ParamPoly.const(1))
-    assert sol.solution == [one, one]
-    # symbolic kernel
-    sol = solve_linear_exact([[g, g]], [g])
-    assert sol.consistent and len(sol.kernel_basis) == 1
-
-
-def test_bareiss_kernel_vectors_are_exact_null_vectors():
-    rng = random.Random(9)
-    for _ in range(10):
-        rows, cols = rng.randint(1, 3), rng.randint(2, 4)
-        M = [[ParamPoly.univar("g", {0: F(rng.randint(-3, 3)),
-                                     1: F(rng.randint(-2, 2))})
-              for _ in range(cols)] for _ in range(rows)]
-        rhs = [ParamPoly.zero(("g",))] * rows
-        sol = solve_linear_exact(M, rhs)
-        assert sol.consistent
-        zero = RationalFunc(ParamPoly.zero())
-        for vec in sol.kernel_basis:
-            for i in range(rows):
-                acc = zero
-                for j in range(cols):
-                    acc = acc + RationalFunc(M[i][j]) * vec[j]
-                assert acc.is_zero
-
-
 def test_interpolate_linear():
     got = interpolate_param([(0, F(2)), (1, F(3))], 1, "g")
     assert got == g + 2

@@ -6,12 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from closurelab.exactalg import ParamPoly, RationalFunc
+from closurelab.exactalg import ParamPoly, RationalFunc, solve_linear_exact
 from closurelab.families import (DegreeMismatch, EigenValidationFailed,
                                  MultiIndex, ParamSet, SchemaError,
-                                 build_H_tilde, builtin_deformed,
-                                 canonical_seed, classical_family,
-                                 classical_h_step, classical_poly, energy,
+                                 build_H_tilde, builtin_deformed, c1_poly,
+                                 c2_poly, canonical_seed, check_seed,
+                                 classical_family, classical_h_step,
+                                 classical_poly, energy,
                                  family_from_plugin_dict, one_step_family,
                                  plugin_dict_from_family, seed_data,
                                  virtual_energy)
@@ -98,6 +99,16 @@ def test_classical_eigen_equations_to_n8(l_classical, j_classical):
             assert fam.H_tilde.apply_poly(fam.P(n)) == fam.P(n) * fam.E(n)
 
 
+def test_c1_matches_classical_operator(l_classical, j_classical, lag_params,
+                                       jac_params):
+    for cls, ps in ((l_classical, lag_params), (j_classical, jac_params)):
+        assert cls.H_tilde == DiffOp("eta", {2: -4 * c2_poly(cls.fam),
+                                             1: -4 * c1_poly(cls.fam, ps)})
+    bind = {"g": jac_params.g, "h": jac_params.h}
+    assert c1_poly("J").subs(bind) == c1_poly("J", jac_params)
+    assert c1_poly("L").subs(bind) == c1_poly("L", ParamSet("L", {"g": jac_params.g}))
+
+
 def test_classical_H_closed_forms(l_classical, j_classical, lag_params, jac_params):
     g = lag_params.g
     assert l_classical.H_tilde == DiffOp("eta", {2: -4 * eta,
@@ -153,11 +164,59 @@ def test_conjugation_routes_agree(lag_params, jac_params):
 
 
 def test_seed_quasi_eigenfunctions(lag_params, jac_params, l_classical, j_classical):
+    # operator route: the classical operator conjugated by the seed prefactor
     for fam, ps, cls in (("L", lag_params, l_classical), ("J", jac_params, j_classical)):
         for t in ("I", "II"):
-            m, xi_seed, et = seed_data(fam, t, ps)
-            Hg = gauge_transform(cls.H_tilde, m)
-            assert Hg.apply(xi_seed) == RationalFunc(xi_seed) * et
+            xi_seed = canonical_seed(fam, t, 1, ps)
+            Hg = gauge_transform(cls.H_tilde, seed_data(fam, t, ps))
+            assert Hg.apply(xi_seed) == RationalFunc(xi_seed) * virtual_energy(ps, t, 1)
+
+
+def _reference_monic_seed(fam: str, t: str, d: int, params: ParamSet) -> ParamPoly:
+    """Monic degree-d seed by an exact linear solve: the polynomial part of
+    the type I/II quasi-eigenfunction of the undeformed operator, from the
+    gauge-transformed classical operator at the virtual energy."""
+    cls = classical_family(fam, params)
+    Hg = gauge_transform(cls.H_tilde, seed_data(fam, t, params))
+    et = virtual_energy(params, t, d)
+    # residual of (Hg - et) on eta^k times the common denominator D of the
+    # cleared form; D != 0, so it vanishes exactly when the residual does
+    D, _ = Hg.cleared()
+    imgs = [Hg.apply_cleared(eta ** k) - D * eta ** k * et for k in range(d + 1)]
+    max_deg = max(p.degree("eta") for p in imgs if not p.is_zero)
+    rows, rhs = [], []
+    for degree in range(max_deg + 1):
+        row = []
+        for k in range(d):
+            c = imgs[k].coeffs_in("eta").get(degree)
+            row.append(c.constant_value() if c is not None else F(0))
+        c = imgs[d].coeffs_in("eta").get(degree)
+        rows.append(row)
+        rhs.append(-(c.constant_value() if c is not None else F(0)))
+    sol = solve_linear_exact(rows, rhs)
+    assert sol.consistent and not sol.kernel_basis
+    return eta ** d + ParamPoly.univar("eta", {k: sol.solution[k] for k in range(d)})
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_canonical_seed_matches_reference_solve(d, lag_params, jac_params):
+    for fam, ps in (("L", lag_params), ("J", jac_params)):
+        for t in ("I", "II"):
+            seed = canonical_seed(fam, t, d, ps)
+            lead = seed.leading_coeff("eta").constant_value()
+            assert lead and seed == _reference_monic_seed(fam, t, d, ps) * lead
+
+
+def test_perturbed_seed_fails_the_residual_check(lag_params, jac_params):
+    for fam, ps in (("L", lag_params), ("J", jac_params)):
+        for t in ("I", "II"):
+            for d in (1, 2):
+                seed = canonical_seed(fam, t, d, ps)
+                check_seed(fam, t, d, ps, seed * 3)  # the check is linear
+                with pytest.raises(EigenValidationFailed):
+                    check_seed(fam, t, d, ps, seed + eta ** (d - 1))
+                with pytest.raises(EigenValidationFailed):
+                    check_seed(fam, t, d + 1, ps, seed)  # wrong virtual energy
 
 
 def test_h_step_against_three_term_recurrence(l_classical, j_classical):
@@ -207,11 +266,55 @@ def test_paramset_validation():
     assert d["b1"] == 10 and d["b2"] == 35 and d["b3"] == 50 and d["b4"] == 24
 
 
-def test_canonical_seeds_match_builtins(lag_params, jac_params, l1i, l1ii, j1i, j1ii):
-    assert canonical_seed("L", "I", 1, lag_params) == l1i.xi
-    assert canonical_seed("L", "II", 1, lag_params) == l1ii.xi
-    assert canonical_seed("J", "I", 1, jac_params) == j1i.xi
-    assert canonical_seed("J", "II", 1, jac_params) == j1ii.xi
+def test_canonical_seeds_match_builtins(lag_params, jac_params):
+    # the degree-1 seeds of the former hand-written built-ins
+    g = lag_params.g
+    assert canonical_seed("L", "I", 1, lag_params) == eta + g + F(1, 2)
+    assert canonical_seed("L", "II", 1, lag_params) == -(eta + g - F(3, 2))
+    a, b = jac_params.a, jac_params.b
+    assert canonical_seed("J", "I", 1, jac_params) == ((b + 2) * eta + (a - 1)) * F(1, 2)
+    assert canonical_seed("J", "II", 1, jac_params) == ((2 - b) * eta - (a - 1)) * F(1, 2)
+    gsym = ParamPoly.var("g")
+    assert canonical_seed("L", "I", 1, None) == eta + gsym + F(1, 2)
+    for fam, ps in (("L", lag_params), ("J", jac_params)):
+        for t in ("I", "II"):
+            assert (canonical_seed(fam, t, 2, None).subs(ps.values)
+                    == canonical_seed(fam, t, 2, ps))
+
+
+def _former_builtin_P(fam: str, t: str, params: ParamSet | None, n: int) -> ParamPoly:
+    """P_n of the former hand-written degree-1 built-ins; J[1II] was the
+    mirror (g, h) -> (h, g), eta -> -eta of J[1I]."""
+    Pn = classical_poly(fam, n, params)
+    if fam == "L":
+        g = params.g if params else ParamPoly.var("g")
+        if t == "I":
+            return (eta + g + F(1, 2)) * Pn.diff("eta") - (eta + g + F(3, 2)) * Pn
+        seed = eta + g - F(3, 2)
+        return eta * seed * Pn.diff("eta") - ((F(1, 2) - g) * seed + eta) * Pn
+    if t == "II":
+        return _former_builtin_P("J", "I", params.swapped(), n).subs({"eta": -eta})
+    a, b, h = params.a, params.b, params.h
+    lead = (1 + eta) * ((b + 2) * eta + (a - 1)) * F(1, 4)
+    tail = (F(3, 2) - h) * ((b + 2) * eta + (a + 1)) * F(1, 4)
+    return lead * Pn.diff("eta") - tail * Pn
+
+
+@pytest.mark.parametrize("fam,t,c", [
+    ("L", "I", lambda n: 1),
+    ("L", "II", lambda n: -1),
+    ("J", "I", lambda n: 2),
+    ("J", "II", lambda n: 2 * (-1) ** (n + 1)),
+], ids=["L1I", "L1II", "J1I", "J1II"])
+def test_one_step_matches_former_builtins(fam, t, c, lag_params, jac_params):
+    ps = lag_params if fam == "L" else jac_params
+    df = builtin_deformed(fam, f"1{t}", ps)
+    for n in range(9):
+        assert df.P(n) == _former_builtin_P(fam, t, ps, n) * c(n)
+    if (fam, t) == ("L", "I"):
+        sym = builtin_deformed("L", "1I", None, build_H=False)
+        for n in range(9):
+            assert sym.P(n) == _former_builtin_P("L", "I", None, n)
 
 
 def test_one_step_family_degree_two(lag_params):
