@@ -36,7 +36,7 @@ print(f"norm-ratio symmetry r(n,-l) = (h_n/h_(n-l)) r(n-l,l): "
       f"{len(symmetry)} exact matches")
 
 # the same table, now symbolically in g
-sym_family = builtin_deformed("L", "1I", None, build_H=False)
+sym_family = builtin_deformed("L", "1I", None)
 sym_table = compute_table(sym_family, build_X(sym_family.xi, ParamPoly.const(1)),
                           range(4))
 print("\nsymbolic coefficients (polynomials in g):")

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 from . import __version__
 from .exactalg import ParamPoly, parse_poly, rat, rat_str
-from .families import (DeformedFamily, EigenValidationFailed, MultiIndex,
-                       ParamSet, SchemaError, DegreeMismatch,
+from .families import (VALIDATE_N, DeformedFamily, EigenValidationFailed,
+                       MultiIndex, ParamSet, SchemaError, DegreeMismatch,
                        builtin_deformed, energy, load_family_plugin)
 from .closure import (NoSolution, TableMissing,
                       closure_for_family, compare_reference, conjectured_R,
@@ -364,6 +364,7 @@ def cmd_appendix_b(args) -> int:
                                    "plugin": args.plugin or ""})
     tables = load_reference_tables()
     plugin_df = _load_plugin(args.plugin) if args.plugin else None
+    params: dict[str, ParamSet] = {}
     keys = sorted(k for k in tables if k != "_meta")
     for fam, D, Ylabel in keys:
         if args.filter and not _selected(f"{fam}/{D}", args.filter):
@@ -379,7 +380,15 @@ def cmd_appendix_b(args) -> int:
                 and plugin_df.D.label() == D):
             df = plugin_df
         elif D_idx.M <= 1:
-            df = _builtin(fam, D_idx, _parse_params(fam, args.params))
+            if fam not in params:
+                params[fam] = _parse_params(fam, args.params)
+            try:
+                df = _builtin(fam, D_idx, params[fam])
+            except ConfigError as exc:
+                # --params apply to the rows of both L and J; a row that
+                # cannot be built at them is skipped, the others are checked
+                report.add(label, None, notice=str(exc))
+                continue
         else:
             report.add(label, None, notice="plugin required")
             continue
@@ -415,7 +424,7 @@ def cmd_plugin_validate(args) -> int:
     report.add("plugin/load", True, family=df.fam, D=df.D.label(),
                ell=df.ell, source=df.source)
     report.add("plugin/degrees", True)
-    report.add("plugin/eigen-equations", True, validated_n=5)
+    report.add("plugin/eigen-equations", True, validated_n=VALIDATE_N)
     report.add("plugin/norm-ratio-symmetry", True)
     return _emit(report, args)
 

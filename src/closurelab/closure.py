@@ -25,7 +25,7 @@ from .exactalg import (ParamPoly, Rat, SampleMismatch, interpolate_grid, rat,
                        solve_linear_exact)
 from .families import (DeformedFamily, EigenValidationFailed, MultiIndex,
                        ParamSet, SchemaError, builtin_deformed)
-from .opalg import CoefficientBlowup, DiffOp, NonPolynomialImage
+from .opalg import DiffOp, NonPolynomialImage
 from .recurrence import build_X
 from .spectral import alpha_conjecture, elementary_symmetric_R
 
@@ -92,21 +92,15 @@ def _images_through(df: DeformedFamily, X: ParamPoly, N: int,
     return (ad_images(df, X, n, count) for n in range(N + 1))
 
 
-def ad_powers(H: DiffOp, X: ParamPoly, count: int,
-              max_terms: int | None = None) -> list[DiffOp]:
+def ad_powers(H: DiffOp, X: ParamPoly, count: int) -> list[DiffOp]:
     """[X, [H,X], [H,[H,X]], ...] with count+1 entries, as operators.
 
     Reference route only: the tests cross-check ``ad_images`` against it.
-    Entry 0 is the multiplication operator by X.  ``max_terms`` is a size
-    guard; exceeding it raises CoefficientBlowup.
+    Entry 0 is the multiplication operator by X.
     """
-    ads = [DiffOp.mul_by(X, H.var, H.factors)]
+    ads = [DiffOp.mul_by(X, H.var)]
     for _ in range(count):
-        nxt = H.compose(ads[-1], max_terms) - ads[-1].compose(H, max_terms)
-        if max_terms is not None and nxt.term_count() > max_terms:
-            raise CoefficientBlowup(
-                f"commutator grew past {max_terms} terms")
-        ads.append(nxt)
+        ads.append(H.commutator(ads[-1]))
     return ads
 
 
@@ -125,7 +119,10 @@ class ClosureData:
     provenance: str
     fam: str = ""
     kernel_dim: int = 0
-    unique: bool = True
+
+    @property
+    def unique(self) -> bool:
+        return self.kernel_dim == 0
 
     def bounds_ok(self) -> bool:
         bounds = degree_bounds(self.fam or "L", self.K)
@@ -135,14 +132,6 @@ class ClosureData:
         if self.R_minus1 is not None and self.R_minus1.degree("z") > bounds[-1]:
             return False
         return True
-
-    def bind(self, bindings: Mapping[str, Rat]) -> "ClosureData":
-        """Substitute parameter symbols, keeping z."""
-        return ClosureData(
-            self.K,
-            [Ri.subs(bindings) for Ri in self.R],
-            None if self.R_minus1 is None else self.R_minus1.subs(bindings),
-            self.provenance, self.fam, self.kernel_dim, self.unique)
 
     def coefficient(self, i: int, j: int) -> Rat:
         poly = self.R_minus1 if i == -1 else self.R[i]
@@ -212,8 +201,7 @@ def _solved_data(fam: str, K: int, values: Mapping[tuple[int, int], object],
     bounds = degree_bounds(fam, K)
     R = [sum((values[(i, j)] * z ** j for j in range(bounds[i] + 1)),
              ParamPoly.zero(("z",))) for i in [*range(K), -1]]
-    return ClosureData(K, R[:-1], R[-1], "solved", fam,
-                       kernel_dim=kernel_dim, unique=kernel_dim == 0)
+    return ClosureData(K, R[:-1], R[-1], "solved", fam, kernel_dim)
 
 
 def verify_closure_identity(df: DeformedFamily, X: ParamPoly,
@@ -230,8 +218,7 @@ def verify_closure_identity(df: DeformedFamily, X: ParamPoly,
     H P_n = E_n P_n checked at each n, proves A = 0.  The images of
     P_0..P_K that ``solve_closure`` built are read back from the family's
     store, whose levels were each checked on entry.  A False verdict is a
-    report, not an error.  R data must be numeric in z (bind symbolic
-    parameters first).
+    report, not an error.  R data must be numeric in z.
     """
     K = cd.K
     N = max([K, 2 * cd.R_minus1.degree("z")]

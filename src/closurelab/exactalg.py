@@ -506,25 +506,22 @@ class RationalFunc:
     """Reduced quotient of two ParamPolys.
 
     Univariate quotients (both parts in the same single variable) are fully
-    reduced with a monic denominator.  Multivariate quotients are normalized
-    by content and by cancelling any factors listed in ``factors`` — the known
-    denominator building blocks of the computation (for the operator algebra,
-    powers of the family's denominator polynomial).  This keeps multivariate
-    reduction cheap without a general multivariate gcd.
+    reduced with a monic denominator.  Multivariate quotients are reduced
+    only when the denominator divides the numerator, and are otherwise
+    normalized by content: there is no general multivariate gcd.  Equality
+    cross-multiplies, so it never depends on the reduction state.
     """
 
-    __slots__ = ("num", "den", "factors")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: ParamPoly, den: ParamPoly | int = 1, factors: tuple = ()):
+    def __init__(self, num: ParamPoly, den: ParamPoly | int = 1):
         if isinstance(den, (int, Fraction)):
             den = ParamPoly.const(den, num.vars)
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
-        num, den = num._align(den)
-        num, den, factors = _reduce_ratio(num, den, tuple(factors))
+        num, den = _reduce_ratio(*num._align(den))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "factors", factors)
 
     def __setattr__(self, *_):
         raise AttributeError("RationalFunc is immutable")
@@ -541,54 +538,42 @@ class RationalFunc:
             raise ValueError(f"not a polynomial: ({self.num})/({self.den})")
         return q
 
-    def _merge_factors(self, other: "RationalFunc") -> tuple:
-        if self.factors == other.factors:
-            return self.factors
-        merged = list(self.factors)
-        for f in other.factors:
-            if all(f != g for g in merged):
-                merged.append(f)
-        return tuple(merged)
-
     def __add__(self, other) -> "RationalFunc":
-        other = _coerce_rf(other, self.factors)
-        fs = self._merge_factors(other)
+        other = _coerce_rf(other)
         if self.den == other.den:
-            return RationalFunc(self.num + other.num, self.den, fs)
+            return RationalFunc(self.num + other.num, self.den)
         return RationalFunc(self.num * other.den + other.num * self.den,
-                            self.den * other.den, fs)
+                            self.den * other.den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunc":
-        return RationalFunc(-self.num, self.den, self.factors)
+        return RationalFunc(-self.num, self.den)
 
     def __sub__(self, other) -> "RationalFunc":
-        return self + (-_coerce_rf(other, self.factors))
+        return self + (-_coerce_rf(other))
 
     def __rsub__(self, other) -> "RationalFunc":
-        return _coerce_rf(other, self.factors) - self
+        return _coerce_rf(other) - self
 
     def __mul__(self, other) -> "RationalFunc":
-        other = _coerce_rf(other, self.factors)
-        return RationalFunc(self.num * other.num, self.den * other.den,
-                            self._merge_factors(other))
+        other = _coerce_rf(other)
+        return RationalFunc(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "RationalFunc":
-        other = _coerce_rf(other, self.factors)
+        other = _coerce_rf(other)
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunc(self.num * other.den, self.den * other.num,
-                            self._merge_factors(other))
+        return RationalFunc(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other) -> "RationalFunc":
-        return _coerce_rf(other, self.factors) / self
+        return _coerce_rf(other) / self
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, ParamPoly)):
-            other = _coerce_rf(other, self.factors)
+            other = _coerce_rf(other)
         if not isinstance(other, RationalFunc):
             return NotImplemented
         # cross-multiplied equality: independent of reduction state
@@ -599,14 +584,12 @@ class RationalFunc:
 
     def diff(self, var: str) -> "RationalFunc":
         if self.den.is_constant():
-            return RationalFunc(self.num.diff(var), self.den, self.factors)
+            return RationalFunc(self.num.diff(var), self.den)
         return RationalFunc(self.num.diff(var) * self.den - self.num * self.den.diff(var),
-                            self.den * self.den, self.factors)
+                            self.den * self.den)
 
     def subs(self, bindings: Mapping[str, object]) -> "RationalFunc":
-        return RationalFunc(self.num.subs(bindings), self.den.subs(bindings),
-                            tuple(f.subs(bindings) for f in self.factors
-                                  if not f.subs(bindings).is_constant()))
+        return RationalFunc(self.num.subs(bindings), self.den.subs(bindings))
 
     def evaluate(self, bindings: Mapping[str, object]) -> Rat:
         den = self.den.evaluate(bindings)
@@ -620,27 +603,26 @@ class RationalFunc:
         return f"({self.num})/({self.den})"
 
 
-def _coerce_rf(value, factors: tuple) -> RationalFunc:
+def _coerce_rf(value) -> RationalFunc:
     if isinstance(value, RationalFunc):
         return value
     if isinstance(value, ParamPoly):
-        return RationalFunc(value, 1, factors)
+        return RationalFunc(value)
     if isinstance(value, (int, Fraction)):
-        return RationalFunc(ParamPoly.const(value), 1, factors)
+        return RationalFunc(ParamPoly.const(value))
     raise TypeError(f"cannot treat {value!r} as a rational function")
 
 
-def _reduce_ratio(num: ParamPoly, den: ParamPoly,
-                  factors: tuple) -> tuple[ParamPoly, ParamPoly, tuple]:
+def _reduce_ratio(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
     if num.is_zero:
-        return ParamPoly.zero(num.vars), ParamPoly.const(1, num.vars), factors
+        return ParamPoly.zero(num.vars), ParamPoly.const(1, num.vars)
     if den.is_constant():
         c = den.constant_value()
-        return num * (1 / c), ParamPoly.const(1, num.vars), factors
+        return num * (1 / c), ParamPoly.const(1, num.vars)
     # whole-denominator cancellation is common after compositions
     q = poly_div_exact(num, den)
     if q is not None:
-        return q, ParamPoly.const(1, num.vars), factors
+        return q, ParamPoly.const(1, num.vars)
     nu, du = num.used_vars(), den.used_vars()
     if len(set(nu) | set(du)) == 1:
         var = (nu or du)[0]
@@ -649,24 +631,12 @@ def _reduce_ratio(num: ParamPoly, den: ParamPoly,
             num = poly_div_exact(num, g)
             den = poly_div_exact(den, g)
         lead = den.leading_coeff(var).constant_value()
-        return num * (1 / lead), den * (1 / lead), factors
-    for f in factors:
-        while True:
-            qn = poly_div_exact(num, f)
-            if qn is None:
-                break
-            qd = poly_div_exact(den, f)
-            if qd is None:
-                break
-            num, den = qn, qd
-            if den.is_constant():
-                c = den.constant_value()
-                return num * (1 / c), ParamPoly.const(1, num.vars), factors
+        return num * (1 / lead), den * (1 / lead)
     c = den.content()
     if c != 1:
         num = num * (1 / c)
         den = den * (1 / c)
-    return num, den, factors
+    return num, den
 
 
 # -- exact linear algebra ----------------------------------------------------

@@ -22,7 +22,8 @@ intertwined polynomials
     P(n) = q*xi*P_n' - (p*xi + q*xi')*P_n
 
 are direct images of the classical P_n, so the norm-ratio identities hold
-with no extra constants.
+with no extra constants.  Parameters at which the virtual energy equals an
+eigenvalue make the seed degenerate and are rejected.
 
 Hamiltonians are always eigen-validated against independently constructed
 polynomials before use.
@@ -43,6 +44,15 @@ from .opalg import DiffOp, NonPolynomialImage
 HALF = Fraction(1, 2)
 
 FAMILIES = ("L", "J", "W", "AW")
+
+# Every family with bound parameters checks H P_n = E_n P_n for
+# n = 0..VALIDATE_N when it is built (plugins: when they are loaded).
+VALIDATE_N = 5
+
+# Largest supported number of missing degrees ell.  It bounds the size of the
+# ansatz system and of every P_n a multi-index from a label or a plugin can
+# ask for; every shipped row and plugin has ell <= 5.
+MAX_ELL = 16
 
 
 class EigenValidationFailed(Exception):
@@ -165,7 +175,7 @@ class MultiIndex:
     """Multi-index D: list of (degree, type) seed labels.
 
     ell = sum(d_j) - M(M-1)/2 + 2 * M_I * M_II  is the number of missing
-    low degrees; entries must be distinct within each type.
+    low degrees, at most MAX_ELL; entries must be distinct within each type.
     """
 
     entries: tuple[tuple[int, str], ...]
@@ -182,6 +192,8 @@ class MultiIndex:
             if len(ds) != len(set(ds)):
                 raise ValueError(f"duplicate type-{t} degrees in multi-index")
         object.__setattr__(self, "entries", ent)
+        if self.ell > MAX_ELL:
+            raise ValueError(f"ell = {self.ell} is above the supported bound {MAX_ELL}")
 
     @staticmethod
     def parse(text: str) -> "MultiIndex":
@@ -426,18 +438,16 @@ def build_H_ansatz(fam: str, xi: ParamPoly, pairs: Sequence[tuple[ParamPoly, Rat
             "eigen-equations do not pin the operator down (need more levels)")
     n1 = ParamPoly.univar(var, {k: sol.solution[k] for k in range(d1 + 1)})
     n0 = ParamPoly.univar(var, {k: sol.solution[d1 + 1 + k] for k in range(d0 + 1)})
-    factors = () if xi.is_constant() else (xi.primitive(),)
-    xi_rf = RationalFunc(xi, 1, factors)
     return DiffOp(var, {
-        2: RationalFunc(c2 * (-4), 1, factors),
-        1: RationalFunc(n1 * (-4), 1, factors) / xi_rf,
-        0: RationalFunc(n0 * (-4), 1, factors) / xi_rf,
-    }, factors)
+        2: c2 * (-4),
+        1: RationalFunc(n1 * (-4), xi),
+        0: RationalFunc(n0 * (-4), xi),
+    })
 
 
 def eigen_validate(H: DiffOp, P: Callable[[int], ParamPoly],
-                   E: Callable[[int], Rat], n_max: int = 5) -> None:
-    for n in range(n_max + 1):
+                   E: Callable[[int], Rat]) -> None:
+    for n in range(VALIDATE_N + 1):
         pn = P(n)
         try:
             image = H.apply_poly(pn)
@@ -453,10 +463,8 @@ def _conjugated_H_laguerre_1I(params: ParamSet) -> DiffOp:
     g = params.g
     eta = ParamPoly.var("eta")
     xi = eta + g + HALF
-    factors = (xi, eta)
     f = lambda num, den=1: RationalFunc(num if isinstance(num, ParamPoly)
-                                        else ParamPoly.const(num),
-                                        den, factors)
+                                        else ParamPoly.const(num), den)
     one = ParamPoly.const(1)
     # prefactor log-derivative divided by x:  m = -1 + (g+1)/eta - 2/xi
     m = f(-one) + f((g + 1) * one, eta) + f(-2 * one, xi)
@@ -469,7 +477,7 @@ def _conjugated_H_laguerre_1I(params: ParamSet) -> DiffOp:
         2: f(-4 * eta),
         1: f(-2 * one) - 4 * f(eta) * m,
         0: zero_term,
-    }, factors)
+    })
 
 
 def _conjugated_H_jacobi_1I(params: ParamSet) -> DiffOp:
@@ -483,10 +491,8 @@ def _conjugated_H_jacobi_1I(params: ParamSet) -> DiffOp:
     xi_p = xi.diff("eta")
     one_m = 1 - eta
     one_p = 1 + eta
-    factors = (xi, one_m.primitive(), one_p)
     f = lambda num, den=1: RationalFunc(num if isinstance(num, ParamPoly)
-                                        else ParamPoly.const(num),
-                                        den, factors)
+                                        else ParamPoly.const(num), den)
     one = ParamPoly.const(1)
     # A = (log Psi)' * eta'(x), everything reduced to rational functions of eta
     A = (f(-2 * (g + 1) * one_p) + f(2 * (h - 1) * one_m)
@@ -504,7 +510,7 @@ def _conjugated_H_jacobi_1I(params: ParamSet) -> DiffOp:
         2: f(-4 * (1 - eta ** 2)),
         1: f(4 * eta) - 2 * A,
         0: U - log_second - log_sq,
-    }, factors)
+    })
 
 
 # -- deformed families -----------------------------------------------------------
@@ -513,7 +519,10 @@ def _conjugated_H_jacobi_1I(params: ParamSet) -> DiffOp:
 class DeformedFamily:
     """One solvable system: family tag, multi-index, parameters, exact data.
 
-    P(n) generation is memoized per instance, and so are the eigenpolynomial
+    With bound parameters the Hamiltonian H_tilde is built from the
+    eigen-equations of P_0..P_2 and checked on P_0..P_VALIDATE_N; with
+    params=None the family is symbolic and has no Hamiltonian.  P(n)
+    generation is memoized per instance, and so are the eigenpolynomial
     images of ``closure.ad_images`` (``ad_image_store``); instances are
     otherwise immutable, so parallel tasks should each own their instance.
     """
@@ -521,7 +530,6 @@ class DeformedFamily:
     def __init__(self, fam: str, D: MultiIndex, params: ParamSet | None,
                  xi: ParamPoly, make_P: Callable[[int], ParamPoly],
                  source: str = "builtin", label: str | None = None,
-                 build_H: bool = True, validate_n: int = 5,
                  p_max: int | None = None):
         self.fam = fam
         self.D = D
@@ -536,12 +544,10 @@ class DeformedFamily:
         self.Etilde = ([virtual_energy(params, t, d) for d, t in D.entries]
                        if params is not None else None)
         self.H_tilde: DiffOp | None = None
-        if build_H:
-            if params is None:
-                raise ValueError("cannot build a Hamiltonian for symbolic parameters")
+        if params is not None:
             pairs = [(self.P(n), self.E(n)) for n in range(3)]
             self.H_tilde = build_H_ansatz(fam, xi, pairs)
-            eigen_validate(self.H_tilde, self.P, self.E, validate_n)
+            eigen_validate(self.H_tilde, self.P, self.E)
 
     # polynomial eigendata --------------------------------------------------
 
@@ -681,8 +687,8 @@ def check_seed(fam: str, t: str, d: int, params: ParamSet, seed: ParamPoly) -> N
             f"at the virtual energy")
 
 
-def one_step_family(fam: str, t: str, d: int, params: ParamSet | None,
-                    **kw) -> DeformedFamily:
+def one_step_family(fam: str, t: str, d: int,
+                    params: ParamSet | None) -> DeformedFamily:
     """Single-seed deformation of degree d, built from the exact intertwiner.
 
     P(n) = q * xi * P_n' - (p * xi + q * xi') * P_n, with m = p/q the seed
@@ -690,18 +696,36 @@ def one_step_family(fam: str, t: str, d: int, params: ParamSet | None,
     normalization (canonical_seed), which reproduces the stored minimal-X
     reference rows; the intertwined P(n) are direct images of the classical
     polynomials, so the norm-ratio identities hold without extra constants.
-    With params=None the family is symbolic and needs build_H=False.
+    With params=None the family is symbolic in g (and h).  Bound parameters
+    at which the virtual energy equals an eigenvalue E_n are a ValueError
+    naming n (``_degenerate_level``).
     """
     seed = canonical_seed(fam, t, d, params)
+    n = None if params is None else _degenerate_level(params, t, d)
+    if n is not None:
+        raise ValueError(f"{fam}[{d}{t}]: the virtual energy equals E_{n}, so "
+                         f"the seed is degenerate at these parameters")
     dp_c, p_c = _intertwiner(fam, t, params, seed)
 
     def make_P(n: int) -> ParamPoly:
         Pn = classical_poly(fam, n, params)
         return dp_c * Pn.diff("eta") + p_c * Pn
 
-    D = MultiIndex(((d, t),))
-    return DeformedFamily(fam, D, params, seed, make_P,
-                          label=f"{fam}[{d}{t}]", **kw)
+    return DeformedFamily(fam, MultiIndex(((d, t),)), params, seed, make_P)
+
+
+def _degenerate_level(params: ParamSet, t: str, d: int) -> int | None:
+    """The level n >= 0 with E_n equal to the virtual energy Et of the seed,
+    or None.  L: 4n = Et.  J: 4n(n + a) = Et, so n is a root of
+    n^2 + a*n - Et/4, rational only when the discriminant is a square."""
+    et = virtual_energy(params, t, d)
+    if params.fam == "L":
+        roots = [et / 4]
+    else:
+        root = _sqrt_fraction(params.a ** 2 + et)
+        roots = [] if root is None else [(-params.a - root) / 2,
+                                         (-params.a + root) / 2]
+    return next((int(n) for n in roots if n >= 0 and n.denominator == 1), None)
 
 
 def _intertwiner(fam: str, t: str, params: ParamSet | None,
@@ -725,29 +749,27 @@ def plugin_dict_from_family(df: DeformedFamily) -> dict:
     }
 
 
-def classical_family(fam: str, params: ParamSet | None, **kw) -> DeformedFamily:
+def classical_family(fam: str, params: ParamSet | None) -> DeformedFamily:
     """The undeformed system: D = {}, xi = 1, classical polynomials."""
-    D = MultiIndex(())
     xi = ParamPoly.const(1, ("eta",))
     make_P = lambda n: classical_poly(fam, n, params)
-    build = kw.pop("build_H", params is not None)
-    return DeformedFamily(fam, D, params, xi, make_P, label=f"{fam}[classical]",
-                          build_H=build, **kw)
+    return DeformedFamily(fam, MultiIndex(()), params, xi, make_P,
+                          label=f"{fam}[classical]")
 
 
-def builtin_deformed(fam: str, D: MultiIndex | str, params: ParamSet | None,
-                     **kw) -> DeformedFamily:
+def builtin_deformed(fam: str, D: MultiIndex | str,
+                     params: ParamSet | None) -> DeformedFamily:
     """Built-in systems: the undeformed family for D = {} and the one-step
     deformation for a single L/J seed of any degree; other multi-indices
     need a plugin."""
     if isinstance(D, str):
         D = MultiIndex.parse(D)
     if D.entries == ():
-        return classical_family(fam, params, **kw)
+        return classical_family(fam, params)
     if D.M != 1:
         raise ValueError(f"no built-in family for D={D.label()} (supply a plugin)")
     (d, t), = D.entries
-    return one_step_family(fam, t, d, params, **kw)
+    return one_step_family(fam, t, d, params)
 
 
 def build_H_tilde(fam: str, D: MultiIndex | str, params: ParamSet,
@@ -787,14 +809,13 @@ def mirror_diffop(H: DiffOp) -> DiffOp:
     for k, f in H.coeffs.items():
         flipped = RationalFunc(f.num.subs({"eta": -eta}), f.den.subs({"eta": -eta}))
         out[k] = flipped * ((-1) ** k)
-    factors = tuple(fac.subs({"eta": -eta}).primitive() for fac in H.factors)
-    return DiffOp(H.var, out, factors)
+    return DiffOp(H.var, out)
 
 
 # -- plugin interface -------------------------------------------------------------
 
 
-def load_family_plugin(path: str, validate_n: int = 5) -> DeformedFamily:
+def load_family_plugin(path: str) -> DeformedFamily:
     """Load a deformed family from a JSON plugin file.
 
     Schema: {family, parameters: {name: 'p/q'}, D: [{d, type}],
@@ -805,10 +826,10 @@ def load_family_plugin(path: str, validate_n: int = 5) -> DeformedFamily:
     """
     with open(path) as fh:
         data = json.load(fh)
-    return family_from_plugin_dict(data, validate_n=validate_n)
+    return family_from_plugin_dict(data)
 
 
-def family_from_plugin_dict(data: Mapping, validate_n: int = 5) -> DeformedFamily:
+def family_from_plugin_dict(data: Mapping) -> DeformedFamily:
     if not isinstance(data, Mapping):
         raise SchemaError("plugin must be a JSON object")
     if "energy" in data or "energies" in data:
@@ -850,26 +871,26 @@ def family_from_plugin_dict(data: Mapping, validate_n: int = 5) -> DeformedFamil
             polys = [ParamPoly.from_record(recd) for recd in rule["polys"]]
         except Exception as exc:
             raise SchemaError(f"bad explicit polynomial list: {exc}") from None
-        if len(polys) < validate_n + 1:
-            raise SchemaError(f"explicit plugin needs at least {validate_n + 1} polynomials")
+        if len(polys) < VALIDATE_N + 1:
+            raise SchemaError(f"explicit plugin needs at least {VALIDATE_N + 1} polynomials")
         p_max = len(polys) - 1
 
         def make_P(n: int) -> ParamPoly:
             return polys[n]
     else:
         raise SchemaError("P rule kind must be 'classical-combination' or 'explicit'")
-    df = DeformedFamily(fam, D, params, xi, make_P, source="plugin",
-                        validate_n=validate_n, p_max=p_max)
-    _plugin_h_consistency(df, n_max=min(validate_n, df.p_max or validate_n))
+    df = DeformedFamily(fam, D, params, xi, make_P, source="plugin", p_max=p_max)
+    _plugin_h_consistency(df)
     return df
 
 
-def _plugin_h_consistency(df: DeformedFamily, n_max: int = 5) -> None:
+def _plugin_h_consistency(df: DeformedFamily) -> None:
     """Norm-ratio symmetry of the minimal recurrence, checked on load."""
     from .recurrence import build_X, check_h_symmetry, compute_table
 
     X = build_X(df.xi, ParamPoly.const(1))
-    upper = n_max if df.p_max is None else max(1, min(n_max, df.p_max - df.xi.degree("eta") - 1))
+    upper = VALIDATE_N if df.p_max is None else max(
+        1, min(VALIDATE_N, df.p_max - df.xi.degree("eta") - 1))
     table = compute_table(df, X, range(0, upper + 1))
     report = check_h_symmetry(df, table)
     bad = [entry for entry in report if not entry["ok"]]

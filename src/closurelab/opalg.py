@@ -19,7 +19,8 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .exactalg import ParamPoly, RationalFunc, poly_div_exact, poly_gcd_univar
+from .exactalg import (ParamPoly, RationalFunc, _coerce_rf, poly_div_exact,
+                       poly_gcd_univar)
 
 class AlgebraMismatch(Exception):
     """Operands live in different operator algebras."""
@@ -30,59 +31,42 @@ class NonPolynomialImage(Exception):
     (wrong operator or wrong family data)."""
 
 
-class CoefficientBlowup(Exception):
-    """Configurable size guard tripped during operator arithmetic."""
-
-
-def _coerce_coeff(value, factors: tuple) -> RationalFunc:
-    if isinstance(value, RationalFunc):
-        return value
-    if isinstance(value, ParamPoly):
-        return RationalFunc(value, 1, factors)
-    if isinstance(value, (int, Fraction)):
-        return RationalFunc(ParamPoly.const(value), 1, factors)
-    raise TypeError(f"bad operator coefficient: {value!r}")
-
-
 class DiffOp:
-    """Differential operator sum_k f_k(var) d^k, exact coefficients.
+    """Differential operator sum_k f_k(var) d^k with RationalFunc
+    coefficients (ints, Fractions and ParamPolys are coerced).
 
-    ``factors`` lists known denominator building blocks (the family's
-    denominator polynomial); they are propagated through all operations so
-    coefficient reduction stays cheap in multi-parameter computations.
     The cleared form (``cleared``) is computed on first use and kept.
     """
 
-    __slots__ = ("var", "coeffs", "factors", "_cleared")
+    __slots__ = ("var", "coeffs", "_cleared")
 
-    def __init__(self, var: str, coeffs: Mapping[int, object], factors: tuple = ()):
+    def __init__(self, var: str, coeffs: Mapping[int, object]):
         cleaned = {}
         for k, f in coeffs.items():
             if k < 0:
                 raise ValueError("negative derivative order")
-            rf = _coerce_coeff(f, factors)
+            rf = _coerce_rf(f)
             if not rf.is_zero:
                 cleaned[k] = rf
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "factors", tuple(factors))
         object.__setattr__(self, "_cleared", None)
 
     def __setattr__(self, *_):
         raise AttributeError("DiffOp is immutable")
 
     @staticmethod
-    def zero(var: str, factors: tuple = ()) -> "DiffOp":
-        return DiffOp(var, {}, factors)
+    def zero(var: str) -> "DiffOp":
+        return DiffOp(var, {})
 
     @staticmethod
-    def identity(var: str, factors: tuple = ()) -> "DiffOp":
-        return DiffOp(var, {0: 1}, factors)
+    def identity(var: str) -> "DiffOp":
+        return DiffOp(var, {0: 1})
 
     @staticmethod
-    def mul_by(poly, var: str = "eta", factors: tuple = ()) -> "DiffOp":
+    def mul_by(poly, var: str = "eta") -> "DiffOp":
         """Multiplication operator p(var)*."""
-        return DiffOp(var, {0: poly}, factors)
+        return DiffOp(var, {0: poly})
 
     @property
     def order(self) -> int:
@@ -95,43 +79,30 @@ class DiffOp:
     def term_count(self) -> int:
         return sum(len(f.num.terms) + len(f.den.terms) for f in self.coeffs.values())
 
-    def _merge_factors(self, other: "DiffOp") -> tuple:
-        if self.factors == other.factors:
-            return self.factors
-        merged = list(self.factors)
-        for f in other.factors:
-            if all(f != g for g in merged):
-                merged.append(f)
-        return tuple(merged)
-
     def _check(self, other: "DiffOp"):
         if not isinstance(other, DiffOp) or other.var != self.var:
             raise AlgebraMismatch("DiffOp operands must share the working variable")
 
     def __add__(self, other) -> "DiffOp":
         if isinstance(other, (int, Fraction, ParamPoly, RationalFunc)):
-            other = DiffOp(self.var, {0: other}, self.factors)
+            other = DiffOp(self.var, {0: other})
         self._check(other)
         coeffs = dict(self.coeffs)
         for k, f in other.coeffs.items():
-            s = coeffs.get(k, RationalFunc(ParamPoly.zero(), 1, self.factors)) + f
-            if s.is_zero:
-                coeffs.pop(k, None)
-            else:
-                coeffs[k] = s
-        return DiffOp(self.var, coeffs, self._merge_factors(other))
+            coeffs[k] = coeffs[k] + f if k in coeffs else f
+        return DiffOp(self.var, coeffs)
 
     def __neg__(self) -> "DiffOp":
-        return DiffOp(self.var, {k: -f for k, f in self.coeffs.items()}, self.factors)
+        return DiffOp(self.var, {k: -f for k, f in self.coeffs.items()})
 
     def __sub__(self, other) -> "DiffOp":
         if isinstance(other, (int, Fraction, ParamPoly, RationalFunc)):
-            other = DiffOp(self.var, {0: other}, self.factors)
+            other = DiffOp(self.var, {0: other})
         return self + (-other)
 
     def scale(self, c) -> "DiffOp":
-        c = _coerce_coeff(c, self.factors)
-        return DiffOp(self.var, {k: f * c for k, f in self.coeffs.items()}, self.factors)
+        c = _coerce_rf(c)
+        return DiffOp(self.var, {k: f * c for k, f in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiffOp):
@@ -154,13 +125,12 @@ class DiffOp:
 
     # -- the algebra ---------------------------------------------------------
 
-    def compose(self, other: "DiffOp", max_terms: int | None = None) -> "DiffOp":
+    def compose(self, other: "DiffOp") -> "DiffOp":
         """Operator product self o other (other acts first).
 
         d^k o f = sum_j C(k,j) f^(j) d^(k-j)  (generalized Leibniz rule).
         """
         self._check(other)
-        factors = self._merge_factors(other)
         var = self.var
         out: dict[int, RationalFunc] = {}
         # cache derivatives of each coefficient of `other`
@@ -180,12 +150,7 @@ class DiffOp:
                     term = fa * fj * comb(ka, j)
                     cur = out.get(key)
                     out[key] = term if cur is None else cur + term
-        result = DiffOp(var, out, factors)
-        if max_terms is not None and result.term_count() > max_terms:
-            raise CoefficientBlowup(
-                f"operator grew to {result.term_count()} terms (limit {max_terms})"
-            )
-        return result
+        return DiffOp(var, out)
 
     def commutator(self, other: "DiffOp") -> "DiffOp":
         return self.compose(other) - other.compose(self)
@@ -197,7 +162,7 @@ class DiffOp:
         if cache is not None and n in cache:
             return cache[n]
         if n == 0:
-            result = DiffOp.identity(self.var, self.factors)
+            result = DiffOp.identity(self.var)
         else:
             result = self.compose(self.power(n - 1, cache))
         if cache is not None:
@@ -209,8 +174,8 @@ class DiffOp:
         variable as a reduced RationalFunc: the reference route for
         ``apply_poly``."""
         if isinstance(p, ParamPoly):
-            p = RationalFunc(p, 1, self.factors)
-        out = RationalFunc(ParamPoly.zero(), 1, self.factors)
+            p = RationalFunc(p)
+        out = RationalFunc(ParamPoly.zero())
         deriv = p
         last = 0
         for k in sorted(self.coeffs):
@@ -279,7 +244,7 @@ def right_mul_poly_of_H(op: DiffOp, R: ParamPoly, H: DiffOp,
     """op o R(H) with R a polynomial in ``z_var``; H powers are cached."""
     if cache is None:
         cache = {}
-    out = DiffOp.zero(op.var, op.factors)
+    out = DiffOp.zero(op.var)
     for k, coeff in R.coeffs_in(z_var).items():
         if coeff.is_zero:
             continue
@@ -292,10 +257,10 @@ def gauge_transform(H: DiffOp, m: RationalFunc) -> DiffOp:
     """Conjugate by a prefactor with logarithmic derivative m(var):
     d -> d + m, i.e. rho^{-1} o H o rho for rho with rho'/rho = m."""
     var = H.var
-    d_plus_m = DiffOp(var, {1: 1, 0: m}, H.factors)
-    out = DiffOp.zero(var, H.factors)
+    d_plus_m = DiffOp(var, {1: 1, 0: m})
+    out = DiffOp.zero(var)
     for k in sorted(H.coeffs):
-        term = DiffOp.identity(var, H.factors)
+        term = DiffOp.identity(var)
         for _ in range(k):
             term = term.compose(d_plus_m)
         out = out + term.scale(H.coeffs[k])

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .exactalg import ParamPoly, Rat, RationalFunc
-from .families import DeformedFamily, MultiIndex
+from .families import DeformedFamily, MultiIndex, _rising
 
 
 class NonzeroRemainder(Exception):
@@ -191,30 +191,19 @@ def table_formulas_L1I(params=None) -> dict[int, Callable[[int], object]]:
     """Five-term recurrence coefficients for L[1I] with the minimal X
     (polynomial in g when params is None)."""
     g = params.g if params is not None else ParamPoly.var("g")
-
-    def wrap(fn):
-        return fn
-
     return {
-        2: wrap(lambda n: Fraction(1, 2) * (n + 1) * (n + 2) * _one_like(g)),
-        1: wrap(lambda n: -(n + 1) * (2 * g + (2 * n + 3))),
-        0: wrap(lambda n: Fraction(1, 8) * ((2 * g + 1) * (6 * g + 13)
-                                            + 4 * n * (10 * g + 11)
-                                            + 24 * n * n * _one_like(g))),
-        -1: wrap(lambda n: -Fraction(1, 2) * (2 * g + (2 * n - 1)) * (2 * g + (2 * n + 3))),
-        -2: wrap(lambda n: Fraction(1, 8) * (2 * g + (2 * n - 3)) * (2 * g + (2 * n + 3))),
+        2: lambda n: Fraction(1, 2) * (n + 1) * (n + 2) * _one_like(g),
+        1: lambda n: -(n + 1) * (2 * g + (2 * n + 3)),
+        0: lambda n: Fraction(1, 8) * ((2 * g + 1) * (6 * g + 13)
+                                       + 4 * n * (10 * g + 11)
+                                       + 24 * n * n * _one_like(g)),
+        -1: lambda n: -Fraction(1, 2) * (2 * g + (2 * n - 1)) * (2 * g + (2 * n + 3)),
+        -2: lambda n: Fraction(1, 8) * (2 * g + (2 * n - 3)) * (2 * g + (2 * n + 3)),
     }
 
 
 def _one_like(g):
     return ParamPoly.const(1) if isinstance(g, ParamPoly) else Fraction(1)
-
-
-def _poch(x, k: int):
-    out = x * 0 + 1 if isinstance(x, ParamPoly) else Fraction(1)
-    for i in range(k):
-        out = out * (x + i)
-    return out
 
 
 def table_formulas_J1I(params) -> dict[int, Callable[[int], Fraction]]:
@@ -223,24 +212,24 @@ def table_formulas_J1I(params) -> dict[int, Callable[[int], Fraction]]:
     a, b, g, h = params.a, params.b, params.g, params.h
 
     def r2(n):
-        return (_poch(Fraction(n + 1), 2) * (b + 2) * _poch(a + n, 2)
-                * (2 * h + 2 * n - 3)) / (_poch(a + 2 * n, 4) * (2 * h + 2 * n + 1))
+        return (_rising(Fraction(n + 1), 2) * (b + 2) * _rising(a + n, 2)
+                * (2 * h + 2 * n - 3)) / (_rising(a + 2 * n, 4) * (2 * h + 2 * n + 1))
 
     def rm2(n):
         return ((b + 2) * (2 * g + 2 * n - 3) * (2 * g + 2 * n + 3)
-                * _poch(h + n - Fraction(3, 2), 2)) / (4 * _poch(a + 2 * n - 3, 4))
+                * _rising(h + n - Fraction(3, 2), 2)) / (4 * _rising(a + 2 * n - 3, 4))
 
     def r1(n):
         return ((n + 1) * (a - 1) * (a + n) * (2 * g + 2 * n + 3)
-                * (2 * h + 2 * n - 3)) / (_poch(a + 2 * n - 1, 3) * (a + 2 * n + 3))
+                * (2 * h + 2 * n - 3)) / (_rising(a + 2 * n - 1, 3) * (a + 2 * n + 3))
 
     def rm1(n):
         return ((a - 1) * (2 * g + 2 * n - 1) * (2 * g + 2 * n + 3)
-                * _poch(h + n - Fraction(3, 2), 2)) / ((a + 2 * n - 3)
-                                                       * _poch(a + 2 * n - 1, 3))
+                * _rising(h + n - Fraction(3, 2), 2)) / ((a + 2 * n - 3)
+                                                         * _rising(a + 2 * n - 1, 3))
 
     def r0(n):
-        lead = (b + 2) / (4 * _poch(a + 2 * n - 2, 2) * _poch(a + 2 * n + 1, 2))
+        lead = (b + 2) / (4 * _rising(a + 2 * n - 2, 2) * _rising(a + 2 * n + 1, 2))
         inner = (-b * (b + 4) * (2 * n * (a + n) - (a - 2) * (a - 1))
                  + (a + 2 * n - 1) * (a + 2 * n + 1)
                  * (2 * n * (a + n) - (a - 2) * (2 * a - 1)))

@@ -107,7 +107,7 @@ def test_criterion_04_jacobi_both_types_symbolic():
 
 
 def test_criterion_05_recurrence_tables():
-    sym = builtin_deformed("L", "1I", None, build_H=False)
+    sym = builtin_deformed("L", "1I", None)
     table = compute_table(sym, build_X(sym.xi, ParamPoly.const(1)), range(9))
     repL = closed_form_compare(table, table_formulas_L1I(None))
     okL = all(e["ok"] for e in repL)

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from closurelab.cli import main
+from closurelab.families import MAX_ELL
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -75,15 +76,24 @@ def test_reports_are_byte_stable(tmp_path):
     ["verify-closure", "--D", "1I,2I"],
     ["spectrum", "--family", "J", "--Y", "eta"],  # a = 5 = 2L-1
     ["heisenberg", "--family", "J", "--Y", "eta"],
+    ["verify-closure", "--D", f"{MAX_ELL + 1}I"],
+    ["verify-closure", "--D", "2I", "--plugin", "{ell-above-bound}"],
+    ["verify-closure", "--D", "2II", "--params", "g=3/2"],
 ], ids=["params", "W-recurrence", "AW-q", "Y", "D", "truncated-plugin",
         "missing-plugin", "plugin-levels", "multi-seed", "J-range-spectrum",
-        "J-range-heisenberg"])
+        "J-range-heisenberg", "ell-bound", "ell-bound-plugin",
+        "degenerate-seed"])
 def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
+    shipped = (ROOT / "plugins" / "laguerre_2I.json").read_text()
     truncated = tmp_path / "truncated.json"
-    truncated.write_text((ROOT / "plugins" / "laguerre_2I.json").read_text()[:200])
+    truncated.write_text(shipped[:200])
+    above = json.loads(shipped)
+    above["D"] = [{"d": MAX_ELL + 1, "type": "I"}]
+    (tmp_path / "above.json").write_text(json.dumps(above))
     files = {"{truncated}": str(truncated),
              "{missing}": str(tmp_path / "missing.json"),
-             "{six-levels}": str(explicit_plugin(6))}
+             "{six-levels}": str(explicit_plugin(6)),
+             "{ell-above-bound}": str(tmp_path / "above.json")}
     assert run_cli(*(files.get(a, a) for a in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
@@ -91,6 +101,10 @@ def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
         assert "needs P_0..P_6" in err
     if "J" in argv:
         assert "a=5 is not above the ordering bound 2L-1=5" in err
+    if f"{MAX_ELL + 1}I" in argv or "{ell-above-bound}" in argv:
+        assert f"ell = {MAX_ELL + 1} is above the supported bound {MAX_ELL}" in err
+    if "g=3/2" in argv:
+        assert "L[2II]: the virtual energy equals E_1" in err
 
 
 def test_failing_check_exit_code(tmp_path):
@@ -137,6 +151,22 @@ def test_appendix_b_checks_single_seed_rows_in_core(tmp_path):
         if "," in c["id"].split("/")[2]:
             assert c["detail"]["notice"] == "plugin required"
     assert payload["summary"] == {"pass": 14, "fail": 0, "skip": 17}
+
+
+def test_appendix_b_skips_rows_that_cannot_be_built(tmp_path):
+    # g = 1/2 makes the type II seeds degenerate; --params apply to both
+    # families, and every other single-seed row is still checked
+    report = tmp_path / "r.json"
+    assert run_cli("appendix-b", "--params", "g=1/2", "--report", str(report)) == 0
+    checks = {c["id"]: c for c in json.loads(report.read_text())["checks"]}
+    for label, n in (("J/1II", 1), ("J/2II", 2), ("L/1II", 1), ("L/2II", 2),
+                     ("L/3II", 3)):
+        row = checks[f"appendix-b/{label}/Y=1"]
+        assert row["status"] == "skip"
+        assert f"the virtual energy equals E_{n}" in row["detail"]["notice"]
+    for label in ("J/{}", "J/1I", "J/2I", "L/{}", "L/1I", "L/2I", "L/3I"):
+        assert checks[f"appendix-b/{label}/Y=1"]["status"] == "pass"
+    assert run_cli("appendix-b", "--params", "g=x") == 2
 
 
 def test_appendix_b_filter_selects_whole_labels(tmp_path):

@@ -15,8 +15,9 @@ from closurelab.closure import (ClosureData, NoSolution, TableMissing,
                                 degree_bounds, load_reference_tables,
                                 reconstruct_closure, reference_expanded,
                                 solve_closure, verify_closure_identity)
-from closurelab.families import (DeformedFamily, EigenValidationFailed,
-                                 ParamSet, builtin_deformed, classical_family)
+from closurelab.families import (VALIDATE_N, DeformedFamily,
+                                 EigenValidationFailed, ParamSet,
+                                 builtin_deformed, classical_family)
 from closurelab.opalg import DiffOp, right_mul_poly_of_H
 from closurelab.spectral import alpha_values_at_energy
 from closurelab.families import energy
@@ -211,8 +212,7 @@ def test_eigenbasis_images_match_operator_reference(l_classical, l1i, j1i):
         ads = ad_powers(H, X, K)
         for n in range(K + 1):
             assert [op.apply_poly(df.P(n)) for op in ads] == ad_images(df, X, n, K)
-        rhs = right_mul_poly_of_H(DiffOp.identity(H.var, H.factors),
-                                  cd.R_minus1, H)
+        rhs = right_mul_poly_of_H(DiffOp.identity(H.var), cd.R_minus1, H)
         for i in range(K):
             rhs = rhs + right_mul_poly_of_H(ads[i], cd.R[i], H)
         assert ads[K] == rhs
@@ -260,23 +260,27 @@ def test_degree_above_bound_is_certified_on_more_levels(l1i, l1i_closure):
         assert not verify_closure_identity(df, X, raised)
 
 
-def test_eigen_failure_beyond_validation_names_the_level(l1i, l1i_closure):
-    # P_4 is broken but only levels 0..3 are validated on construction; the
-    # order-4 solve needs P_0..P_4 and must stop there, naming n = 4
-    cd, X = l1i_closure
+def test_eigen_failure_beyond_validation_names_the_level(l1i):
+    # P_6 is broken but only levels 0..VALIDATE_N = 5 are validated on
+    # construction; the order-6 solve (X of degree 3) needs P_0..P_6 and must
+    # stop there, naming n = 6
+    broken = VALIDATE_N + 1
+    cd, X = closure_for_family(l1i, eta)
+    assert cd.K == broken
 
     def make_P(n):
-        return l1i.P(n) + l1i.P(3) if n == 4 else l1i.P(n)
+        return l1i.P(n) + l1i.P(n - 1) if n == broken else l1i.P(n)
 
-    bad = DeformedFamily("L", l1i.D, l1i.params, l1i.xi, make_P, validate_n=3)
+    bad = DeformedFamily("L", l1i.D, l1i.params, l1i.xi, make_P)
+    match = f"n={broken}"
     for _ in range(2):  # the image store never records the failed level
-        with pytest.raises(EigenValidationFailed, match="n=4"):
-            solve_closure(bad, X, 4)
-        with pytest.raises(EigenValidationFailed, match="n=4"):
+        with pytest.raises(EigenValidationFailed, match=match):
+            solve_closure(bad, X, cd.K)
+        with pytest.raises(EigenValidationFailed, match=match):
             verify_closure_identity(bad, X, cd)
-        with pytest.raises(EigenValidationFailed, match="n=4"):
-            ad_images(bad, X, 4, 0)
-    assert (X, 4) not in bad.ad_image_store
+        with pytest.raises(EigenValidationFailed, match=match):
+            ad_images(bad, X, broken, 0)
+    assert (X, broken) not in bad.ad_image_store
 
 
 def test_eigen_failure_in_plugin_is_a_failing_check(explicit_plugin, tmp_path):

@@ -248,7 +248,7 @@ def test_h_step_positive_difference_families(wil_params, aw_params):
 
 
 def test_h_ratio_symbolic():
-    sym = builtin_deformed("L", "1I", None, build_H=False)
+    sym = builtin_deformed("L", "1I", None)
     gsym = ParamPoly.var("g")
     got = sym.h_ratio(3, 1)
     assert got == RationalFunc((gsym + F(5, 2)) * (gsym + F(9, 2)),
@@ -312,7 +312,7 @@ def test_one_step_matches_former_builtins(fam, t, c, lag_params, jac_params):
     for n in range(9):
         assert df.P(n) == _former_builtin_P(fam, t, ps, n) * c(n)
     if (fam, t) == ("L", "I"):
-        sym = builtin_deformed("L", "1I", None, build_H=False)
+        sym = builtin_deformed("L", "1I", None)
         for n in range(9):
             assert sym.P(n) == _former_builtin_P("L", "I", None, n)
 

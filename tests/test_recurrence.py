@@ -51,7 +51,7 @@ def test_L1I_table_matches_closed_forms_bound(l1i, l1i_table, lag_params):
 
 
 def test_L1I_table_symbolic_in_g():
-    sym = builtin_deformed("L", "1I", None, build_H=False)
+    sym = builtin_deformed("L", "1I", None)
     table = compute_table(sym, build_X(sym.xi, ParamPoly.const(1)), range(9))
     rep = closed_form_compare(table, table_formulas_L1I(None))
     assert all(e["ok"] for e in rep)
