@@ -27,9 +27,10 @@ from .closure import (NoSolution, TableMissing,
                       closure_for_family, compare_reference, conjectured_R,
                       load_reference_tables, reference_expanded,
                       symbolic_closure, verify_closure_identity)
-from .recurrence import (build_X, check_h_symmetry, closed_form_compare,
-                         compute_table, leading_coeff_identity,
-                         table_formulas_J1I, table_formulas_L1I)
+from .recurrence import (NonzeroRemainder, build_X, check_h_symmetry,
+                         closed_form_compare, compute_table,
+                         leading_coeff_identity, table_formulas_J1I,
+                         table_formulas_L1I)
 from .spectral import (DegenerateSpectrum, alpha_values_at_energy,
                        check_alpha_spectrum, pairing_identities, spectral_suite)
 from .heisenberg import (LadderContext, check_r0_relation, commutation_check,
@@ -84,13 +85,30 @@ class Report:
         }
 
 
-def _parse_params(fam: str, items: list[str] | None) -> ParamSet:
-    vals = dict(DEFAULT_PARAMS[fam])
+def _param_items(items: list[str] | None, fams: tuple[str, ...]) -> dict[str, str]:
+    """--params entries as {name: value}; a name that none of the families
+    ``fams`` has is a configuration error naming their parameters."""
+    known = sorted({k for fam in fams for k in DEFAULT_PARAMS[fam]})
+    given = {}
     for item in items or []:
         if "=" not in item:
             raise ConfigError(f"--params entries look like name=p/q, got {item!r}")
-        k, v = item.split("=", 1)
-        vals[k.strip()] = v.strip()
+        k, v = (part.strip() for part in item.split("=", 1))
+        if k not in known:
+            raise ConfigError(f"--params {k!r}: the parameters of "
+                              f"{' and '.join(fams)} are {', '.join(known)}")
+        given[k] = v
+    return given
+
+
+def _parse_params(fam: str, items: list[str] | None) -> ParamSet:
+    return _param_set(fam, _param_items(items, (fam,)))
+
+
+def _param_set(fam: str, given: dict[str, str]) -> ParamSet:
+    """The family's defaults overridden by the given values."""
+    vals = dict(DEFAULT_PARAMS[fam])
+    vals.update(given)
     try:
         return ParamSet(fam, {k: rat(v) for k, v in vals.items()})
     except (ValueError, TypeError) as exc:
@@ -202,13 +220,16 @@ def cmd_verify_closure(args) -> int:
         return _closure_values(report, args, df, cd, conjectured_R(df.fam, cd.K // 2))
     try:
         cd, X = closure_for_family(df, Y)
-    except (NoSolution, EigenValidationFailed) as exc:
+    except (NoSolution, EigenValidationFailed, NonzeroRemainder) as exc:
         report.add("closure/solve", False, error=str(exc))
         return _emit(report, args)
     report.add("closure/solve", True, K=cd.K, unique=cd.unique,
                kernel_dim=cd.kernel_dim)
     report.add("closure/degree-bounds", cd.bounds_ok())
-    report.add("closure/identity", verify_closure_identity(df, X, cd))
+    verdict = verify_closure_identity(df, X, cd)
+    witness = {} if verdict else {"n": verdict.n, "k": verdict.k,
+                                  "residual": rat_str(verdict.residual)}
+    report.add("closure/identity", bool(verdict), **witness)
     return _closure_values(report, args, df, cd,
                            conjectured_R(df.fam, cd.K // 2, df.params),
                            _family_bindings(df))
@@ -247,8 +268,6 @@ def cmd_recurrence(args) -> int:
         raise ConfigError("recurrence tables need polynomial family data (L or J)")
     df = _family_instance(args, params)
     X = build_X(df.xi, Y)
-    from .recurrence import NonzeroRemainder
-
     try:
         table = compute_table(df, X, range(args.n_max + 1), Y)
     except NonzeroRemainder as exc:
@@ -342,7 +361,7 @@ def cmd_heisenberg(args) -> int:
     df = _family_instance(args, params)
     try:
         cd, X = closure_for_family(df, Y)
-    except (NoSolution, EigenValidationFailed) as exc:
+    except (NoSolution, EigenValidationFailed, NonzeroRemainder) as exc:
         report.add("heisenberg/closure", False, error=str(exc))
         return _emit(report, args)
     n_top = min(args.n_max, 6)
@@ -364,6 +383,9 @@ def cmd_appendix_b(args) -> int:
                                    "plugin": args.plugin or ""})
     tables = load_reference_tables()
     plugin_df = _load_plugin(args.plugin) if args.plugin else None
+    # --params apply to the rows of both L and J, each family taking the
+    # names it has
+    given = _param_items(args.params, ("L", "J"))
     params: dict[str, ParamSet] = {}
     keys = sorted(k for k in tables if k != "_meta")
     for fam, D, Ylabel in keys:
@@ -381,7 +403,8 @@ def cmd_appendix_b(args) -> int:
             df = plugin_df
         elif D_idx.M <= 1:
             if fam not in params:
-                params[fam] = _parse_params(fam, args.params)
+                params[fam] = _param_set(fam, {k: v for k, v in given.items()
+                                               if k in DEFAULT_PARAMS[fam]})
             try:
                 df = _builtin(fam, D_idx, params[fam])
             except ConfigError as exc:
@@ -395,7 +418,7 @@ def cmd_appendix_b(args) -> int:
         Y = parse_poly(Ylabel) if Ylabel != "1" else ParamPoly.const(1)
         try:
             cd, X = closure_for_family(df, Y)
-        except (NoSolution, EigenValidationFailed) as exc:
+        except (NoSolution, EigenValidationFailed, NonzeroRemainder) as exc:
             report.add(label, False, error=str(exc))
             continue
         expected = reference_expanded(entry).subs(_family_bindings(df))

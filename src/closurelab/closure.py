@@ -6,11 +6,14 @@ family parameters, and comparison against the shipped reference tables.
 The order-K relation expresses the K-fold commutator of H with X as a
 right-linear combination of the lower commutators with polynomial
 coefficients R_i(H) plus an inhomogeneous R_-1(H).  Solve and certificate
-both work on eigenpolynomials (``ad_images``), where every R(H) collapses to
-the rational R(E_n), so no operator is ever composed.  Unknown coefficients
-enter linearly, so one exact linear solve per parameter point settles
-existence and uniqueness; parameter dependence is then reconstructed by
-interpolation at rational samples and certified at fresh samples.
+both work in recurrence coordinates (``level_coordinates``): on an
+eigenpolynomial, X P_n = sum_k r_{n,k} P_{n+k} gives
+[(ad H)^i X] P_n = sum_k r_{n,k} (E_{n+k} - E_n)^i P_{n+k}, and every R(H)
+collapses to the rational R(E_n), so neither an operator nor a commutator
+image is ever formed.  Unknown coefficients enter linearly, so one exact
+linear solve per parameter point settles existence and uniqueness;
+parameter dependence is then reconstructed by interpolation at rational
+samples and certified at fresh samples.
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from .exactalg import (ParamPoly, Rat, SampleMismatch, interpolate_grid, rat,
                        solve_linear_exact)
-from .families import (DeformedFamily, EigenValidationFailed, MultiIndex,
-                       ParamSet, SchemaError, builtin_deformed)
-from .opalg import DiffOp, NonPolynomialImage
-from .recurrence import build_X
+from .families import (DeformedFamily, MultiIndex, ParamSet, SchemaError,
+                       builtin_deformed)
+from .opalg import DiffOp
+from .recurrence import build_X, recurrence_row
 from .spectral import alpha_conjecture, elementary_symmetric_R
 
 
@@ -51,52 +54,48 @@ def degree_bounds(fam: str, K: int) -> dict[int, int]:
     return bounds
 
 
-def ad_images(df: DeformedFamily, X: ParamPoly, n: int,
-              count: int) -> list[ParamPoly]:
-    """[(ad H)^i X] P_n for i = 0..count, exact polynomials in eta.
+def level_coordinates(df: DeformedFamily, X: ParamPoly,
+                      n: int) -> list[tuple[int, Rat, Rat]]:
+    """(k, r_{n,k}, Delta_{n,k}) for every coordinate P_{n+k}, n + k >= 0,
+    of X P_n = sum_{|k| <= L} r_{n,k} P_{n+k}, in increasing k, with
+    Delta_{n,k} = E_{n+k} - E_n.
 
-    For any operator A, [H, A] P_n = H A P_n - A H P_n = (H - E_n) A P_n, so
-    by induction [(ad H)^i X] P_n = (H - E_n)^i (X P_n): each entry costs
-    one application of H to a polynomial.  The images live in the family's
-    ``ad_image_store`` under (X, n) and are extended on demand, so solve,
-    certificate and ladder checks on one family compute each image once.
-    H P_n = E_n P_n is checked when level n first enters the store
-    (EigenValidationFailed names n otherwise), and a failed level is never
-    stored.  Reuse is exact: the family is immutable, so a stored image is
-    the one a fresh computation gives, and every level read from the store
-    has had its eigen-equation checked.
+    The row is ``recurrence.recurrence_row``: an exact expansion whose
+    remainder is zero.  Before it is read, H P_m = E_m P_m is checked for
+    every m <= n + L, in increasing m (``DeformedFamily.check_levels``, once
+    per level and family; EigenValidationFailed names the first failing m).
+    Then for every i, [(ad H)^i X] P_n = (H - E_n)^i X P_n (since
+    [H, A] P_n = (H - E_n) A P_n for any operator A) equals
+    sum_k r_{n,k} Delta_{n,k}^i P_{n+k}: each P_{n+k} is an eigenpolynomial,
+    so (H - E_n) scales it by Delta_{n,k}.  The P_{n+k} have the distinct
+    degrees ell + n + k, so they are linearly independent and a polynomial
+    in their span is zero exactly when all its coordinates are.
     """
-    H, En = df.H_tilde, df.E(n)
-    images = df.ad_image_store.get((X, n))
-    if images is None:
-        Pn = df.P(n)
-        try:
-            eigen = H.apply_poly(Pn) == Pn * En
-        except NonPolynomialImage:
-            eigen = False
-        if not eigen:
-            raise EigenValidationFailed(f"{df.label}: eigen-equation fails at n={n}")
-        images = df.ad_image_store[(X, n)] = [X * Pn]
-    while len(images) <= count:
-        images.append(H.apply_poly(images[-1]) - images[-1] * En)
-    return images[:count + 1]
+    L = X.degree("eta")
+    df.check_levels(n + L)
+    row = recurrence_row(df, X, n)
+    En = df.E(n)
+    return [(k, row[k], df.E(n + k) - En) for k in range(-L, L + 1) if n + k >= 0]
 
 
-def _images_through(df: DeformedFamily, X: ParamPoly, N: int,
-                    count: int) -> Iterator[list[ParamPoly]]:
-    """ad_images on P_0..P_N in turn; a plugin that lists fewer levels is a
-    SchemaError naming the levels needed."""
-    if df.p_max is not None and df.p_max < N:
+def _levels_through(df: DeformedFamily, X: ParamPoly,
+                    N: int) -> Iterator[list[tuple[int, Rat, Rat]]]:
+    """level_coordinates on P_0..P_N in turn.  They read P_0..P_{N+L}; a
+    plugin that lists fewer levels is a SchemaError naming the levels
+    needed."""
+    top = N + X.degree("eta")
+    if df.p_max is not None and df.p_max < top:
         raise SchemaError(f"{df.label}: the closure certificate needs "
-                          f"P_0..P_{N}, the plugin lists P_0..P_{df.p_max}")
-    return (ad_images(df, X, n, count) for n in range(N + 1))
+                          f"P_0..P_{top}, the plugin lists P_0..P_{df.p_max}")
+    return (level_coordinates(df, X, n) for n in range(N + 1))
 
 
 def ad_powers(H: DiffOp, X: ParamPoly, count: int) -> list[DiffOp]:
     """[X, [H,X], [H,[H,X]], ...] with count+1 entries, as operators.
 
-    Reference route only: the tests cross-check ``ad_images`` against it.
-    Entry 0 is the multiplication operator by X.
+    Reference route only: the tests check the coordinate images of
+    ``level_coordinates`` against it.  Entry 0 is the multiplication
+    operator by X.
     """
     ads = [DiffOp.mul_by(X, H.var)]
     for _ in range(count):
@@ -148,13 +147,49 @@ def _unknown_layout(fam: str, K: int) -> list[tuple[int, int]]:
     return layout
 
 
+def closure_system(df: DeformedFamily, X: ParamPoly,
+                   K: int) -> tuple[list[tuple[int, int]], list[list[Rat]], list[Rat]]:
+    """The order-K closure system (unknown layout, rows, right-hand side) in
+    recurrence coordinates on the levels n = 0..K.
+
+    The unknown coefficient of z^j in R_i contributes E_n^j [(ad H)^i X] P_n
+    (E_n^j P_n for i = -1) and the target is [(ad H)^K X] P_n.  By
+    ``level_coordinates`` each level n gives one row per coordinate P_{n+k}:
+    r_{n,k} (Delta^K - sum_i R_i(E_n) Delta^i) - [k = 0] R_-1(E_n) = 0, with
+    Delta = Delta_{n,k} (Delta^0 = 1 also at k = 0).
+
+    These rows have the solution set of the rows that the eta-coefficients
+    of the images give.  Within level n, with V_n the matrix whose columns
+    are the eta-coefficients of the P_{n+k}, the eta-coefficient rows of the
+    level are V_n times its coordinate rows (augmented column included).
+    V_n has independent columns (distinct degrees), so it has a left
+    inverse, and each block of rows is a linear image of the other: the two
+    blocks span the same row space.  Stacked over n, the augmented row
+    spaces are equal, so the reduced row echelon forms are equal, and with
+    them consistency, rank, pivot columns, the solution and the kernel basis
+    that ``solve_linear_exact`` reads off it.
+    """
+    layout = _unknown_layout(df.fam, K)
+    top_j = max(j for _, j in layout)
+    rows: list[list[Rat]] = []
+    rhs: list[Rat] = []
+    for n, coords in enumerate(_levels_through(df, X, K)):
+        En = df.E(n)
+        E_pow = [En ** j for j in range(top_j + 1)]
+        for k, r, delta in coords:
+            ad = [r * delta ** i for i in range(K + 1)]
+            unit = Fraction(1 if k == 0 else 0)
+            rows.append([(ad[i] if i >= 0 else unit) * E_pow[j]
+                         for i, j in layout])
+            rhs.append(ad[K])
+    return layout, rows, rhs
+
+
 def solve_closure(df: DeformedFamily, X: ParamPoly, K: int,
                   conjectured: "ClosureData | None" = None) -> ClosureData:
     """Exact solve of the order-K closure relation at bound parameters.
 
-    The unknown coefficient of z^j in R_i contributes E_n^j [(ad H)^i X] P_n
-    (E_n^j P_n for i = -1) and the target is [(ad H)^K X] P_n, for
-    n = 0..K; each eta-coefficient of each level is one row.  The degree
+    The system is ``closure_system`` on the levels n = 0..K.  The degree
     bounds keep every term (ad H)^i X o H^j at operator order i + 2j <= K,
     so by the argument in ``verify_closure_identity`` a candidate relation
     vanishes on P_0..P_K exactly when it holds as an operator identity: the
@@ -164,18 +199,7 @@ def solve_closure(df: DeformedFamily, X: ParamPoly, K: int,
     point is required to lie in the affine solution set.  Raises NoSolution
     when the linear system is inconsistent.
     """
-    layout = _unknown_layout(df.fam, K)
-    rows: list[list[Rat]] = []
-    rhs: list[Rat] = []
-    for n, images in enumerate(_images_through(df, X, K, K)):
-        En, Pn = df.E(n), df.P(n)
-        polys = [(images[i] if i >= 0 else Pn) * En ** j for i, j in layout]
-        polys.append(images[K])
-        coeffs = [p.coeffs_in("eta") for p in polys]
-        for d in range(max(p.degree("eta") for p in polys) + 1):
-            row = [c[d].constant_value() if d in c else Fraction(0) for c in coeffs]
-            rows.append(row[:-1])
-            rhs.append(row[-1])
+    layout, rows, rhs = closure_system(df, X, K)
     sol = solve_linear_exact(rows, rhs)
     if not sol.consistent:
         raise NoSolution(f"order-{K} closure relation has no solution")
@@ -204,33 +228,58 @@ def _solved_data(fam: str, K: int, values: Mapping[tuple[int, int], object],
     return ClosureData(K, R[:-1], R[-1], "solved", fam, kernel_dim)
 
 
+class IdentityVerdict:
+    """Verdict of ``verify_closure_identity``, true when the identity holds.
+
+    A false verdict carries its witness: the first level n, and within it
+    the first shift k, whose coordinate ``residual`` of A P_n at P_{n+k} is
+    nonzero."""
+
+    __slots__ = ("n", "k", "residual")
+
+    def __init__(self, n: int | None = None, k: int | None = None,
+                 residual: Rat | None = None):
+        self.n, self.k, self.residual = n, k, residual
+
+    def __bool__(self) -> bool:
+        return self.n is None
+
+
 def verify_closure_identity(df: DeformedFamily, X: ParamPoly,
-                            cd: ClosureData) -> bool:
+                            cd: ClosureData) -> IdentityVerdict:
     """Exact verdict on the order-K relation as an operator identity.
 
     The relation A = (ad H)^K X - sum_i (ad H)^i X o R_i(H) - R_-1(H) is a
     differential operator of order at most N = max(K, i + 2 deg R_i,
     2 deg R_-1), since (ad H)^i X has order <= i and H has order 2.  On an
-    eigenpolynomial R(H) P_n = R(E_n) P_n, so A P_n is built from
-    ``ad_images`` alone.  A nonzero operator of order <= N has at most N
-    linearly independent solutions, while P_0..P_N, of the distinct degrees
-    ell..ell+N, are N+1 independent ones: A P_n = 0 for n = 0..N, with
-    H P_n = E_n P_n checked at each n, proves A = 0.  The images of
-    P_0..P_K that ``solve_closure`` built are read back from the family's
-    store, whose levels were each checked on entry.  A False verdict is a
-    report, not an error.  R data must be numeric in z.
+    eigenpolynomial R(H) P_n = R(E_n) P_n, so by ``level_coordinates``
+    A P_n = sum_k c_{n,k} P_{n+k} with
+    c_{n,k} = r_{n,k} (Delta^K - sum_i R_i(E_n) Delta^i) - [k = 0] R_-1(E_n),
+    and A P_n = 0 exactly when every c_{n,k} is zero, since the P_{n+k} are
+    independent.  A nonzero operator of order <= N has at most N linearly
+    independent solutions, while P_0..P_N, of the distinct degrees
+    ell..ell+N, are N+1 independent ones: c_{n,k} = 0 for n = 0..N, with
+    H P_m = E_m P_m checked for every m <= N + L, proves A = 0.  The levels
+    that ``solve_closure`` read are taken from the family's store, where
+    each was checked once.  A false verdict names the first nonzero c_{n,k}
+    (increasing n, then k); it is a report, not an error.  R data must be
+    numeric in z.
     """
     K = cd.K
     N = max([K, 2 * cd.R_minus1.degree("z")]
             + [i + 2 * Ri.degree("z") for i, Ri in enumerate(cd.R)])
-    for n, images in enumerate(_images_through(df, X, N, K)):
+    for n, coords in enumerate(_levels_through(df, X, N)):
         at = {"z": df.E(n)}
-        rhs = df.P(n) * cd.R_minus1.evaluate(at)
-        for i, Ri in enumerate(cd.R):
-            rhs = rhs + images[i] * Ri.evaluate(at)
-        if images[K] != rhs:
-            return False
-    return True
+        R_at = [Ri.evaluate(at) for Ri in cd.R]
+        R_minus1_at = cd.R_minus1.evaluate(at)
+        for k, r, delta in coords:
+            residual = r * (delta ** K - sum(R_i * delta ** i
+                                             for i, R_i in enumerate(R_at)))
+            if k == 0:
+                residual -= R_minus1_at
+            if residual:
+                return IdentityVerdict(n, k, residual)
+    return IdentityVerdict()
 
 
 def conjectured_R(fam: str, L: int, params: ParamSet | None = None) -> ClosureData:

@@ -332,6 +332,16 @@ class ParamPoly:
             out.setdefault(k, {})[key] = coeff
         return {k: ParamPoly(rest, t) for k, t in sorted(out.items())}
 
+    def coeff_in(self, var: str, k: int) -> "ParamPoly":
+        """The coefficient of var^k, a polynomial in the other variables;
+        unlike ``coeffs_in`` it splits off only the terms of that power."""
+        if var not in self.vars:
+            return self if k == 0 else ParamPoly.zero()
+        i = self.vars.index(var)
+        rest = tuple(v for v in self.vars if v != var)
+        return ParamPoly(rest, {e[:i] + e[i + 1:]: c
+                                for e, c in self.terms.items() if e[i] == k})
+
     def leading_coeff(self, var: str) -> "ParamPoly":
         split = self.coeffs_in(var)
         if not split:

@@ -3,10 +3,12 @@
 The closure data and companion-matrix eigendata assemble, for each frequency
 index j, an operator that shifts eigenstates by a fixed amount.  Acting on an
 eigenpolynomial every Hamiltonian-dependent scalar collapses to an exact
-rational at z = E_n, so the ladder action, the eigenvalue shift, the
-recurrence-coefficient match and the time-power expansion of the Heisenberg
-solution are all decided exactly.  Ladder operators are never materialized
-as standalone operators; they are always evaluated against eigenpolynomials.
+rational at z = E_n, and every nested commutator image is a combination of
+the neighbouring eigenpolynomials with known coordinates
+(``closure.level_coordinates``), so the ladder action, the eigenvalue shift,
+the recurrence-coefficient match and the time-power expansion of the
+Heisenberg solution are all decided exactly on coordinate vectors.  Ladder
+operators are never materialized as standalone operators.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .exactalg import ParamPoly, Rat
-from .closure import ClosureData, ad_images
+from .closure import ClosureData, level_coordinates
 from .families import DeformedFamily
 from .recurrence import RecurrenceTable
 from .spectral import (SpectralData, alpha_values_at_energy,
@@ -30,15 +32,24 @@ class NotProportional(Exception):
 
 @dataclass
 class LadderAction:
-    """Result of one ladder application a^(j) P(n)."""
+    """Result of one ladder application a^(j) P(n) = coefficient * P(n+shift).
+
+    ``coords`` maps each k with n + k >= 0 to the image's coordinate at
+    P(n+k); only k = shift may be nonzero.  ``target`` is P(n+shift), or
+    zero below the ground state."""
 
     j: int
     n: int
     shift: int
     coefficient: Rat
-    image: ParamPoly
+    coords: dict[int, Rat]
     alpha: Rat
-    proportional: bool
+    target: ParamPoly
+
+    @property
+    def image(self) -> ParamPoly:
+        """The image as a polynomial in eta."""
+        return self.target * self.coefficient
 
 
 class LadderContext:
@@ -65,10 +76,11 @@ class LadderContext:
             self._spectral[n] = (alphas, eigen_closed_form(R_vals, alphas))
         return self._spectral[n]
 
-    def ad_image(self, i: int, n: int) -> ParamPoly:
-        """((ad H)^i X) P(n), exact polynomial, read from the family's image
-        store (see closure.ad_images)."""
-        return ad_images(self.df, self.X, n, i)[i]
+    def ad_coords(self, i: int, n: int) -> dict[int, Rat]:
+        """Coordinates of ((ad H)^i X) P(n) at P(n+k): r_{n,k} Delta_{n,k}^i,
+        read from the family's level store (see closure.level_coordinates)."""
+        return {k: r * delta ** i
+                for k, r, delta in level_coordinates(self.df, self.X, n)}
 
     def r_minus1_at(self, n: int) -> Rat:
         return self.cd.R_minus1.evaluate({"z": self.df.E(n)})
@@ -78,8 +90,14 @@ def ladder_apply(ctx: LadderContext, j: int, n: int) -> LadderAction:
     """a^(j) P(n) evaluated exactly; the image must be r_{n,shift} P(n+shift).
 
     shift = L+1-j (creation side, j <= L) or -(j-L) (annihilation side).
-    Raises NotProportional when the image is not a scalar multiple of the
-    target eigenpolynomial.
+    The image is sum_i ((ad H)^i X) P(n) S[i][j] + (R_-1(E_n)/alpha_j) P(n),
+    scaled by S^-1[j][0] (S the companion eigenvector matrix at E_n), so its
+    coordinate at P(n+k) is
+    S^-1[j][0] (sum_i r_{n,k} Delta_{n,k}^i S[i][j] + [k = 0] R_-1(E_n)/alpha_j).
+    The P(n+k) are independent, so the image is a multiple of P(n+shift)
+    exactly when every other coordinate is zero, and zero exactly when all
+    are.  Raises NotProportional when the image is not a scalar multiple of
+    the target eigenpolynomial.
     """
     K, L = ctx.K, ctx.L
     if not 1 <= j <= K:
@@ -87,33 +105,24 @@ def ladder_apply(ctx: LadderContext, j: int, n: int) -> LadderAction:
     shift = L + 1 - j if j <= L else -(j - L)
     alphas, sd = ctx.spectral_at(n)
     alpha_j = alphas[j - 1]
-    acc = ParamPoly.zero(("eta",))
-    for i in range(K):
-        acc = acc + ctx.ad_image(i, n) * sd.P[i][j - 1]
-    acc = acc + (ctx.r_minus1_at(n) / alpha_j) * ctx.df.P(n)
-    image = acc * sd.P_inv[j - 1][0]
+    column = [sd.P[i][j - 1] for i in range(K)]
+    scale = sd.P_inv[j - 1][0]
+    coords = {}
+    for k, r, delta in level_coordinates(ctx.df, ctx.X, n):
+        c = sum(r * delta ** i * column[i] for i in range(K))
+        if k == 0:
+            c += ctx.r_minus1_at(n) / alpha_j
+        coords[k] = c * scale
     target_n = n + shift
     if target_n < 0:
-        ok = image.is_zero
-        if not ok:
+        if any(coords.values()):
             raise NotProportional(f"j={j}, n={n}: expected zero below the ground state")
-        return LadderAction(j, n, shift, Fraction(0), image, alpha_j, True)
-    target = ctx.df.P(target_n)
-    coeff = _proportionality(image, target)
-    if coeff is None:
+        return LadderAction(j, n, shift, Fraction(0), coords, alpha_j,
+                            ParamPoly.zero(("eta",)))
+    if any(c for k, c in coords.items() if k != shift):
         raise NotProportional(f"j={j}, n={n}: image is not proportional to P({target_n})")
-    return LadderAction(j, n, shift, coeff, image, alpha_j, True)
-
-
-def _proportionality(image: ParamPoly, target: ParamPoly) -> Rat | None:
-    if image.is_zero:
-        return Fraction(0)
-    lead_t = target.leading_coeff("eta")
-    lead_i = image.coeffs_in("eta").get(target.degree("eta"))
-    if lead_i is None:
-        return None
-    c = lead_i.constant_value() / lead_t.constant_value()
-    return c if image == target * c else None
+    return LadderAction(j, n, shift, coords[shift], coords, alpha_j,
+                        ctx.df.P(target_n))
 
 
 def ladder_suite(ctx: LadderContext, n_range: Iterable[int]) -> list[dict]:
@@ -174,20 +183,22 @@ def heisenberg_series_check(ctx: LadderContext, n: int, m_max: int) -> list[dict
 
     Order m >= 1: (ad H)^m X P(n) = sum_j alpha_j(E_n)^m (a^(j) P(n)).
     Order m = 0: X P(n) = sum_j a^(j) P(n) - R_-1(E_n)/R_0(E_n) P(n).
+    Both sides lie in the span of the independent P(n+k), so they are
+    compared coordinate by coordinate.
     """
     out = []
     alphas, _ = ctx.spectral_at(n)
-    images = [ladder_apply(ctx, j, n).image for j in range(1, ctx.K + 1)]
+    actions = [ladder_apply(ctx, j, n) for j in range(1, ctx.K + 1)]
     En = ctx.df.E(n)
     const = (ctx.cd.R_minus1.evaluate({"z": En})
              / ctx.cd.R[0].evaluate({"z": En}))
     for m in range(m_max + 1):
-        lhs = ctx.ad_image(m, n)
-        rhs = ParamPoly.zero(("eta",))
-        for alpha, img in zip(alphas, images):
-            rhs = rhs + img * alpha ** m
+        lhs = ctx.ad_coords(m, n)
+        rhs = {k: sum(alpha ** m * action.coords[k]
+                      for alpha, action in zip(alphas, actions))
+               for k in lhs}
         if m == 0:
-            rhs = rhs - const * ctx.df.P(n)
+            rhs[0] -= const
         out.append({"check": "time-power", "m": m, "n": n, "ok": lhs == rhs})
     return out
 
@@ -215,7 +226,8 @@ def round_trip_check(ctx: LadderContext, n_range: Iterable[int]) -> list[dict]:
 def two_step_specialization(ctx: LadderContext, n_range: Iterable[int]) -> list[dict]:
     """K = 2 consistency with the classic creation/annihilation pair:
     a^(+-) = +-([H,X] - (X + R_-1 R_0^-1) alpha_-+) / (alpha_+ - alpha_-)
-    must reproduce a^(1), a^(2) acting on eigenpolynomials."""
+    must reproduce a^(1), a^(2) acting on eigenpolynomials, coordinate by
+    coordinate."""
     if ctx.K != 2:
         raise ValueError("specialization check needs K = 2")
     out = []
@@ -224,14 +236,14 @@ def two_step_specialization(ctx: LadderContext, n_range: Iterable[int]) -> list[
         ap, am = alphas
         En = ctx.df.E(n)
         const = ctx.r_minus1_at(n) / ctx.cd.R[0].evaluate({"z": En})
-        adX = ctx.ad_image(1, n)
-        Xp = ctx.ad_image(0, n)
-        Pn = ctx.df.P(n)
+        adX = ctx.ad_coords(1, n)
+        Xp = ctx.ad_coords(0, n)
+        Xc = {k: x + (const if k == 0 else 0) for k, x in Xp.items()}
         denom = ap - am
-        plus = (adX - (Xp + const * Pn) * am) * (1 / denom)
-        minus = -(adX - (Xp + const * Pn) * ap) * (1 / denom)
-        a1 = ladder_apply(ctx, 1, n).image
-        a2 = ladder_apply(ctx, 2, n).image
+        plus = {k: (adX[k] - Xc[k] * am) / denom for k in adX}
+        minus = {k: -(adX[k] - Xc[k] * ap) / denom for k in adX}
+        a1 = ladder_apply(ctx, 1, n).coords
+        a2 = ladder_apply(ctx, 2, n).coords
         out.append({"check": "two-step-form", "n": n,
                     "ok": plus == a1 and minus == a2})
     return out

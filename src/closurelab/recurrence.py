@@ -49,17 +49,15 @@ class RecurrenceTable:
         return self.rows[n][k]
 
 
-def expand_in_basis(df: DeformedFamily, X: ParamPoly, n: int,
-                    L: int | None = None) -> dict[int, object]:
-    """Exact coefficients of X*P(n) = sum_k r_{n,k} P(n+k).
+def expand_in_basis(df: DeformedFamily, X: ParamPoly, n: int) -> dict[int, object]:
+    """Exact coefficients of X*P(n) = sum_k r_{n,k} P(n+k), |k| <= L = deg X.
 
     Successive leading-term elimination from degree ell+n+L downward; the
     remainder after the last basis element must vanish identically, which is
     the substantive span check.  Coefficients are Fractions for bound
     parameters and parameter polynomials in the symbolic case.
     """
-    if L is None:
-        L = X.degree("eta")
+    L = X.degree("eta")
     target = X * df.P(n)
     row: dict[int, object] = {}
     for k in range(L, -L - 1, -1):
@@ -68,12 +66,11 @@ def expand_in_basis(df: DeformedFamily, X: ParamPoly, n: int,
             row[k] = Fraction(0)
             continue
         basis = df.P(m)
-        deg = df.ell + m
-        coeff_target = target.coeffs_in("eta").get(deg, ParamPoly.zero())
+        coeff_target = target.coeff_in("eta", df.ell + m)
         if coeff_target.is_zero:
             row[k] = Fraction(0)
             continue
-        lead = basis.leading_coeff("eta")
+        lead = basis.coeff_in("eta", df.ell + m)
         if lead.is_constant():
             r = coeff_target * (1 / lead.constant_value())
         else:
@@ -92,12 +89,23 @@ def expand_in_basis(df: DeformedFamily, X: ParamPoly, n: int,
     return row
 
 
+def recurrence_row(df: DeformedFamily, X: ParamPoly, n: int) -> dict[int, object]:
+    """expand_in_basis(df, X, n), computed once per family: the row is kept
+    in ``df.recurrence_rows`` under (X, n), so the closure engine, the
+    ladders and the tables share it.  Reuse is exact, since the family is
+    immutable; a row whose remainder is nonzero is never stored.  Callers
+    must not mutate the returned row."""
+    row = df.recurrence_rows.get((X, n))
+    if row is None:
+        row = df.recurrence_rows[(X, n)] = expand_in_basis(df, X, n)
+    return row
+
+
 def compute_table(df: DeformedFamily, X: ParamPoly, n_range: Iterable[int],
                   Y: ParamPoly | None = None) -> RecurrenceTable:
-    L = X.degree("eta")
-    table = RecurrenceTable(X=X, L=L, D=df.D, Y=Y)
+    table = RecurrenceTable(X=X, L=X.degree("eta"), D=df.D, Y=Y)
     for n in n_range:
-        table.rows[n] = expand_in_basis(df, X, n, L)
+        table.rows[n] = recurrence_row(df, X, n)
     return table
 
 

@@ -79,10 +79,12 @@ def test_reports_are_byte_stable(tmp_path):
     ["verify-closure", "--D", f"{MAX_ELL + 1}I"],
     ["verify-closure", "--D", "2I", "--plugin", "{ell-above-bound}"],
     ["verify-closure", "--D", "2II", "--params", "g=3/2"],
+    ["verify-closure", "--family", "L", "--D", "1I", "--params", "gg=3"],
+    ["appendix-b", "--params", "gg=3"],
 ], ids=["params", "W-recurrence", "AW-q", "Y", "D", "truncated-plugin",
         "missing-plugin", "plugin-levels", "multi-seed", "J-range-spectrum",
         "J-range-heisenberg", "ell-bound", "ell-bound-plugin",
-        "degenerate-seed"])
+        "degenerate-seed", "unknown-param", "unknown-param-appendix-b"])
 def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
     shipped = (ROOT / "plugins" / "laguerre_2I.json").read_text()
     truncated = tmp_path / "truncated.json"
@@ -98,7 +100,11 @@ def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
     if "{six-levels}" in argv:
-        assert "needs P_0..P_6" in err
+        # K = 6 and L = 3: the solve reads P_0..P_(K+L)
+        assert "needs P_0..P_9, the plugin lists P_0..P_5" in err
+    if "gg=3" in argv:
+        fams = "L and J are g, h" if "appendix-b" in argv else "L are g"
+        assert f"--params 'gg': the parameters of {fams}" in err
     if "J" in argv:
         assert "a=5 is not above the ordering bound 2L-1=5" in err
     if f"{MAX_ELL + 1}I" in argv or "{ell-above-bound}" in argv:

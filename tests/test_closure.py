@@ -1,30 +1,71 @@
-"""Closure relations: eigenbasis images and their operator reference, exact
-solve, identity certification with negative controls, conjectured
-coefficients, reference tables, spectral consequences."""
+"""Closure relations: recurrence-coordinate images and their operator and
+eta-row references, exact solve, identity certification with negative
+controls, conjectured coefficients, reference tables, spectral
+consequences."""
 
 import json
+import pathlib
 from fractions import Fraction as F
 
 import pytest
 
 from closurelab.cli import main
-from closurelab.exactalg import ParamPoly, SampleMismatch
+from closurelab.exactalg import ParamPoly, SampleMismatch, solve_linear_exact
 from closurelab.closure import (ClosureData, NoSolution, TableMissing,
-                                ad_images, ad_powers, closure_for_family,
-                                compare_reference, conjectured_R,
-                                degree_bounds, load_reference_tables,
+                                ad_powers, closure_for_family,
+                                closure_system, compare_reference,
+                                conjectured_R, degree_bounds,
+                                level_coordinates, load_reference_tables,
                                 reconstruct_closure, reference_expanded,
                                 solve_closure, verify_closure_identity)
 from closurelab.families import (VALIDATE_N, DeformedFamily,
                                  EigenValidationFailed, ParamSet,
-                                 builtin_deformed, classical_family)
+                                 builtin_deformed, classical_family,
+                                 load_family_plugin)
 from closurelab.opalg import DiffOp, right_mul_poly_of_H
+from closurelab.recurrence import build_X
 from closurelab.spectral import alpha_values_at_energy
 from closurelab.families import energy
 
 eta = ParamPoly.var("eta")
 z = ParamPoly.var("z")
 g = ParamPoly.var("g")
+
+
+def ad_images(df, X, n, count):
+    """Reference route: [(ad H)^i X] P_n = (H - E_n)^i (X P_n) for
+    i = 0..count, by repeated application of H to polynomials."""
+    H, En = df.H_tilde, df.E(n)
+    images = [X * df.P(n)]
+    for _ in range(count):
+        images.append(H.apply_poly(images[-1]) - images[-1] * En)
+    return images
+
+
+def coordinate_images(df, X, n, count):
+    """The same images assembled from recurrence coordinates:
+    sum_k r_{n,k} Delta_{n,k}^i P_{n+k}."""
+    coords = level_coordinates(df, X, n)
+    return [sum((df.P(n + k) * (r * delta ** i) for k, r, delta in coords),
+                ParamPoly.zero(("eta",))) for i in range(count + 1)]
+
+
+def eta_rows(df, X, K):
+    """Reference assembly of the order-K system: each eta-coefficient of
+    each level n = 0..K of the images is one row."""
+    layout = closure_system(df, X, K)[0]
+    rows, rhs = [], []
+    for n in range(K + 1):
+        images = ad_images(df, X, n, K)
+        En, Pn = df.E(n), df.P(n)
+        polys = [(images[i] if i >= 0 else Pn) * En ** j for i, j in layout]
+        polys.append(images[K])
+        coeffs = [p.coeffs_in("eta") for p in polys]
+        for d in range(max(p.degree("eta") for p in polys) + 1):
+            row = [c[d].constant_value() if d in c else F(0) for c in coeffs]
+            rows.append(row[:-1])
+            rhs.append(row[-1])
+    return layout, rows, rhs
 
 
 def test_degree_bounds_by_family_kind():
@@ -203,15 +244,18 @@ def test_kernel_reporting_on_padded_order(l_classical):
 
 
 def test_eigenbasis_images_match_operator_reference(l_classical, l1i, j1i):
-    # classical L (K=2), L[1I] (K=4), J[1I] (K=4): the images equal the
-    # composed commutators applied to P_n, and the eigenbasis-solved data
-    # satisfies the composed operator identity coefficient by coefficient
+    # classical L (K=2), L[1I] (K=4), J[1I] (K=4): the images assembled from
+    # recurrence coordinates equal the composed commutators applied to P_n
+    # (and the repeated-H reference), and the solved data satisfies the
+    # composed operator identity coefficient by coefficient
     for df in (l_classical, l1i, j1i):
         cd, X = closure_for_family(df, ParamPoly.const(1))
         H, K = df.H_tilde, cd.K
         ads = ad_powers(H, X, K)
         for n in range(K + 1):
-            assert [op.apply_poly(df.P(n)) for op in ads] == ad_images(df, X, n, K)
+            images = coordinate_images(df, X, n, K)
+            assert [op.apply_poly(df.P(n)) for op in ads] == images
+            assert images == ad_images(df, X, n, K)
         rhs = right_mul_poly_of_H(DiffOp.identity(H.var), cd.R_minus1, H)
         for i in range(K):
             rhs = rhs + right_mul_poly_of_H(ads[i], cd.R[i], H)
@@ -219,8 +263,9 @@ def test_eigenbasis_images_match_operator_reference(l_classical, l1i, j1i):
 
 
 def test_verify_reuses_the_images_of_the_solve(lag_params, monkeypatch):
-    # solved data meets the degree bounds, so the certificate needs only
-    # P_0..P_K, whose images solve_closure has already stored on the family
+    # solved data meets the degree bounds, so the certificate needs only the
+    # levels n = 0..K, whose recurrence rows and eigen checks (P_0..P_{K+L})
+    # solve_closure has already stored on the family
     df = builtin_deformed("L", "1I", lag_params)
     cd, X = closure_for_family(df, ParamPoly.const(1))
     calls = []
@@ -231,18 +276,72 @@ def test_verify_reuses_the_images_of_the_solve(lag_params, monkeypatch):
     assert calls == []
 
 
+def test_each_level_is_eigen_checked_once(lag_params, monkeypatch):
+    # construction checks P_0..P_VALIDATE_N; solve and certificate of
+    # L[1I] add the levels up to K + L and never apply H a second time
+    calls = []
+    original = DiffOp.apply_poly
+    monkeypatch.setattr(DiffOp, "apply_poly",
+                        lambda self, p: calls.append(p) or original(self, p))
+    df = builtin_deformed("L", "1I", lag_params)
+    cd, X = closure_for_family(df, ParamPoly.const(1))
+    assert verify_closure_identity(df, X, cd)
+    top = cd.K + X.degree("eta")
+    assert top > VALIDATE_N
+    assert calls == [df.P(m) for m in range(top + 1)]
+    assert df.checked_levels == set(range(top + 1))
+
+
+@pytest.mark.parametrize("family, Y, K", [
+    ("l1i", None, None), ("l1ii", None, None), ("j1i", None, None),
+    ("j1ii", None, None), ("L2I-plugin", None, None), ("l1i", eta, None),
+    ("l_classical", None, 4),
+], ids=["L1I", "L1II", "J1I", "J1II", "L2I-plugin", "Y=eta", "padded-classical"])
+def test_coordinate_rows_solve_like_eta_rows(family, Y, K, request):
+    # the coordinate system and the eta-coefficient reference have the same
+    # augmented row space, hence the same LinearSolution; only the padded
+    # order-4 system of the classical family has a kernel
+    plugin = (pathlib.Path(__file__).resolve().parent.parent / "plugins"
+              / "laguerre_2I.json")
+    df = (load_family_plugin(str(plugin)) if family == "L2I-plugin"
+          else request.getfixturevalue(family))
+    X = build_X(df.xi, Y if Y is not None else ParamPoly.const(1))
+    K = K or 2 * X.degree("eta")
+    layout, rows, rhs = closure_system(df, X, K)
+    ref_layout, ref_rows, ref_rhs = eta_rows(df, X, K)
+    assert layout == ref_layout
+    got, expected = solve_linear_exact(rows, rhs), solve_linear_exact(ref_rows, ref_rhs)
+    assert got.consistent and got == expected
+    assert (len(got.kernel_basis) > 0) == (family == "l_classical")
+
+
 def _cold_and_warm(df):
-    """A fresh copy of the built-in family df, with an empty image store, and
-    df itself, whose store the session's closure solve has filled."""
+    """A fresh copy of the built-in family df, whose level store holds only
+    the levels checked at construction, and df itself, whose store the
+    session's closure solve has filled."""
     return builtin_deformed(df.fam, df.D, df.params), df
 
 
-def test_perturbed_inhomogeneous_term_fails(l1i, l1i_closure):
+def test_perturbed_inhomogeneous_term_fails(l1i, l1i_closure, monkeypatch,
+                                           tmp_path):
+    # R_-1 + 1 breaks the k = 0 coordinate first, at level 0, by -1; the
+    # verify-closure report carries that witness
     cd, X = l1i_closure
     broken = ClosureData(cd.K, list(cd.R), cd.R_minus1 + 1, "solved", "L")
-    assert (X, cd.K) in l1i.ad_image_store
+    assert (X, cd.K) in l1i.recurrence_rows
     for df in _cold_and_warm(l1i):
-        assert not verify_closure_identity(df, X, broken)
+        verdict = verify_closure_identity(df, X, broken)
+        assert not verdict
+        assert (verdict.n, verdict.k, verdict.residual) == (0, 0, -1)
+    monkeypatch.setattr("closurelab.cli.closure_for_family",
+                        lambda df, Y: (broken, X))
+    report = tmp_path / "r.json"
+    assert main(["verify-closure", "--family", "L", "--D", "1I",
+                 "--report", str(report)]) == 1
+    checks = json.loads(report.read_text())["checks"]
+    identity = next(c for c in checks if c["id"] == "closure/identity")
+    assert identity == {"id": "closure/identity", "status": "fail",
+                        "detail": {"k": 0, "n": 0, "residual": "-1"}}
 
 
 def test_degree_above_bound_is_certified_on_more_levels(l1i, l1i_closure):
@@ -273,21 +372,22 @@ def test_eigen_failure_beyond_validation_names_the_level(l1i):
 
     bad = DeformedFamily("L", l1i.D, l1i.params, l1i.xi, make_P)
     match = f"n={broken}"
-    for _ in range(2):  # the image store never records the failed level
+    for _ in range(2):  # the level store never records the failed level
         with pytest.raises(EigenValidationFailed, match=match):
             solve_closure(bad, X, cd.K)
         with pytest.raises(EigenValidationFailed, match=match):
             verify_closure_identity(bad, X, cd)
         with pytest.raises(EigenValidationFailed, match=match):
-            ad_images(bad, X, broken, 0)
-    assert (X, broken) not in bad.ad_image_store
+            level_coordinates(bad, X, broken)
+    assert broken not in bad.checked_levels
 
 
 def test_eigen_failure_in_plugin_is_a_failing_check(explicit_plugin, tmp_path):
-    # levels 0..5 are validated on load; L[2I] has K = 6, so P_6 is first
-    # touched by the closure solve, which every command reports as a failed
-    # check naming n = 6
-    plugin = str(explicit_plugin(7, broken=6))
+    # on load, the eigen-equations of P_0..P_5 and the norm-ratio symmetry
+    # of rows 0..5 (P_0..P_8) are checked; L[2I] has K = 6 and L = 3, so
+    # only the closure solve reads P_9, when it reaches level n = 6, and
+    # every command reports a failed check naming n = 9
+    plugin = str(explicit_plugin(10, broken=9))
     report = tmp_path / "r.json"
     for argv, check_id in (
             (["verify-closure", "--family", "L", "--D", "2I"], "closure/solve"),
@@ -298,5 +398,5 @@ def test_eigen_failure_in_plugin_is_a_failing_check(explicit_plugin, tmp_path):
         checks = json.loads(report.read_text())["checks"]
         failed = next(c for c in checks if c["id"] == check_id)
         assert failed["status"] == "fail"
-        assert "n=6" in failed["detail"]["error"]
+        assert "n=9" in failed["detail"]["error"]
         assert all(c["status"] != "pass" for c in checks)
