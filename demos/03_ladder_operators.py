@@ -2,7 +2,7 @@
 
 Each frequency component shifts eigenstates by a fixed amount; acting on an
 eigenpolynomial all operator-valued scalars collapse to exact rationals, so
-every ladder action is checked against the recurrence table coefficient.
+every ladder action is checked against the recurrence coefficient of X P(n).
 """
 
 from fractions import Fraction
@@ -13,13 +13,11 @@ from closurelab.families import ParamSet, builtin_deformed
 from closurelab.heisenberg import (LadderContext, check_r0_relation,
                                    commutation_check, heisenberg_series_check,
                                    ladder_apply, ladder_suite)
-from closurelab.recurrence import compute_table
 
 params = ParamSet("L", {"g": Fraction(7, 3)})
 family = builtin_deformed("L", "1I", params)
 cd, X = closure_for_family(family, ParamPoly.const(1))
-table = compute_table(family, X, range(10))
-ctx = LadderContext(family, cd, X, table)
+ctx = LadderContext(family, cd, X)
 
 print(f"K = {cd.K}: indices 1..{cd.K // 2} raise, {cd.K // 2 + 1}..{cd.K} lower")
 for j in range(1, cd.K + 1):

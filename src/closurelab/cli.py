@@ -113,6 +113,9 @@ def _param_set(fam: str, given: dict[str, str]) -> ParamSet:
         return ParamSet(fam, {k: rat(v) for k, v in vals.items()})
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from None
+    except ZeroDivisionError:
+        raise ConfigError(f"--params {' '.join(f'{k}={v}' for k, v in given.items())}"
+                          ": zero denominator") from None
 
 
 def _validate_ranges(fam: str, params: ParamSet, L: int) -> list[str]:
@@ -130,11 +133,16 @@ def _validate_ranges(fam: str, params: ParamSet, L: int) -> list[str]:
 
 
 def _parse_Y(text: str) -> ParamPoly:
-    """--Y as an exact polynomial in eta; empty means Y = 1."""
+    """--Y as a nonzero exact polynomial in eta; empty means Y = 1."""
     try:
-        return parse_poly(text) if text else ParamPoly.const(1)
+        Y = parse_poly(text) if text else ParamPoly.const(1)
     except ValueError as exc:
         raise ConfigError(f"--Y {text!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise ConfigError(f"--Y {text!r}: zero denominator") from None
+    if Y.is_zero or Y.used_vars() not in ((), ("eta",)):
+        raise ConfigError(f"--Y {text!r}: Y must be a nonzero polynomial in eta")
+    return Y
 
 
 def _parse_D(text: str) -> MultiIndex:
@@ -269,7 +277,7 @@ def cmd_recurrence(args) -> int:
     df = _family_instance(args, params)
     X = build_X(df.xi, Y)
     try:
-        table = compute_table(df, X, range(args.n_max + 1), Y)
+        table = compute_table(df, X, range(args.n_max + 1))
     except NonzeroRemainder as exc:
         report.add("recurrence/span", False, error=str(exc))
         return _emit(report, args)
@@ -365,8 +373,7 @@ def cmd_heisenberg(args) -> int:
         report.add("heisenberg/closure", False, error=str(exc))
         return _emit(report, args)
     n_top = min(args.n_max, 6)
-    table = compute_table(df, X, range(n_top + cd.K // 2 + 1))
-    ctx = LadderContext(df, cd, X, table)
+    ctx = LadderContext(df, cd, X)
     try:
         report.add_all("heisenberg", ladder_suite(ctx, range(n_top + 1)))
         report.add_all("heisenberg", check_r0_relation(ctx, range(n_top + 1)))

@@ -597,12 +597,14 @@ class DeformedFamily:
     def ell(self) -> int:
         return self.D.ell
 
-    def h_ratio(self, n: int, l: int):
-        """h_{D,n} / h_{D,n-l}, exact and free of Gamma factors (0 <= l <= n)."""
+    def h_ratio(self, n: int, l: int) -> tuple:
+        """h_{D,n} / h_{D,n-l} as a pair (num, den) with den != 0, exact and
+        free of Gamma factors (0 <= l <= n): Fractions with bound
+        parameters, polynomials in g when the family is symbolic."""
         if not 0 <= l <= n:
             raise ValueError("need 0 <= l <= n")
         if l == 0:
-            return Fraction(1)
+            return Fraction(1), Fraction(1)
         if self.params is None:
             if self.fam != "L":
                 raise ValueError("symbolic norm ratios are provided for L only")
@@ -618,13 +620,17 @@ class DeformedFamily:
                 off = d + HALF if t == "I" else -d - HALF
                 num = num * (g + (n + off))
                 den = den * (g + (n - l + off))
-            return RationalFunc(num, den)
-        out = Fraction(1)
+            return num, den
+        num = Fraction(1)
         for m in range(n - l + 1, n + 1):
-            out *= classical_h_step(self.params, m)
-        for (d, t), et in zip(self.D.entries, self.Etilde):
-            out *= (self.E(n) - et) / (self.E(n - l) - et)
-        return out
+            num *= classical_h_step(self.params, m)
+        den = Fraction(1)
+        for et in self.Etilde:
+            num *= self.E(n) - et
+            den *= self.E(n - l) - et
+        if not den:
+            raise ValueError(f"{self.label}: a virtual energy equals E_{n - l}")
+        return num, den
 
     def leading_coeff(self, n: int) -> Rat | ParamPoly:
         lead = self.P(n).leading_coeff("eta")
@@ -634,20 +640,22 @@ class DeformedFamily:
         return f"DeformedFamily({self.label}, source={self.source})"
 
 
-def seed_data(fam: str, t: str, params: ParamSet | None = None) -> RationalFunc:
-    """Logarithmic derivative m = rho'/rho of the type I/II seed prefactor
-    rho (the same for every seed degree); symbolic when params is None."""
+def seed_data(fam: str, t: str,
+              params: ParamSet | None = None) -> tuple[ParamPoly, ParamPoly]:
+    """Logarithmic derivative m = rho'/rho = p/q of the type I/II seed
+    prefactor rho (the same for every seed degree), as the pair (p, q);
+    symbolic when params is None."""
     eta, half = ParamPoly.var("eta"), ParamPoly.const(HALF)
     g = params.g if params else ParamPoly.var("g")
     if fam == "L":
         if t == "I":
-            return RationalFunc(ParamPoly.const(1))  # rho = exp(eta)
-        return RationalFunc(half - g, eta)  # rho = eta^(1/2-g)
+            return ParamPoly.const(1), ParamPoly.const(1)  # rho = exp(eta)
+        return half - g, eta  # rho = eta^(1/2-g)
     if fam == "J":
         if t == "I":
             h = params.h if params else ParamPoly.var("h")
-            return RationalFunc(half - h, 1 + eta)  # rho = (1+eta)^(1/2-h)
-        return RationalFunc(half - g, eta - 1)  # rho = (1-eta)^(1/2-g)
+            return half - h, 1 + eta  # rho = (1+eta)^(1/2-h)
+        return half - g, eta - 1  # rho = (1-eta)^(1/2-g)
     raise ValueError("seed data is provided for L and J")
 
 
@@ -692,8 +700,7 @@ def check_seed(fam: str, t: str, d: int, params: ParamSet, seed: ParamPoly) -> N
     vanishes.  rho and q are nonzero, so this polynomial is zero exactly when
     rho*xi is the quasi-eigenfunction.
     """
-    m = seed_data(fam, t, params)
-    p, q = m.num, m.den
+    p, q = seed_data(fam, t, params)
     c2, c1 = c2_poly(fam), c1_poly(fam, params)
     et = virtual_energy(params, t, d)
     d1 = seed.diff("eta")
@@ -751,8 +758,8 @@ def _degenerate_level(params: ParamSet, t: str, d: int) -> int | None:
 def _intertwiner(fam: str, t: str, params: ParamSet | None,
                  seed: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
     """Coefficients (q*xi, -(p*xi + q*xi')) of P_n' and P_n in P(n)."""
-    m = seed_data(fam, t, params)
-    return m.den * seed, -(m.num * seed + m.den * seed.diff("eta"))
+    p, q = seed_data(fam, t, params)
+    return q * seed, -(p * seed + q * seed.diff("eta"))
 
 
 def plugin_dict_from_family(df: DeformedFamily) -> dict:
@@ -905,14 +912,19 @@ def family_from_plugin_dict(data: Mapping) -> DeformedFamily:
 
 
 def _plugin_h_consistency(df: DeformedFamily) -> None:
-    """Norm-ratio symmetry of the minimal recurrence, checked on load."""
+    """Norm-ratio symmetry of the minimal recurrence, checked on load.
+
+    Rows 0..upper read P_0..P_{upper+L}; their eigen-equations are checked
+    first, so a broken level is named as such (EigenValidationFailed at
+    its n) rather than through the symmetry rows it spoils."""
     from .recurrence import build_X, check_h_symmetry, compute_table
 
     X = build_X(df.xi, ParamPoly.const(1))
     upper = VALIDATE_N if df.p_max is None else max(
         1, min(VALIDATE_N, df.p_max - df.xi.degree("eta") - 1))
+    df.check_levels(upper + X.degree("eta"))
     table = compute_table(df, X, range(0, upper + 1))
-    report = check_h_symmetry(df, table)
-    bad = [entry for entry in report if not entry["ok"]]
+    bad = next((e for e in check_h_symmetry(df, table) if not e["ok"]), None)
     if bad:
-        raise EigenValidationFailed(f"{df.label}: norm-ratio symmetry fails: {bad[:3]}")
+        raise EigenValidationFailed(f"{df.label}: norm-ratio symmetry fails "
+                                    f"at n={bad['n']}, l={bad['l']}")

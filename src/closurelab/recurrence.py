@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .exactalg import ParamPoly, Rat, RationalFunc
-from .families import DeformedFamily, MultiIndex, _rising
+from .exactalg import ParamPoly
+from .families import DeformedFamily, _rising
 
 
 class NonzeroRemainder(Exception):
@@ -37,16 +37,7 @@ class RecurrenceTable:
 
     X: ParamPoly
     L: int
-    D: MultiIndex
-    Y: ParamPoly | None
     rows: dict[int, dict[int, object]] = field(default_factory=dict)
-
-    def coeff(self, n: int, k: int):
-        if abs(k) > self.L:
-            return Fraction(0)
-        if n + k < 0:
-            return Fraction(0)
-        return self.rows[n][k]
 
 
 def expand_in_basis(df: DeformedFamily, X: ParamPoly, n: int) -> dict[int, object]:
@@ -101,39 +92,32 @@ def recurrence_row(df: DeformedFamily, X: ParamPoly, n: int) -> dict[int, object
     return row
 
 
-def compute_table(df: DeformedFamily, X: ParamPoly, n_range: Iterable[int],
-                  Y: ParamPoly | None = None) -> RecurrenceTable:
-    table = RecurrenceTable(X=X, L=X.degree("eta"), D=df.D, Y=Y)
+def compute_table(df: DeformedFamily, X: ParamPoly,
+                  n_range: Iterable[int]) -> RecurrenceTable:
+    table = RecurrenceTable(X=X, L=X.degree("eta"))
     for n in n_range:
         table.rows[n] = recurrence_row(df, X, n)
     return table
 
 
 def leading_coeff_identity(df: DeformedFamily, table: RecurrenceTable) -> list[dict]:
-    """r_{n,L} = c^X * c^P_n / c^P_{n+L} for every computed row."""
+    """r_{n,L} = c^X * c^P_n / c^P_{n+L} for every computed row, tested as
+    r_{n,L} * c^P_{n+L} == c^X * c^P_n (c^P_{n+L} is a leading coefficient,
+    so nonzero, and the two tests agree).  Bound and symbolic rows take the
+    same comparison: Fractions and parameter polynomials compare exactly."""
     out = []
     cX = table.X.leading_coeff("eta")
-    cX = cX.constant_value() if cX.is_constant() else cX
     for n, row in sorted(table.rows.items()):
-        lead_n = df.leading_coeff(n)
-        lead_nL = df.leading_coeff(n + table.L)
-        if isinstance(cX, Fraction) and isinstance(lead_n, Fraction):
-            expected = cX * lead_n / lead_nL
-            ok = row[table.L] == expected
-        else:
-            expected = RationalFunc(_as_poly(cX) * _as_poly(lead_n), _as_poly(lead_nL))
-            ok = RationalFunc(_as_poly(row[table.L])) == expected
+        ok = row[table.L] * df.leading_coeff(n + table.L) == cX * df.leading_coeff(n)
         out.append({"check": "leading-coefficient", "n": n, "ok": bool(ok)})
     return out
 
 
-def _as_poly(v) -> ParamPoly:
-    return v if isinstance(v, ParamPoly) else ParamPoly.const(v)
-
-
 def check_h_symmetry(df: DeformedFamily, table: RecurrenceTable,
                      l_range: Iterable[int] | None = None) -> list[dict]:
-    """r_{n,-l} = (h_{D,n}/h_{D,n-l}) * r_{n-l,l} for all computed rows.
+    """r_{n,-l} = (h_{D,n}/h_{D,n-l}) * r_{n-l,l} for all computed rows,
+    tested as r_{n,-l} * den == num * r_{n-l,l} with (num, den) =
+    ``df.h_ratio(n, l)``; den is nonzero, so the two tests agree.
 
     Vacuous rows (n-l < 0, both sides zero by the empty-basis convention)
     pass automatically.  Failures become report entries, not exceptions.
@@ -146,20 +130,14 @@ def check_h_symmetry(df: DeformedFamily, table: RecurrenceTable,
                 continue
             entry = {"check": "norm-ratio-symmetry", "n": n, "l": l}
             if n - l < 0:
-                entry["ok"] = _is_zero(table.rows[n].get(-l, Fraction(0)))
+                entry["ok"] = table.rows[n].get(-l, Fraction(0)) == 0
                 entry["vacuous"] = True
             elif n - l not in table.rows:
                 continue
             else:
-                lhs = table.rows[n][-l]
-                rhs = table.rows[n - l][l]
-                ratio = df.h_ratio(n, l)
-                if isinstance(ratio, RationalFunc):
-                    ok = (RationalFunc(_as_poly(lhs))
-                          == ratio * RationalFunc(_as_poly(rhs)))
-                else:
-                    ok = lhs == ratio * rhs
-                entry["ok"] = bool(ok)
+                num, den = df.h_ratio(n, l)
+                entry["ok"] = bool(table.rows[n][-l] * den
+                                   == num * table.rows[n - l][l])
             out.append(entry)
     return out
 
@@ -176,20 +154,9 @@ def closed_form_compare(table: RecurrenceTable,
         for k, formula in sorted(formulas.items()):
             got = table.rows[n].get(k, Fraction(0))
             expected = Fraction(0) if n + k < 0 else formula(n)
-            if isinstance(got, ParamPoly) or isinstance(expected, ParamPoly):
-                ok = _as_poly(got) == _as_poly(expected)
-            else:
-                ok = got == expected
-            out.append({"check": "closed-form", "n": n, "k": k, "ok": bool(ok)})
+            out.append({"check": "closed-form", "n": n, "k": k,
+                        "ok": bool(got == expected)})
     return out
-
-
-def _is_zero(v) -> bool:
-    if isinstance(v, ParamPoly):
-        return v.is_zero
-    if isinstance(v, RationalFunc):
-        return v.is_zero
-    return v == 0
 
 
 # -- built-in closed-form tables ------------------------------------------------
@@ -200,18 +167,14 @@ def table_formulas_L1I(params=None) -> dict[int, Callable[[int], object]]:
     (polynomial in g when params is None)."""
     g = params.g if params is not None else ParamPoly.var("g")
     return {
-        2: lambda n: Fraction(1, 2) * (n + 1) * (n + 2) * _one_like(g),
+        2: lambda n: Fraction(1, 2) * (n + 1) * (n + 2),
         1: lambda n: -(n + 1) * (2 * g + (2 * n + 3)),
         0: lambda n: Fraction(1, 8) * ((2 * g + 1) * (6 * g + 13)
                                        + 4 * n * (10 * g + 11)
-                                       + 24 * n * n * _one_like(g)),
+                                       + 24 * n * n),
         -1: lambda n: -Fraction(1, 2) * (2 * g + (2 * n - 1)) * (2 * g + (2 * n + 3)),
         -2: lambda n: Fraction(1, 8) * (2 * g + (2 * n - 3)) * (2 * g + (2 * n + 3)),
     }
-
-
-def _one_like(g):
-    return ParamPoly.const(1) if isinstance(g, ParamPoly) else Fraction(1)
 
 
 def table_formulas_J1I(params) -> dict[int, Callable[[int], Fraction]]:

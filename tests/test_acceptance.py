@@ -247,8 +247,7 @@ def test_criterion_10_ladder_suite(l1i, l1ii, j1i, j1ii, l1i_closure,
     ok = True
     for df, (cd, X) in ((l1i, l1i_closure), (l1ii, l1ii_closure),
                         (j1i, j1i_closure), (j1ii, j1ii_closure)):
-        table = compute_table(df, X, range(10))
-        ctx = LadderContext(df, cd, X, table)
+        ctx = LadderContext(df, cd, X)
         ok = ok and all(e["ok"] for e in ladder_suite(ctx, range(7)))
         ok = ok and all(e["ok"] for e in check_r0_relation(ctx, range(7)))
         ok = ok and all(e["ok"] for e in commutation_check(ctx, range(7)))

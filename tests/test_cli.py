@@ -7,9 +7,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from closurelab.cli import main
-from closurelab.families import MAX_ELL
+from closurelab.cli import ConfigError, _param_items, _param_set, _parse_Y, main
+from closurelab.families import MAX_ELL, ParamSet, load_family_plugin
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -81,10 +82,19 @@ def test_reports_are_byte_stable(tmp_path):
     ["verify-closure", "--D", "2II", "--params", "g=3/2"],
     ["verify-closure", "--family", "L", "--D", "1I", "--params", "gg=3"],
     ["appendix-b", "--params", "gg=3"],
+    ["verify-closure", "--D", "1I", "--Y", "g"],
+    ["recurrence", "--Y", "g"],
+    ["verify-closure", "--Y", "0"],
+    ["heisenberg", "--Y", "0"],
+    ["spectrum", "--Y", "0"],
+    ["verify-closure", "--Y", "1/0"],
+    ["verify-closure", "--params", "g=1/0"],
 ], ids=["params", "W-recurrence", "AW-q", "Y", "D", "truncated-plugin",
         "missing-plugin", "plugin-levels", "multi-seed", "J-range-spectrum",
         "J-range-heisenberg", "ell-bound", "ell-bound-plugin",
-        "degenerate-seed", "unknown-param", "unknown-param-appendix-b"])
+        "degenerate-seed", "unknown-param", "unknown-param-appendix-b",
+        "Y-param-var", "Y-param-var-recurrence", "Y-zero", "Y-zero-heisenberg",
+        "Y-zero-spectrum", "Y-zero-denominator", "params-zero-denominator"])
 def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
     shipped = (ROOT / "plugins" / "laguerre_2I.json").read_text()
     truncated = tmp_path / "truncated.json"
@@ -111,6 +121,36 @@ def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
         assert f"ell = {MAX_ELL + 1} is above the supported bound {MAX_ELL}" in err
     if "g=3/2" in argv:
         assert "L[2II]: the virtual energy equals E_1" in err
+    Y = argv[argv.index("--Y") + 1] if "--Y" in argv else None
+    if Y in ("g", "0"):
+        assert f"--Y '{Y}': Y must be a nonzero polynomial in eta" in err
+    if Y == "1/0":
+        assert "--Y '1/0': zero denominator" in err
+    if "g=1/0" in argv:
+        assert "--params g=1/0: zero denominator" in err
+
+
+# Short inputs over the characters of the syntax: long enough to reach
+# every parser branch, short enough that no exponent or size is large.
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="etagh0123456789/^*+-() ", max_size=8))
+def test_Y_parses_or_is_a_config_error(text):
+    try:
+        Y = _parse_Y(text)
+    except ConfigError:
+        return
+    assert not Y.is_zero and Y.used_vars() in ((), ("eta",))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet="ghq=0123456789/- ", max_size=6), max_size=3))
+def test_params_parse_or_are_a_config_error(items):
+    for fam in ("L", "J"):
+        try:
+            params = _param_set(fam, _param_items(items, (fam,)))
+        except ConfigError:
+            continue
+        assert isinstance(params, ParamSet)
 
 
 def test_failing_check_exit_code(tmp_path):
@@ -122,6 +162,35 @@ def test_failing_check_exit_code(tmp_path):
 def test_plugin_validate_shipped():
     plug = ROOT / "plugins" / "laguerre_2I.json"
     assert run_cli("plugin-validate", "--plugin", str(plug)) == 0
+
+
+def _plugin_load_error(path, tmp_path):
+    report = tmp_path / "r.json"
+    assert run_cli("plugin-validate", "--plugin", str(path),
+                   "--report", str(report)) == 1
+    (load,) = json.loads(report.read_text())["checks"]
+    return load["detail"]["error"]
+
+
+def test_plugin_load_names_a_broken_level(explicit_plugin, tmp_path):
+    # rows 0..5 of the symmetry check read P_0..P_8; their eigen-equations
+    # are checked first, so P_6 + P_5 is named as level 6
+    error = _plugin_load_error(explicit_plugin(10, broken=6), tmp_path)
+    assert error.endswith("L[2I]: eigen-equation fails at n=6")
+
+
+def test_plugin_symmetry_failure_names_its_first_row(tmp_path):
+    # 2 P_3 is still an eigenpolynomial, but the rows through P_3 lose
+    # the normalization the norm ratios assume: row (n, l) = (3, 1) first
+    path = ROOT / "plugins" / "laguerre_2I.json"
+    data = json.loads(path.read_text())
+    df = load_family_plugin(path)
+    polys = [df.P(n) * (2 if n == 3 else 1) for n in range(10)]
+    data["P"] = {"kind": "explicit", "polys": [p.record() for p in polys]}
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps(data))
+    error = _plugin_load_error(scaled, tmp_path)
+    assert error.endswith("L[2I]: norm-ratio symmetry fails at n=3, l=1")
 
 
 def test_appendix_b_with_plugin(tmp_path):

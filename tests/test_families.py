@@ -168,8 +168,19 @@ def test_seed_quasi_eigenfunctions(lag_params, jac_params, l_classical, j_classi
     for fam, ps, cls in (("L", lag_params, l_classical), ("J", jac_params, j_classical)):
         for t in ("I", "II"):
             xi_seed = canonical_seed(fam, t, 1, ps)
-            Hg = gauge_transform(cls.H_tilde, seed_data(fam, t, ps))
+            Hg = gauge_transform(cls.H_tilde, RationalFunc(*seed_data(fam, t, ps)))
             assert Hg.apply(xi_seed) == RationalFunc(xi_seed) * virtual_energy(ps, t, 1)
+
+
+def test_seed_data_pairs_are_already_reduced(lag_params, jac_params):
+    # (p, q) is the pair the reduced quotient m = p/q holds, bound and
+    # symbolic, so the seed check and the intertwiner read the same p and q
+    for fam, ps in (("L", lag_params), ("J", jac_params)):
+        for t in ("I", "II"):
+            for params in (ps, None):
+                p, q = seed_data(fam, t, params)
+                m = RationalFunc(p, q)
+                assert (m.num, m.den) == (p, q)
 
 
 def _reference_monic_seed(fam: str, t: str, d: int, params: ParamSet) -> ParamPoly:
@@ -177,7 +188,7 @@ def _reference_monic_seed(fam: str, t: str, d: int, params: ParamSet) -> ParamPo
     the type I/II quasi-eigenfunction of the undeformed operator, from the
     gauge-transformed classical operator at the virtual energy."""
     cls = classical_family(fam, params)
-    Hg = gauge_transform(cls.H_tilde, seed_data(fam, t, params))
+    Hg = gauge_transform(cls.H_tilde, RationalFunc(*seed_data(fam, t, params)))
     et = virtual_energy(params, t, d)
     # residual of (Hg - et) on eta^k times the common denominator D of the
     # cleared form; D != 0, so it vanishes exactly when the residual does
@@ -234,10 +245,12 @@ def test_h_step_against_three_term_recurrence(l_classical, j_classical):
 def test_h_ratio_examples(l_classical, l1i, lag_params):
     g = lag_params.g
     n = 5
-    assert l_classical.h_ratio(n, 1) == (n + g - F(1, 2)) / n
-    assert l1i.h_ratio(n, 1) == ((n + g - F(1, 2)) * (n + g + F(3, 2))
-                                 / (n * (n + g + F(1, 2))))
-    assert l1i.h_ratio(n, 0) == 1
+    num, den = l_classical.h_ratio(n, 1)
+    assert num / den == (n + g - F(1, 2)) / n
+    num, den = l1i.h_ratio(n, 1)
+    assert num / den == ((n + g - F(1, 2)) * (n + g + F(3, 2))
+                         / (n * (n + g + F(1, 2))))
+    assert l1i.h_ratio(n, 0) == (1, 1)
 
 
 def test_h_step_positive_difference_families(wil_params, aw_params):
@@ -250,7 +263,7 @@ def test_h_step_positive_difference_families(wil_params, aw_params):
 def test_h_ratio_symbolic():
     sym = builtin_deformed("L", "1I", None)
     gsym = ParamPoly.var("g")
-    got = sym.h_ratio(3, 1)
+    got = RationalFunc(*sym.h_ratio(3, 1))
     assert got == RationalFunc((gsym + F(5, 2)) * (gsym + F(9, 2)),
                                ParamPoly.const(3) * (gsym + F(7, 2)))
 

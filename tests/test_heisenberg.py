@@ -1,30 +1,58 @@
 """Ladder operators: exact actions, recurrence-coefficient match, eigenvalue
 shifts, the time-power expansion of the Heisenberg solution."""
 
+import dataclasses
+import pathlib
 from fractions import Fraction as F
 
 import pytest
 
+from closurelab import cli, heisenberg
 from closurelab.exactalg import ParamPoly
 from closurelab.closure import closure_for_family
+from closurelab.families import (EigenValidationFailed, builtin_deformed,
+                                 load_family_plugin)
 from closurelab.heisenberg import (LadderContext, NotProportional,
                                    check_r0_relation, commutation_check,
                                    heisenberg_series_check, ladder_apply,
                                    ladder_suite, round_trip_check,
                                    two_step_specialization)
-from closurelab.recurrence import compute_table
+from closurelab.opalg import DiffOp
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
-def ctx_l1i(l1i, l1i_closure, l1i_table):
+def ctx_l1i(l1i, l1i_closure):
     cd, X = l1i_closure
-    return LadderContext(l1i, cd, X, l1i_table)
+    return LadderContext(l1i, cd, X)
 
 
 @pytest.fixture(scope="module")
-def ctx_j1i(j1i, j1i_closure, j1i_table):
+def ctx_j1i(j1i, j1i_closure):
     cd, X = j1i_closure
-    return LadderContext(j1i, cd, X, j1i_table)
+    return LadderContext(j1i, cd, X)
+
+
+def _reference_commutation_check(ctx, n_range):
+    """The eigenvalue-shift rows by applying H to every nonzero ladder image:
+    the route ``commutation_check`` replaces with the checked levels."""
+    out = []
+    H = ctx.df.H_tilde
+    for n in n_range:
+        for j in range(1, ctx.K + 1):
+            action = heisenberg.ladder_apply(ctx, j, n)
+            entry = {"check": "eigenvalue-shift", "j": j, "n": n}
+            if action.image.is_zero:
+                entry["ok"] = True
+                entry["vacuous"] = True
+            else:
+                lhs = H.apply_poly(action.image)
+                rhs = action.image * (ctx.df.E(n) + action.alpha)
+                sign_ok = (action.alpha > 0) if j <= ctx.L else (action.alpha < 0)
+                entry["ok"] = (lhs == rhs) and sign_ok
+            out.append(entry)
+    return out
 
 
 def test_annihilation_below_ground_state(ctx_l1i):
@@ -64,8 +92,7 @@ def test_r0_relation_values(ctx_l1i, lag_params):
 
 def test_r0_relation_classical_is_diagonal_coefficient(l_classical, lag_params):
     cd, X = closure_for_family(l_classical, ParamPoly.const(1))
-    table = compute_table(l_classical, X, range(9))
-    ctx = LadderContext(l_classical, cd, X, table)
+    ctx = LadderContext(l_classical, cd, X)
     gv = lag_params.g
     for n in range(8):
         En = l_classical.E(n)
@@ -119,8 +146,7 @@ def test_round_trips_positive(ctx_l1i, ctx_j1i):
 def test_two_step_specialization_classical(l_classical, j_classical):
     for fam in (l_classical, j_classical):
         cd, X = closure_for_family(fam, ParamPoly.const(1))
-        table = compute_table(fam, X, range(9))
-        ctx = LadderContext(fam, cd, X, table)
+        ctx = LadderContext(fam, cd, X)
         assert all(e["ok"] for e in two_step_specialization(ctx, range(6)))
         assert all(e["ok"] for e in ladder_suite(ctx, range(6)))
 
@@ -132,6 +158,84 @@ def test_not_proportional_detection(ctx_l1i, l1i):
     cd = ctx_l1i.cd
     bad = ClosureData(cd.K, list(cd.R),
                       cd.R_minus1 + ParamPoly.var("z") ** 2, "solved", "L")
-    bad_ctx = LadderContext(l1i, bad, ctx_l1i.X, ctx_l1i.table)
+    bad_ctx = LadderContext(l1i, bad, ctx_l1i.X)
     with pytest.raises(NotProportional):
         ladder_apply(bad_ctx, 2, 1)
+
+
+@pytest.mark.parametrize("case", ["L1I", "J1I", "J1II", "L1II-eta", "L2I-plugin"])
+def test_eigenvalue_shifts_match_the_H_applying_route(case, request):
+    if case == "L2I-plugin":
+        df = load_family_plugin(ROOT / "plugins" / "laguerre_2I.json")
+        cd, X = closure_for_family(df, ParamPoly.const(1))
+    else:
+        fixture = {"L1I": "l1i", "J1I": "j1i", "J1II": "j1ii",
+                   "L1II-eta": "l1ii"}[case]
+        df = request.getfixturevalue(fixture)
+        Y = ParamPoly.var("eta") if case == "L1II-eta" else ParamPoly.const(1)
+        cd, X = closure_for_family(df, Y)
+    ctx = LadderContext(df, cd, X)
+    rows = commutation_check(ctx, range(7))
+    assert rows == _reference_commutation_check(ctx, range(7))
+    assert all(e["ok"] for e in rows)
+
+
+def test_broken_level_above_the_solve_is_named(lag_params):
+    # the closure solve reads P_0..P_6; commutation_check on n <= 6 reads
+    # level 6, so check_levels(8) meets the broken P_8 first
+    df = builtin_deformed("L", "1I", lag_params)
+    cd, X = closure_for_family(df, ParamPoly.const(1))
+    assert 8 not in df.checked_levels
+    df._P_cache[8] = df.P(8) + df.P(7)
+    with pytest.raises(EigenValidationFailed, match="n=8"):
+        commutation_check(LadderContext(df, cd, X), range(7))
+
+
+def test_perturbed_alpha_fails_its_eigenvalue_shift_row(ctx_l1i, monkeypatch):
+    real = heisenberg.ladder_apply
+
+    def perturbed(ctx, j, n):
+        action = real(ctx, j, n)
+        if (j, n) == (2, 3):
+            action = dataclasses.replace(action, alpha=action.alpha + 1)
+        return action
+
+    monkeypatch.setattr(heisenberg, "ladder_apply", perturbed)
+    for check in (commutation_check, _reference_commutation_check):
+        rows = check(ctx_l1i, range(5))
+        assert [(e["j"], e["n"]) for e in rows if not e["ok"]] == [(2, 3)]
+
+
+def _heisenberg_run(monkeypatch, *argv):
+    """Run the heisenberg command; return its family and apply_poly count."""
+    built, calls = [], []
+    real_builtin, real_apply = cli._builtin, DiffOp.apply_poly
+
+    def capture(*args):
+        built.append(real_builtin(*args))
+        return built[-1]
+
+    def counted(self, p):
+        calls.append(p)
+        return real_apply(self, p)
+
+    monkeypatch.setattr(cli, "_builtin", capture)
+    monkeypatch.setattr(DiffOp, "apply_poly", counted)
+    assert cli.main(["heisenberg", *argv]) == 0
+    (df,) = built
+    return df, len(calls)
+
+
+def test_heisenberg_stores_only_the_rows_it_reads(monkeypatch, capsys):
+    df, _ = _heisenberg_run(monkeypatch, "--family", "L", "--D", "1I",
+                            "--n-max", "6")
+    assert sorted(n for _, n in df.recurrence_rows) == list(range(7))
+
+
+def test_heisenberg_applies_H_only_to_check_levels(monkeypatch, capsys):
+    for argv in (("--family", "L", "--D", "1I"),
+                 ("--family", "J", "--D", "1II"),
+                 ("--family", "L", "--D", "1II", "--Y", "eta")):
+        df, applied = _heisenberg_run(monkeypatch, *argv)
+        assert applied == len(df.checked_levels)
+        monkeypatch.undo()

@@ -7,7 +7,7 @@ import pytest
 
 from closurelab.exactalg import ParamPoly
 from closurelab.families import builtin_deformed
-from closurelab.recurrence import (NonzeroRemainder, build_X,
+from closurelab.recurrence import (NonzeroRemainder, RecurrenceTable, build_X,
                                    check_h_symmetry, classical_three_term,
                                    closed_form_compare, compute_table,
                                    expand_in_basis, leading_coeff_identity,
@@ -103,13 +103,14 @@ def test_h_symmetry_example_row(l1i_table, l1i, lag_params):
     gv = lag_params.g
     lhs = l1i_table.rows[2][-1]
     assert lhs == -F(1, 2) * (2 * gv + 3) * (2 * gv + 7)
-    assert lhs == l1i.h_ratio(2, 1) * l1i_table.rows[1][1]
+    num, den = l1i.h_ratio(2, 1)
+    assert lhs * den == num * l1i_table.rows[1][1]
 
 
 def test_vacuous_rows_below_ground_state(l1i_table):
     assert l1i_table.rows[0][-1] == 0
     assert l1i_table.rows[1][-2] == 0
-    assert l1i_table.coeff(0, -2) == 0
+    assert l1i_table.rows[0][-2] == 0
 
 
 def test_nonzero_remainder_negative_control(l1i):
@@ -123,3 +124,26 @@ def test_higher_Y_tables_still_span(l1i):
     assert table.L == 3
     rep = check_h_symmetry(l1i, table)
     assert all(e["ok"] for e in rep)
+
+
+@pytest.mark.parametrize("symbolic", [False, True], ids=["bound", "symbolic"])
+def test_perturbed_entries_fail_exactly_their_rows(symbolic, lag_params):
+    # the cross-product comparisons on Fractions and on polynomials in g:
+    # r_{3,-1} + 1 spoils symmetry row (3, 1), r_{1,2} + 1 spoils symmetry
+    # row (3, 2), leading row 1 and the two closed-form entries
+    params = None if symbolic else lag_params
+    df = builtin_deformed("L", "1I", params)
+    table = compute_table(df, build_X(df.xi, ParamPoly.const(1)), range(5))
+    bad = RecurrenceTable(table.X, table.L,
+                          {n: dict(row) for n, row in table.rows.items()})
+    bad.rows[3][-1] += 1
+    bad.rows[1][2] += 1
+    failing = lambda rows, *keys: [tuple(e[k] for k in keys)
+                                   for e in rows if not e["ok"]]
+    assert failing(check_h_symmetry(df, bad), "n", "l") == [(3, 1), (3, 2)]
+    assert failing(leading_coeff_identity(df, bad), "n") == [(1,)]
+    assert failing(closed_form_compare(bad, table_formulas_L1I(params)),
+                   "n", "k") == [(1, 2), (3, -1)]
+    for rows in (check_h_symmetry(df, table), leading_coeff_identity(df, table),
+                 closed_form_compare(table, table_formulas_L1I(params))):
+        assert rows and all(e["ok"] for e in rows)
