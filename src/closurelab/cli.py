@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import __version__
 from .exactalg import ParamPoly, parse_poly, rat, rat_str
-from .families import (VALIDATE_N, DeformedFamily, EigenValidationFailed,
+from .families import (DeformedFamily, EigenValidationFailed,
                        MultiIndex, ParamSet, SchemaError, DegreeMismatch,
                        builtin_deformed, energy, load_family_plugin)
 from .closure import (NoSolution, TableMissing,
@@ -454,7 +454,7 @@ def cmd_plugin_validate(args) -> int:
     report.add("plugin/load", True, family=df.fam, D=df.D.label(),
                ell=df.ell, source=df.source)
     report.add("plugin/degrees", True)
-    report.add("plugin/eigen-equations", True, validated_n=VALIDATE_N)
+    report.add("plugin/eigen-equations", True, validated_n=max(df.checked_levels))
     report.add("plugin/norm-ratio-symmetry", True)
     return _emit(report, args)
 

@@ -3,9 +3,9 @@
 Covers the four polynomial families (Laguerre L, Jacobi J, Wilson W,
 Askey-Wilson AW): exact energies, virtual-state energies, norm ratios,
 classical polynomial generators for L/J, the built-in single-seed
-deformations (any degree, types I and II, for L and J), similarity-transformed
-Hamiltonians built by two independent routes, and a JSON plugin loader for
-externally supplied multi-index data.
+deformations (any degree, types I and II, for L and J), the
+similarity-transformed Hamiltonian held as its cleared numerators, and a
+JSON plugin loader for externally supplied multi-index data.
 
 Built-in construction notes
 ---------------------------
@@ -25,8 +25,11 @@ are direct images of the classical P_n, so the norm-ratio identities hold
 with no extra constants.  Parameters at which the virtual energy equals an
 eigenvalue make the seed degenerate and are rejected.
 
-Hamiltonians are always eigen-validated against independently constructed
-polynomials before use.
+The Hamiltonian H = -4*xi^-1*(c2*xi*d^2 + N1*d + N0) is fitted to the
+eigen-equations of P_0..P_2 (``build_H_ansatz``) and kept as the triple
+(c2*xi, N1, N0).  Every eigen-equation (the ansatz rows, each checked level
+and the seed) is decided by one polynomial, ``eigen_residual``, with no
+division and no operator algebra.
 """
 
 from __future__ import annotations
@@ -37,9 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .exactalg import (ParamPoly, Rat, RationalFunc, rat,
-                       rat_str, solve_linear_exact)
-from .opalg import DiffOp, NonPolynomialImage
+from .exactalg import ParamPoly, Rat, rat, rat_str, solve_linear_exact
 
 HALF = Fraction(1, 2)
 
@@ -61,10 +62,6 @@ MAX_ELL = 16
 
 class EigenValidationFailed(Exception):
     """Constructed Hamiltonian fails its eigen-equation (family data inconsistent)."""
-
-
-class RouteDisagreement(Exception):
-    """Two independent Hamiltonian constructions disagree."""
 
 
 class SchemaError(Exception):
@@ -167,11 +164,6 @@ class ParamSet:
         if self.fam == "AW":
             out["r"] = self.r
         return out
-
-    def swapped(self) -> "ParamSet":
-        """J only: exchange g and h (used by the J[1II] conjugation route)."""
-        assert self.fam == "J"
-        return ParamSet("J", {"g": self.values["h"], "h": self.values["g"]})
 
 
 @dataclass(frozen=True)
@@ -400,39 +392,52 @@ def c1_poly(fam: str, params: ParamSet | None = None) -> ParamPoly:
 # -- Hamiltonian builders --------------------------------------------------------
 
 
-def build_H_ansatz(fam: str, xi: ParamPoly, pairs: Sequence[tuple[ParamPoly, Rat]],
-                   var: str = "eta") -> DiffOp:
-    """Unique operator -4*(c2*d^2 + (N1/xi)*d + N0/xi) fixed by eigen-equations.
+def eigen_residual(A2: ParamPoly, A1: ParamPoly, A0: ParamPoly, W: ParamPoly,
+                   f: ParamPoly, E: Rat) -> ParamPoly:
+    """A2*f'' + A1*f' + (A0 + (E/4)*W)*f: the eigen-equation of the cleared
+    operator H = -4*W^-1*(A2*d^2 + A1*d + A0) at energy E, in eta.
+
+    H f - E f = -4*W^-1*(A2*f'' + A1*f' + A0*f + (E/4)*W*f), and W is a
+    nonzero polynomial, so the residual is zero exactly when H f = E f.
+    No division is needed, and a wrong f whose image H f is not even a
+    polynomial simply gives a nonzero residual.
+    """
+    d1 = f.diff("eta")
+    return A2 * d1.diff("eta") + A1 * d1 + (A0 + W * (rat(E) * HALF * HALF)) * f
+
+
+def _eta_coeffs(p: ParamPoly) -> dict[int, Rat]:
+    return {m: c.constant_value() for m, c in p.coeffs_in("eta").items()}
+
+
+def build_H_ansatz(fam: str, xi: ParamPoly, pairs: Sequence[tuple[ParamPoly, Rat]]
+                   ) -> tuple[ParamPoly, ParamPoly, ParamPoly]:
+    """The cleared numerators (c2*xi, N1, N0) of the unique operator
+    H = -4*xi^-1*(c2*xi*d^2 + N1*d + N0) fixed by eigen-equations.
 
     ``pairs`` supplies (P_n, E_n) for a few low n; the numerator degree
     bounds follow from the structural form of the transformed Hamiltonian
-    (N1 <= deg xi + 1, N0 <= deg xi).  Raises EigenValidationFailed when no
-    operator of this shape exists or when it is not unique.
+    (N1 <= deg xi + 1, N0 <= deg xi).  Each pair makes the eta-coefficients
+    of ``eigen_residual(c2*xi, N1, N0, xi, P_n, E_n)`` vanish: the known part
+    is the residual with N1 = N0 = 0, and the coefficient of eta^m is linear
+    in the unknowns, with [eta^(m-k)]P_n' multiplying the eta^k coefficient
+    of N1 and [eta^(m-k)]P_n that of N0.  Raises EigenValidationFailed when
+    no operator of this shape exists or when it is not unique.
     """
-    c2 = c2_poly(fam)
-    ell = xi.degree(var)
-    d1 = ell + 1
-    d0 = ell
-    n_unknowns = (d1 + 1) + (d0 + 1)
+    zero = ParamPoly.zero(("eta",))
+    A2 = c2_poly(fam) * xi
+    d1 = xi.degree("eta") + 1
+    d0 = d1 - 1
     rows: list[list[Rat]] = []
     rhs: list[Rat] = []
-    eta = ParamPoly.var(var)
     for P, E in pairs:
-        base = xi * c2 * P.diff(var).diff(var) + rat(E) * HALF * HALF * xi * P
-        dP = P.diff(var)
-        max_deg = max(base.degree(var), d1 + dP.degree(var), d0 + P.degree(var))
-        cols_per_m: list[list[Rat]] = []
-        for m in range(max_deg + 1):
-            row = []
-            for k in range(d1 + 1):
-                contrib = (eta ** k * dP).coeffs_in(var).get(m)
-                row.append(contrib.constant_value() if contrib else Fraction(0))
-            for k in range(d0 + 1):
-                contrib = (eta ** k * P).coeffs_in(var).get(m)
-                row.append(contrib.constant_value() if contrib else Fraction(0))
-            rows.append(row)
-            base_m = base.coeffs_in(var).get(m)
-            rhs.append(-(base_m.constant_value() if base_m else Fraction(0)))
+        base = _eta_coeffs(eigen_residual(A2, zero, zero, xi, P, E))
+        dP, cP = _eta_coeffs(P.diff("eta")), _eta_coeffs(P)
+        top = max(max(base, default=-1), d1 + max(dP, default=-1), d0 + max(cP))
+        for m in range(top + 1):
+            rows.append([dP.get(m - k, Fraction(0)) for k in range(d1 + 1)]
+                        + [cP.get(m - k, Fraction(0)) for k in range(d0 + 1)])
+            rhs.append(-base.get(m, Fraction(0)))
     sol = solve_linear_exact(rows, rhs)
     if not sol.consistent:
         raise EigenValidationFailed(
@@ -440,79 +445,19 @@ def build_H_ansatz(fam: str, xi: ParamPoly, pairs: Sequence[tuple[ParamPoly, Rat
     if sol.kernel_basis:
         raise EigenValidationFailed(
             "eigen-equations do not pin the operator down (need more levels)")
-    n1 = ParamPoly.univar(var, {k: sol.solution[k] for k in range(d1 + 1)})
-    n0 = ParamPoly.univar(var, {k: sol.solution[d1 + 1 + k] for k in range(d0 + 1)})
-    return DiffOp(var, {
-        2: c2 * (-4),
-        1: RationalFunc(n1 * (-4), xi),
-        0: RationalFunc(n0 * (-4), xi),
-    })
+    n1 = ParamPoly.univar("eta", {k: sol.solution[k] for k in range(d1 + 1)})
+    n0 = ParamPoly.univar("eta", {k: sol.solution[d1 + 1 + k] for k in range(d0 + 1)})
+    return A2, n1, n0
 
 
-def eigen_validate(H: DiffOp, pn: ParamPoly, En: Rat, n: int) -> None:
-    """H P_n = E_n P_n exactly; EigenValidationFailed names n otherwise."""
-    try:
-        image = H.apply_poly(pn)
-    except NonPolynomialImage as exc:
-        raise EigenValidationFailed(f"nonpolynomial image at n={n}: {exc}") from None
-    if image != pn * rat(En):
+def eigen_validate(H_cleared: tuple[ParamPoly, ParamPoly, ParamPoly],
+                   xi: ParamPoly, pn: ParamPoly, En: Rat, n: int) -> None:
+    """H P_n = E_n P_n exactly, for H = -4*xi^-1*(A2*d^2 + A1*d + A0) with
+    (A2, A1, A0) = H_cleared: one ``eigen_residual``, zero exactly when the
+    equation holds (xi has degree ell >= 0, so it is nonzero).
+    EigenValidationFailed names n otherwise."""
+    if eigen_residual(*H_cleared, xi, pn, En):
         raise EigenValidationFailed(f"eigen-equation fails at n={n}")
-
-
-def _conjugated_H_laguerre_1I(params: ParamSet) -> DiffOp:
-    """Transform of the printed deformed radial potential by its printed
-    prefactor, expressed in eta (independent route for L, D={1I})."""
-    g = params.g
-    eta = ParamPoly.var("eta")
-    xi = eta + g + HALF
-    f = lambda num, den=1: RationalFunc(num if isinstance(num, ParamPoly)
-                                        else ParamPoly.const(num), den)
-    one = ParamPoly.const(1)
-    # prefactor log-derivative divided by x:  m = -1 + (g+1)/eta - 2/xi
-    m = f(-one) + f((g + 1) * one, eta) + f(-2 * one, xi)
-    # potential with the zero-point energy removed
-    U = (f(eta) + f(g * (g + 1) * one, eta) + f(-(2 * g + 3) * one)
-         + f(4 * one, xi) + f(-4 * (2 * g + 1) * one, xi * xi))
-    m_prime = m.diff("eta")
-    zero_term = U - m - 2 * f(eta) * m_prime - f(eta) * m * m
-    return DiffOp("eta", {
-        2: f(-4 * eta),
-        1: f(-2 * one) - 4 * f(eta) * m,
-        0: zero_term,
-    })
-
-
-def _conjugated_H_jacobi_1I(params: ParamSet) -> DiffOp:
-    """Same cross-check for J, D={1I}: transform of the printed trigonometric
-    potential by the printed prefactor, expressed in eta = cos 2x."""
-    g, h = params.g, params.h
-    a = g + h
-    b = g - h
-    eta = ParamPoly.var("eta")
-    xi = ((b + 2) * eta + (a - 1)) * HALF
-    xi_p = xi.diff("eta")
-    one_m = 1 - eta
-    one_p = 1 + eta
-    f = lambda num, den=1: RationalFunc(num if isinstance(num, ParamPoly)
-                                        else ParamPoly.const(num), den)
-    one = ParamPoly.const(1)
-    # A = (log Psi)' * eta'(x), everything reduced to rational functions of eta
-    A = (f(-2 * (g + 1) * one_p) + f(2 * (h - 1) * one_m)
-         + f(-4 * (1 - eta ** 2) * xi_p, xi))
-    log_second = (f(-2 * (g + 1) * one, one_m) + f(-2 * (h - 1) * one, one_p)
-                  + f(4 * eta * xi_p, xi) + f(4 * (1 - eta ** 2) * xi_p * xi_p, xi * xi))
-    log_sq = (f((g + 1) ** 2 * one_p, one_m) + f((h - 1) ** 2 * one_m, one_p)
-              + f(-2 * (g + 1) * (h - 1) * one)
-              + f(4 * (g + 1) * one_p * xi_p, xi) + f(-4 * (h - 1) * one_m * xi_p, xi)
-              + f(4 * (1 - eta ** 2) * xi_p * xi_p, xi * xi))
-    U = (f(2 * g * (g + 1) * one, one_m) + f(2 * (h - 1) * (h - 2) * one, one_p)
-         + f(-a * a * one) + f(4 * (a - 1) * one, xi)
-         + f(-2 * (2 * g + 1) * (2 * h - 3) * one, xi * xi))
-    return DiffOp("eta", {
-        2: f(-4 * (1 - eta ** 2)),
-        1: f(4 * eta) - 2 * A,
-        0: U - log_second - log_sq,
-    })
 
 
 # -- deformed families -----------------------------------------------------------
@@ -521,11 +466,13 @@ def _conjugated_H_jacobi_1I(params: ParamSet) -> DiffOp:
 class DeformedFamily:
     """One solvable system: family tag, multi-index, parameters, exact data.
 
-    With bound parameters the Hamiltonian H_tilde is built from the
-    eigen-equations of P_0..P_2 and checked on P_0..P_VALIDATE_N; with
-    params=None the family is symbolic and has no Hamiltonian.  P(n)
-    generation is memoized per instance, and so is the level store that
-    the closure engine and the ladders read (``closure.level_coordinates``):
+    With bound parameters the Hamiltonian is fitted to the eigen-equations
+    of P_0..P_2 and held as its cleared numerators ``H_cleared`` =
+    (c2*xi, N1, N0), so H = -4*xi^-1*(c2*xi*d^2 + N1*d + N0), and it is
+    checked on P_0..P_VALIDATE_N; with params=None the family is symbolic
+    and ``H_cleared`` is None.  P(n) generation is memoized per instance,
+    and so is the level store that the closure engine and the ladders read
+    (``closure.level_coordinates``):
     ``checked_levels``, the levels m whose H P_m = E_m P_m has been checked
     by ``check_levels`` (P_0..P_VALIDATE_N at construction, further levels
     when they are first read), and ``recurrence_rows``, the zero-remainder
@@ -551,10 +498,10 @@ class DeformedFamily:
         self.recurrence_rows: dict[tuple[ParamPoly, int], dict[int, object]] = {}
         self.Etilde = ([virtual_energy(params, t, d) for d, t in D.entries]
                        if params is not None else None)
-        self.H_tilde: DiffOp | None = None
+        self.H_cleared: tuple[ParamPoly, ParamPoly, ParamPoly] | None = None
         if params is not None:
             pairs = [(self.P(n), self.E(n)) for n in range(3)]
-            self.H_tilde = build_H_ansatz(fam, xi, pairs)
+            self.H_cleared = build_H_ansatz(fam, xi, pairs)
             self.check_levels(VALIDATE_N)
 
     # polynomial eigendata --------------------------------------------------
@@ -581,7 +528,7 @@ class DeformedFamily:
         for m in range(top + 1):
             if m not in self.checked_levels:
                 try:
-                    eigen_validate(self.H_tilde, self.P(m), self.E(m), m)
+                    eigen_validate(self.H_cleared, self.xi, self.P(m), self.E(m), m)
                 except EigenValidationFailed as exc:
                     raise EigenValidationFailed(f"{self.label}: {exc}") from None
                 self.checked_levels.add(m)
@@ -697,17 +644,16 @@ def check_seed(fam: str, t: str, d: int, params: ParamSet, seed: ParamPoly) -> N
         c2*q^2*xi'' + (2*c2*p*q + c1*q^2)*xi'
           + (c2*(p'q - pq' + p^2) + c1*p*q)*xi + (Et/4)*q^2*xi
 
-    vanishes.  rho and q are nonzero, so this polynomial is zero exactly when
-    rho*xi is the quasi-eigenfunction.
+    vanishes: it is ``eigen_residual`` with W = q^2 and these three
+    numerators.  rho and q are nonzero, so this polynomial is zero exactly
+    when rho*xi is the quasi-eigenfunction.
     """
     p, q = seed_data(fam, t, params)
     c2, c1 = c2_poly(fam), c1_poly(fam, params)
-    et = virtual_energy(params, t, d)
-    d1 = seed.diff("eta")
-    residual = (c2 * q * q * d1.diff("eta")
-                + (2 * c2 * p * q + c1 * q * q) * d1
-                + (c2 * (p.diff("eta") * q - p * q.diff("eta") + p * p) + c1 * p * q
-                   + et * HALF * HALF * q * q) * seed)
+    residual = eigen_residual(
+        c2 * q * q, 2 * c2 * p * q + c1 * q * q,
+        c2 * (p.diff("eta") * q - p * q.diff("eta") + p * p) + c1 * p * q,
+        q * q, seed, virtual_energy(params, t, d))
     if residual:
         raise EigenValidationFailed(
             f"{fam} type {t} degree-{d}: the seed is not a quasi-eigenfunction "
@@ -799,46 +745,6 @@ def builtin_deformed(fam: str, D: MultiIndex | str,
     return one_step_family(fam, t, d, params)
 
 
-def build_H_tilde(fam: str, D: MultiIndex | str, params: ParamSet,
-                  route: str = "ansatz") -> DiffOp:
-    """Similarity-transformed Hamiltonian by the requested route.
-
-    route='ansatz' fits the structural operator shape to low eigen-equations;
-    route='conjugation' transforms the printed potential/prefactor data
-    (available for the type I built-ins).  Both must agree when both exist.
-    """
-    if isinstance(D, str):
-        D = MultiIndex.parse(D)
-    df = builtin_deformed(fam, D, params)
-    H_ansatz = df.H_tilde
-    if route == "ansatz":
-        return H_ansatz
-    if route != "conjugation":
-        raise ValueError("route must be 'ansatz' or 'conjugation'")
-    if fam == "L" and D.entries == ((1, "I"),):
-        H_conj = _conjugated_H_laguerre_1I(params)
-    elif fam == "J" and D.entries == ((1, "I"),):
-        H_conj = _conjugated_H_jacobi_1I(params)
-    elif fam == "J" and D.entries == ((1, "II"),):
-        base = _conjugated_H_jacobi_1I(params.swapped())
-        H_conj = mirror_diffop(base)
-    else:
-        raise ValueError(f"no printed prefactor data for {fam}[{D.label()}]")
-    if H_conj != H_ansatz:
-        raise RouteDisagreement(f"{fam}[{D.label()}]: conjugation and ansatz differ")
-    return H_conj
-
-
-def mirror_diffop(H: DiffOp) -> DiffOp:
-    """Conjugation by eta -> -eta: order-k coefficient c(eta) -> (-1)^k c(-eta)."""
-    eta = ParamPoly.var("eta")
-    out = {}
-    for k, f in H.coeffs.items():
-        flipped = RationalFunc(f.num.subs({"eta": -eta}), f.den.subs({"eta": -eta}))
-        out[k] = flipped * ((-1) ** k)
-    return DiffOp(H.var, out)
-
-
 # -- plugin interface -------------------------------------------------------------
 
 
@@ -867,10 +773,14 @@ def family_from_plugin_dict(data: Mapping) -> DeformedFamily:
     fam = data["family"]
     if fam not in ("L", "J"):
         raise SchemaError("plugin families must be L or J (differential operators)")
+    if not isinstance(data["parameters"], Mapping):
+        raise SchemaError("parameters must be an object of name: 'p/q' entries")
     try:
         params = ParamSet(fam, {k: rat(v) for k, v in data["parameters"].items()})
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"bad parameters: {exc}") from None
+    except ZeroDivisionError:
+        raise SchemaError("bad parameters: zero denominator") from None
     try:
         D = MultiIndex(tuple((entry["d"], entry["type"]) for entry in data["D"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -882,6 +792,8 @@ def family_from_plugin_dict(data: Mapping) -> DeformedFamily:
     if xi.degree("eta") != D.ell:
         raise DegreeMismatch(f"deg xi = {xi.degree('eta')} but ell = {D.ell}")
     rule = data["P"]
+    if not isinstance(rule, Mapping):
+        raise SchemaError("P must be an object with a 'kind'")
     p_max = None
     if rule.get("kind") == "classical-combination":
         try:

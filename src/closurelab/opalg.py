@@ -3,12 +3,12 @@
 A DiffOp is sum_k f_k(eta) d^k with RationalFunc coefficients; composition
 uses the generalized Leibniz rule and reduces every coefficient after each
 step, so operator equality is decided coefficient-wise (never by sampling).
-The closure engine never composes operators: it applies H to polynomials
-(``apply_poly``) through the cleared form H = D^-1 sum_k N_k d^k, with
-polynomial N_k and one common denominator D, so an image costs polynomial
-products and a single exact division.  Composition, ``gauge_transform``,
-``power``, ``right_mul_poly_of_H`` and the RationalFunc route ``apply`` only
-build the references that the tests cross-check against.
+No production path builds a DiffOp: a family holds its Hamiltonian as
+cleared numerators and checks eigen-equations by one polynomial residual
+(``families.eigen_residual``).  This module is the reference algebra the
+tests cross-check against: composition, ``power``, ``right_mul_poly_of_H``,
+the cleared-form action ``apply_poly`` (polynomial products and a single
+exact division) and the RationalFunc route ``apply``.
 
 Operators are immutable; all operations are pure.
 """
@@ -252,16 +252,3 @@ def right_mul_poly_of_H(op: DiffOp, R: ParamPoly, H: DiffOp,
         out = out + term.scale(coeff)
     return out
 
-
-def gauge_transform(H: DiffOp, m: RationalFunc) -> DiffOp:
-    """Conjugate by a prefactor with logarithmic derivative m(var):
-    d -> d + m, i.e. rho^{-1} o H o rho for rho with rho'/rho = m."""
-    var = H.var
-    d_plus_m = DiffOp(var, {1: 1, 0: m})
-    out = DiffOp.zero(var)
-    for k in sorted(H.coeffs):
-        term = DiffOp.identity(var)
-        for _ in range(k):
-            term = term.compose(d_plus_m)
-        out = out + term.scale(H.coeffs[k])
-    return out

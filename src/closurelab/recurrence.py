@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .exactalg import ParamPoly
+from .exactalg import ParamPoly, poly_div_exact
 from .families import DeformedFamily, _rising
 
 
@@ -47,6 +47,12 @@ def expand_in_basis(df: DeformedFamily, X: ParamPoly, n: int) -> dict[int, objec
     remainder after the last basis element must vanish identically, which is
     the substantive span check.  Coefficients are Fractions for bound
     parameters and parameter polynomials in the symbolic case.
+
+    Over the rational functions of the parameters every elimination step
+    succeeds, so a symbolic leading coefficient that does not divide the
+    target's says only that r_{n,k} is not a polynomial in the parameters
+    (the L type II P_n have leading coefficients that depend on g): that
+    is a ValueError, not a span failure.
     """
     L = X.degree("eta")
     target = X * df.P(n)
@@ -65,13 +71,10 @@ def expand_in_basis(df: DeformedFamily, X: ParamPoly, n: int) -> dict[int, objec
         if lead.is_constant():
             r = coeff_target * (1 / lead.constant_value())
         else:
-            # symbolic leading coefficient: division must be exact
-            from .exactalg import poly_div_exact
-
             r = poly_div_exact(coeff_target, lead)
             if r is None:
-                raise NonzeroRemainder(
-                    f"{df.label}: leading coefficient does not divide at n={n}, k={k}")
+                raise ValueError(f"{df.label}: r_{{n,k}} at n={n}, k={k} is not "
+                                 f"a polynomial in the parameters")
         row[k] = r.constant_value() if r.is_constant() else r
         target = target - r * basis
     if not target.is_zero:

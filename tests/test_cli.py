@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,23 +90,38 @@ def test_reports_are_byte_stable(tmp_path):
     ["spectrum", "--Y", "0"],
     ["verify-closure", "--Y", "1/0"],
     ["verify-closure", "--params", "g=1/0"],
+    ["verify-closure", "--D", "2I", "--plugin", "{P-list}"],
+    ["recurrence", "--plugin", "{parameters-list}"],
+    ["heisenberg", "--D", "2I", "--plugin", "{parameters-zero-denominator}"],
 ], ids=["params", "W-recurrence", "AW-q", "Y", "D", "truncated-plugin",
         "missing-plugin", "plugin-levels", "multi-seed", "J-range-spectrum",
         "J-range-heisenberg", "ell-bound", "ell-bound-plugin",
         "degenerate-seed", "unknown-param", "unknown-param-appendix-b",
         "Y-param-var", "Y-param-var-recurrence", "Y-zero", "Y-zero-heisenberg",
-        "Y-zero-spectrum", "Y-zero-denominator", "params-zero-denominator"])
+        "Y-zero-spectrum", "Y-zero-denominator", "params-zero-denominator",
+        "plugin-P-list", "plugin-parameters-list",
+        "plugin-parameters-zero-denominator"])
 def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
     shipped = (ROOT / "plugins" / "laguerre_2I.json").read_text()
     truncated = tmp_path / "truncated.json"
     truncated.write_text(shipped[:200])
-    above = json.loads(shipped)
-    above["D"] = [{"d": MAX_ELL + 1, "type": "I"}]
-    (tmp_path / "above.json").write_text(json.dumps(above))
+
+    def replaced(name, field, value):
+        data = json.loads(shipped)
+        data[field] = value
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
     files = {"{truncated}": str(truncated),
              "{missing}": str(tmp_path / "missing.json"),
              "{six-levels}": str(explicit_plugin(6)),
-             "{ell-above-bound}": str(tmp_path / "above.json")}
+             "{ell-above-bound}": replaced("above", "D",
+                                           [{"d": MAX_ELL + 1, "type": "I"}]),
+             "{P-list}": replaced("P-list", "P", []),
+             "{parameters-list}": replaced("parameters-list", "parameters", ["g"]),
+             "{parameters-zero-denominator}": replaced(
+                 "parameters-zero", "parameters", {"g": "1/0"})}
     assert run_cli(*(files.get(a, a) for a in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
@@ -128,6 +144,12 @@ def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
         assert "--Y '1/0': zero denominator" in err
     if "g=1/0" in argv:
         assert "--params g=1/0: zero denominator" in err
+    if "{P-list}" in argv:
+        assert err.endswith(": P must be an object with a 'kind'\n")
+    if "{parameters-list}" in argv:
+        assert err.endswith(": parameters must be an object of name: 'p/q' entries\n")
+    if "{parameters-zero-denominator}" in argv:
+        assert err.endswith(": bad parameters: zero denominator\n")
 
 
 # Short inputs over the characters of the syntax: long enough to reach
@@ -153,6 +175,31 @@ def test_params_parse_or_are_a_config_error(items):
         assert isinstance(params, ParamSet)
 
 
+SHIPPED_PLUGINS = sorted(p.name for p in (ROOT / "plugins").glob("*.json"))
+
+
+# Every top-level field of a shipped plugin replaced by a small value of
+# another JSON type: loading must end in a report or a one-line
+# configuration error, never in a traceback.
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SHIPPED_PLUGINS),
+       st.sampled_from(["family", "parameters", "D", "xi", "P"]),
+       st.one_of(st.lists(st.one_of(st.integers(-3, 3), st.text(max_size=3)),
+                          max_size=3),
+                 st.integers(-10, 10),
+                 st.floats(-10, 10, allow_nan=False),
+                 st.text(max_size=6),
+                 st.just({})),
+       st.sampled_from(["plugin-validate", "recurrence"]))
+def test_replaced_plugin_field_ends_in_an_exit_code(name, field, value, command):
+    data = json.loads((ROOT / "plugins" / name).read_text())
+    data[field] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / name
+        path.write_text(json.dumps(data))
+        assert run_cli(command, "--plugin", str(path)) in (0, 1, 2)
+
+
 def test_failing_check_exit_code(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"family": "L"}))
@@ -162,6 +209,19 @@ def test_failing_check_exit_code(tmp_path):
 def test_plugin_validate_shipped():
     plug = ROOT / "plugins" / "laguerre_2I.json"
     assert run_cli("plugin-validate", "--plugin", str(plug)) == 0
+
+
+@pytest.mark.parametrize("name, top", [("laguerre_2I.json", 8),
+                                       ("laguerre_3I.json", 9)])
+def test_plugin_validate_reports_the_levels_it_checked(name, top, tmp_path):
+    # loading checks the eigen-equations of P_0..P_(upper+L) before the
+    # norm-ratio rows 0..upper read them (L = 3 for 2I, 4 for 3I)
+    report = tmp_path / "r.json"
+    assert run_cli("plugin-validate", "--plugin", str(ROOT / "plugins" / name),
+                   "--report", str(report)) == 0
+    checks = json.loads(report.read_text())["checks"]
+    eigen = next(c for c in checks if c["id"] == "plugin/eigen-equations")
+    assert eigen["detail"] == {"validated_n": top}
 
 
 def _plugin_load_error(path, tmp_path):

@@ -9,6 +9,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from closurelab import families
 from closurelab.cli import main
 from closurelab.exactalg import ParamPoly, SampleMismatch, solve_linear_exact
 from closurelab.closure import (ClosureData, NoSolution, TableMissing,
@@ -22,8 +23,9 @@ from closurelab.families import (VALIDATE_N, DeformedFamily,
                                  EigenValidationFailed, ParamSet,
                                  builtin_deformed, classical_family,
                                  load_family_plugin)
-from closurelab.opalg import DiffOp, right_mul_poly_of_H
+from closurelab.opalg import DiffOp, NonPolynomialImage, right_mul_poly_of_H
 from closurelab.recurrence import build_X
+from operator_reference import H_tilde
 from closurelab.spectral import alpha_values_at_energy
 from closurelab.families import energy
 
@@ -35,7 +37,7 @@ g = ParamPoly.var("g")
 def ad_images(df, X, n, count):
     """Reference route: [(ad H)^i X] P_n = (H - E_n)^i (X P_n) for
     i = 0..count, by repeated application of H to polynomials."""
-    H, En = df.H_tilde, df.E(n)
+    H, En = H_tilde(df), df.E(n)
     images = [X * df.P(n)]
     for _ in range(count):
         images.append(H.apply_poly(images[-1]) - images[-1] * En)
@@ -77,7 +79,7 @@ def test_degree_bounds_by_family_kind():
 
 def test_ad_powers_initial_element(l1i, l1i_closure):
     _, X = l1i_closure
-    ads = ad_powers(l1i.H_tilde, X, 2)
+    ads = ad_powers(H_tilde(l1i), X, 2)
     assert ads[0].apply_poly(ParamPoly.const(1, ("eta",))) == X
     assert ads[0].order == 0 and ads[1].order == 1 and ads[2].order == 2
 
@@ -250,7 +252,7 @@ def test_eigenbasis_images_match_operator_reference(l_classical, l1i, j1i):
     # composed operator identity coefficient by coefficient
     for df in (l_classical, l1i, j1i):
         cd, X = closure_for_family(df, ParamPoly.const(1))
-        H, K = df.H_tilde, cd.K
+        H, K = H_tilde(df), cd.K
         ads = ad_powers(H, X, K)
         for n in range(K + 1):
             images = coordinate_images(df, X, n, K)
@@ -262,13 +264,27 @@ def test_eigenbasis_images_match_operator_reference(l_classical, l1i, j1i):
         assert ads[K] == rhs
 
 
+def _count_eigen_checks(monkeypatch) -> list:
+    """Record the polynomial of every ``families.eigen_validate`` call."""
+    calls = []
+    original = families.eigen_validate
+
+    def counted(H_cleared, xi, pn, En, n):
+        calls.append(pn)
+        return original(H_cleared, xi, pn, En, n)
+
+    monkeypatch.setattr(families, "eigen_validate", counted)
+    return calls
+
+
 def test_verify_reuses_the_images_of_the_solve(lag_params, monkeypatch):
     # solved data meets the degree bounds, so the certificate needs only the
     # levels n = 0..K, whose recurrence rows and eigen checks (P_0..P_{K+L})
-    # solve_closure has already stored on the family
+    # solve_closure has already stored on the family: it neither checks an
+    # eigen-equation nor applies an operator
     df = builtin_deformed("L", "1I", lag_params)
     cd, X = closure_for_family(df, ParamPoly.const(1))
-    calls = []
+    calls = _count_eigen_checks(monkeypatch)
     original = DiffOp.apply_poly
     monkeypatch.setattr(DiffOp, "apply_poly",
                         lambda self, p: calls.append(p) or original(self, p))
@@ -278,11 +294,8 @@ def test_verify_reuses_the_images_of_the_solve(lag_params, monkeypatch):
 
 def test_each_level_is_eigen_checked_once(lag_params, monkeypatch):
     # construction checks P_0..P_VALIDATE_N; solve and certificate of
-    # L[1I] add the levels up to K + L and never apply H a second time
-    calls = []
-    original = DiffOp.apply_poly
-    monkeypatch.setattr(DiffOp, "apply_poly",
-                        lambda self, p: calls.append(p) or original(self, p))
+    # L[1I] add the levels up to K + L and never check a level twice
+    calls = _count_eigen_checks(monkeypatch)
     df = builtin_deformed("L", "1I", lag_params)
     cd, X = closure_for_family(df, ParamPoly.const(1))
     assert verify_closure_identity(df, X, cd)
@@ -380,6 +393,27 @@ def test_eigen_failure_beyond_validation_names_the_level(l1i):
         with pytest.raises(EigenValidationFailed, match=match):
             level_coordinates(bad, X, broken)
     assert broken not in bad.checked_levels
+
+
+def test_nonpolynomial_image_is_a_failing_residual(lag_params):
+    # P_6 + eta^ell keeps its degree; for L[1I] eta^ell = eta, and
+    # H(eta) = -4*(N1 + N0*eta)/xi is no polynomial: the residual check
+    # names level 6 with no division, where the reference operator route
+    # finds a remainder
+    df = builtin_deformed("L", "1I", lag_params)
+    broken = VALIDATE_N + 1
+
+    def make_P(n):
+        return df.P(n) + eta ** df.ell if n == broken else df.P(n)
+
+    bad = DeformedFamily("L", df.D, df.params, df.xi, make_P)
+    assert bad.P(broken).degree("eta") == df.ell + broken
+    X = build_X(df.xi, ParamPoly.const(1))
+    with pytest.raises(EigenValidationFailed,
+                       match=f"eigen-equation fails at n={broken}"):
+        level_coordinates(bad, X, broken)
+    with pytest.raises(NonPolynomialImage):
+        H_tilde(bad).apply_poly(bad.P(broken))
 
 
 def test_eigen_failure_in_plugin_is_a_failing_check(explicit_plugin, tmp_path):

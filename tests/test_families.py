@@ -9,14 +9,15 @@ import pytest
 from closurelab.exactalg import ParamPoly, RationalFunc, solve_linear_exact
 from closurelab.families import (DegreeMismatch, EigenValidationFailed,
                                  MultiIndex, ParamSet, SchemaError,
-                                 build_H_tilde, builtin_deformed, c1_poly,
+                                 builtin_deformed, c1_poly,
                                  c2_poly, canonical_seed, check_seed,
                                  classical_family, classical_h_step,
-                                 classical_poly, energy,
+                                 classical_poly, eigen_residual, energy,
                                  family_from_plugin_dict, one_step_family,
                                  plugin_dict_from_family, seed_data,
                                  virtual_energy)
-from closurelab.opalg import DiffOp, gauge_transform
+from closurelab.opalg import DiffOp
+from operator_reference import H_tilde, build_H_tilde, gauge_transform, swapped
 
 eta = ParamPoly.var("eta")
 
@@ -96,14 +97,17 @@ def test_classical_poly_symbolic():
 def test_classical_eigen_equations_to_n8(l_classical, j_classical):
     for fam in (l_classical, j_classical):
         for n in range(9):
-            assert fam.H_tilde.apply_poly(fam.P(n)) == fam.P(n) * fam.E(n)
+            assert H_tilde(fam).apply_poly(fam.P(n)) == fam.P(n) * fam.E(n)
 
 
 def test_c1_matches_classical_operator(l_classical, j_classical, lag_params,
                                        jac_params):
     for cls, ps in ((l_classical, lag_params), (j_classical, jac_params)):
-        assert cls.H_tilde == DiffOp("eta", {2: -4 * c2_poly(cls.fam),
-                                             1: -4 * c1_poly(cls.fam, ps)})
+        # xi = 1, so the cleared numerators are those of H_cl: (c2, c1, 0)
+        assert cls.H_cleared == (c2_poly(cls.fam), c1_poly(cls.fam, ps), 0)
+        assert H_tilde(cls) == DiffOp("eta", {2: -4 * c2_poly(cls.fam),
+                                              1: -4 * c1_poly(cls.fam, ps)})
+    assert builtin_deformed("L", "1I", None).H_cleared is None
     bind = {"g": jac_params.g, "h": jac_params.h}
     assert c1_poly("J").subs(bind) == c1_poly("J", jac_params)
     assert c1_poly("L").subs(bind) == c1_poly("L", ParamSet("L", {"g": jac_params.g}))
@@ -111,12 +115,24 @@ def test_c1_matches_classical_operator(l_classical, j_classical, lag_params,
 
 def test_classical_H_closed_forms(l_classical, j_classical, lag_params, jac_params):
     g = lag_params.g
-    assert l_classical.H_tilde == DiffOp("eta", {2: -4 * eta,
-                                                 1: -4 * (ParamPoly.const(g + F(1, 2)) - eta)})
+    assert H_tilde(l_classical) == DiffOp("eta", {2: -4 * eta,
+                                                  1: -4 * (ParamPoly.const(g + F(1, 2)) - eta)})
     gj, hj = jac_params.g, jac_params.h
-    assert j_classical.H_tilde == DiffOp("eta", {
+    assert H_tilde(j_classical) == DiffOp("eta", {
         2: -4 * (1 - eta ** 2),
         1: -4 * (ParamPoly.const(hj - gj) - (gj + hj + 1) * eta)})
+
+
+def test_eigen_residual_is_the_cleared_eigen_equation(l1i, j1ii):
+    # zero on eigenpolynomials, and for any f equal to -xi/4 (H f - E f)
+    # by the reference operator
+    for df in (l1i, j1ii):
+        for n in range(4):
+            assert not eigen_residual(*df.H_cleared, df.xi, df.P(n), df.E(n))
+        f, E = eta ** 3 + 1, df.E(1)
+        H = H_tilde(df)
+        expected = (H.apply(f) - RationalFunc(f) * E) * RationalFunc(df.xi * F(-1, 4))
+        assert RationalFunc(eigen_residual(*df.H_cleared, df.xi, f, E)) == expected
 
 
 def test_multi_index_bookkeeping():
@@ -153,7 +169,7 @@ def test_builtin_P0_values(l1i, lag_params):
 def test_builtin_eigen_validated_to_n8(l1i, l1ii, j1i, j1ii):
     for df in (l1i, l1ii, j1i, j1ii):
         for n in range(9):
-            assert df.H_tilde.apply_poly(df.P(n)) == df.P(n) * df.E(n)
+            assert H_tilde(df).apply_poly(df.P(n)) == df.P(n) * df.E(n)
             assert df.P(n).degree("eta") == df.ell + n
 
 
@@ -168,7 +184,7 @@ def test_seed_quasi_eigenfunctions(lag_params, jac_params, l_classical, j_classi
     for fam, ps, cls in (("L", lag_params, l_classical), ("J", jac_params, j_classical)):
         for t in ("I", "II"):
             xi_seed = canonical_seed(fam, t, 1, ps)
-            Hg = gauge_transform(cls.H_tilde, RationalFunc(*seed_data(fam, t, ps)))
+            Hg = gauge_transform(H_tilde(cls), RationalFunc(*seed_data(fam, t, ps)))
             assert Hg.apply(xi_seed) == RationalFunc(xi_seed) * virtual_energy(ps, t, 1)
 
 
@@ -188,7 +204,7 @@ def _reference_monic_seed(fam: str, t: str, d: int, params: ParamSet) -> ParamPo
     the type I/II quasi-eigenfunction of the undeformed operator, from the
     gauge-transformed classical operator at the virtual energy."""
     cls = classical_family(fam, params)
-    Hg = gauge_transform(cls.H_tilde, RationalFunc(*seed_data(fam, t, params)))
+    Hg = gauge_transform(H_tilde(cls), RationalFunc(*seed_data(fam, t, params)))
     et = virtual_energy(params, t, d)
     # residual of (Hg - et) on eta^k times the common denominator D of the
     # cleared form; D != 0, so it vanishes exactly when the residual does
@@ -306,7 +322,7 @@ def _former_builtin_P(fam: str, t: str, params: ParamSet | None, n: int) -> Para
         seed = eta + g - F(3, 2)
         return eta * seed * Pn.diff("eta") - ((F(1, 2) - g) * seed + eta) * Pn
     if t == "II":
-        return _former_builtin_P("J", "I", params.swapped(), n).subs({"eta": -eta})
+        return _former_builtin_P("J", "I", swapped(params), n).subs({"eta": -eta})
     a, b, h = params.a, params.b, params.h
     lead = (1 + eta) * ((b + 2) * eta + (a - 1)) * F(1, 4)
     tail = (F(3, 2) - h) * ((b + 2) * eta + (a + 1)) * F(1, 4)
@@ -336,7 +352,7 @@ def test_one_step_family_degree_two(lag_params):
     g = F(7, 2)
     assert df.xi * 2 == eta ** 2 + (2 * g + 3) * eta + (2 * g + 1) * (2 * g + 3) * F(1, 4)
     for n in range(6):
-        assert df.H_tilde.apply_poly(df.P(n)) == df.P(n) * df.E(n)
+        assert H_tilde(df).apply_poly(df.P(n)) == df.P(n) * df.E(n)
 
 
 # -- plugin interface ------------------------------------------------------------
@@ -362,7 +378,7 @@ def test_plugin_round_trip_matches_builtin(l1i):
     assert df.xi == l1i.xi
     for n in range(7):
         assert df.P(n) == l1i.P(n)
-    assert df.H_tilde == l1i.H_tilde
+    assert H_tilde(df) == H_tilde(l1i)
 
 
 def test_plugin_degree_mismatch():

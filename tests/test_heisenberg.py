@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from closurelab import cli, heisenberg
+from closurelab import cli, families, heisenberg
 from closurelab.exactalg import ParamPoly
 from closurelab.closure import closure_for_family
 from closurelab.families import (EigenValidationFailed, builtin_deformed,
@@ -17,7 +17,7 @@ from closurelab.heisenberg import (LadderContext, NotProportional,
                                    heisenberg_series_check, ladder_apply,
                                    ladder_suite, round_trip_check,
                                    two_step_specialization)
-from closurelab.opalg import DiffOp
+from operator_reference import H_tilde
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -38,7 +38,7 @@ def _reference_commutation_check(ctx, n_range):
     """The eigenvalue-shift rows by applying H to every nonzero ladder image:
     the route ``commutation_check`` replaces with the checked levels."""
     out = []
-    H = ctx.df.H_tilde
+    H = H_tilde(ctx.df)
     for n in n_range:
         for j in range(1, ctx.K + 1):
             action = heisenberg.ladder_apply(ctx, j, n)
@@ -207,20 +207,21 @@ def test_perturbed_alpha_fails_its_eigenvalue_shift_row(ctx_l1i, monkeypatch):
 
 
 def _heisenberg_run(monkeypatch, *argv):
-    """Run the heisenberg command; return its family and apply_poly count."""
+    """Run the heisenberg command; return its family and the number of
+    eigen-equations it checked."""
     built, calls = [], []
-    real_builtin, real_apply = cli._builtin, DiffOp.apply_poly
+    real_builtin, real_check = cli._builtin, families.eigen_validate
 
     def capture(*args):
         built.append(real_builtin(*args))
         return built[-1]
 
-    def counted(self, p):
-        calls.append(p)
-        return real_apply(self, p)
+    def counted(*args):
+        calls.append(args)
+        return real_check(*args)
 
     monkeypatch.setattr(cli, "_builtin", capture)
-    monkeypatch.setattr(DiffOp, "apply_poly", counted)
+    monkeypatch.setattr(families, "eigen_validate", counted)
     assert cli.main(["heisenberg", *argv]) == 0
     (df,) = built
     return df, len(calls)

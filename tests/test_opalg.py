@@ -8,10 +8,11 @@ import pytest
 
 from closurelab.closure import ad_powers
 from closurelab.exactalg import ParamPoly, RationalFunc
-from closurelab.families import build_H_tilde, load_family_plugin
+from closurelab.families import load_family_plugin
 from closurelab.opalg import (AlgebraMismatch, DiffOp, NonPolynomialImage,
-                              gauge_transform, right_mul_poly_of_H)
+                              right_mul_poly_of_H)
 from closurelab.recurrence import build_X
+from operator_reference import H_tilde, build_H_tilde, gauge_transform
 
 eta = ParamPoly.var("eta")
 PLUGINS = pathlib.Path(__file__).resolve().parent.parent / "plugins"
@@ -64,7 +65,7 @@ def test_commutator_against_action_reconstruction():
 def test_repeated_application_squares_eigenvalue(l_classical):
     # applying the classical operator twice to the degree-2 polynomial
     L2 = l_classical.P(2)
-    H = l_classical.H_tilde
+    H = H_tilde(l_classical)
     once = H.apply_poly(L2)
     twice = H.apply_poly(once)
     assert twice == 64 * L2  # (4*2)^2
@@ -83,7 +84,7 @@ def test_apply_eigen_equation(l1i, lag_params):
     g = lag_params.g
     p0 = -(eta + g + F(3, 2))
     assert l1i.P(0) == p0
-    assert l1i.H_tilde.apply_poly(p0).is_zero
+    assert H_tilde(l1i).apply_poly(p0).is_zero
 
 
 def test_zero_operator_application():
@@ -94,9 +95,9 @@ def test_zero_operator_application():
 def test_nonpolynomial_image_raises(l1i):
     # eta^2 is no eigenpolynomial of the family: both routes must refuse it
     with pytest.raises(NonPolynomialImage):
-        l1i.H_tilde.apply_poly(eta ** 2)
+        H_tilde(l1i).apply_poly(eta ** 2)
     with pytest.raises(ValueError):
-        l1i.H_tilde.apply(eta ** 2).as_poly()
+        H_tilde(l1i).apply(eta ** 2).as_poly()
 
 
 def _assert_cleared_matches_reference(H, polys):
@@ -112,7 +113,7 @@ def test_cleared_form_matches_rational_route(l1i, l1ii, j1i, j1ii, lag_params,
     # including the mirror_diffop image that gives J[1II]
     l2i = load_family_plugin(str(PLUGINS / "laguerre_2I.json"))
     for df in (l1i, l1ii, j1i, j1ii, l2i):
-        _assert_cleared_matches_reference(df.H_tilde, [df.P(n) for n in range(7)])
+        _assert_cleared_matches_reference(H_tilde(df), [df.P(n) for n in range(7)])
     for df, params in ((l1i, lag_params), (j1i, jac_params), (j1ii, jac_params)):
         H = build_H_tilde(df.fam, df.D, params, route="conjugation")
         assert len({f.den for f in H.coeffs.values()}) > 1
@@ -122,14 +123,14 @@ def test_cleared_form_matches_rational_route(l1i, l1ii, j1i, j1ii, lag_params,
 def test_cleared_form_matches_rational_route_on_ad_powers(l1i, j1ii):
     # the nested commutators carry denominators that are powers of xi
     for df in (l1i, j1ii):
-        ads = ad_powers(df.H_tilde, build_X(df.xi, ParamPoly.const(1)), 4)
+        ads = ad_powers(H_tilde(df), build_X(df.xi, ParamPoly.const(1)), 4)
         assert ads[4].cleared()[0].degree("eta") > 1
         for op in ads:
             _assert_cleared_matches_reference(op, [df.P(n) for n in range(5)])
 
 
 def test_right_mul_identity_and_constant(l1i):
-    H = l1i.H_tilde
+    H = H_tilde(l1i)
     op = DiffOp.mul_by(eta)
     R1 = ParamPoly.const(1, ("z",))
     assert right_mul_poly_of_H(op, R1, H) == op
@@ -138,7 +139,7 @@ def test_right_mul_identity_and_constant(l1i):
 
 
 def test_right_mul_scales_commutator(l1i):
-    H = l1i.H_tilde
+    H = H_tilde(l1i)
     adX = H.commutator(DiffOp.mul_by(eta))
     R2 = ParamPoly.const(80, ("z",))
     assert right_mul_poly_of_H(adX, R2, H) == adX.scale(80)

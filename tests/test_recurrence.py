@@ -118,6 +118,20 @@ def test_nonzero_remainder_negative_control(l1i):
         expand_in_basis(l1i, eta ** 2, 0)  # eta^2 is not an admissible X
 
 
+def test_symbolic_nonpolynomial_coefficient_is_named(lag_params):
+    # the L type II P_n have leading coefficients linear in g, so r_{0,2}
+    # of the symbolic L[1II] is rational in g: a ValueError that says so,
+    # not a span failure; at bound g the same row expands
+    sym = builtin_deformed("L", "1II", None)
+    X = build_X(sym.xi, ParamPoly.const(1))
+    assert not sym.leading_coeff(2).is_constant()
+    with pytest.raises(ValueError, match=r"r_\{n,k\} at n=0, k=2 is not a "
+                                         r"polynomial in the parameters"):
+        compute_table(sym, X, range(3))
+    bound = builtin_deformed("L", "1II", lag_params)
+    compute_table(bound, build_X(bound.xi, ParamPoly.const(1)), range(3))
+
+
 def test_higher_Y_tables_still_span(l1i):
     X = build_X(l1i.xi, eta)
     table = compute_table(l1i, X, range(5))
