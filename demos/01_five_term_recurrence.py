@@ -5,7 +5,7 @@ compare every coefficient with the closed forms, exactly.
 
 from fractions import Fraction
 
-from closurelab.exactalg import ParamPoly
+from closurelab.exactalg import ParamPoly, interpolate_param
 from closurelab.families import ParamSet, builtin_deformed
 from closurelab.recurrence import (build_X, check_h_symmetry,
                                    closed_form_compare, compute_table,
@@ -35,10 +35,16 @@ assert all(entry["ok"] for entry in symmetry)
 print(f"norm-ratio symmetry r(n,-l) = (h_n/h_(n-l)) r(n-l,l): "
       f"{len(symmetry)} exact matches")
 
-# the same table, now symbolically in g
-sym_family = builtin_deformed("L", "1I", None)
-sym_table = compute_table(sym_family, build_X(sym_family.xi, ParamPoly.const(1)),
-                          range(4))
-print("\nsymbolic coefficients (polynomials in g):")
-for n in sorted(sym_table.rows):
-    print(f"  n={n}: r[{n},0] = {sym_table.rows[n][0]}")
+# the same coefficients symbolically in g, rebuilt from exact samples: the
+# first three values of g fix a degree-2 interpolant, and the other three
+# certify it (interpolate_param raises SampleMismatch on a disagreement)
+samples = [Fraction(k, 2) for k in range(3, 9)]
+tables = []
+for gv in samples:
+    df = builtin_deformed("L", "1I", ParamSet("L", {"g": gv}))
+    tables.append(compute_table(df, build_X(df.xi, ParamPoly.const(1)), range(4)))
+print(f"\nsymbolic coefficients (polynomials in g, from {len(samples)} "
+      f"exact samples):")
+for n in range(4):
+    r0 = interpolate_param([(gv, t.rows[n][0]) for gv, t in zip(samples, tables)], 2)
+    print(f"  n={n}: r[{n},0] = {r0}")

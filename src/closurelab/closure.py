@@ -398,32 +398,36 @@ def symbolic_closure(fam: str, D_label: str, Y: ParamPoly) -> ClosureData:
 
 # -- reference tables -------------------------------------------------------------
 
-_REFERENCE_ENV = None
+_FACTORED_NAMES = ("z", "g", "a", "b", "b1", "b2", "b3", "b4",
+                   "s1", "s2", "sp1", "sp2", "q", "r")
+_TABLES: dict | None = None
 
 
-def _reference_eval_env() -> dict:
-    """Evaluation environment for the factored reference expressions."""
-    global _REFERENCE_ENV
-    if _REFERENCE_ENV is None:
-        env = {name: ParamPoly.var(name)
-               for name in ("z", "g", "a", "b", "b1", "b2", "b3", "b4",
-                            "s1", "s2", "sp1", "sp2", "q", "r")}
-        env["F"] = Fraction
-        _REFERENCE_ENV = env
-    return dict(_REFERENCE_ENV)
+def expand_factored(expr: str) -> ParamPoly:
+    """Expand a transcribed factored reference expression (in the names of
+    _FACTORED_NAMES, with F = Fraction) to a polynomial in the variables it
+    uses."""
+    env = {name: ParamPoly.var(name) for name in _FACTORED_NAMES}
+    env["F"] = Fraction
+    value = eval(expr, {"__builtins__": {}}, env)  # noqa: S307
+    return value.trimmed() if isinstance(value, ParamPoly) else ParamPoly.const(value)
 
 
 def load_reference_tables() -> dict:
     """The shipped inhomogeneous-term reference data, keyed by
-    (family, D-label, Y-label)."""
-    text = resources.files("closurelab.data").joinpath("appendix_b.json").read_text()
-    payload = json.loads(text)
-    out = {}
-    for entry in payload["entries"]:
-        key = (entry["family"], entry["D"], entry.get("Y", "1"))
-        out[key] = entry
-    out["_meta"] = payload.get("meta", {})
-    return out
+    (family, D-label, Y-label).  The JSON is parsed once per process and
+    every call returns the same tables, so callers must not mutate them."""
+    global _TABLES
+    if _TABLES is None:
+        path = resources.files("closurelab.data").joinpath("appendix_b.json")
+        payload = json.loads(path.read_text())
+        out = {}
+        for entry in payload["entries"]:
+            key = (entry["family"], entry["D"], entry.get("Y", "1"))
+            out[key] = entry
+        out["_meta"] = payload.get("meta", {})
+        _TABLES = out
+    return _TABLES
 
 
 def reference_expanded(entry: Mapping) -> ParamPoly:
@@ -431,9 +435,8 @@ def reference_expanded(entry: Mapping) -> ParamPoly:
 
 
 def reference_factored(entry: Mapping) -> ParamPoly:
-    """Evaluate the transcribed factored expression to a polynomial."""
-    env = _reference_eval_env()
-    return eval(entry["factored"], {"__builtins__": {}}, env)  # noqa: S307
+    """The transcribed factored expression of a row, expanded."""
+    return expand_factored(entry["factored"])
 
 
 def compare_reference(fam: str, D_label: str, Y_label: str,

@@ -11,23 +11,9 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+from ..closure import expand_factored
 from ..exactalg import ParamPoly
 from . import tables_source as src
-
-
-def _env() -> dict:
-    env = {name: ParamPoly.var(name)
-           for name in ("z", "g", "a", "b", "b1", "b2", "b3", "b4",
-                        "s1", "s2", "sp1", "sp2", "q", "r")}
-    env["F"] = Fraction
-    return env
-
-
-def _expand(expr: str) -> ParamPoly:
-    value = eval(expr, {"__builtins__": {}}, _env())  # noqa: S307
-    if isinstance(value, ParamPoly):
-        return value.trimmed()
-    return ParamPoly.const(value)
 
 
 def _apply_transform(poly: ParamPoly, transform: str, scale: str) -> ParamPoly:
@@ -55,30 +41,31 @@ def build_payload() -> dict:
         return entry
 
     for key, expr in src.LAGUERRE.items():
-        base_entry("L", key, _expand(expr), factored=expr,
+        base_entry("L", key, expand_factored(expr), factored=expr,
                    source=f"reference-table/L/{key[0]}/Y={key[1]}")
     for key, expr in src.JACOBI.items():
-        base_entry("J", key, _expand(expr), factored=expr,
+        base_entry("J", key, expand_factored(expr), factored=expr,
                    source=f"reference-table/J/{key[0]}/Y={key[1]}")
     for key, rule in src.JACOBI_DERIVED.items():
-        base = _expand(src.JACOBI[rule["base"]])
+        base = expand_factored(src.JACOBI[rule["base"]])
         expanded = _apply_transform(base, rule["transform"], rule["scale"])
         base_entry("J", key, expanded,
                    derived_from=list(rule["base"]), transform=rule["transform"],
                    scale=rule["scale"],
                    source=f"reference-table/J/{key[0]}/Y={key[1]}")
     for key, expr in src.WILSON.items():
-        base_entry("W", key, _expand(expr), factored=expr, status="reference-only",
+        base_entry("W", key, expand_factored(expr), factored=expr,
+                   status="reference-only",
                    source=f"reference-table/W/{key[0]}/Y={key[1]}")
     for key, rule in src.WILSON_DERIVED.items():
-        base = _expand(src.WILSON[rule["base"]])
+        base = expand_factored(src.WILSON[rule["base"]])
         expanded = _apply_transform(base, rule["transform"], rule["scale"])
         base_entry("W", key, expanded, status="reference-only",
                    derived_from=list(rule["base"]), transform=rule["transform"],
                    scale=rule["scale"],
                    source=f"reference-table/W/{key[0]}/Y={key[1]}")
     for key, parts in src.ASKEY_WILSON.items():
-        bracket = _expand(parts["bracket"])
+        bracket = expand_factored(parts["bracket"])
         D, Y = key
         entries.append({
             "family": "AW", "D": D, "Y": Y, "status": "reference-only",
@@ -89,7 +76,7 @@ def build_payload() -> dict:
             "source": f"reference-table/AW/{D}/Y={Y}",
         })
     for key, rule in src.ASKEY_WILSON_DERIVED.items():
-        base = _expand(src.ASKEY_WILSON[rule["base"]]["bracket"])
+        base = expand_factored(src.ASKEY_WILSON[rule["base"]]["bracket"])
         bracket = _apply_transform(base, rule["transform"], rule["scale"])
         D, Y = key
         entries.append({

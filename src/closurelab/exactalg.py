@@ -355,8 +355,8 @@ class ParamPoly:
         return exps, self.terms[exps]
 
     def content(self) -> Rat:
-        """Positive rational content (gcd of numerators / lcm of denominators),
-        signed so that content * primitive has lead coefficient > 0."""
+        """Rational content (gcd of numerators / lcm of denominators), signed
+        so that self / content has lead coefficient > 0."""
         if self.is_zero:
             return Fraction(1)
         num = 0
@@ -368,12 +368,6 @@ class ParamPoly:
         if self._lead_term()[1] < 0:
             c = -c
         return c
-
-    def primitive(self) -> "ParamPoly":
-        c = self.content()
-        if c == 1:
-            return self
-        return ParamPoly(self.vars, {e: k / c for e, k in self.terms.items()})
 
     # -- display -------------------------------------------------------------
 

@@ -16,8 +16,8 @@ prefactor rho with logarithmic derivative m = rho'/rho = p/q (``seed_data``)
 and the seed polynomial xi in the classical normalization: the classical
 polynomial of the twisted parameters (``canonical_seed``).  rho*xi is a
 quasi-eigenfunction of the undeformed operator at the virtual energy, and
-``check_seed`` verifies that exactly on every bound-parameter build.  The
-intertwined polynomials
+``check_seed`` verifies that exactly on every build.  The intertwined
+polynomials
 
     P(n) = q*xi*P_n' - (p*xi + q*xi')*P_n
 
@@ -46,7 +46,7 @@ HALF = Fraction(1, 2)
 
 FAMILIES = ("L", "J", "W", "AW")
 
-# Every family with bound parameters checks H P_n = E_n P_n for
+# Every family checks H P_n = E_n P_n for
 # n = 0..VALIDATE_N when it is built (plugins: when they are loaded), and
 # every further level when the closure engine first reads it.
 VALIDATE_N = 5
@@ -168,7 +168,8 @@ class ParamSet:
 
 @dataclass(frozen=True)
 class MultiIndex:
-    """Multi-index D: list of (degree, type) seed labels.
+    """Multi-index D: list of (degree, type) seed labels, each degree an
+    int >= 1 (a bool or a float such as 2.9 is rejected, not truncated).
 
     ell = sum(d_j) - M(M-1)/2 + 2 * M_I * M_II  is the number of missing
     low degrees, at most MAX_ELL; entries must be distinct within each type.
@@ -177,8 +178,10 @@ class MultiIndex:
     entries: tuple[tuple[int, str], ...]
 
     def __post_init__(self):
-        ent = tuple((int(d), str(t)) for d, t in self.entries)
+        ent = tuple((d, str(t)) for d, t in self.entries)
         for d, t in ent:
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise ValueError(f"seed degree {d!r} is not an integer")
             if d < 1:
                 raise ValueError("seed degrees must be >= 1")
             if t not in ("I", "II"):
@@ -321,27 +324,27 @@ def classical_h_step(params: ParamSet, n: int) -> Rat:
 # -- classical polynomials ------------------------------------------------------
 
 
-def _rising(base, count: int):
-    """base*(base+1)*...*(base+count-1); works for Fractions and ParamPolys."""
-    out = base * 0 + 1 if isinstance(base, ParamPoly) else Fraction(1)
+def _rising(base: Rat, count: int) -> Rat:
+    """base*(base+1)*...*(base+count-1)."""
+    out = Fraction(1)
     for i in range(count):
         out = out * (base + i)
     return out
 
 
-def classical_poly(fam: str, n: int, params: ParamSet | None = None) -> ParamPoly:
+def classical_poly(fam: str, n: int, params: ParamSet) -> ParamPoly:
     """Degree-n classical eigenpolynomial in eta (L or J).
 
-    With params=None the result is symbolic in g (and h).  Conventions:
-    L uses the weight exponent g - 1/2, J uses (g - 1/2, h - 1/2); these are
-    the polynomials annihilated by the classical operators built below, with
-    eigenvalues 4n (L) and 4n(n+g+h) (J).
+    Conventions: L uses the weight exponent g - 1/2, J uses
+    (g - 1/2, h - 1/2); these are the polynomials annihilated by the
+    classical operators built below, with eigenvalues 4n (L) and 4n(n+g+h)
+    (J).
     """
     if n < 0:
         raise ValueError("need n >= 0")
     eta = ParamPoly.var("eta")
     if fam == "L":
-        alpha = (params.g if params else ParamPoly.var("g")) - HALF
+        alpha = params.g - HALF
         out = ParamPoly.zero(("eta",))
         for k in range(n + 1):
             coeff = _rising(alpha + k + 1, n - k) * Fraction(1, math.factorial(n - k))
@@ -349,12 +352,7 @@ def classical_poly(fam: str, n: int, params: ParamSet | None = None) -> ParamPol
             out = out + term * eta ** k
         return out
     if fam == "J":
-        if params is not None:
-            alpha = params.g - HALF
-            beta = params.h - HALF
-        else:
-            alpha = ParamPoly.var("g") - HALF
-            beta = ParamPoly.var("h") - HALF
+        alpha, beta = params.g - HALF, params.h - HALF
         minus = (eta - 1) * HALF
         plus = (eta + 1) * HALF
         out = ParamPoly.zero(("eta",))
@@ -376,16 +374,14 @@ def c2_poly(fam: str) -> ParamPoly:
     raise ValueError("c2 is defined for the differential families L and J")
 
 
-def c1_poly(fam: str, params: ParamSet | None = None) -> ParamPoly:
+def c1_poly(fam: str, params: ParamSet) -> ParamPoly:
     """First-order coefficient of the classical operator
-    H_cl = -4*(c2*d^2 + c1*d); symbolic in g (and h) when params is None."""
+    H_cl = -4*(c2*d^2 + c1*d)."""
     eta = ParamPoly.var("eta")
-    g = params.g if params else ParamPoly.var("g")
     if fam == "L":
-        return g + HALF - eta
+        return params.g + HALF - eta
     if fam == "J":
-        h = params.h if params else ParamPoly.var("h")
-        return (h - g) - (g + h + 1) * eta
+        return (params.h - params.g) - (params.g + params.h + 1) * eta
     raise ValueError("c1 is defined for the differential families L and J")
 
 
@@ -466,11 +462,12 @@ def eigen_validate(H_cleared: tuple[ParamPoly, ParamPoly, ParamPoly],
 class DeformedFamily:
     """One solvable system: family tag, multi-index, parameters, exact data.
 
-    With bound parameters the Hamiltonian is fitted to the eigen-equations
-    of P_0..P_2 and held as its cleared numerators ``H_cleared`` =
-    (c2*xi, N1, N0), so H = -4*xi^-1*(c2*xi*d^2 + N1*d + N0), and it is
-    checked on P_0..P_VALIDATE_N; with params=None the family is symbolic
-    and ``H_cleared`` is None.  P(n) generation is memoized per instance,
+    The parameters are bound: results symbolic in them come from exact
+    samples (``closure.symbolic_closure``).  The Hamiltonian is fitted to
+    the eigen-equations of P_0..P_2 and held as its cleared numerators
+    ``H_cleared`` = (c2*xi, N1, N0), so
+    H = -4*xi^-1*(c2*xi*d^2 + N1*d + N0), and it is checked on
+    P_0..P_VALIDATE_N.  P(n) generation is memoized per instance,
     and so is the level store that the closure engine and the ladders read
     (``closure.level_coordinates``):
     ``checked_levels``, the levels m whose H P_m = E_m P_m has been checked
@@ -481,7 +478,7 @@ class DeformedFamily:
     computation gives; parallel tasks should each own their instance.
     """
 
-    def __init__(self, fam: str, D: MultiIndex, params: ParamSet | None,
+    def __init__(self, fam: str, D: MultiIndex, params: ParamSet,
                  xi: ParamPoly, make_P: Callable[[int], ParamPoly],
                  source: str = "builtin", label: str | None = None,
                  p_max: int | None = None):
@@ -495,14 +492,11 @@ class DeformedFamily:
         self._make_P = make_P
         self._P_cache: dict[int, ParamPoly] = {}
         self.checked_levels: set[int] = set()
-        self.recurrence_rows: dict[tuple[ParamPoly, int], dict[int, object]] = {}
-        self.Etilde = ([virtual_energy(params, t, d) for d, t in D.entries]
-                       if params is not None else None)
-        self.H_cleared: tuple[ParamPoly, ParamPoly, ParamPoly] | None = None
-        if params is not None:
-            pairs = [(self.P(n), self.E(n)) for n in range(3)]
-            self.H_cleared = build_H_ansatz(fam, xi, pairs)
-            self.check_levels(VALIDATE_N)
+        self.recurrence_rows: dict[tuple[ParamPoly, int], dict[int, Rat]] = {}
+        self.Etilde = [virtual_energy(params, t, d) for d, t in D.entries]
+        pairs = [(self.P(n), self.E(n)) for n in range(3)]
+        self.H_cleared = build_H_ansatz(fam, xi, pairs)
+        self.check_levels(VALIDATE_N)
 
     # polynomial eigendata --------------------------------------------------
 
@@ -534,40 +528,19 @@ class DeformedFamily:
                 self.checked_levels.add(m)
 
     def E(self, n: int) -> Rat:
-        if self.params is None:
-            if self.fam == "L":
-                return Fraction(4 * n)
-            raise ValueError("symbolic energies need explicit parameters")
         return energy(self.params, n)
 
     @property
     def ell(self) -> int:
         return self.D.ell
 
-    def h_ratio(self, n: int, l: int) -> tuple:
-        """h_{D,n} / h_{D,n-l} as a pair (num, den) with den != 0, exact and
-        free of Gamma factors (0 <= l <= n): Fractions with bound
-        parameters, polynomials in g when the family is symbolic."""
+    def h_ratio(self, n: int, l: int) -> tuple[Rat, Rat]:
+        """h_{D,n} / h_{D,n-l} as a pair of Fractions (num, den) with
+        den != 0, exact and free of Gamma factors (0 <= l <= n)."""
         if not 0 <= l <= n:
             raise ValueError("need 0 <= l <= n")
         if l == 0:
             return Fraction(1), Fraction(1)
-        if self.params is None:
-            if self.fam != "L":
-                raise ValueError("symbolic norm ratios are provided for L only")
-            g = ParamPoly.var("g")
-            num = ParamPoly.const(1)
-            den = ParamPoly.const(1)
-            for m in range(n - l + 1, n + 1):
-                num = num * (g + (m - HALF))
-                den = den * m
-            for d, t in self.D.entries:
-                # E_n - Etilde = 4*(g + n + d + 1/2)  for type I
-                #              = 4*(g + n - d - 1/2)  for type II
-                off = d + HALF if t == "I" else -d - HALF
-                num = num * (g + (n + off))
-                den = den * (g + (n - l + off))
-            return num, den
         num = Fraction(1)
         for m in range(n - l + 1, n + 1):
             num *= classical_h_step(self.params, m)
@@ -579,55 +552,47 @@ class DeformedFamily:
             raise ValueError(f"{self.label}: a virtual energy equals E_{n - l}")
         return num, den
 
-    def leading_coeff(self, n: int) -> Rat | ParamPoly:
-        lead = self.P(n).leading_coeff("eta")
-        return lead.constant_value() if lead.is_constant() else lead
+    def leading_coeff(self, n: int) -> Rat:
+        """The eta^(ell+n) coefficient of P(n), nonzero by its degree."""
+        return self.P(n).coeff_in("eta", self.ell + n).constant_value()
 
     def __repr__(self) -> str:
         return f"DeformedFamily({self.label}, source={self.source})"
 
 
-def seed_data(fam: str, t: str,
-              params: ParamSet | None = None) -> tuple[ParamPoly, ParamPoly]:
+def seed_data(fam: str, t: str, params: ParamSet) -> tuple[ParamPoly, ParamPoly]:
     """Logarithmic derivative m = rho'/rho = p/q of the type I/II seed
-    prefactor rho (the same for every seed degree), as the pair (p, q);
-    symbolic when params is None."""
-    eta, half = ParamPoly.var("eta"), ParamPoly.const(HALF)
-    g = params.g if params else ParamPoly.var("g")
+    prefactor rho (the same for every seed degree), as the pair (p, q)."""
+    eta = ParamPoly.var("eta")
     if fam == "L":
         if t == "I":
             return ParamPoly.const(1), ParamPoly.const(1)  # rho = exp(eta)
-        return half - g, eta  # rho = eta^(1/2-g)
+        return ParamPoly.const(HALF - params.g), eta  # rho = eta^(1/2-g)
     if fam == "J":
         if t == "I":
-            h = params.h if params else ParamPoly.var("h")
-            return half - h, 1 + eta  # rho = (1+eta)^(1/2-h)
-        return half - g, eta - 1  # rho = (1-eta)^(1/2-g)
+            return ParamPoly.const(HALF - params.h), 1 + eta  # rho = (1+eta)^(1/2-h)
+        return ParamPoly.const(HALF - params.g), eta - 1  # rho = (1-eta)^(1/2-g)
     raise ValueError("seed data is provided for L and J")
 
 
-def canonical_seed(fam: str, t: str, d: int, params: ParamSet | None) -> ParamPoly:
+def canonical_seed(fam: str, t: str, d: int, params: ParamSet) -> ParamPoly:
     """Degree-d seed polynomial in the classical normalization: the
     classical polynomial of the twisted parameters.
 
     L type I: degree-d Laguerre polynomial at -eta; L type II: Laguerre at
     g -> 1-g.  J type I: Jacobi at (g, 1-h); J type II: Jacobi at (1-g, h).
-    Symbolic in g (and h) when params is None.  With bound parameters the
-    seed is checked as a quasi-eigenfunction (``check_seed``).
+    The seed is checked as a quasi-eigenfunction (``check_seed``).
     """
     if fam not in ("L", "J"):
         raise ValueError("seeds are provided for L and J")
-    twisted = "h" if (fam, t) == ("J", "I") else "g"
     if (fam, t) == ("L", "I"):
         seed = classical_poly("L", d, params).subs({"eta": -ParamPoly.var("eta")})
-    elif params is None:
-        seed = classical_poly(fam, d).subs({twisted: 1 - ParamPoly.var(twisted)})
     else:
+        twisted = "h" if (fam, t) == ("J", "I") else "g"
         values = dict(params.values)
         values[twisted] = 1 - values[twisted]
         seed = classical_poly(fam, d, ParamSet(fam, values))
-    if params is not None:
-        check_seed(fam, t, d, params, seed)
+    check_seed(fam, t, d, params, seed)
     return seed
 
 
@@ -660,8 +625,7 @@ def check_seed(fam: str, t: str, d: int, params: ParamSet, seed: ParamPoly) -> N
             f"at the virtual energy")
 
 
-def one_step_family(fam: str, t: str, d: int,
-                    params: ParamSet | None) -> DeformedFamily:
+def one_step_family(fam: str, t: str, d: int, params: ParamSet) -> DeformedFamily:
     """Single-seed deformation of degree d, built from the exact intertwiner.
 
     P(n) = q * xi * P_n' - (p * xi + q * xi') * P_n, with m = p/q the seed
@@ -669,12 +633,11 @@ def one_step_family(fam: str, t: str, d: int,
     normalization (canonical_seed), which reproduces the stored minimal-X
     reference rows; the intertwined P(n) are direct images of the classical
     polynomials, so the norm-ratio identities hold without extra constants.
-    With params=None the family is symbolic in g (and h).  Bound parameters
-    at which the virtual energy equals an eigenvalue E_n are a ValueError
-    naming n (``_degenerate_level``).
+    Parameters at which the virtual energy equals an eigenvalue E_n are a
+    ValueError naming n (``_degenerate_level``).
     """
     seed = canonical_seed(fam, t, d, params)
-    n = None if params is None else _degenerate_level(params, t, d)
+    n = _degenerate_level(params, t, d)
     if n is not None:
         raise ValueError(f"{fam}[{d}{t}]: the virtual energy equals E_{n}, so "
                          f"the seed is degenerate at these parameters")
@@ -701,7 +664,7 @@ def _degenerate_level(params: ParamSet, t: str, d: int) -> int | None:
     return next((int(n) for n in roots if n >= 0 and n.denominator == 1), None)
 
 
-def _intertwiner(fam: str, t: str, params: ParamSet | None,
+def _intertwiner(fam: str, t: str, params: ParamSet,
                  seed: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
     """Coefficients (q*xi, -(p*xi + q*xi')) of P_n' and P_n in P(n)."""
     p, q = seed_data(fam, t, params)
@@ -722,7 +685,7 @@ def plugin_dict_from_family(df: DeformedFamily) -> dict:
     }
 
 
-def classical_family(fam: str, params: ParamSet | None) -> DeformedFamily:
+def classical_family(fam: str, params: ParamSet) -> DeformedFamily:
     """The undeformed system: D = {}, xi = 1, classical polynomials."""
     xi = ParamPoly.const(1, ("eta",))
     make_P = lambda n: classical_poly(fam, n, params)
@@ -730,8 +693,7 @@ def classical_family(fam: str, params: ParamSet | None) -> DeformedFamily:
                           label=f"{fam}[classical]")
 
 
-def builtin_deformed(fam: str, D: MultiIndex | str,
-                     params: ParamSet | None) -> DeformedFamily:
+def builtin_deformed(fam: str, D: MultiIndex | str, params: ParamSet) -> DeformedFamily:
     """Built-in systems: the undeformed family for D = {} and the one-step
     deformation for a single L/J seed of any degree; other multi-indices
     need a plugin."""

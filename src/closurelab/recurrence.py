@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .exactalg import ParamPoly, poly_div_exact
-from .families import DeformedFamily, _rising
+from .exactalg import ParamPoly, Rat
+from .families import DeformedFamily, ParamSet, _rising
 
 
 class NonzeroRemainder(Exception):
@@ -37,53 +37,39 @@ class RecurrenceTable:
 
     X: ParamPoly
     L: int
-    rows: dict[int, dict[int, object]] = field(default_factory=dict)
+    rows: dict[int, dict[int, Rat]] = field(default_factory=dict)
 
 
-def expand_in_basis(df: DeformedFamily, X: ParamPoly, n: int) -> dict[int, object]:
-    """Exact coefficients of X*P(n) = sum_k r_{n,k} P(n+k), |k| <= L = deg X.
+def expand_in_basis(df: DeformedFamily, X: ParamPoly, n: int) -> dict[int, Rat]:
+    """Exact Fraction coefficients of X*P(n) = sum_k r_{n,k} P(n+k),
+    |k| <= L = deg X.
 
-    Successive leading-term elimination from degree ell+n+L downward; the
+    Successive leading-term elimination from degree ell+n+L downward; each
+    step divides by the nonzero Fraction leading coefficient of P(n+k).  The
     remainder after the last basis element must vanish identically, which is
-    the substantive span check.  Coefficients are Fractions for bound
-    parameters and parameter polynomials in the symbolic case.
-
-    Over the rational functions of the parameters every elimination step
-    succeeds, so a symbolic leading coefficient that does not divide the
-    target's says only that r_{n,k} is not a polynomial in the parameters
-    (the L type II P_n have leading coefficients that depend on g): that
-    is a ValueError, not a span failure.
+    the substantive span check.
     """
     L = X.degree("eta")
     target = X * df.P(n)
-    row: dict[int, object] = {}
+    row: dict[int, Rat] = {}
     for k in range(L, -L - 1, -1):
         m = n + k
         if m < 0:
             row[k] = Fraction(0)
             continue
-        basis = df.P(m)
         coeff_target = target.coeff_in("eta", df.ell + m)
         if coeff_target.is_zero:
             row[k] = Fraction(0)
             continue
-        lead = basis.coeff_in("eta", df.ell + m)
-        if lead.is_constant():
-            r = coeff_target * (1 / lead.constant_value())
-        else:
-            r = poly_div_exact(coeff_target, lead)
-            if r is None:
-                raise ValueError(f"{df.label}: r_{{n,k}} at n={n}, k={k} is not "
-                                 f"a polynomial in the parameters")
-        row[k] = r.constant_value() if r.is_constant() else r
-        target = target - r * basis
+        r = row[k] = coeff_target.constant_value() / df.leading_coeff(m)
+        target = target - df.P(m) * r
     if not target.is_zero:
         raise NonzeroRemainder(
             f"{df.label}: X*P({n}) leaves remainder of degree {target.degree('eta')}")
     return row
 
 
-def recurrence_row(df: DeformedFamily, X: ParamPoly, n: int) -> dict[int, object]:
+def recurrence_row(df: DeformedFamily, X: ParamPoly, n: int) -> dict[int, Rat]:
     """expand_in_basis(df, X, n), computed once per family: the row is kept
     in ``df.recurrence_rows`` under (X, n), so the closure engine, the
     ladders and the tables share it.  Reuse is exact, since the family is
@@ -106,10 +92,9 @@ def compute_table(df: DeformedFamily, X: ParamPoly,
 def leading_coeff_identity(df: DeformedFamily, table: RecurrenceTable) -> list[dict]:
     """r_{n,L} = c^X * c^P_n / c^P_{n+L} for every computed row, tested as
     r_{n,L} * c^P_{n+L} == c^X * c^P_n (c^P_{n+L} is a leading coefficient,
-    so nonzero, and the two tests agree).  Bound and symbolic rows take the
-    same comparison: Fractions and parameter polynomials compare exactly."""
+    so nonzero, and the two tests agree)."""
     out = []
-    cX = table.X.leading_coeff("eta")
+    cX = table.X.leading_coeff("eta").constant_value()
     for n, row in sorted(table.rows.items()):
         ok = row[table.L] * df.leading_coeff(n + table.L) == cX * df.leading_coeff(n)
         out.append({"check": "leading-coefficient", "n": n, "ok": bool(ok)})
@@ -146,11 +131,11 @@ def check_h_symmetry(df: DeformedFamily, table: RecurrenceTable,
 
 
 def closed_form_compare(table: RecurrenceTable,
-                        formulas: Mapping[int, Callable[[int], object]]) -> list[dict]:
+                        formulas: Mapping[int, Callable[[int], Rat]]) -> list[dict]:
     """Exact comparison of table entries against closed-form coefficients.
 
-    ``formulas`` maps the shift k to a callable n -> expected value (Fraction
-    or parameter polynomial).  Rows where n+k < 0 compare against zero.
+    ``formulas`` maps the shift k to a callable n -> expected Fraction.
+    Rows where n+k < 0 compare against zero.
     """
     out = []
     for n in sorted(table.rows):
@@ -165,10 +150,10 @@ def closed_form_compare(table: RecurrenceTable,
 # -- built-in closed-form tables ------------------------------------------------
 
 
-def table_formulas_L1I(params=None) -> dict[int, Callable[[int], object]]:
-    """Five-term recurrence coefficients for L[1I] with the minimal X
-    (polynomial in g when params is None)."""
-    g = params.g if params is not None else ParamPoly.var("g")
+def table_formulas_L1I(params: ParamSet) -> dict[int, Callable[[int], Rat]]:
+    """Five-term recurrence coefficients for L[1I] with the minimal X, at
+    bound parameters; each is a polynomial of degree <= 2 in g."""
+    g = params.g
     return {
         2: lambda n: Fraction(1, 2) * (n + 1) * (n + 2),
         1: lambda n: -(n + 1) * (2 * g + (2 * n + 3)),
@@ -180,7 +165,7 @@ def table_formulas_L1I(params=None) -> dict[int, Callable[[int], object]]:
     }
 
 
-def table_formulas_J1I(params) -> dict[int, Callable[[int], Fraction]]:
+def table_formulas_J1I(params: ParamSet) -> dict[int, Callable[[int], Rat]]:
     """Five-term recurrence coefficients for J[1I] with the minimal X,
     at bound parameters."""
     a, b, g, h = params.a, params.b, params.g, params.h

@@ -10,7 +10,11 @@ from closurelab.exactalg import ParamPoly
 from closurelab.closure import closure_for_family
 from closurelab.families import (ParamSet, builtin_deformed, classical_family,
                                  load_family_plugin)
-from closurelab.recurrence import compute_table
+from closurelab.recurrence import build_X, compute_table
+
+# Distinct g at which the L[1I] tables n = 0..8 are checked: 14 samples make
+# those checks exact in g (proof in test_recurrence.test_L1I_table_symbolic_in_g).
+L1I_SWEEP_G = tuple(Fraction(3 + j, 2) for j in range(14))
 
 
 @pytest.fixture(scope="session")
@@ -96,6 +100,18 @@ def l1i_table(l1i, l1i_closure):
 def j1i_table(j1i, j1i_closure):
     _, X = j1i_closure
     return compute_table(j1i, X, range(10))
+
+
+@pytest.fixture(scope="session")
+def l1i_g_sweep():
+    """(family, minimal-X table over n = 0..8) of L[1I] at each g of
+    L1I_SWEEP_G."""
+    out = []
+    for gv in L1I_SWEEP_G:
+        df = builtin_deformed("L", "1I", ParamSet("L", {"g": gv}))
+        out.append((df, compute_table(df, build_X(df.xi, ParamPoly.const(1)),
+                                      range(9))))
+    return out
 
 
 @pytest.fixture

@@ -3,7 +3,9 @@
 Every comparison below is exact (tolerance zero).  Symbolic-in-parameter
 results come from exact solves at rational samples, interpolation, and
 certification at fresh samples; polynomial equality of the reconstruction
-against the golden closed form is then decided coefficient-wise.
+against the golden closed form is then decided coefficient-wise.  The
+L[1I] recurrence table is exact in g by a degree bound: its identities are
+polynomials in g of degree <= 13, checked at 14 distinct g.
 
 Run with:  pytest tests/test_acceptance.py -v -s
 """
@@ -106,11 +108,13 @@ def test_criterion_04_jacobi_both_types_symbolic():
                             "being the sign-flipped image")
 
 
-def test_criterion_05_recurrence_tables():
-    sym = builtin_deformed("L", "1I", None)
-    table = compute_table(sym, build_X(sym.xi, ParamPoly.const(1)), range(9))
-    repL = closed_form_compare(table, table_formulas_L1I(None))
-    okL = all(e["ok"] for e in repL)
+def test_criterion_05_recurrence_tables(l1i_g_sweep):
+    # 14 distinct g make the L[1I] comparison exact in g (degree proof in
+    # test_recurrence.test_L1I_table_symbolic_in_g)
+    okL = len({df.params.g for df, _ in l1i_g_sweep}) == 14
+    for df, table in l1i_g_sweep:
+        repL = closed_form_compare(table, table_formulas_L1I(df.params))
+        okL = okL and len(repL) == 45 and all(e["ok"] for e in repL)
     okJ = True
     for gh in ((F(2), F(3)), (F(5, 2), F(4)), (F(3), F(7, 2))):
         ps = ParamSet("J", {"g": gh[0], "h": gh[1]})

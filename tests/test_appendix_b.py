@@ -30,6 +30,11 @@ def _bracket(entry):
     return ParamPoly.from_record(rec)
 
 
+def test_tables_are_parsed_once():
+    # appendix-b compares every row against the same parsed tables
+    assert load_reference_tables() is load_reference_tables()
+
+
 def test_factored_expansion_matches_frozen_records():
     tables = load_reference_tables()
     checked = 0

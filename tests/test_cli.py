@@ -93,6 +93,15 @@ def test_reports_are_byte_stable(tmp_path):
     ["verify-closure", "--D", "2I", "--plugin", "{P-list}"],
     ["recurrence", "--plugin", "{parameters-list}"],
     ["heisenberg", "--D", "2I", "--plugin", "{parameters-zero-denominator}"],
+    ["recurrence", "--mode", "symbolic"],
+    ["heisenberg", "--mode", "sampled"],
+    ["verify-closure", "--family", "W", "--mode", "symbolic"],
+    ["verify-closure", "--family", "AW", "--mode", "symbolic"],
+    ["appendix-b", "--n-max", "3"],
+    ["plugin-validate", "--plugin", "{shipped}", "--n-max", "3"],
+    ["plugin-validate"],
+    ["recurrence", "--plugin", "{d-float}"],
+    ["verify-closure", "--D", "2I", "--plugin", "{d-bool}"],
 ], ids=["params", "W-recurrence", "AW-q", "Y", "D", "truncated-plugin",
         "missing-plugin", "plugin-levels", "multi-seed", "J-range-spectrum",
         "J-range-heisenberg", "ell-bound", "ell-bound-plugin",
@@ -100,7 +109,9 @@ def test_reports_are_byte_stable(tmp_path):
         "Y-param-var", "Y-param-var-recurrence", "Y-zero", "Y-zero-heisenberg",
         "Y-zero-spectrum", "Y-zero-denominator", "params-zero-denominator",
         "plugin-P-list", "plugin-parameters-list",
-        "plugin-parameters-zero-denominator"])
+        "plugin-parameters-zero-denominator", "recurrence-mode",
+        "heisenberg-mode", "W-symbolic", "AW-symbolic", "appendix-b-n-max", "plugin-validate-n-max",
+        "plugin-validate-no-plugin", "plugin-d-float", "plugin-d-bool"])
 def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
     shipped = (ROOT / "plugins" / "laguerre_2I.json").read_text()
     truncated = tmp_path / "truncated.json"
@@ -121,7 +132,10 @@ def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
              "{P-list}": replaced("P-list", "P", []),
              "{parameters-list}": replaced("parameters-list", "parameters", ["g"]),
              "{parameters-zero-denominator}": replaced(
-                 "parameters-zero", "parameters", {"g": "1/0"})}
+                 "parameters-zero", "parameters", {"g": "1/0"}),
+             "{shipped}": str(ROOT / "plugins" / "laguerre_2I.json"),
+             "{d-float}": replaced("d-float", "D", [{"d": 2.9, "type": "I"}]),
+             "{d-bool}": replaced("d-bool", "D", [{"d": True, "type": "I"}])}
     assert run_cli(*(files.get(a, a) for a in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
@@ -150,6 +164,18 @@ def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
         assert err.endswith(": parameters must be an object of name: 'p/q' entries\n")
     if "{parameters-zero-denominator}" in argv:
         assert err.endswith(": bad parameters: zero denominator\n")
+    if argv[0] != "verify-closure" and ("--mode" in argv or "--n-max" in argv):
+        flag = "--mode" if "--mode" in argv else "--n-max"
+        assert err.startswith(f"configuration error: closurelab: unrecognized "
+                              f"arguments: {flag} ")
+    if "symbolic" in argv and "verify-closure" in argv:
+        assert err.endswith(": symbolic mode reconstructs the L and J families only\n")
+    if argv == ["plugin-validate"]:
+        assert err.endswith(": the following arguments are required: --plugin\n")
+    if "{d-float}" in argv:
+        assert err.endswith(": bad multi-index: seed degree 2.9 is not an integer\n")
+    if "{d-bool}" in argv:
+        assert err.endswith(": bad multi-index: seed degree True is not an integer\n")
 
 
 # Short inputs over the characters of the syntax: long enough to reach
@@ -237,6 +263,16 @@ def test_plugin_load_names_a_broken_level(explicit_plugin, tmp_path):
     # are checked first, so P_6 + P_5 is named as level 6
     error = _plugin_load_error(explicit_plugin(10, broken=6), tmp_path)
     assert error.endswith("L[2I]: eigen-equation fails at n=6")
+
+
+def test_plugin_validate_rejects_a_fractional_seed_degree(tmp_path):
+    # a degree 2.9 was truncated to 2 and the plugin passed as L[2I]
+    data = json.loads((ROOT / "plugins" / "laguerre_2I.json").read_text())
+    data["D"] = [{"d": 2.9, "type": "I"}]
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps(data))
+    error = _plugin_load_error(path, tmp_path)
+    assert error.endswith(": bad multi-index: seed degree 2.9 is not an integer")
 
 
 def test_plugin_symmetry_failure_names_its_first_row(tmp_path):

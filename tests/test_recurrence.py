@@ -50,13 +50,53 @@ def test_L1I_table_matches_closed_forms_bound(l1i, l1i_table, lag_params):
     assert all(e["ok"] for e in rep)
 
 
-def test_L1I_table_symbolic_in_g():
-    sym = builtin_deformed("L", "1I", None)
-    table = compute_table(sym, build_X(sym.xi, ParamPoly.const(1)), range(9))
-    rep = closed_form_compare(table, table_formulas_L1I(None))
-    assert all(e["ok"] for e in rep)
-    rep = check_h_symmetry(sym, table)
-    assert all(e["ok"] for e in rep)
+def test_L1I_table_symbolic_in_g(l1i_g_sweep):
+    """The L[1I] table n <= 8 equals the closed forms exactly in g, checked
+    at the 14 distinct g of L1I_SWEEP_G.
+
+    With xi = eta + g + 1/2, P(m) = xi*P_m' - (xi + 1)*P_m, and the Laguerre
+    coefficients of P_m have g-degree <= m, so P(m) has g-degree <= m + 1.
+    X = eta*(eta + 2g + 1)/2 has g-degree 1 and every closed form f_k(n, g)
+    has g-degree <= 2.  So every eta-coefficient of
+    X*P(n) - sum_{|k|<=2} f_k(n, g)*P(n + k) is a polynomial in g of degree
+    <= n + 5 <= 13.  At each sample the expansion has zero remainder and
+    r_{n,k} = f_k(n, g), so that polynomial vanishes at 14 points and hence
+    identically.  The P(n + k) have the distinct degrees n + k + 1 for every
+    g (the lead coefficient of P(m) is (-1)^(m+1)/m!, free of g), so the
+    expansion is unique and r_{n,k}(g) = f_k(n, g) for every g.  The
+    symmetry cross-product f_{-l}(n, g)*den - num*f_l(n - l, g), with
+    (num, den) the norm ratio (degree l + 1 and 1 in g), has g-degree
+    <= l + 3 <= 5, so it too vanishes identically.
+    """
+    assert len({df.params.g for df, _ in l1i_g_sweep}) == 14
+    for df, table in l1i_g_sweep:
+        rep = closed_form_compare(table, table_formulas_L1I(df.params))
+        assert len(rep) == 45 and all(e["ok"] for e in rep)
+        rep = check_h_symmetry(df, table)
+        assert rep and all(e["ok"] for e in rep)
+
+
+def test_L1I_sweep_catches_a_wrong_closed_form(l1i_g_sweep):
+    # off by one in the single entry (4, 0): every sample fails exactly there
+    for df, table in l1i_g_sweep:
+        formulas = table_formulas_L1I(df.params)
+        f0 = formulas[0]
+        formulas[0] = lambda n: f0(n) + (1 if n == 4 else 0)
+        rep = closed_form_compare(table, formulas)
+        assert [(e["n"], e["k"]) for e in rep if not e["ok"]] == [(4, 0)]
+    # off by a degree-13 polynomial in g that vanishes at the first 13
+    # samples: only the 14th sample sees it, so fewer samples would not do
+    gs = [df.params.g for df, _ in l1i_g_sweep]
+    failing = []
+    for df, table in l1i_g_sweep:
+        formulas = table_formulas_L1I(df.params)
+        f0, off = formulas[0], F(1)
+        for gv in gs[:13]:
+            off *= df.params.g - gv
+        formulas[0] = lambda n: f0(n) + (off if n == 8 else 0)
+        rep = closed_form_compare(table, formulas)
+        failing += [(df.params.g, e["n"], e["k"]) for e in rep if not e["ok"]]
+    assert failing == [(gs[13], 8, 0)]
 
 
 def test_L1I_row0_values(l1i_table, lag_params):
@@ -118,20 +158,6 @@ def test_nonzero_remainder_negative_control(l1i):
         expand_in_basis(l1i, eta ** 2, 0)  # eta^2 is not an admissible X
 
 
-def test_symbolic_nonpolynomial_coefficient_is_named(lag_params):
-    # the L type II P_n have leading coefficients linear in g, so r_{0,2}
-    # of the symbolic L[1II] is rational in g: a ValueError that says so,
-    # not a span failure; at bound g the same row expands
-    sym = builtin_deformed("L", "1II", None)
-    X = build_X(sym.xi, ParamPoly.const(1))
-    assert not sym.leading_coeff(2).is_constant()
-    with pytest.raises(ValueError, match=r"r_\{n,k\} at n=0, k=2 is not a "
-                                         r"polynomial in the parameters"):
-        compute_table(sym, X, range(3))
-    bound = builtin_deformed("L", "1II", lag_params)
-    compute_table(bound, build_X(bound.xi, ParamPoly.const(1)), range(3))
-
-
 def test_higher_Y_tables_still_span(l1i):
     X = build_X(l1i.xi, eta)
     table = compute_table(l1i, X, range(5))
@@ -140,13 +166,11 @@ def test_higher_Y_tables_still_span(l1i):
     assert all(e["ok"] for e in rep)
 
 
-@pytest.mark.parametrize("symbolic", [False, True], ids=["bound", "symbolic"])
-def test_perturbed_entries_fail_exactly_their_rows(symbolic, lag_params):
-    # the cross-product comparisons on Fractions and on polynomials in g:
-    # r_{3,-1} + 1 spoils symmetry row (3, 1), r_{1,2} + 1 spoils symmetry
-    # row (3, 2), leading row 1 and the two closed-form entries
-    params = None if symbolic else lag_params
-    df = builtin_deformed("L", "1I", params)
+def test_perturbed_entries_fail_exactly_their_rows(lag_params):
+    # the cross-product comparisons: r_{3,-1} + 1 spoils symmetry row
+    # (3, 1), r_{1,2} + 1 spoils symmetry row (3, 2), leading row 1 and the
+    # two closed-form entries
+    df = builtin_deformed("L", "1I", lag_params)
     table = compute_table(df, build_X(df.xi, ParamPoly.const(1)), range(5))
     bad = RecurrenceTable(table.X, table.L,
                           {n: dict(row) for n, row in table.rows.items()})
@@ -156,8 +180,8 @@ def test_perturbed_entries_fail_exactly_their_rows(symbolic, lag_params):
                                    for e in rows if not e["ok"]]
     assert failing(check_h_symmetry(df, bad), "n", "l") == [(3, 1), (3, 2)]
     assert failing(leading_coeff_identity(df, bad), "n") == [(1,)]
-    assert failing(closed_form_compare(bad, table_formulas_L1I(params)),
+    assert failing(closed_form_compare(bad, table_formulas_L1I(lag_params)),
                    "n", "k") == [(1, 2), (3, -1)]
     for rows in (check_h_symmetry(df, table), leading_coeff_identity(df, table),
-                 closed_form_compare(table, table_formulas_L1I(params))):
+                 closed_form_compare(table, table_formulas_L1I(lag_params))):
         assert rows and all(e["ok"] for e in rows)
