@@ -22,7 +22,8 @@ from . import __version__
 from .exactalg import ParamPoly, parse_poly, rat, rat_str
 from .families import (DeformedFamily, EigenValidationFailed,
                        MultiIndex, ParamSet, SchemaError, DegreeMismatch,
-                       builtin_deformed, energy, load_family_plugin)
+                       builtin_deformed, energy, load_family_plugin,
+                       require_builtin)
 from .closure import (NoSolution, TableMissing,
                       closure_for_family, compare_reference, conjectured_R,
                       load_reference_tables, symbolic_closure,
@@ -203,13 +204,20 @@ def _emit(report: Report, args) -> int:
 
 
 def cmd_verify_closure(args) -> int:
-    params = _parse_params(args.family, args.params)
+    fam = args.family
+    symbolic = args.mode == "symbolic"
+    if symbolic and args.params:
+        raise ConfigError("--params: symbolic mode is exact in the parameters "
+                          "and takes no parameter values")
+    params = _parse_params(fam, args.params)
     Y = _parse_Y(args.Y)
     report = Report("verify-closure", _config_echo(args, params, Y))
-    fam = args.family
     if fam in ("W", "AW"):
-        if args.mode == "symbolic":
+        if symbolic:
             raise ConfigError("symbolic mode reconstructs the L and J families only")
+        if args.plugin:
+            raise ConfigError("--plugin: W and AW closure is checked spectrally "
+                              "and reads no plugin")
         L = _parse_D(args.D).ell + Y.degree("eta") + 1
         for note in _validate_ranges(fam, params, L):
             report.add(f"range/{note}", None)
@@ -219,15 +227,23 @@ def cmd_verify_closure(args) -> int:
         report.add("operator-level", None, notice="not implemented: "
                    "operator-level closure for difference operators")
         return _emit(report, args)
-    df = _family_instance(args, params)
-    if args.mode == "symbolic":
-        if df.source != "builtin":
+    if symbolic:
+        # symbolic_closure samples the parameters itself: no family is
+        # built at the bound values
+        if args.plugin:
             raise ConfigError("symbolic mode reconstructs built-in families only")
-        cd = symbolic_closure(df.fam, df.D.label(), Y)
+        D = _parse_D(args.D)
+        try:
+            require_builtin(D)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        cd = symbolic_closure(fam, D.label(), Y)
         report.add("closure/solve", True, K=cd.K, unique=cd.unique,
                    kernel_dim=cd.kernel_dim, mode="symbolic")
         report.add("closure/degree-bounds", cd.bounds_ok())
-        return _closure_values(report, args, df, cd, conjectured_R(df.fam, cd.K // 2))
+        return _closure_values(report, args, fam, D.label(), cd,
+                               conjectured_R(fam, cd.K // 2))
+    df = _family_instance(args, params)
     try:
         cd, X = closure_for_family(df, Y)
     except (NoSolution, EigenValidationFailed, NonzeroRemainder) as exc:
@@ -240,19 +256,19 @@ def cmd_verify_closure(args) -> int:
     witness = {} if verdict else {"n": verdict.n, "k": verdict.k,
                                   "residual": rat_str(verdict.residual)}
     report.add("closure/identity", bool(verdict), **witness)
-    return _closure_values(report, args, df, cd,
+    return _closure_values(report, args, df.fam, df.D.label(), cd,
                            conjectured_R(df.fam, cd.K // 2, df.params),
                            _family_bindings(df))
 
 
-def _closure_values(report: Report, args, df: DeformedFamily, cd,
+def _closure_values(report: Report, args, fam: str, D_label: str, cd,
                     conj, bindings: dict | None = None) -> int:
     """The checks shared by sampled and symbolic closure reports: the
     conjectured R_i, the stored reference row, and the solved values."""
     report.add("closure/conjectured-R",
                all(cd.R[i] == conj.R[i] for i in range(cd.K)))
     try:
-        cmp = compare_reference(df.fam, df.D.label(), args.Y or "1", cd, bindings)
+        cmp = compare_reference(fam, D_label, args.Y or "1", cd, bindings)
         report.add("closure/reference-table", cmp["ok"])
     except TableMissing:
         report.add("closure/reference-table", None, notice="no stored row")
@@ -467,11 +483,11 @@ def _config_echo(args, params: ParamSet, Y: ParamPoly) -> dict:
         "params": {k: rat_str(v) for k, v in sorted(params.values.items())},
         "n_max": args.n_max,
         "mode": getattr(args, "mode", "sampled"),
-        "plugin": args.plugin or "",
+        "plugin": getattr(args, "plugin", None) or "",
     }
 
 
-def _add_common(p, with_family=True):
+def _add_common(p, with_family=True, with_plugin=True):
     if with_family:
         p.add_argument("--family", choices=["L", "J", "W", "AW"], default="L")
         p.add_argument("--D", default="1I",
@@ -481,7 +497,9 @@ def _add_common(p, with_family=True):
         p.add_argument("--params", nargs="*", metavar="k=v",
                        help="exact parameter overrides, e.g. g=7/3")
         p.add_argument("--n-max", dest="n_max", type=int, default=8)
-        p.add_argument("--plugin", default=None, help="path to a family plugin JSON")
+        if with_plugin:
+            p.add_argument("--plugin", default=None,
+                           help="path to a family plugin JSON")
     p.add_argument("--report", default=None, help="write the JSON report here")
     p.add_argument("--json", action="store_true", help="print the JSON report")
 
@@ -512,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_recurrence)
     p = sub.add_parser("spectrum", help="eigenvalue lists, pairing and matrix suite")
-    _add_common(p)
+    _add_common(p, with_plugin=False)  # spectral data come from the formulas alone
     p.add_argument("--random-spectra", type=int, default=50)
     p.set_defaults(fn=cmd_spectrum)
     p = sub.add_parser("heisenberg", help="ladder-operator and time-power checks")

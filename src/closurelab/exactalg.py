@@ -12,6 +12,7 @@ are pure, so independent computations can safely run in parallel.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -62,6 +63,38 @@ class ParamPoly:
 
     terms maps exponent tuples (one entry per variable, aligned with
     ``vars``) to nonzero Fractions.  The zero polynomial has no terms.
+
+    Every instance keeps two invariants:
+
+    (I1) every key of ``terms`` is a tuple of len(vars) nonnegative ints;
+    (I2) every value of ``terms`` is a nonzero Fraction.
+
+    The public constructor ``ParamPoly(vars, terms)`` establishes them from
+    any input: it coerces each coefficient with ``Fraction``, drops zeros and
+    checks each exponent tuple.  It is the path for outside data
+    (``from_record`` for plugins, ``parse_poly`` for ``--Y``, ``univar``).
+    Everything else builds its results with ``_trusted``, which checks
+    nothing.  ``zero`` and ``const`` hold at most the one key (0,...,0) with
+    a nonzero value coerced by ``rat``.  The other trusted operations keep
+    I1 and I2 for operands that have them:
+
+    - I1.  A result key is an operand key (add, neg, scalar mul), the sum of
+      two operand keys (mul), an operand key with one entry lowered (diff,
+      on positive entries only) or raised (integrate) by one, an operand key
+      with one entry removed (coeff_in, coeffs_in), or an operand key with
+      its entries moved to the positions of the new variables (with_vars,
+      which refuses to drop a variable with a positive exponent).  Sums of
+      nonnegative ints are nonnegative ints, and ``_align`` gives both
+      operands of add and mul the same ``vars``, so every key has the arity
+      of the result's ``vars``.
+    - I2.  Sums and products of Fractions, and Fractions times or over ints,
+      are Fractions.  Only add and mul sum coefficients, so only they can
+      produce a zero, and both drop zero sums.  Every other operation maps
+      distinct keys to distinct keys (each key map above is injective on the
+      terms it is applied to), so a result key receives one coefficient: the
+      negation of a nonzero Fraction, a nonzero Fraction times a nonzero
+      scalar or a positive int (diff: the exponent), or a nonzero Fraction
+      over a positive int (integrate).  Each of these is nonzero.
     """
 
     __slots__ = ("vars", "terms")
@@ -81,6 +114,17 @@ class ParamPoly:
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", cleaned)
 
+    @classmethod
+    def _trusted(cls, vars: tuple[str, ...],
+                 terms: dict[tuple[int, ...], Rat]) -> "ParamPoly":
+        """An instance holding ``vars`` and ``terms`` as given, with no
+        coercion and no checks: the caller guarantees I1 and I2 (see the
+        class docstring)."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", vars)
+        object.__setattr__(p, "terms", terms)
+        return p
+
     def __setattr__(self, *_):
         raise AttributeError("ParamPoly is immutable")
 
@@ -88,15 +132,15 @@ class ParamPoly:
 
     @staticmethod
     def zero(vars: Sequence[str] = ()) -> "ParamPoly":
-        return ParamPoly(vars, {})
+        return ParamPoly._trusted(tuple(vars), {})
 
     @staticmethod
     def const(value, vars: Sequence[str] = ()) -> "ParamPoly":
         value = rat(value)
         vs = tuple(vars)
         if not value:
-            return ParamPoly(vs, {})
-        return ParamPoly(vs, {(0,) * len(vs): value})
+            return ParamPoly._trusted(vs, {})
+        return ParamPoly._trusted(vs, {(0,) * len(vs): value})
 
     @staticmethod
     def var(name: str) -> "ParamPoly":
@@ -179,7 +223,7 @@ class ParamPoly:
                 if e:
                     new[pos[v]] = e
             terms[tuple(new)] = coeff
-        return ParamPoly(vs, terms)
+        return ParamPoly._trusted(vs, terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -190,17 +234,19 @@ class ParamPoly:
         a, b = self._align(other)
         terms = dict(a.terms)
         for exps, coeff in b.terms.items():
-            s = terms.get(exps, Fraction(0)) + coeff
-            if s:
+            s = terms.get(exps)
+            if s is None:
+                terms[exps] = coeff
+            elif s := s + coeff:
                 terms[exps] = s
             else:
-                terms.pop(exps, None)
-        return ParamPoly(a.vars, terms)
+                del terms[exps]
+        return ParamPoly._trusted(a.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return ParamPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "ParamPoly":
         if not isinstance(other, (ParamPoly, int, Fraction)):
@@ -213,23 +259,21 @@ class ParamPoly:
     def __mul__(self, other) -> "ParamPoly":
         if not isinstance(other, (ParamPoly, int, Fraction)):
             return NotImplemented
-        if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return ParamPoly(self.vars, {})
-            return ParamPoly(self.vars, {e: k * c for e, k in self.terms.items()})
-        other = _coerce_poly(other, self.vars)
+        if not isinstance(other, ParamPoly):
+            if not other:
+                return ParamPoly._trusted(self.vars, {})
+            return ParamPoly._trusted(self.vars,
+                                      {e: k * other for e, k in self.terms.items()})
         a, b = self._align(other)
+        one = len(a.vars) == 1
         terms: dict[tuple[int, ...], Rat] = {}
+        get = terms.get
         for ea, ca in a.terms.items():
             for eb, cb in b.terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                s = terms.get(key, Fraction(0)) + ca * cb
-                if s:
-                    terms[key] = s
-                else:
-                    terms.pop(key, None)
-        return ParamPoly(a.vars, terms)
+                key = (ea[0] + eb[0],) if one else tuple(map(operator.add, ea, eb))
+                s = get(key)
+                terms[key] = ca * cb if s is None else s + ca * cb
+        return ParamPoly._trusted(a.vars, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -261,16 +305,11 @@ class ParamPoly:
 
     def diff(self, var: str) -> "ParamPoly":
         if var not in self.vars:
-            return ParamPoly(self.vars, {})
+            return ParamPoly._trusted(self.vars, {})
         i = self.vars.index(var)
-        terms = {}
-        for exps, coeff in self.terms.items():
-            if exps[i]:
-                new = list(exps)
-                new[i] -= 1
-                key = tuple(new)
-                terms[key] = terms.get(key, Fraction(0)) + coeff * exps[i]
-        return ParamPoly(self.vars, {e: c for e, c in terms.items() if c})
+        return ParamPoly._trusted(self.vars, {
+            e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
+            for e, c in self.terms.items() if e[i]})
 
     def integrate(self, var: str) -> "ParamPoly":
         """Antiderivative in ``var`` with zero constant term."""
@@ -282,7 +321,7 @@ class ParamPoly:
             new = list(exps)
             new[i] += 1
             terms[tuple(new)] = coeff / new[i]
-        return ParamPoly(self.vars, terms)
+        return ParamPoly._trusted(self.vars, terms)
 
     def subs(self, bindings: Mapping[str, object]) -> "ParamPoly":
         """Substitute variables by Fractions or ParamPolys."""
@@ -330,7 +369,7 @@ class ParamPoly:
             k = exps[i]
             key = tuple(e for j, e in enumerate(exps) if j != i)
             out.setdefault(k, {})[key] = coeff
-        return {k: ParamPoly(rest, t) for k, t in sorted(out.items())}
+        return {k: ParamPoly._trusted(rest, t) for k, t in sorted(out.items())}
 
     def coeff_in(self, var: str, k: int) -> "ParamPoly":
         """The coefficient of var^k, a polynomial in the other variables;
@@ -339,8 +378,8 @@ class ParamPoly:
             return self if k == 0 else ParamPoly.zero()
         i = self.vars.index(var)
         rest = tuple(v for v in self.vars if v != var)
-        return ParamPoly(rest, {e[:i] + e[i + 1:]: c
-                                for e, c in self.terms.items() if e[i] == k})
+        return ParamPoly._trusted(rest, {e[:i] + e[i + 1:]: c
+                                         for e, c in self.terms.items() if e[i] == k})
 
     def leading_coeff(self, var: str) -> "ParamPoly":
         split = self.coeffs_in(var)

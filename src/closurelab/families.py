@@ -338,29 +338,36 @@ def classical_poly(fam: str, n: int, params: ParamSet) -> ParamPoly:
     Conventions: L uses the weight exponent g - 1/2, J uses
     (g - 1/2, h - 1/2); these are the polynomials annihilated by the
     classical operators built below, with eigenvalues 4n (L) and 4n(n+g+h)
-    (J).
+    (J).  Both are built densely in O(n^2) exact operations:
+
+        L_n^(alpha)(eta)  = sum_k (alpha+k+1)_(n-k) (-1)^k / ((n-k)! k!) eta^k,
+        P_n^(alpha,beta)  = sum_m (alpha+m+1)_(n-m) (n+alpha+beta+1)_m
+                                  / ((n-m)! m!) ((eta-1)/2)^m,
+
+    the second summed by Horner's rule in (eta-1)/2.  It is the
+    hypergeometric form (alpha+1)_n/n! 2F1(-n, n+alpha+beta+1; alpha+1;
+    (1-eta)/2) after (alpha+1)_n/(alpha+1)_m = (alpha+m+1)_(n-m); both
+    sides are polynomials in alpha and beta, so they agree identically.
     """
     if n < 0:
         raise ValueError("need n >= 0")
-    eta = ParamPoly.var("eta")
     if fam == "L":
         alpha = params.g - HALF
-        out = ParamPoly.zero(("eta",))
-        for k in range(n + 1):
-            coeff = _rising(alpha + k + 1, n - k) * Fraction(1, math.factorial(n - k))
-            term = coeff * Fraction((-1) ** k, math.factorial(k))
-            out = out + term * eta ** k
-        return out
+        return ParamPoly.univar("eta", [
+            _rising(alpha + k + 1, n - k)
+            * Fraction((-1) ** k, math.factorial(n - k) * math.factorial(k))
+            for k in range(n + 1)])
     if fam == "J":
         alpha, beta = params.g - HALF, params.h - HALF
-        minus = (eta - 1) * HALF
-        plus = (eta + 1) * HALF
-        out = ParamPoly.zero(("eta",))
-        for k in range(n + 1):
-            ca = _rising(alpha + k + 1, n - k) * Fraction(1, math.factorial(n - k))
-            cb = _rising(beta + (n - k) + 1, k) * Fraction(1, math.factorial(k))
-            out = out + ca * cb * minus ** k * plus ** (n - k)
-        return out
+        coeffs: list[Rat] = []  # eta-coefficients, low to high
+        for m in range(n, -1, -1):
+            # coeffs <- coeffs * (eta - 1)/2 + c_m
+            coeffs = [(lo - hi) * HALF
+                      for lo, hi in zip([0, *coeffs], [*coeffs, 0])]
+            coeffs[0] += (_rising(alpha + m + 1, n - m)
+                          * _rising(n + alpha + beta + 1, m)
+                          / (math.factorial(n - m) * math.factorial(m)))
+        return ParamPoly.univar("eta", coeffs)
     raise ValueError("classical polynomials are provided for L and J only")
 
 
@@ -693,16 +700,21 @@ def classical_family(fam: str, params: ParamSet) -> DeformedFamily:
                           label=f"{fam}[classical]")
 
 
+def require_builtin(D: MultiIndex) -> None:
+    """ValueError unless D has a built-in family: D = {} or a single seed."""
+    if D.M > 1:
+        raise ValueError(f"no built-in family for D={D.label()} (supply a plugin)")
+
+
 def builtin_deformed(fam: str, D: MultiIndex | str, params: ParamSet) -> DeformedFamily:
     """Built-in systems: the undeformed family for D = {} and the one-step
     deformation for a single L/J seed of any degree; other multi-indices
     need a plugin."""
     if isinstance(D, str):
         D = MultiIndex.parse(D)
+    require_builtin(D)
     if D.entries == ():
         return classical_family(fam, params)
-    if D.M != 1:
-        raise ValueError(f"no built-in family for D={D.label()} (supply a plugin)")
     (d, t), = D.entries
     return one_step_family(fam, t, d, params)
 

@@ -383,6 +383,13 @@ def eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
     """Closed-form eigenvectors p_ij = a_j^(K-i) - sum_k R_{K-k} a_j^(K-i-k)
     and inverse (P^-1)_ji = a_j^(i-1) / prod_{k != j} (a_j - a_k).
 
+    Each column is the closed form expanded by Horner's rule from the
+    bottom row (rows 1-based, R 0-based): p_Kj = a_j^0 = 1, and splitting
+    off the k = K-i+1 term of the sum gives
+    p_(i-1)j = a_j^(K-i+1) - sum_{k<=K-i} R_{K-k} a_j^(K-i+1-k) - R_(i-1)
+             = a_j p_ij - R_(i-1).
+    Each row of P^-1 is a running product of powers of a_j.
+
     Validates A p_j = alpha_j p_j, P P^-1 = I, det P = Vandermonde product
     and sum_j alpha_j^-1 (P^-1)_j1 = R_0^-1, all exactly.
     """
@@ -400,10 +407,10 @@ def eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
             raise DegenerateSpectrum("supplied roots do not match the last column")
     P = [[Fraction(0)] * K for _ in range(K)]
     for j, a in enumerate(alphas):
-        for i in range(1, K + 1):
-            val = a ** (K - i)
-            for k in range(1, K - i + 1):
-                val -= R[K - k] * a ** (K - i - k)
+        val = Fraction(1)
+        P[K - 1][j] = val
+        for i in range(K - 1, 0, -1):
+            val = a * val - R[i]
             P[i - 1][j] = val
     for j, a in enumerate(alphas):
         col = [P[i][j] for i in range(K)]
@@ -415,8 +422,10 @@ def eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
         for k, other in enumerate(alphas):
             if k != j:
                 denom *= a - other
-        for i in range(1, K + 1):
-            P_inv[j][i - 1] = a ** (i - 1) / denom
+        val = 1 / denom
+        for i in range(K):
+            P_inv[j][i] = val
+            val *= a
     # P * P_inv = I
     for i in range(K):
         for k in range(K):
@@ -469,14 +478,13 @@ def spectral_suite(R: Sequence, alphas: Sequence, extra_powers: int = 3) -> dict
     by_recursion = recursion_vectors(sd.R, count)
     ok_rec = by_matrix == by_recursion
     ok_eig = True
+    # w_j = alpha_j^n (P^-1)_j1, carried from n to n + 1
+    w = [sd.P_inv[j][0] for j in range(K)]
     for n in range(count + 1):
-        recon = []
-        for i in range(K):
-            val = sum(sd.P[i][j] * sd.alphas[j] ** n * sd.P_inv[j][0]
-                      for j in range(K))
-            recon.append(val)
+        recon = [sum(sd.P[i][j] * w[j] for j in range(K)) for i in range(K)]
         if recon != by_matrix[n]:
             ok_eig = False
+        w = [wj * a for wj, a in zip(w, sd.alphas)]
     # initial conditions: A^K e_1 must reproduce the last column R
     ok_init = by_matrix[K] == list(sd.R)
     return {"K": K, "recursion_ok": ok_rec, "eigen_ok": ok_eig,

@@ -10,7 +10,8 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from closurelab.cli import ConfigError, _param_items, _param_set, _parse_Y, main
+from closurelab.cli import (DEFAULT_PARAMS, ConfigError, _param_items,
+                            _param_set, _parse_Y, main)
 from closurelab.families import MAX_ELL, ParamSet, load_family_plugin
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -102,6 +103,12 @@ def test_reports_are_byte_stable(tmp_path):
     ["plugin-validate"],
     ["recurrence", "--plugin", "{d-float}"],
     ["verify-closure", "--D", "2I", "--plugin", "{d-bool}"],
+    ["spectrum", "--family", "W", "--D", "1I", "--plugin", "{missing}"],
+    ["verify-closure", "--family", "W", "--plugin", "{missing}"],
+    ["verify-closure", "--family", "AW", "--plugin", "{shipped}"],
+    ["verify-closure", "--D", "2II", "--mode", "symbolic", "--params", "g=3"],
+    ["verify-closure", "--D", "1I,2I", "--mode", "symbolic"],
+    ["verify-closure", "--D", "2I", "--mode", "symbolic", "--plugin", "{shipped}"],
 ], ids=["params", "W-recurrence", "AW-q", "Y", "D", "truncated-plugin",
         "missing-plugin", "plugin-levels", "multi-seed", "J-range-spectrum",
         "J-range-heisenberg", "ell-bound", "ell-bound-plugin",
@@ -111,7 +118,9 @@ def test_reports_are_byte_stable(tmp_path):
         "plugin-P-list", "plugin-parameters-list",
         "plugin-parameters-zero-denominator", "recurrence-mode",
         "heisenberg-mode", "W-symbolic", "AW-symbolic", "appendix-b-n-max", "plugin-validate-n-max",
-        "plugin-validate-no-plugin", "plugin-d-float", "plugin-d-bool"])
+        "plugin-validate-no-plugin", "plugin-d-float", "plugin-d-bool",
+        "spectrum-plugin", "W-plugin", "AW-plugin", "symbolic-params",
+        "symbolic-multi-seed", "symbolic-plugin"])
 def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
     shipped = (ROOT / "plugins" / "laguerre_2I.json").read_text()
     truncated = tmp_path / "truncated.json"
@@ -168,8 +177,21 @@ def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
         flag = "--mode" if "--mode" in argv else "--n-max"
         assert err.startswith(f"configuration error: closurelab: unrecognized "
                               f"arguments: {flag} ")
-    if "symbolic" in argv and "verify-closure" in argv:
+    if "symbolic" in argv and argv[2] in ("W", "AW"):
         assert err.endswith(": symbolic mode reconstructs the L and J families only\n")
+    if "symbolic" in argv and "--params" in argv:
+        assert err.endswith(": --params: symbolic mode is exact in the parameters "
+                            "and takes no parameter values\n")
+    if "symbolic" in argv and "--plugin" in argv:
+        assert err.endswith(": symbolic mode reconstructs built-in families only\n")
+    if "1I,2I" in argv:
+        assert err.endswith(": no built-in family for D=1I,2I (supply a plugin)\n")
+    if argv[0] == "spectrum" and "--plugin" in argv:
+        assert err.startswith("configuration error: closurelab: unrecognized "
+                              "arguments: --plugin ")
+    if argv[0] == "verify-closure" and argv[2] in ("W", "AW") and "--plugin" in argv:
+        assert err.endswith(": --plugin: W and AW closure is checked spectrally "
+                            "and reads no plugin\n")
     if argv == ["plugin-validate"]:
         assert err.endswith(": the following arguments are required: --plugin\n")
     if "{d-float}" in argv:
@@ -392,6 +414,20 @@ def test_classical_family_via_empty_D(tmp_path):
     payload = json.loads(report.read_text())
     solve = next(c for c in payload["checks"] if c["id"] == "closure/solve")
     assert solve["detail"]["K"] == 2
+
+
+def test_symbolic_mode_builds_no_family_at_bound_parameters(tmp_path, monkeypatch):
+    # L[2II] is degenerate at g = 3/2 (its virtual energy equals E_1); the
+    # symbolic route samples its own g, so a degenerate default is not read
+    # beyond the config echo
+    monkeypatch.setitem(DEFAULT_PARAMS, "L", {"g": "3/2"})
+    assert run_cli("verify-closure", "--D", "2II") == 2
+    report = tmp_path / "r.json"
+    assert run_cli("verify-closure", "--D", "2II", "--mode", "symbolic",
+                   "--report", str(report)) == 0
+    payload = json.loads(report.read_text())
+    assert payload["config"]["params"] == {"g": "3/2"}
+    assert payload["summary"]["fail"] == 0
 
 
 def test_symbolic_mode_report(tmp_path):

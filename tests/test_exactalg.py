@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from closurelab.exactalg import (LinearSolution, ParamPoly, RationalFunc,
                                  SampleMismatch, interpolate_grid,
@@ -218,6 +218,50 @@ def _linear_systems(draw):
 def test_solve_matches_fraction_reference(system):
     matrix, rhs = system
     assert solve_linear_exact(matrix, rhs) == _reference_solve_fraction(matrix, rhs)
+
+
+_VAR_SETS = [("eta",), ("g",), ("eta", "g")]
+
+
+@st.composite
+def _small_polys(draw):
+    """Polynomials in eta, in g, or in both: up to 5 terms of exponent <= 3,
+    coefficients p/q with |p| <= 4 and q <= 3 (zeros included, so the
+    validating constructor drops some of them)."""
+    vs = draw(st.sampled_from(_VAR_SETS))
+    keys = st.tuples(*[st.integers(0, 3)] * len(vs))
+    coeffs = st.builds(F, st.integers(-4, 4), st.integers(1, 3))
+    return ParamPoly(vs, draw(st.dictionaries(keys, coeffs, max_size=5)))
+
+
+def _assert_valid(p):
+    """p holds the ParamPoly invariants and is what the validating
+    constructor makes of its own vars and terms."""
+    assert isinstance(p.vars, tuple)
+    for e, c in p.terms.items():
+        assert isinstance(e, tuple) and len(e) == len(p.vars)
+        assert all(type(k) is int and k >= 0 for k in e)
+        assert type(c) is F and c != 0
+    rebuilt = ParamPoly(p.vars, p.terms)
+    assert (rebuilt.vars, rebuilt.terms) == (p.vars, p.terms)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_small_polys(), _small_polys(), st.sampled_from([0, 3, F(-2, 5)]),
+       st.integers(0, 3))
+@example(eta + 1, eta - 1, 0, 2)        # the eta terms of the product cancel
+@example(eta * g - 1, eta * g + 1, 0, 1)
+def test_trusted_results_match_the_validating_constructor(p, q, c, k):
+    results = [p + q, p - q, p * q, q * p, p - p, p + (-p), p * 0, 0 * p,
+               p * ParamPoly.zero(q.vars), p * c, c * p, p + c, c - p, -p,
+               p ** k, p.diff("eta"), p.diff("g"), p.diff("h"),
+               p.coeff_in("eta", k), p.coeff_in("g", k),
+               *p.coeffs_in("eta").values(), p.integrate("eta"),
+               p.with_vars(("eta", "g", "h"))]
+    for r in results:
+        _assert_valid(r)
+    assert (p - p).is_zero and (p * 0).is_zero
+    assert p * q == q * p
 
 
 def test_interpolate_linear():

@@ -2,6 +2,7 @@
 deformations, Hamiltonian routes, norm ratios, plugin loading."""
 
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -87,6 +88,42 @@ def test_classical_poly_low_degrees(lag_params):
     assert classical_poly("L", 0, lag_params) == ParamPoly.const(1, ("eta",))
     g = lag_params.g
     assert classical_poly("L", 1, lag_params) == ParamPoly.const(g + F(1, 2)) - eta
+
+
+def _reference_classical_poly(fam: str, n: int, params: ParamSet) -> ParamPoly:
+    """The classical polynomial as a sum of polynomial powers: L from
+    eta^k, J in the two-sided form sum_k minus^k plus^(n-k)."""
+    def rising(base, count):
+        out = F(1)
+        for i in range(count):
+            out *= base + i
+        return out
+
+    out = ParamPoly.zero(("eta",))
+    alpha = params.g - F(1, 2)
+    for k in range(n + 1):
+        ca = rising(alpha + k + 1, n - k) * F(1, math.factorial(n - k))
+        if fam == "L":
+            out = out + ca * F((-1) ** k, math.factorial(k)) * eta ** k
+        else:
+            beta = params.h - F(1, 2)
+            cb = rising(beta + (n - k) + 1, k) * F(1, math.factorial(k))
+            out = out + ca * cb * ((eta - 1) * F(1, 2)) ** k * ((eta + 1) * F(1, 2)) ** (n - k)
+    return out
+
+
+@pytest.mark.parametrize("fam,values", [
+    ("L", {"g": F(7, 3)}), ("L", {"g": F(-13, 2)}),
+    ("J", {"g": F(2), "h": F(3)}), ("J", {"g": F(13, 4), "h": F(9, 4)}),
+    ("J", {"g": F(-1, 2), "h": F(5, 7)})])
+def test_classical_poly_matches_power_sum_reference(fam, values):
+    # g = -13/2 and g = -1/2 make some rising factorials vanish, so some
+    # coefficients cancel to zero
+    ps = ParamSet(fam, values)
+    for n in range(21):
+        got = classical_poly(fam, n, ps)
+        assert got.terms == _reference_classical_poly(fam, n, ps).terms
+        assert got.degree("eta") == n
 
 
 def test_classical_eigen_equations_to_n8(l_classical, j_classical):

@@ -167,26 +167,62 @@ def test_sqrt_sign_exact():
     assert sqrt_sign(F(-2), F(1), F(4)) == 0
 
 
+def _random_spectrum(rng):
+    """Distinct nonzero rational eigenvalues, K <= 8, with the last column
+    R of their companion matrix."""
+    K = rng.choice([2, 3, 4, 5, 6, 7, 8])
+    vals = set()
+    while len(vals) < K:
+        v = F(rng.randint(-50, 50), rng.randint(1, 6))
+        if v:
+            vals.add(v)
+    alphas = sorted(vals, reverse=True)
+    coeffs = [F(1)]
+    for al in alphas:
+        new = [F(0)] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            new[i + 1] += c
+            new[i] -= c * al
+        coeffs = new
+    return [-coeffs[i] for i in range(K)], alphas
+
+
 def test_recursion_three_ways_random_spectra():
     rng = random.Random(11)
     for _ in range(10):
-        K = rng.choice([2, 3, 4, 5, 6, 7, 8])
-        vals = set()
-        while len(vals) < K:
-            v = F(rng.randint(-50, 50), rng.randint(1, 6))
-            if v:
-                vals.add(v)
-        alphas = sorted(vals, reverse=True)
-        coeffs = [F(1)]
-        for al in alphas:
-            new = [F(0)] * (len(coeffs) + 1)
-            for i, c in enumerate(coeffs):
-                new[i + 1] += c
-                new[i] -= c * al
-            coeffs = new
-        R = [-coeffs[i] for i in range(K)]
+        R, alphas = _random_spectrum(rng)
         suite = spectral_suite(R, alphas)
         assert suite["recursion_ok"] and suite["eigen_ok"] and suite["initial_ok"]
+
+
+def _reference_closed_form(R, alphas):
+    """P and P^-1 term by term from the printed closed forms
+    p_ij = a_j^(K-i) - sum_k R_{K-k} a_j^(K-i-k) and
+    (P^-1)_ji = a_j^(i-1) / prod_{k != j} (a_j - a_k)."""
+    K = len(R)
+    P = [[F(0)] * K for _ in range(K)]
+    P_inv = [[F(0)] * K for _ in range(K)]
+    for j, al in enumerate(alphas):
+        for i in range(1, K + 1):
+            val = al ** (K - i)
+            for k in range(1, K - i + 1):
+                val -= R[K - k] * al ** (K - i - k)
+            P[i - 1][j] = val
+        denom = F(1)
+        for k, other in enumerate(alphas):
+            if k != j:
+                denom *= al - other
+        for i in range(1, K + 1):
+            P_inv[j][i - 1] = al ** (i - 1) / denom
+    return tuple(map(tuple, P)), tuple(map(tuple, P_inv))
+
+
+def test_eigen_closed_form_matches_term_by_term_reference():
+    rng = random.Random(5)
+    for _ in range(40):
+        R, alphas = _random_spectrum(rng)
+        sd = eigen_closed_form(R, alphas)
+        assert (sd.P, sd.P_inv) == _reference_closed_form(R, alphas)
 
 
 def test_order2_specialization_of_eigenvalue_pair(aw_params, lag_params):
