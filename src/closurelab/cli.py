@@ -32,8 +32,9 @@ from .recurrence import (NonzeroRemainder, build_X, check_h_symmetry,
                          closed_form_compare, compute_table,
                          leading_coeff_identity, table_formulas_J1I,
                          table_formulas_L1I)
-from .spectral import (DegenerateSpectrum, alpha_values_at_energy,
-                       check_alpha_spectrum, pairing_identities, spectral_suite)
+from .spectral import (DegenerateSpectrum, alpha_conjecture,
+                       alpha_values_at_energy, check_alpha_spectrum,
+                       pairing_identities, spectral_suite)
 from .heisenberg import (LadderContext, check_r0_relation, commutation_check,
                          heisenberg_series_check, ladder_suite)
 
@@ -173,9 +174,16 @@ def _builtin(fam: str, D: MultiIndex, params: ParamSet) -> DeformedFamily:
 
 
 def _family_instance(args, params: ParamSet) -> DeformedFamily:
-    if args.plugin:
-        return _load_plugin(args.plugin)
-    return _builtin(args.family, _parse_D(args.D), params)
+    """The built-in family of --family/--D, or the --plugin family, which
+    must be the same family and multi-index."""
+    D = _parse_D(args.D)
+    if not args.plugin:
+        return _builtin(args.family, D, params)
+    df = _load_plugin(args.plugin)
+    if (df.fam, df.D.label()) != (args.family, D.label()):
+        raise ConfigError(f"plugin {args.plugin} holds {df.label}, not "
+                          f"--family {args.family} --D {D.label()}")
+    return df
 
 
 def _outside_ordering_range(fam: str, params: ParamSet, L: int,
@@ -221,9 +229,10 @@ def cmd_verify_closure(args) -> int:
         L = _parse_D(args.D).ell + Y.degree("eta") + 1
         for note in _validate_ranges(fam, params, L):
             report.add(f"range/{note}", None)
-        report.add_all("spectral", check_alpha_spectrum(fam, L, params,
-                                                        range(args.n_max + 1)))
-        report.add_all("spectral", pairing_identities(fam, L, params))
+        alphas = alpha_conjecture(fam, L, params)
+        report.add_all("spectral", check_alpha_spectrum(
+            fam, L, params, range(args.n_max + 1), alphas=alphas))
+        report.add_all("spectral", pairing_identities(fam, L, params, alphas))
         report.add("operator-level", None, notice="not implemented: "
                    "operator-level closure for difference operators")
         return _emit(report, args)
@@ -323,13 +332,15 @@ def cmd_spectrum(args) -> int:
     report = Report("spectrum", _config_echo(args, params, Y))
     for note in _validate_ranges(args.family, params, L):
         report.add(f"range/{note}", None)
-    report.add_all("spectrum", check_alpha_spectrum(args.family, L, params,
-                                                    range(args.n_max + 1)))
-    report.add_all("spectrum", pairing_identities(args.family, L, params))
+    alpha_list = alpha_conjecture(args.family, L, params)
+    report.add_all("spectrum", check_alpha_spectrum(
+        args.family, L, params, range(args.n_max + 1), alphas=alpha_list))
+    report.add_all("spectrum", pairing_identities(args.family, L, params,
+                                                  alpha_list))
     # companion-matrix suite at the first few energy points
     conj = conjectured_R(args.family, L, params)
     for n in range(min(args.n_max, 4) + 1):
-        alphas = alpha_values_at_energy(args.family, L, params, n)
+        alphas = alpha_values_at_energy(args.family, L, params, n, alpha_list)
         R_vals = [Ri.subs({"z": energy(params, n)}).constant_value()
                   for Ri in conj.R]
         try:
@@ -487,6 +498,17 @@ def _config_echo(args, params: ParamSet, Y: ParamPoly) -> dict:
     }
 
 
+def _count(text: str) -> int:
+    """A nonnegative integer flag value (--n-max, --random-spectra)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
+    return value
+
+
 def _add_common(p, with_family=True, with_plugin=True):
     if with_family:
         p.add_argument("--family", choices=["L", "J", "W", "AW"], default="L")
@@ -496,7 +518,7 @@ def _add_common(p, with_family=True, with_plugin=True):
                        help="polynomial in eta, e.g. '1', 'eta', '1/2*eta^2-3*eta'")
         p.add_argument("--params", nargs="*", metavar="k=v",
                        help="exact parameter overrides, e.g. g=7/3")
-        p.add_argument("--n-max", dest="n_max", type=int, default=8)
+        p.add_argument("--n-max", dest="n_max", type=_count, default=8)
         if with_plugin:
             p.add_argument("--plugin", default=None,
                            help="path to a family plugin JSON")
@@ -531,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_recurrence)
     p = sub.add_parser("spectrum", help="eigenvalue lists, pairing and matrix suite")
     _add_common(p, with_plugin=False)  # spectral data come from the formulas alone
-    p.add_argument("--random-spectra", type=int, default=50)
+    p.add_argument("--random-spectra", type=_count, default=50)
     p.set_defaults(fn=cmd_spectrum)
     p = sub.add_parser("heisenberg", help="ladder-operator and time-power checks")
     _add_common(p)

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 from .exactalg import (ParamPoly, Rat, SampleMismatch, interpolate_grid, rat,
                        solve_linear_exact)
 from .families import (DeformedFamily, MultiIndex, ParamSet, SchemaError,
-                       builtin_deformed)
+                       builtin_deformed, degenerate_level)
 from .opalg import DiffOp
 from .recurrence import build_X, recurrence_row
 from .spectral import alpha_conjecture, elementary_symmetric_R
@@ -380,9 +380,20 @@ def symbolic_closure(fam: str, D_label: str, Y: ParamPoly) -> ClosureData:
     """Closure data of the built-in family (fam, D_label) symbolically in its
     parameters: g for L, (a, b) for J.  Exact solves at the rational samples
     of SYMBOLIC_POOLS, interpolation with degree bounds K/2 in g, K in a and
-    K - 1 in b, then certification at the fresh samples."""
-    K = 2 * (MultiIndex.parse(D_label).ell + Y.degree("eta") + 1)
+    K - 1 in b, then certification at the fresh samples.  An L seed is
+    degenerate at the pool values of g where its virtual energy is an E_n
+    (d II: g = d + 1/2 - n); those samples are skipped."""
+    D = MultiIndex.parse(D_label)
+    K = 2 * (D.ell + Y.degree("eta") + 1)
     nodes, extra = SYMBOLIC_POOLS[fam]
+    if fam == "L" and len(D.entries) == 1:
+        (d, t), = D.entries
+
+        def usable(g: Rat) -> bool:
+            return degenerate_level(ParamSet("L", {"g": g}), t, d) is None
+
+        nodes = {"g": list(filter(usable, nodes["g"]))}
+        extra = {"g": list(filter(usable, extra["g"]))}
 
     def solve_at(binding: Mapping[str, Rat]) -> ClosureData:
         if fam == "L":

@@ -641,10 +641,10 @@ def one_step_family(fam: str, t: str, d: int, params: ParamSet) -> DeformedFamil
     reference rows; the intertwined P(n) are direct images of the classical
     polynomials, so the norm-ratio identities hold without extra constants.
     Parameters at which the virtual energy equals an eigenvalue E_n are a
-    ValueError naming n (``_degenerate_level``).
+    ValueError naming n (``degenerate_level``).
     """
     seed = canonical_seed(fam, t, d, params)
-    n = _degenerate_level(params, t, d)
+    n = degenerate_level(params, t, d)
     if n is not None:
         raise ValueError(f"{fam}[{d}{t}]: the virtual energy equals E_{n}, so "
                          f"the seed is degenerate at these parameters")
@@ -657,7 +657,7 @@ def one_step_family(fam: str, t: str, d: int, params: ParamSet) -> DeformedFamil
     return DeformedFamily(fam, MultiIndex(((d, t),)), params, seed, make_P)
 
 
-def _degenerate_level(params: ParamSet, t: str, d: int) -> int | None:
+def degenerate_level(params: ParamSet, t: str, d: int) -> int | None:
     """The level n >= 0 with E_n equal to the virtual energy Et of the seed,
     or None.  L: 4n = Et.  J: 4n(n + a) = Et, so n is a root of
     n^2 + a*n - Et/4, rational only when the discriminant is a square."""

@@ -24,8 +24,8 @@ from .exactalg import ParamPoly, Rat
 from .closure import ClosureData, level_coordinates
 from .families import DeformedFamily
 from .recurrence import recurrence_row
-from .spectral import (SpectralData, alpha_values_at_energy,
-                       eigen_closed_form)
+from .spectral import (SpectralData, alpha_conjecture,
+                       alpha_values_at_energy, eigen_closed_form)
 
 
 class NotProportional(Exception):
@@ -67,12 +67,14 @@ class LadderContext:
         self.K = cd.K
         self.L = cd.K // 2
         self._spectral: dict[int, tuple[list[Rat], SpectralData]] = {}
+        self._alpha_list = alpha_conjecture(df.fam, self.L, df.params)
 
     def spectral_at(self, n: int) -> tuple[list[Rat], SpectralData]:
         """(alpha_j(E_n), closed-form eigendata of the companion matrix at E_n)."""
         if n not in self._spectral:
             En = self.df.E(n)
-            alphas = alpha_values_at_energy(self.df.fam, self.L, self.df.params, n)
+            alphas = alpha_values_at_energy(self.df.fam, self.L, self.df.params,
+                                            n, self._alpha_list)
             R_vals = [Ri.evaluate({"z": En}) for Ri in self.cd.R]
             self._spectral[n] = (alphas, eigen_closed_form(R_vals, alphas))
         return self._spectral[n]

@@ -11,8 +11,10 @@ v^2*S.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .exactalg import ParamPoly, Rat, rat
@@ -198,31 +200,37 @@ def alpha_conjecture(fam: str, L: int,
     return out
 
 
-def alpha_values_at_energy(fam: str, L: int, params: ParamSet,
-                           n: int) -> list[Rat]:
-    """alpha_j(E_n), square-root free, as exact rationals."""
-    alphas = alpha_conjecture(fam, L, params)
+def alpha_values_at_energy(fam: str, L: int, params: ParamSet, n: int,
+                           alphas: list[SqrtExpr] | None = None) -> list[Rat]:
+    """alpha_j(E_n), square-root free, as exact rationals.  ``alphas`` is
+    alpha_conjecture(fam, L, params), built here when not given."""
+    if alphas is None:
+        alphas = alpha_conjecture(fam, L, params)
     En = energy(params, n)
     s = sqrt_value_at_energy(fam, params, n)
-    S = sqrt_square(fam, params)
+    S = alphas[0].square
     assert S.evaluate({"z": En}) == s * s, "square-root-free value check failed"
     return [alpha.eval_at({"z": En}, s) for alpha in alphas]
 
 
 def check_alpha_spectrum(fam: str, L: int, params: ParamSet,
                          n_range: Sequence[int],
-                         z_grid: Sequence[Rat] | None = None) -> list[dict]:
+                         z_grid: Sequence[Rat] | None = None,
+                         alphas: list[SqrtExpr] | None = None) -> list[dict]:
     """Spacing identities alpha_j(E_n) = E_{n+L+1-j} - E_n (creation side)
     and E_{n-(j-L)} - E_n (annihilation side), plus the strict ordering
     alpha_1 > ... > alpha_2L at every E_n and on a z >= 0 grid.
 
     Everything is exact; violations come back as report entries.
+    ``alphas`` is alpha_conjecture(fam, L, params), built here when not
+    given.
     """
     out = []
-    alphas = alpha_conjecture(fam, L, params)
-    S = sqrt_square(fam, params)
+    if alphas is None:
+        alphas = alpha_conjecture(fam, L, params)
+    S = alphas[0].square
     for n in n_range:
-        vals = alpha_values_at_energy(fam, L, params, n)
+        vals = alpha_values_at_energy(fam, L, params, n, alphas)
         En = energy(params, n)
         for j in range(1, 2 * L + 1):
             target = n + L + 1 - j if j <= L else n - (j - L)
@@ -248,12 +256,14 @@ def check_alpha_spectrum(fam: str, L: int, params: ParamSet,
     return out
 
 
-def pairing_identities(fam: str, L: int,
-                       params: ParamSet | None = None) -> list[dict]:
+def pairing_identities(fam: str, L: int, params: ParamSet | None = None,
+                       alphas: list[SqrtExpr] | None = None) -> list[dict]:
     """alpha_j + alpha_{2L+1-j} and alpha_j * alpha_{2L+1-j} equal the
-    printed polynomial forms identically in z (square root eliminated)."""
-    alphas = alpha_conjecture(fam, L, params)
-    S = sqrt_square(fam, params)
+    printed polynomial forms identically in z (square root eliminated).
+    ``alphas`` is alpha_conjecture(fam, L, params), built here when not
+    given."""
+    if alphas is None:
+        alphas = alpha_conjecture(fam, L, params)
     z = ParamPoly.var("z")
     out = []
     for j in range(1, L + 1):
@@ -318,38 +328,6 @@ def elementary_symmetric_R(alphas: list[SqrtExpr]) -> list[ParamPoly]:
 # -- companion matrix, closed-form diagonalization -------------------------------
 
 
-@dataclass(frozen=True)
-class CompanionMatrix:
-    """K x K matrix with ones on the subdiagonal and R_0..R_{K-1} in the
-    last column; its characteristic polynomial is x^K - sum_i R_i x^i."""
-
-    R: tuple
-
-    @property
-    def K(self) -> int:
-        return len(self.R)
-
-    def matvec(self, vec: Sequence) -> list:
-        K = self.K
-        out = [self.R[i] * vec[K - 1] for i in range(K)]
-        for i in range(1, K):
-            out[i] = out[i] + vec[i - 1]
-        return out
-
-    def power_vectors(self, start: Sequence, count: int) -> list[list]:
-        """[start, A start, A^2 start, ...] with count+1 entries."""
-        out = [list(start)]
-        for _ in range(count):
-            out.append(self.matvec(out[-1]))
-        return out
-
-    def char_poly_at(self, x):
-        acc = x ** self.K
-        for i, r in enumerate(self.R):
-            acc = acc - r * x ** i
-        return acc
-
-
 def recursion_vectors(R: Sequence, count: int) -> list[list]:
     """Direct iteration of the commutator-coefficient recursion:
     vec^{[n+1]}_i = R_i * vec^{[n]}_{K-1} + vec^{[n]}_{i-1}, from e_1."""
@@ -379,6 +357,22 @@ class SpectralData:
         return len(self.alphas)
 
 
+@dataclass(frozen=True)
+class _Numerators:
+    """A certified spectrum on integers (notation of eigen_closed_form):
+    alpha_j = B_j/delta, R_i = S_i/rho, P_ij = N_ij/u_i and
+    (P^-1)_j0 = V0_j/v."""
+
+    B: list
+    delta: int
+    S: list
+    rho: int
+    N: list
+    u: list
+    V0: list
+    v: int
+
+
 def eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
     """Closed-form eigenvectors p_ij = a_j^(K-i) - sum_k R_{K-k} a_j^(K-i-k)
     and inverse (P^-1)_ji = a_j^(i-1) / prod_{k != j} (a_j - a_k).
@@ -388,11 +382,50 @@ def eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
     off the k = K-i+1 term of the sum gives
     p_(i-1)j = a_j^(K-i+1) - sum_{k<=K-i} R_{K-k} a_j^(K-i+1-k) - R_(i-1)
              = a_j p_ij - R_(i-1).
-    Each row of P^-1 is a running product of powers of a_j.
 
-    Validates A p_j = alpha_j p_j, P P^-1 = I, det P = Vandermonde product
-    and sum_j alpha_j^-1 (P^-1)_j1 = R_0^-1, all exactly.
+    Validates the characteristic polynomial at every a_j, A p_j = a_j p_j,
+    P P^-1 = I, det P = Vandermonde product and
+    sum_j a_j^-1 (P^-1)_j1 = R_0^-1, all exactly and all on integers.
+
+    Integer form (0-based from here on).  delta is the lcm of the
+    denominators of the a_j and rho that of the R_i, so a_j = B_j/delta and
+    R_i = S_i/rho with integers B_j, S_i.
+    - Row scaling: multiplying P_(i-1)j = a_j P_ij - R_i by
+      u_(i-1) = rho*delta^(K-i) gives P_ij = N_ij/u_i, u_i = rho*delta^(K-1-i),
+      with N_(K-1)j = rho and N_(i-1)j = B_j N_ij - S_i delta^(K-i).
+    - Column scaling: E_j = prod_{k != j} (B_j - B_k) is
+      delta^(K-1) prod_{k != j} (a_j - a_k), so
+      (P^-1)_jk = B_j^k delta^(K-1-k) / E_j.  With v = lcm_j |E_j| and the
+      integer c_j = v/E_j, every column of P^-1 is V_.k/v,
+      V_jk = c_j B_j^k delta^(K-1-k).
+    The returned P and P^-1 are these quotients as Fractions, so the checks
+    below certify exactly the data returned.  Each integer equation is its
+    Fraction equation multiplied by a nonzero integer (rho, delta, u_i, v,
+    E_j and B_j are nonzero: the a_j are distinct and nonzero), so it holds
+    exactly when the Fraction equation does:
+    - characteristic polynomial: one more Horner step gives
+      a_j P_0j - R_0 = a_j^K - sum_i R_i a_j^i; times rho*delta^K it reads
+      B_j N_0j - S_0 delta^K = 0;
+    - A p_j = a_j p_j: row 0, R_0 P_(K-1)j = a_j P_0j, times rho^2 delta^K,
+      and row i >= 1, R_i P_(K-1)j + P_(i-1)j = a_j P_ij, times
+      rho^2 delta^(K-i): S_0 N_(K-1)j delta^K = rho B_j N_0j and
+      S_i N_(K-1)j delta^(K-i) + rho N_(i-1)j = rho B_j N_ij;
+    - P P^-1 = I, times u_i v: sum_j N_ij V_jk = [i = k] u_i v;
+    - det P = prod_{i<j} (a_i - a_j): det P = det N / prod_i u_i by row
+      scaling, and the product is prod_{i<j} (B_i - B_j) / delta^(K(K-1)/2);
+      times prod_i u_i delta^(K(K-1)/2):
+      det N delta^(K(K-1)/2) = prod_{i<j} (B_i - B_j) prod_i u_i, with det N
+      by Bareiss elimination (``_det_bareiss``, exact on integers);
+    - the column sum, with a_j^-1 = delta/B_j, (P^-1)_j0 = V_j0/v and
+      1/R_0 = rho/S_0 (R_0 = (-1)^(K+1) prod_j a_j is nonzero once the
+      roots match), times S_0 v prod_j B_j:
+      S_0 delta sum_j V_j0 prod_{k != j} B_k = rho v prod_j B_j.
     """
+    return _certified(R, alphas)[0]
+
+
+def _certified(R: Sequence, alphas: Sequence) -> tuple[SpectralData, _Numerators]:
+    """eigen_closed_form's eigendata together with its integer form."""
     K = len(R)
     alphas = [rat(a) for a in alphas]
     R = [rat(r) for r in R]
@@ -400,92 +433,135 @@ def eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
         raise ValueError("need K eigenvalues for a K x K matrix")
     if any(a == 0 for a in alphas) or len(set(alphas)) != K:
         raise DegenerateSpectrum("eigenvalues must be distinct and nonzero")
-    A = CompanionMatrix(tuple(R))
-    # characteristic polynomial must match prod (x - alpha_j)
-    for a in alphas:
-        if A.char_poly_at(a) != 0:
-            raise DegenerateSpectrum("supplied roots do not match the last column")
-    P = [[Fraction(0)] * K for _ in range(K)]
-    for j, a in enumerate(alphas):
-        val = Fraction(1)
-        P[K - 1][j] = val
+    delta = math.lcm(*(a.denominator for a in alphas))
+    B = [a.numerator * (delta // a.denominator) for a in alphas]
+    rho = math.lcm(*(r.denominator for r in R))
+    S = [r.numerator * (rho // r.denominator) for r in R]
+    dpow = [1]
+    for _ in range(K):
+        dpow.append(dpow[-1] * delta)
+    u = [rho * dpow[K - 1 - i] for i in range(K)]
+    # N by Horner, column by column; the step below row 0 is the
+    # characteristic polynomial at a_j
+    N = [[0] * K for _ in range(K)]
+    for j, b in enumerate(B):
+        val = N[K - 1][j] = rho
         for i in range(K - 1, 0, -1):
-            val = a * val - R[i]
-            P[i - 1][j] = val
-    for j, a in enumerate(alphas):
-        col = [P[i][j] for i in range(K)]
-        if A.matvec(col) != [a * x for x in col]:
+            val = N[i - 1][j] = b * val - S[i] * dpow[K - i]
+        if b * val != S[0] * dpow[K]:
+            raise DegenerateSpectrum("supplied roots do not match the last column")
+    for j, b in enumerate(B):
+        last = N[K - 1][j]
+        if S[0] * last * dpow[K] != rho * b * N[0][j] or any(
+                S[i] * last * dpow[K - i] + rho * N[i - 1][j] != rho * b * N[i][j]
+                for i in range(1, K)):
             raise DegenerateSpectrum("closed-form eigenvector check failed")
-    P_inv = [[Fraction(0)] * K for _ in range(K)]
-    for j, a in enumerate(alphas):
-        denom = Fraction(1)
-        for k, other in enumerate(alphas):
-            if k != j:
-                denom *= a - other
-        val = 1 / denom
-        for i in range(K):
-            P_inv[j][i] = val
-            val *= a
-    # P * P_inv = I
+    E = [math.prod(b - other for k, other in enumerate(B) if k != j)
+         for j, b in enumerate(B)]
+    v = math.lcm(*E)
+    # W[j][k] = B_j^k delta^(K-1-k), so (P^-1)_jk = W_jk/E_j = V_jk/v
+    W = []
+    for b in B:
+        row, bk = [], 1
+        for k in range(K):
+            row.append(bk * dpow[K - 1 - k])
+            bk *= b
+        W.append(row)
+    c = [v // e for e in E]
+    V_cols = [[cj * row[k] for cj, row in zip(c, W)] for k in range(K)]
     for i in range(K):
         for k in range(K):
-            val = sum(P[i][j] * P_inv[j][k] for j in range(K))
-            if val != (1 if i == k else 0):
+            if sum(map(mul, N[i], V_cols[k])) != (u[i] * v if i == k else 0):
                 raise DegenerateSpectrum("closed-form inverse check failed")
-    det = _det_fraction([row[:] for row in P])
-    vand = Fraction(1)
-    for i in range(K):
-        for j in range(i + 1, K):
-            vand *= alphas[i] - alphas[j]
-    if det != vand:
+    vand = math.prod(B[i] - B[j] for i in range(K) for j in range(i + 1, K))
+    if _det_bareiss(N) * delta ** (K * (K - 1) // 2) != vand * math.prod(u):
         raise DegenerateSpectrum("determinant is not the Vandermonde product")
-    s = sum((1 / a) * P_inv[j][0] for j, a in enumerate(alphas))
-    if s != 1 / R[0]:
+    B_prod = math.prod(B)
+    if (S[0] * delta * sum(vj * (B_prod // b) for vj, b in zip(V_cols[0], B))
+            != rho * v * B_prod):
         raise DegenerateSpectrum("inverse-eigenvalue column sum check failed")
-    return SpectralData(tuple(alphas), tuple(R), tuple(map(tuple, P)),
-                        tuple(map(tuple, P_inv)))
+    sd = SpectralData(
+        tuple(alphas), tuple(R),
+        tuple(tuple(Fraction(n, ui) for n in row) for row, ui in zip(N, u)),
+        tuple(tuple(Fraction(w, e) for w in row) for row, e in zip(W, E)))
+    return sd, _Numerators(B, delta, S, rho, N, u, V_cols[0], v)
 
 
-def _det_fraction(m: list[list[Fraction]]) -> Fraction:
+def _det_bareiss(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination (E. H. Bareiss, Math. Comp. 22 (1968) 565-578).
+
+    Step c (0-based) replaces each entry right of and below the pivot by
+    m_ij <- (m_cc m_ij - m_ic m_cj) / p, p the previous pivot (1 at c = 0).
+    By Sylvester's identity the new m_ij is the minor of the input on rows
+    0..c, i and columns 0..c, j, an integer, so the division is exact and
+    ``//`` loses nothing; the last pivot is the determinant.  A zero pivot is
+    exchanged with a later row that is nonzero in its column: that is a row
+    permutation of the input made before elimination, and it flips the
+    sign.  If there is none, every minor on rows 0..c-1, i and columns 0..c
+    vanishes while the leading c x c minor (the previous pivot) does not, so
+    column c is a combination of columns 0..c-1 and the determinant is 0.
+    """
+    m = [list(row) for row in m]
     n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        if not m[c][c]:
+            pivot = next((i for i in range(c + 1, n) if m[i][c]), None)
+            if pivot is None:
+                return 0
             m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
+            sign = -sign
+        top = m[c]
+        pc = top[c]
+        for row in m[c + 1:]:
+            f = row[c]
+            for k in range(c + 1, n):
+                row[k] = (pc * row[k] - f * top[k]) // prev
+        prev = pc
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def spectral_suite(R: Sequence, alphas: Sequence, extra_powers: int = 3) -> dict:
     """Full coherence check of one spectrum: closed-form eigendata plus the
     agreement of A^n e_1 computed three ways (matrix powers, the direct
-    recursion, and the eigen-decomposition) for n <= K + extra_powers."""
-    sd = eigen_closed_form(R, alphas)
+    recursion, and the eigen-decomposition) for n <= K + extra_powers.
+
+    In the integer form of eigen_closed_form, rho*A has rho on the
+    subdiagonal and S in the last column, so the matrix powers are
+    A^n e_1 = X^(n)/rho^n with X^(0) = e_1, X^(n+1)_0 = S_0 X^(n)_(K-1) and
+    X^(n+1)_i = S_i X^(n)_(K-1) + rho X^(n)_(i-1).  The direct recursion
+    (``recursion_vectors``) runs on Fractions, and f = X_i/rho^n exactly
+    when num(f) rho^n = X_i den(f).  Entry i of the decomposition
+    P diag(a^n) P^-1 e_1 is sum_j (N_ij/u_i)(B_j^n/delta^n)(V_j0/v)
+    = (N_i . w)/(u_i v delta^n) with w_j = B_j^n V_j0, carried from n to
+    n + 1 by one integer product; it equals X_i/rho^n exactly when
+    (N_i . w) rho^n = X_i u_i v delta^n.  The initial condition A^K e_1 = R
+    reads X^(K)_i = S_i rho^(K-1).
+    """
+    sd, z = _certified(R, alphas)
     K = sd.K
     count = K + extra_powers
-    A = CompanionMatrix(sd.R)
-    e1 = [Fraction(1)] + [Fraction(0)] * (K - 1)
-    by_matrix = A.power_vectors(e1, count)
     by_recursion = recursion_vectors(sd.R, count)
-    ok_rec = by_matrix == by_recursion
-    ok_eig = True
-    # w_j = alpha_j^n (P^-1)_j1, carried from n to n + 1
-    w = [sd.P_inv[j][0] for j in range(K)]
+    ok_rec = ok_eig = True
+    X = [1] + [0] * (K - 1)
+    w = list(z.V0)
+    rho_n = delta_n = 1
     for n in range(count + 1):
-        recon = [sum(sd.P[i][j] * w[j] for j in range(K)) for i in range(K)]
-        if recon != by_matrix[n]:
-            ok_eig = False
-        w = [wj * a for wj, a in zip(w, sd.alphas)]
-    # initial conditions: A^K e_1 must reproduce the last column R
-    ok_init = by_matrix[K] == list(sd.R)
+        if n:
+            last = X[K - 1]
+            X = [z.S[0] * last] + [s * last + z.rho * x
+                                   for s, x in zip(z.S[1:], X)]
+        if n == K:
+            # initial conditions: A^K e_1 must reproduce the last column R
+            ok_init = X == [s * z.rho ** (K - 1) for s in z.S]
+        for i, (f, x) in enumerate(zip(by_recursion[n], X)):
+            if f.numerator * rho_n != x * f.denominator:
+                ok_rec = False
+            if sum(map(mul, z.N[i], w)) * rho_n != x * z.u[i] * z.v * delta_n:
+                ok_eig = False
+        w = [wj * b for wj, b in zip(w, z.B)]
+        rho_n *= z.rho
+        delta_n *= z.delta
     return {"K": K, "recursion_ok": ok_rec, "eigen_ok": ok_eig,
             "initial_ok": ok_init, "data": sd}

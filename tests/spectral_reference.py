@@ -1,0 +1,150 @@
+"""Fraction-arithmetic companion-matrix certificate the tests cross-check
+the package against.
+
+``spectral.eigen_closed_form`` and ``spectral.spectral_suite`` check every
+identity on integer numerators.  The routes here check the same identities
+with one ``Fraction`` operation per step, as the formulas read: the
+characteristic polynomial through powers, the eigenvector check through a
+matrix-vector product, P*P^-1 and the three-way A^n e_1 agreement as
+rational sums, and the determinant by rational Gaussian elimination.  Both
+must return equal eigendata and raise the same exceptions.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from typing import Sequence
+
+from closurelab.exactalg import rat
+from closurelab.spectral import DegenerateSpectrum, SpectralData, recursion_vectors
+
+
+@dataclass(frozen=True)
+class CompanionMatrix:
+    """K x K matrix with ones on the subdiagonal and R_0..R_{K-1} in the
+    last column; its characteristic polynomial is x^K - sum_i R_i x^i.
+    Entries may be any ring elements (Fractions, SqrtExpr, ...)."""
+
+    R: tuple
+
+    @property
+    def K(self) -> int:
+        return len(self.R)
+
+    def matvec(self, vec: Sequence) -> list:
+        K = self.K
+        out = [self.R[i] * vec[K - 1] for i in range(K)]
+        for i in range(1, K):
+            out[i] = out[i] + vec[i - 1]
+        return out
+
+    def power_vectors(self, start: Sequence, count: int) -> list[list]:
+        """[start, A start, A^2 start, ...] with count+1 entries."""
+        out = [list(start)]
+        for _ in range(count):
+            out.append(self.matvec(out[-1]))
+        return out
+
+    def char_poly_at(self, x):
+        acc = x ** self.K
+        for i, r in enumerate(self.R):
+            acc = acc - r * x ** i
+        return acc
+
+
+def reference_eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
+    """Closed-form eigendata with every check made on Fractions."""
+    K = len(R)
+    alphas = [rat(a) for a in alphas]
+    R = [rat(r) for r in R]
+    if len(alphas) != K:
+        raise ValueError("need K eigenvalues for a K x K matrix")
+    if any(a == 0 for a in alphas) or len(set(alphas)) != K:
+        raise DegenerateSpectrum("eigenvalues must be distinct and nonzero")
+    A = CompanionMatrix(tuple(R))
+    for a in alphas:
+        if A.char_poly_at(a) != 0:
+            raise DegenerateSpectrum("supplied roots do not match the last column")
+    P = [[Fraction(0)] * K for _ in range(K)]
+    for j, a in enumerate(alphas):
+        val = Fraction(1)
+        P[K - 1][j] = val
+        for i in range(K - 1, 0, -1):
+            val = a * val - R[i]
+            P[i - 1][j] = val
+    for j, a in enumerate(alphas):
+        col = [P[i][j] for i in range(K)]
+        if A.matvec(col) != [a * x for x in col]:
+            raise DegenerateSpectrum("closed-form eigenvector check failed")
+    P_inv = [[Fraction(0)] * K for _ in range(K)]
+    for j, a in enumerate(alphas):
+        denom = Fraction(1)
+        for k, other in enumerate(alphas):
+            if k != j:
+                denom *= a - other
+        val = 1 / denom
+        for i in range(K):
+            P_inv[j][i] = val
+            val *= a
+    for i in range(K):
+        for k in range(K):
+            val = sum(P[i][j] * P_inv[j][k] for j in range(K))
+            if val != (1 if i == k else 0):
+                raise DegenerateSpectrum("closed-form inverse check failed")
+    det = reference_det([row[:] for row in P])
+    vand = Fraction(1)
+    for i in range(K):
+        for j in range(i + 1, K):
+            vand *= alphas[i] - alphas[j]
+    if det != vand:
+        raise DegenerateSpectrum("determinant is not the Vandermonde product")
+    s = sum((1 / a) * P_inv[j][0] for j, a in enumerate(alphas))
+    if s != 1 / R[0]:
+        raise DegenerateSpectrum("inverse-eigenvalue column sum check failed")
+    return SpectralData(tuple(alphas), tuple(R), tuple(map(tuple, P)),
+                        tuple(map(tuple, P_inv)))
+
+
+def reference_det(m: list[list]) -> Fraction:
+    """Determinant by Gaussian elimination over the rationals (modifies m)."""
+    n = len(m)
+    det = Fraction(1)
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if m[i][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            det = -det
+        det *= m[c][c]
+        inv = 1 / Fraction(m[c][c])
+        for i in range(c + 1, n):
+            if m[i][c]:
+                f = m[i][c] * inv
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return det
+
+
+def reference_spectral_suite(R: Sequence, alphas: Sequence,
+                             extra_powers: int = 3) -> dict:
+    """A^n e_1 three ways (matrix powers, direct recursion, eigen-
+    decomposition) for n <= K + extra_powers, on Fractions."""
+    sd = reference_eigen_closed_form(R, alphas)
+    K = sd.K
+    count = K + extra_powers
+    A = CompanionMatrix(sd.R)
+    e1 = [Fraction(1)] + [Fraction(0)] * (K - 1)
+    by_matrix = A.power_vectors(e1, count)
+    by_recursion = recursion_vectors(sd.R, count)
+    ok_rec = by_matrix == by_recursion
+    ok_eig = True
+    w = [sd.P_inv[j][0] for j in range(K)]
+    for n in range(count + 1):
+        recon = [sum(sd.P[i][j] * w[j] for j in range(K)) for i in range(K)]
+        if recon != by_matrix[n]:
+            ok_eig = False
+        w = [wj * a for wj, a in zip(w, sd.alphas)]
+    ok_init = by_matrix[K] == list(sd.R)
+    return {"K": K, "recursion_ok": ok_rec, "eigen_ok": ok_eig,
+            "initial_ok": ok_init, "data": sd}

@@ -109,6 +109,11 @@ def test_reports_are_byte_stable(tmp_path):
     ["verify-closure", "--D", "2II", "--mode", "symbolic", "--params", "g=3"],
     ["verify-closure", "--D", "1I,2I", "--mode", "symbolic"],
     ["verify-closure", "--D", "2I", "--mode", "symbolic", "--plugin", "{shipped}"],
+    ["verify-closure", "--D", "1I", "--plugin", "{shipped}"],
+    ["recurrence", "--family", "L", "--D", "2I", "--plugin", "{jacobi}"],
+    ["heisenberg", "--D", "2II", "--plugin", "{shipped}"],
+    ["spectrum", "--random-spectra", "-3"],
+    ["verify-closure", "--n-max", "-2"],
 ], ids=["params", "W-recurrence", "AW-q", "Y", "D", "truncated-plugin",
         "missing-plugin", "plugin-levels", "multi-seed", "J-range-spectrum",
         "J-range-heisenberg", "ell-bound", "ell-bound-plugin",
@@ -120,7 +125,9 @@ def test_reports_are_byte_stable(tmp_path):
         "heisenberg-mode", "W-symbolic", "AW-symbolic", "appendix-b-n-max", "plugin-validate-n-max",
         "plugin-validate-no-plugin", "plugin-d-float", "plugin-d-bool",
         "spectrum-plugin", "W-plugin", "AW-plugin", "symbolic-params",
-        "symbolic-multi-seed", "symbolic-plugin"])
+        "symbolic-multi-seed", "symbolic-plugin", "plugin-other-D",
+        "plugin-other-family", "plugin-other-D-heisenberg",
+        "negative-random-spectra", "negative-n-max"])
 def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
     shipped = (ROOT / "plugins" / "laguerre_2I.json").read_text()
     truncated = tmp_path / "truncated.json"
@@ -143,6 +150,7 @@ def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
              "{parameters-zero-denominator}": replaced(
                  "parameters-zero", "parameters", {"g": "1/0"}),
              "{shipped}": str(ROOT / "plugins" / "laguerre_2I.json"),
+             "{jacobi}": str(ROOT / "plugins" / "jacobi_2I.json"),
              "{d-float}": replaced("d-float", "D", [{"d": 2.9, "type": "I"}]),
              "{d-bool}": replaced("d-bool", "D", [{"d": True, "type": "I"}])}
     assert run_cli(*(files.get(a, a) for a in argv)) == 2
@@ -194,6 +202,15 @@ def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
                             "and reads no plugin\n")
     if argv == ["plugin-validate"]:
         assert err.endswith(": the following arguments are required: --plugin\n")
+    if "{shipped}" in argv and "symbolic" not in argv and argv[1] == "--D":
+        D = argv[argv.index("--D") + 1]
+        assert err.endswith(f" holds L[2I], not --family L --D {D}\n")
+    if "{jacobi}" in argv:
+        assert err.endswith(" holds J[2I], not --family L --D 2I\n")
+    for flag in ("--random-spectra", "--n-max"):
+        if flag in argv and argv[argv.index(flag) + 1].startswith("-"):
+            assert err.endswith(f"argument {flag}: must be nonnegative, got "
+                                f"{argv[argv.index(flag) + 1]}\n")
     if "{d-float}" in argv:
         assert err.endswith(": bad multi-index: seed degree 2.9 is not an integer\n")
     if "{d-bool}" in argv:
@@ -428,6 +445,58 @@ def test_symbolic_mode_builds_no_family_at_bound_parameters(tmp_path, monkeypatc
     payload = json.loads(report.read_text())
     assert payload["config"]["params"] == {"g": "3/2"}
     assert payload["summary"]["fail"] == 0
+
+
+def test_plugin_of_another_family_is_a_config_error(capsys):
+    # the plugin holds L[2I]: checking it under --family J --D 1I would
+    # report on a family the config echo does not name
+    plugin = str(ROOT / "plugins" / "laguerre_2I.json")
+    for command in ("verify-closure", "recurrence", "heisenberg"):
+        assert run_cli(command, "--family", "J", "--D", "1I",
+                       "--plugin", plugin) == 2
+        err = capsys.readouterr().err
+        assert err == (f"configuration error: plugin {plugin} holds L[2I], "
+                       f"not --family J --D 1I\n")
+    assert run_cli("recurrence", "--family", "L", "--D", "2I",
+                   "--plugin", plugin, "--n-max", "2") == 0
+
+
+@pytest.mark.parametrize("command", ["spectrum", "recurrence", "heisenberg"])
+def test_negative_n_max_is_a_config_error(command, capsys):
+    assert run_cli(command, "--n-max", "-2") == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: closurelab {command}: argument --n-max: "
+        "must be nonnegative, got -2\n")
+
+
+@pytest.mark.parametrize("D", ["3II", "4II"])
+def test_symbolic_mode_skips_degenerate_samples(D, tmp_path):
+    # L[dII] is degenerate at g = d + 1/2 - n: g = 7/2 (d >= 3) and
+    # g = 9/2 (d >= 4) are in the sample pool
+    report = tmp_path / "r.json"
+    assert run_cli("verify-closure", "--family", "L", "--D", D,
+                   "--mode", "symbolic", "--report", str(report)) == 0
+    payload = json.loads(report.read_text())
+    assert payload["summary"]["fail"] == 0
+    assert "g" in next(c for c in payload["checks"]
+                       if c["id"] == "closure/value/R-1")["detail"]["value"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--family", "W", "--n-max", "12", "--random-spectra", "2"],
+    ["verify-closure", "--family", "AW", "--n-max", "6"],
+])
+def test_alpha_list_is_built_once_per_command(argv, monkeypatch):
+    import closurelab.cli as cli
+    import closurelab.spectral as spectral
+    calls = []
+    for module in (cli, spectral):
+        def counted(*args, _orig=module.alpha_conjecture, _name=module.__name__):
+            calls.append(_name)
+            return _orig(*args)
+        monkeypatch.setattr(module, "alpha_conjecture", counted)
+    assert run_cli(*argv) == 0
+    assert calls == ["closurelab.cli"]
 
 
 def test_symbolic_mode_report(tmp_path):

@@ -6,14 +6,20 @@ from fractions import Fraction as F
 
 import pytest
 
-from closurelab.exactalg import ParamPoly
+from closurelab.cli import (DEFAULT_PARAMS, _elementary_R_values,
+                            _random_distinct_rationals)
+from closurelab.closure import conjectured_R
+from closurelab.exactalg import ParamPoly, rat
 from closurelab.families import ParamSet, energy
-from closurelab.spectral import (CompanionMatrix, DegenerateSpectrum, SqrtExpr,
+from closurelab.spectral import (DegenerateSpectrum, SqrtExpr, _det_bareiss,
                                  alpha_conjecture, alpha_values_at_energy,
                                  check_alpha_spectrum, eigen_closed_form,
                                  elementary_symmetric_R, pairing_identities,
                                  recursion_vectors, spectral_suite, sqrt_sign,
                                  sqrt_square, sqrt_value_at_energy)
+from spectral_reference import (CompanionMatrix, reference_det,
+                                reference_eigen_closed_form,
+                                reference_spectral_suite)
 
 z = ParamPoly.var("z")
 a = ParamPoly.var("a")
@@ -223,6 +229,86 @@ def test_eigen_closed_form_matches_term_by_term_reference():
         R, alphas = _random_spectrum(rng)
         sd = eigen_closed_form(R, alphas)
         assert (sd.P, sd.P_inv) == _reference_closed_form(R, alphas)
+
+
+def _cli_random_spectra(seed):
+    """The 50 random spectra of ``closurelab spectrum`` at CLOSURELAB_SEED=seed."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(50):
+        alphas = _random_distinct_rationals(rng, rng.choice([2, 3, 4, 5, 6, 7, 8]))
+        out.append((_elementary_R_values(alphas), alphas))
+    return out
+
+
+def _energy_spectrum(fam, L, n):
+    """(R(E_n), alpha_j(E_n)) of the conjectured closure at the CLI default
+    parameters."""
+    ps = ParamSet(fam, {k: rat(v) for k, v in DEFAULT_PARAMS[fam].items()})
+    En = energy(ps, n)
+    return ([Ri.subs({"z": En}).constant_value()
+             for Ri in conjectured_R(fam, L, ps).R],
+            alpha_values_at_energy(fam, L, ps, n))
+
+
+def _energy_spectra():
+    """L, J, W and AW energy spectra for L = 1..3 and n <= 4, except J at
+    L = 3: its default a = 5 is not above the ordering bound 2L - 1."""
+    return [_energy_spectrum(fam, L, n) for fam in sorted(DEFAULT_PARAMS)
+            for L in (1, 2, 3) if (fam, L) != ("J", 3) for n in range(5)]
+
+
+def test_integer_certificate_matches_fraction_reference():
+    spectra = [sp for seed in range(5) for sp in _cli_random_spectra(seed)]
+    spectra += _energy_spectra()
+    for R, alphas in spectra:
+        suite = spectral_suite(R, alphas)
+        assert suite == reference_spectral_suite(R, alphas)
+        assert suite["recursion_ok"] and suite["eigen_ok"] and suite["initial_ok"]
+        assert eigen_closed_form(R, alphas) == suite["data"]
+
+
+def _raised(fn, *args):
+    with pytest.raises(Exception) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_integer_certificate_rejects_what_the_reference_rejects():
+    controls = []
+    for R, alphas in _cli_random_spectra(3)[:20] + _energy_spectra()[::6]:
+        controls.append(([R[0] + F(1, 7)] + list(R[1:]), alphas))  # perturbed R_0
+        controls.append((R, [alphas[0]] + list(alphas[:-1])))      # repeated root
+        controls.append((R, list(alphas[:-1]) + [0]))              # zero root
+    controls.append(_energy_spectrum("J", 3, 0))                   # outside the range
+    controls.append(([6, -1], [2]))                                # too few roots
+    for R, alphas in controls:
+        for new, ref in ((eigen_closed_form, reference_eigen_closed_form),
+                         (spectral_suite, reference_spectral_suite)):
+            got = _raised(new, R, alphas)
+            assert got == _raised(ref, R, alphas)
+            assert got[0] in (DegenerateSpectrum, ValueError)
+    assert _raised(eigen_closed_form, [7, -1], [2, -3]) == (
+        DegenerateSpectrum, "supplied roots do not match the last column")
+
+
+def test_bareiss_determinant_matches_rational_elimination():
+    rng = random.Random(2)
+    cases = [
+        [[0, 1], [1, 0]],                      # row swap at the first pivot
+        [[1, 2, 3], [2, 4, 5], [1, 3, 4]],     # row swap after one step
+        [[1, 2, 3], [2, 4, 6], [0, 1, 1]],     # singular: dependent rows
+        [[0, 0, 1], [0, 2, 3], [0, 4, 5]],     # singular: zero column
+        [[5]], [],
+    ]
+    for _ in range(60):
+        n = rng.randint(1, 7)
+        cases.append([[rng.randint(-9, 9) * rng.choice([1, 1, 10 ** 30])
+                       for _ in range(n)] for _ in range(n)])
+    for m in cases:
+        assert _det_bareiss(m) == reference_det([row[:] for row in m])
+    assert _det_bareiss(cases[0]) == -1 and _det_bareiss(cases[2]) == 0
+    assert _det_bareiss(cases[1]) == 1
 
 
 def test_order2_specialization_of_eigenvalue_pair(aw_params, lag_params):
