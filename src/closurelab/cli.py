@@ -11,6 +11,7 @@ rational sampler used by the spectrum suite.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .exactalg import ParamPoly, parse_poly, rat, rat_str
+from .exactalg import ParamPoly, SampleMismatch, parse_poly, rat, rat_str
 from .families import (DeformedFamily, EigenValidationFailed,
                        MultiIndex, ParamSet, SchemaError, DegreeMismatch,
                        builtin_deformed, energy, load_family_plugin,
@@ -227,12 +228,7 @@ def cmd_verify_closure(args) -> int:
             raise ConfigError("--plugin: W and AW closure is checked spectrally "
                               "and reads no plugin")
         L = _parse_D(args.D).ell + Y.degree("eta") + 1
-        for note in _validate_ranges(fam, params, L):
-            report.add(f"range/{note}", None)
-        alphas = alpha_conjecture(fam, L, params)
-        report.add_all("spectral", check_alpha_spectrum(
-            fam, L, params, range(args.n_max + 1), alphas=alphas))
-        report.add_all("spectral", pairing_identities(fam, L, params, alphas))
+        _alpha_checks(report, "spectral", fam, L, params, args.n_max)
         report.add("operator-level", None, notice="not implemented: "
                    "operator-level closure for difference operators")
         return _emit(report, args)
@@ -246,7 +242,12 @@ def cmd_verify_closure(args) -> int:
             require_builtin(D)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        cd = symbolic_closure(fam, D.label(), Y)
+        try:
+            cd = symbolic_closure(fam, D.label(), Y)
+        except (SampleMismatch, NoSolution, EigenValidationFailed,
+                NonzeroRemainder) as exc:
+            report.add("closure/solve", False, error=str(exc), mode="symbolic")
+            return _emit(report, args)
         report.add("closure/solve", True, K=cd.K, unique=cd.unique,
                    kernel_dim=cd.kernel_dim, mode="symbolic")
         report.add("closure/degree-bounds", cd.bounds_ok())
@@ -325,18 +326,26 @@ def cmd_recurrence(args) -> int:
     return _emit(report, args)
 
 
+def _alpha_checks(report: Report, prefix: str, fam: str, L: int,
+                  params: ParamSet, n_max: int) -> list:
+    """The range notes, then the eigenvalue-list and pairing checks on one
+    conjectured alpha list, under ``prefix``; returns the list."""
+    for note in _validate_ranges(fam, params, L):
+        report.add(f"range/{note}", None)
+    alphas = alpha_conjecture(fam, L, params)
+    report.add_all(prefix, check_alpha_spectrum(
+        fam, L, params, range(n_max + 1), alphas=alphas))
+    report.add_all(prefix, pairing_identities(fam, L, params, alphas))
+    return alphas
+
+
 def cmd_spectrum(args) -> int:
     params = _parse_params(args.family, args.params)
     Y = _parse_Y(args.Y)
     L = _parse_D(args.D).ell + Y.degree("eta") + 1
     report = Report("spectrum", _config_echo(args, params, Y))
-    for note in _validate_ranges(args.family, params, L):
-        report.add(f"range/{note}", None)
-    alpha_list = alpha_conjecture(args.family, L, params)
-    report.add_all("spectrum", check_alpha_spectrum(
-        args.family, L, params, range(args.n_max + 1), alphas=alpha_list))
-    report.add_all("spectrum", pairing_identities(args.family, L, params,
-                                                  alpha_list))
+    alpha_list = _alpha_checks(report, "spectrum", args.family, L, params,
+                               args.n_max)
     # companion-matrix suite at the first few energy points
     conj = conjectured_R(args.family, L, params)
     for n in range(min(args.n_max, 4) + 1):
@@ -572,9 +581,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:  # --help and --version print and stop
         return 2 if exc.code not in (0, None) else 0

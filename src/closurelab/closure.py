@@ -22,14 +22,16 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import count, islice
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .exactalg import (ParamPoly, Rat, SampleMismatch, interpolate_grid, rat,
-                       solve_linear_exact)
-from .families import (DeformedFamily, MultiIndex, ParamSet, SchemaError,
-                       builtin_deformed, degenerate_level)
+from .exactalg import (ParamPoly, Rat, SampleMismatch, interpolate_grid,
+                       rat_str, solve_linear_exact)
+from .families import (DeformedFamily, EigenValidationFailed, MultiIndex,
+                       ParamSet, SchemaError, builtin_deformed,
+                       degenerate_level, seed_degree_drops)
 from .opalg import DiffOp
-from .recurrence import build_X, recurrence_row
+from .recurrence import NonzeroRemainder, build_X, recurrence_row
 from .spectral import alpha_conjecture, elementary_symmetric_R
 
 
@@ -293,62 +295,55 @@ def conjectured_R(fam: str, L: int, params: ParamSet | None = None) -> ClosureDa
 # -- parameter reconstruction ---------------------------------------------------
 
 
+def _sample_str(binding: Mapping[str, Rat]) -> str:
+    return ", ".join(f"{name}={rat_str(v)}" for name, v in binding.items())
+
+
+def _solve_sample(solve_at: Callable[[Mapping[str, Rat]], ClosureData],
+                  binding: Mapping[str, Rat]) -> ClosureData:
+    """solve_at(binding); a solve that fails names the sample it failed at."""
+    try:
+        return solve_at(binding)
+    except (NoSolution, EigenValidationFailed, NonzeroRemainder) as exc:
+        raise type(exc)(f"at the sample {_sample_str(binding)}: {exc}") from exc
+
+
 def reconstruct_closure(solve_at: Callable[[Mapping[str, Rat]], ClosureData],
                         fam: str, K: int,
                         nodes: Mapping[str, Sequence[Rat]],
-                        bounds: Mapping[str, int],
-                        extra: Mapping[str, Sequence[Rat]],
-                        max_doublings: int = 2) -> ClosureData:
+                        fresh: Sequence[Mapping[str, Rat]]) -> ClosureData:
     """Solve at rational parameter samples and rebuild symbolic coefficients.
 
-    ``nodes`` supplies per-parameter sample pools (must hold enough values
-    for the bound; more are drawn when a mismatch forces a bound doubling).
-    Afterwards every solution at the ``extra`` fresh samples must agree with
-    the interpolant (certification); disagreement raises SampleMismatch.
+    ``nodes`` lists each parameter's interpolation nodes: with m nodes the
+    parameter's degree bound is m - 1, and the samples are the tensor grid
+    of the node lists.  Every grid point and every ``fresh`` point is solved
+    once.  Each coefficient of z^j in R_i is interpolated on the grid and
+    certified at the fresh points: the first disagreement raises
+    SampleMismatch naming R_i z^j and the fresh point.  A NoSolution,
+    EigenValidationFailed or NonzeroRemainder raised by a solve names its
+    sample.
     """
     names = list(nodes)
+    bounds = {name: len(nodes[name]) - 1 for name in names}
     layout = _unknown_layout(fam, K)
-    cache: dict[tuple, ClosureData] = {}
-
-    def solved(point: tuple) -> ClosureData:
-        if point not in cache:
-            cache[point] = solve_at(dict(zip(names, point)))
-        return cache[point]
-
-    bounds = dict(bounds)
-    for _ in range(max_doublings + 1):
-        grids = []
-        for name in names:
-            need = bounds[name] + 1
-            pool = list(nodes[name])
-            if len(pool) < need:
-                raise ValueError(f"not enough samples for {name} at bound {bounds[name]}")
-            grids.append(pool[:need])
-        points = [()]
-        for axis in grids:
-            points = [p + (v,) for p in points for v in axis]
-        try:
-            rebuilt: dict[tuple[int, int], ParamPoly] = {}
-            for key_i, key_j in layout:
-                samples = {p: solved(p).coefficient(key_i, key_j) for p in points}
-                rebuilt[(key_i, key_j)] = interpolate_grid(samples, bounds, names)
-            # certification at fresh sample points
-            cert_points = [tuple(extra[name][k] for name in names)
-                           for k in range(min(len(extra[n]) for n in names))]
-            for p in cert_points:
-                got = solved(p)
-                binding = dict(zip(names, p))
-                for key_i, key_j in layout:
-                    if rebuilt[(key_i, key_j)].evaluate(binding) != got.coefficient(key_i, key_j):
-                        raise SampleMismatch(
-                            f"fresh sample {binding} disagrees for R_{key_i} z^{key_j}")
-            break
-        except SampleMismatch:
-            bounds = {k: 2 * v + 1 for k, v in bounds.items()}
-    else:
-        raise SampleMismatch("reconstruction failed after doubling the bounds")
+    points: list[tuple] = [()]
+    for name in names:
+        points = [p + (v,) for p in points for v in nodes[name]]
+    grid = {p: _solve_sample(solve_at, dict(zip(names, p))) for p in points}
+    rebuilt = {(i, j): interpolate_grid({p: cd.coefficient(i, j)
+                                         for p, cd in grid.items()},
+                                        bounds, names)
+               for i, j in layout}
+    for binding in fresh:
+        got = _solve_sample(solve_at, binding)
+        for i, j in layout:
+            if rebuilt[(i, j)].evaluate(binding) != got.coefficient(i, j):
+                degrees = ", ".join(f"{name} <= {b}" for name, b in bounds.items())
+                raise SampleMismatch(
+                    f"R_{i} z^{j} disagrees with its interpolant ({degrees}) "
+                    f"at the fresh sample {_sample_str(binding)}")
     return _solved_data(fam, K, rebuilt,
-                        max(solved(p).kernel_dim for p in points))
+                        max(cd.kernel_dim for cd in grid.values()))
 
 
 def closure_for_family(df: DeformedFamily,
@@ -360,51 +355,81 @@ def closure_for_family(df: DeformedFamily,
     return solve_closure(df, X, 2 * L, conjectured_R(df.fam, L, df.params)), X
 
 
-# Sample pools for symbolic reconstruction: interpolation nodes, enough for
-# one bound doubling, and fresh certification samples.  J is sampled in
-# a = g + h and b = g - h, the variables of its reference rows.
-SYMBOLIC_POOLS = {
-    "L": ({"g": [rat(x) for x in
-                 ("2", "7/3", "3", "7/2", "4", "9/2", "5", "11/2", "6",
-                  "13/2", "7", "15/2")]},
-          {"g": [rat("8"), rat("17/2")]}),
-    "J": ({"a": [rat(x) for x in ("8", "17/2", "9", "19/2", "10", "21/2",
-                                  "11", "23/2", "12")],
-           "b": [rat(x) for x in ("-1", "-1/2", "1/2", "1", "3/2", "5/2",
-                                  "3", "7/2", "4")]},
-          {"a": [rat("25/2"), rat("13")], "b": [rat("-5/2"), rat("9/2")]}),
-}
+# Symbolic reconstruction walks each parameter from its start in steps of
+# 1/2.  J is sampled in a = g + h and b = g - h, the variables of its
+# reference rows.
+_NODE_START = {"g": Fraction(2), "a": Fraction(8), "b": Fraction(-1)}
+_NODE_STEP = Fraction(1, 2)
+
+
+def _sample_params(fam: str, binding: Mapping[str, Rat]) -> ParamSet:
+    if fam == "L":
+        return ParamSet("L", {"g": binding["g"]})
+    a, b = binding["a"], binding["b"]
+    return ParamSet("J", {"g": (a + b) / 2, "h": (a - b) / 2})
+
+
+def _walk(name: str) -> Iterator[Rat]:
+    return (_NODE_START[name] + k * _NODE_STEP for k in count())
+
+
+def symbolic_nodes(fam: str, D: MultiIndex, bounds: Mapping[str, int]
+                   ) -> tuple[dict[str, list[Rat]], list[dict[str, Rat]]]:
+    """Interpolation nodes and the two fresh certification points for the
+    built-in family (fam, D) under the given degree bounds.
+
+    A point is usable when no seed of D is degenerate there: no virtual
+    energy equals an eigenvalue (``degenerate_level``) and no seed loses
+    degree (``seed_degree_drops``, which for J depends on b alone).  Each
+    parameter takes the first bound + 3 accepted values of its walk
+    (``_NODE_START`` in steps of 1/2): the first bound + 1 are its nodes, and
+    value bound + 1 + k is its coordinate of fresh point k.  L accepts the
+    usable values of g.  J accepts the values of b where no seed loses
+    degree, then a value of a only when it is usable with every one of
+    them, so every grid point and both fresh points are usable.  The walks
+    end: a seed of degree d is degenerate at level n only where
+    g = d + 1/2 - n (L type II; L type I never for g > 0) or
+    2n + a = +-(b + 2d + 1) (J type I; b - 2d - 1 for type II), finitely
+    many g, and finitely many a for each b; it loses degree at d values of b.
+    """
+    def usable(binding: Mapping[str, Rat]) -> bool:
+        ps = _sample_params(fam, binding)
+        return all(degenerate_level(ps, t, d) is None
+                   and not seed_degree_drops(ps, t, d) for d, t in D.entries)
+
+    if fam == "L":
+        g_walk = (g for g in _walk("g") if usable({"g": g}))
+        values = {"g": list(islice(g_walk, bounds["g"] + 3))}
+    else:
+        a0 = _NODE_START["a"]
+        b_walk = (b for b in _walk("b") if not any(
+            seed_degree_drops(_sample_params(fam, {"a": a0, "b": b}), t, d)
+            for d, t in D.entries))
+        bs = list(islice(b_walk, bounds["b"] + 3))
+        a_walk = (a for a in _walk("a")
+                  if all(usable({"a": a, "b": b}) for b in bs))
+        values = {"a": list(islice(a_walk, bounds["a"] + 3)), "b": bs}
+    nodes = {name: vals[:bounds[name] + 1] for name, vals in values.items()}
+    fresh = [{name: vals[bounds[name] + 1 + k] for name, vals in values.items()}
+             for k in range(2)]
+    return nodes, fresh
 
 
 def symbolic_closure(fam: str, D_label: str, Y: ParamPoly) -> ClosureData:
     """Closure data of the built-in family (fam, D_label) symbolically in its
-    parameters: g for L, (a, b) for J.  Exact solves at the rational samples
-    of SYMBOLIC_POOLS, interpolation with degree bounds K/2 in g, K in a and
-    K - 1 in b, then certification at the fresh samples.  An L seed is
-    degenerate at the pool values of g where its virtual energy is an E_n
-    (d II: g = d + 1/2 - n); those samples are skipped."""
+    parameters: g for L, (a, b) for J.  Exact solves on the grid of
+    ``symbolic_nodes`` with degree bounds K/2 in g, K in a and K - 1 in b,
+    then certification at its two fresh points (``reconstruct_closure``)."""
     D = MultiIndex.parse(D_label)
     K = 2 * (D.ell + Y.degree("eta") + 1)
-    nodes, extra = SYMBOLIC_POOLS[fam]
-    if fam == "L" and len(D.entries) == 1:
-        (d, t), = D.entries
-
-        def usable(g: Rat) -> bool:
-            return degenerate_level(ParamSet("L", {"g": g}), t, d) is None
-
-        nodes = {"g": list(filter(usable, nodes["g"]))}
-        extra = {"g": list(filter(usable, extra["g"]))}
+    bounds = {"g": K // 2} if fam == "L" else {"a": K, "b": K - 1}
+    nodes, fresh = symbolic_nodes(fam, D, bounds)
 
     def solve_at(binding: Mapping[str, Rat]) -> ClosureData:
-        if fam == "L":
-            ps = ParamSet("L", {"g": binding["g"]})
-        else:
-            a, b = binding["a"], binding["b"]
-            ps = ParamSet("J", {"g": (a + b) / 2, "h": (a - b) / 2})
-        return closure_for_family(builtin_deformed(fam, D_label, ps), Y)[0]
+        df = builtin_deformed(fam, D, _sample_params(fam, binding))
+        return closure_for_family(df, Y)[0]
 
-    bounds = {"g": K // 2} if fam == "L" else {"a": K, "b": K - 1}
-    return reconstruct_closure(solve_at, fam, K, nodes, bounds, extra)
+    return reconstruct_closure(solve_at, fam, K, nodes, fresh)
 
 
 # -- reference tables -------------------------------------------------------------
@@ -443,11 +468,6 @@ def load_reference_tables() -> dict:
 
 def reference_expanded(entry: Mapping) -> ParamPoly:
     return ParamPoly.from_record(entry["R_minus1"])
-
-
-def reference_factored(entry: Mapping) -> ParamPoly:
-    """The transcribed factored expression of a row, expanded."""
-    return expand_factored(entry["factored"])
 
 
 def compare_reference(fam: str, D_label: str, Y_label: str,

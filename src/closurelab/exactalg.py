@@ -770,7 +770,7 @@ def interpolate_param(samples: Sequence[tuple], degree_bound: int,
 
     The first degree_bound+1 samples determine the polynomial (Newton form);
     every extra sample is a consistency check and a disagreement raises
-    SampleMismatch (signal to raise the bound and retry).  Values may be
+    SampleMismatch.  Values may be
     Fractions or ParamPolys (interpolation then happens coefficient-wise).
     """
     if degree_bound < 0:

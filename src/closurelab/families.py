@@ -276,18 +276,6 @@ def virtual_energy(params: ParamSet, t: str, v: int) -> Rat:
     return -(1 - a3 * a4 * q ** (-v - 1)) * (1 - a1 * a2 * q ** v)
 
 
-def energy_poly(fam: str) -> ParamPoly:
-    """E_n as an exact polynomial in the symbol 'n' (L, J, W only)."""
-    n = ParamPoly.var("n")
-    if fam == "L":
-        return 4 * n
-    if fam == "J":
-        return 4 * n * (n + ParamPoly.var("a"))
-    if fam == "W":
-        return n * (n + ParamPoly.var("b1") - 1)
-    raise ValueError("AW energies are not polynomial in n")
-
-
 # -- norm ratios ---------------------------------------------------------------
 
 
@@ -669,6 +657,22 @@ def degenerate_level(params: ParamSet, t: str, d: int) -> int | None:
         roots = [] if root is None else [(-params.a - root) / 2,
                                          (-params.a + root) / 2]
     return next((int(n) for n in roots if n >= 0 and n.denominator == 1), None)
+
+
+def seed_degree_drops(params: ParamSet, t: str, d: int) -> bool:
+    """Whether the degree-d seed (``canonical_seed``) has degree below d.
+
+    The L seeds are Laguerre polynomials, of leading coefficient +-1/d!.
+    The J seeds are Jacobi polynomials P_d^(alpha,beta), of leading
+    coefficient (d + alpha + beta + 1)_d / (2^d d!) (``classical_poly``),
+    at alpha + beta = b for type I (h -> 1 - h) and -b for type II
+    (g -> 1 - g).  That is zero exactly when alpha + beta = -(d + 1 + k) for
+    some 0 <= k < d: the degree drops on d values of b and at no other
+    parameters."""
+    if params.fam != "J":
+        return False
+    s = -params.b if t == "I" else params.b
+    return s.denominator == 1 and d + 1 <= s <= 2 * d
 
 
 def _intertwiner(fam: str, t: str, params: ParamSet,

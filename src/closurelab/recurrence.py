@@ -195,9 +195,3 @@ def table_formulas_J1I(params: ParamSet) -> dict[int, Callable[[int], Rat]]:
         return lead * inner
 
     return {2: r2, 1: r1, 0: r0, -1: rm1, -2: rm2}
-
-
-def classical_three_term(df: DeformedFamily, n_max: int = 8) -> RecurrenceTable:
-    """Three-term table of the undeformed family (X = eta)."""
-    X = ParamPoly.var("eta")
-    return compute_table(df, X, range(n_max + 1))

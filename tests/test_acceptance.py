@@ -269,7 +269,7 @@ def test_criterion_11_reference_data_and_plugin_path():
     import pathlib
     from importlib import resources
 
-    from closurelab.closure import reference_factored
+    from closurelab.closure import expand_factored
 
     tables = load_reference_tables()
     ok = True
@@ -296,7 +296,7 @@ def test_criterion_11_reference_data_and_plugin_path():
     for key, entry in tables.items():
         if key == "_meta" or "factored" not in entry:
             continue
-        factored = reference_factored(entry)
+        factored = expand_factored(entry["factored"])
         for point in points:
             ok = ok and factored.evaluate(point) == bracket(entry).evaluate(point)
     # checksum

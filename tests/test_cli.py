@@ -471,8 +471,8 @@ def test_negative_n_max_is_a_config_error(command, capsys):
 
 @pytest.mark.parametrize("D", ["3II", "4II"])
 def test_symbolic_mode_skips_degenerate_samples(D, tmp_path):
-    # L[dII] is degenerate at g = d + 1/2 - n: g = 7/2 (d >= 3) and
-    # g = 9/2 (d >= 4) are in the sample pool
+    # L[dII] is degenerate at g = d + 1/2 - n: the half-integer values of
+    # g up to d + 1/2 are on the sampling walk and must be skipped
     report = tmp_path / "r.json"
     assert run_cli("verify-closure", "--family", "L", "--D", D,
                    "--mode", "symbolic", "--report", str(report)) == 0
@@ -480,6 +480,41 @@ def test_symbolic_mode_skips_degenerate_samples(D, tmp_path):
     assert payload["summary"]["fail"] == 0
     assert "g" in next(c for c in payload["checks"]
                        if c["id"] == "closure/value/R-1")["detail"]["value"]
+
+
+def test_symbolic_mode_failure_is_a_failing_check(tmp_path, capsys):
+    # J[2I]: the coefficient of z^0 in R_-1 has a-degree 7 > K = 6, so the
+    # interpolant disagrees at a fresh sample; no traceback, exit 1
+    report = tmp_path / "r.json"
+    assert run_cli("verify-closure", "--family", "J", "--D", "2I",
+                   "--mode", "symbolic", "--report", str(report)) == 1
+    assert capsys.readouterr().err == ""
+    payload = json.loads(report.read_text())
+    assert payload["summary"] == {"pass": 0, "fail": 1, "skip": 0}
+    check, = payload["checks"]
+    assert check["id"] == "closure/solve" and check["status"] == "fail"
+    assert check["detail"]["error"] == (
+        "R_-1 z^0 disagrees with its interpolant (a <= 6, b <= 5) "
+        "at the fresh sample a=23/2, b=2")
+
+
+def test_commands_repeat_in_one_process(capsys):
+    # main reuses one parser: the second run of each command prints what
+    # the first printed
+    argvs = [["spectrum", "--family", "W", "--n-max", "2",
+              "--random-spectra", "1"],
+             ["recurrence", "--family", "J", "--n-max", "2"]]
+    outputs = []
+    for argv in argvs + argvs:
+        assert run_cli(*argv) == 0
+        outputs.append(capsys.readouterr())
+    assert outputs[:2] == outputs[2:]
+    assert outputs[0] != outputs[1]
+    assert run_cli("spectrum", "--bogus") == 2
+    assert run_cli("--version") == 0 and run_cli("spectrum", "--help") == 0
+    capsys.readouterr()
+    assert run_cli(*argvs[0]) == 0
+    assert capsys.readouterr().out == outputs[0].out
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,10 +18,12 @@ from closurelab.closure import (ClosureData, NoSolution, TableMissing,
                                 conjectured_R, degree_bounds,
                                 level_coordinates, load_reference_tables,
                                 reconstruct_closure, reference_expanded,
-                                solve_closure, verify_closure_identity)
+                                solve_closure, symbolic_nodes,
+                                verify_closure_identity)
 from closurelab.families import (VALIDATE_N, DeformedFamily,
-                                 EigenValidationFailed, ParamSet,
-                                 builtin_deformed, classical_family,
+                                 EigenValidationFailed, MultiIndex, ParamSet,
+                                 builtin_deformed, canonical_seed,
+                                 classical_family, degenerate_level,
                                  load_family_plugin)
 from closurelab.opalg import DiffOp, NonPolynomialImage, right_mul_poly_of_H
 from closurelab.recurrence import build_X
@@ -211,29 +213,75 @@ def test_reconstruct_closure_symbolic_in_g():
         cd, _ = closure_for_family(df, ParamPoly.const(1))
         return cd
 
-    nodes = {"g": [F(2), F(7, 3), F(3), F(7, 2), F(4), F(9, 2), F(5)]}
-    extra = {"g": [F(11, 2), F(6)]}
-    cd = reconstruct_closure(solve_at, "L", 4, nodes, {"g": 2}, extra)
+    nodes = {"g": [F(2), F(7, 3), F(3)]}
+    fresh = [{"g": F(11, 2)}, {"g": F(6)}]
+    cd = reconstruct_closure(solve_at, "L", 4, nodes, fresh)
     assert cd.R_minus1 == 64 * (3 * z ** 2 + 2 * (10 * g + 11) * z
                                 + 2 * (2 * g + 1) * (6 * g + 13))
     cmp = compare_reference("L", "1I", "1", cd)
     assert cmp["ok"]
 
 
-def test_reconstruct_detects_wrong_bound_then_doubles():
-    # quadratic g-dependence with a bound of 0 must double and still succeed
+def test_reconstruct_rejects_a_bound_too_small():
+    # negative control: R_0 = g^2 under degree bound 0 (one node) is
+    # interpolated as a constant, and the first fresh sample refutes it
     def solve_at(binding):
         gv = binding["g"]
-        fake = ClosureData(2, [ParamPoly.const(gv * gv, ("z",)),
+        return ClosureData(2, [ParamPoly.const(gv * gv, ("z",)),
                                ParamPoly.zero(("z",))],
                            ParamPoly.zero(("z",)), "solved", "L")
-        return fake
 
-    nodes = {"g": [F(k) for k in range(1, 9)]}
-    extra = {"g": [F(9), F(10)]}
-    cd = reconstruct_closure(solve_at, "L", 2, nodes, {"g": 0}, extra,
-                             max_doublings=3)
-    assert cd.R[0] == g * g
+    with pytest.raises(SampleMismatch) as info:
+        reconstruct_closure(solve_at, "L", 2, {"g": [F(1)]},
+                            [{"g": F(3, 2)}, {"g": F(2)}])
+    assert str(info.value) == ("R_0 z^0 disagrees with its interpolant "
+                               "(g <= 0) at the fresh sample g=3/2")
+
+
+def test_reconstruct_names_the_sample_a_solve_fails_at():
+    def solve_at(binding):
+        raise NoSolution("order-2 closure relation has no solution")
+
+    with pytest.raises(NoSolution, match=r"^at the sample g=1: order-2"):
+        reconstruct_closure(solve_at, "L", 2, {"g": [F(1)]}, [])
+
+
+def _seeds_usable(fam, D, binding):
+    if fam == "L":
+        ps = ParamSet("L", binding)
+    else:
+        a, b = binding["a"], binding["b"]
+        ps = ParamSet("J", {"g": (a + b) / 2, "h": (a - b) / 2})
+    return all(degenerate_level(ps, t, d) is None
+               and canonical_seed(fam, t, d, ps).degree("eta") == d
+               for d, t in D.entries)
+
+
+def test_symbolic_nodes_avoid_degenerate_seeds():
+    # J[3I], K = 8: a = 8 meets b = 3 on the degenerate line 2n + a = b + 7
+    # (n = 1), so it is skipped; the grid is a full tensor product
+    D = MultiIndex.parse("3I")
+    nodes, fresh = symbolic_nodes("J", D, {"a": 8, "b": 7})
+    assert [len(nodes["a"]), len(nodes["b"]), len(fresh)] == [9, 8, 2]
+    assert F(8) not in nodes["a"] and nodes["a"][0] > 8
+    assert nodes["b"] == [F(-1) + F(k, 2) for k in range(8)]
+    grid = [{"a": a, "b": b} for a in nodes["a"] for b in nodes["b"]]
+    assert all(_seeds_usable("J", D, p) for p in grid + fresh)
+    assert all(p["a"] > max(nodes["a"]) and p["b"] > max(nodes["b"])
+               for p in fresh)
+    # J[1II], Y = eta (K = 6): the seed loses degree at b = 2, on every a
+    nodes, fresh = symbolic_nodes("J", MultiIndex.parse("1II"),
+                                  {"a": 6, "b": 5})
+    assert F(2) not in nodes["b"] + [p["b"] for p in fresh]
+    assert [p["b"] for p in fresh] == [F(5, 2), 3]
+    # L[7II], K = 16: degenerate at g = 15/2 - n, so the half-integers up
+    # to 15/2 are skipped; 9 nodes and 2 fresh values, all distinct
+    D = MultiIndex.parse("7II")
+    nodes, fresh = symbolic_nodes("L", D, {"g": 8})
+    values = nodes["g"] + [p["g"] for p in fresh]
+    assert len(nodes["g"]) == 9 and len(set(values)) == 11
+    assert all(_seeds_usable("L", D, {"g": v}) for v in values)
+    assert F(5, 2) not in values and F(15, 2) not in values
 
 
 def test_kernel_reporting_on_padded_order(l_classical):

@@ -16,8 +16,9 @@ from closurelab.families import (DegreeMismatch, EigenValidationFailed,
                                  classical_poly, eigen_residual, energy,
                                  family_from_plugin_dict, one_step_family,
                                  plugin_dict_from_family, seed_data,
-                                 virtual_energy)
+                                 seed_degree_drops, virtual_energy)
 from closurelab.opalg import DiffOp
+from closurelab.recurrence import compute_table
 from operator_reference import H_tilde, build_H_tilde, gauge_transform, swapped
 
 eta = ParamPoly.var("eta")
@@ -64,9 +65,17 @@ def test_virtual_energies_negative_at_admissible_samples(lag_params, jac_params,
     assert virtual_energy(jac_params, "I", 2) < 0
 
 
-def test_wilson_sqrt_free_identity_polynomial():
-    from closurelab.families import energy_poly
+def energy_poly(fam):
+    """E_n as an exact polynomial in the symbol 'n' (L, J, W)."""
+    n = ParamPoly.var("n")
+    if fam == "L":
+        return 4 * n
+    if fam == "J":
+        return 4 * n * (n + ParamPoly.var("a"))
+    return n * (n + ParamPoly.var("b1") - 1)
 
+
+def test_wilson_sqrt_free_identity_polynomial():
     n, b1 = ParamPoly.var("n"), ParamPoly.var("b1")
     E = energy_poly("W")
     assert 4 * E + (b1 - 1) ** 2 == (2 * n + b1 - 1) ** 2
@@ -284,12 +293,24 @@ def test_perturbed_seed_fails_the_residual_check(lag_params, jac_params):
                     check_seed(fam, t, d + 1, ps, seed)  # wrong virtual energy
 
 
+def test_seed_degree_drops_matches_the_seed():
+    # the closed form against the degree of the built seed, on both sides
+    # of b = 0 (J seeds lose degree at b = +-(d+1..2d)); L seeds never do
+    for d in (1, 2, 3):
+        for t in ("I", "II"):
+            for b in (F(k, 2) for k in range(-14, 15)):
+                ps = ParamSet("J", {"g": (F(9) + b) / 2, "h": (F(9) - b) / 2})
+                dropped = canonical_seed("J", t, d, ps).degree("eta") < d
+                assert seed_degree_drops(ps, t, d) == dropped, (d, t, b)
+                ps = ParamSet("L", {"g": F(5) + b})
+                assert not seed_degree_drops(ps, t, d)
+                assert canonical_seed("L", t, d, ps).degree("eta") == d
+
+
 def test_h_step_against_three_term_recurrence(l_classical, j_classical):
     # A_n h_{n+1} = C_{n+1} h_n with three-term coefficients from expansion
-    from closurelab.recurrence import classical_three_term
-
     for fam in (l_classical, j_classical):
-        t = classical_three_term(fam, 6)
+        t = compute_table(fam, ParamPoly.var("eta"), range(7))
         for n in range(6):
             A_n = t.rows[n][1]
             C_n1 = t.rows[n + 1][-1]

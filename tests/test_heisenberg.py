@@ -15,11 +15,55 @@ from closurelab.families import (EigenValidationFailed, builtin_deformed,
 from closurelab.heisenberg import (LadderContext, NotProportional,
                                    check_r0_relation, commutation_check,
                                    heisenberg_series_check, ladder_apply,
-                                   ladder_suite, round_trip_check,
-                                   two_step_specialization)
+                                   ladder_suite)
 from operator_reference import H_tilde
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def round_trip_check(ctx, n_range):
+    """Fundamental ladders: lowering after raising multiplies by
+    r_{n,1} r_{n+1,-1} (positive at admissible parameters)."""
+    out = []
+    L = ctx.L
+    for n in n_range:
+        up = ladder_apply(ctx, L, n)          # raises by one
+        assert up.shift == 1
+        if up.image.is_zero:
+            continue
+        # apply the lowering combination to the raised polynomial: n+1 state
+        down = ladder_apply(ctx, L + 1, n + 1)
+        assert down.shift == -1
+        product = up.coefficient * down.coefficient
+        expected = ctx.r(n, 1) * ctx.r(n + 1, -1)
+        out.append({"check": "round-trip", "n": n,
+                    "ok": product == expected and product > 0})
+    return out
+
+
+def two_step_specialization(ctx, n_range):
+    """K = 2 consistency with the classic creation/annihilation pair:
+    a^(+-) = +-([H,X] - (X + R_-1 R_0^-1) alpha_-+) / (alpha_+ - alpha_-)
+    must reproduce a^(1), a^(2) acting on eigenpolynomials, coordinate by
+    coordinate."""
+    assert ctx.K == 2, "specialization check needs K = 2"
+    out = []
+    for n in n_range:
+        alphas, _ = ctx.spectral_at(n)
+        ap, am = alphas
+        En = ctx.df.E(n)
+        const = ctx.r_minus1_at(n) / ctx.cd.R[0].evaluate({"z": En})
+        adX = ctx.ad_coords(1, n)
+        Xp = ctx.ad_coords(0, n)
+        Xc = {k: x + (const if k == 0 else 0) for k, x in Xp.items()}
+        denom = ap - am
+        plus = {k: (adX[k] - Xc[k] * am) / denom for k in adX}
+        minus = {k: -(adX[k] - Xc[k] * ap) / denom for k in adX}
+        a1 = ladder_apply(ctx, 1, n).coords
+        a2 = ladder_apply(ctx, 2, n).coords
+        out.append({"check": "two-step-form", "n": n,
+                    "ok": plus == a1 and minus == a2})
+    return out
 
 
 @pytest.fixture(scope="module")

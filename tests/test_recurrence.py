@@ -8,7 +8,7 @@ import pytest
 from closurelab.exactalg import ParamPoly
 from closurelab.families import builtin_deformed
 from closurelab.recurrence import (NonzeroRemainder, RecurrenceTable, build_X,
-                                   check_h_symmetry, classical_three_term,
+                                   check_h_symmetry,
                                    closed_form_compare, compute_table,
                                    expand_in_basis, leading_coeff_identity,
                                    table_formulas_J1I, table_formulas_L1I)
@@ -37,7 +37,7 @@ def test_build_X_classical_coordinate():
 
 def test_classical_three_term_coefficients(l_classical, lag_params):
     gv = lag_params.g
-    t = classical_three_term(l_classical, 8)
+    t = compute_table(l_classical, eta, range(9))  # the three-term table
     for n in range(8):
         assert t.rows[n][1] == -(n + 1)
         assert t.rows[n][0] == 2 * n + gv + F(1, 2)
