@@ -32,7 +32,8 @@ from .families import (DeformedFamily, EigenValidationFailed, MultiIndex,
                        degenerate_level, seed_degree_drops)
 from .opalg import DiffOp
 from .recurrence import NonzeroRemainder, build_X, recurrence_row
-from .spectral import alpha_conjecture, elementary_symmetric_R
+from .spectral import (alpha_conjecture, elementary_symmetric_R,
+                       recursion_vectors)
 
 
 class NoSolution(Exception):
@@ -149,10 +150,65 @@ def _unknown_layout(fam: str, K: int) -> list[tuple[int, int]]:
     return layout
 
 
+def level_rows(coords: Sequence[tuple[int, Rat, Rat]],
+               K: int) -> list[tuple[list[Rat], Rat]]:
+    """Level n's order-K closure rows over its unknowns
+    v = (R_0(E_n), ..., R_{K-1}(E_n), R_-1(E_n)), reduced in closed form.
+
+    A row (a, t) stands for sum_i a[i] v_i = t, with the coefficient of
+    R_-1(E_n) last (a[-1]).  ``coords`` is ``level_coordinates`` of level n,
+    and its coordinate rows are r_{n,k} (Delta^K - sum_i v_i Delta^i)
+    - [k = 0] v_-1 = 0 with Delta = Delta_{n,k}.  The k = 0 row is
+    r_{n,0} v_0 + v_-1 = 0 (K >= 1), a row with r_{n,k} = 0 is zero, and
+    every other row, divided by r_{n,k}, says V(s) = s^K at s = Delta_{n,k}
+    for V(x) = sum_{i<K} v_i x^i.  Let S be the distinct such s, m = |S|
+    and Q(x) = prod_{s in S} (x - s).  The reduced rows say
+    V mod Q = x^K mod Q: for i < m,
+    sum_{f<K} [x^i](x^f mod Q) v_f = [x^i](x^K mod Q), where x^f mod Q = x^f
+    for f < m.  A full level (m = K) gives v_i = -[x^i] Q.
+
+    The two blocks span the same augmented row space.  Applied to a vector
+    (u_0, ..., u_K), the right-hand side taken as column K, the evaluation
+    row at s gives p(s) and the remainder row i gives [x^i](p mod Q), for
+    p = sum_f u_f x^f.  Both blocks vanish exactly on the p that Q divides,
+    since the s are simple roots of Q; equal null spaces give equal row
+    spaces.  Zero rows (i > K
+    when m > K + 1) are dropped; an order K < m leaves the row 0 = 1 at
+    i = K, so the level has no solution.  x^f mod Q is x^{f-1} mod Q times
+    x, reduced once (``spectral.recursion_vectors`` with R_i = -[x^i] Q):
+    O(K m) operations and no solve.
+    """
+    zero = Fraction(0)
+    rows: list[tuple[list[Rat], Rat]] = []
+    roots: list[Rat] = []
+    for k, r, delta in coords:
+        if k == 0:
+            row0 = [zero] * (K + 1)
+            row0[0], row0[-1] = r, Fraction(1)
+            rows.append((row0, zero))
+        elif r and delta not in roots:
+            roots.append(delta)
+    if not roots:
+        return rows
+    Q = [Fraction(1)]  # coefficients of Q, lowest first
+    for s in roots:
+        Q = [zero, *Q]
+        for i in range(len(Q) - 1):
+            Q[i] -= s * Q[i + 1]
+    m = len(roots)
+    rem = recursion_vectors([-q for q in Q[:m]], K)  # x^f mod Q, f = 0..K
+    for i in range(m):
+        row = [rem[f][i] for f in range(K)] + [zero]
+        if any(row) or rem[K][i]:
+            rows.append((row, rem[K][i]))
+    return rows
+
+
 def closure_system(df: DeformedFamily, X: ParamPoly,
                    K: int) -> tuple[list[tuple[int, int]], list[list[Rat]], list[Rat]]:
     """The order-K closure system (unknown layout, rows, right-hand side) in
-    recurrence coordinates on the levels n = 0..K.
+    recurrence coordinates on the levels n = 0..K, each level reduced in
+    closed form (``level_rows``).
 
     The unknown coefficient of z^j in R_i contributes E_n^j [(ad H)^i X] P_n
     (E_n^j P_n for i = -1) and the target is [(ad H)^K X] P_n.  By
@@ -166,29 +222,38 @@ def closure_system(df: DeformedFamily, X: ParamPoly,
     level are V_n times its coordinate rows (augmented column included).
     V_n has independent columns (distinct degrees), so it has a left
     inverse, and each block of rows is a linear image of the other: the two
-    blocks span the same row space.  Stacked over n, the augmented row
+    blocks span the same row space.
+
+    The reduced rows keep that row space.  Level n's coordinate rows are
+    [C_n B_n | t_n], where [C_n | t_n] are its rows over the level unknowns
+    v_n and B_n evaluates the layout at E_n (v_{n,i} = sum_j c_{i,j} E_n^j).
+    ``level_rows`` gives rows [C'_n | t'_n] with the row space of
+    [C_n | t_n], so [C'_n | t'_n] = G [C_n | t_n] and
+    [C_n | t_n] = G' [C'_n | t'_n] for some matrices G, G'; multiplying on
+    the right by diag(B_n, 1) carries both to the expanded rows, whose row
+    spaces are therefore equal too.  Stacked over n, the augmented row
     spaces are equal, so the reduced row echelon forms are equal, and with
     them consistency, rank, pivot columns, the solution and the kernel basis
-    that ``solve_linear_exact`` reads off it.
+    that ``solve_linear_exact`` reads off it.  At a full level each reduced
+    row touches a single R_i block, so the rows are mostly zero.
     """
     layout = _unknown_layout(df.fam, K)
     top_j = max(j for _, j in layout)
+    zero = Fraction(0)
     rows: list[list[Rat]] = []
     rhs: list[Rat] = []
     for n, coords in enumerate(_levels_through(df, X, K)):
         En = df.E(n)
         E_pow = [En ** j for j in range(top_j + 1)]
-        for k, r, delta in coords:
-            ad = [r * delta ** i for i in range(K + 1)]
-            unit = Fraction(1 if k == 0 else 0)
-            rows.append([(ad[i] if i >= 0 else unit) * E_pow[j]
-                         for i, j in layout])
-            rhs.append(ad[K])
+        for a, t in level_rows(coords, K):
+            rows.append([a[i] * E_pow[j] if a[i] else zero for i, j in layout])
+            rhs.append(t)
     return layout, rows, rhs
 
 
 def solve_closure(df: DeformedFamily, X: ParamPoly, K: int,
-                  conjectured: "ClosureData | None" = None) -> ClosureData:
+                  conjectured: Callable[[], ClosureData] | None = None
+                  ) -> ClosureData:
     """Exact solve of the order-K closure relation at bound parameters.
 
     The system is ``closure_system`` on the levels n = 0..K.  The degree
@@ -197,9 +262,10 @@ def solve_closure(df: DeformedFamily, X: ParamPoly, K: int,
     vanishes on P_0..P_K exactly when it holds as an operator identity: the
     solution set, and with it kernel_dim, is that of coefficient-wise
     operator equality.  A nontrivial kernel is reported via
-    kernel_dim/unique, and when ``conjectured`` is supplied the conjectured
-    point is required to lie in the affine solution set.  Raises NoSolution
-    when the linear system is inconsistent.
+    kernel_dim/unique, and then, when ``conjectured`` is supplied, the
+    conjectured data it returns (it is called only in that case) is
+    required to lie in the affine solution set.  Raises NoSolution when the
+    linear system is inconsistent.
     """
     layout, rows, rhs = closure_system(df, X, K)
     sol = solve_linear_exact(rows, rhs)
@@ -210,8 +276,9 @@ def solve_closure(df: DeformedFamily, X: ParamPoly, K: int,
     if kernel_dim and conjectured is not None:
         # require the conjectured point (which leaves the inhomogeneous term
         # free) to lie in the affine solution set
+        conj = conjectured()
         known = [idx for idx, (i, _) in enumerate(layout) if i >= 0]
-        diff = [conjectured.coefficient(layout[idx][0], layout[idx][1])
+        diff = [conj.coefficient(layout[idx][0], layout[idx][1])
                 - values[layout[idx]] for idx in known]
         fit = solve_linear_exact(
             [[vec[idx] for vec in sol.kernel_basis] for idx in known], diff)
@@ -352,7 +419,8 @@ def closure_for_family(df: DeformedFamily,
     parameters, with the minimal-or-higher X built from (xi, Y)."""
     X = build_X(df.xi, Y)
     L = X.degree("eta")
-    return solve_closure(df, X, 2 * L, conjectured_R(df.fam, L, df.params)), X
+    return solve_closure(df, X, 2 * L,
+                         lambda: conjectured_R(df.fam, L, df.params)), X
 
 
 # Symbolic reconstruction walks each parameter from its start in steps of

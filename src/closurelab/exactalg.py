@@ -712,53 +712,72 @@ def solve_linear_exact(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolut
     pivot columns, rank and consistency are those of elimination over
     Fraction, and dividing each pivot row by its pivot gives the RREF
     exactly.  Fractions are formed only for those final quotients.
+
+    Each row is held as a dict of its nonzero entries (column ``cols`` is
+    the right-hand side), so a zero entry costs nothing.  A zero entry adds
+    nothing to p*row_i - a*row_r or to a gcd, so the stored entries are
+    exactly the nonzero entries of the dense integer rows.
     """
     rows = len(matrix)
     if rows == 0:
         return LinearSolution(True, [], [], 0)
     cols = len(matrix[0])
-    aug: list[list[int]] = []
-    for i, row in enumerate(matrix):
-        entries = [Fraction(x) for x in row] + [Fraction(rhs[i])]
-        scale = math.lcm(*(x.denominator for x in entries))
-        aug.append(_gcd_reduced([x.numerator * (scale // x.denominator)
-                                 for x in entries]))
+    aug: list[dict[int, int]] = []
+    for row, b in zip(matrix, rhs):
+        entries = {c: f for c, x in enumerate([*row, b])
+                   if x and (f := Fraction(x))}
+        scale = math.lcm(*(x.denominator for x in entries.values()))
+        aug.append(_gcd_reduced({c: x.numerator * (scale // x.denominator)
+                                 for c, x in entries.items()}))
     pivot_cols: list[int] = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if aug[i][c]), None)
+        pivot = next((i for i in range(r, rows) if c in aug[i]), None)
         if pivot is None:
             continue
         aug[r], aug[pivot] = aug[pivot], aug[r]
         prow, p = aug[r], aug[r][c]
         for i in range(rows):
-            a = aug[i][c]
+            a = aug[i].get(c)
             if i != r and a:
-                aug[i] = _gcd_reduced([p * x - a * y for x, y in zip(aug[i], prow)])
+                aug[i] = _eliminated(aug[i], p, a, prow)
         pivot_cols.append(c)
         r += 1
         if r == rows:
             break
     for i in range(r, rows):
-        if aug[i][cols]:
+        if cols in aug[i]:
             return LinearSolution(False, None, [], r, tuple(pivot_cols))
     solution = [Fraction(0)] * cols
     for i, c in enumerate(pivot_cols):
-        solution[c] = Fraction(aug[i][cols], aug[i][c])
+        solution[c] = Fraction(aug[i].get(cols, 0), aug[i][c])
     free_cols = [c for c in range(cols) if c not in pivot_cols]
     kernel = []
     for fc in free_cols:
         vec = [Fraction(0)] * cols
         vec[fc] = Fraction(1)
         for i, c in enumerate(pivot_cols):
-            vec[c] = Fraction(-aug[i][fc], aug[i][c])
+            vec[c] = Fraction(-aug[i].get(fc, 0), aug[i][c])
         kernel.append(vec)
     return LinearSolution(True, solution, kernel, r, tuple(pivot_cols))
 
 
-def _gcd_reduced(row: list[int]) -> list[int]:
-    g = math.gcd(*row)
-    return [x // g for x in row] if g > 1 else row
+def _eliminated(row: dict[int, int], p: int, a: int,
+                prow: dict[int, int]) -> dict[int, int]:
+    """p*row - a*prow, zero entries dropped, divided by the gcd."""
+    out = {k: p * x for k, x in row.items()}
+    for k, y in prow.items():
+        v = out.get(k, 0) - a * y
+        if v:
+            out[k] = v
+        else:
+            del out[k]
+    return _gcd_reduced(out)
+
+
+def _gcd_reduced(row: dict[int, int]) -> dict[int, int]:
+    g = math.gcd(*row.values())
+    return {k: x // g for k, x in row.items()} if g > 1 else row
 
 
 # -- interpolation -----------------------------------------------------------

@@ -629,13 +629,18 @@ def one_step_family(fam: str, t: str, d: int, params: ParamSet) -> DeformedFamil
     reference rows; the intertwined P(n) are direct images of the classical
     polynomials, so the norm-ratio identities hold without extra constants.
     Parameters at which the virtual energy equals an eigenvalue E_n are a
-    ValueError naming n (``degenerate_level``).
+    ValueError naming n (``degenerate_level``); so are J parameters at which
+    the seed loses degree, naming b (``seed_degree_drops``).
     """
     seed = canonical_seed(fam, t, d, params)
     n = degenerate_level(params, t, d)
     if n is not None:
         raise ValueError(f"{fam}[{d}{t}]: the virtual energy equals E_{n}, so "
                          f"the seed is degenerate at these parameters")
+    if seed_degree_drops(params, t, d):
+        raise ValueError(f"{fam}[{d}{t}]: the seed has degree below {d} at "
+                         f"b = {rat_str(params.b)}, so it is degenerate at "
+                         f"these parameters")
     dp_c, p_c = _intertwiner(fam, t, params, seed)
 
     def make_P(n: int) -> ParamPoly:

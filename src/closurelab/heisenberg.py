@@ -67,6 +67,7 @@ class LadderContext:
         self.K = cd.K
         self.L = cd.K // 2
         self._spectral: dict[int, tuple[list[Rat], SpectralData]] = {}
+        self._actions: dict[tuple[int, int], LadderAction] = {}
         self._alpha_list = alpha_conjecture(df.fam, self.L, df.params)
 
     def spectral_at(self, n: int) -> tuple[list[Rat], SpectralData]:
@@ -95,6 +96,16 @@ class LadderContext:
 
 
 def ladder_apply(ctx: LadderContext, j: int, n: int) -> LadderAction:
+    """a^(j) P(n), computed once per context (``_ladder_action``) and kept
+    in ``ctx``; a NotProportional is not kept, so it is raised again on
+    every call."""
+    action = ctx._actions.get((j, n))
+    if action is None:
+        action = ctx._actions[(j, n)] = _ladder_action(ctx, j, n)
+    return action
+
+
+def _ladder_action(ctx: LadderContext, j: int, n: int) -> LadderAction:
     """a^(j) P(n) evaluated exactly; the image must be r_{n,shift} P(n+shift).
 
     shift = L+1-j (creation side, j <= L) or -(j-L) (annihilation side).

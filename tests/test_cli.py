@@ -114,6 +114,8 @@ def test_reports_are_byte_stable(tmp_path):
     ["heisenberg", "--D", "2II", "--plugin", "{shipped}"],
     ["spectrum", "--random-spectra", "-3"],
     ["verify-closure", "--n-max", "-2"],
+    ["verify-closure", "--family", "J", "--D", "1II", "--params", "g=3", "h=1"],
+    ["heisenberg", "--family", "J", "--D", "2II", "--params", "g=7/2", "h=1/2"],
 ], ids=["params", "W-recurrence", "AW-q", "Y", "D", "truncated-plugin",
         "missing-plugin", "plugin-levels", "multi-seed", "J-range-spectrum",
         "J-range-heisenberg", "ell-bound", "ell-bound-plugin",
@@ -127,7 +129,8 @@ def test_reports_are_byte_stable(tmp_path):
         "spectrum-plugin", "W-plugin", "AW-plugin", "symbolic-params",
         "symbolic-multi-seed", "symbolic-plugin", "plugin-other-D",
         "plugin-other-family", "plugin-other-D-heisenberg",
-        "negative-random-spectra", "negative-n-max"])
+        "negative-random-spectra", "negative-n-max", "seed-loses-degree",
+        "seed-loses-degree-heisenberg"])
 def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
     shipped = (ROOT / "plugins" / "laguerre_2I.json").read_text()
     truncated = tmp_path / "truncated.json"
@@ -162,12 +165,18 @@ def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
     if "gg=3" in argv:
         fams = "L and J are g, h" if "appendix-b" in argv else "L are g"
         assert f"--params 'gg': the parameters of {fams}" in err
-    if "J" in argv:
+    if "J" in argv and "--params" not in argv:
         assert "a=5 is not above the ordering bound 2L-1=5" in err
     if f"{MAX_ELL + 1}I" in argv or "{ell-above-bound}" in argv:
         assert f"ell = {MAX_ELL + 1} is above the supported bound {MAX_ELL}" in err
     if "g=3/2" in argv:
         assert "L[2II]: the virtual energy equals E_1" in err
+    if "h=1" in argv:
+        assert err == ("configuration error: J[1II]: the seed has degree below 1 "
+                       "at b = 2, so it is degenerate at these parameters\n")
+    if "h=1/2" in argv:
+        assert err == ("configuration error: J[2II]: the seed has degree below 2 "
+                       "at b = 3, so it is degenerate at these parameters\n")
     Y = argv[argv.index("--Y") + 1] if "--Y" in argv else None
     if Y in ("g", "0"):
         assert f"--Y '{Y}': Y must be a nonzero polynomial in eta" in err

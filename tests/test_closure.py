@@ -9,14 +9,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from closurelab import families
+from closurelab import closure, families
 from closurelab.cli import main
 from closurelab.exactalg import ParamPoly, SampleMismatch, solve_linear_exact
 from closurelab.closure import (ClosureData, NoSolution, TableMissing,
                                 ad_powers, closure_for_family,
                                 closure_system, compare_reference,
                                 conjectured_R, degree_bounds,
-                                level_coordinates, load_reference_tables,
+                                level_coordinates, level_rows,
+                                load_reference_tables,
                                 reconstruct_closure, reference_expanded,
                                 solve_closure, symbolic_nodes,
                                 verify_closure_identity)
@@ -69,6 +70,28 @@ def eta_rows(df, X, K):
             row = [c[d].constant_value() if d in c else F(0) for c in coeffs]
             rows.append(row[:-1])
             rhs.append(row[-1])
+    return layout, rows, rhs
+
+
+def raw_level_rows(coords, K):
+    """Level n's coordinate rows over v = (R_0(E_n), ..., R_{K-1}(E_n),
+    R_-1(E_n)) before the reduction of ``level_rows``: one row per
+    coordinate, r_{n,k} (Delta^K - sum_i v_i Delta^i) - [k = 0] v_-1 = 0."""
+    return [([r * delta ** i for i in range(K)] + [F(int(k == 0))], r * delta ** K)
+            for k, r, delta in coords]
+
+
+def coordinate_rows(df, X, K):
+    """Reference assembly of the order-K system from the raw coordinate
+    rows of each level n = 0..K, expanded over the unknown layout as
+    ``closure_system`` expands the reduced ones."""
+    layout = closure_system(df, X, K)[0]
+    rows, rhs = [], []
+    for n in range(K + 1):
+        En = df.E(n)
+        for a, t in raw_level_rows(closure.level_coordinates(df, X, n), K):
+            rows.append([a[i] * En ** j for i, j in layout])
+            rhs.append(t)
     return layout, rows, rhs
 
 
@@ -288,9 +311,33 @@ def test_kernel_reporting_on_padded_order(l_classical):
     # asking for order 4 on the classical system: consistent but non-unique
     X = ParamPoly.var("eta")
     conj = conjectured_R("L", 2, l_classical.params)
-    cd = solve_closure(l_classical, X, 4, conj)
+    cd = solve_closure(l_classical, X, 4, lambda: conj)
     assert cd.kernel_dim > 0 and not cd.unique
     assert verify_closure_identity(l_classical, X, cd)
+
+
+def test_conjectured_data_is_built_only_for_a_kernel(l_classical, l1i,
+                                                     monkeypatch):
+    # solve_closure reads the conjectured data only when the kernel is
+    # nontrivial, so closure_for_family builds none for a unique solve
+    built = []
+    real = closure.conjectured_R
+    monkeypatch.setattr(closure, "conjectured_R",
+                        lambda *args: built.append(args[:2]) or real(*args))
+    for df in (l_classical, l1i):
+        cd, _ = closure_for_family(df, ParamPoly.const(1))
+        assert cd.unique
+    assert built == []
+    # the padded classical system (order 4 for X = eta) has a kernel: the
+    # conjectured point is built once and must lie in the solution set
+    params = l_classical.params
+    cd = solve_closure(l_classical, eta, 4,
+                       lambda: closure.conjectured_R("L", 2, params))
+    assert cd.kernel_dim > 0 and built == [("L", 2)]
+    conj = real("L", 2, params)
+    off = ClosureData(4, [conj.R[0] + 1, *conj.R[1:]], None, "conjectured", "L")
+    with pytest.raises(NoSolution, match="conjectured data lies outside"):
+        solve_closure(l_classical, eta, 4, lambda: off)
 
 
 def test_eigenbasis_images_match_operator_reference(l_classical, l1i, j1i):
@@ -353,27 +400,123 @@ def test_each_level_is_eigen_checked_once(lag_params, monkeypatch):
     assert df.checked_levels == set(range(top + 1))
 
 
-@pytest.mark.parametrize("family, Y, K", [
-    ("l1i", None, None), ("l1ii", None, None), ("j1i", None, None),
-    ("j1ii", None, None), ("L2I-plugin", None, None), ("l1i", eta, None),
-    ("l_classical", None, 4),
-], ids=["L1I", "L1II", "J1I", "J1II", "L2I-plugin", "Y=eta", "padded-classical"])
-def test_coordinate_rows_solve_like_eta_rows(family, Y, K, request):
-    # the coordinate system and the eta-coefficient reference have the same
-    # augmented row space, hence the same LinearSolution; only the padded
-    # order-4 system of the classical family has a kernel
+_SYSTEMS = {
+    "L1I": ("L", "1I", 1, 0), "L1II": ("L", "1II", 1, 0),
+    "J1I": ("J", "1I", 1, 0), "J1II": ("J", "1II", 1, 0),
+    "L2I-plugin": ("L", "plugin", 1, 0), "Y=eta": ("L", "1I", eta, 0),
+    "padded-classical": ("L", None, 1, 2),
+    "J-classical-g=h": ("J=", None, 1, 0), "J1II-g=h": ("J=", "1II", 1, 0),
+    "L1I-padded": ("L", "1I", 1, 2), "J1I-eta-padded": ("J", "1I", eta, 2),
+    "L2I": ("L", "2I", 1, 0), "L3I": ("L", "3I", 1, 0),
+    "J2I": ("J", "2I", 1, 0), "J3I": ("J", "3I", 1, 0),
+}
+
+
+@pytest.mark.parametrize("case", list(_SYSTEMS))
+def test_coordinate_rows_solve_like_eta_rows(case, lag_params, jac_params):
+    # the level-reduced system, the raw coordinate system and the
+    # eta-coefficient reference have the same augmented row space, hence
+    # the same LinearSolution; only the padded systems have a kernel.  At
+    # g = h (b = 0) the classical J diagonal r_{n,0} is zero.
+    fam, D, Y, pad = _SYSTEMS[case]
+    params = {"L": lag_params, "J": jac_params,
+              "J=": ParamSet("J", {"g": F(5, 2), "h": F(5, 2)})}[fam]
     plugin = (pathlib.Path(__file__).resolve().parent.parent / "plugins"
               / "laguerre_2I.json")
-    df = (load_family_plugin(str(plugin)) if family == "L2I-plugin"
-          else request.getfixturevalue(family))
-    X = build_X(df.xi, Y if Y is not None else ParamPoly.const(1))
-    K = K or 2 * X.degree("eta")
+    if D == "plugin":
+        df = load_family_plugin(str(plugin))
+    elif D is None:
+        df = classical_family(params.fam, params)
+    else:
+        df = builtin_deformed(params.fam, D, params)
+    X = build_X(df.xi, ParamPoly.const(1) if Y == 1 else Y)
+    K = 2 * X.degree("eta") + pad
     layout, rows, rhs = closure_system(df, X, K)
+    coord_layout, coord_rows, coord_rhs = coordinate_rows(df, X, K)
     ref_layout, ref_rows, ref_rhs = eta_rows(df, X, K)
-    assert layout == ref_layout
-    got, expected = solve_linear_exact(rows, rhs), solve_linear_exact(ref_rows, ref_rhs)
-    assert got.consistent and got == expected
-    assert (len(got.kernel_basis) > 0) == (family == "l_classical")
+    assert layout == coord_layout == ref_layout
+    assert len(rows) <= len(coord_rows)
+    got = solve_linear_exact(rows, rhs)
+    assert got.consistent
+    assert got == solve_linear_exact(coord_rows, coord_rhs)
+    assert got == solve_linear_exact(ref_rows, ref_rhs)
+    assert (len(got.kernel_basis) > 0) == (pad > 0)
+    if fam == "J=" and D is None:
+        assert all(r == 0 for n in range(K + 1)
+                   for k, r, _ in level_coordinates(df, X, n) if k == 0)
+
+
+def _synthetic_level(K, shifts, r=None):
+    """Coordinates (k, r_{n,k}, Delta_{n,k}) of a synthetic level: shifts
+    maps k to Delta_{n,k}, and r (default 1 + k^2) to r_{n,k}."""
+    r = r or {}
+    return [(k, F(r.get(k, 1 + k * k)), F(d)) for k, d in sorted(shifts.items())]
+
+
+@pytest.mark.parametrize("case, K, coords", [
+    ("full", 4, _synthetic_level(4, {-2: -7, -1: -3, 0: 0, 1: 5, 2: F(23, 2)})),
+    ("partial", 4, _synthetic_level(4, {0: 0, 1: 5, 2: 11})),
+    ("zero-r", 4, _synthetic_level(4, {-2: -7, -1: -3, 0: 0, 1: 5, 2: 11},
+                                   {-1: 0})),
+    ("repeated-delta", 4, _synthetic_level(4, {-2: 6, -1: -3, 0: 0, 1: 6, 2: 11})),
+    ("zero-diagonal", 4, _synthetic_level(4, {-1: -3, 0: 0, 1: 5}, {0: 0})),
+    ("zero-shift", 4, _synthetic_level(4, {-1: 0, 0: 0, 1: 5})),
+    ("padded", 6, _synthetic_level(6, {-1: -3, 0: 0, 1: 5})),
+    ("understated", 2, _synthetic_level(2, {-2: -7, -1: -3, 0: 0, 1: 5, 2: 11})),
+    ("no-shift", 2, _synthetic_level(2, {0: 0, 1: 4}, {1: 0})),
+])
+def test_level_rows_reduce_the_raw_rows(case, K, coords):
+    # over the level unknowns v = (R_0(E_n), ..., R_{K-1}(E_n), R_-1(E_n)),
+    # the reduced rows and the raw coordinate rows have the same augmented
+    # row space: equal LinearSolutions, with no more rows
+    reduced, raw = level_rows(coords, K), raw_level_rows(coords, K)
+    assert len(reduced) <= len(raw)
+    assert all(len(a) == K + 1 for a, _ in reduced)
+    got = solve_linear_exact(*zip(*reduced))
+    assert got == solve_linear_exact(*zip(*raw))
+    assert got.consistent == (case != "understated")
+    if case == "full":
+        # v_i = -[x^i] Q for Q the product of (x - Delta) over k != 0, and
+        # v_-1 = -r_{n,0} v_0; each reduced row touches one unknown
+        Q = ParamPoly.const(1, ("x",))
+        for k, _, delta in coords:
+            if k:
+                Q = Q * (ParamPoly.var("x") - delta)
+        Q_coeffs = Q.coeffs_in("x")
+        v = [-Q_coeffs[i].constant_value() for i in range(K)]
+        assert got.solution == v + [-coords[2][1] * v[0]]
+        assert sorted(sum(1 for x in a if x) for a, _ in reduced) == [1, 1, 1, 1, 2]
+
+
+@pytest.mark.parametrize("k, new_r", [(0, lambda r: r + 1),
+                                      (1, lambda r: r + 1),
+                                      (2, lambda r: F(0))],
+                         ids=["r_20+1", "r_21+1", "r_22=0"])
+def test_perturbed_level_coordinate(l1i, l1i_closure, monkeypatch, k, new_r):
+    # negative control at level n = 2 of L[1I] (K = 4): r_{2,0} + 1 moves
+    # R_-1(E_2) = -r_{2,0} R_0(E_2) off the degree-2 polynomial through the
+    # other four levels, so the system is inconsistent.  An off-diagonal
+    # r_{2,k} cancels from its row while it stays nonzero (r_{2,1} + 1), and
+    # a row with r_{2,k} = 0 drops out (r_{2,2} = 0): the solution stays.
+    # The raw coordinate rows agree in every case.
+    cd, X = l1i_closure
+    real = closure.level_coordinates
+
+    def perturbed(df, X, n):
+        return [(kk, new_r(r) if (n, kk) == (2, k) else r, delta)
+                for kk, r, delta in real(df, X, n)]
+
+    monkeypatch.setattr(closure, "level_coordinates", perturbed)
+    _, rows, rhs = closure_system(l1i, X, cd.K)
+    got = solve_linear_exact(rows, rhs)
+    assert got == solve_linear_exact(*coordinate_rows(l1i, X, cd.K)[1:])
+    if k == 0:
+        assert not got.consistent
+        with pytest.raises(NoSolution):
+            solve_closure(l1i, X, cd.K)
+    else:
+        solved = solve_closure(l1i, X, cd.K)
+        assert (solved.R, solved.R_minus1) == (cd.R, cd.R_minus1)
 
 
 def _cold_and_warm(df):

@@ -180,6 +180,44 @@ def _reference_solve_fraction(matrix, rhs) -> LinearSolution:
     return LinearSolution(True, solution, kernel, r, tuple(pivot_cols))
 
 
+def test_solve_all_zero_matrix():
+    # every column is free; a nonzero right-hand side is inconsistent
+    zero = [[F(0)] * 3, [F(0)] * 3]
+    sol = solve_linear_exact(zero, [0, 0])
+    assert sol == LinearSolution(True, [F(0)] * 3,
+                                 [[F(int(i == c)) for i in range(3)] for c in range(3)],
+                                 0, ())
+    assert sol == _reference_solve_fraction(zero, [0, 0])
+    sol = solve_linear_exact(zero, [0, F(1, 2)])
+    assert sol == LinearSolution(False, None, [], 0, ())
+    assert sol == _reference_solve_fraction(zero, [0, F(1, 2)])
+
+
+def test_solve_row_that_vanishes_during_elimination():
+    # row 1 is twice row 0 and clears to zero at column 0; it is kept as
+    # an empty row and pivoting goes on with row 2 (consistent), or it
+    # carries a nonzero right-hand side (inconsistent)
+    matrix = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+    sol = solve_linear_exact(matrix, [1, 2, 1])
+    assert sol == LinearSolution(True, [F(-1), F(1), F(0)],
+                                 [[F(-1), F(-1), F(1)]], 2, (0, 1))
+    assert sol == _reference_solve_fraction(matrix, [1, 2, 1])
+    sol = solve_linear_exact(matrix, [1, 3, 1])
+    assert sol == LinearSolution(False, None, [], 2, (0, 1))
+    assert sol == _reference_solve_fraction(matrix, [1, 3, 1])
+
+
+def test_solve_sparse_pivot_row_clears_a_dense_row():
+    # the pivot row of column 0 has one nonzero; the row it clears has
+    # four, and keeps the three it does not share
+    matrix = [[F(2), 0, 0, 0], [F(3), F(1, 3), F(2), F(5)], [0, 0, F(7), 0]]
+    rhs = [F(4), F(1), F(14)]
+    sol = solve_linear_exact(matrix, rhs)
+    assert sol == LinearSolution(True, [F(2), F(-27), F(2), F(0)],
+                                 [[F(0), F(-15), F(0), F(1)]], 3, (0, 1, 2))
+    assert sol == _reference_solve_fraction(matrix, rhs)
+
+
 _small_fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 5))
 
 

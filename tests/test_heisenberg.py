@@ -203,8 +203,9 @@ def test_not_proportional_detection(ctx_l1i, l1i):
     bad = ClosureData(cd.K, list(cd.R),
                       cd.R_minus1 + ParamPoly.var("z") ** 2, "solved", "L")
     bad_ctx = LadderContext(l1i, bad, ctx_l1i.X)
-    with pytest.raises(NotProportional):
-        ladder_apply(bad_ctx, 2, 1)
+    for _ in range(2):  # a failed action is not kept: it fails again
+        with pytest.raises(NotProportional):
+            ladder_apply(bad_ctx, 2, 1)
 
 
 @pytest.mark.parametrize("case", ["L1I", "J1I", "J1II", "L1II-eta", "L2I-plugin"])
@@ -284,3 +285,26 @@ def test_heisenberg_applies_H_only_to_check_levels(monkeypatch, capsys):
         df, applied = _heisenberg_run(monkeypatch, *argv)
         assert applied == len(df.checked_levels)
         monkeypatch.undo()
+
+
+def test_each_ladder_action_is_computed_once(monkeypatch, capsys):
+    # ladder_suite, commutation_check and heisenberg_series_check all read
+    # a^(j) P(n); the context computes each (j, n) once and hands the same
+    # action back on every later call
+    applied, computed = [], []
+    real_apply, real_action = heisenberg.ladder_apply, heisenberg._ladder_action
+
+    def counted_apply(ctx, j, n):
+        applied.append((j, n))
+        return real_apply(ctx, j, n)
+
+    def counted_action(ctx, j, n):
+        computed.append((j, n))
+        return real_action(ctx, j, n)
+
+    monkeypatch.setattr(heisenberg, "ladder_apply", counted_apply)
+    monkeypatch.setattr(heisenberg, "_ladder_action", counted_action)
+    assert cli.main(["heisenberg", "--family", "J", "--D", "1II"]) == 0
+    assert sorted(computed) == sorted(set(applied))
+    # J[1II] (K = 4): 28 distinct (j, n), read 72 times
+    assert (len(applied), len(computed)) == (72, 28)
