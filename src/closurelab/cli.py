@@ -21,10 +21,10 @@ from fractions import Fraction
 
 from . import __version__
 from .exactalg import ParamPoly, SampleMismatch, parse_poly, rat, rat_str
-from .families import (DeformedFamily, EigenValidationFailed,
-                       MultiIndex, ParamSet, SchemaError, DegreeMismatch,
-                       builtin_deformed, energy, load_family_plugin,
-                       require_builtin)
+from .families import (MAX_ELL, DeformedFamily, EigenValidationFailed,
+                       MultiIndex, ParameterPole, ParamSet, SchemaError,
+                       DegreeMismatch, builtin_deformed, energy,
+                       load_family_plugin, require_builtin)
 from .closure import (NoSolution, TableMissing,
                       closure_for_family, compare_reference, conjectured_R,
                       load_reference_tables, symbolic_closure,
@@ -35,7 +35,8 @@ from .recurrence import (NonzeroRemainder, build_X, check_h_symmetry,
                          table_formulas_L1I)
 from .spectral import (DegenerateSpectrum, alpha_conjecture,
                        alpha_values_at_energy, check_alpha_spectrum,
-                       pairing_identities, spectral_suite)
+                       elementary_symmetric_R, pairing_identities,
+                       spectral_suite)
 from .heisenberg import (LadderContext, check_r0_relation, commutation_check,
                          heisenberg_series_check, ladder_suite)
 
@@ -155,6 +156,15 @@ def _parse_D(text: str) -> MultiIndex:
         raise ConfigError(f"--D {text!r}: {exc}") from None
 
 
+def _parse_D_Y(args) -> tuple[MultiIndex, ParamPoly]:
+    """--D and --Y, with ell + deg Y = deg X - 1 capped by MAX_ELL like ell."""
+    D, Y = _parse_D(args.D), _parse_Y(args.Y)
+    if D.ell + Y.degree("eta") > MAX_ELL:
+        raise ConfigError(f"--Y {args.Y!r}: ell + deg Y = {D.ell + Y.degree('eta')}"
+                          f" is above the supported bound {MAX_ELL}")
+    return D, Y
+
+
 def _load_plugin(path: str) -> DeformedFamily:
     """A plugin file that cannot be read, parsed or validated is a
     configuration error."""
@@ -174,10 +184,9 @@ def _builtin(fam: str, D: MultiIndex, params: ParamSet) -> DeformedFamily:
         raise ConfigError(str(exc)) from None
 
 
-def _family_instance(args, params: ParamSet) -> DeformedFamily:
-    """The built-in family of --family/--D, or the --plugin family, which
-    must be the same family and multi-index."""
-    D = _parse_D(args.D)
+def _family_instance(args, D: MultiIndex, params: ParamSet) -> DeformedFamily:
+    """The built-in family of --family and the multi-index D of --D, or
+    the --plugin family, which must be the same family and multi-index."""
     if not args.plugin:
         return _builtin(args.family, D, params)
     df = _load_plugin(args.plugin)
@@ -219,7 +228,7 @@ def cmd_verify_closure(args) -> int:
         raise ConfigError("--params: symbolic mode is exact in the parameters "
                           "and takes no parameter values")
     params = _parse_params(fam, args.params)
-    Y = _parse_Y(args.Y)
+    D, Y = _parse_D_Y(args)
     report = Report("verify-closure", _config_echo(args, params, Y))
     if fam in ("W", "AW"):
         if symbolic:
@@ -227,7 +236,7 @@ def cmd_verify_closure(args) -> int:
         if args.plugin:
             raise ConfigError("--plugin: W and AW closure is checked spectrally "
                               "and reads no plugin")
-        L = _parse_D(args.D).ell + Y.degree("eta") + 1
+        L = D.ell + Y.degree("eta") + 1
         _alpha_checks(report, "spectral", fam, L, params, args.n_max)
         report.add("operator-level", None, notice="not implemented: "
                    "operator-level closure for difference operators")
@@ -237,7 +246,6 @@ def cmd_verify_closure(args) -> int:
         # built at the bound values
         if args.plugin:
             raise ConfigError("symbolic mode reconstructs built-in families only")
-        D = _parse_D(args.D)
         try:
             require_builtin(D)
         except ValueError as exc:
@@ -253,7 +261,7 @@ def cmd_verify_closure(args) -> int:
         report.add("closure/degree-bounds", cd.bounds_ok())
         return _closure_values(report, args, fam, D.label(), cd,
                                conjectured_R(fam, cd.K // 2))
-    df = _family_instance(args, params)
+    df = _family_instance(args, D, params)
     try:
         cd, X = closure_for_family(df, Y)
     except (NoSolution, EigenValidationFailed, NonzeroRemainder) as exc:
@@ -298,11 +306,11 @@ def _family_bindings(df: DeformedFamily) -> dict:
 
 def cmd_recurrence(args) -> int:
     params = _parse_params(args.family, args.params)
-    Y = _parse_Y(args.Y)
+    D, Y = _parse_D_Y(args)
     report = Report("recurrence", _config_echo(args, params, Y))
     if args.family in ("W", "AW"):
         raise ConfigError("recurrence tables need polynomial family data (L or J)")
-    df = _family_instance(args, params)
+    df = _family_instance(args, D, params)
     X = build_X(df.xi, Y)
     try:
         table = compute_table(df, X, range(args.n_max + 1))
@@ -341,8 +349,8 @@ def _alpha_checks(report: Report, prefix: str, fam: str, L: int,
 
 def cmd_spectrum(args) -> int:
     params = _parse_params(args.family, args.params)
-    Y = _parse_Y(args.Y)
-    L = _parse_D(args.D).ell + Y.degree("eta") + 1
+    D, Y = _parse_D_Y(args)
+    L = D.ell + Y.degree("eta") + 1
     report = Report("spectrum", _config_echo(args, params, Y))
     alpha_list = _alpha_checks(report, "spectrum", args.family, L, params,
                                args.n_max)
@@ -350,8 +358,7 @@ def cmd_spectrum(args) -> int:
     conj = conjectured_R(args.family, L, params)
     for n in range(min(args.n_max, 4) + 1):
         alphas = alpha_values_at_energy(args.family, L, params, n, alpha_list)
-        R_vals = [Ri.subs({"z": energy(params, n)}).constant_value()
-                  for Ri in conj.R]
+        R_vals, _ = conj.values_at(energy(params, n))
         try:
             suite = spectral_suite(R_vals, alphas)
         except DegenerateSpectrum as exc:
@@ -362,13 +369,10 @@ def cmd_spectrum(args) -> int:
     seed = int(os.environ.get("CLOSURELAB_SEED", "0"))
     rng = random.Random(seed)
     ok_all = True
-    for trial in range(args.random_spectra):
-        K = rng.choice([2, 3, 4, 5, 6, 7, 8])
-        alphas = _random_distinct_rationals(rng, K)
-        R = _elementary_R_values(alphas)
-        suite = spectral_suite(R, alphas)
-        if not (suite["recursion_ok"] and suite["eigen_ok"] and suite["initial_ok"]):
-            ok_all = False
+    for _ in range(args.random_spectra):
+        alphas = _random_distinct_rationals(rng, rng.choice([2, 3, 4, 5, 6, 7, 8]))
+        suite = spectral_suite(elementary_symmetric_R(alphas), alphas)
+        ok_all &= suite["recursion_ok"] and suite["eigen_ok"] and suite["initial_ok"]
     report.add(f"spectrum/random-spectra[count={args.random_spectra},seed={seed}]",
                ok_all)
     return _emit(report, args)
@@ -385,25 +389,13 @@ def _random_distinct_rationals(rng, K):
     return sorted(vals, reverse=True)
 
 
-def _elementary_R_values(alphas):
-    K = len(alphas)
-    coeffs = [Fraction(1)]
-    for a in alphas:
-        new = [Fraction(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            new[i + 1] += c
-            new[i] -= c * a
-        coeffs = new
-    return [-coeffs[i] for i in range(K)]
-
-
 def cmd_heisenberg(args) -> int:
     params = _parse_params(args.family, args.params)
-    Y = _parse_Y(args.Y)
+    D, Y = _parse_D_Y(args)
     report = Report("heisenberg", _config_echo(args, params, Y))
     if args.family in ("W", "AW"):
         raise ConfigError("the ladder suite needs polynomial family data (L or J)")
-    df = _family_instance(args, params)
+    df = _family_instance(args, D, params)
     try:
         cd, X = closure_for_family(df, Y)
     except (NoSolution, EigenValidationFailed, NonzeroRemainder) as exc:
@@ -593,8 +585,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:  # --help and --version print and stop
         return 2 if exc.code not in (0, None) else 0
-    except (ConfigError, SchemaError) as exc:
-        # SchemaError here: plugin data short of the levels a command needs
+    except (ConfigError, SchemaError, ParameterPole) as exc:
+        # SchemaError here: plugin data short of the levels a command needs;
+        # ParameterPole: a closed form of `recurrence` undefined at --params
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -119,7 +119,7 @@ class ClosureData:
     R: list[ParamPoly]
     R_minus1: ParamPoly | None
     provenance: str
-    fam: str = ""
+    fam: str
     kernel_dim: int = 0
 
     @property
@@ -127,7 +127,7 @@ class ClosureData:
         return self.kernel_dim == 0
 
     def bounds_ok(self) -> bool:
-        bounds = degree_bounds(self.fam or "L", self.K)
+        bounds = degree_bounds(self.fam, self.K)
         for i, Ri in enumerate(self.R):
             if Ri.degree("z") > bounds[i]:
                 return False
@@ -139,6 +139,14 @@ class ClosureData:
         poly = self.R_minus1 if i == -1 else self.R[i]
         c = poly.coeffs_in("z").get(j)
         return c.constant_value() if c is not None else Fraction(0)
+
+    def values_at(self, E: Rat) -> tuple[list[Rat], Rat | None]:
+        """(R_0(E), ..., R_{K-1}(E)) and R_-1(E), exact, with R_-1(E) None
+        when the data leave it undetermined.  Data symbolic in a parameter
+        raise ValueError (``ParamPoly.constant_value``)."""
+        at = {"z": E}
+        R_minus1 = None if self.R_minus1 is None else self.R_minus1.evaluate(at)
+        return [Ri.evaluate(at) for Ri in self.R], R_minus1
 
 
 def _unknown_layout(fam: str, K: int) -> list[tuple[int, int]]:
@@ -174,9 +182,10 @@ def level_rows(coords: Sequence[tuple[int, Rat, Rat]],
     since the s are simple roots of Q; equal null spaces give equal row
     spaces.  Zero rows (i > K
     when m > K + 1) are dropped; an order K < m leaves the row 0 = 1 at
-    i = K, so the level has no solution.  x^f mod Q is x^{f-1} mod Q times
-    x, reduced once (``spectral.recursion_vectors`` with R_i = -[x^i] Q):
-    O(K m) operations and no solve.
+    i = K, so the level has no solution.  The coefficients R_i = -[x^i] Q
+    come from ``spectral.elementary_symmetric_R`` on S, and x^f mod Q is
+    x^{f-1} mod Q times x, reduced once (``spectral.recursion_vectors`` on
+    those R_i): O(K m) operations and no solve.
     """
     zero = Fraction(0)
     rows: list[tuple[list[Rat], Rat]] = []
@@ -190,14 +199,8 @@ def level_rows(coords: Sequence[tuple[int, Rat, Rat]],
             roots.append(delta)
     if not roots:
         return rows
-    Q = [Fraction(1)]  # coefficients of Q, lowest first
-    for s in roots:
-        Q = [zero, *Q]
-        for i in range(len(Q) - 1):
-            Q[i] -= s * Q[i + 1]
-    m = len(roots)
-    rem = recursion_vectors([-q for q in Q[:m]], K)  # x^f mod Q, f = 0..K
-    for i in range(m):
+    rem = recursion_vectors(elementary_symmetric_R(roots), K)  # x^f mod Q, f = 0..K
+    for i in range(len(roots)):
         row = [rem[f][i] for f in range(K)] + [zero]
         if any(row) or rem[K][i]:
             rows.append((row, rem[K][i]))
@@ -338,9 +341,7 @@ def verify_closure_identity(df: DeformedFamily, X: ParamPoly,
     N = max([K, 2 * cd.R_minus1.degree("z")]
             + [i + 2 * Ri.degree("z") for i, Ri in enumerate(cd.R)])
     for n, coords in enumerate(_levels_through(df, X, N)):
-        at = {"z": df.E(n)}
-        R_at = [Ri.evaluate(at) for Ri in cd.R]
-        R_minus1_at = cd.R_minus1.evaluate(at)
+        R_at, R_minus1_at = cd.values_at(df.E(n))
         for k, r, delta in coords:
             residual = r * (delta ** K - sum(R_i * delta ** i
                                              for i, R_i in enumerate(R_at)))
@@ -352,10 +353,11 @@ def verify_closure_identity(df: DeformedFamily, X: ParamPoly,
 
 
 def conjectured_R(fam: str, L: int, params: ParamSet | None = None) -> ClosureData:
-    """R_0..R_{2L-1} from the conjectured eigenvalue list via elementary
-    symmetric functions; the inhomogeneous term is not determined."""
-    alphas = alpha_conjecture(fam, L, params)
-    R = elementary_symmetric_R(alphas)
+    """R_0..R_{2L-1} expanded from the conjectured eigenvalue list
+    (``spectral.elementary_symmetric_R``); each must come out square-root
+    free, a polynomial in z, or ``SqrtExpr.poly_part`` raises ValueError.
+    The inhomogeneous term is not determined."""
+    R = [c.poly_part() for c in elementary_symmetric_R(alpha_conjecture(fam, L, params))]
     return ClosureData(2 * L, R, None, "conjectured", fam)
 
 

@@ -853,7 +853,7 @@ _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]
                     r"|(?P<op>[-+*^()]))")
 
 
-def parse_poly(text: str, default_var: str = "eta") -> ParamPoly:
+def parse_poly(text: str) -> ParamPoly:
     """Parse 'c*var^k' terms joined by +/-, e.g. '1/2*eta^2 - 3*eta + 1'.
 
     Supports parentheses and products; exponents are nonnegative integers;

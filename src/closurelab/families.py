@@ -51,12 +51,12 @@ FAMILIES = ("L", "J", "W", "AW")
 # every further level when the closure engine first reads it.
 VALIDATE_N = 5
 
-# Largest supported number of missing degrees ell.  It bounds the size of the
-# ansatz system and of every P_n a multi-index from a label or a plugin can
-# ask for; every shipped row and plugin has ell <= 5.  Cost of a legal run,
-# measured for `verify-closure --family L --D <ell>I` on a 2-CPU x86-64 host
-# (Python 3.11): ell = 6, 8, 10 take 1.3 s, 3.7 s, 12 s (about 3x per +2 in
-# ell), and ell = 16 takes 192 s at 97 MB peak RSS.
+# Largest supported number of missing degrees ell, and of ell + deg Y in the
+# CLI.  It bounds the size of the ansatz system and of every P_n a
+# multi-index from a label or a plugin can ask for; every shipped row and
+# plugin has ell <= 5.  `verify-closure --family L --D <ell>I` on a 2-CPU
+# x86-64 host (Python 3.11): ell = 6, 10, 16 take 0.4 s, 1.3 s, 15 s (33 MB
+# peak RSS).
 MAX_ELL = 16
 
 
@@ -70,6 +70,19 @@ class SchemaError(Exception):
 
 class DegreeMismatch(Exception):
     """Plugin polynomial degrees contradict the multi-index bookkeeping."""
+
+
+class ParameterPole(Exception):
+    """A denominator factor of a closed form vanishes at these parameters."""
+
+
+def nonzero_factors(a: Rat, n: int, form: str, factors: Mapping[str, Rat]) -> None:
+    """Raise ParameterPole naming a, n and the first of the denominator
+    ``factors`` (text: value) of ``form`` at level n that vanishes."""
+    for text, value in factors.items():
+        if not value:
+            raise ParameterPole(f"a={rat_str(a)}: the factor {text} of {form} "
+                                f"vanishes at n={n}")
 
 
 def _sqrt_fraction(q: Rat) -> Rat | None:
@@ -110,9 +123,6 @@ class ParamSet:
                 raise ValueError("AW needs 0 < q < 1")
             if _sqrt_fraction(q) is None:
                 raise ValueError("AW needs q to be the square of a rational")
-
-    def __getitem__(self, key: str) -> Rat:
-        return self.values[key]
 
     @property
     def g(self) -> Rat:
@@ -287,6 +297,8 @@ def classical_h_step(params: ParamSet, n: int) -> Rat:
         return Fraction(n + params.g - HALF, 1) / n
     if params.fam == "J":
         g, h, a = params.g, params.h, params.a
+        nonzero_factors(a, n, "the norm ratio h_n/h_(n-1)",
+                        {"2n+a": 2 * n + a, "n+a-1": n + a - 1})
         return ((n + g - HALF) * (n + h - HALF) * (2 * n + a - 2)
                 / (n * (2 * n + a) * (n + a - 1)))
     if params.fam == "W":

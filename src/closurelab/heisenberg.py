@@ -66,18 +66,19 @@ class LadderContext:
         self.X = X
         self.K = cd.K
         self.L = cd.K // 2
-        self._spectral: dict[int, tuple[list[Rat], SpectralData]] = {}
+        self._spectral: dict[int, tuple[SpectralData, Rat]] = {}
         self._actions: dict[tuple[int, int], LadderAction] = {}
         self._alpha_list = alpha_conjecture(df.fam, self.L, df.params)
 
-    def spectral_at(self, n: int) -> tuple[list[Rat], SpectralData]:
-        """(alpha_j(E_n), closed-form eigendata of the companion matrix at E_n)."""
+    def spectral_at(self, n: int) -> tuple[SpectralData, Rat]:
+        """The closed-form eigendata of the companion matrix at E_n, with
+        roots alpha_j(E_n) and coefficients R_i(E_n), and R_-1(E_n); the
+        closure data are evaluated once per level."""
         if n not in self._spectral:
-            En = self.df.E(n)
             alphas = alpha_values_at_energy(self.df.fam, self.L, self.df.params,
                                             n, self._alpha_list)
-            R_vals = [Ri.evaluate({"z": En}) for Ri in self.cd.R]
-            self._spectral[n] = (alphas, eigen_closed_form(R_vals, alphas))
+            R_vals, R_minus1 = self.cd.values_at(self.df.E(n))
+            self._spectral[n] = (eigen_closed_form(R_vals, alphas), R_minus1)
         return self._spectral[n]
 
     def ad_coords(self, i: int, n: int) -> dict[int, Rat]:
@@ -85,9 +86,6 @@ class LadderContext:
         read from the family's level store (see closure.level_coordinates)."""
         return {k: r * delta ** i
                 for k, r, delta in level_coordinates(self.df, self.X, n)}
-
-    def r_minus1_at(self, n: int) -> Rat:
-        return self.cd.R_minus1.evaluate({"z": self.df.E(n)})
 
     def r(self, n: int, k: int) -> Rat:
         """The recurrence coefficient r_{n,k} of X P(n) at P(n+k), |k| <= L,
@@ -122,15 +120,15 @@ def _ladder_action(ctx: LadderContext, j: int, n: int) -> LadderAction:
     if not 1 <= j <= K:
         raise ValueError("need 1 <= j <= K")
     shift = L + 1 - j if j <= L else -(j - L)
-    alphas, sd = ctx.spectral_at(n)
-    alpha_j = alphas[j - 1]
+    sd, R_minus1 = ctx.spectral_at(n)
+    alpha_j = sd.alphas[j - 1]
     column = [sd.P[i][j - 1] for i in range(K)]
     scale = sd.P_inv[j - 1][0]
     coords = {}
     for k, r, delta in level_coordinates(ctx.df, ctx.X, n):
         c = sum(r * delta ** i * column[i] for i in range(K))
         if k == 0:
-            c += ctx.r_minus1_at(n) / alpha_j
+            c += R_minus1 / alpha_j
         coords[k] = c * scale
     target_n = n + shift
     if target_n < 0:
@@ -169,10 +167,9 @@ def check_r0_relation(ctx: LadderContext, n_range: Iterable[int]) -> list[dict]:
     """-R_-1(E_n) / R_0(E_n) equals the diagonal recurrence coefficient."""
     out = []
     for n in n_range:
-        En = ctx.df.E(n)
-        lhs = -ctx.cd.R_minus1.evaluate({"z": En}) / ctx.cd.R[0].evaluate({"z": En})
+        sd, R_minus1 = ctx.spectral_at(n)
         out.append({"check": "diagonal-coefficient", "n": n,
-                    "ok": lhs == ctx.r(n, 0)})
+                    "ok": -R_minus1 / sd.R[0] == ctx.r(n, 0)})
     return out
 
 
@@ -214,15 +211,13 @@ def heisenberg_series_check(ctx: LadderContext, n: int, m_max: int) -> list[dict
     compared coordinate by coordinate.
     """
     out = []
-    alphas, _ = ctx.spectral_at(n)
+    sd, R_minus1 = ctx.spectral_at(n)
     actions = [ladder_apply(ctx, j, n) for j in range(1, ctx.K + 1)]
-    En = ctx.df.E(n)
-    const = (ctx.cd.R_minus1.evaluate({"z": En})
-             / ctx.cd.R[0].evaluate({"z": En}))
+    const = R_minus1 / sd.R[0]
     for m in range(m_max + 1):
         lhs = ctx.ad_coords(m, n)
         rhs = {k: sum(alpha ** m * action.coords[k]
-                      for alpha, action in zip(alphas, actions))
+                      for alpha, action in zip(sd.alphas, actions))
                for k in lhs}
         if m == 0:
             rhs[0] -= const

@@ -10,12 +10,13 @@ in parallel over n.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
 from .exactalg import ParamPoly, Rat
-from .families import DeformedFamily, ParamSet, _rising
+from .families import DeformedFamily, ParamSet, _rising, nonzero_factors
 
 
 class NonzeroRemainder(Exception):
@@ -170,25 +171,31 @@ def table_formulas_J1I(params: ParamSet) -> dict[int, Callable[[int], Rat]]:
     at bound parameters."""
     a, b, g, h = params.a, params.b, params.g, params.h
 
+    def den(n, k, offsets):
+        """prod_c (a + 2n + c), the a-factors of the denominator of r_(n,k);
+        one that vanishes raises ParameterPole."""
+        factors = {"a+2n" + (f"{c:+d}" if c else ""): a + 2 * n + c for c in offsets}
+        nonzero_factors(a, n, f"the J[1I] coefficient r_(n,{k})", factors)
+        return math.prod(factors.values())
+
     def r2(n):
         return (_rising(Fraction(n + 1), 2) * (b + 2) * _rising(a + n, 2)
-                * (2 * h + 2 * n - 3)) / (_rising(a + 2 * n, 4) * (2 * h + 2 * n + 1))
+                * (2 * h + 2 * n - 3)) / (den(n, 2, range(4)) * (2 * h + 2 * n + 1))
 
     def rm2(n):
         return ((b + 2) * (2 * g + 2 * n - 3) * (2 * g + 2 * n + 3)
-                * _rising(h + n - Fraction(3, 2), 2)) / (4 * _rising(a + 2 * n - 3, 4))
+                * _rising(h + n - Fraction(3, 2), 2)) / (4 * den(n, -2, range(-3, 1)))
 
     def r1(n):
         return ((n + 1) * (a - 1) * (a + n) * (2 * g + 2 * n + 3)
-                * (2 * h + 2 * n - 3)) / (_rising(a + 2 * n - 1, 3) * (a + 2 * n + 3))
+                * (2 * h + 2 * n - 3)) / den(n, 1, (-1, 0, 1, 3))
 
     def rm1(n):
         return ((a - 1) * (2 * g + 2 * n - 1) * (2 * g + 2 * n + 3)
-                * _rising(h + n - Fraction(3, 2), 2)) / ((a + 2 * n - 3)
-                                                         * _rising(a + 2 * n - 1, 3))
+                * _rising(h + n - Fraction(3, 2), 2)) / den(n, -1, (-3, -1, 0, 1))
 
     def r0(n):
-        lead = (b + 2) / (4 * _rising(a + 2 * n - 2, 2) * _rising(a + 2 * n + 1, 2))
+        lead = (b + 2) / (4 * den(n, 0, (-2, -1, 1, 2)))
         inner = (-b * (b + 4) * (2 * n * (a + n) - (a - 2) * (a - 1))
                  + (a + 2 * n - 1) * (a + 2 * n + 1)
                  * (2 * n * (a + n) - (a - 2) * (2 * a - 1)))

@@ -299,30 +299,19 @@ def pairing_identities(fam: str, L: int, params: ParamSet | None = None,
     return out
 
 
-def elementary_symmetric_R(alphas: list[SqrtExpr]) -> list[ParamPoly]:
-    """R_i = (-1)^(i+1) e_{K-i}(alpha), expanded to genuine polynomials in z.
-
-    Computed from prod_j (x - alpha_j): the coefficient of x^i is
-    (-1)^(K-i) e_{K-i}, so R_i = -[x^i] prod (x - alpha_j).  Every
-    coefficient must come out square-root free.
+def elementary_symmetric_R(roots: Sequence) -> list:
+    """R_i = -[x^i] prod_j (x - root_j) = (-1)^(K-i+1) e_{K-i}(roots) for
+    i < K = len(roots): x^K - sum_i R_i x^i is the companion polynomial with
+    these roots.  The one roots -> R expansion, in the ring of the roots:
+    Fractions, or SqrtExpr for the conjectured eigenvalue lists
+    (``closure.conjectured_R`` requires those to come out square-root free).
     """
-    K = len(alphas)
-    S = alphas[0].square
-    # coefficients of prod (x - alpha_j), low to high in x
-    coeffs: list[SqrtExpr] = [SqrtExpr.lift(1, S)]
-    for alpha in alphas:
-        new = [SqrtExpr.lift(0, S) for _ in range(len(coeffs) + 1)]
-        for i, c in enumerate(coeffs):
-            new[i + 1] = new[i + 1] + c
-            new[i] = new[i] - c * alpha
-        coeffs = new
-    out = []
-    for i in range(K):
-        ci = coeffs[i]
-        if not ci.is_sqrt_free:
-            raise ValueError(f"char-poly coefficient of x^{i} is not square-root free")
-        out.append(-ci.poly_part())
-    return out
+    coeffs = [1]  # prod (x - root) so far, lowest power first
+    for root in roots:
+        coeffs = [0, *coeffs]
+        for i in range(len(coeffs) - 1):
+            coeffs[i] = coeffs[i] - root * coeffs[i + 1]
+    return [-c for c in coeffs[:-1]]
 
 
 # -- companion matrix, closed-form diagonalization -------------------------------

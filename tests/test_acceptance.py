@@ -28,8 +28,7 @@ from closurelab.heisenberg import (LadderContext, check_r0_relation,
 from closurelab.recurrence import (build_X, check_h_symmetry,
                                    closed_form_compare, compute_table,
                                    table_formulas_J1I, table_formulas_L1I)
-from closurelab.spectral import (alpha_conjecture, alpha_values_at_energy,
-                                 check_alpha_spectrum, elementary_symmetric_R,
+from closurelab.spectral import (alpha_values_at_energy, check_alpha_spectrum,
                                  pairing_identities, spectral_suite,
                                  sqrt_value_at_energy, sqrt_square)
 
@@ -204,16 +203,16 @@ def test_criterion_08_conjectured_coefficients(aw_params, lag_params,
             rep = pairing_identities(fam, L, ps)
             ok = ok and all(e["ok"] for e in rep)
             # and the expansion itself is square-root free
-            elementary_symmetric_R(alpha_conjecture(fam, L, ps))
+            conjectured_R(fam, L, ps)
     # printed difference-family forms at L = 2
-    Rw = elementary_symmetric_R(alpha_conjecture("W", 2, None))
+    Rw = conjectured_R("W", 2).R
     b1 = ParamPoly.var("b1")
     zp = 4 * z + (b1 - 1) ** 2
     ok = ok and Rw == [-4 * (zp - 1) * (zp - 4), -8 * (2 * zp - 5),
                        5 * zp - 33, ParamPoly.const(10)]
     d = aw_params.derived()
     q, b4 = d["q"], d["b4"]
-    Raw = elementary_symmetric_R(alpha_conjecture("AW", 2, aw_params))
+    Raw = conjectured_R("AW", 2, aw_params).R
     zq = z + 1 + b4 / q
     ok = ok and Raw[3] == q ** -2 * (1 - q) ** 2 * (1 + 3 * q + q ** 2) * zq
     _record(8, ok, "expanding the conjectured eigenvalue lists reproduces the "

@@ -1,5 +1,6 @@
 """CLI: subcommands, exit codes, deterministic reports, plugin gating."""
 
+import argparse
 import json
 import os
 import pathlib
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from closurelab.cli import (DEFAULT_PARAMS, ConfigError, _param_items,
-                            _param_set, _parse_Y, main)
+                            _param_set, _parse_D_Y, _parse_Y, main)
 from closurelab.families import MAX_ELL, ParamSet, load_family_plugin
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -67,6 +68,18 @@ def test_reports_are_byte_stable(tmp_path):
     assert r1.read_bytes() == r2.read_bytes()
 
 
+def test_Y_degree_is_capped_with_ell():
+    # ell + deg Y may reach MAX_ELL, the cap on ell alone, and no further
+    for D, Y in (("1I", f"eta^{MAX_ELL - 1}"), ("", f"eta^{MAX_ELL}"),
+                 (f"{MAX_ELL}I", "")):
+        parsed_D, parsed_Y = _parse_D_Y(argparse.Namespace(D=D, Y=Y))
+        assert parsed_D.ell + parsed_Y.degree("eta") == MAX_ELL
+    for D, Y in (("1I", f"eta^{MAX_ELL}"), ("", f"eta^{MAX_ELL + 1}"),
+                 (f"{MAX_ELL}I", "eta"), ("1II", f"(eta+1)^{MAX_ELL}")):
+        with pytest.raises(ConfigError, match="is above the supported bound"):
+            _parse_D_Y(argparse.Namespace(D=D, Y=Y))
+
+
 @pytest.mark.parametrize("argv", [
     ["verify-closure", "--family", "L", "--params", "g"],
     ["recurrence", "--family", "W"],
@@ -116,6 +129,13 @@ def test_reports_are_byte_stable(tmp_path):
     ["verify-closure", "--n-max", "-2"],
     ["verify-closure", "--family", "J", "--D", "1II", "--params", "g=3", "h=1"],
     ["heisenberg", "--family", "J", "--D", "2II", "--params", "g=7/2", "h=1/2"],
+    ["recurrence", "--family", "J", "--D", "{}", "--params", "g=1/2", "h=-1/2"],
+    ["recurrence", "--family", "J", "--D", "1I", "--params", "g=3", "h=-2"],
+    ["verify-closure", "--Y", "eta^16", "--D", "1I"],
+    ["verify-closure", "--Y", "eta^16", "--D", "1I", "--mode", "symbolic"],
+    ["recurrence", "--Y", "eta^16", "--D", "1I"],
+    ["spectrum", "--Y", "eta^16", "--D", "1I"],
+    ["heisenberg", "--Y", "eta^16", "--D", "1I"],
 ], ids=["params", "W-recurrence", "AW-q", "Y", "D", "truncated-plugin",
         "missing-plugin", "plugin-levels", "multi-seed", "J-range-spectrum",
         "J-range-heisenberg", "ell-bound", "ell-bound-plugin",
@@ -130,7 +150,9 @@ def test_reports_are_byte_stable(tmp_path):
         "symbolic-multi-seed", "symbolic-plugin", "plugin-other-D",
         "plugin-other-family", "plugin-other-D-heisenberg",
         "negative-random-spectra", "negative-n-max", "seed-loses-degree",
-        "seed-loses-degree-heisenberg"])
+        "seed-loses-degree-heisenberg", "J-norm-ratio-pole", "J1I-table-pole",
+        "Y-degree-bound", "Y-degree-bound-symbolic", "Y-degree-bound-recurrence",
+        "Y-degree-bound-spectrum", "Y-degree-bound-heisenberg"])
 def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
     shipped = (ROOT / "plugins" / "laguerre_2I.json").read_text()
     truncated = tmp_path / "truncated.json"
@@ -177,7 +199,16 @@ def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
     if "h=1/2" in argv:
         assert err == ("configuration error: J[2II]: the seed has degree below 2 "
                        "at b = 3, so it is degenerate at these parameters\n")
+    if "h=-1/2" in argv:
+        assert err == ("configuration error: a=0: the factor n+a-1 of the norm "
+                       "ratio h_n/h_(n-1) vanishes at n=1\n")
+    if "h=-2" in argv:
+        assert err == ("configuration error: a=1: the factor a+2n-1 of the J[1I] "
+                       "coefficient r_(n,0) vanishes at n=0\n")
     Y = argv[argv.index("--Y") + 1] if "--Y" in argv else None
+    if Y == "eta^16":
+        assert err == ("configuration error: --Y 'eta^16': ell + deg Y = 17 is "
+                       f"above the supported bound {MAX_ELL}\n")
     if Y in ("g", "0"):
         assert f"--Y '{Y}': Y must be a nonzero polynomial in eta" in err
     if Y == "1/0":

@@ -229,6 +229,27 @@ def test_alpha_values_are_closure_roots(l1i_closure, lag_params):
             assert al ** 4 == sum(R_at[i] * al ** i for i in range(4))
 
 
+def test_values_at_equals_coefficientwise_evaluation(l1i_closure, j1i_closure,
+                                                     lag_params, jac_params):
+    for (cd, _), ps in ((l1i_closure, lag_params), (j1i_closure, jac_params)):
+        for n in range(6):
+            En = energy(ps, n)
+            R_at, R_minus1_at = cd.values_at(En)
+            assert R_at == [Ri.evaluate({"z": En}) for Ri in cd.R]
+            assert R_minus1_at == cd.R_minus1.evaluate({"z": En})
+    # conjectured data leave R_-1 undetermined
+    conj = conjectured_R("L", 2, lag_params)
+    R_at, R_minus1_at = conj.values_at(F(7, 2))
+    assert R_at == [Ri.evaluate({"z": F(7, 2)}) for Ri in conj.R]
+    assert R_minus1_at is None
+    # data symbolic in (z, g) have no value at an energy alone
+    symbolic = ClosureData(2, [z * g, z], z + g, "solved", "L")
+    with pytest.raises(ValueError):
+        symbolic.values_at(F(3))
+    with pytest.raises(ValueError):
+        ClosureData(2, [z, z], z * g, "solved", "L").values_at(F(3))
+
+
 def test_reconstruct_closure_symbolic_in_g():
     def solve_at(binding):
         ps = ParamSet("L", {"g": binding["g"]})

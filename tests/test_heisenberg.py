@@ -9,7 +9,7 @@ import pytest
 
 from closurelab import cli, families, heisenberg
 from closurelab.exactalg import ParamPoly
-from closurelab.closure import closure_for_family
+from closurelab.closure import ClosureData, closure_for_family
 from closurelab.families import (EigenValidationFailed, builtin_deformed,
                                  load_family_plugin)
 from closurelab.heisenberg import (LadderContext, NotProportional,
@@ -49,10 +49,10 @@ def two_step_specialization(ctx, n_range):
     assert ctx.K == 2, "specialization check needs K = 2"
     out = []
     for n in n_range:
-        alphas, _ = ctx.spectral_at(n)
-        ap, am = alphas
+        sd, _ = ctx.spectral_at(n)
+        ap, am = sd.alphas
         En = ctx.df.E(n)
-        const = ctx.r_minus1_at(n) / ctx.cd.R[0].evaluate({"z": En})
+        const = ctx.cd.R_minus1.evaluate({"z": En}) / ctx.cd.R[0].evaluate({"z": En})
         adX = ctx.ad_coords(1, n)
         Xp = ctx.ad_coords(0, n)
         Xc = {k: x + (const if k == 0 else 0) for k, x in Xp.items()}
@@ -308,3 +308,22 @@ def test_each_ladder_action_is_computed_once(monkeypatch, capsys):
     assert sorted(computed) == sorted(set(applied))
     # J[1II] (K = 4): 28 distinct (j, n), read 72 times
     assert (len(applied), len(computed)) == (72, 28)
+
+
+def test_each_level_evaluates_its_closure_data_once(monkeypatch):
+    # the ladder actions, the diagonal-coefficient relation and the
+    # time-power checks all read R(E_n) and R_-1(E_n); the context
+    # evaluates the closure data once per level and keeps the values with
+    # that level's spectral data
+    energies = []
+    real_values_at = ClosureData.values_at
+
+    def counted(cd, E):
+        energies.append(E)
+        return real_values_at(cd, E)
+
+    monkeypatch.setattr(ClosureData, "values_at", counted)
+    assert cli.main(["heisenberg", "--family", "J", "--D", "1II"]) == 0
+    # J[1II] with --n-max 8: levels n = 0..6
+    df = builtin_deformed("J", "1II", cli._parse_params("J", None))
+    assert energies == [df.E(n) for n in range(7)]

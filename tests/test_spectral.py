@@ -1,13 +1,15 @@
 """Companion-matrix spectral data, conjectured eigenvalue lists, pairing
 identities, the exact spacing checks."""
 
+import math
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
-from closurelab.cli import (DEFAULT_PARAMS, _elementary_R_values,
-                            _random_distinct_rationals)
+from closurelab.cli import DEFAULT_PARAMS, _random_distinct_rationals
+from closurelab import closure
 from closurelab.closure import conjectured_R
 from closurelab.exactalg import ParamPoly, rat
 from closurelab.families import ParamSet, energy
@@ -43,7 +45,7 @@ def test_degenerate_spectrum_rejected():
 def test_laguerre_alpha_list():
     alphas = alpha_conjecture("L", 2, None)
     assert [al.u.constant_value() for al in alphas] == [8, 4, -4, -8]
-    R = elementary_symmetric_R(alphas)
+    R = conjectured_R("L", 2).R
     assert [r.constant_value() for r in R] == [-1024, 0, 80, 0]
 
 
@@ -79,7 +81,7 @@ def test_aw_alpha_collapse_at_energy(aw_params):
 
 
 def test_conjectured_R_jacobi_symbolic():
-    R = elementary_symmetric_R(alpha_conjecture("J", 2, None))
+    R = conjectured_R("J", 2).R
     assert R[3] == ParamPoly.const(40)
     assert R[2] == 80 * (z + a * a) - 528
     assert R[1] == -1024 * (z + a * a - F(5, 2))
@@ -87,7 +89,7 @@ def test_conjectured_R_jacobi_symbolic():
 
 
 def test_conjectured_R_wilson_symbolic():
-    R = elementary_symmetric_R(alpha_conjecture("W", 2, None))
+    R = conjectured_R("W", 2).R
     zp = 4 * z + (b1 - 1) ** 2
     assert R[3] == ParamPoly.const(10)
     assert R[2] == 5 * zp - 33
@@ -98,7 +100,7 @@ def test_conjectured_R_wilson_symbolic():
 def test_conjectured_R_askey_wilson_bound(aw_params):
     d = aw_params.derived()
     q, b4 = d["q"], d["b4"]
-    R = elementary_symmetric_R(alpha_conjecture("AW", 2, aw_params))
+    R = conjectured_R("AW", 2, aw_params).R
     zp = z + 1 + b4 / q
     assert R[3] == q ** -2 * (1 - q) ** 2 * (1 + 3 * q + q ** 2) * zp
     assert R[2] == -(q ** -3) * (1 - q) ** 2 * (
@@ -111,13 +113,60 @@ def test_conjectured_R_askey_wilson_bound(aw_params):
         zp * zp - q ** -3 * (1 + q ** 2) ** 2 * b4)
 
 
+def test_expansion_has_the_roots_it_was_built_from():
+    # root^K = sum_i R_i root^i for every root, and
+    # R_i = (-1)^(K-i+1) e_(K-i)(roots), on random Fraction roots (repeats
+    # allowed)
+    rng = random.Random(11)
+    for _ in range(60):
+        roots = [F(rng.randint(-40, 40), rng.randint(1, 9))
+                 for _ in range(rng.randint(1, 8))]
+        K = len(roots)
+        R = elementary_symmetric_R(roots)
+        assert len(R) == K and all(isinstance(r, F) for r in R)
+        for root in roots:
+            assert root ** K == sum(R_i * root ** i for i, R_i in enumerate(R))
+        for i in range(K):
+            e = sum(math.prod(c) for c in combinations(roots, K - i))
+            assert R[i] == (-1) ** (K - i + 1) * e
+    assert elementary_symmetric_R([]) == []
+    assert elementary_symmetric_R([F(3)]) == [F(3)]
+
+
+def test_conjectured_lists_are_the_elementary_symmetric_functions(aw_params,
+                                                                  monkeypatch):
+    # the conjectured R_i are (-1)^(K-i+1) e_(K-i)(alpha) summed term by term
+    # over the SqrtExpr eigenvalue list, square-root free, for all four
+    # families
+    for fam, ps in (("L", None), ("J", None), ("W", None), ("AW", aw_params)):
+        for L in (1, 2, 3):
+            alphas = alpha_conjecture(fam, L, ps)
+            K = 2 * L
+            expected = []
+            for i in range(K):
+                e = SqrtExpr.lift(0, alphas[0].square)
+                for c in combinations(alphas, K - i):
+                    term = SqrtExpr.lift(1, alphas[0].square)
+                    for alpha in c:
+                        term = term * alpha
+                    e = e + term
+                expected.append(((-1) ** (K - i + 1) * e).poly_part())
+            conj = conjectured_R(fam, L, ps)
+            assert (conj.K, conj.R, conj.R_minus1) == (K, expected, None), (fam, L)
+    # negative control: an unpaired list leaves the square root in R_0
+    unpaired = alpha_conjecture("J", 1, None)
+    unpaired[1] = unpaired[0] + 1
+    monkeypatch.setattr(closure, "alpha_conjecture", lambda *args: unpaired)
+    with pytest.raises(ValueError, match="still carries the square root"):
+        conjectured_R("J", 1)
+
+
 def test_char_poly_identity_all_families(aw_params):
     # expanding prod(x - alpha_j) reproduces x^K - sum R_i x^i
     for fam, ps in (("L", None), ("J", None), ("W", None), ("AW", aw_params)):
         for L in (1, 2, 3):
             alphas = alpha_conjecture(fam, L, ps)
-            R = elementary_symmetric_R(alphas)
-            A = CompanionMatrix(tuple(R))
+            A = CompanionMatrix(tuple(conjectured_R(fam, L, ps).R))
             for al in alphas:
                 val = A.char_poly_at(al)
                 assert val.is_sqrt_free and val.poly_part().is_zero
@@ -237,7 +286,7 @@ def _cli_random_spectra(seed):
     out = []
     for _ in range(50):
         alphas = _random_distinct_rationals(rng, rng.choice([2, 3, 4, 5, 6, 7, 8]))
-        out.append((_elementary_R_values(alphas), alphas))
+        out.append((elementary_symmetric_R(alphas), alphas))
     return out
 
 
@@ -317,7 +366,7 @@ def test_order2_specialization_of_eigenvalue_pair(aw_params, lag_params):
     # identity (alpha_+ - alpha_-)^2 = R_1^2 + 4 R_0 holds identically in z.
     for fam, ps in (("L", lag_params), ("J", None), ("W", None), ("AW", aw_params)):
         ap, am = alpha_conjecture(fam, 1, ps)
-        R0, R1 = elementary_symmetric_R([ap, am])
+        R0, R1 = (c.poly_part() for c in elementary_symmetric_R([ap, am]))
         total = ap + am
         prod = ap * am
         assert total.poly_part() == R1
