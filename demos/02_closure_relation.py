@@ -29,14 +29,13 @@ print(f"  R_-1(z) = {cd.R_minus1}")
 assert verify_closure_identity(family, X, cd)
 print("operator identity certified on P_0..P_K")
 
-conj = conjectured_R("L", cd.K // 2, params)
-assert all(cd.R[i] == conj.R[i] for i in range(cd.K))
+assert cd.R == conjectured_R("L", cd.K // 2, params)
 print("solved R_i equal the eigenvalue-list expansion")
 
 print(compare_reference("L", "1I", "1", cd, {"g": params.g}))
 
 # negative control: perturbing one coefficient must break the identity
-broken = ClosureData(cd.K, list(cd.R), cd.R_minus1, "solved", "L")
+broken = ClosureData(cd.K, list(cd.R), cd.R_minus1)
 broken.R[2] = ParamPoly.const(81)
 assert not verify_closure_identity(family, X, broken)
 print("perturbed R_2 = 81 fails, as it must")

@@ -10,8 +10,8 @@ import random
 from fractions import Fraction
 
 from closurelab.families import ParamSet
-from closurelab.spectral import (alpha_values_at_energy, eigen_closed_form,
-                                 spectral_suite)
+from closurelab.spectral import (alpha_conjecture, alpha_values_at_energy,
+                                 eigen_closed_form, spectral_suite)
 
 # 2x2 worked example: eigenvalues (2, -3) so R_1 = -1, R_0 = 6
 sd = eigen_closed_form([6, -1], [2, -3])
@@ -22,8 +22,9 @@ print("recursion/eigen/initial all exact:",
 
 # family spectra: alpha_j evaluated at E_n are exact rationals
 params = ParamSet("J", {"g": Fraction(2), "h": Fraction(3)})
+alpha_list = alpha_conjecture("J", 2, params)
 for n in (0, 1, 3):
-    alphas = alpha_values_at_energy("J", 2, params, n)
+    alphas = alpha_values_at_energy("J", 2, params, n, alpha_list)
     print(f"J, L=2, n={n}: alphas at E_n = {alphas}")
 
 # randomized spectra, deterministic seed

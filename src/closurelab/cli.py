@@ -280,20 +280,26 @@ def cmd_verify_closure(args) -> int:
 
 
 def _closure_values(report: Report, args, fam: str, D_label: str, cd,
-                    conj, bindings: dict | None = None) -> int:
+                    conj: list, bindings: dict | None = None) -> int:
     """The checks shared by sampled and symbolic closure reports: the
     conjectured R_i, the stored reference row, and the solved values."""
-    report.add("closure/conjectured-R",
-               all(cd.R[i] == conj.R[i] for i in range(cd.K)))
+    report.add("closure/conjectured-R", cd.R == conj)
     try:
         cmp = compare_reference(fam, D_label, args.Y or "1", cd, bindings)
-        report.add("closure/reference-table", cmp["ok"])
+        _add_reference(report, "closure/reference-table", cmp)
     except TableMissing:
         report.add("closure/reference-table", None, notice="no stored row")
     for i in range(cd.K):
         report.add(f"closure/value/R{i}", True, value=str(cd.R[i]))
     report.add("closure/value/R-1", True, value=str(cd.R_minus1))
     return _emit(report, args)
+
+
+def _add_reference(report: Report, check_id: str, cmp: dict) -> None:
+    """A ``compare_reference`` verdict; a failing one carries the expected
+    and the solved R_-1 as its witness."""
+    witness = {} if cmp["ok"] else {"expected": cmp["expected"], "got": cmp["got"]}
+    report.add(check_id, cmp["ok"], **witness)
 
 
 def _family_bindings(df: DeformedFamily) -> dict:
@@ -342,7 +348,7 @@ def _alpha_checks(report: Report, prefix: str, fam: str, L: int,
         report.add(f"range/{note}", None)
     alphas = alpha_conjecture(fam, L, params)
     report.add_all(prefix, check_alpha_spectrum(
-        fam, L, params, range(n_max + 1), alphas=alphas))
+        fam, L, params, range(n_max + 1), alphas))
     report.add_all(prefix, pairing_identities(fam, L, params, alphas))
     return alphas
 
@@ -354,11 +360,12 @@ def cmd_spectrum(args) -> int:
     report = Report("spectrum", _config_echo(args, params, Y))
     alpha_list = _alpha_checks(report, "spectrum", args.family, L, params,
                                args.n_max)
-    # companion-matrix suite at the first few energy points
-    conj = conjectured_R(args.family, L, params)
+    # companion-matrix suite at the first few energy points, with the
+    # conjectured R_i (closure.conjectured_R) expanded from the same list
+    conj = [c.poly_part() for c in elementary_symmetric_R(alpha_list)]
     for n in range(min(args.n_max, 4) + 1):
         alphas = alpha_values_at_energy(args.family, L, params, n, alpha_list)
-        R_vals, _ = conj.values_at(energy(params, n))
+        R_vals = [Ri.evaluate({"z": energy(params, n)}) for Ri in conj]
         try:
             suite = spectral_suite(R_vals, alphas)
         except DegenerateSpectrum as exc:
@@ -396,6 +403,8 @@ def cmd_heisenberg(args) -> int:
     if args.family in ("W", "AW"):
         raise ConfigError("the ladder suite needs polynomial family data (L or J)")
     df = _family_instance(args, D, params)
+    for note in _validate_ranges(df.fam, df.params, D.ell + Y.degree("eta") + 1):
+        report.add(f"range/{note}", None)
     try:
         cd, X = closure_for_family(df, Y)
     except (NoSolution, EigenValidationFailed, NonzeroRemainder) as exc:
@@ -456,8 +465,8 @@ def cmd_appendix_b(args) -> int:
         except (NoSolution, EigenValidationFailed, NonzeroRemainder) as exc:
             report.add(label, False, error=str(exc))
             continue
-        cmp = compare_reference(fam, D, Ylabel, cd, _family_bindings(df))
-        report.add(label, cmp["ok"])
+        _add_reference(report, label,
+                       compare_reference(fam, D, Ylabel, cd, _family_bindings(df)))
     meta = tables["_meta"].get("extension_targets", {})
     for fam, by_K in sorted(meta.items()):
         for K, labels in sorted(by_K.items()):

@@ -45,15 +45,13 @@ class TableMissing(Exception):
     """No stored reference row for this (family, D) pair."""
 
 
-def degree_bounds(fam: str, K: int) -> dict[int, int]:
-    """Degree bounds for R_i (i = -1 stands for the inhomogeneous term):
-    halved for the differential families, full for the difference families."""
-    if fam in ("L", "J"):
-        bounds = {i: (K - i) // 2 for i in range(K)}
-        bounds[-1] = K // 2
-    else:
-        bounds = {i: K - i for i in range(K)}
-        bounds[-1] = K
+def degree_bounds(K: int) -> dict[int, int]:
+    """Degree bounds for R_i (i = -1 stands for the inhomogeneous term) of
+    the order-K relation of an L or J family: deg R_i <= (K - i)/2 and
+    deg R_-1 <= K/2, so that every term has operator order <= K (H has
+    order 2)."""
+    bounds = {i: (K - i) // 2 for i in range(K)}
+    bounds[-1] = K // 2
     return bounds
 
 
@@ -106,20 +104,20 @@ def ad_powers(H: DiffOp, X: ParamPoly, count: int) -> list[DiffOp]:
     return ads
 
 
+def _z_coefficient(poly: ParamPoly, j: int) -> Rat:
+    c = poly.coeffs_in("z").get(j)
+    return c.constant_value() if c is not None else Fraction(0)
+
+
 @dataclass
 class ClosureData:
-    """Order-K closure data: R_0..R_{K-1} and the inhomogeneous R_-1.
-
-    ``provenance`` records whether the coefficients were solved from the
-    operator identity or built from the conjectured eigenvalue list (which
-    leaves R_-1 undetermined).  ``kernel_dim`` logs solver under-determination.
-    """
+    """Order-K closure data solved from the operator identity: R_0..R_{K-1}
+    and the inhomogeneous R_-1.  ``kernel_dim`` logs solver
+    under-determination."""
 
     K: int
     R: list[ParamPoly]
-    R_minus1: ParamPoly | None
-    provenance: str
-    fam: str
+    R_minus1: ParamPoly
     kernel_dim: int = 0
 
     @property
@@ -127,30 +125,22 @@ class ClosureData:
         return self.kernel_dim == 0
 
     def bounds_ok(self) -> bool:
-        bounds = degree_bounds(self.fam, self.K)
-        for i, Ri in enumerate(self.R):
-            if Ri.degree("z") > bounds[i]:
-                return False
-        if self.R_minus1 is not None and self.R_minus1.degree("z") > bounds[-1]:
-            return False
-        return True
+        bounds = degree_bounds(self.K)
+        return all(poly.degree("z") <= bounds[i]
+                   for i, poly in [*enumerate(self.R), (-1, self.R_minus1)])
 
     def coefficient(self, i: int, j: int) -> Rat:
-        poly = self.R_minus1 if i == -1 else self.R[i]
-        c = poly.coeffs_in("z").get(j)
-        return c.constant_value() if c is not None else Fraction(0)
+        return _z_coefficient(self.R_minus1 if i == -1 else self.R[i], j)
 
-    def values_at(self, E: Rat) -> tuple[list[Rat], Rat | None]:
-        """(R_0(E), ..., R_{K-1}(E)) and R_-1(E), exact, with R_-1(E) None
-        when the data leave it undetermined.  Data symbolic in a parameter
-        raise ValueError (``ParamPoly.constant_value``)."""
+    def values_at(self, E: Rat) -> tuple[list[Rat], Rat]:
+        """(R_0(E), ..., R_{K-1}(E)) and R_-1(E), exact.  Data symbolic in a
+        parameter raise ValueError (``ParamPoly.constant_value``)."""
         at = {"z": E}
-        R_minus1 = None if self.R_minus1 is None else self.R_minus1.evaluate(at)
-        return [Ri.evaluate(at) for Ri in self.R], R_minus1
+        return [Ri.evaluate(at) for Ri in self.R], self.R_minus1.evaluate(at)
 
 
-def _unknown_layout(fam: str, K: int) -> list[tuple[int, int]]:
-    bounds = degree_bounds(fam, K)
+def _unknown_layout(K: int) -> list[tuple[int, int]]:
+    bounds = degree_bounds(K)
     layout = []
     for i in range(K):
         layout.extend((i, j) for j in range(bounds[i] + 1))
@@ -240,7 +230,7 @@ def closure_system(df: DeformedFamily, X: ParamPoly,
     that ``solve_linear_exact`` reads off it.  At a full level each reduced
     row touches a single R_i block, so the rows are mostly zero.
     """
-    layout = _unknown_layout(df.fam, K)
+    layout = _unknown_layout(K)
     top_j = max(j for _, j in layout)
     zero = Fraction(0)
     rows: list[list[Rat]] = []
@@ -254,9 +244,7 @@ def closure_system(df: DeformedFamily, X: ParamPoly,
     return layout, rows, rhs
 
 
-def solve_closure(df: DeformedFamily, X: ParamPoly, K: int,
-                  conjectured: Callable[[], ClosureData] | None = None
-                  ) -> ClosureData:
+def solve_closure(df: DeformedFamily, X: ParamPoly, K: int) -> ClosureData:
     """Exact solve of the order-K closure relation at bound parameters.
 
     The system is ``closure_system`` on the levels n = 0..K.  The degree
@@ -265,10 +253,10 @@ def solve_closure(df: DeformedFamily, X: ParamPoly, K: int,
     vanishes on P_0..P_K exactly when it holds as an operator identity: the
     solution set, and with it kernel_dim, is that of coefficient-wise
     operator equality.  A nontrivial kernel is reported via
-    kernel_dim/unique, and then, when ``conjectured`` is supplied, the
-    conjectured data it returns (it is called only in that case) is
-    required to lie in the affine solution set.  Raises NoSolution when the
-    linear system is inconsistent.
+    kernel_dim/unique, and then (only then) the conjectured R_0..R_{K-1}
+    (``conjectured_R``) must lie in the affine solution set, R_-1 left
+    free.  Raises NoSolution when the linear system is inconsistent, or
+    when the conjectured point lies outside a nontrivial solution set.
     """
     layout, rows, rhs = closure_system(df, X, K)
     sol = solve_linear_exact(rows, rhs)
@@ -276,28 +264,26 @@ def solve_closure(df: DeformedFamily, X: ParamPoly, K: int,
         raise NoSolution(f"order-{K} closure relation has no solution")
     kernel_dim = len(sol.kernel_basis)
     values = {key: sol.solution[idx] for idx, key in enumerate(layout)}
-    if kernel_dim and conjectured is not None:
-        # require the conjectured point (which leaves the inhomogeneous term
-        # free) to lie in the affine solution set
-        conj = conjectured()
+    if kernel_dim:
+        conj = conjectured_R(df.fam, K // 2, df.params)
         known = [idx for idx, (i, _) in enumerate(layout) if i >= 0]
-        diff = [conj.coefficient(layout[idx][0], layout[idx][1])
+        diff = [_z_coefficient(conj[layout[idx][0]], layout[idx][1])
                 - values[layout[idx]] for idx in known]
         fit = solve_linear_exact(
             [[vec[idx] for vec in sol.kernel_basis] for idx in known], diff)
         if not fit.consistent:
             raise NoSolution("conjectured data lies outside the solution set")
-    return _solved_data(df.fam, K, values, kernel_dim)
+    return _solved_data(K, values, kernel_dim)
 
 
-def _solved_data(fam: str, K: int, values: Mapping[tuple[int, int], object],
+def _solved_data(K: int, values: Mapping[tuple[int, int], object],
                  kernel_dim: int) -> ClosureData:
     """ClosureData from the coefficients values[(i, j)] of z^j in R_i."""
     z = ParamPoly.var("z")
-    bounds = degree_bounds(fam, K)
+    bounds = degree_bounds(K)
     R = [sum((values[(i, j)] * z ** j for j in range(bounds[i] + 1)),
              ParamPoly.zero(("z",))) for i in [*range(K), -1]]
-    return ClosureData(K, R[:-1], R[-1], "solved", fam, kernel_dim)
+    return ClosureData(K, R[:-1], R[-1], kernel_dim)
 
 
 class IdentityVerdict:
@@ -352,13 +338,12 @@ def verify_closure_identity(df: DeformedFamily, X: ParamPoly,
     return IdentityVerdict()
 
 
-def conjectured_R(fam: str, L: int, params: ParamSet | None = None) -> ClosureData:
+def conjectured_R(fam: str, L: int, params: ParamSet | None = None) -> list[ParamPoly]:
     """R_0..R_{2L-1} expanded from the conjectured eigenvalue list
     (``spectral.elementary_symmetric_R``); each must come out square-root
     free, a polynomial in z, or ``SqrtExpr.poly_part`` raises ValueError.
-    The inhomogeneous term is not determined."""
-    R = [c.poly_part() for c in elementary_symmetric_R(alpha_conjecture(fam, L, params))]
-    return ClosureData(2 * L, R, None, "conjectured", fam)
+    The eigenvalues leave the inhomogeneous term undetermined."""
+    return [c.poly_part() for c in elementary_symmetric_R(alpha_conjecture(fam, L, params))]
 
 
 # -- parameter reconstruction ---------------------------------------------------
@@ -378,8 +363,7 @@ def _solve_sample(solve_at: Callable[[Mapping[str, Rat]], ClosureData],
 
 
 def reconstruct_closure(solve_at: Callable[[Mapping[str, Rat]], ClosureData],
-                        fam: str, K: int,
-                        nodes: Mapping[str, Sequence[Rat]],
+                        K: int, nodes: Mapping[str, Sequence[Rat]],
                         fresh: Sequence[Mapping[str, Rat]]) -> ClosureData:
     """Solve at rational parameter samples and rebuild symbolic coefficients.
 
@@ -394,7 +378,7 @@ def reconstruct_closure(solve_at: Callable[[Mapping[str, Rat]], ClosureData],
     """
     names = list(nodes)
     bounds = {name: len(nodes[name]) - 1 for name in names}
-    layout = _unknown_layout(fam, K)
+    layout = _unknown_layout(K)
     points: list[tuple] = [()]
     for name in names:
         points = [p + (v,) for p in points for v in nodes[name]]
@@ -411,8 +395,7 @@ def reconstruct_closure(solve_at: Callable[[Mapping[str, Rat]], ClosureData],
                 raise SampleMismatch(
                     f"R_{i} z^{j} disagrees with its interpolant ({degrees}) "
                     f"at the fresh sample {_sample_str(binding)}")
-    return _solved_data(fam, K, rebuilt,
-                        max(cd.kernel_dim for cd in grid.values()))
+    return _solved_data(K, rebuilt, max(cd.kernel_dim for cd in grid.values()))
 
 
 def closure_for_family(df: DeformedFamily,
@@ -420,9 +403,7 @@ def closure_for_family(df: DeformedFamily,
     """Solve the closure relation for one family instance at its bound
     parameters, with the minimal-or-higher X built from (xi, Y)."""
     X = build_X(df.xi, Y)
-    L = X.degree("eta")
-    return solve_closure(df, X, 2 * L,
-                         lambda: conjectured_R(df.fam, L, df.params)), X
+    return solve_closure(df, X, 2 * X.degree("eta")), X
 
 
 # Symbolic reconstruction walks each parameter from its start in steps of
@@ -499,7 +480,7 @@ def symbolic_closure(fam: str, D_label: str, Y: ParamPoly) -> ClosureData:
         df = builtin_deformed(fam, D, _sample_params(fam, binding))
         return closure_for_family(df, Y)[0]
 
-    return reconstruct_closure(solve_at, fam, K, nodes, fresh)
+    return reconstruct_closure(solve_at, K, nodes, fresh)
 
 
 # -- reference tables -------------------------------------------------------------

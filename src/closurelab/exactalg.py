@@ -533,7 +533,8 @@ def poly_gcd_univar(a: ParamPoly, b: ParamPoly, var: str) -> ParamPoly:
         rem = [x * lead ** (da - db + 1) for x in fa]
         for shift in range(da - db, -1, -1):
             q, r = divmod(rem[shift + db], lead)
-            assert r == 0
+            if r:  # rem was scaled by lead^(da-db+1), so every step divides
+                raise ArithmeticError("pseudo-remainder step is not exact")
             if q:
                 for j, c in enumerate(fb):
                     rem[shift + j] -= q * c

@@ -1,8 +1,8 @@
 """Family data and built-in deformed systems.
 
 Covers the four polynomial families (Laguerre L, Jacobi J, Wilson W,
-Askey-Wilson AW): exact energies, virtual-state energies, norm ratios,
-classical polynomial generators for L/J, the built-in single-seed
+Askey-Wilson AW): exact energies, virtual-state energies, norm ratios
+and classical polynomial generators for L/J, the built-in single-seed
 deformations (any degree, types I and II, for L and J), the
 similarity-transformed Hamiltonian held as its cleared numerators, and a
 JSON plugin loader for externally supplied multi-index data.
@@ -150,7 +150,9 @@ class ParamSet:
     @property
     def r(self) -> Rat:
         r = _sqrt_fraction(self.values["q"])
-        assert r is not None
+        if r is None:
+            raise ValueError(f"q = {rat_str(self.values['q'])} is not the square "
+                             "of a rational")
         return r
 
     def derived(self) -> dict[str, Rat]:
@@ -290,7 +292,8 @@ def virtual_energy(params: ParamSet, t: str, v: int) -> Rat:
 
 
 def classical_h_step(params: ParamSet, n: int) -> Rat:
-    """h_n / h_{n-1} for the undeformed family, free of Gamma factors."""
+    """h_n / h_{n-1} for the undeformed L or J family, free of Gamma
+    factors."""
     if n < 1:
         raise ValueError("need n >= 1")
     if params.fam == "L":
@@ -301,24 +304,7 @@ def classical_h_step(params: ParamSet, n: int) -> Rat:
                         {"2n+a": 2 * n + a, "n+a-1": n + a - 1})
         return ((n + g - HALF) * (n + h - HALF) * (2 * n + a - 2)
                 / (n * (2 * n + a) * (n + a - 1)))
-    if params.fam == "W":
-        alist = params.a_list()
-        b1 = sum(alist)
-        pair = Fraction(1)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                pair *= n + alist[i] + alist[j] - 1
-        return n * (2 * n + b1 - 3) * pair / ((n + b1 - 2) * (2 * n + b1 - 1))
-    q = params.q
-    d = params.derived()
-    b4 = d["b4"]
-    alist = params.a_list()
-    pair = Fraction(1)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            pair *= 1 - alist[i] * alist[j] * q ** (n - 1)
-    return ((1 - q ** n) * (1 - b4 * q ** (2 * n - 3)) * pair
-            / ((1 - b4 * q ** (n - 2)) * (1 - b4 * q ** (2 * n - 1))))
+    raise ValueError("norm ratios are provided for L and J")
 
 
 # -- classical polynomials ------------------------------------------------------

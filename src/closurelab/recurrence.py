@@ -102,21 +102,17 @@ def leading_coeff_identity(df: DeformedFamily, table: RecurrenceTable) -> list[d
     return out
 
 
-def check_h_symmetry(df: DeformedFamily, table: RecurrenceTable,
-                     l_range: Iterable[int] | None = None) -> list[dict]:
-    """r_{n,-l} = (h_{D,n}/h_{D,n-l}) * r_{n-l,l} for all computed rows,
-    tested as r_{n,-l} * den == num * r_{n-l,l} with (num, den) =
+def check_h_symmetry(df: DeformedFamily, table: RecurrenceTable) -> list[dict]:
+    """r_{n,-l} = (h_{D,n}/h_{D,n-l}) * r_{n-l,l} for all computed rows and
+    l = 1..L, tested as r_{n,-l} * den == num * r_{n-l,l} with (num, den) =
     ``df.h_ratio(n, l)``; den is nonzero, so the two tests agree.
 
     Vacuous rows (n-l < 0, both sides zero by the empty-basis convention)
     pass automatically.  Failures become report entries, not exceptions.
     """
     out = []
-    ls = list(l_range) if l_range is not None else range(1, table.L + 1)
     for n in sorted(table.rows):
-        for l in ls:
-            if l > table.L:
-                continue
+        for l in range(1, table.L + 1):
             entry = {"check": "norm-ratio-symmetry", "n": n, "l": l}
             if n - l < 0:
                 entry["ok"] = table.rows[n].get(-l, Fraction(0)) == 0

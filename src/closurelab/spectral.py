@@ -28,6 +28,11 @@ class DegenerateSpectrum(Exception):
     distinct nonvanishing eigenvalues."""
 
 
+class SqrtValueMismatch(ArithmeticError):
+    """The square-root-free value at E_n does not square to S(E_n): the
+    closed form of ``sqrt_value_at_energy`` is wrong for this family."""
+
+
 @dataclass(frozen=True)
 class SqrtExpr:
     """u + v*sqrt(S) with u, v, S exact polynomials (S shared)."""
@@ -201,33 +206,33 @@ def alpha_conjecture(fam: str, L: int,
 
 
 def alpha_values_at_energy(fam: str, L: int, params: ParamSet, n: int,
-                           alphas: list[SqrtExpr] | None = None) -> list[Rat]:
-    """alpha_j(E_n), square-root free, as exact rationals.  ``alphas`` is
-    alpha_conjecture(fam, L, params), built here when not given."""
-    if alphas is None:
-        alphas = alpha_conjecture(fam, L, params)
+                           alphas: list[SqrtExpr]) -> list[Rat]:
+    """alpha_j(E_n), square-root free, as exact rationals, for ``alphas`` =
+    alpha_conjecture(fam, L, params).  Raises SqrtValueMismatch unless
+    s = ``sqrt_value_at_energy`` squares to S(E_n)."""
     En = energy(params, n)
     s = sqrt_value_at_energy(fam, params, n)
-    S = alphas[0].square
-    assert S.evaluate({"z": En}) == s * s, "square-root-free value check failed"
+    S_at = alphas[0].square.evaluate({"z": En})
+    if S_at != s * s:
+        raise SqrtValueMismatch(f"{fam}: sqrt(S(E_{n})) = {s}, but S(E_{n}) = {S_at}")
     return [alpha.eval_at({"z": En}, s) for alpha in alphas]
+
+
+# The z >= 0 points at which check_alpha_spectrum checks the strict ordering.
+ORDERING_GRID = tuple(Fraction(k, 3) for k in range(12))
 
 
 def check_alpha_spectrum(fam: str, L: int, params: ParamSet,
                          n_range: Sequence[int],
-                         z_grid: Sequence[Rat] | None = None,
-                         alphas: list[SqrtExpr] | None = None) -> list[dict]:
+                         alphas: list[SqrtExpr]) -> list[dict]:
     """Spacing identities alpha_j(E_n) = E_{n+L+1-j} - E_n (creation side)
     and E_{n-(j-L)} - E_n (annihilation side), plus the strict ordering
-    alpha_1 > ... > alpha_2L at every E_n and on a z >= 0 grid.
+    alpha_1 > ... > alpha_2L at every E_n and on ``ORDERING_GRID``, for
+    ``alphas`` = alpha_conjecture(fam, L, params).
 
     Everything is exact; violations come back as report entries.
-    ``alphas`` is alpha_conjecture(fam, L, params), built here when not
-    given.
     """
     out = []
-    if alphas is None:
-        alphas = alpha_conjecture(fam, L, params)
     S = alphas[0].square
     for n in n_range:
         vals = alpha_values_at_energy(fam, L, params, n, alphas)
@@ -241,9 +246,7 @@ def check_alpha_spectrum(fam: str, L: int, params: ParamSet,
             })
         ordering = all(vals[i] > vals[i + 1] for i in range(len(vals) - 1))
         out.append({"check": "ordering-at-energy", "n": n, "ok": ordering})
-    if z_grid is None:
-        z_grid = [Fraction(k, 3) for k in range(12)]
-    for zval in z_grid:
+    for zval in ORDERING_GRID:
         Sv = S.evaluate({"z": zval})
         ok = True
         for i in range(len(alphas) - 1):
@@ -256,14 +259,12 @@ def check_alpha_spectrum(fam: str, L: int, params: ParamSet,
     return out
 
 
-def pairing_identities(fam: str, L: int, params: ParamSet | None = None,
-                       alphas: list[SqrtExpr] | None = None) -> list[dict]:
+def pairing_identities(fam: str, L: int, params: ParamSet | None,
+                       alphas: list[SqrtExpr]) -> list[dict]:
     """alpha_j + alpha_{2L+1-j} and alpha_j * alpha_{2L+1-j} equal the
-    printed polynomial forms identically in z (square root eliminated).
-    ``alphas`` is alpha_conjecture(fam, L, params), built here when not
-    given."""
-    if alphas is None:
-        alphas = alpha_conjecture(fam, L, params)
+    printed polynomial forms identically in z (square root eliminated), for
+    ``alphas`` = alpha_conjecture(fam, L, params); params None leaves the
+    forms symbolic, as in alpha_conjecture."""
     z = ParamPoly.var("z")
     out = []
     for j in range(1, L + 1):
@@ -511,10 +512,10 @@ def _det_bareiss(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1] if n else 1
 
 
-def spectral_suite(R: Sequence, alphas: Sequence, extra_powers: int = 3) -> dict:
+def spectral_suite(R: Sequence, alphas: Sequence) -> dict:
     """Full coherence check of one spectrum: closed-form eigendata plus the
     agreement of A^n e_1 computed three ways (matrix powers, the direct
-    recursion, and the eigen-decomposition) for n <= K + extra_powers.
+    recursion, and the eigen-decomposition) for n <= K + 3.
 
     In the integer form of eigen_closed_form, rho*A has rho on the
     subdiagonal and S in the last column, so the matrix powers are
@@ -530,7 +531,7 @@ def spectral_suite(R: Sequence, alphas: Sequence, extra_powers: int = 3) -> dict
     """
     sd, z = _certified(R, alphas)
     K = sd.K
-    count = K + extra_powers
+    count = K + 3
     by_recursion = recursion_vectors(sd.R, count)
     ok_rec = ok_eig = True
     X = [1] + [0] * (K - 1)

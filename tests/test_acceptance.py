@@ -28,8 +28,9 @@ from closurelab.heisenberg import (LadderContext, check_r0_relation,
 from closurelab.recurrence import (build_X, check_h_symmetry,
                                    closed_form_compare, compute_table,
                                    table_formulas_J1I, table_formulas_L1I)
-from closurelab.spectral import (alpha_values_at_energy, check_alpha_spectrum,
-                                 pairing_identities, spectral_suite,
+from closurelab.spectral import (alpha_conjecture, alpha_values_at_energy,
+                                 check_alpha_spectrum, pairing_identities,
+                                 spectral_suite,
                                  sqrt_value_at_energy, sqrt_square)
 
 z = ParamPoly.var("z")
@@ -144,8 +145,9 @@ def test_criterion_07_companion_matrix_suite(l1i_closure, j1i_closure,
     solved = [("L", lag_params, l1i_closure[0]), ("J", jac_params, j1i_closure[0])]
     for fam, ps, cd in solved:
         L = cd.K // 2
+        alpha_list = alpha_conjecture(fam, L, ps)
         for n in range(4):
-            alphas = alpha_values_at_energy(fam, L, ps, n)
+            alphas = alpha_values_at_energy(fam, L, ps, n, alpha_list)
             En = energy(ps, n)
             R_vals = [Ri.evaluate({"z": En}) for Ri in cd.R]
             suite = spectral_suite(R_vals, alphas)
@@ -195,24 +197,23 @@ def test_criterion_08_conjectured_coefficients(aw_params, lag_params,
     ]
     for fam, df, Y, L in solved_cases:
         cd, _ = closure_for_family(df, Y)
-        conj = conjectured_R(fam, L, df.params)
-        ok = ok and all(cd.R[i] == conj.R[i] for i in range(2 * L))
+        ok = ok and cd.R == conjectured_R(fam, L, df.params)
     # pairing identities hold identically in z for all four families, L <= 4
     for fam, ps in (("L", None), ("J", None), ("W", None), ("AW", aw_params)):
         for L in (1, 2, 3, 4):
-            rep = pairing_identities(fam, L, ps)
+            rep = pairing_identities(fam, L, ps, alpha_conjecture(fam, L, ps))
             ok = ok and all(e["ok"] for e in rep)
             # and the expansion itself is square-root free
             conjectured_R(fam, L, ps)
     # printed difference-family forms at L = 2
-    Rw = conjectured_R("W", 2).R
+    Rw = conjectured_R("W", 2)
     b1 = ParamPoly.var("b1")
     zp = 4 * z + (b1 - 1) ** 2
     ok = ok and Rw == [-4 * (zp - 1) * (zp - 4), -8 * (2 * zp - 5),
                        5 * zp - 33, ParamPoly.const(10)]
     d = aw_params.derived()
     q, b4 = d["q"], d["b4"]
-    Raw = conjectured_R("AW", 2, aw_params).R
+    Raw = conjectured_R("AW", 2, aw_params)
     zq = z + 1 + b4 / q
     ok = ok and Raw[3] == q ** -2 * (1 - q) ** 2 * (1 + 3 * q + q ** 2) * zq
     _record(8, ok, "expanding the conjectured eigenvalue lists reproduces the "
@@ -230,7 +231,8 @@ def test_criterion_09_spectral_spacing(lag_params, wil_params, aw_params):
     for L in (1, 2, 3, 4):
         for fam, ps in (("L", lag_params), ("J", j_by_L[L]),
                         ("W", wil_params), ("AW", aw_params)):
-            rep = check_alpha_spectrum(fam, L, ps, range(9))
+            rep = check_alpha_spectrum(fam, L, ps, range(9),
+                                       alpha_conjecture(fam, L, ps))
             ok = ok and all(e["ok"] for e in rep)
     # square-root-free evaluations match the printed closed forms
     for n in range(9):

@@ -463,6 +463,50 @@ def test_heisenberg_command(tmp_path):
     assert any(c["id"].startswith("heisenberg/time-power") for c in payload["checks"])
 
 
+def test_heisenberg_notes_the_ordering_bound(tmp_path):
+    # J[1I] at a = -7/2, below the ordering bound 2L - 1 = 3: the spectrum is
+    # not degenerate, so the ladders run and four sign checks fail; the
+    # report says why, as spectrum does, with a skipped range note first
+    report = tmp_path / "r.json"
+    code = run_cli("heisenberg", "--family", "J", "--D", "1I",
+                   "--params", "g=-1/2", "h=-3", "--report", str(report))
+    assert code == 1
+    payload = json.loads(report.read_text())
+    assert payload["checks"][0] == {
+        "id": "range/a=-7/2 is not above the ordering bound 2L-1=3",
+        "status": "skip"}
+    assert payload["summary"] == {"pass": 87, "fail": 4, "skip": 1}
+    # inside the range there is no note
+    assert run_cli("heisenberg", "--family", "J", "--D", "1I", "--n-max", "2",
+                   "--report", str(report)) == 0
+    assert not any(c["id"].startswith("range/")
+                   for c in json.loads(report.read_text())["checks"])
+
+
+def test_failing_reference_row_carries_its_witness(tmp_path, monkeypatch):
+    # the stored L[1I] row replaced by the L[1II] row: verify-closure and
+    # appendix-b fail it, with the expected and the solved R_-1 as detail
+    from closurelab.closure import load_reference_tables
+    tables = load_reference_tables()
+    monkeypatch.setitem(tables, ("L", "1I", "1"), tables[("L", "1II", "1")])
+    report = tmp_path / "r.json"
+    assert run_cli("verify-closure", "--family", "L", "--D", "1I",
+                   "--report", str(report)) == 1
+    checks = {c["id"]: c for c in json.loads(report.read_text())["checks"]}
+    ref = checks["closure/reference-table"]
+    got = checks["closure/value/R-1"]["detail"]["value"]
+    assert ref["status"] == "fail"
+    assert sorted(ref["detail"]) == ["expected", "got"]
+    assert ref["detail"]["got"] == got != ref["detail"]["expected"]
+    assert run_cli("appendix-b", "--filter", "L/1I", "--report", str(report)) == 1
+    checks = {c["id"]: c for c in json.loads(report.read_text())["checks"]}
+    row = checks["appendix-b/L/1I/Y=1"]
+    assert row == {"id": "appendix-b/L/1I/Y=1", "status": "fail",
+                   "detail": ref["detail"]}
+    assert checks["appendix-b/L/1I/Y=eta"] == {"id": "appendix-b/L/1I/Y=eta",
+                                               "status": "pass"}
+
+
 def test_classical_family_via_empty_D(tmp_path):
     report = tmp_path / "r.json"
     code = run_cli("verify-closure", "--family", "J", "--D", "", "--Y", "1",
@@ -563,9 +607,10 @@ def test_commands_repeat_in_one_process(capsys):
 ])
 def test_alpha_list_is_built_once_per_command(argv, monkeypatch):
     import closurelab.cli as cli
+    import closurelab.closure as closure
     import closurelab.spectral as spectral
     calls = []
-    for module in (cli, spectral):
+    for module in (cli, closure, spectral):
         def counted(*args, _orig=module.alpha_conjecture, _name=module.__name__):
             calls.append(_name)
             return _orig(*args)

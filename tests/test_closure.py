@@ -29,7 +29,7 @@ from closurelab.families import (VALIDATE_N, DeformedFamily,
 from closurelab.opalg import DiffOp, NonPolynomialImage, right_mul_poly_of_H
 from closurelab.recurrence import build_X
 from operator_reference import H_tilde
-from closurelab.spectral import alpha_values_at_energy
+from closurelab.spectral import alpha_conjecture, alpha_values_at_energy
 from closurelab.families import energy
 
 eta = ParamPoly.var("eta")
@@ -95,11 +95,11 @@ def coordinate_rows(df, X, K):
     return layout, rows, rhs
 
 
-def test_degree_bounds_by_family_kind():
-    b = degree_bounds("L", 8)
+def test_degree_bounds_halved():
+    # deg R_i <= (K - i)/2 and deg R_-1 <= K/2: operator order <= K
+    b = degree_bounds(8)
     assert b[0] == 4 and b[7] == 0 and b[-1] == 4
-    b = degree_bounds("W", 4)
-    assert b[0] == 4 and b[3] == 1 and b[-1] == 4
+    assert degree_bounds(4) == {0: 2, 1: 1, 2: 1, 3: 0, -1: 2}
 
 
 def test_ad_powers_initial_element(l1i, l1i_closure):
@@ -140,7 +140,7 @@ def test_L1I_order4_golden(l1i_closure, lag_params):
 def test_L1I_order4_identity_and_perturbation(l1i, l1i_closure):
     cd, X = l1i_closure
     assert verify_closure_identity(l1i, X, cd)
-    broken = ClosureData(cd.K, list(cd.R), cd.R_minus1, "solved", "L")
+    broken = ClosureData(cd.K, list(cd.R), cd.R_minus1)
     broken.R[2] = ParamPoly.const(81, ("z",))
     assert not verify_closure_identity(l1i, X, broken)
 
@@ -180,9 +180,7 @@ def test_J1II_is_sign_flipped_image(j1i_closure, j1ii_closure, jac_params):
 def test_solved_equals_conjectured_L_all_orders(l1i):
     for Y, L in ((ParamPoly.const(1), 2), (eta, 3)):
         cd, _ = closure_for_family(l1i, Y)
-        conj = conjectured_R("L", L, l1i.params)
-        assert all(cd.R[i] == conj.R[i] for i in range(2 * L))
-        assert conj.R_minus1 is None and conj.provenance == "conjectured"
+        assert cd.R == conjectured_R("L", L, l1i.params)
 
 
 def test_reference_comparison_and_missing(l1i_closure, lag_params):
@@ -211,7 +209,7 @@ def test_spectral_consequence_beta_identity(lag_params, jac_params, wil_params,
             conj = conjectured_R(fam, L, ps)
             for n in range(9):
                 En = energy(ps, n)
-                R_at = [Ri.evaluate({"z": En}) for Ri in conj.R]
+                R_at = [Ri.evaluate({"z": En}) for Ri in conj]
                 for k in range(-L, L + 1):
                     if k == 0 or n + k < 0:
                         continue
@@ -225,7 +223,8 @@ def test_alpha_values_are_closure_roots(l1i_closure, lag_params):
     for n in range(5):
         En = energy(lag_params, n)
         R_at = [Ri.evaluate({"z": En}) for Ri in cd.R]
-        for al in alpha_values_at_energy("L", 2, lag_params, n):
+        for al in alpha_values_at_energy("L", 2, lag_params, n,
+                                         alpha_conjecture("L", 2, lag_params)):
             assert al ** 4 == sum(R_at[i] * al ** i for i in range(4))
 
 
@@ -237,17 +236,12 @@ def test_values_at_equals_coefficientwise_evaluation(l1i_closure, j1i_closure,
             R_at, R_minus1_at = cd.values_at(En)
             assert R_at == [Ri.evaluate({"z": En}) for Ri in cd.R]
             assert R_minus1_at == cd.R_minus1.evaluate({"z": En})
-    # conjectured data leave R_-1 undetermined
-    conj = conjectured_R("L", 2, lag_params)
-    R_at, R_minus1_at = conj.values_at(F(7, 2))
-    assert R_at == [Ri.evaluate({"z": F(7, 2)}) for Ri in conj.R]
-    assert R_minus1_at is None
     # data symbolic in (z, g) have no value at an energy alone
-    symbolic = ClosureData(2, [z * g, z], z + g, "solved", "L")
+    symbolic = ClosureData(2, [z * g, z], z + g)
     with pytest.raises(ValueError):
         symbolic.values_at(F(3))
     with pytest.raises(ValueError):
-        ClosureData(2, [z, z], z * g, "solved", "L").values_at(F(3))
+        ClosureData(2, [z, z], z * g).values_at(F(3))
 
 
 def test_reconstruct_closure_symbolic_in_g():
@@ -259,7 +253,7 @@ def test_reconstruct_closure_symbolic_in_g():
 
     nodes = {"g": [F(2), F(7, 3), F(3)]}
     fresh = [{"g": F(11, 2)}, {"g": F(6)}]
-    cd = reconstruct_closure(solve_at, "L", 4, nodes, fresh)
+    cd = reconstruct_closure(solve_at, 4, nodes, fresh)
     assert cd.R_minus1 == 64 * (3 * z ** 2 + 2 * (10 * g + 11) * z
                                 + 2 * (2 * g + 1) * (6 * g + 13))
     cmp = compare_reference("L", "1I", "1", cd)
@@ -273,10 +267,10 @@ def test_reconstruct_rejects_a_bound_too_small():
         gv = binding["g"]
         return ClosureData(2, [ParamPoly.const(gv * gv, ("z",)),
                                ParamPoly.zero(("z",))],
-                           ParamPoly.zero(("z",)), "solved", "L")
+                           ParamPoly.zero(("z",)))
 
     with pytest.raises(SampleMismatch) as info:
-        reconstruct_closure(solve_at, "L", 2, {"g": [F(1)]},
+        reconstruct_closure(solve_at, 2, {"g": [F(1)]},
                             [{"g": F(3, 2)}, {"g": F(2)}])
     assert str(info.value) == ("R_0 z^0 disagrees with its interpolant "
                                "(g <= 0) at the fresh sample g=3/2")
@@ -287,7 +281,7 @@ def test_reconstruct_names_the_sample_a_solve_fails_at():
         raise NoSolution("order-2 closure relation has no solution")
 
     with pytest.raises(NoSolution, match=r"^at the sample g=1: order-2"):
-        reconstruct_closure(solve_at, "L", 2, {"g": [F(1)]}, [])
+        reconstruct_closure(solve_at, 2, {"g": [F(1)]}, [])
 
 
 def _seeds_usable(fam, D, binding):
@@ -331,34 +325,35 @@ def test_symbolic_nodes_avoid_degenerate_seeds():
 def test_kernel_reporting_on_padded_order(l_classical):
     # asking for order 4 on the classical system: consistent but non-unique
     X = ParamPoly.var("eta")
-    conj = conjectured_R("L", 2, l_classical.params)
-    cd = solve_closure(l_classical, X, 4, lambda: conj)
+    cd = solve_closure(l_classical, X, 4)
     assert cd.kernel_dim > 0 and not cd.unique
     assert verify_closure_identity(l_classical, X, cd)
 
 
 def test_conjectured_data_is_built_only_for_a_kernel(l_classical, l1i,
                                                      monkeypatch):
-    # solve_closure reads the conjectured data only when the kernel is
+    # solve_closure builds the conjectured data only when the kernel is
     # nontrivial, so closure_for_family builds none for a unique solve
     built = []
     real = closure.conjectured_R
     monkeypatch.setattr(closure, "conjectured_R",
-                        lambda *args: built.append(args[:2]) or real(*args))
+                        lambda *args: built.append(args) or real(*args))
     for df in (l_classical, l1i):
         cd, _ = closure_for_family(df, ParamPoly.const(1))
         assert cd.unique
     assert built == []
     # the padded classical system (order 4 for X = eta) has a kernel: the
-    # conjectured point is built once and must lie in the solution set
+    # conjectured point is built once, at the family's parameters, and must
+    # lie in the solution set
     params = l_classical.params
-    cd = solve_closure(l_classical, eta, 4,
-                       lambda: closure.conjectured_R("L", 2, params))
-    assert cd.kernel_dim > 0 and built == [("L", 2)]
+    cd = solve_closure(l_classical, eta, 4)
+    assert cd.kernel_dim > 0 and built == [("L", 2, params)]
+    # negative control: a conjectured R_0 off by one lies outside it
     conj = real("L", 2, params)
-    off = ClosureData(4, [conj.R[0] + 1, *conj.R[1:]], None, "conjectured", "L")
+    monkeypatch.setattr(closure, "conjectured_R",
+                        lambda *args: [conj[0] + 1, *conj[1:]])
     with pytest.raises(NoSolution, match="conjectured data lies outside"):
-        solve_closure(l_classical, eta, 4, lambda: off)
+        solve_closure(l_classical, eta, 4)
 
 
 def test_eigenbasis_images_match_operator_reference(l_classical, l1i, j1i):
@@ -552,7 +547,7 @@ def test_perturbed_inhomogeneous_term_fails(l1i, l1i_closure, monkeypatch,
     # R_-1 + 1 breaks the k = 0 coordinate first, at level 0, by -1; the
     # verify-closure report carries that witness
     cd, X = l1i_closure
-    broken = ClosureData(cd.K, list(cd.R), cd.R_minus1 + 1, "solved", "L")
+    broken = ClosureData(cd.K, list(cd.R), cd.R_minus1 + 1)
     assert (X, cd.K) in l1i.recurrence_rows
     for df in _cold_and_warm(l1i):
         verdict = verify_closure_identity(df, X, broken)
@@ -577,7 +572,7 @@ def test_degree_above_bound_is_certified_on_more_levels(l1i, l1i_closure):
     vanishing = ParamPoly.const(1, ("z",))
     for n in range(cd.K + 1):
         vanishing = vanishing * (z - l1i.E(n))
-    raised = ClosureData(cd.K, list(cd.R), cd.R_minus1, "solved", "L")
+    raised = ClosureData(cd.K, list(cd.R), cd.R_minus1)
     raised.R[0] = cd.R[0] + vanishing
     assert not raised.bounds_ok()
     for df in _cold_and_warm(l1i):

@@ -328,11 +328,11 @@ def test_h_ratio_examples(l_classical, l1i, lag_params):
     assert l1i.h_ratio(n, 0) == (1, 1)
 
 
-def test_h_step_positive_difference_families(wil_params, aw_params):
-    # squared norms grow ratios that stay positive at admissible samples
+def test_h_step_is_for_L_and_J_only(wil_params, aw_params):
+    # a DeformedFamily, the one caller, is built for L and J alone
     for ps in (wil_params, aw_params):
-        for n in range(1, 9):
-            assert classical_h_step(ps, n) > 0
+        with pytest.raises(ValueError, match="provided for L and J"):
+            classical_h_step(ps, 1)
 
 
 def test_paramset_validation():
@@ -342,6 +342,10 @@ def test_paramset_validation():
         ParamSet("AW", {"a1": 1, "a2": 1, "a3": 1, "a4": 1, "q": F(1, 2)})  # not a square
     ps = ParamSet("AW", {"a1": 1, "a2": 1, "a3": 1, "a4": 1, "q": F(4, 9)})
     assert ps.r == F(2, 3)
+    # an extra q on another family is not checked on construction; its
+    # square root is a ValueError, not an assertion that python -O strips
+    with pytest.raises(ValueError, match="q = 1/2 is not the square"):
+        ParamSet("L", {"g": 1, "q": F(1, 2)}).r
     d = ParamSet("W", {"a1": 1, "a2": 2, "a3": 3, "a4": 4}).derived()
     assert d["b1"] == 10 and d["b2"] == 35 and d["b3"] == 50 and d["b4"] == 24
 

@@ -201,7 +201,7 @@ def test_not_proportional_detection(ctx_l1i, l1i):
 
     cd = ctx_l1i.cd
     bad = ClosureData(cd.K, list(cd.R),
-                      cd.R_minus1 + ParamPoly.var("z") ** 2, "solved", "L")
+                      cd.R_minus1 + ParamPoly.var("z") ** 2)
     bad_ctx = LadderContext(l1i, bad, ctx_l1i.X)
     for _ in range(2):  # a failed action is not kept: it fails again
         with pytest.raises(NotProportional):

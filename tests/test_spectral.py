@@ -9,11 +9,12 @@ from itertools import combinations
 import pytest
 
 from closurelab.cli import DEFAULT_PARAMS, _random_distinct_rationals
-from closurelab import closure
+from closurelab import closure, spectral
 from closurelab.closure import conjectured_R
 from closurelab.exactalg import ParamPoly, rat
 from closurelab.families import ParamSet, energy
-from closurelab.spectral import (DegenerateSpectrum, SqrtExpr, _det_bareiss,
+from closurelab.spectral import (DegenerateSpectrum, SqrtExpr,
+                                 SqrtValueMismatch, _det_bareiss,
                                  alpha_conjecture, alpha_values_at_energy,
                                  check_alpha_spectrum, eigen_closed_form,
                                  elementary_symmetric_R, pairing_identities,
@@ -45,12 +46,13 @@ def test_degenerate_spectrum_rejected():
 def test_laguerre_alpha_list():
     alphas = alpha_conjecture("L", 2, None)
     assert [al.u.constant_value() for al in alphas] == [8, 4, -4, -8]
-    R = conjectured_R("L", 2).R
+    R = conjectured_R("L", 2)
     assert [r.constant_value() for r in R] == [-1024, 0, 80, 0]
 
 
 def test_jacobi_alpha_sqrt_free_at_energy(jac_params):
-    vals = alpha_values_at_energy("J", 2, jac_params, 3)
+    vals = alpha_values_at_energy("J", 2, jac_params, 3,
+                                  alpha_conjecture("J", 2, jac_params))
     av = jac_params.a
     s = 2 * 3 + av
     assert vals == [16 + 8 * s, 4 + 4 * s, 4 - 4 * s, 16 - 8 * s]
@@ -73,15 +75,30 @@ def test_sqrt_values_match_printed_closed_forms(jac_params, wil_params, aw_param
             assert S.evaluate({"z": energy(ps, n)}) == s * s
 
 
+def test_sqrt_value_that_does_not_square_to_S_is_rejected(jac_params,
+                                                         monkeypatch):
+    # negative control: a square-root-free value off by one at E_3 is an
+    # error, not an assertion that python -O strips
+    alphas = alpha_conjecture("J", 2, jac_params)
+    real = spectral.sqrt_value_at_energy
+    monkeypatch.setattr(spectral, "sqrt_value_at_energy",
+                        lambda fam, ps, n: real(fam, ps, n) + (n == 3))
+    assert alpha_values_at_energy("J", 2, jac_params, 2, alphas)
+    with pytest.raises(SqrtValueMismatch, match=r"^J: sqrt\(S\(E_3\)\) = 12"):
+        alpha_values_at_energy("J", 2, jac_params, 3, alphas)
+    assert issubclass(SqrtValueMismatch, ArithmeticError)
+
+
 def test_aw_alpha_collapse_at_energy(aw_params):
-    vals = alpha_values_at_energy("AW", 1, aw_params, 2)
+    vals = alpha_values_at_energy("AW", 1, aw_params, 2,
+                                  alpha_conjecture("AW", 1, aw_params))
     E = energy(aw_params, 2)
     assert vals[0] == energy(aw_params, 3) - E
     assert vals[1] == energy(aw_params, 1) - E
 
 
 def test_conjectured_R_jacobi_symbolic():
-    R = conjectured_R("J", 2).R
+    R = conjectured_R("J", 2)
     assert R[3] == ParamPoly.const(40)
     assert R[2] == 80 * (z + a * a) - 528
     assert R[1] == -1024 * (z + a * a - F(5, 2))
@@ -89,7 +106,7 @@ def test_conjectured_R_jacobi_symbolic():
 
 
 def test_conjectured_R_wilson_symbolic():
-    R = conjectured_R("W", 2).R
+    R = conjectured_R("W", 2)
     zp = 4 * z + (b1 - 1) ** 2
     assert R[3] == ParamPoly.const(10)
     assert R[2] == 5 * zp - 33
@@ -100,7 +117,7 @@ def test_conjectured_R_wilson_symbolic():
 def test_conjectured_R_askey_wilson_bound(aw_params):
     d = aw_params.derived()
     q, b4 = d["q"], d["b4"]
-    R = conjectured_R("AW", 2, aw_params).R
+    R = conjectured_R("AW", 2, aw_params)
     zp = z + 1 + b4 / q
     assert R[3] == q ** -2 * (1 - q) ** 2 * (1 + 3 * q + q ** 2) * zp
     assert R[2] == -(q ** -3) * (1 - q) ** 2 * (
@@ -151,8 +168,7 @@ def test_conjectured_lists_are_the_elementary_symmetric_functions(aw_params,
                         term = term * alpha
                     e = e + term
                 expected.append(((-1) ** (K - i + 1) * e).poly_part())
-            conj = conjectured_R(fam, L, ps)
-            assert (conj.K, conj.R, conj.R_minus1) == (K, expected, None), (fam, L)
+            assert conjectured_R(fam, L, ps) == expected, (fam, L)
     # negative control: an unpaired list leaves the square root in R_0
     unpaired = alpha_conjecture("J", 1, None)
     unpaired[1] = unpaired[0] + 1
@@ -166,7 +182,7 @@ def test_char_poly_identity_all_families(aw_params):
     for fam, ps in (("L", None), ("J", None), ("W", None), ("AW", aw_params)):
         for L in (1, 2, 3):
             alphas = alpha_conjecture(fam, L, ps)
-            A = CompanionMatrix(tuple(conjectured_R(fam, L, ps).R))
+            A = CompanionMatrix(tuple(conjectured_R(fam, L, ps)))
             for al in alphas:
                 val = A.char_poly_at(al)
                 assert val.is_sqrt_free and val.poly_part().is_zero
@@ -175,7 +191,7 @@ def test_char_poly_identity_all_families(aw_params):
 def test_pairing_identities_all_families(aw_params):
     for fam, ps in (("L", None), ("J", None), ("W", None), ("AW", aw_params)):
         for L in (1, 2, 3, 4):
-            rep = pairing_identities(fam, L, ps)
+            rep = pairing_identities(fam, L, ps, alpha_conjecture(fam, L, ps))
             assert all(e["ok"] for e in rep), (fam, L)
 
 
@@ -204,14 +220,15 @@ def test_spacing_all_families(lag_params, wil_params, aw_params):
     for L in (1, 2, 3, 4):
         for fam, ps in (("L", lag_params), ("J", j_by_L[L]),
                         ("W", wil_params), ("AW", aw_params)):
-            rep = check_alpha_spectrum(fam, L, ps, range(9))
+            rep = check_alpha_spectrum(fam, L, ps, range(9),
+                                       alpha_conjecture(fam, L, ps))
             assert all(e["ok"] for e in rep), (fam, L)
 
 
 def test_ordering_boundary_is_detected():
     # J with a exactly at the boundary 2L-1 degenerates at z = 0
-    rep = check_alpha_spectrum("J", 3, ParamSet("J", {"g": F(2), "h": F(3)}),
-                               range(2))
+    ps = ParamSet("J", {"g": F(2), "h": F(3)})
+    rep = check_alpha_spectrum("J", 3, ps, range(2), alpha_conjecture("J", 3, ps))
     assert any(not e["ok"] for e in rep)
 
 
@@ -296,8 +313,8 @@ def _energy_spectrum(fam, L, n):
     ps = ParamSet(fam, {k: rat(v) for k, v in DEFAULT_PARAMS[fam].items()})
     En = energy(ps, n)
     return ([Ri.subs({"z": En}).constant_value()
-             for Ri in conjectured_R(fam, L, ps).R],
-            alpha_values_at_energy(fam, L, ps, n))
+             for Ri in conjectured_R(fam, L, ps)],
+            alpha_values_at_energy(fam, L, ps, n, alpha_conjecture(fam, L, ps)))
 
 
 def _energy_spectra():
