@@ -32,7 +32,7 @@ print("operator identity certified on P_0..P_K")
 assert cd.R == conjectured_R("L", cd.K // 2, params)
 print("solved R_i equal the eigenvalue-list expansion")
 
-print(compare_reference("L", "1I", "1", cd, {"g": params.g}))
+print(compare_reference("L", "1I", "1", cd, params.reference_values()))
 
 # negative control: perturbing one coefficient must break the identity
 broken = ClosureData(cd.K, list(cd.R), cd.R_minus1)

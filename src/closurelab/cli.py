@@ -129,10 +129,8 @@ def _validate_ranges(fam: str, params: ParamSet, L: int) -> list[str]:
         notes.append(f"a={rat_str(params.a)} is not above the ordering bound 2L-1={2*L-1}")
     if fam == "W" and not sum(params.a_list()) > 2 * L:
         notes.append("b1 is not above the ordering bound 2L")
-    if fam == "AW":
-        b4 = params.derived()["b4"]
-        if not b4 < params.q ** (2 * L):
-            notes.append("b4 is not below the ordering bound q^(2L)")
+    if fam == "AW" and not params.b4 < params.q ** (2 * L):
+        notes.append("b4 is not below the ordering bound q^(2L)")
     return notes
 
 
@@ -276,7 +274,7 @@ def cmd_verify_closure(args) -> int:
     report.add("closure/identity", bool(verdict), **witness)
     return _closure_values(report, args, df.fam, df.D.label(), cd,
                            conjectured_R(df.fam, cd.K // 2, df.params),
-                           _family_bindings(df))
+                           df.params.reference_values())
 
 
 def _closure_values(report: Report, args, fam: str, D_label: str, cd,
@@ -300,14 +298,6 @@ def _add_reference(report: Report, check_id: str, cmp: dict) -> None:
     and the solved R_-1 as its witness."""
     witness = {} if cmp["ok"] else {"expected": cmp["expected"], "got": cmp["got"]}
     report.add(check_id, cmp["ok"], **witness)
-
-
-def _family_bindings(df: DeformedFamily) -> dict:
-    if df.fam == "L":
-        return {"g": df.params.g}
-    if df.fam == "J":
-        return {"a": df.params.a, "b": df.params.b}
-    return {}
 
 
 def cmd_recurrence(args) -> int:
@@ -466,7 +456,8 @@ def cmd_appendix_b(args) -> int:
             report.add(label, False, error=str(exc))
             continue
         _add_reference(report, label,
-                       compare_reference(fam, D, Ylabel, cd, _family_bindings(df)))
+                       compare_reference(fam, D, Ylabel, cd,
+                                         df.params.reference_values()))
     meta = tables["_meta"].get("extension_targets", {})
     for fam, by_K in sorted(meta.items()):
         for K, labels in sorted(by_K.items()):

@@ -254,26 +254,33 @@ def solve_closure(df: DeformedFamily, X: ParamPoly, K: int) -> ClosureData:
     solution set, and with it kernel_dim, is that of coefficient-wise
     operator equality.  A nontrivial kernel is reported via
     kernel_dim/unique, and then (only then) the conjectured R_0..R_{K-1}
-    (``conjectured_R``) must lie in the affine solution set, R_-1 left
-    free.  Raises NoSolution when the linear system is inconsistent, or
-    when the conjectured point lies outside a nontrivial solution set.
+    (``conjectured_R``) must lie in the affine solution set, and the
+    returned data is that point of it: the particular solution plus the
+    fitted combination of kernel vectors.  R_-1 stays free along any kernel
+    direction that leaves R_0..R_{K-1} fixed; the fit gives the free
+    unknowns of its own solve weight 0.
+    Raises NoSolution when the linear system is inconsistent, or when the
+    conjectured point lies outside a nontrivial solution set.
     """
     layout, rows, rhs = closure_system(df, X, K)
     sol = solve_linear_exact(rows, rhs)
     if not sol.consistent:
         raise NoSolution(f"order-{K} closure relation has no solution")
     kernel_dim = len(sol.kernel_basis)
-    values = {key: sol.solution[idx] for idx, key in enumerate(layout)}
+    point = sol.solution
     if kernel_dim:
         conj = conjectured_R(df.fam, K // 2, df.params)
         known = [idx for idx, (i, _) in enumerate(layout) if i >= 0]
         diff = [_z_coefficient(conj[layout[idx][0]], layout[idx][1])
-                - values[layout[idx]] for idx in known]
+                - point[idx] for idx in known]
         fit = solve_linear_exact(
             [[vec[idx] for vec in sol.kernel_basis] for idx in known], diff)
         if not fit.consistent:
             raise NoSolution("conjectured data lies outside the solution set")
-    return _solved_data(K, values, kernel_dim)
+        point = [x + sum(c * vec[idx]
+                         for c, vec in zip(fit.solution, sol.kernel_basis))
+                 for idx, x in enumerate(point)]
+    return _solved_data(K, dict(zip(layout, point)), kernel_dim)
 
 
 def _solved_data(K: int, values: Mapping[tuple[int, int], object],
@@ -407,17 +414,9 @@ def closure_for_family(df: DeformedFamily,
 
 
 # Symbolic reconstruction walks each parameter from its start in steps of
-# 1/2.  J is sampled in a = g + h and b = g - h, the variables of its
-# reference rows.
+# 1/2, in the variables of ``ParamSet.reference_values``.
 _NODE_START = {"g": Fraction(2), "a": Fraction(8), "b": Fraction(-1)}
 _NODE_STEP = Fraction(1, 2)
-
-
-def _sample_params(fam: str, binding: Mapping[str, Rat]) -> ParamSet:
-    if fam == "L":
-        return ParamSet("L", {"g": binding["g"]})
-    a, b = binding["a"], binding["b"]
-    return ParamSet("J", {"g": (a + b) / 2, "h": (a - b) / 2})
 
 
 def _walk(name: str) -> Iterator[Rat]:
@@ -444,7 +443,7 @@ def symbolic_nodes(fam: str, D: MultiIndex, bounds: Mapping[str, int]
     many g, and finitely many a for each b; it loses degree at d values of b.
     """
     def usable(binding: Mapping[str, Rat]) -> bool:
-        ps = _sample_params(fam, binding)
+        ps = ParamSet.at_reference(fam, binding)
         return all(degenerate_level(ps, t, d) is None
                    and not seed_degree_drops(ps, t, d) for d, t in D.entries)
 
@@ -454,7 +453,7 @@ def symbolic_nodes(fam: str, D: MultiIndex, bounds: Mapping[str, int]
     else:
         a0 = _NODE_START["a"]
         b_walk = (b for b in _walk("b") if not any(
-            seed_degree_drops(_sample_params(fam, {"a": a0, "b": b}), t, d)
+            seed_degree_drops(ParamSet.at_reference(fam, {"a": a0, "b": b}), t, d)
             for d, t in D.entries))
         bs = list(islice(b_walk, bounds["b"] + 3))
         a_walk = (a for a in _walk("a")
@@ -477,7 +476,7 @@ def symbolic_closure(fam: str, D_label: str, Y: ParamPoly) -> ClosureData:
     nodes, fresh = symbolic_nodes(fam, D, bounds)
 
     def solve_at(binding: Mapping[str, Rat]) -> ClosureData:
-        df = builtin_deformed(fam, D, _sample_params(fam, binding))
+        df = builtin_deformed(fam, D, ParamSet.at_reference(fam, binding))
         return closure_for_family(df, Y)[0]
 
     return reconstruct_closure(solve_at, K, nodes, fresh)
@@ -526,7 +525,9 @@ def compare_reference(fam: str, D_label: str, Y_label: str,
                       bindings: Mapping[str, Rat] | None = None) -> dict:
     """Coefficient-by-coefficient comparison of a solved R_-1 against the
     stored reference row (symbolic where the solved data is symbolic,
-    otherwise at the solved parameter point)."""
+    otherwise at the solved parameter point, ``bindings`` in the variables
+    of ``ParamSet.reference_values``).  Returns ``ok`` and, on a mismatch,
+    the ``expected`` and the solved (``got``) R_-1 as strings."""
     tables = load_reference_tables()
     key = (fam, D_label, Y_label)
     if key not in tables:
@@ -537,7 +538,5 @@ def compare_reference(fam: str, D_label: str, Y_label: str,
         expected = expected.subs(bindings)
     got = solved.R_minus1
     ok = got == expected
-    return {"check": "reference-table", "family": fam, "D": D_label,
-            "Y": Y_label, "ok": bool(ok),
-            "expected": str(expected) if not ok else None,
+    return {"ok": ok, "expected": str(expected) if not ok else None,
             "got": str(got) if not ok else None}

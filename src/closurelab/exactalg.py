@@ -446,7 +446,12 @@ class ParamPoly:
 
     @staticmethod
     def from_record(rec: Mapping) -> "ParamPoly":
+        """The polynomial of a ``record``; the variable names must be
+        distinct strings (ValueError)."""
         vars = tuple(rec["variables"])
+        if not all(isinstance(v, str) for v in vars) or len(set(vars)) < len(vars):
+            raise ValueError("variables must be distinct strings, "
+                             f"got {rec['variables']!r}")
         terms = {tuple(row["exponents"]): rat(row["coefficient"]) for row in rec["terms"]}
         return ParamPoly(vars, terms)
 
@@ -697,8 +702,6 @@ class LinearSolution:
     consistent: bool
     solution: list | None
     kernel_basis: list
-    rank: int
-    pivot_cols: tuple[int, ...] = ()
 
 
 def solve_linear_exact(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolution:
@@ -721,7 +724,7 @@ def solve_linear_exact(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolut
     """
     rows = len(matrix)
     if rows == 0:
-        return LinearSolution(True, [], [], 0)
+        return LinearSolution(True, [], [])
     cols = len(matrix[0])
     aug: list[dict[int, int]] = []
     for row, b in zip(matrix, rhs):
@@ -748,7 +751,7 @@ def solve_linear_exact(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolut
             break
     for i in range(r, rows):
         if cols in aug[i]:
-            return LinearSolution(False, None, [], r, tuple(pivot_cols))
+            return LinearSolution(False, None, [])
     solution = [Fraction(0)] * cols
     for i, c in enumerate(pivot_cols):
         solution[c] = Fraction(aug[i].get(cols, 0), aug[i][c])
@@ -760,7 +763,7 @@ def solve_linear_exact(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolut
         for i, c in enumerate(pivot_cols):
             vec[c] = Fraction(-aug[i].get(fc, 0), aug[i][c])
         kernel.append(vec)
-    return LinearSolution(True, solution, kernel, r, tuple(pivot_cols))
+    return LinearSolution(True, solution, kernel)
 
 
 def _eliminated(row: dict[int, int], p: int, a: int,

@@ -155,27 +155,26 @@ class ParamSet:
                              "of a rational")
         return r
 
-    def derived(self) -> dict[str, Rat]:
-        """All named derived quantities (sigma_i, b_i, a, b) for this family."""
-        out = dict(self.values)
+    @property
+    def b4(self) -> Rat:
+        """a1*a2*a3*a4 (W and AW)."""
+        return math.prod(self.a_list())
+
+    def reference_values(self) -> dict[str, Rat]:
+        """The parameters in the variables of the reference rows and of
+        symbolic reconstruction: g for L; a = g + h and b = g - h for J."""
         if self.fam == "J":
-            out["a"] = self.a
-            out["b"] = self.b
-        if self.fam in ("W", "AW"):
-            a = self.a_list()
-            out["s1"] = a[0] + a[1]
-            out["s2"] = a[0] * a[1]
-            out["sp1"] = a[2] + a[3]
-            out["sp2"] = a[2] * a[3]
-            out["b1"] = sum(a)
-            out["b2"] = sum(a[i] * a[j] for i in range(4) for j in range(i + 1, 4))
-            out["b3"] = sum(a[i] * a[j] * a[k]
-                            for i in range(4) for j in range(i + 1, 4)
-                            for k in range(j + 1, 4))
-            out["b4"] = a[0] * a[1] * a[2] * a[3]
-        if self.fam == "AW":
-            out["r"] = self.r
-        return out
+            return {"a": self.a, "b": self.b}
+        return {"g": self.g}
+
+    @staticmethod
+    def at_reference(fam: str, values: Mapping[str, Rat]) -> "ParamSet":
+        """The L or J parameter set whose ``reference_values`` are ``values``:
+        g = (a + b)/2 and h = (a - b)/2 for J."""
+        if fam == "J":
+            a, b = values["a"], values["b"]
+            return ParamSet("J", {"g": (a + b) / 2, "h": (a - b) / 2})
+        return ParamSet(fam, {"g": values["g"]})
 
 
 @dataclass(frozen=True)
@@ -260,8 +259,7 @@ def energy(params: ParamSet, n: int) -> Rat:
         b1 = sum(params.a_list())
         return n * (n + b1 - 1)
     q = params.q
-    b4 = params.derived()["b4"]
-    return (q ** (-n) - 1) * (1 - b4 * q ** (n - 1))
+    return (q ** (-n) - 1) * (1 - params.b4 * q ** (n - 1))
 
 
 def virtual_energy(params: ParamSet, t: str, v: int) -> Rat:

@@ -143,9 +143,8 @@ def sqrt_square(fam: str, params: ParamSet | None = None) -> ParamPoly:
     if fam == "AW":
         if params is None:
             raise ValueError("AW eigenvalue data needs bound q and b4")
-        d = params.derived()
-        zp = z + 1 + d["b4"] / d["q"]
-        return zp * zp - 4 * d["b4"] / d["q"]
+        zp = z + 1 + params.b4 / params.q
+        return zp * zp - 4 * params.b4 / params.q
     raise ValueError(f"unknown family {fam!r}")
 
 
@@ -158,8 +157,7 @@ def sqrt_value_at_energy(fam: str, params: ParamSet, n: int) -> Rat:
         return 2 * n + params.a
     if fam == "W":
         return 2 * n + sum(params.a_list()) - 1
-    d = params.derived()
-    return params.q ** (-n) - d["b4"] * params.q ** (n - 1)
+    return params.q ** (-n) - params.b4 * params.q ** (n - 1)
 
 
 def alpha_conjecture(fam: str, L: int,
@@ -192,8 +190,7 @@ def alpha_conjecture(fam: str, L: int,
                                 ParamPoly.const(m * sign), S))
         return out
     # AW: alpha_j = ((q^(-m/2) - q^(m/2))^2 (z + 1 + b4/q) +- (q^-m - q^m) sqrt(S)) / 2
-    d = params.derived()
-    q, b4 = d["q"], d["b4"]
+    q, b4 = params.q, params.b4
     zp = z + 1 + b4 / q
     r = params.r
     for j in range(1, 2 * L + 1):
@@ -259,12 +256,11 @@ def check_alpha_spectrum(fam: str, L: int, params: ParamSet,
     return out
 
 
-def pairing_identities(fam: str, L: int, params: ParamSet | None,
+def pairing_identities(fam: str, L: int, params: ParamSet,
                        alphas: list[SqrtExpr]) -> list[dict]:
     """alpha_j + alpha_{2L+1-j} and alpha_j * alpha_{2L+1-j} equal the
     printed polynomial forms identically in z (square root eliminated), for
-    ``alphas`` = alpha_conjecture(fam, L, params); params None leaves the
-    forms symbolic, as in alpha_conjecture."""
+    ``alphas`` = alpha_conjecture(fam, L, params)."""
     z = ParamPoly.var("z")
     out = []
     for j in range(1, L + 1):
@@ -276,17 +272,14 @@ def pairing_identities(fam: str, L: int, params: ParamSet | None,
             sum_expected = ParamPoly.const(0)
             prod_expected = ParamPoly.const(-16 * m * m)
         elif fam == "J":
-            a = ParamPoly.const(params.a) if params is not None else ParamPoly.var("a")
             sum_expected = ParamPoly.const(8 * m * m)
-            prod_expected = 16 * m * m * (ParamPoly.const(m * m) - z - a * a)
+            prod_expected = 16 * m * m * (m * m - z - params.a ** 2)
         elif fam == "W":
-            b1 = (ParamPoly.const(sum(params.a_list())) if params is not None
-                  else ParamPoly.var("b1"))
+            b1 = sum(params.a_list())
             sum_expected = ParamPoly.const(2 * m * m)
-            prod_expected = m * m * (ParamPoly.const(m * m) - 4 * z - (b1 - 1) ** 2)
+            prod_expected = m * m * (m * m - 4 * z - (b1 - 1) ** 2)
         else:
-            d = params.derived()
-            q, b4 = d["q"], d["b4"]
+            q, b4 = params.q, params.b4
             r = params.r
             zp = z + 1 + b4 / q
             c_minus = (r ** (-m) - r ** m) ** 2

@@ -41,6 +41,23 @@ def aw_params():
 
 
 @pytest.fixture(scope="session")
+def pairing_params():
+    """Bound parameters at which the pairing identities are checked: three
+    distinct a = g + h for J and three distinct b1 = a1 + a2 + a3 + a4 for
+    W, which makes the check exact in a and b1 (both sides of each identity
+    have degree <= 2 in them)."""
+    out = (ParamSet("L", {"g": Fraction(7, 3)}),
+           *(ParamSet("J", {"g": g, "h": h})
+             for g, h in ((2, 3), (Fraction(1, 2), 0), (-1, Fraction(1, 3)))),
+           *(ParamSet("W", {"a1": a1, "a2": Fraction(5, 2), "a3": 3,
+                            "a4": Fraction(7, 2)})
+             for a1 in (2, Fraction(-1, 2), 7)))
+    assert len({ps.a for ps in out if ps.fam == "J"}) == 3
+    assert len({sum(ps.a_list()) for ps in out if ps.fam == "W"}) == 3
+    return out
+
+
+@pytest.fixture(scope="session")
 def l_classical(lag_params):
     return classical_family("L", lag_params)
 

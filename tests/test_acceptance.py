@@ -179,7 +179,8 @@ def test_criterion_07_companion_matrix_suite(l1i_closure, j1i_closure,
                    "determinant, column sum, three-way power recursion)")
 
 
-def test_criterion_08_conjectured_coefficients(aw_params, lag_params,
+def test_criterion_08_conjectured_coefficients(aw_params, pairing_params,
+                                               lag_params,
                                                l1i_closure, l1ii_closure,
                                                j1i_closure, l1i, j1i,
                                                l_classical, j_classical):
@@ -198,12 +199,16 @@ def test_criterion_08_conjectured_coefficients(aw_params, lag_params,
     for fam, df, Y, L in solved_cases:
         cd, _ = closure_for_family(df, Y)
         ok = ok and cd.R == conjectured_R(fam, L, df.params)
-    # pairing identities hold identically in z for all four families, L <= 4
+    # pairing identities hold identically in z for all four families, L <= 4,
+    # and in a (J) and b1 (W): both sides have degree <= 2 in them, and
+    # pairing_params holds three distinct values of each
+    for ps in (*pairing_params, aw_params):
+        for L in (1, 2, 3, 4):
+            rep = pairing_identities(ps.fam, L, ps, alpha_conjecture(ps.fam, L, ps))
+            ok = ok and all(e["ok"] for e in rep)
+    # and the expansion itself is square-root free, symbolically in a and b1
     for fam, ps in (("L", None), ("J", None), ("W", None), ("AW", aw_params)):
         for L in (1, 2, 3, 4):
-            rep = pairing_identities(fam, L, ps, alpha_conjecture(fam, L, ps))
-            ok = ok and all(e["ok"] for e in rep)
-            # and the expansion itself is square-root free
             conjectured_R(fam, L, ps)
     # printed difference-family forms at L = 2
     Rw = conjectured_R("W", 2)
@@ -211,8 +216,7 @@ def test_criterion_08_conjectured_coefficients(aw_params, lag_params,
     zp = 4 * z + (b1 - 1) ** 2
     ok = ok and Rw == [-4 * (zp - 1) * (zp - 4), -8 * (2 * zp - 5),
                        5 * zp - 33, ParamPoly.const(10)]
-    d = aw_params.derived()
-    q, b4 = d["q"], d["b4"]
+    q, b4 = aw_params.q, aw_params.b4
     Raw = conjectured_R("AW", 2, aw_params)
     zq = z + 1 + b4 / q
     ok = ok and Raw[3] == q ** -2 * (1 - q) ** 2 * (1 + 3 * q + q ** 2) * zq
@@ -239,9 +243,8 @@ def test_criterion_09_spectral_spacing(lag_params, wil_params, aw_params):
         ok = ok and sqrt_value_at_energy("J", j_by_L[2], n) == 2 * n + j_by_L[2].a
         b1v = sum(wil_params.a_list())
         ok = ok and sqrt_value_at_energy("W", wil_params, n) == 2 * n + b1v - 1
-        daw = aw_params.derived()
         ok = ok and (sqrt_value_at_energy("AW", aw_params, n)
-                     == aw_params.q ** (-n) - daw["b4"] * aw_params.q ** (n - 1))
+                     == aw_params.q ** (-n) - aw_params.b4 * aw_params.q ** (n - 1))
     _record(9, ok, "spacing identities alpha_j(E_n) = E_(n+shift) - E_n exact "
                    "for n <= 8, all four families at admissible samples, with "
                    "the printed square-root-free evaluations")

@@ -1,6 +1,7 @@
 """CLI: subcommands, exit codes, deterministic reports, plugin gating."""
 
 import argparse
+import copy
 import json
 import os
 import pathlib
@@ -303,6 +304,39 @@ def test_replaced_plugin_field_ends_in_an_exit_code(name, field, value, command)
         path = pathlib.Path(tmp) / name
         path.write_text(json.dumps(data))
         assert run_cli(command, "--plugin", str(path)) in (0, 1, 2)
+
+
+def _field_paths(node, prefix=()):
+    """The path of every object member and list entry below ``node``."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _field_paths(child, prefix + (key,))
+
+
+PLUGIN_2I = json.loads((ROOT / "plugins" / "laguerre_2I.json").read_text())
+PLUGIN_2I_PATHS = list(_field_paths(PLUGIN_2I))
+
+
+# Every field of a shipped plugin, at any depth, replaced by a small value:
+# loading ends in a failed load (exit 1) or a configuration error (exit 2),
+# never in a traceback; a replacement equal to the field changes nothing
+# and still loads.
+@pytest.mark.parametrize("value", [None, 0, "x", [], {}, [0]])
+def test_replaced_nested_plugin_field_ends_in_an_exit_code(value, tmp_path):
+    assert len(PLUGIN_2I_PATHS) == 57
+    path = tmp_path / "p.json"
+    for field_path in PLUGIN_2I_PATHS:
+        data = copy.deepcopy(PLUGIN_2I)
+        node = data
+        for key in field_path[:-1]:
+            node = node[key]
+        unchanged = node[field_path[-1]] == value
+        node[field_path[-1]] = value
+        path.write_text(json.dumps(data))
+        code = run_cli("plugin-validate", "--plugin", str(path))
+        assert code in ((0,) if unchanged else (1, 2)), field_path
 
 
 def test_failing_check_exit_code(tmp_path):

@@ -323,11 +323,30 @@ def test_symbolic_nodes_avoid_degenerate_seeds():
 
 
 def test_kernel_reporting_on_padded_order(l_classical):
-    # asking for order 4 on the classical system: consistent but non-unique
+    # asking for order 4 on the classical system: consistent but non-unique;
+    # the solve returns the conjectured point of the solution set
     X = ParamPoly.var("eta")
     cd = solve_closure(l_classical, X, 4)
     assert cd.kernel_dim > 0 and not cd.unique
+    assert cd.R == conjectured_R("L", 2, l_classical.params)
     assert verify_closure_identity(l_classical, X, cd)
+
+
+@pytest.mark.parametrize("D, params", [("1I", ["g=3/4", "h=1/4"]),
+                                       ("1II", ["g=3/4", "h=1/4"]),
+                                       ("1I", ["g=2", "h=-1"])])
+def test_non_unique_closure_reports_the_conjectured_point(D, params, tmp_path):
+    # at a = g + h = 1 the J seeds have a solution set of dimension 3; the
+    # reported R_i are the conjectured ones, the returned data is certified,
+    # and its R_-1 is the stored row at these parameters
+    report = tmp_path / "r.json"
+    assert main(["verify-closure", "--family", "J", "--D", D, "--params", *params,
+                 "--report", str(report)]) == 0
+    checks = {c["id"]: c for c in json.loads(report.read_text())["checks"]}
+    assert checks["closure/solve"]["detail"]["kernel_dim"] == 3
+    for check_id in ("closure/identity", "closure/conjectured-R",
+                     "closure/reference-table"):
+        assert checks[check_id]["status"] == "pass"
 
 
 def test_conjectured_data_is_built_only_for_a_kernel(l_classical, l1i,

@@ -166,7 +166,7 @@ def _reference_solve_fraction(matrix, rhs) -> LinearSolution:
             break
     for i in range(r, rows):
         if aug[i][cols]:
-            return LinearSolution(False, None, [], r, tuple(pivot_cols))
+            return LinearSolution(False, None, [])
     solution = [F(0)] * cols
     for i, c in enumerate(pivot_cols):
         solution[c] = aug[i][cols]
@@ -177,7 +177,7 @@ def _reference_solve_fraction(matrix, rhs) -> LinearSolution:
         for i, c in enumerate(pivot_cols):
             vec[c] = -aug[i][fc]
         kernel.append(vec)
-    return LinearSolution(True, solution, kernel, r, tuple(pivot_cols))
+    return LinearSolution(True, solution, kernel)
 
 
 def test_solve_all_zero_matrix():
@@ -185,11 +185,10 @@ def test_solve_all_zero_matrix():
     zero = [[F(0)] * 3, [F(0)] * 3]
     sol = solve_linear_exact(zero, [0, 0])
     assert sol == LinearSolution(True, [F(0)] * 3,
-                                 [[F(int(i == c)) for i in range(3)] for c in range(3)],
-                                 0, ())
+                                 [[F(int(i == c)) for i in range(3)] for c in range(3)])
     assert sol == _reference_solve_fraction(zero, [0, 0])
     sol = solve_linear_exact(zero, [0, F(1, 2)])
-    assert sol == LinearSolution(False, None, [], 0, ())
+    assert sol == LinearSolution(False, None, [])
     assert sol == _reference_solve_fraction(zero, [0, F(1, 2)])
 
 
@@ -200,10 +199,10 @@ def test_solve_row_that_vanishes_during_elimination():
     matrix = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     sol = solve_linear_exact(matrix, [1, 2, 1])
     assert sol == LinearSolution(True, [F(-1), F(1), F(0)],
-                                 [[F(-1), F(-1), F(1)]], 2, (0, 1))
+                                 [[F(-1), F(-1), F(1)]])
     assert sol == _reference_solve_fraction(matrix, [1, 2, 1])
     sol = solve_linear_exact(matrix, [1, 3, 1])
-    assert sol == LinearSolution(False, None, [], 2, (0, 1))
+    assert sol == LinearSolution(False, None, [])
     assert sol == _reference_solve_fraction(matrix, [1, 3, 1])
 
 
@@ -214,7 +213,7 @@ def test_solve_sparse_pivot_row_clears_a_dense_row():
     rhs = [F(4), F(1), F(14)]
     sol = solve_linear_exact(matrix, rhs)
     assert sol == LinearSolution(True, [F(2), F(-27), F(2), F(0)],
-                                 [[F(0), F(-15), F(0), F(1)]], 3, (0, 1, 2))
+                                 [[F(0), F(-15), F(0), F(1)]])
     assert sol == _reference_solve_fraction(matrix, rhs)
 
 
@@ -359,3 +358,11 @@ def test_parse_poly_grammar():
 def test_records_round_trip():
     p = eta ** 2 * F(1, 3) - g * 7
     assert ParamPoly.from_record(p.record()) == p
+
+
+@pytest.mark.parametrize("variables", [[0], [None], [["eta"]], ["eta", "eta"]])
+def test_record_variables_must_be_distinct_strings(variables):
+    rec = {"variables": variables, "terms": [{"exponents": [1] * len(variables),
+                                              "coefficient": "1"}]}
+    with pytest.raises(ValueError, match="variables must be distinct strings"):
+        ParamPoly.from_record(rec)

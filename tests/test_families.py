@@ -346,8 +346,13 @@ def test_paramset_validation():
     # square root is a ValueError, not an assertion that python -O strips
     with pytest.raises(ValueError, match="q = 1/2 is not the square"):
         ParamSet("L", {"g": 1, "q": F(1, 2)}).r
-    d = ParamSet("W", {"a1": 1, "a2": 2, "a3": 3, "a4": 4}).derived()
-    assert d["b1"] == 10 and d["b2"] == 35 and d["b3"] == 50 and d["b4"] == 24
+    assert ParamSet("W", {"a1": 1, "a2": 2, "a3": 3, "a4": 4}).b4 == 24
+    # the reference variables: g for L; a = g + h and b = g - h for J
+    for ps, ref in ((ParamSet("L", {"g": F(7, 3)}), {"g": F(7, 3)}),
+                    (ParamSet("J", {"g": 2, "h": F(1, 2)}),
+                     {"a": F(5, 2), "b": F(3, 2)})):
+        assert ps.reference_values() == ref
+        assert ParamSet.at_reference(ps.fam, ref) == ps
 
 
 def test_canonical_seeds_match_builtins(lag_params, jac_params):

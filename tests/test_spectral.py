@@ -65,8 +65,7 @@ def test_sqrt_values_match_printed_closed_forms(jac_params, wil_params, aw_param
         assert sqrt_value_at_energy("J", jac_params, n) == 2 * n + jac_params.a
         b1v = sum(wil_params.a_list())
         assert sqrt_value_at_energy("W", wil_params, n) == 2 * n + b1v - 1
-        d = aw_params.derived()
-        expected = aw_params.q ** (-n) - d["b4"] * aw_params.q ** (n - 1)
+        expected = aw_params.q ** (-n) - aw_params.b4 * aw_params.q ** (n - 1)
         assert sqrt_value_at_energy("AW", aw_params, n) == expected
         # and they really are the square roots
         for fam, ps in (("J", jac_params), ("W", wil_params), ("AW", aw_params)):
@@ -115,8 +114,7 @@ def test_conjectured_R_wilson_symbolic():
 
 
 def test_conjectured_R_askey_wilson_bound(aw_params):
-    d = aw_params.derived()
-    q, b4 = d["q"], d["b4"]
+    q, b4 = aw_params.q, aw_params.b4
     R = conjectured_R("AW", 2, aw_params)
     zp = z + 1 + b4 / q
     assert R[3] == q ** -2 * (1 - q) ** 2 * (1 + 3 * q + q ** 2) * zp
@@ -188,11 +186,20 @@ def test_char_poly_identity_all_families(aw_params):
                 assert val.is_sqrt_free and val.poly_part().is_zero
 
 
-def test_pairing_identities_all_families(aw_params):
-    for fam, ps in (("L", None), ("J", None), ("W", None), ("AW", aw_params)):
+def test_pairing_identities_all_families(pairing_params, aw_params):
+    """The identities hold in z and in the parameter for L <= 4.
+
+    For J, alpha_j = 4m^2 +- 4m sqrt(S) with S = z + a^2, so in the pairing
+    sum and product every part (the polynomial part, the coefficient of
+    sqrt(S), the printed form) is a polynomial in z and a of degree <= 2 in
+    a; a difference that vanishes at three distinct a therefore vanishes
+    identically in a.  W is the same with S = 4z + (b1 - 1)^2 and b1 in
+    place of a.  L does not depend on g, and AW is checked at its bound
+    parameters."""
+    for ps in (*pairing_params, aw_params):
         for L in (1, 2, 3, 4):
-            rep = pairing_identities(fam, L, ps, alpha_conjecture(fam, L, ps))
-            assert all(e["ok"] for e in rep), (fam, L)
+            rep = pairing_identities(ps.fam, L, ps, alpha_conjecture(ps.fam, L, ps))
+            assert all(e["ok"] for e in rep), (ps, L)
 
 
 def test_pairing_example_values():
