@@ -5,7 +5,7 @@ compare every coefficient with the closed forms, exactly.
 
 from fractions import Fraction
 
-from closurelab.exactalg import ParamPoly, interpolate_param
+from closurelab.exactalg import EtaPoly, interpolate_param
 from closurelab.families import ParamSet, builtin_deformed
 from closurelab.recurrence import (build_X, check_h_symmetry,
                                    closed_form_compare, compute_table,
@@ -17,8 +17,8 @@ family = builtin_deformed("L", "1I", params)
 print(f"family {family.label}: missing degrees below {family.ell},",
       f"denominator polynomial xi = {family.xi}")
 
-X = build_X(family.xi, ParamPoly.const(1))
-print(f"minimal X(eta) = {X}   (degree L = {X.degree('eta')})")
+X = build_X(family.xi, EtaPoly.const(1))
+print(f"minimal X(eta) = {X}   (degree L = {X.degree})")
 
 table = compute_table(family, X, range(7))
 print("\nfive-term coefficients r[n][k]:")
@@ -42,7 +42,7 @@ samples = [Fraction(k, 2) for k in range(3, 9)]
 tables = []
 for gv in samples:
     df = builtin_deformed("L", "1I", ParamSet("L", {"g": gv}))
-    tables.append(compute_table(df, build_X(df.xi, ParamPoly.const(1)), range(4)))
+    tables.append(compute_table(df, build_X(df.xi, EtaPoly.const(1)), range(4)))
 print(f"\nsymbolic coefficients (polynomials in g, from {len(samples)} "
       f"exact samples):")
 for n in range(4):

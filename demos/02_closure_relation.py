@@ -12,7 +12,7 @@ the identity.
 
 from fractions import Fraction
 
-from closurelab.exactalg import ParamPoly
+from closurelab.exactalg import EtaPoly, ParamPoly
 from closurelab.closure import (ClosureData, closure_for_family, conjectured_R,
                                 compare_reference, verify_closure_identity)
 from closurelab.families import ParamSet, builtin_deformed
@@ -20,7 +20,7 @@ from closurelab.families import ParamSet, builtin_deformed
 params = ParamSet("L", {"g": Fraction(7, 3)})
 family = builtin_deformed("L", "1I", params)
 
-cd, X = closure_for_family(family, ParamPoly.const(1))
+cd, X = closure_for_family(family, EtaPoly.const(1))
 print(f"order K = {cd.K}, unique solution: {cd.unique}")
 for i, Ri in enumerate(cd.R):
     print(f"  R_{i}(z) = {Ri}")
@@ -41,6 +41,6 @@ assert not verify_closure_identity(family, X, broken)
 print("perturbed R_2 = 81 fails, as it must")
 
 # higher order: Y = eta gives a seven-term recurrence and order K = 6
-cd6, X6 = closure_for_family(family, ParamPoly.var("eta"))
+cd6, X6 = closure_for_family(family, EtaPoly((0, 1)))
 print(f"\nY = eta: K = {cd6.K}, even R values:",
       [str(cd6.R[i]) for i in range(0, cd6.K, 2)])

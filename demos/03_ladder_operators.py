@@ -7,7 +7,7 @@ every ladder action is checked against the recurrence coefficient of X P(n).
 
 from fractions import Fraction
 
-from closurelab.exactalg import ParamPoly
+from closurelab.exactalg import EtaPoly
 from closurelab.closure import closure_for_family
 from closurelab.families import ParamSet, builtin_deformed
 from closurelab.heisenberg import (LadderContext, check_r0_relation,
@@ -16,7 +16,7 @@ from closurelab.heisenberg import (LadderContext, check_r0_relation,
 
 params = ParamSet("L", {"g": Fraction(7, 3)})
 family = builtin_deformed("L", "1I", params)
-cd, X = closure_for_family(family, ParamPoly.const(1))
+cd, X = closure_for_family(family, EtaPoly.const(1))
 ctx = LadderContext(family, cd, X)
 
 print(f"K = {cd.K}: indices 1..{cd.K // 2} raise, {cd.K // 2 + 1}..{cd.K} lower")

@@ -5,6 +5,7 @@ orthogonal-polynomial systems (Laguerre, Jacobi, Wilson, Askey-Wilson)."""
 __version__ = "0.1.0"
 
 from .exactalg import (
+    EtaPoly,
     ParamPoly,
     Rat,
     RationalFunc,
@@ -17,6 +18,7 @@ from .exactalg import (
 )
 
 __all__ = [
+    "EtaPoly",
     "ParamPoly",
     "Rat",
     "RationalFunc",

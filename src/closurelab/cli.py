@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
-from .exactalg import ParamPoly, SampleMismatch, parse_poly, rat, rat_str
+from .exactalg import EtaPoly, ParamPoly, SampleMismatch, parse_poly, rat, rat_str
 from .families import (MAX_ELL, DeformedFamily, EigenValidationFailed,
                        MultiIndex, ParameterPole, ParamSet, SchemaError,
                        DegreeMismatch, builtin_deformed, energy,
@@ -154,13 +154,14 @@ def _parse_D(text: str) -> MultiIndex:
         raise ConfigError(f"--D {text!r}: {exc}") from None
 
 
-def _parse_D_Y(args) -> tuple[MultiIndex, ParamPoly]:
-    """--D and --Y, with ell + deg Y = deg X - 1 capped by MAX_ELL like ell."""
+def _parse_D_Y(args) -> tuple[MultiIndex, EtaPoly]:
+    """--D and --Y, with ell + deg Y = deg X - 1 capped by MAX_ELL like ell;
+    Y becomes an EtaPoly once that cap has bounded its degree."""
     D, Y = _parse_D(args.D), _parse_Y(args.Y)
     if D.ell + Y.degree("eta") > MAX_ELL:
         raise ConfigError(f"--Y {args.Y!r}: ell + deg Y = {D.ell + Y.degree('eta')}"
                           f" is above the supported bound {MAX_ELL}")
-    return D, Y
+    return D, EtaPoly.from_param(Y)
 
 
 def _load_plugin(path: str) -> DeformedFamily:
@@ -234,7 +235,7 @@ def cmd_verify_closure(args) -> int:
         if args.plugin:
             raise ConfigError("--plugin: W and AW closure is checked spectrally "
                               "and reads no plugin")
-        L = D.ell + Y.degree("eta") + 1
+        L = D.ell + Y.degree + 1
         _alpha_checks(report, "spectral", fam, L, params, args.n_max)
         report.add("operator-level", None, notice="not implemented: "
                    "operator-level closure for difference operators")
@@ -316,7 +317,7 @@ def cmd_recurrence(args) -> int:
     report.add("recurrence/span", True, L=table.L)
     report.add_all("recurrence", leading_coeff_identity(df, table))
     report.add_all("recurrence", check_h_symmetry(df, table))
-    if df.source == "builtin" and Y == ParamPoly.const(1):
+    if df.source == "builtin" and Y == 1:
         formulas = None
         if df.fam == "L" and df.D.label() == "1I":
             formulas = table_formulas_L1I(df.params)
@@ -346,7 +347,7 @@ def _alpha_checks(report: Report, prefix: str, fam: str, L: int,
 def cmd_spectrum(args) -> int:
     params = _parse_params(args.family, args.params)
     D, Y = _parse_D_Y(args)
-    L = D.ell + Y.degree("eta") + 1
+    L = D.ell + Y.degree + 1
     report = Report("spectrum", _config_echo(args, params, Y))
     alpha_list = _alpha_checks(report, "spectrum", args.family, L, params,
                                args.n_max)
@@ -393,7 +394,7 @@ def cmd_heisenberg(args) -> int:
     if args.family in ("W", "AW"):
         raise ConfigError("the ladder suite needs polynomial family data (L or J)")
     df = _family_instance(args, D, params)
-    for note in _validate_ranges(df.fam, df.params, D.ell + Y.degree("eta") + 1):
+    for note in _validate_ranges(df.fam, df.params, D.ell + Y.degree + 1):
         report.add(f"range/{note}", None)
     try:
         cd, X = closure_for_family(df, Y)
@@ -449,7 +450,7 @@ def cmd_appendix_b(args) -> int:
         else:
             report.add(label, None, notice="plugin required")
             continue
-        Y = parse_poly(Ylabel) if Ylabel != "1" else ParamPoly.const(1)
+        Y = EtaPoly.from_param(parse_poly(Ylabel))
         try:
             cd, X = closure_for_family(df, Y)
         except (NoSolution, EigenValidationFailed, NonzeroRemainder) as exc:
@@ -487,7 +488,7 @@ def cmd_plugin_validate(args) -> int:
     return _emit(report, args)
 
 
-def _config_echo(args, params: ParamSet, Y: ParamPoly) -> dict:
+def _config_echo(args, params: ParamSet, Y: EtaPoly) -> dict:
     return {
         "family": args.family,
         "D": args.D,

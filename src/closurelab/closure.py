@@ -25,7 +25,7 @@ from importlib import resources
 from itertools import count, islice
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .exactalg import (ParamPoly, Rat, SampleMismatch, interpolate_grid,
+from .exactalg import (EtaPoly, ParamPoly, Rat, SampleMismatch, interpolate_grid,
                        rat_str, solve_linear_exact)
 from .families import (DeformedFamily, EigenValidationFailed, MultiIndex,
                        ParamSet, SchemaError, builtin_deformed,
@@ -55,7 +55,7 @@ def degree_bounds(K: int) -> dict[int, int]:
     return bounds
 
 
-def level_coordinates(df: DeformedFamily, X: ParamPoly,
+def level_coordinates(df: DeformedFamily, X: EtaPoly,
                       n: int) -> list[tuple[int, Rat, Rat]]:
     """(k, r_{n,k}, Delta_{n,k}) for every coordinate P_{n+k}, n + k >= 0,
     of X P_n = sum_{|k| <= L} r_{n,k} P_{n+k}, in increasing k, with
@@ -72,33 +72,33 @@ def level_coordinates(df: DeformedFamily, X: ParamPoly,
     degrees ell + n + k, so they are linearly independent and a polynomial
     in their span is zero exactly when all its coordinates are.
     """
-    L = X.degree("eta")
+    L = X.degree
     df.check_levels(n + L)
     row = recurrence_row(df, X, n)
     En = df.E(n)
     return [(k, row[k], df.E(n + k) - En) for k in range(-L, L + 1) if n + k >= 0]
 
 
-def _levels_through(df: DeformedFamily, X: ParamPoly,
+def _levels_through(df: DeformedFamily, X: EtaPoly,
                     N: int) -> Iterator[list[tuple[int, Rat, Rat]]]:
     """level_coordinates on P_0..P_N in turn.  They read P_0..P_{N+L}; a
     plugin that lists fewer levels is a SchemaError naming the levels
     needed."""
-    top = N + X.degree("eta")
+    top = N + X.degree
     if df.p_max is not None and df.p_max < top:
         raise SchemaError(f"{df.label}: the closure certificate needs "
                           f"P_0..P_{top}, the plugin lists P_0..P_{df.p_max}")
     return (level_coordinates(df, X, n) for n in range(N + 1))
 
 
-def ad_powers(H: DiffOp, X: ParamPoly, count: int) -> list[DiffOp]:
+def ad_powers(H: DiffOp, X: EtaPoly, count: int) -> list[DiffOp]:
     """[X, [H,X], [H,[H,X]], ...] with count+1 entries, as operators.
 
     Reference route only: the tests check the coordinate images of
     ``level_coordinates`` against it.  Entry 0 is the multiplication
     operator by X.
     """
-    ads = [DiffOp.mul_by(X, H.var)]
+    ads = [DiffOp.mul_by(X.param(), H.var)]
     for _ in range(count):
         ads.append(H.commutator(ads[-1]))
     return ads
@@ -197,11 +197,11 @@ def level_rows(coords: Sequence[tuple[int, Rat, Rat]],
     return rows
 
 
-def closure_system(df: DeformedFamily, X: ParamPoly,
+def closure_system(df: DeformedFamily, X: EtaPoly,
                    K: int) -> tuple[list[tuple[int, int]], list[list[Rat]], list[Rat]]:
     """The order-K closure system (unknown layout, rows, right-hand side) in
-    recurrence coordinates on the levels n = 0..K, each level reduced in
-    closed form (``level_rows``).
+    recurrence coordinates on the levels n = K, K-1, ..., 0, each level
+    reduced in closed form (``level_rows``).
 
     The unknown coefficient of z^j in R_i contributes E_n^j [(ad H)^i X] P_n
     (E_n^j P_n for i = -1) and the target is [(ad H)^K X] P_n.  By
@@ -229,22 +229,32 @@ def closure_system(df: DeformedFamily, X: ParamPoly,
     them consistency, rank, pivot columns, the solution and the kernel basis
     that ``solve_linear_exact`` reads off it.  At a full level each reduced
     row touches a single R_i block, so the rows are mostly zero.
+
+    The levels are returned highest first.  ``solve_linear_exact`` pivots
+    on the first row with a nonzero entry in each column, so this order
+    makes the sparse rows of the full levels the pivots, and the mixed rows
+    of the low levels are reduced against them instead of filling them in.
+    The order changes no result: reordering rows multiplies the augmented
+    matrix on the left by a permutation matrix, which is invertible, so the
+    augmented row space, and with it the reduced row echelon form and every
+    ``LinearSolution`` read off it, is unchanged.
     """
     layout = _unknown_layout(K)
     top_j = max(j for _, j in layout)
     zero = Fraction(0)
     rows: list[list[Rat]] = []
     rhs: list[Rat] = []
-    for n, coords in enumerate(_levels_through(df, X, K)):
+    levels = list(_levels_through(df, X, K))
+    for n in range(K, -1, -1):
         En = df.E(n)
         E_pow = [En ** j for j in range(top_j + 1)]
-        for a, t in level_rows(coords, K):
+        for a, t in level_rows(levels[n], K):
             rows.append([a[i] * E_pow[j] if a[i] else zero for i, j in layout])
             rhs.append(t)
     return layout, rows, rhs
 
 
-def solve_closure(df: DeformedFamily, X: ParamPoly, K: int) -> ClosureData:
+def solve_closure(df: DeformedFamily, X: EtaPoly, K: int) -> ClosureData:
     """Exact solve of the order-K closure relation at bound parameters.
 
     The system is ``closure_system`` on the levels n = 0..K.  The degree
@@ -310,7 +320,7 @@ class IdentityVerdict:
         return self.n is None
 
 
-def verify_closure_identity(df: DeformedFamily, X: ParamPoly,
+def verify_closure_identity(df: DeformedFamily, X: EtaPoly,
                             cd: ClosureData) -> IdentityVerdict:
     """Exact verdict on the order-K relation as an operator identity.
 
@@ -406,11 +416,11 @@ def reconstruct_closure(solve_at: Callable[[Mapping[str, Rat]], ClosureData],
 
 
 def closure_for_family(df: DeformedFamily,
-                       Y: ParamPoly) -> tuple[ClosureData, ParamPoly]:
+                       Y: EtaPoly) -> tuple[ClosureData, EtaPoly]:
     """Solve the closure relation for one family instance at its bound
     parameters, with the minimal-or-higher X built from (xi, Y)."""
     X = build_X(df.xi, Y)
-    return solve_closure(df, X, 2 * X.degree("eta")), X
+    return solve_closure(df, X, 2 * X.degree), X
 
 
 # Symbolic reconstruction walks each parameter from its start in steps of
@@ -465,13 +475,13 @@ def symbolic_nodes(fam: str, D: MultiIndex, bounds: Mapping[str, int]
     return nodes, fresh
 
 
-def symbolic_closure(fam: str, D_label: str, Y: ParamPoly) -> ClosureData:
+def symbolic_closure(fam: str, D_label: str, Y: EtaPoly) -> ClosureData:
     """Closure data of the built-in family (fam, D_label) symbolically in its
     parameters: g for L, (a, b) for J.  Exact solves on the grid of
     ``symbolic_nodes`` with degree bounds K/2 in g, K in a and K - 1 in b,
     then certification at its two fresh points (``reconstruct_closure``)."""
     D = MultiIndex.parse(D_label)
-    K = 2 * (D.ell + Y.degree("eta") + 1)
+    K = 2 * (D.ell + Y.degree + 1)
     bounds = {"g": K // 2} if fam == "L" else {"a": K, "b": K - 1}
     nodes, fresh = symbolic_nodes(fam, D, bounds)
 

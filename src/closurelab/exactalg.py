@@ -1,12 +1,19 @@
-"""Exact rational arithmetic: scalars, sparse multivariate polynomials,
-reduced rational functions, exact linear solving and interpolation.
+"""Exact rational arithmetic: scalars, dense polynomials in eta, sparse
+multivariate polynomials, reduced rational functions, exact linear solving
+and interpolation.
 
-Everything downstream (operator algebra, recurrence tables, closure data)
-is built on the types in this module.  There is no floating point anywhere:
-scalars are `fractions.Fraction`, a polynomial is a dict mapping exponent
-tuples to nonzero Fractions, and a rational function is a reduced pair of
-polynomials.  All values are immutable after construction and all functions
-are pure, so independent computations can safely run in parallel.
+Everything downstream (family data, recurrence tables, closure data,
+operator algebra) is built on the types in this module.  There is no
+floating point anywhere: scalars are `fractions.Fraction`.  A polynomial in
+eta alone (every P_n, seed xi, Hamiltonian numerator and X of a family at
+bound parameters) is an ``EtaPoly``: a tuple of integer numerators, low
+degree to high, over one positive denominator, in lowest terms.  A
+polynomial in several variables (closure data in z, reference rows in the
+parameters, parsed ``--Y`` and plugin input) is a ``ParamPoly``: a dict
+mapping exponent tuples to nonzero Fractions.  A rational function is a
+reduced pair of ParamPolys.  All values are immutable after construction
+and all functions are pure, so independent computations can safely run in
+parallel.
 """
 
 from __future__ import annotations
@@ -79,22 +86,22 @@ class ParamPoly:
     I1 and I2 for operands that have them:
 
     - I1.  A result key is an operand key (add, neg, scalar mul), the sum of
-      two operand keys (mul), an operand key with one entry lowered (diff,
-      on positive entries only) or raised (integrate) by one, an operand key
-      with one entry removed (coeff_in, coeffs_in), or an operand key with
-      its entries moved to the positions of the new variables (with_vars,
-      which refuses to drop a variable with a positive exponent).  Sums of
-      nonnegative ints are nonnegative ints, and ``_align`` gives both
-      operands of add and mul the same ``vars``, so every key has the arity
-      of the result's ``vars``.
+      two operand keys (mul), an operand key with one entry lowered by one
+      (diff, on positive entries only), an operand key with one entry
+      removed (coeffs_in), or an operand key with its entries moved to the
+      positions of the new variables (with_vars, which refuses to drop a
+      variable with a positive exponent).  Sums of nonnegative ints are
+      nonnegative ints, and ``_align`` gives both operands of add and mul
+      the same ``vars``, so every key has the arity of the result's
+      ``vars``.
     - I2.  Sums and products of Fractions, and Fractions times or over ints,
       are Fractions.  Only add and mul sum coefficients, so only they can
       produce a zero, and both drop zero sums.  Every other operation maps
       distinct keys to distinct keys (each key map above is injective on the
       terms it is applied to), so a result key receives one coefficient: the
-      negation of a nonzero Fraction, a nonzero Fraction times a nonzero
-      scalar or a positive int (diff: the exponent), or a nonzero Fraction
-      over a positive int (integrate).  Each of these is nonzero.
+      negation of a nonzero Fraction, or a nonzero Fraction times a nonzero
+      scalar or a positive int (diff: the exponent).  Each of these is
+      nonzero.
     """
 
     __slots__ = ("vars", "terms")
@@ -311,18 +318,6 @@ class ParamPoly:
             e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i]
             for e, c in self.terms.items() if e[i]})
 
-    def integrate(self, var: str) -> "ParamPoly":
-        """Antiderivative in ``var`` with zero constant term."""
-        if var not in self.vars:
-            return self * ParamPoly.var(var)
-        i = self.vars.index(var)
-        terms = {}
-        for exps, coeff in self.terms.items():
-            new = list(exps)
-            new[i] += 1
-            terms[tuple(new)] = coeff / new[i]
-        return ParamPoly._trusted(self.vars, terms)
-
     def subs(self, bindings: Mapping[str, object]) -> "ParamPoly":
         """Substitute variables by Fractions or ParamPolys."""
         relevant = {v: bindings[v] for v in self.vars if v in bindings}
@@ -370,16 +365,6 @@ class ParamPoly:
             key = tuple(e for j, e in enumerate(exps) if j != i)
             out.setdefault(k, {})[key] = coeff
         return {k: ParamPoly._trusted(rest, t) for k, t in sorted(out.items())}
-
-    def coeff_in(self, var: str, k: int) -> "ParamPoly":
-        """The coefficient of var^k, a polynomial in the other variables;
-        unlike ``coeffs_in`` it splits off only the terms of that power."""
-        if var not in self.vars:
-            return self if k == 0 else ParamPoly.zero()
-        i = self.vars.index(var)
-        rest = tuple(v for v in self.vars if v != var)
-        return ParamPoly._trusted(rest, {e[:i] + e[i + 1:]: c
-                                         for e, c in self.terms.items() if e[i] == k})
 
     def leading_coeff(self, var: str) -> "ParamPoly":
         split = self.coeffs_in(var)
@@ -454,6 +439,193 @@ class ParamPoly:
                              f"got {rec['variables']!r}")
         terms = {tuple(row["exponents"]): rat(row["coefficient"]) for row in rec["terms"]}
         return ParamPoly(vars, terms)
+
+
+class EtaPoly:
+    """Exact polynomial in the one variable eta, on integer numerators.
+
+    ``num`` holds the integer numerators of the coefficients of eta^0,
+    eta^1, ... (low degree to high) and ``den`` their one positive
+    denominator: the coefficient of eta^k is num[k]/den.  Every instance is
+    in lowest terms: num has no trailing zero and gcd(num[0], ..., den) = 1,
+    with the zero polynomial num = (), den = 1.  A rational polynomial has
+    exactly one such form (the lcm of its coefficient denominators divides
+    any common denominator, and the gcd condition forces that lcm), so
+    equality and hashing compare (num, den) as tuples and the zero test is
+    ``not num``.  ``_reduced`` establishes the form from any integer list
+    over a positive denominator, and every operation builds its result
+    through it; arithmetic inside runs on Python ints, with one gcd pass per
+    result instead of one per coefficient.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, coeffs: Sequence = ()):
+        """The polynomial sum_k coeffs[k]*eta^k of exact rationals (ints,
+        Fractions or 'p/q' strings)."""
+        cs = [rat(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        num, den = _lowest([c.numerator * (den // c.denominator) for c in cs], den)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _reduced(cls, num: list[int], den: int) -> "EtaPoly":
+        """The polynomial sum_k num[k]*eta^k / den, for den > 0."""
+        p = object.__new__(cls)
+        num, den = _lowest(num, den)
+        object.__setattr__(p, "num", num)
+        object.__setattr__(p, "den", den)
+        return p
+
+    def __setattr__(self, *_):
+        raise AttributeError("EtaPoly is immutable")
+
+    @staticmethod
+    def const(value) -> "EtaPoly":
+        return EtaPoly((value,))
+
+    @staticmethod
+    def from_param(p: ParamPoly) -> "EtaPoly":
+        """The polynomial of a ParamPoly in eta alone (ValueError when
+        another variable occurs).  The list has deg p + 1 entries, so
+        callers bound the degree of outside data first."""
+        if p.used_vars() not in ((), ("eta",)):
+            raise ValueError(f"not a polynomial in eta: {p}")
+        coeffs = [Fraction(0)] * (p.degree("eta") + 1)
+        for k, c in p.coeffs_in("eta").items():
+            coeffs[k] = c.constant_value()
+        return EtaPoly(coeffs)
+
+    def param(self) -> ParamPoly:
+        """The same polynomial as a ParamPoly in ("eta",)."""
+        return ParamPoly.univar("eta", [Fraction(c, self.den) for c in self.num])
+
+    # -- reading -------------------------------------------------------------
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    @property
+    def degree(self) -> int:
+        """Degree in eta; -1 for the zero polynomial."""
+        return len(self.num) - 1
+
+    def coeff(self, k: int) -> Rat:
+        """The coefficient of eta^k."""
+        return Fraction(self.num[k], self.den) if 0 <= k < len(self.num) else Fraction(0)
+
+    @property
+    def lead(self) -> Rat:
+        """The coefficient of eta^degree (zero for the zero polynomial)."""
+        return self.coeff(self.degree)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Fraction)):
+            other = EtaPoly.const(other)
+        if not isinstance(other, EtaPoly):
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    # -- arithmetic ------------------------------------------------------------
+
+    def __add__(self, other: "EtaPoly") -> "EtaPoly":
+        if not isinstance(other, EtaPoly):
+            return NotImplemented
+        one = EtaPoly.const(1)
+        return EtaPoly.dot([(self, one), (other, one)])
+
+    def __neg__(self) -> "EtaPoly":
+        return EtaPoly._reduced([-x for x in self.num], self.den)
+
+    def __sub__(self, other: "EtaPoly") -> "EtaPoly":
+        if not isinstance(other, EtaPoly):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other) -> "EtaPoly":
+        if isinstance(other, (int, Fraction)):
+            c = Fraction(other)
+            return EtaPoly._reduced([x * c.numerator for x in self.num],
+                                    self.den * c.denominator)
+        if not isinstance(other, EtaPoly):
+            return NotImplemented
+        return EtaPoly._reduced(_convolve(self.num, other.num), self.den * other.den)
+
+    __rmul__ = __mul__
+
+    @staticmethod
+    def dot(pairs: Sequence[tuple["EtaPoly", "EtaPoly"]]) -> "EtaPoly":
+        """sum_i a_i*b_i over (a_i, b_i) in ``pairs``: each product is formed
+        on integers, scaled to the lcm of the product denominators
+        a_i.den*b_i.den, and the sum is reduced once."""
+        dens = [a.den * b.den for a, b in pairs]
+        common = math.lcm(*dens)
+        out: list[int] = []
+        for (a, b), d in zip(pairs, dens):
+            prod = _convolve(a.num, b.num)
+            scale = common // d
+            if len(prod) > len(out):
+                out.extend([0] * (len(prod) - len(out)))
+            for k, x in enumerate(prod):
+                out[k] += x * scale
+        return EtaPoly._reduced(out, common)
+
+    def diff(self) -> "EtaPoly":
+        return EtaPoly._reduced([k * x for k, x in enumerate(self.num)][1:], self.den)
+
+    def integrate(self) -> "EtaPoly":
+        """The antiderivative with zero constant term: the numerators
+        x_k/(k+1) over the lcm of 1..deg+1, times den."""
+        scale = math.lcm(*range(1, len(self.num) + 1))
+        return EtaPoly._reduced([0] + [x * (scale // (k + 1)) for k, x in enumerate(self.num)],
+                                self.den * scale)
+
+    def reflected(self) -> "EtaPoly":
+        """p(-eta): the odd coefficients change sign."""
+        return EtaPoly._reduced([-x if k & 1 else x for k, x in enumerate(self.num)],
+                                self.den)
+
+    # -- display and serialization -------------------------------------------------
+
+    def __repr__(self) -> str:
+        """The form ``ParamPoly`` prints for the same polynomial."""
+        return repr(self.param())
+
+    def record(self) -> dict:
+        """The ``ParamPoly.record`` of the same polynomial in ("eta",)."""
+        return self.param().record()
+
+
+def _lowest(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
+    """(num, den) with trailing zeros dropped and divided by their gcd."""
+    top = len(num)
+    while top and not num[top - 1]:
+        top -= 1
+    if not top:
+        return (), 1
+    g = math.gcd(den, *num[:top])
+    if g == 1:
+        return tuple(num[:top]), den
+    return tuple(x // g for x in num[:top]), den // g
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Coefficients of the product of two integer polynomials (low to
+    high); a zero factor gives []."""
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    na = len(a)
+    out = [0] * (na + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            out[j:j + na] = map(operator.add, out[j:j + na], map(y.__mul__, a))
+    return out
 
 
 def _coerce_poly(value, vars: Sequence[str]) -> ParamPoly:

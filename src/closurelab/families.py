@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .exactalg import ParamPoly, Rat, rat, rat_str, solve_linear_exact
+from .exactalg import EtaPoly, ParamPoly, Rat, rat, rat_str, solve_linear_exact
 
 HALF = Fraction(1, 2)
 
@@ -55,7 +55,7 @@ VALIDATE_N = 5
 # CLI.  It bounds the size of the ansatz system and of every P_n a
 # multi-index from a label or a plugin can ask for; every shipped row and
 # plugin has ell <= 5.  `verify-closure --family L --D <ell>I` on a 2-CPU
-# x86-64 host (Python 3.11): ell = 6, 10, 16 take 0.4 s, 1.3 s, 15 s (33 MB
+# x86-64 host (Python 3.11): ell = 6, 10, 16 take 0.2 s, 0.35 s, 2.0 s (25 MB
 # peak RSS).
 MAX_ELL = 16
 
@@ -316,89 +316,111 @@ def _rising(base: Rat, count: int) -> Rat:
     return out
 
 
-def classical_poly(fam: str, n: int, params: ParamSet) -> ParamPoly:
+def classical_poly(fam: str, n: int, params: ParamSet) -> EtaPoly:
     """Degree-n classical eigenpolynomial in eta (L or J).
 
     Conventions: L uses the weight exponent g - 1/2, J uses
     (g - 1/2, h - 1/2); these are the polynomials annihilated by the
     classical operators built below, with eigenvalues 4n (L) and 4n(n+g+h)
-    (J).  Both are built densely in O(n^2) exact operations:
+    (J).  Both are
 
         L_n^(alpha)(eta)  = sum_k (alpha+k+1)_(n-k) (-1)^k / ((n-k)! k!) eta^k,
         P_n^(alpha,beta)  = sum_m (alpha+m+1)_(n-m) (n+alpha+beta+1)_m
                                   / ((n-m)! m!) ((eta-1)/2)^m,
 
-    the second summed by Horner's rule in (eta-1)/2.  It is the
-    hypergeometric form (alpha+1)_n/n! 2F1(-n, n+alpha+beta+1; alpha+1;
-    (1-eta)/2) after (alpha+1)_n/(alpha+1)_m = (alpha+m+1)_(n-m); both
-    sides are polynomials in alpha and beta, so they agree identically.
+    the second being the hypergeometric form (alpha+1)_n/n!
+    2F1(-n, n+alpha+beta+1; alpha+1; (1-eta)/2) after
+    (alpha+1)_n/(alpha+1)_m = (alpha+m+1)_(n-m); both sides are polynomials
+    in alpha and beta, so they agree identically.
+
+    They are built on integers in O(n^2) integer operations.  With
+    alpha = p/q (and beta = p'/q over the same q), alpha + j = (p + j q)/q,
+    so (alpha+k+1)_(n-k) = T_k / q^(n-k) for the integer
+    T_k = prod_{j=k+1..n} (p + j q), and 1/((n-k)! k!) = C(n,k)/n!.  Hence
+
+        [eta^k] L_n^(alpha) = (-1)^k C(n,k) q^k T_k / (q^n n!),
+
+    and likewise (n+alpha+beta+1)_m = B_m / q^m with
+    B_m = prod_{i<m} (p + p' + (n+1+i) q), so that
+
+        P_n^(alpha,beta) = sum_m C(n,m) T_m B_m 2^(n-m) (eta-1)^m / (2^n q^n n!),
+
+    summed by Horner's rule in eta - 1 on the integer numerators.
     """
     if n < 0:
         raise ValueError("need n >= 0")
     if fam == "L":
         alpha = params.g - HALF
-        return ParamPoly.univar("eta", [
-            _rising(alpha + k + 1, n - k)
-            * Fraction((-1) ** k, math.factorial(n - k) * math.factorial(k))
-            for k in range(n + 1)])
+        p, q = alpha.numerator, alpha.denominator
+        num = [0] * (n + 1)
+        T = 1  # T_k, from k = n down
+        for k in range(n, -1, -1):
+            num[k] = (-1) ** k * math.comb(n, k) * q ** k * T
+            T *= p + k * q
+        return EtaPoly._reduced(num, q ** n * math.factorial(n))
     if fam == "J":
         alpha, beta = params.g - HALF, params.h - HALF
-        coeffs: list[Rat] = []  # eta-coefficients, low to high
+        q = math.lcm(alpha.denominator, beta.denominator)
+        p = alpha.numerator * (q // alpha.denominator)
+        s = p + beta.numerator * (q // beta.denominator)
+        B = [1]
+        for m in range(1, n + 1):
+            B.append(B[-1] * (s + (n + m) * q))
+        num: list[int] = []  # numerators, low to high
+        T = 1  # T_m, from m = n down
         for m in range(n, -1, -1):
-            # coeffs <- coeffs * (eta - 1)/2 + c_m
-            coeffs = [(lo - hi) * HALF
-                      for lo, hi in zip([0, *coeffs], [*coeffs, 0])]
-            coeffs[0] += (_rising(alpha + m + 1, n - m)
-                          * _rising(n + alpha + beta + 1, m)
-                          / (math.factorial(n - m) * math.factorial(m)))
-        return ParamPoly.univar("eta", coeffs)
+            # num <- num * (eta - 1) + C(n,m) T_m B_m 2^(n-m)
+            num = [hi - lo for lo, hi in zip([*num, 0], [0, *num])]
+            num[0] += math.comb(n, m) * T * B[m] << (n - m)
+            T *= p + m * q
+        return EtaPoly._reduced(num, (2 * q) ** n * math.factorial(n))
     raise ValueError("classical polynomials are provided for L and J only")
 
 
-def c2_poly(fam: str) -> ParamPoly:
+def c2_poly(fam: str) -> EtaPoly:
     """Second-order coefficient of the similarity-transformed Hamiltonian."""
-    eta = ParamPoly.var("eta")
     if fam == "L":
-        return eta
+        return EtaPoly((0, 1))  # eta
     if fam == "J":
-        return 1 - eta ** 2
+        return EtaPoly((1, 0, -1))  # 1 - eta^2
     raise ValueError("c2 is defined for the differential families L and J")
 
 
-def c1_poly(fam: str, params: ParamSet) -> ParamPoly:
+def c1_poly(fam: str, params: ParamSet) -> EtaPoly:
     """First-order coefficient of the classical operator
     H_cl = -4*(c2*d^2 + c1*d)."""
-    eta = ParamPoly.var("eta")
     if fam == "L":
-        return params.g + HALF - eta
+        return EtaPoly((params.g + HALF, -1))
     if fam == "J":
-        return (params.h - params.g) - (params.g + params.h + 1) * eta
+        return EtaPoly((params.h - params.g, -(params.g + params.h + 1)))
     raise ValueError("c1 is defined for the differential families L and J")
 
 
 # -- Hamiltonian builders --------------------------------------------------------
 
 
-def eigen_residual(A2: ParamPoly, A1: ParamPoly, A0: ParamPoly, W: ParamPoly,
-                   f: ParamPoly, E: Rat) -> ParamPoly:
+def eigen_residual(A2: EtaPoly, A1: EtaPoly, A0: EtaPoly, W: EtaPoly,
+                   f: EtaPoly, E: Rat) -> EtaPoly:
     """A2*f'' + A1*f' + (A0 + (E/4)*W)*f: the eigen-equation of the cleared
     operator H = -4*W^-1*(A2*d^2 + A1*d + A0) at energy E, in eta.
 
     H f - E f = -4*W^-1*(A2*f'' + A1*f' + A0*f + (E/4)*W*f), and W is a
     nonzero polynomial, so the residual is zero exactly when H f = E f.
     No division is needed, and a wrong f whose image H f is not even a
-    polynomial simply gives a nonzero residual.
+    polynomial simply gives a nonzero residual.  The three products are
+    summed on integer numerators over the lcm of their denominators
+    (``EtaPoly.dot``), so the zero test is a test of one integer list.
     """
-    d1 = f.diff("eta")
-    return A2 * d1.diff("eta") + A1 * d1 + (A0 + W * (rat(E) * HALF * HALF)) * f
+    d1 = f.diff()
+    return EtaPoly.dot([(A2, d1.diff()), (A1, d1), (A0 + W * (rat(E) / 4), f)])
 
 
-def _eta_coeffs(p: ParamPoly) -> dict[int, Rat]:
-    return {m: c.constant_value() for m, c in p.coeffs_in("eta").items()}
+def _at(num: Sequence[int], k: int) -> int:
+    return num[k] if 0 <= k < len(num) else 0
 
 
-def build_H_ansatz(fam: str, xi: ParamPoly, pairs: Sequence[tuple[ParamPoly, Rat]]
-                   ) -> tuple[ParamPoly, ParamPoly, ParamPoly]:
+def build_H_ansatz(fam: str, xi: EtaPoly, pairs: Sequence[tuple[EtaPoly, Rat]]
+                   ) -> tuple[EtaPoly, EtaPoly, EtaPoly]:
     """The cleared numerators (c2*xi, N1, N0) of the unique operator
     H = -4*xi^-1*(c2*xi*d^2 + N1*d + N0) fixed by eigen-equations.
 
@@ -408,23 +430,25 @@ def build_H_ansatz(fam: str, xi: ParamPoly, pairs: Sequence[tuple[ParamPoly, Rat
     of ``eigen_residual(c2*xi, N1, N0, xi, P_n, E_n)`` vanish: the known part
     is the residual with N1 = N0 = 0, and the coefficient of eta^m is linear
     in the unknowns, with [eta^(m-k)]P_n' multiplying the eta^k coefficient
-    of N1 and [eta^(m-k)]P_n that of N0.  Raises EigenValidationFailed when
-    no operator of this shape exists or when it is not unique.
+    of N1 and [eta^(m-k)]P_n that of N0.  Each such row is multiplied by the
+    nonzero P_n.den * base.den, which keeps its solution set and makes every
+    entry an integer.  Raises EigenValidationFailed when no operator of this
+    shape exists or when it is not unique.
     """
-    zero = ParamPoly.zero(("eta",))
+    zero = EtaPoly()
     A2 = c2_poly(fam) * xi
-    d1 = xi.degree("eta") + 1
+    d1 = xi.degree + 1
     d0 = d1 - 1
-    rows: list[list[Rat]] = []
-    rhs: list[Rat] = []
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     for P, E in pairs:
-        base = _eta_coeffs(eigen_residual(A2, zero, zero, xi, P, E))
-        dP, cP = _eta_coeffs(P.diff("eta")), _eta_coeffs(P)
-        top = max(max(base, default=-1), d1 + max(dP, default=-1), d0 + max(cP))
+        base = eigen_residual(A2, zero, zero, xi, P, E)
+        dP = [k * x for k, x in enumerate(P.num)][1:]  # P_n' over P.den
+        top = max(base.degree, d1 + len(dP) - 1, d0 + P.degree)
         for m in range(top + 1):
-            rows.append([dP.get(m - k, Fraction(0)) for k in range(d1 + 1)]
-                        + [cP.get(m - k, Fraction(0)) for k in range(d0 + 1)])
-            rhs.append(-base.get(m, Fraction(0)))
+            rows.append([_at(dP, m - k) * base.den for k in range(d1 + 1)]
+                        + [_at(P.num, m - k) * base.den for k in range(d0 + 1)])
+            rhs.append(-_at(base.num, m) * P.den)
     sol = solve_linear_exact(rows, rhs)
     if not sol.consistent:
         raise EigenValidationFailed(
@@ -432,13 +456,11 @@ def build_H_ansatz(fam: str, xi: ParamPoly, pairs: Sequence[tuple[ParamPoly, Rat
     if sol.kernel_basis:
         raise EigenValidationFailed(
             "eigen-equations do not pin the operator down (need more levels)")
-    n1 = ParamPoly.univar("eta", {k: sol.solution[k] for k in range(d1 + 1)})
-    n0 = ParamPoly.univar("eta", {k: sol.solution[d1 + 1 + k] for k in range(d0 + 1)})
-    return A2, n1, n0
+    return A2, EtaPoly(sol.solution[:d1 + 1]), EtaPoly(sol.solution[d1 + 1:])
 
 
-def eigen_validate(H_cleared: tuple[ParamPoly, ParamPoly, ParamPoly],
-                   xi: ParamPoly, pn: ParamPoly, En: Rat, n: int) -> None:
+def eigen_validate(H_cleared: tuple[EtaPoly, EtaPoly, EtaPoly],
+                   xi: EtaPoly, pn: EtaPoly, En: Rat, n: int) -> None:
     """H P_n = E_n P_n exactly, for H = -4*xi^-1*(A2*d^2 + A1*d + A0) with
     (A2, A1, A0) = H_cleared: one ``eigen_residual``, zero exactly when the
     equation holds (xi has degree ell >= 0, so it is nonzero).
@@ -470,7 +492,7 @@ class DeformedFamily:
     """
 
     def __init__(self, fam: str, D: MultiIndex, params: ParamSet,
-                 xi: ParamPoly, make_P: Callable[[int], ParamPoly],
+                 xi: EtaPoly, make_P: Callable[[int], EtaPoly],
                  source: str = "builtin", label: str | None = None,
                  p_max: int | None = None):
         self.fam = fam
@@ -481,9 +503,9 @@ class DeformedFamily:
         self.label = label or f"{fam}[{D.label()}]"
         self.p_max = p_max
         self._make_P = make_P
-        self._P_cache: dict[int, ParamPoly] = {}
+        self._P_cache: dict[int, EtaPoly] = {}
         self.checked_levels: set[int] = set()
-        self.recurrence_rows: dict[tuple[ParamPoly, int], dict[int, Rat]] = {}
+        self.recurrence_rows: dict[tuple[EtaPoly, int], dict[int, Rat]] = {}
         self.Etilde = [virtual_energy(params, t, d) for d, t in D.entries]
         pairs = [(self.P(n), self.E(n)) for n in range(3)]
         self.H_cleared = build_H_ansatz(fam, xi, pairs)
@@ -491,18 +513,18 @@ class DeformedFamily:
 
     # polynomial eigendata --------------------------------------------------
 
-    def P(self, n: int) -> ParamPoly:
+    def P(self, n: int) -> EtaPoly:
         """Eigenpolynomial of degree ell + n; zero for n < 0."""
         if n < 0:
-            return ParamPoly.zero(("eta",))
+            return EtaPoly()
         if self.p_max is not None and n > self.p_max:
             raise SchemaError(f"{self.label}: polynomials available only up to n={self.p_max}")
         if n not in self._P_cache:
             p = self._make_P(n)
             expected = self.D.ell + n
-            if p.degree("eta") != expected:
+            if p.degree != expected:
                 raise DegreeMismatch(
-                    f"{self.label}: deg P({n}) = {p.degree('eta')}, expected {expected}")
+                    f"{self.label}: deg P({n}) = {p.degree}, expected {expected}")
             self._P_cache[n] = p
         return self._P_cache[n]
 
@@ -545,28 +567,27 @@ class DeformedFamily:
 
     def leading_coeff(self, n: int) -> Rat:
         """The eta^(ell+n) coefficient of P(n), nonzero by its degree."""
-        return self.P(n).coeff_in("eta", self.ell + n).constant_value()
+        return self.P(n).lead
 
     def __repr__(self) -> str:
         return f"DeformedFamily({self.label}, source={self.source})"
 
 
-def seed_data(fam: str, t: str, params: ParamSet) -> tuple[ParamPoly, ParamPoly]:
+def seed_data(fam: str, t: str, params: ParamSet) -> tuple[EtaPoly, EtaPoly]:
     """Logarithmic derivative m = rho'/rho = p/q of the type I/II seed
     prefactor rho (the same for every seed degree), as the pair (p, q)."""
-    eta = ParamPoly.var("eta")
     if fam == "L":
         if t == "I":
-            return ParamPoly.const(1), ParamPoly.const(1)  # rho = exp(eta)
-        return ParamPoly.const(HALF - params.g), eta  # rho = eta^(1/2-g)
+            return EtaPoly.const(1), EtaPoly.const(1)  # rho = exp(eta)
+        return EtaPoly.const(HALF - params.g), EtaPoly((0, 1))  # rho = eta^(1/2-g)
     if fam == "J":
         if t == "I":
-            return ParamPoly.const(HALF - params.h), 1 + eta  # rho = (1+eta)^(1/2-h)
-        return ParamPoly.const(HALF - params.g), eta - 1  # rho = (1-eta)^(1/2-g)
+            return EtaPoly.const(HALF - params.h), EtaPoly((1, 1))  # rho = (1+eta)^(1/2-h)
+        return EtaPoly.const(HALF - params.g), EtaPoly((-1, 1))  # rho = (1-eta)^(1/2-g)
     raise ValueError("seed data is provided for L and J")
 
 
-def canonical_seed(fam: str, t: str, d: int, params: ParamSet) -> ParamPoly:
+def canonical_seed(fam: str, t: str, d: int, params: ParamSet) -> EtaPoly:
     """Degree-d seed polynomial in the classical normalization: the
     classical polynomial of the twisted parameters.
 
@@ -577,7 +598,7 @@ def canonical_seed(fam: str, t: str, d: int, params: ParamSet) -> ParamPoly:
     if fam not in ("L", "J"):
         raise ValueError("seeds are provided for L and J")
     if (fam, t) == ("L", "I"):
-        seed = classical_poly("L", d, params).subs({"eta": -ParamPoly.var("eta")})
+        seed = classical_poly("L", d, params).reflected()
     else:
         twisted = "h" if (fam, t) == ("J", "I") else "g"
         values = dict(params.values)
@@ -587,7 +608,7 @@ def canonical_seed(fam: str, t: str, d: int, params: ParamSet) -> ParamPoly:
     return seed
 
 
-def check_seed(fam: str, t: str, d: int, params: ParamSet, seed: ParamPoly) -> None:
+def check_seed(fam: str, t: str, d: int, params: ParamSet, seed: EtaPoly) -> None:
     """Raise EigenValidationFailed unless rho*seed is an eigenfunction of the
     classical operator H_cl = -4*(c2*d^2 + c1*d) at the virtual energy Et
     of the degree-d type-t seed (rho the prefactor of ``seed_data``).
@@ -608,7 +629,7 @@ def check_seed(fam: str, t: str, d: int, params: ParamSet, seed: ParamPoly) -> N
     c2, c1 = c2_poly(fam), c1_poly(fam, params)
     residual = eigen_residual(
         c2 * q * q, 2 * c2 * p * q + c1 * q * q,
-        c2 * (p.diff("eta") * q - p * q.diff("eta") + p * p) + c1 * p * q,
+        c2 * (p.diff() * q - p * q.diff() + p * p) + c1 * p * q,
         q * q, seed, virtual_energy(params, t, d))
     if residual:
         raise EigenValidationFailed(
@@ -639,9 +660,9 @@ def one_step_family(fam: str, t: str, d: int, params: ParamSet) -> DeformedFamil
                          f"these parameters")
     dp_c, p_c = _intertwiner(fam, t, params, seed)
 
-    def make_P(n: int) -> ParamPoly:
+    def make_P(n: int) -> EtaPoly:
         Pn = classical_poly(fam, n, params)
-        return dp_c * Pn.diff("eta") + p_c * Pn
+        return EtaPoly.dot([(dp_c, Pn.diff()), (p_c, Pn)])
 
     return DeformedFamily(fam, MultiIndex(((d, t),)), params, seed, make_P)
 
@@ -677,10 +698,10 @@ def seed_degree_drops(params: ParamSet, t: str, d: int) -> bool:
 
 
 def _intertwiner(fam: str, t: str, params: ParamSet,
-                 seed: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
+                 seed: EtaPoly) -> tuple[EtaPoly, EtaPoly]:
     """Coefficients (q*xi, -(p*xi + q*xi')) of P_n' and P_n in P(n)."""
     p, q = seed_data(fam, t, params)
-    return q * seed, -(p * seed + q * seed.diff("eta"))
+    return q * seed, -EtaPoly.dot([(p, seed), (q, seed.diff())])
 
 
 def plugin_dict_from_family(df: DeformedFamily) -> dict:
@@ -699,7 +720,7 @@ def plugin_dict_from_family(df: DeformedFamily) -> dict:
 
 def classical_family(fam: str, params: ParamSet) -> DeformedFamily:
     """The undeformed system: D = {}, xi = 1, classical polynomials."""
-    xi = ParamPoly.const(1, ("eta",))
+    xi = EtaPoly.const(1)
     make_P = lambda n: classical_poly(fam, n, params)
     return DeformedFamily(fam, MultiIndex(()), params, xi, make_P,
                           label=f"{fam}[classical]")
@@ -764,42 +785,71 @@ def family_from_plugin_dict(data: Mapping) -> DeformedFamily:
         D = MultiIndex(tuple((entry["d"], entry["type"]) for entry in data["D"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad multi-index: {exc}") from None
-    try:
-        xi = ParamPoly.from_record(data["xi"])
-    except Exception as exc:
-        raise SchemaError(f"bad xi record: {exc}") from None
-    if xi.degree("eta") != D.ell:
-        raise DegreeMismatch(f"deg xi = {xi.degree('eta')} but ell = {D.ell}")
+    xi = _eta_record(data["xi"], "bad xi record", D.ell, "deg xi = {} but ell = {}")
+    if xi.degree != D.ell:
+        raise DegreeMismatch(f"deg xi = {xi.degree} but ell = {D.ell}")
     rule = data["P"]
     if not isinstance(rule, Mapping):
         raise SchemaError("P must be an object with a 'kind'")
     p_max = None
     if rule.get("kind") == "classical-combination":
+        what = "bad classical-combination rule"
         try:
-            dp_c = ParamPoly.from_record(rule["dP_coeff"])
-            p_c = ParamPoly.from_record(rule["P_coeff"])
-        except Exception as exc:
-            raise SchemaError(f"bad classical-combination rule: {exc}") from None
+            recs = rule["dP_coeff"], rule["P_coeff"]
+        except KeyError as exc:
+            raise SchemaError(f"{what}: {exc}") from None
+        dp_c, p_c = (_eta_record(rec, what, D.ell + 1,
+                                 f"deg {name} = {{}}, expected at most ell + 1 = {{}}")
+                     for rec, name in zip(recs, ("dP_coeff", "P_coeff")))
 
-        def make_P(n: int) -> ParamPoly:
+        def make_P(n: int) -> EtaPoly:
             Pn = classical_poly(fam, n, params)
-            return dp_c * Pn.diff("eta") + p_c * Pn
+            return EtaPoly.dot([(dp_c, Pn.diff()), (p_c, Pn)])
     elif rule.get("kind") == "explicit":
+        what = "bad explicit polynomial list"
         try:
-            polys = [ParamPoly.from_record(recd) for recd in rule["polys"]]
-        except Exception as exc:
-            raise SchemaError(f"bad explicit polynomial list: {exc}") from None
-        if len(polys) < VALIDATE_N + 1:
+            recs = list(rule["polys"])
+        except (KeyError, TypeError) as exc:
+            raise SchemaError(f"{what}: {exc}") from None
+        if len(recs) < VALIDATE_N + 1:
             raise SchemaError(f"explicit plugin needs at least {VALIDATE_N + 1} polynomials")
+        polys = [_eta_record(rec, what, D.ell + n,
+                             f"{fam}[{D.label()}]: deg P({n}) = {{}}, expected {{}}")
+                 for n, rec in enumerate(recs)]
         p_max = len(polys) - 1
 
-        def make_P(n: int) -> ParamPoly:
+        def make_P(n: int) -> EtaPoly:
             return polys[n]
     else:
         raise SchemaError("P rule kind must be 'classical-combination' or 'explicit'")
     df = DeformedFamily(fam, D, params, xi, make_P, source="plugin", p_max=p_max)
     _plugin_h_consistency(df)
     return df
+
+
+def _eta_record(rec, what: str, bound: int, above: str) -> EtaPoly:
+    """The polynomial in eta of a plugin record, converted once.
+
+    The record is read sparsely (``ParamPoly.from_record``), and its degree
+    is checked against ``bound``, the largest degree the record can legally
+    have, before the dense ``EtaPoly`` is built: an exponent such as 10^9
+    costs a comparison, not a list of that length.  A malformed record, a
+    non-integer exponent or a variable other than eta is a SchemaError
+    (``what``: its message prefix); a degree above ``bound`` is a
+    DegreeMismatch (``above``, formatted with the degree and the bound).
+    """
+    try:
+        p = ParamPoly.from_record(rec)
+    except Exception as exc:
+        raise SchemaError(f"{what}: {exc}") from None
+    if p.used_vars() not in ((), ("eta",)):
+        raise SchemaError(f"{what}: a polynomial in eta is needed, got one in "
+                          f"{', '.join(p.used_vars())}")
+    if not all(type(k) is int for exps in p.terms for k in exps):
+        raise SchemaError(f"{what}: exponents must be integers")
+    if p.degree("eta") > bound:
+        raise DegreeMismatch(above.format(p.degree("eta"), bound))
+    return EtaPoly.from_param(p)
 
 
 def _plugin_h_consistency(df: DeformedFamily) -> None:
@@ -810,10 +860,10 @@ def _plugin_h_consistency(df: DeformedFamily) -> None:
     its n) rather than through the symmetry rows it spoils."""
     from .recurrence import build_X, check_h_symmetry, compute_table
 
-    X = build_X(df.xi, ParamPoly.const(1))
+    X = build_X(df.xi, EtaPoly.const(1))
     upper = VALIDATE_N if df.p_max is None else max(
-        1, min(VALIDATE_N, df.p_max - df.xi.degree("eta") - 1))
-    df.check_levels(upper + X.degree("eta"))
+        1, min(VALIDATE_N, df.p_max - df.xi.degree - 1))
+    df.check_levels(upper + X.degree)
     table = compute_table(df, X, range(0, upper + 1))
     bad = next((e for e in check_h_symmetry(df, table) if not e["ok"]), None)
     if bad:

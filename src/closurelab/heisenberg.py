@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .exactalg import ParamPoly, Rat
+from .exactalg import EtaPoly, Rat
 from .closure import ClosureData, level_coordinates
 from .families import DeformedFamily
 from .recurrence import recurrence_row
@@ -47,10 +47,10 @@ class LadderAction:
     coefficient: Rat
     coords: dict[int, Rat]
     alpha: Rat
-    target: ParamPoly
+    target: EtaPoly
 
     @property
-    def image(self) -> ParamPoly:
+    def image(self) -> EtaPoly:
         """The image as a polynomial in eta."""
         return self.target * self.coefficient
 
@@ -58,7 +58,7 @@ class LadderAction:
 class LadderContext:
     """Shared exact data for ladder checks on one family instance."""
 
-    def __init__(self, df: DeformedFamily, cd: ClosureData, X: ParamPoly):
+    def __init__(self, df: DeformedFamily, cd: ClosureData, X: EtaPoly):
         self.df = df
         self.cd = cd
         self.X = X
@@ -132,8 +132,7 @@ def _ladder_action(ctx: LadderContext, j: int, n: int) -> LadderAction:
     if target_n < 0:
         if any(coords.values()):
             raise NotProportional(f"j={j}, n={n}: expected zero below the ground state")
-        return LadderAction(j, n, shift, Fraction(0), coords, alpha_j,
-                            ParamPoly.zero(("eta",)))
+        return LadderAction(j, n, shift, Fraction(0), coords, alpha_j, EtaPoly())
     if any(c for k, c in coords.items() if k != shift):
         raise NotProportional(f"j={j}, n={n}: image is not proportional to P({target_n})")
     return LadderAction(j, n, shift, coords[shift], coords, alpha_j,

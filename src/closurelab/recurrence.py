@@ -11,11 +11,12 @@ in parallel over n.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .exactalg import ParamPoly, Rat
+from .exactalg import EtaPoly, Rat
 from .families import DeformedFamily, ParamSet, _rising, nonzero_factors
 
 
@@ -24,53 +25,68 @@ class NonzeroRemainder(Exception):
     (falsifies the constant-coefficient recurrence for this X)."""
 
 
-def build_X(xi: ParamPoly, Y: ParamPoly) -> ParamPoly:
+def build_X(xi: EtaPoly, Y: EtaPoly) -> EtaPoly:
     """X(eta) = integral_0^eta xi(y) Y(y) dy (differential families).
 
     Degree is deg(xi) + deg(Y) + 1 and X(0) = 0.
     """
-    return (xi * Y).integrate("eta")
+    return (xi * Y).integrate()
 
 
 @dataclass
 class RecurrenceTable:
     """Expansion coefficients r[n][k] of X*P(n) over P(n+k), |k| <= L."""
 
-    X: ParamPoly
+    X: EtaPoly
     L: int
     rows: dict[int, dict[int, Rat]] = field(default_factory=dict)
 
 
-def expand_in_basis(df: DeformedFamily, X: ParamPoly, n: int) -> dict[int, Rat]:
+def expand_in_basis(df: DeformedFamily, X: EtaPoly, n: int) -> dict[int, Rat]:
     """Exact Fraction coefficients of X*P(n) = sum_k r_{n,k} P(n+k),
     |k| <= L = deg X.
 
-    Successive leading-term elimination from degree ell+n+L downward; each
-    step divides by the nonzero Fraction leading coefficient of P(n+k).  The
-    remainder after the last basis element must vanish identically, which is
-    the substantive span check.
+    Successive leading-term elimination from degree ell+n+L downward, on
+    integers.  The remainder is held as s*T, a Fraction s times an integer
+    list T (at the start X*P(n) = (1/den)*num).  At shift k, with m = n + k
+    and P(m) = num_m/den_m of leading numerator p, the eta^(ell+m)
+    coefficient of the remainder is s*c for c = T[ell+m], so
+    r_{n,k} = s*c*den_m/p, the one Fraction of the step, and
+
+        s*T - r_{n,k}*P(m) = (s*g/p) * ((p/g)*T - (c/g)*num_m),   g = gcd(p, c),
+
+    an integer update that zeroes T[ell+m].  s is nonzero throughout, so
+    the remainder after the last basis element is zero exactly when T is;
+    that is the substantive span check.
     """
-    L = X.degree("eta")
-    target = X * df.P(n)
+    L = X.degree
+    Xn = X * df.P(n)
+    T, s = list(Xn.num), Fraction(1, Xn.den)
     row: dict[int, Rat] = {}
     for k in range(L, -L - 1, -1):
         m = n + k
-        if m < 0:
+        top = df.ell + m
+        c = T[top] if m >= 0 else 0
+        if not c:
             row[k] = Fraction(0)
             continue
-        coeff_target = target.coeff_in("eta", df.ell + m)
-        if coeff_target.is_zero:
-            row[k] = Fraction(0)
-            continue
-        r = row[k] = coeff_target.constant_value() / df.leading_coeff(m)
-        target = target - df.P(m) * r
-    if not target.is_zero:
+        Pm = df.P(m)
+        p = Pm.num[-1]
+        row[k] = s * Fraction(c * Pm.den, p)
+        g = math.gcd(p, c)
+        s *= Fraction(g, p)
+        p, c = p // g, c // g
+        # P(m) has degree top, and T is zero above top
+        T[:top + 1] = map(operator.sub, map(p.__mul__, T[:top + 1]),
+                          map(c.__mul__, Pm.num))
+    if any(T):
+        degree = max(j for j, x in enumerate(T) if x)
         raise NonzeroRemainder(
-            f"{df.label}: X*P({n}) leaves remainder of degree {target.degree('eta')}")
+            f"{df.label}: X*P({n}) leaves remainder of degree {degree}")
     return row
 
 
-def recurrence_row(df: DeformedFamily, X: ParamPoly, n: int) -> dict[int, Rat]:
+def recurrence_row(df: DeformedFamily, X: EtaPoly, n: int) -> dict[int, Rat]:
     """expand_in_basis(df, X, n), computed once per family: the row is kept
     in ``df.recurrence_rows`` under (X, n), so the closure engine, the
     ladders and the tables share it.  Reuse is exact, since the family is
@@ -82,9 +98,9 @@ def recurrence_row(df: DeformedFamily, X: ParamPoly, n: int) -> dict[int, Rat]:
     return row
 
 
-def compute_table(df: DeformedFamily, X: ParamPoly,
+def compute_table(df: DeformedFamily, X: EtaPoly,
                   n_range: Iterable[int]) -> RecurrenceTable:
-    table = RecurrenceTable(X=X, L=X.degree("eta"))
+    table = RecurrenceTable(X=X, L=X.degree)
     for n in n_range:
         table.rows[n] = recurrence_row(df, X, n)
     return table
@@ -95,7 +111,7 @@ def leading_coeff_identity(df: DeformedFamily, table: RecurrenceTable) -> list[d
     r_{n,L} * c^P_{n+L} == c^X * c^P_n (c^P_{n+L} is a leading coefficient,
     so nonzero, and the two tests agree)."""
     out = []
-    cX = table.X.leading_coeff("eta").constant_value()
+    cX = table.X.lead
     for n, row in sorted(table.rows.items()):
         ok = row[table.L] * df.leading_coeff(n + table.L) == cX * df.leading_coeff(n)
         out.append({"check": "leading-coefficient", "n": n, "ok": bool(ok)})

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from closurelab.exactalg import ParamPoly
+from closurelab.exactalg import EtaPoly
 from closurelab.closure import closure_for_family
 from closurelab.families import (ParamSet, builtin_deformed, classical_family,
                                  load_family_plugin)
@@ -89,22 +89,22 @@ def j1ii(jac_params):
 
 @pytest.fixture(scope="session")
 def l1i_closure(l1i):
-    return closure_for_family(l1i, ParamPoly.const(1))
+    return closure_for_family(l1i, EtaPoly.const(1))
 
 
 @pytest.fixture(scope="session")
 def l1ii_closure(l1ii):
-    return closure_for_family(l1ii, ParamPoly.const(1))
+    return closure_for_family(l1ii, EtaPoly.const(1))
 
 
 @pytest.fixture(scope="session")
 def j1i_closure(j1i):
-    return closure_for_family(j1i, ParamPoly.const(1))
+    return closure_for_family(j1i, EtaPoly.const(1))
 
 
 @pytest.fixture(scope="session")
 def j1ii_closure(j1ii):
-    return closure_for_family(j1ii, ParamPoly.const(1))
+    return closure_for_family(j1ii, EtaPoly.const(1))
 
 
 @pytest.fixture(scope="session")
@@ -126,7 +126,7 @@ def l1i_g_sweep():
     out = []
     for gv in L1I_SWEEP_G:
         df = builtin_deformed("L", "1I", ParamSet("L", {"g": gv}))
-        out.append((df, compute_table(df, build_X(df.xi, ParamPoly.const(1)),
+        out.append((df, compute_table(df, build_X(df.xi, EtaPoly.const(1)),
                                       range(9))))
     return out
 

@@ -26,7 +26,7 @@ class RouteDisagreement(Exception):
 def H_tilde(df) -> DiffOp:
     """The family's Hamiltonian -4*xi^-1*(A2*d^2 + A1*d + A0) as a DiffOp,
     from its cleared numerators ``df.H_cleared``."""
-    return DiffOp("eta", {k: RationalFunc(-4 * a, df.xi)
+    return DiffOp("eta", {k: RationalFunc(-4 * a.param(), df.xi.param())
                           for k, a in zip((2, 1, 0), df.H_cleared)})
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from closurelab.exactalg import ParamPoly
+from closurelab.exactalg import EtaPoly, ParamPoly
 from closurelab.closure import (closure_for_family, compare_reference,
                                 conjectured_R, load_reference_tables,
                                 reference_expanded, symbolic_closure)
@@ -37,7 +37,9 @@ z = ParamPoly.var("z")
 g = ParamPoly.var("g")
 a = ParamPoly.var("a")
 b = ParamPoly.var("b")
-eta = ParamPoly.var("eta")
+ONE = EtaPoly.const(1)
+ETA = EtaPoly((0, 1))
+ETA2 = EtaPoly((0, 0, 1))
 
 
 def _record(num: int, ok: bool, text: str):
@@ -47,17 +49,17 @@ def _record(num: int, ok: bool, text: str):
 
 @pytest.fixture(scope="module")
 def cd_L1I_sym():
-    return symbolic_closure("L", "1I", ParamPoly.const(1))
+    return symbolic_closure("L", "1I", ONE)
 
 
 @pytest.fixture(scope="module")
 def cd_L1I_Y1_sym():
-    return symbolic_closure("L", "1I", eta)
+    return symbolic_closure("L", "1I", ETA)
 
 
 @pytest.fixture(scope="module")
 def cd_L1I_Y2_sym():
-    return symbolic_closure("L", "1I", eta ** 2)
+    return symbolic_closure("L", "1I", ETA2)
 
 
 def test_criterion_01_laguerre_1I_order4_symbolic(cd_L1I_sym):
@@ -83,7 +85,7 @@ def test_criterion_02_laguerre_higher_Y_symbolic(cd_L1I_Y1_sym, cd_L1I_Y2_sym):
 
 
 def test_criterion_03_laguerre_1II_symbolic():
-    cd = symbolic_closure("L", "1II", ParamPoly.const(1))
+    cd = symbolic_closure("L", "1II", ONE)
     ok = ([r.constant_value() for r in cd.R] == [-1024, 0, 80, 0]
           and cd.R_minus1 == -64 * (3 * z ** 2 + 2 * (10 * g - 9) * z
                                     + 2 * (2 * g - 3) * (6 * g + 1)))
@@ -93,13 +95,13 @@ def test_criterion_03_laguerre_1II_symbolic():
 
 def test_criterion_04_jacobi_both_types_symbolic():
     tables = load_reference_tables()
-    cd1 = symbolic_closure("J", "1I", ParamPoly.const(1))
+    cd1 = symbolic_closure("J", "1I", ONE)
     okR = (cd1.R[3] == ParamPoly.const(40)
            and cd1.R[2] == 80 * (z + a * a) - 528
            and cd1.R[1] == -1024 * (z + a * a - F(5, 2))
            and cd1.R[0] == -1024 * (z + a * a - 1) * (z + a * a - 4))
     ok1 = okR and cd1.R_minus1 == reference_expanded(tables[("J", "1I", "1")])
-    cd2 = symbolic_closure("J", "1II", ParamPoly.const(1))
+    cd2 = symbolic_closure("J", "1II", ONE)
     ok2 = (all(cd2.R[i] == cd1.R[i] for i in range(4))
            and cd2.R_minus1 == reference_expanded(tables[("J", "1II", "1")])
            and cd2.R_minus1 == cd1.R_minus1.subs({"b": -b}))
@@ -119,7 +121,7 @@ def test_criterion_05_recurrence_tables(l1i_g_sweep):
     for gh in ((F(2), F(3)), (F(5, 2), F(4)), (F(3), F(7, 2))):
         ps = ParamSet("J", {"g": gh[0], "h": gh[1]})
         df = builtin_deformed("J", "1I", ps)
-        tj = compute_table(df, build_X(df.xi, ParamPoly.const(1)), range(6))
+        tj = compute_table(df, build_X(df.xi, ONE), range(6))
         repJ = closed_form_compare(tj, table_formulas_J1I(ps))
         okJ = okJ and all(e["ok"] for e in repJ)
     _record(5, okL and okJ, "recurrence tables match the printed closed forms: "
@@ -131,7 +133,7 @@ def test_criterion_06_norm_ratio_symmetry(l1i, l1ii, j1i, j1ii, l_classical,
                                           j_classical):
     ok = True
     for df in (l_classical, j_classical, l1i, l1ii, j1i, j1ii):
-        X = build_X(df.xi, ParamPoly.const(1))
+        X = build_X(df.xi, ONE)
         table = compute_table(df, X, range(9))
         rep = check_h_symmetry(df, table)
         ok = ok and bool(rep) and all(e["ok"] for e in rep)
@@ -187,14 +189,14 @@ def test_criterion_08_conjectured_coefficients(aw_params, pairing_params,
     ok = True
     # expansions are square-root free and match solved data where solved
     solved_cases = [
-        ("L", l_classical, ParamPoly.const(1), 1),
-        ("L", l1i, ParamPoly.const(1), 2),
-        ("L", l1i, eta, 3),
-        ("L", l1i, eta ** 2, 4),
-        ("J", j_classical, ParamPoly.const(1), 1),
-        ("J", j1i, ParamPoly.const(1), 2),
-        ("J", j1i, eta, 3),
-        ("J", j1i, eta ** 2, 4),
+        ("L", l_classical, ONE, 1),
+        ("L", l1i, ONE, 2),
+        ("L", l1i, ETA, 3),
+        ("L", l1i, ETA2, 4),
+        ("J", j_classical, ONE, 1),
+        ("J", j1i, ONE, 2),
+        ("J", j1i, ETA, 3),
+        ("J", j1i, ETA2, 4),
     ]
     for fam, df, Y, L in solved_cases:
         cd, _ = closure_for_family(df, Y)
@@ -312,7 +314,7 @@ def test_criterion_11_reference_data_and_plugin_path():
     # plugin-gated comparison path: shipped degree-2 plugin checks its row
     plug = pathlib.Path(__file__).resolve().parent.parent / "plugins" / "laguerre_2I.json"
     df = load_family_plugin(plug)
-    cd, _ = closure_for_family(df, ParamPoly.const(1))
+    cd, _ = closure_for_family(df, ONE)
     cmp = compare_reference("L", "2I", "1", cd, {"g": df.params.g})
     ok = ok and cmp["ok"]
     # higher-order target lists carry no values

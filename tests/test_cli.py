@@ -5,6 +5,7 @@ import copy
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from closurelab.cli import (DEFAULT_PARAMS, ConfigError, _param_items,
                             _param_set, _parse_D_Y, _parse_Y, main)
-from closurelab.families import MAX_ELL, ParamSet, load_family_plugin
+from closurelab.families import (MAX_ELL, DegreeMismatch, ParamSet, SchemaError,
+                                 family_from_plugin_dict, load_family_plugin)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -74,7 +76,7 @@ def test_Y_degree_is_capped_with_ell():
     for D, Y in (("1I", f"eta^{MAX_ELL - 1}"), ("", f"eta^{MAX_ELL}"),
                  (f"{MAX_ELL}I", "")):
         parsed_D, parsed_Y = _parse_D_Y(argparse.Namespace(D=D, Y=Y))
-        assert parsed_D.ell + parsed_Y.degree("eta") == MAX_ELL
+        assert parsed_D.ell + parsed_Y.degree == MAX_ELL
     for D, Y in (("1I", f"eta^{MAX_ELL}"), ("", f"eta^{MAX_ELL + 1}"),
                  (f"{MAX_ELL}I", "eta"), ("1II", f"(eta+1)^{MAX_ELL}")):
         with pytest.raises(ConfigError, match="is above the supported bound"):
@@ -663,3 +665,62 @@ def test_symbolic_mode_report(tmp_path):
     assert "g" in rm1["detail"]["value"]
     ref = next(c for c in payload["checks"] if c["id"] == "closure/reference-table")
     assert ref["status"] == "pass"
+
+
+# A term of this exponent in a plugin record is rejected on its degree
+# before any dense list is built.  A list of that length cannot even be
+# allocated, so a record densified first fails at once instead of filling
+# memory.
+HUGE = 10 ** 18
+
+
+def _with_huge_term(rec):
+    return {**rec, "terms": [*rec["terms"],
+                             {"exponents": [HUGE], "coefficient": "1"}]}
+
+
+@pytest.mark.parametrize("where, message", [
+    ("xi", f"deg xi = {HUGE} but ell = 2"),
+    ("dP_coeff", f"deg dP_coeff = {HUGE}, expected at most ell + 1 = 3"),
+    ("P_coeff", f"deg P_coeff = {HUGE}, expected at most ell + 1 = 3"),
+    ("explicit P_1", f"L[2I]: deg P(1) = {HUGE}, expected 3"),
+], ids=["xi", "dP_coeff", "P_coeff", "explicit-P1"])
+def test_plugin_huge_exponent_is_rejected_before_densifying(
+        where, message, explicit_plugin, tmp_path, capsys):
+    if where == "explicit P_1":
+        data = json.loads(explicit_plugin(10).read_text())
+        data["P"]["polys"][1] = _with_huge_term(data["P"]["polys"][1])
+    else:
+        data = json.loads((ROOT / "plugins" / "laguerre_2I.json").read_text())
+        if where == "xi":
+            data["xi"] = _with_huge_term(data["xi"])
+        else:
+            data["P"][where] = _with_huge_term(data["P"][where])
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(DegreeMismatch, match=re.escape(message)):
+        family_from_plugin_dict(data)
+    assert run_cli("verify-closure", "--family", "L", "--D", "2I",
+                   "--plugin", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err == f"configuration error: plugin {path}: {message}\n"
+    assert _plugin_load_error(path, tmp_path) == f"plugin {path}: {message}"
+
+
+@pytest.mark.parametrize("variables, exponents", [(["g"], [1]), (["eta", "g"], [1, 1])],
+                         ids=["g", "eta-g"])
+def test_plugin_record_in_another_variable_is_a_schema_error(
+        variables, exponents, tmp_path, capsys):
+    data = json.loads((ROOT / "plugins" / "laguerre_2I.json").read_text())
+    data["P"]["P_coeff"] = {"variables": variables, "terms": [
+        {"exponents": exponents, "coefficient": "1"}]}
+    path = tmp_path / "other-variable.json"
+    path.write_text(json.dumps(data))
+    message = ("bad classical-combination rule: a polynomial in eta is needed, "
+               "got one in " + ", ".join(variables))
+    with pytest.raises(SchemaError, match=re.escape(message)):
+        family_from_plugin_dict(data)
+    assert run_cli("verify-closure", "--family", "L", "--D", "2I",
+                   "--plugin", str(path)) == 2
+    assert capsys.readouterr().err == f"configuration error: plugin {path}: {message}\n"
+    assert _plugin_load_error(path, tmp_path) == f"plugin {path}: {message}"

@@ -4,6 +4,7 @@ controls, conjectured coefficients, reference tables, spectral
 consequences."""
 
 import json
+import random
 import pathlib
 from fractions import Fraction as F
 
@@ -11,7 +12,7 @@ import pytest
 
 from closurelab import closure, families
 from closurelab.cli import main
-from closurelab.exactalg import ParamPoly, SampleMismatch, solve_linear_exact
+from closurelab.exactalg import EtaPoly, ParamPoly, SampleMismatch, solve_linear_exact
 from closurelab.closure import (ClosureData, NoSolution, TableMissing,
                                 ad_powers, closure_for_family,
                                 closure_system, compare_reference,
@@ -35,13 +36,15 @@ from closurelab.families import energy
 eta = ParamPoly.var("eta")
 z = ParamPoly.var("z")
 g = ParamPoly.var("g")
+ETA = EtaPoly((0, 1))
+ONE = EtaPoly.const(1)
 
 
 def ad_images(df, X, n, count):
     """Reference route: [(ad H)^i X] P_n = (H - E_n)^i (X P_n) for
     i = 0..count, by repeated application of H to polynomials."""
     H, En = H_tilde(df), df.E(n)
-    images = [X * df.P(n)]
+    images = [(X * df.P(n)).param()]
     for _ in range(count):
         images.append(H.apply_poly(images[-1]) - images[-1] * En)
     return images
@@ -52,7 +55,7 @@ def coordinate_images(df, X, n, count):
     sum_k r_{n,k} Delta_{n,k}^i P_{n+k}."""
     coords = level_coordinates(df, X, n)
     return [sum((df.P(n + k) * (r * delta ** i) for k, r, delta in coords),
-                ParamPoly.zero(("eta",))) for i in range(count + 1)]
+                EtaPoly()).param() for i in range(count + 1)]
 
 
 def eta_rows(df, X, K):
@@ -62,7 +65,7 @@ def eta_rows(df, X, K):
     rows, rhs = [], []
     for n in range(K + 1):
         images = ad_images(df, X, n, K)
-        En, Pn = df.E(n), df.P(n)
+        En, Pn = df.E(n), df.P(n).param()
         polys = [(images[i] if i >= 0 else Pn) * En ** j for i, j in layout]
         polys.append(images[K])
         coeffs = [p.coeffs_in("eta") for p in polys]
@@ -105,12 +108,12 @@ def test_degree_bounds_halved():
 def test_ad_powers_initial_element(l1i, l1i_closure):
     _, X = l1i_closure
     ads = ad_powers(H_tilde(l1i), X, 2)
-    assert ads[0].apply_poly(ParamPoly.const(1, ("eta",))) == X
+    assert ads[0].apply_poly(ParamPoly.const(1, ("eta",))) == X.param()
     assert ads[0].order == 0 and ads[1].order == 1 and ads[2].order == 2
 
 
 def test_classical_L_order2_closure(l_classical, lag_params):
-    cd, X = closure_for_family(l_classical, ParamPoly.const(1))
+    cd, X = closure_for_family(l_classical, ONE)
     gv = lag_params.g
     assert cd.R[0] == ParamPoly.const(16, ("z",))
     assert cd.R[1].is_zero
@@ -120,7 +123,7 @@ def test_classical_L_order2_closure(l_classical, lag_params):
 
 
 def test_classical_J_order2_closure(j_classical, jac_params):
-    cd, X = closure_for_family(j_classical, ParamPoly.const(1))
+    cd, X = closure_for_family(j_classical, ONE)
     av, bv = jac_params.a, jac_params.b
     assert cd.R[1] == ParamPoly.const(8, ("z",))
     assert cd.R[0] == 16 * (z + av * av - 1)
@@ -178,7 +181,7 @@ def test_J1II_is_sign_flipped_image(j1i_closure, j1ii_closure, jac_params):
 
 
 def test_solved_equals_conjectured_L_all_orders(l1i):
-    for Y, L in ((ParamPoly.const(1), 2), (eta, 3)):
+    for Y, L in ((ONE, 2), (ETA, 3)):
         cd, _ = closure_for_family(l1i, Y)
         assert cd.R == conjectured_R("L", L, l1i.params)
 
@@ -248,7 +251,7 @@ def test_reconstruct_closure_symbolic_in_g():
     def solve_at(binding):
         ps = ParamSet("L", {"g": binding["g"]})
         df = builtin_deformed("L", "1I", ps)
-        cd, _ = closure_for_family(df, ParamPoly.const(1))
+        cd, _ = closure_for_family(df, ONE)
         return cd
 
     nodes = {"g": [F(2), F(7, 3), F(3)]}
@@ -291,7 +294,7 @@ def _seeds_usable(fam, D, binding):
         a, b = binding["a"], binding["b"]
         ps = ParamSet("J", {"g": (a + b) / 2, "h": (a - b) / 2})
     return all(degenerate_level(ps, t, d) is None
-               and canonical_seed(fam, t, d, ps).degree("eta") == d
+               and canonical_seed(fam, t, d, ps).degree == d
                for d, t in D.entries)
 
 
@@ -325,7 +328,7 @@ def test_symbolic_nodes_avoid_degenerate_seeds():
 def test_kernel_reporting_on_padded_order(l_classical):
     # asking for order 4 on the classical system: consistent but non-unique;
     # the solve returns the conjectured point of the solution set
-    X = ParamPoly.var("eta")
+    X = ETA
     cd = solve_closure(l_classical, X, 4)
     assert cd.kernel_dim > 0 and not cd.unique
     assert cd.R == conjectured_R("L", 2, l_classical.params)
@@ -358,21 +361,21 @@ def test_conjectured_data_is_built_only_for_a_kernel(l_classical, l1i,
     monkeypatch.setattr(closure, "conjectured_R",
                         lambda *args: built.append(args) or real(*args))
     for df in (l_classical, l1i):
-        cd, _ = closure_for_family(df, ParamPoly.const(1))
+        cd, _ = closure_for_family(df, ONE)
         assert cd.unique
     assert built == []
     # the padded classical system (order 4 for X = eta) has a kernel: the
     # conjectured point is built once, at the family's parameters, and must
     # lie in the solution set
     params = l_classical.params
-    cd = solve_closure(l_classical, eta, 4)
+    cd = solve_closure(l_classical, ETA, 4)
     assert cd.kernel_dim > 0 and built == [("L", 2, params)]
     # negative control: a conjectured R_0 off by one lies outside it
     conj = real("L", 2, params)
     monkeypatch.setattr(closure, "conjectured_R",
                         lambda *args: [conj[0] + 1, *conj[1:]])
     with pytest.raises(NoSolution, match="conjectured data lies outside"):
-        solve_closure(l_classical, eta, 4)
+        solve_closure(l_classical, ETA, 4)
 
 
 def test_eigenbasis_images_match_operator_reference(l_classical, l1i, j1i):
@@ -381,12 +384,12 @@ def test_eigenbasis_images_match_operator_reference(l_classical, l1i, j1i):
     # (and the repeated-H reference), and the solved data satisfies the
     # composed operator identity coefficient by coefficient
     for df in (l_classical, l1i, j1i):
-        cd, X = closure_for_family(df, ParamPoly.const(1))
+        cd, X = closure_for_family(df, ONE)
         H, K = H_tilde(df), cd.K
         ads = ad_powers(H, X, K)
         for n in range(K + 1):
             images = coordinate_images(df, X, n, K)
-            assert [op.apply_poly(df.P(n)) for op in ads] == images
+            assert [op.apply_poly(df.P(n).param()) for op in ads] == images
             assert images == ad_images(df, X, n, K)
         rhs = right_mul_poly_of_H(DiffOp.identity(H.var), cd.R_minus1, H)
         for i in range(K):
@@ -413,7 +416,7 @@ def test_verify_reuses_the_images_of_the_solve(lag_params, monkeypatch):
     # solve_closure has already stored on the family: it neither checks an
     # eigen-equation nor applies an operator
     df = builtin_deformed("L", "1I", lag_params)
-    cd, X = closure_for_family(df, ParamPoly.const(1))
+    cd, X = closure_for_family(df, ONE)
     calls = _count_eigen_checks(monkeypatch)
     original = DiffOp.apply_poly
     monkeypatch.setattr(DiffOp, "apply_poly",
@@ -427,9 +430,9 @@ def test_each_level_is_eigen_checked_once(lag_params, monkeypatch):
     # L[1I] add the levels up to K + L and never check a level twice
     calls = _count_eigen_checks(monkeypatch)
     df = builtin_deformed("L", "1I", lag_params)
-    cd, X = closure_for_family(df, ParamPoly.const(1))
+    cd, X = closure_for_family(df, ONE)
     assert verify_closure_identity(df, X, cd)
-    top = cd.K + X.degree("eta")
+    top = cd.K + X.degree
     assert top > VALIDATE_N
     assert calls == [df.P(m) for m in range(top + 1)]
     assert df.checked_levels == set(range(top + 1))
@@ -438,10 +441,10 @@ def test_each_level_is_eigen_checked_once(lag_params, monkeypatch):
 _SYSTEMS = {
     "L1I": ("L", "1I", 1, 0), "L1II": ("L", "1II", 1, 0),
     "J1I": ("J", "1I", 1, 0), "J1II": ("J", "1II", 1, 0),
-    "L2I-plugin": ("L", "plugin", 1, 0), "Y=eta": ("L", "1I", eta, 0),
+    "L2I-plugin": ("L", "plugin", 1, 0), "Y=eta": ("L", "1I", ETA, 0),
     "padded-classical": ("L", None, 1, 2),
     "J-classical-g=h": ("J=", None, 1, 0), "J1II-g=h": ("J=", "1II", 1, 0),
-    "L1I-padded": ("L", "1I", 1, 2), "J1I-eta-padded": ("J", "1I", eta, 2),
+    "L1I-padded": ("L", "1I", 1, 2), "J1I-eta-padded": ("J", "1I", ETA, 2),
     "L2I": ("L", "2I", 1, 0), "L3I": ("L", "3I", 1, 0),
     "J2I": ("J", "2I", 1, 0), "J3I": ("J", "3I", 1, 0),
 }
@@ -464,8 +467,8 @@ def test_coordinate_rows_solve_like_eta_rows(case, lag_params, jac_params):
         df = classical_family(params.fam, params)
     else:
         df = builtin_deformed(params.fam, D, params)
-    X = build_X(df.xi, ParamPoly.const(1) if Y == 1 else Y)
-    K = 2 * X.degree("eta") + pad
+    X = build_X(df.xi, ONE if Y == 1 else Y)
+    K = 2 * X.degree + pad
     layout, rows, rhs = closure_system(df, X, K)
     coord_layout, coord_rows, coord_rhs = coordinate_rows(df, X, K)
     ref_layout, ref_rows, ref_rhs = eta_rows(df, X, K)
@@ -603,7 +606,7 @@ def test_eigen_failure_beyond_validation_names_the_level(l1i):
     # construction; the order-6 solve (X of degree 3) needs P_0..P_6 and must
     # stop there, naming n = 6
     broken = VALIDATE_N + 1
-    cd, X = closure_for_family(l1i, eta)
+    cd, X = closure_for_family(l1i, ETA)
     assert cd.K == broken
 
     def make_P(n):
@@ -630,16 +633,16 @@ def test_nonpolynomial_image_is_a_failing_residual(lag_params):
     broken = VALIDATE_N + 1
 
     def make_P(n):
-        return df.P(n) + eta ** df.ell if n == broken else df.P(n)
+        return df.P(n) + EtaPoly.from_param(eta ** df.ell) if n == broken else df.P(n)
 
     bad = DeformedFamily("L", df.D, df.params, df.xi, make_P)
-    assert bad.P(broken).degree("eta") == df.ell + broken
-    X = build_X(df.xi, ParamPoly.const(1))
+    assert bad.P(broken).degree == df.ell + broken
+    X = build_X(df.xi, ONE)
     with pytest.raises(EigenValidationFailed,
                        match=f"eigen-equation fails at n={broken}"):
         level_coordinates(bad, X, broken)
     with pytest.raises(NonPolynomialImage):
-        H_tilde(bad).apply_poly(bad.P(broken))
+        H_tilde(bad).apply_poly(bad.P(broken).param())
 
 
 def test_eigen_failure_in_plugin_is_a_failing_check(explicit_plugin, tmp_path):
@@ -660,3 +663,40 @@ def test_eigen_failure_in_plugin_is_a_failing_check(explicit_plugin, tmp_path):
         assert failed["status"] == "fail"
         assert "n=9" in failed["detail"]["error"]
         assert all(c["status"] != "pass" for c in checks)
+
+
+def _rows_by_level(df, X, K):
+    """The expanded ``level_rows`` of each level n = 0..K, as (rows, rhs)
+    per level, in increasing n."""
+    layout = closure_system(df, X, K)[0]
+    out = []
+    for n in range(K + 1):
+        En = df.E(n)
+        block = level_rows(level_coordinates(df, X, n), K)
+        out.append(([[a[i] * En ** j for i, j in layout] for a, _ in block],
+                    [t for _, t in block]))
+    return out
+
+
+@pytest.mark.parametrize("case", ["L1I", "J1II-eta", "padded-classical"])
+def test_closure_rows_solve_alike_in_any_order(case, l1i, j1ii, l_classical):
+    # closure_system stacks the levels highest first; the rows in increasing
+    # level order and shuffled rows give the same LinearSolution, kernel
+    # included (the padded classical system has one)
+    df, X, K = {"L1I": (l1i, build_X(l1i.xi, ONE), 4),
+                "J1II-eta": (j1ii, build_X(j1ii.xi, ETA), 6),
+                "padded-classical": (l_classical, ETA, 4)}[case]
+    layout, rows, rhs = closure_system(df, X, K)
+    levels = _rows_by_level(df, X, K)
+    assert rows == [r for block, _ in reversed(levels) for r in block]
+    assert rhs == [t for _, ts in reversed(levels) for t in ts]
+    got = solve_linear_exact(rows, rhs)
+    assert got.consistent and (len(got.kernel_basis) > 0) == (case == "padded-classical")
+    in_order = ([r for block, _ in levels for r in block],
+                [t for _, ts in levels for t in ts])
+    assert solve_linear_exact(*in_order) == got
+    rng = random.Random(17)
+    for _ in range(5):
+        order = rng.sample(range(len(rows)), len(rows))
+        assert solve_linear_exact([rows[i] for i in order],
+                                  [rhs[i] for i in order]) == got

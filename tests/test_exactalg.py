@@ -1,13 +1,14 @@
 """Exact arithmetic substrate: polynomials, rational functions, linear
 solving, interpolation."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from closurelab.exactalg import (LinearSolution, ParamPoly, RationalFunc,
+from closurelab.exactalg import (EtaPoly, LinearSolution, ParamPoly, RationalFunc,
                                  SampleMismatch, interpolate_grid,
                                  interpolate_param, parse_poly, poly_div_exact,
                                  poly_gcd_univar, rat,
@@ -76,9 +77,13 @@ def test_poly_subs_and_evaluate():
 
 
 def test_integrate_and_diff_round_trip():
-    p = 3 * eta ** 2 + g * eta + 1
-    assert p.integrate("eta").diff("eta") == p
-    assert p.integrate("eta").subs({"eta": 0}).is_zero
+    # EtaPoly.integrate, the antiderivative of build_X, at three values of
+    # g (every coefficient has degree <= 1 in g)
+    for gv in (F(0), F(7, 3), F(-5, 2)):
+        p = EtaPoly.from_param(3 * eta ** 2 + gv * eta + 1)
+        assert p.integrate().diff() == p
+        assert p.integrate().coeff(0) == 0
+        assert p.integrate() == EtaPoly.from_param(eta ** 3 + gv / 2 * eta ** 2 + eta)
 
 
 def test_poly_div_exact_multivariate():
@@ -292,8 +297,7 @@ def test_trusted_results_match_the_validating_constructor(p, q, c, k):
     results = [p + q, p - q, p * q, q * p, p - p, p + (-p), p * 0, 0 * p,
                p * ParamPoly.zero(q.vars), p * c, c * p, p + c, c - p, -p,
                p ** k, p.diff("eta"), p.diff("g"), p.diff("h"),
-               p.coeff_in("eta", k), p.coeff_in("g", k),
-               *p.coeffs_in("eta").values(), p.integrate("eta"),
+               *p.coeffs_in("eta").values(),
                p.with_vars(("eta", "g", "h"))]
     for r in results:
         _assert_valid(r)
@@ -366,3 +370,66 @@ def test_record_variables_must_be_distinct_strings(variables):
                                               "coefficient": "1"}]}
     with pytest.raises(ValueError, match="variables must be distinct strings"):
         ParamPoly.from_record(rec)
+
+
+# -- EtaPoly: polynomials in eta on integer numerators ---------------------------
+
+
+@st.composite
+def _eta_polys(draw):
+    """Polynomials in eta of degree <= 5 with coefficients p/q, |p| <= 6 and
+    q <= 6, as ParamPolys (zeros included, so some degrees drop)."""
+    coeffs = draw(st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 6)),
+                           max_size=6))
+    return ParamPoly.univar("eta", coeffs)
+
+
+def _assert_lowest_terms(p):
+    """p holds the EtaPoly invariants: int numerators with no trailing zero
+    over a positive int denominator, sharing no common factor."""
+    assert type(p.num) is tuple and all(type(x) is int for x in p.num)
+    assert type(p.den) is int and p.den > 0
+    assert not p.num or p.num[-1] != 0
+    assert math.gcd(p.den, *p.num) == 1
+    assert p.num or p.den == 1
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_eta_polys(), _eta_polys(), st.sampled_from([0, 3, F(-2, 5)]))
+@example(eta + 1, eta - 1, 0)              # the eta terms of the sum cancel
+@example(eta * F(1, 2), eta * F(1, 2), 2)  # the denominators cancel
+def test_eta_poly_matches_param_poly(p, q, c):
+    a, b = EtaPoly.from_param(p), EtaPoly.from_param(q)
+    E = EtaPoly.from_param
+    pairs = [(a + b, p + q), (a - b, p - q), (a * b, p * q), (b * a, q * p),
+             (a * c, p * c), (c * a, c * p), (-a, -p), (a.diff(), p.diff("eta")),
+             (a.reflected(), p.subs({"eta": -eta})),
+             (EtaPoly.dot([(a, b), (b, b), (a, a)]), p * q + q * q + p * p)]
+    for got, want in pairs:
+        want = want.with_vars(("eta",))  # the zero of subs has no variables
+        _assert_lowest_terms(got)
+        assert got == E(want) and got.param() == want and hash(got) == hash(E(want))
+        assert repr(got) == repr(want) and got.record() == want.record()
+        assert got.degree == want.degree("eta") and bool(got) == bool(want)
+        assert [got.coeff(k) for k in range(-1, 8)] == \
+            [want.coeffs_in("eta").get(k, 0) for k in range(-1, 8)]
+    _assert_lowest_terms(a.integrate())
+    assert a.integrate().diff() == a and a.integrate().coeff(0) == 0
+    assert (a == b) == (p == q)
+    assert a == EtaPoly([p.coeffs_in("eta").get(k, ParamPoly.zero()).constant_value()
+                         for k in range(a.degree + 1)])
+
+
+def test_eta_poly_constants_and_leading_coefficient():
+    assert EtaPoly() == 0 and not EtaPoly() and EtaPoly().degree == -1
+    assert EtaPoly([0, 0]) == EtaPoly() and EtaPoly().lead == 0
+    p = EtaPoly(["1/2", 0, F(-3, 4)])
+    assert (p.num, p.den, p.degree, p.lead) == ((2, 0, -3), 4, 2, F(-3, 4))
+    assert EtaPoly.const(F(5, 3)) == F(5, 3) and EtaPoly.const(7) != 8
+    assert EtaPoly((1, 1)) != ParamPoly.const(1)  # no mixed-type equality
+
+
+@pytest.mark.parametrize("poly", [g + eta, g])
+def test_eta_poly_refuses_other_variables(poly):
+    with pytest.raises(ValueError, match="not a polynomial in eta"):
+        EtaPoly.from_param(poly)

@@ -52,3 +52,26 @@ def test_seed0_report_matches_expected(job, monkeypatch):
     assert code == 0
     assert (summary["pass"], summary["skip"]) == (want["pass"], want["skip"])
     assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
+
+
+# The seed-0 jobs above reach ell <= 2.  These reports cover the ell-scaling
+# path (P_n of degree ell + n, xi of degree ell) at ell = 6 and at a J seed
+# of type II; their digests were recorded before the eta polynomials moved
+# to integer numerators, and every later change must keep them.
+ELL_REPORTS = {
+    ("--family", "L", "--D", "6I"):
+        "fb186e5d68130986b7f7071711ea144e9b98f517ce0f207c3fadc17d2552a07b",
+    ("--family", "J", "--D", "3II"):
+        "d339d41cb09ece8ce1d6125021248ade8589b36a8e24ea5ecc6ec4c1863f6011",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ELL_REPORTS), ids=" ".join)
+def test_ell_report_matches_golden_digest(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["verify-closure", *argv, "--json"])
+    out = buf.getvalue()
+    assert code == 0
+    assert json.loads(out)["summary"]["fail"] == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ELL_REPORTS[argv]

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from closurelab import cli, families, heisenberg
-from closurelab.exactalg import ParamPoly
+from closurelab.exactalg import EtaPoly, ParamPoly
 from closurelab.closure import ClosureData, closure_for_family
 from closurelab.families import (EigenValidationFailed, builtin_deformed,
                                  load_family_plugin)
@@ -29,7 +29,7 @@ def round_trip_check(ctx, n_range):
     for n in n_range:
         up = ladder_apply(ctx, L, n)          # raises by one
         assert up.shift == 1
-        if up.image.is_zero:
+        if not up.image:
             continue
         # apply the lowering combination to the raised polynomial: n+1 state
         down = ladder_apply(ctx, L + 1, n + 1)
@@ -87,12 +87,12 @@ def _reference_commutation_check(ctx, n_range):
         for j in range(1, ctx.K + 1):
             action = heisenberg.ladder_apply(ctx, j, n)
             entry = {"check": "eigenvalue-shift", "j": j, "n": n}
-            if action.image.is_zero:
+            if not action.image:
                 entry["ok"] = True
                 entry["vacuous"] = True
             else:
-                lhs = H.apply_poly(action.image)
-                rhs = action.image * (ctx.df.E(n) + action.alpha)
+                lhs = H.apply_poly(action.image.param())
+                rhs = (action.image * (ctx.df.E(n) + action.alpha)).param()
                 sign_ok = (action.alpha > 0) if j <= ctx.L else (action.alpha < 0)
                 entry["ok"] = (lhs == rhs) and sign_ok
             out.append(entry)
@@ -101,7 +101,7 @@ def _reference_commutation_check(ctx, n_range):
 
 def test_annihilation_below_ground_state(ctx_l1i):
     action = ladder_apply(ctx_l1i, 4, 0)  # j = 2L lowers by L
-    assert action.image.is_zero and action.coefficient == 0
+    assert not action.image and action.coefficient == 0
 
 
 def test_single_step_ladder_coefficients(ctx_l1i, lag_params):
@@ -135,7 +135,7 @@ def test_r0_relation_values(ctx_l1i, lag_params):
 
 
 def test_r0_relation_classical_is_diagonal_coefficient(l_classical, lag_params):
-    cd, X = closure_for_family(l_classical, ParamPoly.const(1))
+    cd, X = closure_for_family(l_classical, EtaPoly.const(1))
     ctx = LadderContext(l_classical, cd, X)
     gv = lag_params.g
     for n in range(8):
@@ -160,7 +160,7 @@ def test_eigenvalue_shifts(ctx_l1i, ctx_j1i, jac_params):
     assert energy(jac_params, 1) + action.alpha == 0
     # the double-step annihilator from n = 1 gives the zero vector
     below = ladder_apply(ctx_j1i, 4, 1)
-    assert below.shift == -2 and below.image.is_zero
+    assert below.shift == -2 and not below.image
 
 
 def test_eigenvalue_shift_example(ctx_l1i):
@@ -189,7 +189,7 @@ def test_round_trips_positive(ctx_l1i, ctx_j1i):
 
 def test_two_step_specialization_classical(l_classical, j_classical):
     for fam in (l_classical, j_classical):
-        cd, X = closure_for_family(fam, ParamPoly.const(1))
+        cd, X = closure_for_family(fam, EtaPoly.const(1))
         ctx = LadderContext(fam, cd, X)
         assert all(e["ok"] for e in two_step_specialization(ctx, range(6)))
         assert all(e["ok"] for e in ladder_suite(ctx, range(6)))
@@ -212,12 +212,12 @@ def test_not_proportional_detection(ctx_l1i, l1i):
 def test_eigenvalue_shifts_match_the_H_applying_route(case, request):
     if case == "L2I-plugin":
         df = load_family_plugin(ROOT / "plugins" / "laguerre_2I.json")
-        cd, X = closure_for_family(df, ParamPoly.const(1))
+        cd, X = closure_for_family(df, EtaPoly.const(1))
     else:
         fixture = {"L1I": "l1i", "J1I": "j1i", "J1II": "j1ii",
                    "L1II-eta": "l1ii"}[case]
         df = request.getfixturevalue(fixture)
-        Y = ParamPoly.var("eta") if case == "L1II-eta" else ParamPoly.const(1)
+        Y = EtaPoly((0, 1)) if case == "L1II-eta" else EtaPoly.const(1)
         cd, X = closure_for_family(df, Y)
     ctx = LadderContext(df, cd, X)
     rows = commutation_check(ctx, range(7))
@@ -229,7 +229,7 @@ def test_broken_level_above_the_solve_is_named(lag_params):
     # the closure solve reads P_0..P_6; commutation_check on n <= 6 reads
     # level 6, so check_levels(8) meets the broken P_8 first
     df = builtin_deformed("L", "1I", lag_params)
-    cd, X = closure_for_family(df, ParamPoly.const(1))
+    cd, X = closure_for_family(df, EtaPoly.const(1))
     assert 8 not in df.checked_levels
     df._P_cache[8] = df.P(8) + df.P(7)
     with pytest.raises(EigenValidationFailed, match="n=8"):

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from closurelab.exactalg import ParamPoly
+from closurelab.exactalg import EtaPoly, ParamPoly
 from closurelab.families import builtin_deformed
 from closurelab.recurrence import (NonzeroRemainder, RecurrenceTable, build_X,
                                    check_h_symmetry,
@@ -15,29 +15,33 @@ from closurelab.recurrence import (NonzeroRemainder, RecurrenceTable, build_X,
 
 eta = ParamPoly.var("eta")
 g = ParamPoly.var("g")
+E = EtaPoly.from_param
+ONE = EtaPoly.const(1)
 
 
 def test_build_X_minimal(lag_params):
     gv = lag_params.g
-    xi = eta + gv + F(1, 2)
-    assert build_X(xi, ParamPoly.const(1)) == F(1, 2) * eta * (eta + 2 * gv + 1)
+    xi = E(eta + gv + F(1, 2))
+    assert build_X(xi, ONE) == E(F(1, 2) * eta * (eta + 2 * gv + 1))
 
 
 def test_build_X_with_Y_eta():
-    xi = eta + g + F(1, 2)
-    X = build_X(xi, eta)
-    assert X == eta ** 2 * (eta * F(1, 3) + (2 * g + 1) * F(1, 4))
-    assert X.degree("eta") == xi.degree("eta") + 1 + 1
-    assert X.subs({"eta": 0}).is_zero
+    # both sides have degree 1 in g, so three distinct g make it exact in g
+    for gv in (F(7, 3), F(-1, 2), F(5)):
+        xi = E(eta + gv + F(1, 2))
+        X = build_X(xi, E(eta))
+        assert X == E((eta ** 2 * (eta * F(1, 3) + (2 * g + 1) * F(1, 4))).subs({"g": gv}))
+        assert X.degree == xi.degree + 1 + 1
+        assert X.coeff(0) == 0
 
 
 def test_build_X_classical_coordinate():
-    assert build_X(ParamPoly.const(1, ("eta",)), ParamPoly.const(1)) == eta
+    assert build_X(EtaPoly.const(1), ONE) == E(eta)
 
 
 def test_classical_three_term_coefficients(l_classical, lag_params):
     gv = lag_params.g
-    t = compute_table(l_classical, eta, range(9))  # the three-term table
+    t = compute_table(l_classical, E(eta), range(9))  # the three-term table
     for n in range(8):
         assert t.rows[n][1] == -(n + 1)
         assert t.rows[n][0] == 2 * n + gv + F(1, 2)
@@ -114,7 +118,7 @@ def test_J1I_table_at_three_samples():
     for gh in ((F(2), F(3)), (F(5, 2), F(4)), (F(3), F(7, 2))):
         ps = ParamSet("J", {"g": gh[0], "h": gh[1]})
         df = builtin_deformed("J", "1I", ps)
-        table = compute_table(df, build_X(df.xi, ParamPoly.const(1)), range(6))
+        table = compute_table(df, build_X(df.xi, ONE), range(6))
         rep = closed_form_compare(table, table_formulas_J1I(ps))
         assert all(e["ok"] for e in rep), gh
 
@@ -122,7 +126,7 @@ def test_J1I_table_at_three_samples():
 def test_zero_remainder_for_all_builtins(l1i, l1ii, j1i, j1ii, l_classical,
                                          j_classical):
     for df in (l1i, l1ii, j1i, j1ii, l_classical, j_classical):
-        X = build_X(df.xi, ParamPoly.const(1))
+        X = build_X(df.xi, ONE)
         compute_table(df, X, range(9))  # NonzeroRemainder would raise
 
 
@@ -133,7 +137,7 @@ def test_leading_coefficient_identity(l1i, l1i_table, j1i, j1i_table):
 
 def test_h_symmetry_all_builtins(l1i, l1ii, j1i, j1ii, l_classical, j_classical):
     for df in (l1i, l1ii, j1i, j1ii, l_classical, j_classical):
-        X = build_X(df.xi, ParamPoly.const(1))
+        X = build_X(df.xi, ONE)
         table = compute_table(df, X, range(9))
         rep = check_h_symmetry(df, table)
         assert rep and all(e["ok"] for e in rep), df.label
@@ -155,11 +159,11 @@ def test_vacuous_rows_below_ground_state(l1i_table):
 
 def test_nonzero_remainder_negative_control(l1i):
     with pytest.raises(NonzeroRemainder):
-        expand_in_basis(l1i, eta ** 2, 0)  # eta^2 is not an admissible X
+        expand_in_basis(l1i, E(eta ** 2), 0)  # eta^2 is not an admissible X
 
 
 def test_higher_Y_tables_still_span(l1i):
-    X = build_X(l1i.xi, eta)
+    X = build_X(l1i.xi, E(eta))
     table = compute_table(l1i, X, range(5))
     assert table.L == 3
     rep = check_h_symmetry(l1i, table)
@@ -171,7 +175,7 @@ def test_perturbed_entries_fail_exactly_their_rows(lag_params):
     # (3, 1), r_{1,2} + 1 spoils symmetry row (3, 2), leading row 1 and the
     # two closed-form entries
     df = builtin_deformed("L", "1I", lag_params)
-    table = compute_table(df, build_X(df.xi, ParamPoly.const(1)), range(5))
+    table = compute_table(df, build_X(df.xi, ONE), range(5))
     bad = RecurrenceTable(table.X, table.L,
                           {n: dict(row) for n, row in table.rows.items()})
     bad.rows[3][-1] += 1
