@@ -16,6 +16,7 @@ from closurelab.exactalg import EtaPoly, ParamPoly
 from closurelab.closure import (ClosureData, closure_for_family, conjectured_R,
                                 compare_reference, verify_closure_identity)
 from closurelab.families import ParamSet, builtin_deformed
+from closurelab.spectral import alpha_conjecture
 
 params = ParamSet("L", {"g": Fraction(7, 3)})
 family = builtin_deformed("L", "1I", params)
@@ -29,7 +30,7 @@ print(f"  R_-1(z) = {cd.R_minus1}")
 assert verify_closure_identity(family, X, cd)
 print("operator identity certified on P_0..P_K")
 
-assert cd.R == conjectured_R("L", cd.K // 2, params)
+assert cd.R == conjectured_R(alpha_conjecture("L", cd.K // 2, params))
 print("solved R_i equal the eigenvalue-list expansion")
 
 print(compare_reference("L", "1I", "1", cd, params.reference_values()))

@@ -72,8 +72,7 @@ class Report:
             row = dict(row)
             ok = row.pop("ok")
             label = row.pop("check")
-            suffix = ",".join(f"{k}={v}" for k, v in sorted(row.items())
-                              if k not in ("vacuous",))
+            suffix = ",".join(f"{k}={v}" for k, v in sorted(row.items()))
             self.add(f"{prefix}/{label}" + (f"[{suffix}]" if suffix else ""), ok)
 
     def finish(self) -> dict:
@@ -258,8 +257,7 @@ def cmd_verify_closure(args) -> int:
         report.add("closure/solve", True, K=cd.K, unique=cd.unique,
                    kernel_dim=cd.kernel_dim, mode="symbolic")
         report.add("closure/degree-bounds", cd.bounds_ok())
-        return _closure_values(report, args, fam, D.label(), cd,
-                               conjectured_R(fam, cd.K // 2))
+        return _closure_values(report, args, fam, D.label(), cd)
     df = _family_instance(args, D, params)
     try:
         cd, X = closure_for_family(df, Y)
@@ -273,16 +271,17 @@ def cmd_verify_closure(args) -> int:
     witness = {} if verdict else {"n": verdict.n, "k": verdict.k,
                                   "residual": rat_str(verdict.residual)}
     report.add("closure/identity", bool(verdict), **witness)
-    return _closure_values(report, args, df.fam, df.D.label(), cd,
-                           conjectured_R(df.fam, cd.K // 2, df.params),
-                           df.params.reference_values())
+    return _closure_values(report, args, df.fam, df.D.label(), cd, df.params)
 
 
 def _closure_values(report: Report, args, fam: str, D_label: str, cd,
-                    conj: list, bindings: dict | None = None) -> int:
+                    params: ParamSet | None = None) -> int:
     """The checks shared by sampled and symbolic closure reports: the
-    conjectured R_i, the stored reference row, and the solved values."""
+    conjectured R_i, the stored reference row, and the solved values, at
+    the bound ``params`` or, when None, symbolic in the parameters."""
+    conj = conjectured_R(alpha_conjecture(fam, cd.K // 2, params))
     report.add("closure/conjectured-R", cd.R == conj)
+    bindings = None if params is None else params.reference_values()
     try:
         cmp = compare_reference(fam, D_label, args.Y or "1", cd, bindings)
         _add_reference(report, "closure/reference-table", cmp)
@@ -338,9 +337,9 @@ def _alpha_checks(report: Report, prefix: str, fam: str, L: int,
     for note in _validate_ranges(fam, params, L):
         report.add(f"range/{note}", None)
     alphas = alpha_conjecture(fam, L, params)
-    report.add_all(prefix, check_alpha_spectrum(
-        fam, L, params, range(n_max + 1), alphas))
-    report.add_all(prefix, pairing_identities(fam, L, params, alphas))
+    report.add_all(prefix, check_alpha_spectrum(fam, params, range(n_max + 1),
+                                                alphas))
+    report.add_all(prefix, pairing_identities(fam, params, alphas))
     return alphas
 
 
@@ -352,10 +351,10 @@ def cmd_spectrum(args) -> int:
     alpha_list = _alpha_checks(report, "spectrum", args.family, L, params,
                                args.n_max)
     # companion-matrix suite at the first few energy points, with the
-    # conjectured R_i (closure.conjectured_R) expanded from the same list
-    conj = [c.poly_part() for c in elementary_symmetric_R(alpha_list)]
+    # conjectured R_i expanded from the same list
+    conj = conjectured_R(alpha_list)
     for n in range(min(args.n_max, 4) + 1):
-        alphas = alpha_values_at_energy(args.family, L, params, n, alpha_list)
+        alphas = alpha_values_at_energy(args.family, params, n, alpha_list)
         R_vals = [Ri.evaluate({"z": energy(params, n)}) for Ri in conj]
         try:
             suite = spectral_suite(R_vals, alphas)

@@ -32,7 +32,7 @@ from .families import (DeformedFamily, EigenValidationFailed, MultiIndex,
                        degenerate_level, seed_degree_drops)
 from .opalg import DiffOp
 from .recurrence import NonzeroRemainder, build_X, recurrence_row
-from .spectral import (alpha_conjecture, elementary_symmetric_R,
+from .spectral import (SqrtExpr, alpha_conjecture, elementary_symmetric_R,
                        recursion_vectors)
 
 
@@ -279,7 +279,7 @@ def solve_closure(df: DeformedFamily, X: EtaPoly, K: int) -> ClosureData:
     kernel_dim = len(sol.kernel_basis)
     point = sol.solution
     if kernel_dim:
-        conj = conjectured_R(df.fam, K // 2, df.params)
+        conj = conjectured_R(alpha_conjecture(df.fam, K // 2, df.params))
         known = [idx for idx, (i, _) in enumerate(layout) if i >= 0]
         diff = [_z_coefficient(conj[layout[idx][0]], layout[idx][1])
                 - point[idx] for idx in known]
@@ -355,12 +355,13 @@ def verify_closure_identity(df: DeformedFamily, X: EtaPoly,
     return IdentityVerdict()
 
 
-def conjectured_R(fam: str, L: int, params: ParamSet | None = None) -> list[ParamPoly]:
+def conjectured_R(alphas: Sequence[SqrtExpr]) -> list[ParamPoly]:
     """R_0..R_{2L-1} expanded from the conjectured eigenvalue list
+    ``alphas`` = spectral.alpha_conjecture(fam, L, params)
     (``spectral.elementary_symmetric_R``); each must come out square-root
     free, a polynomial in z, or ``SqrtExpr.poly_part`` raises ValueError.
     The eigenvalues leave the inhomogeneous term undetermined."""
-    return [c.poly_part() for c in elementary_symmetric_R(alpha_conjecture(fam, L, params))]
+    return [c.poly_part() for c in elementary_symmetric_R(alphas)]
 
 
 # -- parameter reconstruction ---------------------------------------------------

@@ -22,6 +22,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -53,11 +54,14 @@ def rat(value) -> Rat:
 
 
 def rat_str(value: Rat) -> str:
-    """Serialize a Fraction as 'p/q', or 'p' when the denominator is 1."""
+    """Serialize a Fraction as 'p/q', or 'p' when the denominator is 1.
+    Decimal(int) prints every digit and, unlike str(int) from Python 3.11
+    on, has no limit on their number."""
     value = Fraction(value)
+    num = str(Decimal(value.numerator))
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return num
+    return f"{num}/{Decimal(value.denominator)}"
 
 
 class SampleMismatch(Exception):

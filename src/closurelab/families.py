@@ -38,7 +38,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .exactalg import EtaPoly, ParamPoly, Rat, rat, rat_str, solve_linear_exact
 
@@ -475,8 +475,12 @@ def eigen_validate(H_cleared: tuple[EtaPoly, EtaPoly, EtaPoly],
 class DeformedFamily:
     """One solvable system: family tag, multi-index, parameters, exact data.
 
-    The parameters are bound: results symbolic in them come from exact
-    samples (``closure.symbolic_closure``).  The Hamiltonian is fitted to
+    The eigenpolynomials come from ``rule``, held as data: either the pair
+    (A, B) of polynomials in eta, with P(n) = A*P_n' + B*P_n over the
+    classical P_n (a tuple; the undeformed family is (0, 1) with xi = 1),
+    or the explicit list P(0)..P(p_max) of a plugin.  The parameters are
+    bound: results symbolic in them come from exact samples
+    (``closure.symbolic_closure``).  The Hamiltonian is fitted to
     the eigen-equations of P_0..P_2 and held as its cleared numerators
     ``H_cleared`` = (c2*xi, N1, N0), so
     H = -4*xi^-1*(c2*xi*d^2 + N1*d + N0), and it is checked on
@@ -492,17 +496,15 @@ class DeformedFamily:
     """
 
     def __init__(self, fam: str, D: MultiIndex, params: ParamSet,
-                 xi: EtaPoly, make_P: Callable[[int], EtaPoly],
-                 source: str = "builtin", label: str | None = None,
-                 p_max: int | None = None):
+                 xi: EtaPoly, rule: tuple[EtaPoly, EtaPoly] | list[EtaPoly],
+                 source: str = "builtin"):
         self.fam = fam
         self.D = D
         self.params = params
         self.xi = xi
+        self.rule = rule
         self.source = source
-        self.label = label or f"{fam}[{D.label()}]"
-        self.p_max = p_max
-        self._make_P = make_P
+        self.label = f"{fam}[{D.label() if D.entries else 'classical'}]"
         self._P_cache: dict[int, EtaPoly] = {}
         self.checked_levels: set[int] = set()
         self.recurrence_rows: dict[tuple[EtaPoly, int], dict[int, Rat]] = {}
@@ -513,14 +515,27 @@ class DeformedFamily:
 
     # polynomial eigendata --------------------------------------------------
 
+    @property
+    def p_max(self) -> int | None:
+        """The top level of an explicit rule; None for a classical
+        combination, which gives every level."""
+        return len(self.rule) - 1 if isinstance(self.rule, list) else None
+
     def P(self, n: int) -> EtaPoly:
-        """Eigenpolynomial of degree ell + n; zero for n < 0."""
+        """Eigenpolynomial of degree ell + n by the family's rule; zero for
+        n < 0."""
         if n < 0:
             return EtaPoly()
-        if self.p_max is not None and n > self.p_max:
-            raise SchemaError(f"{self.label}: polynomials available only up to n={self.p_max}")
         if n not in self._P_cache:
-            p = self._make_P(n)
+            if isinstance(self.rule, list):
+                if n > self.p_max:
+                    raise SchemaError(f"{self.label}: polynomials available "
+                                      f"only up to n={self.p_max}")
+                p = self.rule[n]
+            else:
+                A, B = self.rule
+                Pn = classical_poly(self.fam, n, self.params)
+                p = EtaPoly.dot([(A, Pn.diff()), (B, Pn)])
             expected = self.D.ell + n
             if p.degree != expected:
                 raise DegreeMismatch(
@@ -564,10 +579,6 @@ class DeformedFamily:
         if not den:
             raise ValueError(f"{self.label}: a virtual energy equals E_{n - l}")
         return num, den
-
-    def leading_coeff(self, n: int) -> Rat:
-        """The eta^(ell+n) coefficient of P(n), nonzero by its degree."""
-        return self.P(n).lead
 
     def __repr__(self) -> str:
         return f"DeformedFamily({self.label}, source={self.source})"
@@ -658,13 +669,9 @@ def one_step_family(fam: str, t: str, d: int, params: ParamSet) -> DeformedFamil
         raise ValueError(f"{fam}[{d}{t}]: the seed has degree below {d} at "
                          f"b = {rat_str(params.b)}, so it is degenerate at "
                          f"these parameters")
-    dp_c, p_c = _intertwiner(fam, t, params, seed)
-
-    def make_P(n: int) -> EtaPoly:
-        Pn = classical_poly(fam, n, params)
-        return EtaPoly.dot([(dp_c, Pn.diff()), (p_c, Pn)])
-
-    return DeformedFamily(fam, MultiIndex(((d, t),)), params, seed, make_P)
+    p, q = seed_data(fam, t, params)
+    rule = (q * seed, -EtaPoly.dot([(p, seed), (q, seed.diff())]))
+    return DeformedFamily(fam, MultiIndex(((d, t),)), params, seed, rule)
 
 
 def degenerate_level(params: ParamSet, t: str, d: int) -> int | None:
@@ -697,17 +704,11 @@ def seed_degree_drops(params: ParamSet, t: str, d: int) -> bool:
     return s.denominator == 1 and d + 1 <= s <= 2 * d
 
 
-def _intertwiner(fam: str, t: str, params: ParamSet,
-                 seed: EtaPoly) -> tuple[EtaPoly, EtaPoly]:
-    """Coefficients (q*xi, -(p*xi + q*xi')) of P_n' and P_n in P(n)."""
-    p, q = seed_data(fam, t, params)
-    return q * seed, -EtaPoly.dot([(p, seed), (q, seed.diff())])
-
-
 def plugin_dict_from_family(df: DeformedFamily) -> dict:
-    """Serialize a single-seed family as a classical-combination plugin
-    dictionary (round-trips through family_from_plugin_dict)."""
-    dp_c, p_c = _intertwiner(df.fam, df.D.entries[0][1], df.params, df.xi)
+    """Serialize a family whose rule is a classical combination (every
+    built-in family) as a plugin dictionary; it round-trips through
+    family_from_plugin_dict."""
+    dp_c, p_c = df.rule
     return {
         "family": df.fam,
         "parameters": {k: rat_str(v) for k, v in df.params.values.items()},
@@ -719,11 +720,10 @@ def plugin_dict_from_family(df: DeformedFamily) -> dict:
 
 
 def classical_family(fam: str, params: ParamSet) -> DeformedFamily:
-    """The undeformed system: D = {}, xi = 1, classical polynomials."""
-    xi = EtaPoly.const(1)
-    make_P = lambda n: classical_poly(fam, n, params)
-    return DeformedFamily(fam, MultiIndex(()), params, xi, make_P,
-                          label=f"{fam}[classical]")
+    """The undeformed system: D = {}, xi = 1 and the rule (0, 1), so
+    P(n) = P_n."""
+    one = EtaPoly.const(1)
+    return DeformedFamily(fam, MultiIndex(()), params, one, (EtaPoly(), one))
 
 
 def require_builtin(D: MultiIndex) -> None:
@@ -791,20 +791,15 @@ def family_from_plugin_dict(data: Mapping) -> DeformedFamily:
     rule = data["P"]
     if not isinstance(rule, Mapping):
         raise SchemaError("P must be an object with a 'kind'")
-    p_max = None
     if rule.get("kind") == "classical-combination":
         what = "bad classical-combination rule"
         try:
             recs = rule["dP_coeff"], rule["P_coeff"]
         except KeyError as exc:
             raise SchemaError(f"{what}: {exc}") from None
-        dp_c, p_c = (_eta_record(rec, what, D.ell + 1,
-                                 f"deg {name} = {{}}, expected at most ell + 1 = {{}}")
-                     for rec, name in zip(recs, ("dP_coeff", "P_coeff")))
-
-        def make_P(n: int) -> EtaPoly:
-            Pn = classical_poly(fam, n, params)
-            return EtaPoly.dot([(dp_c, Pn.diff()), (p_c, Pn)])
+        P_rule = tuple(_eta_record(rec, what, D.ell + 1,
+                                   f"deg {name} = {{}}, expected at most ell + 1 = {{}}")
+                       for rec, name in zip(recs, ("dP_coeff", "P_coeff")))
     elif rule.get("kind") == "explicit":
         what = "bad explicit polynomial list"
         try:
@@ -813,16 +808,12 @@ def family_from_plugin_dict(data: Mapping) -> DeformedFamily:
             raise SchemaError(f"{what}: {exc}") from None
         if len(recs) < VALIDATE_N + 1:
             raise SchemaError(f"explicit plugin needs at least {VALIDATE_N + 1} polynomials")
-        polys = [_eta_record(rec, what, D.ell + n,
-                             f"{fam}[{D.label()}]: deg P({n}) = {{}}, expected {{}}")
-                 for n, rec in enumerate(recs)]
-        p_max = len(polys) - 1
-
-        def make_P(n: int) -> EtaPoly:
-            return polys[n]
+        P_rule = [_eta_record(rec, what, D.ell + n,
+                              f"{fam}[{D.label()}]: deg P({n}) = {{}}, expected {{}}")
+                  for n, rec in enumerate(recs)]
     else:
         raise SchemaError("P rule kind must be 'classical-combination' or 'explicit'")
-    df = DeformedFamily(fam, D, params, xi, make_P, source="plugin", p_max=p_max)
+    df = DeformedFamily(fam, D, params, xi, P_rule, source="plugin")
     _plugin_h_consistency(df)
     return df
 

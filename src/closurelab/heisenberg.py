@@ -25,7 +25,7 @@ from .closure import ClosureData, level_coordinates
 from .families import DeformedFamily
 from .recurrence import recurrence_row
 from .spectral import (SpectralData, alpha_conjecture,
-                       alpha_values_at_energy, eigen_closed_form)
+                       alpha_values_at_energy, eigen_closed_form, ladder_shift)
 
 
 class NotProportional(Exception):
@@ -73,8 +73,8 @@ class LadderContext:
         roots alpha_j(E_n) and coefficients R_i(E_n), and R_-1(E_n); the
         closure data are evaluated once per level."""
         if n not in self._spectral:
-            alphas = alpha_values_at_energy(self.df.fam, self.L, self.df.params,
-                                            n, self._alpha_list)
+            alphas = alpha_values_at_energy(self.df.fam, self.df.params, n,
+                                            self._alpha_list)
             R_vals, R_minus1 = self.cd.values_at(self.df.E(n))
             self._spectral[n] = (eigen_closed_form(R_vals, alphas), R_minus1)
         return self._spectral[n]
@@ -104,7 +104,7 @@ def ladder_apply(ctx: LadderContext, j: int, n: int) -> LadderAction:
 def _ladder_action(ctx: LadderContext, j: int, n: int) -> LadderAction:
     """a^(j) P(n) evaluated exactly; the image must be r_{n,shift} P(n+shift).
 
-    shift = L+1-j (creation side, j <= L) or -(j-L) (annihilation side).
+    shift = ``ladder_shift(L, j)``.
     The image is sum_i ((ad H)^i X) P(n) S[i][j] + (R_-1(E_n)/alpha_j) P(n),
     scaled by S^-1[j][0] (S the companion eigenvector matrix at E_n), so its
     coordinate at P(n+k) is
@@ -114,10 +114,10 @@ def _ladder_action(ctx: LadderContext, j: int, n: int) -> LadderAction:
     are.  Raises NotProportional when the image is not a scalar multiple of
     the target eigenpolynomial.
     """
-    K, L = ctx.K, ctx.L
+    K = ctx.K
     if not 1 <= j <= K:
         raise ValueError("need 1 <= j <= K")
-    shift = L + 1 - j if j <= L else -(j - L)
+    shift = ladder_shift(ctx.L, j)
     sd, R_minus1 = ctx.spectral_at(n)
     alpha_j = sd.alphas[j - 1]
     column = [sd.P[i][j - 1] for i in range(K)]
@@ -172,7 +172,8 @@ def check_r0_relation(ctx: LadderContext, n_range: Iterable[int]) -> list[dict]:
 
 def commutation_check(ctx: LadderContext, n_range: Iterable[int]) -> list[dict]:
     """H (a^(j) P(n)) = (E_n + alpha_j(E_n)) (a^(j) P(n)), exactly, and the
-    sign of alpha_j(E_n) matches creation (j <= L) vs annihilation (j > L).
+    sign of alpha_j(E_n) matches creation (shift > 0) vs annihilation
+    (shift < 0).
 
     Decided on checked levels, without applying H: ``ladder_apply`` has
     read level n through ``closure.level_coordinates``, so
@@ -190,9 +191,8 @@ def commutation_check(ctx: LadderContext, n_range: Iterable[int]) -> list[dict]:
             entry = {"check": "eigenvalue-shift", "j": j, "n": n}
             if not action.coefficient:
                 entry["ok"] = True
-                entry["vacuous"] = True
             else:
-                sign_ok = (action.alpha > 0) if j <= ctx.L else (action.alpha < 0)
+                sign_ok = (action.alpha > 0) if action.shift > 0 else (action.alpha < 0)
                 entry["ok"] = (ctx.df.E(n + action.shift) == En + action.alpha
                                and sign_ok)
             out.append(entry)

@@ -160,49 +160,42 @@ def sqrt_value_at_energy(fam: str, params: ParamSet, n: int) -> Rat:
     return params.q ** (-n) - params.b4 * params.q ** (n - 1)
 
 
+def ladder_shift(L: int, j: int) -> int:
+    """The level shift of ladder j = 1..2L: L+1-j on the creation side
+    (j <= L), -(j-L) on the annihilation side; alpha_j(E_n) is
+    E_(n+shift) - E_n."""
+    return L + 1 - j if j <= L else -(j - L)
+
+
 def alpha_conjecture(fam: str, L: int,
                      params: ParamSet | None = None) -> list[SqrtExpr]:
     """Conjectured eigenvalues alpha_1 > ... > alpha_2L of the companion
-    matrix, as exact expressions in z (creation side first)."""
+    matrix, as exact expressions u + v*sqrt(S) in z (creation side first),
+    each family's (u, v) a function of the ladder shift s."""
     if L < 1:
         raise ValueError("need L >= 1")
     S = sqrt_square(fam, params)
-    z = ParamPoly.var("z")
-    zero = ParamPoly.zero(("z",))
+    if fam == "AW":
+        q, r = params.q, params.r
+        zp = ParamPoly.var("z") + 1 + params.b4 / q
     out: list[SqrtExpr] = []
-    if fam == "L":
-        for j in range(1, 2 * L + 1):
-            m = L + 1 - j if j <= L else -(j - L)
-            out.append(SqrtExpr(ParamPoly.const(4 * m), zero, S))
-        return out
-    if fam == "J":
-        for j in range(1, 2 * L + 1):
-            m = L + 1 - j if j <= L else j - L
-            sign = 1 if j <= L else -1
-            out.append(SqrtExpr(ParamPoly.const(4 * m * m),
-                                ParamPoly.const(4 * m * sign), S))
-        return out
-    if fam == "W":
-        for j in range(1, 2 * L + 1):
-            m = L + 1 - j if j <= L else j - L
-            sign = 1 if j <= L else -1
-            out.append(SqrtExpr(ParamPoly.const(m * m),
-                                ParamPoly.const(m * sign), S))
-        return out
-    # AW: alpha_j = ((q^(-m/2) - q^(m/2))^2 (z + 1 + b4/q) +- (q^-m - q^m) sqrt(S)) / 2
-    q, b4 = params.q, params.b4
-    zp = z + 1 + b4 / q
-    r = params.r
     for j in range(1, 2 * L + 1):
-        m = L + 1 - j if j <= L else j - L
-        sign = 1 if j <= L else -1
-        c = (r ** (-m) - r ** m) ** 2
-        w = q ** (-m) - q ** m
-        out.append(SqrtExpr(zp * (c * HALF), ParamPoly.const(w * sign * HALF), S))
+        s = ladder_shift(L, j)
+        if fam == "L":
+            u, v = ParamPoly.const(4 * s), ParamPoly.zero(("z",))
+        elif fam == "J":
+            u, v = ParamPoly.const(4 * s * s), ParamPoly.const(4 * s)
+        elif fam == "W":
+            u, v = ParamPoly.const(s * s), ParamPoly.const(s)
+        else:
+            # AW: ((q^(-s/2) - q^(s/2))^2 (z + 1 + b4/q) + (q^-s - q^s) sqrt(S)) / 2
+            u = zp * ((r ** -s - r ** s) ** 2 * HALF)
+            v = ParamPoly.const((q ** -s - q ** s) * HALF)
+        out.append(SqrtExpr(u, v, S))
     return out
 
 
-def alpha_values_at_energy(fam: str, L: int, params: ParamSet, n: int,
+def alpha_values_at_energy(fam: str, params: ParamSet, n: int,
                            alphas: list[SqrtExpr]) -> list[Rat]:
     """alpha_j(E_n), square-root free, as exact rationals, for ``alphas`` =
     alpha_conjecture(fam, L, params).  Raises SqrtValueMismatch unless
@@ -219,11 +212,10 @@ def alpha_values_at_energy(fam: str, L: int, params: ParamSet, n: int,
 ORDERING_GRID = tuple(Fraction(k, 3) for k in range(12))
 
 
-def check_alpha_spectrum(fam: str, L: int, params: ParamSet,
-                         n_range: Sequence[int],
+def check_alpha_spectrum(fam: str, params: ParamSet, n_range: Sequence[int],
                          alphas: list[SqrtExpr]) -> list[dict]:
-    """Spacing identities alpha_j(E_n) = E_{n+L+1-j} - E_n (creation side)
-    and E_{n-(j-L)} - E_n (annihilation side), plus the strict ordering
+    """Spacing identities alpha_j(E_n) = E_(n+shift) - E_n, shift =
+    ``ladder_shift(L, j)``, plus the strict ordering
     alpha_1 > ... > alpha_2L at every E_n and on ``ORDERING_GRID``, for
     ``alphas`` = alpha_conjecture(fam, L, params).
 
@@ -231,12 +223,12 @@ def check_alpha_spectrum(fam: str, L: int, params: ParamSet,
     """
     out = []
     S = alphas[0].square
+    L = len(alphas) // 2
     for n in n_range:
-        vals = alpha_values_at_energy(fam, L, params, n, alphas)
+        vals = alpha_values_at_energy(fam, params, n, alphas)
         En = energy(params, n)
         for j in range(1, 2 * L + 1):
-            target = n + L + 1 - j if j <= L else n - (j - L)
-            expected = energy(params, target) - En
+            expected = energy(params, n + ladder_shift(L, j)) - En
             out.append({
                 "check": "spacing", "n": n, "j": j,
                 "ok": vals[j - 1] == expected,
@@ -256,15 +248,16 @@ def check_alpha_spectrum(fam: str, L: int, params: ParamSet,
     return out
 
 
-def pairing_identities(fam: str, L: int, params: ParamSet,
+def pairing_identities(fam: str, params: ParamSet,
                        alphas: list[SqrtExpr]) -> list[dict]:
     """alpha_j + alpha_{2L+1-j} and alpha_j * alpha_{2L+1-j} equal the
     printed polynomial forms identically in z (square root eliminated), for
     ``alphas`` = alpha_conjecture(fam, L, params)."""
     z = ParamPoly.var("z")
     out = []
+    L = len(alphas) // 2
     for j in range(1, L + 1):
-        m = L + 1 - j
+        m = ladder_shift(L, j)
         x, y = alphas[j - 1], alphas[2 * L - j]
         total = x + y
         prod = x * y

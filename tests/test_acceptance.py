@@ -149,7 +149,7 @@ def test_criterion_07_companion_matrix_suite(l1i_closure, j1i_closure,
         L = cd.K // 2
         alpha_list = alpha_conjecture(fam, L, ps)
         for n in range(4):
-            alphas = alpha_values_at_energy(fam, L, ps, n, alpha_list)
+            alphas = alpha_values_at_energy(fam, ps, n, alpha_list)
             En = energy(ps, n)
             R_vals = [Ri.evaluate({"z": En}) for Ri in cd.R]
             suite = spectral_suite(R_vals, alphas)
@@ -200,26 +200,26 @@ def test_criterion_08_conjectured_coefficients(aw_params, pairing_params,
     ]
     for fam, df, Y, L in solved_cases:
         cd, _ = closure_for_family(df, Y)
-        ok = ok and cd.R == conjectured_R(fam, L, df.params)
+        ok = ok and cd.R == conjectured_R(alpha_conjecture(fam, L, df.params))
     # pairing identities hold identically in z for all four families, L <= 4,
     # and in a (J) and b1 (W): both sides have degree <= 2 in them, and
     # pairing_params holds three distinct values of each
     for ps in (*pairing_params, aw_params):
         for L in (1, 2, 3, 4):
-            rep = pairing_identities(ps.fam, L, ps, alpha_conjecture(ps.fam, L, ps))
+            rep = pairing_identities(ps.fam, ps, alpha_conjecture(ps.fam, L, ps))
             ok = ok and all(e["ok"] for e in rep)
     # and the expansion itself is square-root free, symbolically in a and b1
     for fam, ps in (("L", None), ("J", None), ("W", None), ("AW", aw_params)):
         for L in (1, 2, 3, 4):
-            conjectured_R(fam, L, ps)
+            conjectured_R(alpha_conjecture(fam, L, ps))
     # printed difference-family forms at L = 2
-    Rw = conjectured_R("W", 2)
+    Rw = conjectured_R(alpha_conjecture("W", 2))
     b1 = ParamPoly.var("b1")
     zp = 4 * z + (b1 - 1) ** 2
     ok = ok and Rw == [-4 * (zp - 1) * (zp - 4), -8 * (2 * zp - 5),
                        5 * zp - 33, ParamPoly.const(10)]
     q, b4 = aw_params.q, aw_params.b4
-    Raw = conjectured_R("AW", 2, aw_params)
+    Raw = conjectured_R(alpha_conjecture("AW", 2, aw_params))
     zq = z + 1 + b4 / q
     ok = ok and Raw[3] == q ** -2 * (1 - q) ** 2 * (1 + 3 * q + q ** 2) * zq
     _record(8, ok, "expanding the conjectured eigenvalue lists reproduces the "
@@ -237,7 +237,7 @@ def test_criterion_09_spectral_spacing(lag_params, wil_params, aw_params):
     for L in (1, 2, 3, 4):
         for fam, ps in (("L", lag_params), ("J", j_by_L[L]),
                         ("W", wil_params), ("AW", aw_params)):
-            rep = check_alpha_spectrum(fam, L, ps, range(9),
+            rep = check_alpha_spectrum(fam, ps, range(9),
                                        alpha_conjecture(fam, L, ps))
             ok = ok and all(e["ok"] for e in rep)
     # square-root-free evaluations match the printed closed forms

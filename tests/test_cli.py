@@ -489,6 +489,20 @@ def test_console_entry_point_runs():
     assert payload["summary"]["fail"] == 0
 
 
+def test_values_above_the_int_string_limit_are_rendered():
+    # at g = 10^2200 the recurrence rows hold integers of over 4300 digits,
+    # which str(int) refuses from Python 3.11 on
+    proc = subprocess.run(
+        [sys.executable, "-m", "closurelab.cli", "recurrence", "--family", "L",
+         "--D", "1I", "--params", "g=1" + "0" * 2200, "--json"],
+        capture_output=True, text=True)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["summary"]["fail"] == 0
+    assert max(len(v) for c in payload["checks"]
+               for v in c.get("detail", {}).values() if isinstance(v, str)) > 4300
+
+
 def test_heisenberg_command(tmp_path):
     report = tmp_path / "r.json"
     code = run_cli("heisenberg", "--family", "J", "--D", "1II", "--n-max", "3",

@@ -183,7 +183,7 @@ def test_J1II_is_sign_flipped_image(j1i_closure, j1ii_closure, jac_params):
 def test_solved_equals_conjectured_L_all_orders(l1i):
     for Y, L in ((ONE, 2), (ETA, 3)):
         cd, _ = closure_for_family(l1i, Y)
-        assert cd.R == conjectured_R("L", L, l1i.params)
+        assert cd.R == conjectured_R(alpha_conjecture("L", L, l1i.params))
 
 
 def test_reference_comparison_and_missing(l1i_closure, lag_params):
@@ -209,7 +209,7 @@ def test_spectral_consequence_beta_identity(lag_params, jac_params, wil_params,
                     ("W", wil_params), ("AW", aw_params)):
         for L in (1, 2):
             K = 2 * L
-            conj = conjectured_R(fam, L, ps)
+            conj = conjectured_R(alpha_conjecture(fam, L, ps))
             for n in range(9):
                 En = energy(ps, n)
                 R_at = [Ri.evaluate({"z": En}) for Ri in conj]
@@ -226,7 +226,7 @@ def test_alpha_values_are_closure_roots(l1i_closure, lag_params):
     for n in range(5):
         En = energy(lag_params, n)
         R_at = [Ri.evaluate({"z": En}) for Ri in cd.R]
-        for al in alpha_values_at_energy("L", 2, lag_params, n,
+        for al in alpha_values_at_energy("L", lag_params, n,
                                          alpha_conjecture("L", 2, lag_params)):
             assert al ** 4 == sum(R_at[i] * al ** i for i in range(4))
 
@@ -331,7 +331,7 @@ def test_kernel_reporting_on_padded_order(l_classical):
     X = ETA
     cd = solve_closure(l_classical, X, 4)
     assert cd.kernel_dim > 0 and not cd.unique
-    assert cd.R == conjectured_R("L", 2, l_classical.params)
+    assert cd.R == conjectured_R(alpha_conjecture("L", 2, l_classical.params))
     assert verify_closure_identity(l_classical, X, cd)
 
 
@@ -369,9 +369,9 @@ def test_conjectured_data_is_built_only_for_a_kernel(l_classical, l1i,
     # lie in the solution set
     params = l_classical.params
     cd = solve_closure(l_classical, ETA, 4)
-    assert cd.kernel_dim > 0 and built == [("L", 2, params)]
+    assert cd.kernel_dim > 0 and built == [(alpha_conjecture("L", 2, params),)]
     # negative control: a conjectured R_0 off by one lies outside it
-    conj = real("L", 2, params)
+    conj = real(alpha_conjecture("L", 2, params))
     monkeypatch.setattr(closure, "conjectured_R",
                         lambda *args: [conj[0] + 1, *conj[1:]])
     with pytest.raises(NoSolution, match="conjectured data lies outside"):
@@ -609,10 +609,9 @@ def test_eigen_failure_beyond_validation_names_the_level(l1i):
     cd, X = closure_for_family(l1i, ETA)
     assert cd.K == broken
 
-    def make_P(n):
-        return l1i.P(n) + l1i.P(n - 1) if n == broken else l1i.P(n)
-
-    bad = DeformedFamily("L", l1i.D, l1i.params, l1i.xi, make_P)
+    polys = [l1i.P(n) + l1i.P(n - 1) if n == broken else l1i.P(n)
+             for n in range(2 * broken)]
+    bad = DeformedFamily("L", l1i.D, l1i.params, l1i.xi, polys)
     match = f"n={broken}"
     for _ in range(2):  # the level store never records the failed level
         with pytest.raises(EigenValidationFailed, match=match):
@@ -632,10 +631,9 @@ def test_nonpolynomial_image_is_a_failing_residual(lag_params):
     df = builtin_deformed("L", "1I", lag_params)
     broken = VALIDATE_N + 1
 
-    def make_P(n):
-        return df.P(n) + EtaPoly.from_param(eta ** df.ell) if n == broken else df.P(n)
-
-    bad = DeformedFamily("L", df.D, df.params, df.xi, make_P)
+    polys = [df.P(n) + EtaPoly.from_param(eta ** df.ell) if n == broken else df.P(n)
+             for n in range(2 * broken)]
+    bad = DeformedFamily("L", df.D, df.params, df.xi, polys)
     assert bad.P(broken).degree == df.ell + broken
     X = build_X(df.xi, ONE)
     with pytest.raises(EigenValidationFailed,

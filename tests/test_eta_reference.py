@@ -92,10 +92,8 @@ def test_nonspanning_level_raises_nonzero_remainder(case, families):
     broken = 7
     extra = EtaPoly([0] * df.ell + [1])
 
-    def make_P(n):
-        return df.P(n) + extra if n == broken else df.P(n)
-
-    bad = DeformedFamily(df.fam, df.D, df.params, df.xi, make_P)
+    polys = [df.P(n) + extra if n == broken else df.P(n) for n in range(2 * broken)]
+    bad = DeformedFamily(df.fam, df.D, df.params, df.xi, polys)
     X = build_X(df.xi, ONE)
     assert bad.P(broken).degree == df.ell + broken
     with pytest.raises(NonzeroRemainder) as got:

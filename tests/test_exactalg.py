@@ -24,6 +24,8 @@ def test_rat_string_round_trip():
     assert rat_str(F(3, 4)) == "3/4"
     assert rat_str(F(-5)) == "-5"
     assert rat(rat_str(F(22, 7))) == F(22, 7)
+    # above the 4300 digits str(int) accepts from Python 3.11 on
+    assert rat_str(F(-10 ** 5000, 7)) == "-1" + "0" * 5000 + "/7"
 
 
 def test_poly_arith_distributes():

@@ -494,9 +494,13 @@ def test_shipped_plugin_files_load():
         assert df.source == "plugin"
 
 
-def test_plugin_serialization_round_trip(lag_params):
-    df = one_step_family("L", "II", 2, ParamSet("L", {"g": F(7, 2)}))
-    plug = plugin_dict_from_family(df)
-    loaded = family_from_plugin_dict(plug)
-    assert loaded.xi == df.xi
-    assert loaded.P(4) == df.P(4)
+def test_plugin_serialization_round_trip(lag_params, jac_params):
+    # every built-in family, the undeformed one included, is written as the
+    # rule it holds and loads back to the same P_n
+    families = [one_step_family("L", "II", 2, ParamSet("L", {"g": F(7, 2)}))]
+    families += [builtin_deformed(ps.fam, D, ps) for ps in (lag_params, jac_params)
+                 for D in ("", "1I", "1II", "2I", "3II")]
+    for df in families:
+        loaded = family_from_plugin_dict(plugin_dict_from_family(df))
+        assert loaded.xi == df.xi, df.label
+        assert [loaded.P(n) for n in range(9)] == [df.P(n) for n in range(9)], df.label

@@ -9,7 +9,7 @@ from itertools import combinations
 import pytest
 
 from closurelab.cli import DEFAULT_PARAMS, _random_distinct_rationals
-from closurelab import closure, spectral
+from closurelab import spectral
 from closurelab.closure import conjectured_R
 from closurelab.exactalg import ParamPoly, rat
 from closurelab.families import ParamSet, energy
@@ -46,12 +46,12 @@ def test_degenerate_spectrum_rejected():
 def test_laguerre_alpha_list():
     alphas = alpha_conjecture("L", 2, None)
     assert [al.u.constant_value() for al in alphas] == [8, 4, -4, -8]
-    R = conjectured_R("L", 2)
+    R = conjectured_R(alpha_conjecture("L", 2))
     assert [r.constant_value() for r in R] == [-1024, 0, 80, 0]
 
 
 def test_jacobi_alpha_sqrt_free_at_energy(jac_params):
-    vals = alpha_values_at_energy("J", 2, jac_params, 3,
+    vals = alpha_values_at_energy("J", jac_params, 3,
                                   alpha_conjecture("J", 2, jac_params))
     av = jac_params.a
     s = 2 * 3 + av
@@ -82,14 +82,14 @@ def test_sqrt_value_that_does_not_square_to_S_is_rejected(jac_params,
     real = spectral.sqrt_value_at_energy
     monkeypatch.setattr(spectral, "sqrt_value_at_energy",
                         lambda fam, ps, n: real(fam, ps, n) + (n == 3))
-    assert alpha_values_at_energy("J", 2, jac_params, 2, alphas)
+    assert alpha_values_at_energy("J", jac_params, 2, alphas)
     with pytest.raises(SqrtValueMismatch, match=r"^J: sqrt\(S\(E_3\)\) = 12"):
-        alpha_values_at_energy("J", 2, jac_params, 3, alphas)
+        alpha_values_at_energy("J", jac_params, 3, alphas)
     assert issubclass(SqrtValueMismatch, ArithmeticError)
 
 
 def test_aw_alpha_collapse_at_energy(aw_params):
-    vals = alpha_values_at_energy("AW", 1, aw_params, 2,
+    vals = alpha_values_at_energy("AW", aw_params, 2,
                                   alpha_conjecture("AW", 1, aw_params))
     E = energy(aw_params, 2)
     assert vals[0] == energy(aw_params, 3) - E
@@ -97,7 +97,7 @@ def test_aw_alpha_collapse_at_energy(aw_params):
 
 
 def test_conjectured_R_jacobi_symbolic():
-    R = conjectured_R("J", 2)
+    R = conjectured_R(alpha_conjecture("J", 2))
     assert R[3] == ParamPoly.const(40)
     assert R[2] == 80 * (z + a * a) - 528
     assert R[1] == -1024 * (z + a * a - F(5, 2))
@@ -105,7 +105,7 @@ def test_conjectured_R_jacobi_symbolic():
 
 
 def test_conjectured_R_wilson_symbolic():
-    R = conjectured_R("W", 2)
+    R = conjectured_R(alpha_conjecture("W", 2))
     zp = 4 * z + (b1 - 1) ** 2
     assert R[3] == ParamPoly.const(10)
     assert R[2] == 5 * zp - 33
@@ -115,7 +115,7 @@ def test_conjectured_R_wilson_symbolic():
 
 def test_conjectured_R_askey_wilson_bound(aw_params):
     q, b4 = aw_params.q, aw_params.b4
-    R = conjectured_R("AW", 2, aw_params)
+    R = conjectured_R(alpha_conjecture("AW", 2, aw_params))
     zp = z + 1 + b4 / q
     assert R[3] == q ** -2 * (1 - q) ** 2 * (1 + 3 * q + q ** 2) * zp
     assert R[2] == -(q ** -3) * (1 - q) ** 2 * (
@@ -148,8 +148,7 @@ def test_expansion_has_the_roots_it_was_built_from():
     assert elementary_symmetric_R([F(3)]) == [F(3)]
 
 
-def test_conjectured_lists_are_the_elementary_symmetric_functions(aw_params,
-                                                                  monkeypatch):
+def test_conjectured_lists_are_the_elementary_symmetric_functions(aw_params):
     # the conjectured R_i are (-1)^(K-i+1) e_(K-i)(alpha) summed term by term
     # over the SqrtExpr eigenvalue list, square-root free, for all four
     # families
@@ -166,13 +165,12 @@ def test_conjectured_lists_are_the_elementary_symmetric_functions(aw_params,
                         term = term * alpha
                     e = e + term
                 expected.append(((-1) ** (K - i + 1) * e).poly_part())
-            assert conjectured_R(fam, L, ps) == expected, (fam, L)
+            assert conjectured_R(alpha_conjecture(fam, L, ps)) == expected, (fam, L)
     # negative control: an unpaired list leaves the square root in R_0
     unpaired = alpha_conjecture("J", 1, None)
     unpaired[1] = unpaired[0] + 1
-    monkeypatch.setattr(closure, "alpha_conjecture", lambda *args: unpaired)
     with pytest.raises(ValueError, match="still carries the square root"):
-        conjectured_R("J", 1)
+        conjectured_R(unpaired)
 
 
 def test_char_poly_identity_all_families(aw_params):
@@ -180,7 +178,7 @@ def test_char_poly_identity_all_families(aw_params):
     for fam, ps in (("L", None), ("J", None), ("W", None), ("AW", aw_params)):
         for L in (1, 2, 3):
             alphas = alpha_conjecture(fam, L, ps)
-            A = CompanionMatrix(tuple(conjectured_R(fam, L, ps)))
+            A = CompanionMatrix(tuple(conjectured_R(alpha_conjecture(fam, L, ps))))
             for al in alphas:
                 val = A.char_poly_at(al)
                 assert val.is_sqrt_free and val.poly_part().is_zero
@@ -198,7 +196,7 @@ def test_pairing_identities_all_families(pairing_params, aw_params):
     parameters."""
     for ps in (*pairing_params, aw_params):
         for L in (1, 2, 3, 4):
-            rep = pairing_identities(ps.fam, L, ps, alpha_conjecture(ps.fam, L, ps))
+            rep = pairing_identities(ps.fam, ps, alpha_conjecture(ps.fam, L, ps))
             assert all(e["ok"] for e in rep), (ps, L)
 
 
@@ -227,7 +225,7 @@ def test_spacing_all_families(lag_params, wil_params, aw_params):
     for L in (1, 2, 3, 4):
         for fam, ps in (("L", lag_params), ("J", j_by_L[L]),
                         ("W", wil_params), ("AW", aw_params)):
-            rep = check_alpha_spectrum(fam, L, ps, range(9),
+            rep = check_alpha_spectrum(fam, ps, range(9),
                                        alpha_conjecture(fam, L, ps))
             assert all(e["ok"] for e in rep), (fam, L)
 
@@ -235,7 +233,7 @@ def test_spacing_all_families(lag_params, wil_params, aw_params):
 def test_ordering_boundary_is_detected():
     # J with a exactly at the boundary 2L-1 degenerates at z = 0
     ps = ParamSet("J", {"g": F(2), "h": F(3)})
-    rep = check_alpha_spectrum("J", 3, ps, range(2), alpha_conjecture("J", 3, ps))
+    rep = check_alpha_spectrum("J", ps, range(2), alpha_conjecture("J", 3, ps))
     assert any(not e["ok"] for e in rep)
 
 
@@ -320,8 +318,8 @@ def _energy_spectrum(fam, L, n):
     ps = ParamSet(fam, {k: rat(v) for k, v in DEFAULT_PARAMS[fam].items()})
     En = energy(ps, n)
     return ([Ri.subs({"z": En}).constant_value()
-             for Ri in conjectured_R(fam, L, ps)],
-            alpha_values_at_energy(fam, L, ps, n, alpha_conjecture(fam, L, ps)))
+             for Ri in conjectured_R(alpha_conjecture(fam, L, ps))],
+            alpha_values_at_energy(fam, ps, n, alpha_conjecture(fam, L, ps)))
 
 
 def _energy_spectra():

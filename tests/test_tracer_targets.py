@@ -50,3 +50,25 @@ def test_every_package_definition_has_a_reader():
     unread = sorted(f"{name} ({where})" for name, where in defined.items()
                     if name not in read and name not in pinned)
     assert unread == []
+
+
+def test_every_function_parameter_is_read():
+    # a parameter is read when its name is loaded in the body of its
+    # function or lambda (nested definitions included); self, cls and _ are
+    # exempt
+    unread = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs,
+                      *filter(None, (args.vararg, args.kwarg))]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            loaded = {n.id for stmt in body for n in ast.walk(stmt)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "lambda")
+            unread += [f"{name}: {p.arg} ({path.relative_to(SRC)}:{node.lineno})"
+                       for p in params if p.arg not in {"self", "cls", "_"} | loaded]
+    assert unread == []
