@@ -33,11 +33,11 @@ for fam, ps in SAMPLES.items():
               canonical_seed(fam, "II", 1, ps))
     # spacing: alpha_j(E_n) equals an exact energy difference
     alphas = alpha_conjecture(fam, 2, ps)
-    vals = alpha_values_at_energy(fam, ps, 3, alphas)
+    vals = alpha_values_at_energy(ps, 3, alphas)
     diffs = [energy(ps, 3 + s) - energy(ps, 3) for s in (2, 1, -1, -2)]
     assert vals == diffs
     print("   alpha_j(E_3) = E_(3+shift) - E_3:", [str(v) for v in vals])
-    print("   sqrt-free value at E_3:", str(sqrt_value_at_energy(fam, ps, 3)))
-    report = check_alpha_spectrum(fam, ps, range(9), alphas)
+    print("   sqrt-free value at E_3:", str(sqrt_value_at_energy(ps, 3)))
+    report = check_alpha_spectrum(ps, range(9), alphas)
     assert all(e["ok"] for e in report)
     print(f"   spacing + ordering checks: {len(report)} exact passes")

@@ -24,7 +24,7 @@ print("recursion/eigen/initial all exact:",
 params = ParamSet("J", {"g": Fraction(2), "h": Fraction(3)})
 alpha_list = alpha_conjecture("J", 2, params)
 for n in (0, 1, 3):
-    alphas = alpha_values_at_energy("J", params, n, alpha_list)
+    alphas = alpha_values_at_energy(params, n, alpha_list)
     print(f"J, L=2, n={n}: alphas at E_n = {alphas}")
 
 # randomized spectra, deterministic seed

@@ -337,9 +337,8 @@ def _alpha_checks(report: Report, prefix: str, fam: str, L: int,
     for note in _validate_ranges(fam, params, L):
         report.add(f"range/{note}", None)
     alphas = alpha_conjecture(fam, L, params)
-    report.add_all(prefix, check_alpha_spectrum(fam, params, range(n_max + 1),
-                                                alphas))
-    report.add_all(prefix, pairing_identities(fam, params, alphas))
+    report.add_all(prefix, check_alpha_spectrum(params, range(n_max + 1), alphas))
+    report.add_all(prefix, pairing_identities(params, alphas))
     return alphas
 
 
@@ -354,7 +353,7 @@ def cmd_spectrum(args) -> int:
     # conjectured R_i expanded from the same list
     conj = conjectured_R(alpha_list)
     for n in range(min(args.n_max, 4) + 1):
-        alphas = alpha_values_at_energy(args.family, params, n, alpha_list)
+        alphas = alpha_values_at_energy(params, n, alpha_list)
         R_vals = [Ri.evaluate({"z": energy(params, n)}) for Ri in conj]
         try:
             suite = spectral_suite(R_vals, alphas)

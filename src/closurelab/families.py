@@ -484,9 +484,9 @@ class DeformedFamily:
     the eigen-equations of P_0..P_2 and held as its cleared numerators
     ``H_cleared`` = (c2*xi, N1, N0), so
     H = -4*xi^-1*(c2*xi*d^2 + N1*d + N0), and it is checked on
-    P_0..P_VALIDATE_N.  P(n) generation is memoized per instance,
-    and so is the level store that the closure engine and the ladders read
-    (``closure.level_coordinates``):
+    P_0..P_VALIDATE_N.  P(n) generation and the energies E(n) are memoized
+    per instance, and so is the level store that the closure engine and
+    the ladders read (``closure.level_coordinates``):
     ``checked_levels``, the levels m whose H P_m = E_m P_m has been checked
     by ``check_levels`` (P_0..P_VALIDATE_N at construction, further levels
     when they are first read), and ``recurrence_rows``, the zero-remainder
@@ -506,6 +506,7 @@ class DeformedFamily:
         self.source = source
         self.label = f"{fam}[{D.label() if D.entries else 'classical'}]"
         self._P_cache: dict[int, EtaPoly] = {}
+        self._E_cache: dict[int, Rat] = {}
         self.checked_levels: set[int] = set()
         self.recurrence_rows: dict[tuple[EtaPoly, int], dict[int, Rat]] = {}
         self.Etilde = [virtual_energy(params, t, d) for d, t in D.entries]
@@ -556,7 +557,11 @@ class DeformedFamily:
                 self.checked_levels.add(m)
 
     def E(self, n: int) -> Rat:
-        return energy(self.params, n)
+        """E_n (``energy``), computed once per level."""
+        E = self._E_cache.get(n)
+        if E is None:
+            E = self._E_cache[n] = energy(self.params, n)
+        return E
 
     @property
     def ell(self) -> int:
@@ -705,17 +710,21 @@ def seed_degree_drops(params: ParamSet, t: str, d: int) -> bool:
 
 
 def plugin_dict_from_family(df: DeformedFamily) -> dict:
-    """Serialize a family whose rule is a classical combination (every
-    built-in family) as a plugin dictionary; it round-trips through
-    family_from_plugin_dict."""
-    dp_c, p_c = df.rule
+    """Serialize a family as a plugin dictionary that round-trips through
+    family_from_plugin_dict: the rule it holds, a classical combination
+    (every built-in family) or an explicit list."""
+    if isinstance(df.rule, list):
+        P = {"kind": "explicit", "polys": [p.record() for p in df.rule]}
+    else:
+        dp_c, p_c = df.rule
+        P = {"kind": "classical-combination",
+             "dP_coeff": dp_c.record(), "P_coeff": p_c.record()}
     return {
         "family": df.fam,
         "parameters": {k: rat_str(v) for k, v in df.params.values.items()},
         "D": [{"d": d, "type": t} for d, t in df.D.entries],
         "xi": df.xi.record(),
-        "P": {"kind": "classical-combination",
-              "dP_coeff": dp_c.record(), "P_coeff": p_c.record()},
+        "P": P,
     }
 
 

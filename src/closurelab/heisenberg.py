@@ -11,13 +11,18 @@ Heisenberg solution are all decided exactly on coordinate vectors.  Every
 check reads the family's level store alone: the recurrence rows
 (``recurrence.recurrence_row``) and the levels whose eigen-equation
 ``DeformedFamily.check_levels`` has proved, so no check applies H again.
+The companion eigendata are read in the certified integer form of
+``spectral.SpectralData``, so the ladder actions and the time-power series
+are decided on integer numerators, with one Fraction per coordinate.
 Ladder operators are never materialized as standalone operators.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable
 
 from .exactalg import EtaPoly, Rat
@@ -73,17 +78,10 @@ class LadderContext:
         roots alpha_j(E_n) and coefficients R_i(E_n), and R_-1(E_n); the
         closure data are evaluated once per level."""
         if n not in self._spectral:
-            alphas = alpha_values_at_energy(self.df.fam, self.df.params, n,
-                                            self._alpha_list)
+            alphas = alpha_values_at_energy(self.df.params, n, self._alpha_list)
             R_vals, R_minus1 = self.cd.values_at(self.df.E(n))
             self._spectral[n] = (eigen_closed_form(R_vals, alphas), R_minus1)
         return self._spectral[n]
-
-    def ad_coords(self, i: int, n: int) -> dict[int, Rat]:
-        """Coordinates of ((ad H)^i X) P(n) at P(n+k): r_{n,k} Delta_{n,k}^i,
-        read from the family's level store (see closure.level_coordinates)."""
-        return {k: r * delta ** i
-                for k, r, delta in level_coordinates(self.df, self.X, n)}
 
     def r(self, n: int, k: int) -> Rat:
         """The recurrence coefficient r_{n,k} of X P(n) at P(n+k), |k| <= L,
@@ -113,21 +111,38 @@ def _ladder_action(ctx: LadderContext, j: int, n: int) -> LadderAction:
     exactly when every other coordinate is zero, and zero exactly when all
     are.  Raises NotProportional when the image is not a scalar multiple of
     the target eigenpolynomial.
+
+    On integers (0-based i and j, the notation of
+    ``spectral.eigen_closed_form``): S[i][j] = N_ij/u_i with
+    u_i = rho delta^(K-1-i), S^-1[j][0] = V0_j/v and alpha_j = B_j/delta.
+    With Delta_{n,k} = p/q in lowest terms (q > 0), every term over the
+    common denominator q^(K-1) rho delta^(K-1) gives
+    sum_i r Delta^i N_ij/u_i = r T/(q^(K-1) rho delta^(K-1)),
+    T = sum_i N_ij (p delta)^i q^(K-1-i)  (``_horner``),
+    since (p/q)^i/delta^(K-1-i) = (p delta)^i q^(K-1-i)/(q^(K-1) delta^(K-1)).
+    At k = 0 (Delta = 0, so q = 1) the term R_-1/alpha_j = R_-1 delta/B_j is
+    added over the product of the two denominators.  Each coordinate is
+    then one Fraction of integers, the same rational as the sum it
+    rewrites, so the coordinates are equal to the Fraction route's.
     """
     K = ctx.K
     if not 1 <= j <= K:
         raise ValueError("need 1 <= j <= K")
     shift = ladder_shift(ctx.L, j)
     sd, R_minus1 = ctx.spectral_at(n)
-    alpha_j = sd.alphas[j - 1]
-    column = [sd.P[i][j - 1] for i in range(K)]
-    scale = sd.P_inv[j - 1][0]
+    alpha_j, b, V0 = sd.alphas[j - 1], sd.B[j - 1], sd.V0[j - 1]
+    column = [row[j - 1] for row in sd.N]
+    base = sd.rho * sd.delta ** (K - 1)
     coords = {}
     for k, r, delta in level_coordinates(ctx.df, ctx.X, n):
-        c = sum(r * delta ** i * column[i] for i in range(K))
+        p, q = delta.numerator, delta.denominator
+        num = r.numerator * _horner(column, p * sd.delta, q)
+        den = r.denominator * q ** (K - 1) * base
         if k == 0:
-            c += R_minus1 / alpha_j
-        coords[k] = c * scale
+            num = (num * R_minus1.denominator * b
+                   + R_minus1.numerator * sd.delta * den)
+            den *= R_minus1.denominator * b
+        coords[k] = Fraction(num * V0, den * sd.v)
     target_n = n + shift
     if target_n < 0:
         if any(coords.values()):
@@ -137,6 +152,17 @@ def _ladder_action(ctx: LadderContext, j: int, n: int) -> LadderAction:
         raise NotProportional(f"j={j}, n={n}: image is not proportional to P({target_n})")
     return LadderAction(j, n, shift, coords[shift], coords, alpha_j,
                         ctx.df.P(target_n))
+
+
+def _horner(column: list[int], x: int, y: int) -> int:
+    """sum_i column[i] x^i y^(K-1-i), K = len(column), by homogeneous
+    Horner: acc = column[K-1], then acc <- acc x + column[i] y^(K-1-i) for
+    i = K-2..0, the power of y carried from one step to the next."""
+    acc, ypow = column[-1], 1
+    for c in reversed(column[:-1]):
+        ypow *= y
+        acc = acc * x + c * ypow
+    return acc
 
 
 def ladder_suite(ctx: LadderContext, n_range: Iterable[int]) -> list[dict]:
@@ -205,18 +231,43 @@ def heisenberg_series_check(ctx: LadderContext, n: int, m_max: int) -> list[dict
     Order m >= 1: (ad H)^m X P(n) = sum_j alpha_j(E_n)^m (a^(j) P(n)).
     Order m = 0: X P(n) = sum_j a^(j) P(n) - R_-1(E_n)/R_0(E_n) P(n).
     Both sides lie in the span of the independent P(n+k), so they are
-    compared coordinate by coordinate.
+    compared coordinate by coordinate: at P(n+k) the left side is
+    r_{n,k} Delta_{n,k}^m (``closure.level_coordinates``) and the right side
+    sum_j alpha_j^m c_jk, c_jk the coordinate of a^(j) P(n) at P(n+k).
+
+    Order m >= 1 on integers: with r_{n,k} = r_num/r_den,
+    Delta_{n,k} = p/q, alpha_j = B_j/delta (``spectral.SpectralData``) and
+    level n's coordinates over one denominator per k, c_jk = C_jk/D_k
+    (D_k the lcm of their denominators), the equation
+    r_num p^m/(r_den q^m) = sum_j B_j^m C_jk/(delta^m D_k), multiplied by
+    the nonzero integer r_den q^m delta^m D_k, reads
+    r_num p^m delta^m D_k = r_den q^m sum_j B_j^m C_jk,
+    which holds exactly when the rational one does.  B_j^m, delta^m, p^m
+    and q^m are carried from m to m + 1 by one product each.
     """
     out = []
     sd, R_minus1 = ctx.spectral_at(n)
     actions = [ladder_apply(ctx, j, n) for j in range(1, ctx.K + 1)]
-    const = R_minus1 / sd.R[0]
-    for m in range(m_max + 1):
-        lhs = ctx.ad_coords(m, n)
-        rhs = {k: sum(alpha ** m * action.coords[k]
-                      for alpha, action in zip(sd.alphas, actions))
-               for k in lhs}
-        if m == 0:
-            rhs[0] -= const
-        out.append({"check": "time-power", "m": m, "n": n, "ok": lhs == rhs})
+    levels = level_coordinates(ctx.df, ctx.X, n)
+    lhs = {k: r for k, r, _ in levels}
+    rhs = {k: sum(action.coords[k] for action in actions) for k in lhs}
+    rhs[0] -= R_minus1 / sd.R[0]
+    out.append({"check": "time-power", "m": 0, "n": n, "ok": lhs == rhs})
+    rows = []  # per k: [r_num D_k p^m, r_den q^m, p, q, C_.k]
+    for k, r, delta in levels:
+        cs = [action.coords[k] for action in actions]
+        D = math.lcm(*(c.denominator for c in cs))
+        C = [c.numerator * (D // c.denominator) for c in cs]
+        p, q = delta.numerator, delta.denominator
+        rows.append([r.numerator * D * p, r.denominator * q, p, q, C])
+    Bm, dm = list(sd.B), sd.delta
+    for m in range(1, m_max + 1):
+        ok = all(left * dm == right * sum(map(mul, Bm, C))
+                 for left, right, _, _, C in rows)
+        out.append({"check": "time-power", "m": m, "n": n, "ok": ok})
+        for row in rows:
+            row[0] *= row[2]
+            row[1] *= row[3]
+        Bm = [x * b for x, b in zip(Bm, sd.B)]
+        dm *= sd.delta
     return out

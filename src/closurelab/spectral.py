@@ -148,9 +148,10 @@ def sqrt_square(fam: str, params: ParamSet | None = None) -> ParamPoly:
     raise ValueError(f"unknown family {fam!r}")
 
 
-def sqrt_value_at_energy(fam: str, params: ParamSet, n: int) -> Rat:
-    """The square-root-free value sqrt(S(E_n)): 2n+a (J), 2n+b1-1 (W),
-    q^-n - b4 q^(n-1) (AW), 1 (L)."""
+def sqrt_value_at_energy(params: ParamSet, n: int) -> Rat:
+    """The square-root-free value sqrt(S(E_n)) of the family
+    ``params.fam``: 2n+a (J), 2n+b1-1 (W), q^-n - b4 q^(n-1) (AW), 1 (L)."""
+    fam = params.fam
     if fam == "L":
         return Fraction(1)
     if fam == "J":
@@ -195,16 +196,17 @@ def alpha_conjecture(fam: str, L: int,
     return out
 
 
-def alpha_values_at_energy(fam: str, params: ParamSet, n: int,
+def alpha_values_at_energy(params: ParamSet, n: int,
                            alphas: list[SqrtExpr]) -> list[Rat]:
     """alpha_j(E_n), square-root free, as exact rationals, for ``alphas`` =
-    alpha_conjecture(fam, L, params).  Raises SqrtValueMismatch unless
-    s = ``sqrt_value_at_energy`` squares to S(E_n)."""
+    alpha_conjecture(params.fam, L, params).  Raises SqrtValueMismatch
+    unless s = ``sqrt_value_at_energy`` squares to S(E_n)."""
     En = energy(params, n)
-    s = sqrt_value_at_energy(fam, params, n)
+    s = sqrt_value_at_energy(params, n)
     S_at = alphas[0].square.evaluate({"z": En})
     if S_at != s * s:
-        raise SqrtValueMismatch(f"{fam}: sqrt(S(E_{n})) = {s}, but S(E_{n}) = {S_at}")
+        raise SqrtValueMismatch(
+            f"{params.fam}: sqrt(S(E_{n})) = {s}, but S(E_{n}) = {S_at}")
     return [alpha.eval_at({"z": En}, s) for alpha in alphas]
 
 
@@ -212,12 +214,12 @@ def alpha_values_at_energy(fam: str, params: ParamSet, n: int,
 ORDERING_GRID = tuple(Fraction(k, 3) for k in range(12))
 
 
-def check_alpha_spectrum(fam: str, params: ParamSet, n_range: Sequence[int],
+def check_alpha_spectrum(params: ParamSet, n_range: Sequence[int],
                          alphas: list[SqrtExpr]) -> list[dict]:
     """Spacing identities alpha_j(E_n) = E_(n+shift) - E_n, shift =
     ``ladder_shift(L, j)``, plus the strict ordering
     alpha_1 > ... > alpha_2L at every E_n and on ``ORDERING_GRID``, for
-    ``alphas`` = alpha_conjecture(fam, L, params).
+    ``alphas`` = alpha_conjecture(params.fam, L, params).
 
     Everything is exact; violations come back as report entries.
     """
@@ -225,7 +227,7 @@ def check_alpha_spectrum(fam: str, params: ParamSet, n_range: Sequence[int],
     S = alphas[0].square
     L = len(alphas) // 2
     for n in n_range:
-        vals = alpha_values_at_energy(fam, params, n, alphas)
+        vals = alpha_values_at_energy(params, n, alphas)
         En = energy(params, n)
         for j in range(1, 2 * L + 1):
             expected = energy(params, n + ladder_shift(L, j)) - En
@@ -248,11 +250,11 @@ def check_alpha_spectrum(fam: str, params: ParamSet, n_range: Sequence[int],
     return out
 
 
-def pairing_identities(fam: str, params: ParamSet,
-                       alphas: list[SqrtExpr]) -> list[dict]:
+def pairing_identities(params: ParamSet, alphas: list[SqrtExpr]) -> list[dict]:
     """alpha_j + alpha_{2L+1-j} and alpha_j * alpha_{2L+1-j} equal the
     printed polynomial forms identically in z (square root eliminated), for
-    ``alphas`` = alpha_conjecture(fam, L, params)."""
+    ``alphas`` = alpha_conjecture(params.fam, L, params)."""
+    fam = params.fam
     z = ParamPoly.var("z")
     out = []
     L = len(alphas) // 2
@@ -320,33 +322,41 @@ def recursion_vectors(R: Sequence, count: int) -> list[list]:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Closed-form eigendata of a companion matrix with distinct nonzero
-    rational eigenvalues."""
+    """Certified eigendata of a companion matrix with distinct nonzero
+    rational eigenvalues, held in the integer form that
+    ``eigen_closed_form`` checks: alpha_j = B_j/delta, R_i = S_i/rho,
+    P_ij = N_ij/u_i and (P^-1)_j0 = V0_j/v (0-based; every divisor
+    positive).  ``alphas`` and ``R`` are the supplied Fractions; ``P`` and
+    ``P_inv`` are the Fraction matrices, built only when read."""
 
     alphas: tuple
     R: tuple
-    P: tuple          # P[i][j], 0-based
-    P_inv: tuple      # P_inv[j][i]
+    B: tuple
+    delta: int
+    S: tuple
+    rho: int
+    N: tuple          # N[i][j]
+    u: tuple
+    V0: tuple
+    v: int
 
     @property
     def K(self) -> int:
         return len(self.alphas)
 
+    @property
+    def P(self) -> tuple:
+        """P[i][j] = N_ij/u_i."""
+        return tuple(tuple(Fraction(x, ui) for x in row)
+                     for row, ui in zip(self.N, self.u))
 
-@dataclass(frozen=True)
-class _Numerators:
-    """A certified spectrum on integers (notation of eigen_closed_form):
-    alpha_j = B_j/delta, R_i = S_i/rho, P_ij = N_ij/u_i and
-    (P^-1)_j0 = V0_j/v."""
-
-    B: list
-    delta: int
-    S: list
-    rho: int
-    N: list
-    u: list
-    V0: list
-    v: int
+    @property
+    def P_inv(self) -> tuple:
+        """P_inv[j][k] = B_j^k delta^(K-1-k)/E_j = V0_j B_j^k/(v delta^k),
+        since V0_j = (v/E_j) delta^(K-1)."""
+        return tuple(tuple(Fraction(vj * b ** k, self.v * self.delta ** k)
+                           for k in range(self.K))
+                     for vj, b in zip(self.V0, self.B))
 
 
 def eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
@@ -374,11 +384,13 @@ def eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
       (P^-1)_jk = B_j^k delta^(K-1-k) / E_j.  With v = lcm_j |E_j| and the
       integer c_j = v/E_j, every column of P^-1 is V_.k/v,
       V_jk = c_j B_j^k delta^(K-1-k).
-    The returned P and P^-1 are these quotients as Fractions, so the checks
-    below certify exactly the data returned.  Each integer equation is its
-    Fraction equation multiplied by a nonzero integer (rho, delta, u_i, v,
-    E_j and B_j are nonzero: the a_j are distinct and nonzero), so it holds
-    exactly when the Fraction equation does:
+    The returned SpectralData holds B, delta, S, rho, N, u, the column
+    V0 = V_.0 and v, and its P and P^-1 are their quotients (the columns
+    V_.k = V0 B^k/delta^k), so the checks below certify exactly the data
+    returned.  Each integer equation is its Fraction equation multiplied by
+    a nonzero integer (rho, delta, u_i, v, E_j and B_j are nonzero: the a_j
+    are distinct and nonzero), so it holds exactly when the Fraction
+    equation does:
     - characteristic polynomial: one more Horner step gives
       a_j P_0j - R_0 = a_j^K - sum_i R_i a_j^i; times rho*delta^K it reads
       B_j N_0j - S_0 delta^K = 0;
@@ -397,11 +409,6 @@ def eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
       roots match), times S_0 v prod_j B_j:
       S_0 delta sum_j V_j0 prod_{k != j} B_k = rho v prod_j B_j.
     """
-    return _certified(R, alphas)[0]
-
-
-def _certified(R: Sequence, alphas: Sequence) -> tuple[SpectralData, _Numerators]:
-    """eigen_closed_form's eigendata together with its integer form."""
     K = len(R)
     alphas = [rat(a) for a in alphas]
     R = [rat(r) for r in R]
@@ -456,11 +463,8 @@ def _certified(R: Sequence, alphas: Sequence) -> tuple[SpectralData, _Numerators
     if (S[0] * delta * sum(vj * (B_prod // b) for vj, b in zip(V_cols[0], B))
             != rho * v * B_prod):
         raise DegenerateSpectrum("inverse-eigenvalue column sum check failed")
-    sd = SpectralData(
-        tuple(alphas), tuple(R),
-        tuple(tuple(Fraction(n, ui) for n in row) for row, ui in zip(N, u)),
-        tuple(tuple(Fraction(w, e) for w in row) for row, e in zip(W, E)))
-    return sd, _Numerators(B, delta, S, rho, N, u, V_cols[0], v)
+    return SpectralData(tuple(alphas), tuple(R), tuple(B), delta, tuple(S), rho,
+                        tuple(map(tuple, N)), tuple(u), tuple(V_cols[0]), v)
 
 
 def _det_bareiss(m: list[list[int]]) -> int:
@@ -501,7 +505,8 @@ def _det_bareiss(m: list[list[int]]) -> int:
 def spectral_suite(R: Sequence, alphas: Sequence) -> dict:
     """Full coherence check of one spectrum: closed-form eigendata plus the
     agreement of A^n e_1 computed three ways (matrix powers, the direct
-    recursion, and the eigen-decomposition) for n <= K + 3.
+    recursion, and the eigen-decomposition) for n <= K + 3.  Returns K and
+    the three verdicts (``recursion_ok``, ``eigen_ok``, ``initial_ok``).
 
     In the integer form of eigen_closed_form, rho*A has rho on the
     subdiagonal and S in the last column, so the matrix powers are
@@ -515,29 +520,29 @@ def spectral_suite(R: Sequence, alphas: Sequence) -> dict:
     (N_i . w) rho^n = X_i u_i v delta^n.  The initial condition A^K e_1 = R
     reads X^(K)_i = S_i rho^(K-1).
     """
-    sd, z = _certified(R, alphas)
+    sd = eigen_closed_form(R, alphas)
     K = sd.K
     count = K + 3
     by_recursion = recursion_vectors(sd.R, count)
     ok_rec = ok_eig = True
     X = [1] + [0] * (K - 1)
-    w = list(z.V0)
+    w = list(sd.V0)
     rho_n = delta_n = 1
     for n in range(count + 1):
         if n:
             last = X[K - 1]
-            X = [z.S[0] * last] + [s * last + z.rho * x
-                                   for s, x in zip(z.S[1:], X)]
+            X = [sd.S[0] * last] + [s * last + sd.rho * x
+                                    for s, x in zip(sd.S[1:], X)]
         if n == K:
             # initial conditions: A^K e_1 must reproduce the last column R
-            ok_init = X == [s * z.rho ** (K - 1) for s in z.S]
+            ok_init = X == [s * sd.rho ** (K - 1) for s in sd.S]
         for i, (f, x) in enumerate(zip(by_recursion[n], X)):
             if f.numerator * rho_n != x * f.denominator:
                 ok_rec = False
-            if sum(map(mul, z.N[i], w)) * rho_n != x * z.u[i] * z.v * delta_n:
+            if sum(map(mul, sd.N[i], w)) * rho_n != x * sd.u[i] * sd.v * delta_n:
                 ok_eig = False
-        w = [wj * b for wj, b in zip(w, z.B)]
-        rho_n *= z.rho
-        delta_n *= z.delta
+        w = [wj * b for wj, b in zip(w, sd.B)]
+        rho_n *= sd.rho
+        delta_n *= sd.delta
     return {"K": K, "recursion_ok": ok_rec, "eigen_ok": ok_eig,
-            "initial_ok": ok_init, "data": sd}
+            "initial_ok": ok_init}

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from closurelab.exactalg import rat
-from closurelab.spectral import DegenerateSpectrum, SpectralData, recursion_vectors
+from closurelab.spectral import DegenerateSpectrum, recursion_vectors
 
 
 @dataclass(frozen=True)
@@ -53,8 +53,10 @@ class CompanionMatrix:
         return acc
 
 
-def reference_eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
-    """Closed-form eigendata with every check made on Fractions."""
+def reference_eigen_closed_form(R: Sequence, alphas: Sequence) -> tuple:
+    """Closed-form eigendata with every check made on Fractions, as the
+    tuple (alphas, R, P, P_inv) of ``SpectralData``'s Fraction fields and
+    views."""
     K = len(R)
     alphas = [rat(a) for a in alphas]
     R = [rat(r) for r in R]
@@ -102,8 +104,7 @@ def reference_eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
     s = sum((1 / a) * P_inv[j][0] for j, a in enumerate(alphas))
     if s != 1 / R[0]:
         raise DegenerateSpectrum("inverse-eigenvalue column sum check failed")
-    return SpectralData(tuple(alphas), tuple(R), tuple(map(tuple, P)),
-                        tuple(map(tuple, P_inv)))
+    return tuple(alphas), tuple(R), tuple(map(tuple, P)), tuple(map(tuple, P_inv))
 
 
 def reference_det(m: list[list]) -> Fraction:
@@ -130,21 +131,21 @@ def reference_spectral_suite(R: Sequence, alphas: Sequence,
                              extra_powers: int = 3) -> dict:
     """A^n e_1 three ways (matrix powers, direct recursion, eigen-
     decomposition) for n <= K + extra_powers, on Fractions."""
-    sd = reference_eigen_closed_form(R, alphas)
-    K = sd.K
+    alphas, R, P, P_inv = reference_eigen_closed_form(R, alphas)
+    K = len(R)
     count = K + extra_powers
-    A = CompanionMatrix(sd.R)
+    A = CompanionMatrix(R)
     e1 = [Fraction(1)] + [Fraction(0)] * (K - 1)
     by_matrix = A.power_vectors(e1, count)
-    by_recursion = recursion_vectors(sd.R, count)
+    by_recursion = recursion_vectors(R, count)
     ok_rec = by_matrix == by_recursion
     ok_eig = True
-    w = [sd.P_inv[j][0] for j in range(K)]
+    w = [P_inv[j][0] for j in range(K)]
     for n in range(count + 1):
-        recon = [sum(sd.P[i][j] * w[j] for j in range(K)) for i in range(K)]
+        recon = [sum(P[i][j] * w[j] for j in range(K)) for i in range(K)]
         if recon != by_matrix[n]:
             ok_eig = False
-        w = [wj * a for wj, a in zip(w, sd.alphas)]
-    ok_init = by_matrix[K] == list(sd.R)
+        w = [wj * a for wj, a in zip(w, alphas)]
+    ok_init = by_matrix[K] == list(R)
     return {"K": K, "recursion_ok": ok_rec, "eigen_ok": ok_eig,
-            "initial_ok": ok_init, "data": sd}
+            "initial_ok": ok_init}

@@ -149,7 +149,7 @@ def test_criterion_07_companion_matrix_suite(l1i_closure, j1i_closure,
         L = cd.K // 2
         alpha_list = alpha_conjecture(fam, L, ps)
         for n in range(4):
-            alphas = alpha_values_at_energy(fam, ps, n, alpha_list)
+            alphas = alpha_values_at_energy(ps, n, alpha_list)
             En = energy(ps, n)
             R_vals = [Ri.evaluate({"z": En}) for Ri in cd.R]
             suite = spectral_suite(R_vals, alphas)
@@ -206,7 +206,7 @@ def test_criterion_08_conjectured_coefficients(aw_params, pairing_params,
     # pairing_params holds three distinct values of each
     for ps in (*pairing_params, aw_params):
         for L in (1, 2, 3, 4):
-            rep = pairing_identities(ps.fam, ps, alpha_conjecture(ps.fam, L, ps))
+            rep = pairing_identities(ps, alpha_conjecture(ps.fam, L, ps))
             ok = ok and all(e["ok"] for e in rep)
     # and the expansion itself is square-root free, symbolically in a and b1
     for fam, ps in (("L", None), ("J", None), ("W", None), ("AW", aw_params)):
@@ -237,15 +237,15 @@ def test_criterion_09_spectral_spacing(lag_params, wil_params, aw_params):
     for L in (1, 2, 3, 4):
         for fam, ps in (("L", lag_params), ("J", j_by_L[L]),
                         ("W", wil_params), ("AW", aw_params)):
-            rep = check_alpha_spectrum(fam, ps, range(9),
+            rep = check_alpha_spectrum(ps, range(9),
                                        alpha_conjecture(fam, L, ps))
             ok = ok and all(e["ok"] for e in rep)
     # square-root-free evaluations match the printed closed forms
     for n in range(9):
-        ok = ok and sqrt_value_at_energy("J", j_by_L[2], n) == 2 * n + j_by_L[2].a
+        ok = ok and sqrt_value_at_energy(j_by_L[2], n) == 2 * n + j_by_L[2].a
         b1v = sum(wil_params.a_list())
-        ok = ok and sqrt_value_at_energy("W", wil_params, n) == 2 * n + b1v - 1
-        ok = ok and (sqrt_value_at_energy("AW", aw_params, n)
+        ok = ok and sqrt_value_at_energy(wil_params, n) == 2 * n + b1v - 1
+        ok = ok and (sqrt_value_at_energy(aw_params, n)
                      == aw_params.q ** (-n) - aw_params.b4 * aw_params.q ** (n - 1))
     _record(9, ok, "spacing identities alpha_j(E_n) = E_(n+shift) - E_n exact "
                    "for n <= 8, all four families at admissible samples, with "

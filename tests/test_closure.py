@@ -226,7 +226,7 @@ def test_alpha_values_are_closure_roots(l1i_closure, lag_params):
     for n in range(5):
         En = energy(lag_params, n)
         R_at = [Ri.evaluate({"z": En}) for Ri in cd.R]
-        for al in alpha_values_at_energy("L", lag_params, n,
+        for al in alpha_values_at_energy(lag_params, n,
                                          alpha_conjecture("L", 2, lag_params)):
             assert al ** 4 == sum(R_at[i] * al ** i for i in range(4))
 

@@ -14,7 +14,8 @@ from closurelab.families import (DegreeMismatch, EigenValidationFailed,
                                  c2_poly, canonical_seed, check_seed,
                                  classical_family, classical_h_step,
                                  classical_poly, eigen_residual, energy,
-                                 family_from_plugin_dict, one_step_family,
+                                 family_from_plugin_dict, load_family_plugin,
+                                 one_step_family,
                                  plugin_dict_from_family, seed_data,
                                  seed_degree_drops, virtual_energy)
 from closurelab.opalg import DiffOp
@@ -494,7 +495,7 @@ def test_shipped_plugin_files_load():
         assert df.source == "plugin"
 
 
-def test_plugin_serialization_round_trip(lag_params, jac_params):
+def test_plugin_serialization_round_trip(lag_params, jac_params, explicit_plugin):
     # every built-in family, the undeformed one included, is written as the
     # rule it holds and loads back to the same P_n
     families = [one_step_family("L", "II", 2, ParamSet("L", {"g": F(7, 2)}))]
@@ -504,3 +505,14 @@ def test_plugin_serialization_round_trip(lag_params, jac_params):
         loaded = family_from_plugin_dict(plugin_dict_from_family(df))
         assert loaded.xi == df.xi, df.label
         assert [loaded.P(n) for n in range(9)] == [df.P(n) for n in range(9)], df.label
+    # an explicit-list plugin is written as its list: the same P_n for every
+    # listed n, and no level beyond it
+    df = load_family_plugin(explicit_plugin(12))
+    data = plugin_dict_from_family(df)
+    assert data["P"]["kind"] == "explicit"
+    loaded = family_from_plugin_dict(data)
+    assert loaded.xi == df.xi and loaded.p_max == df.p_max == 11
+    assert [loaded.P(n) for n in range(12)] == [df.P(n) for n in range(12)]
+    assert plugin_dict_from_family(loaded) == data
+    with pytest.raises(SchemaError, match="only up to n=11"):
+        loaded.P(12)

@@ -16,6 +16,7 @@ from closurelab.heisenberg import (LadderContext, NotProportional,
                                    check_r0_relation, commutation_check,
                                    heisenberg_series_check, ladder_apply,
                                    ladder_suite)
+from heisenberg_reference import ad_coords
 from operator_reference import H_tilde
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -53,8 +54,8 @@ def two_step_specialization(ctx, n_range):
         ap, am = sd.alphas
         En = ctx.df.E(n)
         const = ctx.cd.R_minus1.evaluate({"z": En}) / ctx.cd.R[0].evaluate({"z": En})
-        adX = ctx.ad_coords(1, n)
-        Xp = ctx.ad_coords(0, n)
+        adX = ad_coords(ctx, 1, n)
+        Xp = ad_coords(ctx, 0, n)
         Xc = {k: x + (const if k == 0 else 0) for k, x in Xp.items()}
         denom = ap - am
         plus = {k: (adX[k] - Xc[k] * am) / denom for k in adX}

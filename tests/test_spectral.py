@@ -51,7 +51,7 @@ def test_laguerre_alpha_list():
 
 
 def test_jacobi_alpha_sqrt_free_at_energy(jac_params):
-    vals = alpha_values_at_energy("J", jac_params, 3,
+    vals = alpha_values_at_energy(jac_params, 3,
                                   alpha_conjecture("J", 2, jac_params))
     av = jac_params.a
     s = 2 * 3 + av
@@ -62,14 +62,14 @@ def test_jacobi_alpha_sqrt_free_at_energy(jac_params):
 
 def test_sqrt_values_match_printed_closed_forms(jac_params, wil_params, aw_params):
     for n in range(7):
-        assert sqrt_value_at_energy("J", jac_params, n) == 2 * n + jac_params.a
+        assert sqrt_value_at_energy(jac_params, n) == 2 * n + jac_params.a
         b1v = sum(wil_params.a_list())
-        assert sqrt_value_at_energy("W", wil_params, n) == 2 * n + b1v - 1
+        assert sqrt_value_at_energy(wil_params, n) == 2 * n + b1v - 1
         expected = aw_params.q ** (-n) - aw_params.b4 * aw_params.q ** (n - 1)
-        assert sqrt_value_at_energy("AW", aw_params, n) == expected
+        assert sqrt_value_at_energy(aw_params, n) == expected
         # and they really are the square roots
         for fam, ps in (("J", jac_params), ("W", wil_params), ("AW", aw_params)):
-            s = sqrt_value_at_energy(fam, ps, n)
+            s = sqrt_value_at_energy(ps, n)
             S = sqrt_square(fam, ps)
             assert S.evaluate({"z": energy(ps, n)}) == s * s
 
@@ -81,15 +81,15 @@ def test_sqrt_value_that_does_not_square_to_S_is_rejected(jac_params,
     alphas = alpha_conjecture("J", 2, jac_params)
     real = spectral.sqrt_value_at_energy
     monkeypatch.setattr(spectral, "sqrt_value_at_energy",
-                        lambda fam, ps, n: real(fam, ps, n) + (n == 3))
-    assert alpha_values_at_energy("J", jac_params, 2, alphas)
+                        lambda ps, n: real(ps, n) + (n == 3))
+    assert alpha_values_at_energy(jac_params, 2, alphas)
     with pytest.raises(SqrtValueMismatch, match=r"^J: sqrt\(S\(E_3\)\) = 12"):
-        alpha_values_at_energy("J", jac_params, 3, alphas)
+        alpha_values_at_energy(jac_params, 3, alphas)
     assert issubclass(SqrtValueMismatch, ArithmeticError)
 
 
 def test_aw_alpha_collapse_at_energy(aw_params):
-    vals = alpha_values_at_energy("AW", aw_params, 2,
+    vals = alpha_values_at_energy(aw_params, 2,
                                   alpha_conjecture("AW", 1, aw_params))
     E = energy(aw_params, 2)
     assert vals[0] == energy(aw_params, 3) - E
@@ -196,7 +196,7 @@ def test_pairing_identities_all_families(pairing_params, aw_params):
     parameters."""
     for ps in (*pairing_params, aw_params):
         for L in (1, 2, 3, 4):
-            rep = pairing_identities(ps.fam, ps, alpha_conjecture(ps.fam, L, ps))
+            rep = pairing_identities(ps, alpha_conjecture(ps.fam, L, ps))
             assert all(e["ok"] for e in rep), (ps, L)
 
 
@@ -225,7 +225,7 @@ def test_spacing_all_families(lag_params, wil_params, aw_params):
     for L in (1, 2, 3, 4):
         for fam, ps in (("L", lag_params), ("J", j_by_L[L]),
                         ("W", wil_params), ("AW", aw_params)):
-            rep = check_alpha_spectrum(fam, ps, range(9),
+            rep = check_alpha_spectrum(ps, range(9),
                                        alpha_conjecture(fam, L, ps))
             assert all(e["ok"] for e in rep), (fam, L)
 
@@ -233,7 +233,7 @@ def test_spacing_all_families(lag_params, wil_params, aw_params):
 def test_ordering_boundary_is_detected():
     # J with a exactly at the boundary 2L-1 degenerates at z = 0
     ps = ParamSet("J", {"g": F(2), "h": F(3)})
-    rep = check_alpha_spectrum("J", ps, range(2), alpha_conjecture("J", 3, ps))
+    rep = check_alpha_spectrum(ps, range(2), alpha_conjecture("J", 3, ps))
     assert any(not e["ok"] for e in rep)
 
 
@@ -319,7 +319,7 @@ def _energy_spectrum(fam, L, n):
     En = energy(ps, n)
     return ([Ri.subs({"z": En}).constant_value()
              for Ri in conjectured_R(alpha_conjecture(fam, L, ps))],
-            alpha_values_at_energy(fam, ps, n, alpha_conjecture(fam, L, ps)))
+            alpha_values_at_energy(ps, n, alpha_conjecture(fam, L, ps)))
 
 
 def _energy_spectra():
@@ -336,7 +336,9 @@ def test_integer_certificate_matches_fraction_reference():
         suite = spectral_suite(R, alphas)
         assert suite == reference_spectral_suite(R, alphas)
         assert suite["recursion_ok"] and suite["eigen_ok"] and suite["initial_ok"]
-        assert eigen_closed_form(R, alphas) == suite["data"]
+        sd = eigen_closed_form(R, alphas)
+        want = reference_eigen_closed_form(R, alphas)
+        assert (sd.alphas, sd.R, sd.P, sd.P_inv) == want
 
 
 def _raised(fn, *args):
