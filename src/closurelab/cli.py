@@ -121,8 +121,9 @@ def _param_set(fam: str, given: dict[str, str]) -> ParamSet:
                           ": zero denominator") from None
 
 
-def _validate_ranges(fam: str, params: ParamSet, L: int) -> list[str]:
+def _validate_ranges(params: ParamSet, L: int) -> list[str]:
     """Family validity ranges; violations are warnings in the report."""
+    fam = params.fam
     notes = []
     if fam == "J" and not params.a > 2 * L - 1:
         notes.append(f"a={rat_str(params.a)} is not above the ordering bound 2L-1={2*L-1}")
@@ -194,12 +195,12 @@ def _family_instance(args, D: MultiIndex, params: ParamSet) -> DeformedFamily:
     return df
 
 
-def _outside_ordering_range(fam: str, params: ParamSet, L: int,
+def _outside_ordering_range(params: ParamSet, L: int,
                             exc: DegenerateSpectrum) -> Exception:
     """A degenerate companion spectrum is a configuration error when the
     parameters violate the family's ordering bound (named in the message);
     inside the range it stays an error of the program."""
-    notes = _validate_ranges(fam, params, L)
+    notes = _validate_ranges(params, L)
     return ConfigError("; ".join(notes)) if notes else exc
 
 
@@ -235,7 +236,7 @@ def cmd_verify_closure(args) -> int:
             raise ConfigError("--plugin: W and AW closure is checked spectrally "
                               "and reads no plugin")
         L = D.ell + Y.degree + 1
-        _alpha_checks(report, "spectral", fam, L, params, args.n_max)
+        _alpha_checks(report, "spectral", L, params, args.n_max)
         report.add("operator-level", None, notice="not implemented: "
                    "operator-level closure for difference operators")
         return _emit(report, args)
@@ -330,13 +331,13 @@ def cmd_recurrence(args) -> int:
     return _emit(report, args)
 
 
-def _alpha_checks(report: Report, prefix: str, fam: str, L: int,
-                  params: ParamSet, n_max: int) -> list:
+def _alpha_checks(report: Report, prefix: str, L: int, params: ParamSet,
+                  n_max: int) -> list:
     """The range notes, then the eigenvalue-list and pairing checks on one
     conjectured alpha list, under ``prefix``; returns the list."""
-    for note in _validate_ranges(fam, params, L):
+    for note in _validate_ranges(params, L):
         report.add(f"range/{note}", None)
-    alphas = alpha_conjecture(fam, L, params)
+    alphas = alpha_conjecture(params.fam, L, params)
     report.add_all(prefix, check_alpha_spectrum(params, range(n_max + 1), alphas))
     report.add_all(prefix, pairing_identities(params, alphas))
     return alphas
@@ -347,8 +348,7 @@ def cmd_spectrum(args) -> int:
     D, Y = _parse_D_Y(args)
     L = D.ell + Y.degree + 1
     report = Report("spectrum", _config_echo(args, params, Y))
-    alpha_list = _alpha_checks(report, "spectrum", args.family, L, params,
-                               args.n_max)
+    alpha_list = _alpha_checks(report, "spectrum", L, params, args.n_max)
     # companion-matrix suite at the first few energy points, with the
     # conjectured R_i expanded from the same list
     conj = conjectured_R(alpha_list)
@@ -358,7 +358,7 @@ def cmd_spectrum(args) -> int:
         try:
             suite = spectral_suite(R_vals, alphas)
         except DegenerateSpectrum as exc:
-            raise _outside_ordering_range(args.family, params, L, exc) from None
+            raise _outside_ordering_range(params, L, exc) from None
         report.add(f"spectrum/companion[n={n}]",
                    suite["recursion_ok"] and suite["eigen_ok"] and suite["initial_ok"])
     # randomized distinct-rational spectra
@@ -392,7 +392,7 @@ def cmd_heisenberg(args) -> int:
     if args.family in ("W", "AW"):
         raise ConfigError("the ladder suite needs polynomial family data (L or J)")
     df = _family_instance(args, D, params)
-    for note in _validate_ranges(df.fam, df.params, D.ell + Y.degree + 1):
+    for note in _validate_ranges(df.params, D.ell + Y.degree + 1):
         report.add(f"range/{note}", None)
     try:
         cd, X = closure_for_family(df, Y)
@@ -408,7 +408,7 @@ def cmd_heisenberg(args) -> int:
         for n in range(min(n_top, 3) + 1):
             report.add_all("heisenberg", heisenberg_series_check(ctx, n, cd.K + 2))
     except DegenerateSpectrum as exc:
-        raise _outside_ordering_range(df.fam, df.params, cd.K // 2, exc) from None
+        raise _outside_ordering_range(df.params, cd.K // 2, exc) from None
     return _emit(report, args)
 
 

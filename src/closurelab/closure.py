@@ -11,14 +11,18 @@ eigenpolynomial, X P_n = sum_k r_{n,k} P_{n+k} gives
 [(ad H)^i X] P_n = sum_k r_{n,k} (E_{n+k} - E_n)^i P_{n+k}, and every R(H)
 collapses to the rational R(E_n), so neither an operator nor a commutator
 image is ever formed.  Unknown coefficients enter linearly, so one exact
-linear solve per parameter point settles existence and uniqueness;
-parameter dependence is then reconstructed by interpolation at rational
-samples and certified at fresh samples.
+linear solve per parameter point settles existence and uniqueness; each
+level's rows are reduced in closed form and reach the solver scaled to
+integers.  Parameter dependence is then reconstructed from rational
+samples: each solve is read as its vector of coefficients of z^j in R_i,
+one tensor-grid interpolation (``exactalg.interpolate_grid``) rebuilds
+every coefficient at once, and the result is certified at fresh samples.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -105,6 +109,11 @@ def ad_powers(H: DiffOp, X: EtaPoly, count: int) -> list[DiffOp]:
 
 
 def _z_coefficient(poly: ParamPoly, j: int) -> Rat:
+    """The coefficient of z^j in ``poly``, which must be numeric in every
+    other variable.  A polynomial in z alone, as every solve builds it,
+    holds it as its term (j,)."""
+    if poly.vars == ("z",):
+        return poly.terms.get((j,), Fraction(0))
     c = poly.coeffs_in("z").get(j)
     return c.constant_value() if c is not None else Fraction(0)
 
@@ -149,9 +158,10 @@ def _unknown_layout(K: int) -> list[tuple[int, int]]:
 
 
 def level_rows(coords: Sequence[tuple[int, Rat, Rat]],
-               K: int) -> list[tuple[list[Rat], Rat]]:
+               K: int) -> list[tuple[list[int], int]]:
     """Level n's order-K closure rows over its unknowns
-    v = (R_0(E_n), ..., R_{K-1}(E_n), R_-1(E_n)), reduced in closed form.
+    v = (R_0(E_n), ..., R_{K-1}(E_n), R_-1(E_n)), reduced in closed form and
+    scaled to integers.
 
     A row (a, t) stands for sum_i a[i] v_i = t, with the coefficient of
     R_-1(E_n) last (a[-1]).  ``coords`` is ``level_coordinates`` of level n,
@@ -170,38 +180,59 @@ def level_rows(coords: Sequence[tuple[int, Rat, Rat]],
     row at s gives p(s) and the remainder row i gives [x^i](p mod Q), for
     p = sum_f u_f x^f.  Both blocks vanish exactly on the p that Q divides,
     since the s are simple roots of Q; equal null spaces give equal row
-    spaces.  Zero rows (i > K
-    when m > K + 1) are dropped; an order K < m leaves the row 0 = 1 at
-    i = K, so the level has no solution.  The coefficients R_i = -[x^i] Q
-    come from ``spectral.elementary_symmetric_R`` on S, and x^f mod Q is
-    x^{f-1} mod Q times x, reduced once (``spectral.recursion_vectors`` on
-    those R_i): O(K m) operations and no solve.
+    spaces.  Zero rows (i > K when m > K + 1) are dropped; an order K < m
+    leaves the row 0 = 1 at i = K, so the level has no solution.
+
+    Integer rows.  With d the lcm of the denominators of S, the roots are
+    sigma/d for integers sigma, and d^m Q(x) = Qt(y) at y = d x, where
+    Qt = prod (y - sigma) is monic with integer coefficients
+    (``spectral.elementary_symmetric_R`` on the sigma gives
+    S_i = -[y^i] Qt).  Reducing y^f mod Qt stays in the integers
+    (rho_f = ``spectral.recursion_vectors`` on S), and substituting y = d x
+    gives x^f mod Q = rho_f(d x)/d^f, so [x^i](x^f mod Q) = rho_{f,i} d^(i-f).
+    Row i times d^(M-i), M = max(K, m - 1), reads
+    sum_f rho_{f,i} d^(M-f) v_f = rho_{K,i} d^(M-K), and the k = 0 row times
+    den(r_{n,0}) reads num(r_{n,0}) v_0 + den(r_{n,0}) v_-1 = 0.  Scaling a
+    row by a nonzero number keeps the row space, so these integer rows
+    span the row space above.  A full level reads rho_f = y^f for f < K and
+    rho_K = S, so its rows are d^(K-i) v_i = S_i from the one integer
+    expansion and no recursion runs.
     """
-    zero = Fraction(0)
-    rows: list[tuple[list[Rat], Rat]] = []
+    rows: list[tuple[list[int], int]] = []
     roots: list[Rat] = []
     for k, r, delta in coords:
         if k == 0:
-            row0 = [zero] * (K + 1)
-            row0[0], row0[-1] = r, Fraction(1)
-            rows.append((row0, zero))
+            row0 = [0] * (K + 1)
+            row0[0], row0[-1] = r.numerator, r.denominator
+            rows.append((row0, 0))
         elif r and delta not in roots:
             roots.append(delta)
     if not roots:
         return rows
-    rem = recursion_vectors(elementary_symmetric_R(roots), K)  # x^f mod Q, f = 0..K
-    for i in range(len(roots)):
-        row = [rem[f][i] for f in range(K)] + [zero]
-        if any(row) or rem[K][i]:
-            rows.append((row, rem[K][i]))
+    m = len(roots)
+    d = math.lcm(*(s.denominator for s in roots))
+    S = elementary_symmetric_R([s.numerator * (d // s.denominator) for s in roots])
+    if m == K:
+        for i in range(K):
+            row = [0] * (K + 1)
+            row[i] = d ** (K - i)
+            rows.append((row, S[i]))
+        return rows
+    rem = recursion_vectors(S, K)  # y^f mod Qt, f = 0..K
+    M = max(K, m - 1)
+    for i in range(m):
+        row = [rem[f][i] * d ** (M - f) for f in range(K)] + [0]
+        t = rem[K][i] * d ** (M - K)
+        if any(row) or t:
+            rows.append((row, t))
     return rows
 
 
 def closure_system(df: DeformedFamily, X: EtaPoly,
-                   K: int) -> tuple[list[tuple[int, int]], list[list[Rat]], list[Rat]]:
-    """The order-K closure system (unknown layout, rows, right-hand side) in
-    recurrence coordinates on the levels n = K, K-1, ..., 0, each level
-    reduced in closed form (``level_rows``).
+                   K: int) -> tuple[list[tuple[int, int]], list[list[int]], list[int]]:
+    """The order-K closure system (unknown layout, integer rows, right-hand
+    side) in recurrence coordinates on the levels n = K, K-1, ..., 0, each
+    level reduced in closed form (``level_rows``).
 
     The unknown coefficient of z^j in R_i contributes E_n^j [(ad H)^i X] P_n
     (E_n^j P_n for i = -1) and the target is [(ad H)^K X] P_n.  By
@@ -230,6 +261,13 @@ def closure_system(df: DeformedFamily, X: EtaPoly,
     that ``solve_linear_exact`` reads off it.  At a full level each reduced
     row touches a single R_i block, so the rows are mostly zero.
 
+    The rows reach ``solve_linear_exact`` as integers: with E_n = e/q in
+    lowest terms and J the largest z-degree of the layout, each expanded
+    row of level n is multiplied by q^J, so its entries are
+    a_i e^j q^(J-j) and its right-hand side t q^J.  Scaling a row by a
+    nonzero number keeps the row space, so every ``LinearSolution`` is
+    unchanged; it also keeps the zero pattern that pivoting reads.
+
     The levels are returned highest first.  ``solve_linear_exact`` pivots
     on the first row with a nonzero entry in each column, so this order
     makes the sparse rows of the full levels the pivots, and the mixed rows
@@ -241,16 +279,17 @@ def closure_system(df: DeformedFamily, X: EtaPoly,
     """
     layout = _unknown_layout(K)
     top_j = max(j for _, j in layout)
-    zero = Fraction(0)
-    rows: list[list[Rat]] = []
-    rhs: list[Rat] = []
+    rows: list[list[int]] = []
+    rhs: list[int] = []
     levels = list(_levels_through(df, X, K))
     for n in range(K, -1, -1):
         En = df.E(n)
-        E_pow = [En ** j for j in range(top_j + 1)]
+        e, q = En.numerator, En.denominator
+        E_pow = [e ** j * q ** (top_j - j) for j in range(top_j + 1)]
+        q_top = q ** top_j
         for a, t in level_rows(levels[n], K):
-            rows.append([a[i] * E_pow[j] if a[i] else zero for i, j in layout])
-            rhs.append(t)
+            rows.append([a[i] * E_pow[j] if a[i] else 0 for i, j in layout])
+            rhs.append(t * q_top)
     return layout, rows, rhs
 
 
@@ -290,16 +329,24 @@ def solve_closure(df: DeformedFamily, X: EtaPoly, K: int) -> ClosureData:
         point = [x + sum(c * vec[idx]
                          for c, vec in zip(fit.solution, sol.kernel_basis))
                  for idx, x in enumerate(point)]
-    return _solved_data(K, dict(zip(layout, point)), kernel_dim)
+    return _solved_data(K, point, kernel_dim)
 
 
-def _solved_data(K: int, values: Mapping[tuple[int, int], object],
-                 kernel_dim: int) -> ClosureData:
-    """ClosureData from the coefficients values[(i, j)] of z^j in R_i."""
-    z = ParamPoly.var("z")
-    bounds = degree_bounds(K)
-    R = [sum((values[(i, j)] * z ** j for j in range(bounds[i] + 1)),
-             ParamPoly.zero(("z",))) for i in [*range(K), -1]]
+def _solved_data(K: int, coeffs: Sequence, kernel_dim: int) -> ClosureData:
+    """ClosureData from the coefficients of z^j in R_i, listed in
+    ``_unknown_layout(K)`` order: Rats, or ParamPolys in the parameters that
+    all hold the same variables, as ``interpolate_grid`` returns them.  Each
+    R_i is built from its terms; the parameters rank after z in
+    ``exactalg._VAR_PRIORITY``, so (z, *params) is the variable order that
+    ParamPoly arithmetic would give."""
+    params = coeffs[0].vars if isinstance(coeffs[0], ParamPoly) else ()
+    terms: dict[int, dict[tuple[int, ...], Rat]] = {i: {} for i in [*range(K), -1]}
+    for (i, j), c in zip(_unknown_layout(K), coeffs):
+        if params:
+            terms[i].update(((j, *e), x) for e, x in c.terms.items())
+        elif c:
+            terms[i][(j,)] = c
+    R = [ParamPoly(("z", *params), terms[i]) for i in [*range(K), -1]]
     return ClosureData(K, R[:-1], R[-1], kernel_dim)
 
 
@@ -388,11 +435,12 @@ def reconstruct_closure(solve_at: Callable[[Mapping[str, Rat]], ClosureData],
     ``nodes`` lists each parameter's interpolation nodes: with m nodes the
     parameter's degree bound is m - 1, and the samples are the tensor grid
     of the node lists.  Every grid point and every ``fresh`` point is solved
-    once.  Each coefficient of z^j in R_i is interpolated on the grid and
-    certified at the fresh points: the first disagreement raises
-    SampleMismatch naming R_i z^j and the fresh point.  A NoSolution,
-    EigenValidationFailed or NonzeroRemainder raised by a solve names its
-    sample.
+    once, and each solve is read as its vector of coefficients of z^j in
+    R_i, in ``_unknown_layout`` order.  One ``interpolate_grid`` call
+    interpolates every coefficient on the grid, and each is certified at
+    the fresh points: the first disagreement raises SampleMismatch naming
+    R_i z^j and the fresh point.  A NoSolution, EigenValidationFailed or
+    NonzeroRemainder raised by a solve names its sample.
     """
     names = list(nodes)
     bounds = {name: len(nodes[name]) - 1 for name in names}
@@ -401,14 +449,12 @@ def reconstruct_closure(solve_at: Callable[[Mapping[str, Rat]], ClosureData],
     for name in names:
         points = [p + (v,) for p in points for v in nodes[name]]
     grid = {p: _solve_sample(solve_at, dict(zip(names, p))) for p in points}
-    rebuilt = {(i, j): interpolate_grid({p: cd.coefficient(i, j)
-                                         for p, cd in grid.items()},
-                                        bounds, names)
-               for i, j in layout}
+    rebuilt = interpolate_grid({p: [cd.coefficient(i, j) for i, j in layout]
+                                for p, cd in grid.items()}, bounds, names)
     for binding in fresh:
         got = _solve_sample(solve_at, binding)
-        for i, j in layout:
-            if rebuilt[(i, j)].evaluate(binding) != got.coefficient(i, j):
+        for (i, j), poly in zip(layout, rebuilt):
+            if poly.evaluate(binding) != got.coefficient(i, j):
                 degrees = ", ".join(f"{name} <= {b}" for name, b in bounds.items())
                 raise SampleMismatch(
                     f"R_{i} z^{j} disagrees with its interpolant ({degrees}) "

@@ -18,6 +18,7 @@ parallel.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 import re
@@ -106,6 +107,10 @@ class ParamPoly:
       negation of a nonzero Fraction, or a nonzero Fraction times a nonzero
       scalar or a positive int (diff: the exponent).  Each of these is
       nonzero.
+
+    ``interpolate_grid`` builds its results with ``_trusted`` too: each key
+    holds one exponent in range(b_v + 1) per variable, and each value is
+    Fraction(T, D) for a nonzero int T and a positive int D.
     """
 
     __slots__ = ("vars", "terms")
@@ -893,10 +898,12 @@ def solve_linear_exact(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolut
     Fraction, and dividing each pivot row by its pivot gives the RREF
     exactly.  Fractions are formed only for those final quotients.
 
-    Each row is held as a dict of its nonzero entries (column ``cols`` is
-    the right-hand side), so a zero entry costs nothing.  A zero entry adds
-    nothing to p*row_i - a*row_r or to a gcd, so the stored entries are
-    exactly the nonzero entries of the dense integer rows.
+    Integer entries (the closure rows arrive scaled to integers) are read
+    as they are: ``int`` has ``numerator`` and ``denominator`` like a
+    Fraction.  Each row is held as a dict of its nonzero entries (column
+    ``cols`` is the right-hand side), so a zero entry costs nothing.  A
+    zero entry adds nothing to p*row_i - a*row_r or to a gcd, so the stored
+    entries are exactly the nonzero entries of the dense integer rows.
     """
     rows = len(matrix)
     if rows == 0:
@@ -904,8 +911,8 @@ def solve_linear_exact(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolut
     cols = len(matrix[0])
     aug: list[dict[int, int]] = []
     for row, b in zip(matrix, rhs):
-        entries = {c: f for c, x in enumerate([*row, b])
-                   if x and (f := Fraction(x))}
+        entries = {c: x if isinstance(x, (int, Fraction)) else Fraction(x)
+                   for c, x in enumerate([*row, b]) if x}
         scale = math.lcm(*(x.denominator for x in entries.values()))
         aug.append(_gcd_reduced({c: x.numerator * (scale // x.denominator)
                                  for c, x in entries.items()}))
@@ -965,66 +972,129 @@ def _gcd_reduced(row: dict[int, int]) -> dict[int, int]:
 
 def interpolate_param(samples: Sequence[tuple], degree_bound: int,
                       var: str = "g") -> ParamPoly:
-    """Unique interpolant of degree <= degree_bound through exact samples.
-
-    The first degree_bound+1 samples determine the polynomial (Newton form);
-    every extra sample is a consistency check and a disagreement raises
-    SampleMismatch.  Values may be
-    Fractions or ParamPolys (interpolation then happens coefficient-wise).
-    """
-    if degree_bound < 0:
-        raise ValueError("degree bound must be >= 0")
-    if len(samples) < degree_bound + 1:
-        raise ValueError("need at least degree_bound+1 samples")
+    """Unique interpolant of degree <= degree_bound in ``var`` through exact
+    (point, value) samples: ``interpolate_grid`` on one variable, so the
+    points are read in increasing order, the first degree_bound + 1 of them
+    determine the polynomial and every further one checks it
+    (SampleMismatch)."""
     pts = [rat(p) for p, _ in samples]
     if len(set(pts)) != len(pts):
         raise ValueError("sample points must be distinct")
-    vals = [v if isinstance(v, ParamPoly) else ParamPoly.const(rat(v)) for _, v in samples]
-
-    base = pts[: degree_bound + 1]
-    # Newton divided differences
-    table = list(vals[: degree_bound + 1])
-    coeffs = [table[0]]
-    for level in range(1, degree_bound + 1):
-        table = [
-            (table[i + 1] - table[i]) * (1 / (base[i + level] - base[i]))
-            for i in range(len(table) - 1)
-        ]
-        coeffs.append(table[0])
-    x = ParamPoly.var(var)
-    poly = ParamPoly.zero((var,))
-    basis = ParamPoly.const(1, (var,))
-    for k, c in enumerate(coeffs):
-        poly = poly + c * basis
-        if k < degree_bound:
-            basis = basis * (x - base[k])
-    for p, v in zip(pts, vals):
-        if poly.subs({var: p}) != v:
-            raise SampleMismatch(
-                f"sample at {var}={rat_str(p)} disagrees with degree-{degree_bound} interpolant"
-            )
-    return poly
+    grid = {(p,): [v] for p, (_, v) in zip(pts, samples)}
+    return interpolate_grid(grid, {var: degree_bound}, [var])[0]
 
 
-def interpolate_grid(samples: Mapping[tuple, object], bounds: Mapping[str, int],
-                     vars: Sequence[str]) -> ParamPoly:
-    """Tensor-grid interpolation in several parameters.
+def interpolate_grid(samples: Mapping[tuple, Sequence], bounds: Mapping[str, int],
+                     vars: Sequence[str]) -> list[ParamPoly]:
+    """Tensor-grid interpolation of vector values in several parameters:
+    one ParamPoly per vector entry, of degree <= bounds[v] in each v.
 
-    ``samples`` maps full coordinate tuples (aligned with ``vars``) to exact
-    values; the grid must be the cartesian product of per-variable node sets.
-    Interpolation runs variable by variable; extra nodes double as
-    consistency checks (SampleMismatch propagates from interpolate_param).
+    ``samples`` maps coordinate tuples (aligned with ``vars``) to
+    equal-length sequences of exact values, and must cover the cartesian
+    product of one value set per variable.  Along each variable the values
+    are read in increasing order: the first bounds[v] + 1 are the nodes
+    that determine the interpolant, and every further value is an extra
+    node whose samples check it.  Variables are processed last to first;
+    along one variable the checks run over the grid points of the earlier
+    variables in increasing order, then over the extra nodes, and each
+    compares the polynomials in the later variables.  The first
+    disagreement raises SampleMismatch naming the variable, the extra node
+    and the degree bound.  The polynomials hold the variables in the
+    canonical order of ``_VAR_PRIORITY``.
+
+    Uniqueness.  Along one variable with distinct nodes x_0..x_b, the
+    Vandermonde matrix V (V_im = x_i^m) has determinant
+    prod_{i<j} (x_j - x_i) != 0, so exactly one polynomial of degree <= b
+    takes given values y at the nodes; its coefficients are V^-1 y, and
+    column i of V^-1 holds the coefficients of the Lagrange basis
+    polynomial prod_{j != i} (x - x_j)/(x_i - x_j).  On the grid, the
+    matrix that evaluates the tensor space (degree <= b_v in each v) at the
+    nodes is the Kronecker product of the per-variable V, invertible with
+    the Kronecker product of the V^-1 as inverse: the interpolant is unique,
+    and applying V_v^-1 along one variable at a time gives its
+    coefficients.
+
+    Exact scaling.  Entry c of every vector is multiplied once by the lcm
+    D_c of its denominators, and each V_v^-1 by the lcm s_v of its
+    entries' denominators (``_inverse_vandermonde``), so every step is a
+    product of integer matrices, and the coefficients are the integer
+    results over D_c prod_v s_v: one Fraction per term, at the end.  When
+    variable v is processed, every value along it carries the same factor
+    D_c prod_{u after v} s_u, so the check at an extra node x = p/q,
+    sum_m T_m x^m = s_v y with T = s_v V_v^-1 y applied to the nodes,
+    multiplied by the nonzero q^b, reads
+    sum_m T_m p^m q^(b-m) = s_v q^b y in the integers and holds exactly when
+    the rational equation does.
     """
     vars = list(vars)
-    if len(vars) == 1:
-        pairs = [(k[0], v) for k, v in samples.items()]
-        return interpolate_param(pairs, bounds[vars[0]], vars[0])
-    first, rest = vars[0], vars[1:]
-    by_first: dict[Rat, dict[tuple, object]] = {}
-    for coords, value in samples.items():
-        by_first.setdefault(rat(coords[0]), {})[tuple(coords[1:])] = value
-    inner = [(p, interpolate_grid(sub, bounds, rest)) for p, sub in sorted(by_first.items())]
-    return interpolate_param(inner, bounds[first], first)
+    axes = [sorted({rat(point[d]) for point in samples}) for d in range(len(vars))]
+    sizes = [len(values) for values in axes]
+    if len(samples) != math.prod(sizes):
+        raise ValueError("samples must cover a tensor grid")
+    for var, values in zip(vars, axes):
+        if bounds[var] < 0:
+            raise ValueError("degree bound must be >= 0")
+        if len(values) < bounds[var] + 1:
+            raise ValueError("need at least degree_bound+1 samples")
+    # equal rationals hash alike, so the Fraction grid points find the keys
+    grid = [[rat(x) for x in samples[point]] for point in itertools.product(*axes)]
+    width = len(grid[0])
+    if any(len(vec) != width for vec in grid):
+        raise ValueError("sample vectors must have equal length")
+    dens = [math.lcm(*(vec[c].denominator for vec in grid)) for c in range(width)]
+    # one flat integer array, row-major over the variables, entries innermost
+    data = [x.numerator * (den // x.denominator)
+            for vec in grid for x, den in zip(vec, dens)]
+    for d in reversed(range(len(vars))):
+        var, b = vars[d], bounds[vars[d]]
+        W, s = _inverse_vandermonde(axes[d][:b + 1])
+        dens = [den * s for den in dens]
+        n, inner = sizes[d], math.prod(sizes[d + 1:]) * width
+        extras = axes[d][b + 1:]
+        checks = [(x, [x.numerator ** m * x.denominator ** (b - m) for m in range(b + 1)],
+                   s * x.denominator ** b) for x in extras]
+        out: list[int] = []
+        for base in range(0, len(data), n * inner):
+            rows = [data[base + i * inner:base + (i + 1) * inner] for i in range(n)]
+            cols = list(zip(*rows[:b + 1]))
+            coeffs = [[sum(map(operator.mul, w, col)) for col in cols] for w in W]
+            for (x, powers, scale), row in zip(checks, rows[b + 1:]):
+                at_x = [sum(map(operator.mul, powers, col)) for col in zip(*coeffs)]
+                if at_x != [scale * y for y in row]:
+                    raise SampleMismatch(f"sample at {var}={rat_str(x)} disagrees "
+                                         f"with degree-{b} interpolant")
+            for row in coeffs:
+                out.extend(row)
+        data, sizes[d] = out, b + 1
+    order = sorted(range(len(vars)), key=lambda d: _var_key(vars[d]))
+    terms: list[dict[tuple[int, ...], Rat]] = [{} for _ in range(width)]
+    pos = 0
+    for exps in itertools.product(*(range(size) for size in sizes)):
+        key = tuple(exps[d] for d in order)
+        for c in range(width):
+            if data[pos]:
+                terms[c][key] = Fraction(data[pos], dens[c])
+            pos += 1
+    out_vars = tuple(vars[d] for d in order)
+    return [ParamPoly._trusted(out_vars, t) for t in terms]
+
+
+def _inverse_vandermonde(nodes: Sequence[Rat]) -> tuple[list[list[int]], int]:
+    """(W, s) with W/s the inverse of the Vandermonde matrix V_im = x_i^m
+    of the distinct ``nodes``: W[m][i]/s = [x^m] prod_{j != i}
+    (x - x_j)/(x_i - x_j), and s is the lcm of those Fractions'
+    denominators, so W is an integer matrix."""
+    basis = []
+    for i, xi in enumerate(nodes):
+        poly: list[Rat] = [Fraction(1)]  # low degree to high
+        scale = Fraction(1)
+        for j, xj in enumerate(nodes):
+            if j != i:
+                poly = [a - xj * b for a, b in zip([0, *poly], [*poly, 0])]
+                scale *= xi - xj
+        basis.append([c / scale for c in poly])
+    s = math.lcm(*(c.denominator for col in basis for c in col))
+    return [[(col[m] * s).numerator for col in basis] for m in range(len(nodes))], s
 
 
 # -- tiny polynomial grammar (CLI Y input, data files) -----------------------

@@ -308,9 +308,11 @@ def elementary_symmetric_R(roots: Sequence) -> list:
 
 def recursion_vectors(R: Sequence, count: int) -> list[list]:
     """Direct iteration of the commutator-coefficient recursion:
-    vec^{[n+1]}_i = R_i * vec^{[n]}_{K-1} + vec^{[n]}_{i-1}, from e_1."""
+    vec^{[n+1]}_i = R_i * vec^{[n]}_{K-1} + vec^{[n]}_{i-1}, from e_1, in
+    the ring of the R_i (Fractions, or the integers of ``closure.level_rows``).
+    vec^{[n]} holds the coefficients of x^n mod (x^K - sum_i R_i x^i)."""
     K = len(R)
-    vecs = [[Fraction(1)] + [Fraction(0)] * (K - 1)]
+    vecs = [[1] + [0] * (K - 1)]
     for _ in range(count):
         prev = vecs[-1]
         new = [R[i] * prev[K - 1] for i in range(K)]

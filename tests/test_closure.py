@@ -287,6 +287,67 @@ def test_reconstruct_names_the_sample_a_solve_fails_at():
         reconstruct_closure(solve_at, 2, {"g": [F(1)]}, [])
 
 
+J1I = MultiIndex.parse("1I")
+
+
+def _solve_j1i(binding):
+    """The sample solve of symbolic J[1I], Y = 1, at (a, b) = binding."""
+    ps = ParamSet.at_reference("J", binding)
+    return closure_for_family(builtin_deformed("J", J1I, ps), ONE)[0]
+
+
+def test_reconstruct_rejects_an_a_bound_one_too_small():
+    # negative control on J[1I] (K = 4, a-degree bound 4): with a <= 3 the
+    # interpolant of R_0 z^0 misses the first fresh sample
+    nodes, fresh = symbolic_nodes("J", J1I, {"a": 3, "b": 3})
+    with pytest.raises(SampleMismatch) as info:
+        reconstruct_closure(_solve_j1i, 4, nodes, fresh)
+    assert str(info.value) == ("R_0 z^0 disagrees with its interpolant "
+                               "(a <= 3, b <= 3) at the fresh sample a=10, b=1")
+
+
+@pytest.mark.parametrize("i, j", [(-1, 0), (0, 2), (2, 1)])
+def test_reconstruct_catches_one_perturbed_grid_coefficient(i, j):
+    # negative control: the coefficient of z^j in R_i is off by one at one
+    # grid point, so its interpolant is wrong and the first fresh sample
+    # refutes it, naming that coefficient
+    nodes, fresh = symbolic_nodes("J", J1I, {"a": 4, "b": 3})
+    bad = {"a": nodes["a"][2], "b": nodes["b"][1]}
+
+    def perturbed(binding):
+        cd = _solve_j1i(binding)
+        if binding != bad:
+            return cd
+        R, R_minus1 = list(cd.R), cd.R_minus1
+        if i == -1:
+            R_minus1 = R_minus1 + z ** j
+        else:
+            R[i] = R[i] + z ** j
+        return ClosureData(cd.K, R, R_minus1, cd.kernel_dim)
+
+    assert reconstruct_closure(_solve_j1i, 4, nodes, fresh).unique
+    with pytest.raises(SampleMismatch) as info:
+        reconstruct_closure(perturbed, 4, nodes, fresh)
+    assert str(info.value) == (f"R_{i} z^{j} disagrees with its interpolant "
+                               "(a <= 4, b <= 3) at the fresh sample a=21/2, b=1")
+
+
+def test_reconstructed_kernel_dim_is_the_grid_maximum():
+    # one grid sample reports a two-dimensional kernel: the rebuilt data
+    # keep the maximum over the grid, and the coefficients are unchanged
+    nodes, fresh = symbolic_nodes("J", J1I, {"a": 4, "b": 3})
+    bad = {"a": nodes["a"][3], "b": nodes["b"][0]}
+
+    def with_kernel(binding):
+        cd = _solve_j1i(binding)
+        return ClosureData(cd.K, cd.R, cd.R_minus1, 2 if binding == bad else 0)
+
+    plain = reconstruct_closure(_solve_j1i, 4, nodes, fresh)
+    got = reconstruct_closure(with_kernel, 4, nodes, fresh)
+    assert (plain.kernel_dim, got.kernel_dim) == (0, 2)
+    assert (got.R, got.R_minus1) == (plain.R, plain.R_minus1)
+
+
 def _seeds_usable(fam, D, binding):
     if fam == "L":
         ps = ParamSet("L", binding)
@@ -502,6 +563,11 @@ def _synthetic_level(K, shifts, r=None):
     ("padded", 6, _synthetic_level(6, {-1: -3, 0: 0, 1: 5})),
     ("understated", 2, _synthetic_level(2, {-2: -7, -1: -3, 0: 0, 1: 5, 2: 11})),
     ("no-shift", 2, _synthetic_level(2, {0: 0, 1: 4}, {1: 0})),
+    ("partial-fractional", 4, _synthetic_level(4, {0: 0, 1: F(5, 2), 2: F(-11, 3)},
+                                               {0: F(3, 4)})),
+    ("padded-fractional", 6, _synthetic_level(6, {-1: F(-3, 4), 0: 0, 1: F(5, 6)})),
+    ("understated-fractional", 2, _synthetic_level(2, {-2: F(-7, 2), -1: -3, 0: 0,
+                                                       1: F(5, 3), 2: 11})),
 ])
 def test_level_rows_reduce_the_raw_rows(case, K, coords):
     # over the level unknowns v = (R_0(E_n), ..., R_{K-1}(E_n), R_-1(E_n)),
@@ -512,7 +578,7 @@ def test_level_rows_reduce_the_raw_rows(case, K, coords):
     assert all(len(a) == K + 1 for a, _ in reduced)
     got = solve_linear_exact(*zip(*reduced))
     assert got == solve_linear_exact(*zip(*raw))
-    assert got.consistent == (case != "understated")
+    assert got.consistent == (not case.startswith("understated"))
     if case == "full":
         # v_i = -[x^i] Q for Q the product of (x - Delta) over k != 0, and
         # v_-1 = -r_{n,0} v_0; each reduced row touches one unknown
@@ -665,14 +731,17 @@ def test_eigen_failure_in_plugin_is_a_failing_check(explicit_plugin, tmp_path):
 
 def _rows_by_level(df, X, K):
     """The expanded ``level_rows`` of each level n = 0..K, as (rows, rhs)
-    per level, in increasing n."""
+    per level, in increasing n, each row times den(E_n)^J for J the largest
+    z-degree of the layout."""
     layout = closure_system(df, X, K)[0]
+    top_j = max(j for _, j in layout)
     out = []
     for n in range(K + 1):
         En = df.E(n)
+        q = En.denominator ** top_j
         block = level_rows(level_coordinates(df, X, n), K)
-        out.append(([[a[i] * En ** j for i, j in layout] for a, _ in block],
-                    [t for _, t in block]))
+        out.append(([[a[i] * En ** j * q for i, j in layout] for a, _ in block],
+                    [t * q for _, t in block]))
     return out
 
 

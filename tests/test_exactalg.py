@@ -343,12 +343,15 @@ def test_interpolate_mismatch_raises():
 def test_interpolate_grid_two_parameters():
     a, b = ParamPoly.var("a"), ParamPoly.var("b")
     target = (a + 1) * (b - 2) + a * a
+    other = F(1, 3) * a * b - 7
     samples = {}
     for av in (0, 1, 2, 5):
         for bv in (0, 1, 3):
-            samples[(F(av), F(bv))] = target.evaluate({"a": F(av), "b": F(bv)})
+            at = {"a": F(av), "b": F(bv)}
+            samples[(F(av), F(bv))] = [target.evaluate(at), other.evaluate(at)]
     got = interpolate_grid(samples, {"a": 2, "b": 1}, ["a", "b"])
-    assert got == target
+    assert got == [target, other]
+    assert all(p.vars == ("a", "b") for p in got)
 
 
 def test_parse_poly_grammar():

@@ -93,3 +93,36 @@ def test_ell_report_matches_golden_digest(argv):
     assert code == 0
     assert json.loads(out)["summary"]["fail"] == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ELL_REPORTS[argv]
+
+
+# Symbolic reconstruction reports (`verify-closure --mode symbolic`), with
+# their exit codes.  J[2I] fails: the a-degree bound 6 is too small for its
+# R_-1, and the report names the coefficient and the fresh sample.  The
+# digests were recorded before the reconstruction moved to one integer
+# interpolation of every coefficient, and every later change must keep them.
+SYMBOLIC_REPORTS = {
+    ("--family", "L", "--D", "2II"):
+        (0, "df90ffee1224c022c3baddd9da47a08b25441b17cd9e2e70fa1f8eeb7b98834b"),
+    ("--family", "L", "--D", "3I"):
+        (0, "62ca626d74726b92384632c6a67e2e719a83494e9676e8de9c847ae0607cce88"),
+    ("--family", "J", "--D", "1II", "--Y", "eta"):
+        (0, "1fb292f9d9f5bd8b6bd902f7c692328bfb4425e28c4ab0a31e8d5f13956b30a8"),
+    ("--family", "J", "--D", "2I"):
+        (1, "beda3cd512db913771fe537ab99dffedf3ae0bcdcda2854e66643c30410b7961"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(SYMBOLIC_REPORTS), ids=" ".join)
+def test_symbolic_report_matches_golden_digest(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["verify-closure", *argv, "--json", "--mode", "symbolic"])
+    out = buf.getvalue()
+    want_code, want_digest = SYMBOLIC_REPORTS[argv]
+    assert code == want_code
+    if code:
+        [check] = json.loads(out)["checks"]
+        assert check["detail"]["error"] == (
+            "R_-1 z^0 disagrees with its interpolant (a <= 6, b <= 5) "
+            "at the fresh sample a=23/2, b=2")
+    assert hashlib.sha256(out.encode()).hexdigest() == want_digest

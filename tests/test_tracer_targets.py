@@ -1,12 +1,17 @@
 """The benchmark tracer wraps package functions by name: every name it
-lists must still resolve, or a traced run stops at install.  Apart from
-those names, every module-level function and class of the package has a
-reader in the package itself."""
+lists must still resolve, or a traced run stops at install, and the
+reconstruction metrics it reads off the spans must keep their meaning.
+Apart from those names, every module-level function and class of the
+package has a reader in the package itself."""
 
 import ast
+import contextlib
 import importlib
 import importlib.util
+import io
 import pathlib
+
+from closurelab import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 TRACER = ROOT / "bench" / "tracer.py"
@@ -17,11 +22,15 @@ SRC = ROOT / "src" / "closurelab"
 OUTSIDE_READERS = {"plugin_dict_from_family"}
 
 
-def _tracer_targets():
+def _tracer_module():
     spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    return tracer.TARGETS
+    return tracer
+
+
+def _tracer_targets():
+    return _tracer_module().TARGETS
 
 
 def test_every_tracer_target_resolves():
@@ -72,3 +81,31 @@ def test_every_function_parameter_is_read():
             unread += [f"{name}: {p.arg} ({path.relative_to(SRC)}:{node.lineno})"
                        for p in params if p.arg not in {"self", "cls", "_"} | loaded]
     assert unread == []
+
+
+def test_symbolic_trace_keeps_the_reconstruction_metrics():
+    # the tracer counts closure.sample_solves as the closure_for_family spans
+    # inside reconstruct_closure, closure.bound_doublings from the bounds of
+    # the outermost interpolate_grid calls there, and exactalg.interpolate_s
+    # as their time: symbolic J[1I] solves its 5 x 4 grid and its 2 fresh
+    # points once each, and interpolates every coefficient in one call
+    tracer_mod = _tracer_module()
+    tracer = tracer_mod.Tracer()
+    argv = ["verify-closure", "--family", "J", "--D", "1I", "--mode", "symbolic",
+            "--json"]
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = tracer.run_job("symbolic-J1I", cli.main, argv)
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    names = [span[0] for span in tracer.spans]
+    assert names.count("closure.reconstruct_closure") == 1
+    assert names.count("closure.closure_for_family") == 22
+    assert names.count("exactalg.interpolate_grid") == 1
+    assert names.count("exactalg.interpolate_param") == 0
+    metrics = tracer_mod.layer_metrics(tracer.spans, 0)
+    assert metrics["closure.sample_solves"] == 22
+    assert metrics["closure.bound_doublings"] == 0
+    assert metrics["exactalg.interpolate_s"] > 0
