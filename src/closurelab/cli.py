@@ -13,10 +13,10 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import __version__
@@ -52,13 +52,15 @@ class ConfigError(Exception):
     pass
 
 
-@dataclass
 class Report:
     """Deterministic check collection with exact values as strings."""
 
-    command: str
-    config: dict
-    checks: list = field(default_factory=list)
+    __slots__ = ("command", "config", "checks")
+
+    def __init__(self, command: str, config: dict):
+        self.command = command
+        self.config = config
+        self.checks: list = []
 
     def add(self, check_id: str, ok: bool | None, **detail):
         status = "skip" if ok is None else ("pass" if ok else "fail")
@@ -367,11 +369,23 @@ def cmd_spectrum(args) -> int:
     ok_all = True
     for _ in range(args.random_spectra):
         alphas = _random_distinct_rationals(rng, rng.choice([2, 3, 4, 5, 6, 7, 8]))
-        suite = spectral_suite(elementary_symmetric_R(alphas), alphas)
+        suite = spectral_suite(_companion_R(alphas), alphas)
         ok_all &= suite["recursion_ok"] and suite["eigen_ok"] and suite["initial_ok"]
     report.add(f"spectrum/random-spectra[count={args.random_spectra},seed={seed}]",
                ok_all)
     return _emit(report, args)
+
+
+def _companion_R(alphas: list[Fraction]) -> list[Fraction]:
+    """``elementary_symmetric_R(alphas)``, expanded on integers.  With
+    delta the lcm of the denominators, alpha_j = B_j/delta for integers B_j,
+    and prod_j (x - alpha_j) = delta^-K prod_j (y - B_j) at y = delta x.  So
+    [x^i] of the left side is delta^(i-K) [y^i] of the right, and
+    R_i = c_i/delta^(K-i) for c = ``elementary_symmetric_R`` on the B_j."""
+    K = len(alphas)
+    delta = math.lcm(*(a.denominator for a in alphas))
+    c = elementary_symmetric_R([a.numerator * (delta // a.denominator) for a in alphas])
+    return [Fraction(ci, delta ** (K - i)) for i, ci in enumerate(c)]
 
 
 def _random_distinct_rationals(rng, K):

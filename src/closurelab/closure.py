@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 from itertools import count, islice
@@ -118,16 +117,19 @@ def _z_coefficient(poly: ParamPoly, j: int) -> Rat:
     return c.constant_value() if c is not None else Fraction(0)
 
 
-@dataclass
 class ClosureData:
     """Order-K closure data solved from the operator identity: R_0..R_{K-1}
     and the inhomogeneous R_-1.  ``kernel_dim`` logs solver
     under-determination."""
 
-    K: int
-    R: list[ParamPoly]
-    R_minus1: ParamPoly
-    kernel_dim: int = 0
+    __slots__ = ("K", "R", "R_minus1", "kernel_dim")
+
+    def __init__(self, K: int, R: list[ParamPoly], R_minus1: ParamPoly,
+                 kernel_dim: int = 0):
+        self.K = K
+        self.R = R
+        self.R_minus1 = R_minus1
+        self.kernel_dim = kernel_dim
 
     @property
     def unique(self) -> bool:

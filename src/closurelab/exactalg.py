@@ -22,7 +22,6 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -359,8 +358,24 @@ class ParamPoly:
         return result
 
     def evaluate(self, bindings: Mapping[str, object]) -> Rat:
-        out = self.subs(bindings)
-        return out.constant_value()
+        """The exact value at ``bindings``.  When every variable is bound to
+        a number this is sum_terms coeff * prod x_v^e_v, read directly;
+        otherwise (a ParamPoly binding, or a variable left unbound) it is
+        ``subs(bindings).constant_value()``, which raises ValueError unless
+        the result is constant."""
+        xs = []
+        for v in self.vars:
+            x = bindings.get(v)
+            if x is None or isinstance(x, ParamPoly):
+                return self.subs(bindings).constant_value()
+            xs.append(rat(x))
+        total = None
+        for exps, coeff in self.terms.items():
+            for x, e in zip(xs, exps):
+                if e:
+                    coeff *= x ** e
+            total = coeff if total is None else total + coeff
+        return Fraction(0) if total is None else total
 
     def coeffs_in(self, var: str) -> dict[int, "ParamPoly"]:
         """Split into {power of var: coefficient polynomial in the rest}."""
@@ -872,17 +887,33 @@ def _reduce_ratio(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]
 # -- exact linear algebra ----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class LinearSolution:
     """Outcome of an exact linear solve.
 
     ``consistent`` False is a normal, reported outcome (no solution exists);
     ``solution`` is then None.  ``kernel_basis`` spans the null space.
+    Two outcomes are equal when their three fields are.
     """
 
-    consistent: bool
-    solution: list | None
-    kernel_basis: list
+    __slots__ = ("consistent", "solution", "kernel_basis")
+
+    def __init__(self, consistent: bool, solution: list | None, kernel_basis: list):
+        object.__setattr__(self, "consistent", consistent)
+        object.__setattr__(self, "solution", solution)
+        object.__setattr__(self, "kernel_basis", kernel_basis)
+
+    def __setattr__(self, *_):
+        raise AttributeError("LinearSolution is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LinearSolution):
+            return NotImplemented
+        return (self.consistent == other.consistent and self.solution == other.solution
+                and self.kernel_basis == other.kernel_basis)
+
+    def __repr__(self) -> str:
+        return (f"LinearSolution({self.consistent}, {self.solution}, "
+                f"{self.kernel_basis})")
 
 
 def solve_linear_exact(matrix: Sequence[Sequence], rhs: Sequence) -> LinearSolution:

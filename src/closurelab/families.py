@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -95,34 +94,45 @@ def _sqrt_fraction(q: Rat) -> Rat | None:
     return None
 
 
-@dataclass(frozen=True)
 class ParamSet:
     """Exact parameter values for one family.
 
     L: g;  J: g, h (derived a = g+h, b = g-h);  W: a1..a4;  AW: a1..a4, q
     with q required to be the square of a rational (so q^(1/2) is exact).
+    Two sets are equal when their family and values are.
     """
 
-    fam: str
-    values: Mapping[str, Rat]
+    __slots__ = ("fam", "values")
 
-    def __post_init__(self):
-        if self.fam not in FAMILIES:
-            raise ValueError(f"unknown family {self.fam!r}")
-        vals = {k: rat(v) for k, v in self.values.items()}
+    def __init__(self, fam: str, values: Mapping[str, Rat]):
+        if fam not in FAMILIES:
+            raise ValueError(f"unknown family {fam!r}")
+        vals = {k: rat(v) for k, v in values.items()}
         needed = {"L": {"g"}, "J": {"g", "h"},
                   "W": {"a1", "a2", "a3", "a4"},
-                  "AW": {"a1", "a2", "a3", "a4", "q"}}[self.fam]
+                  "AW": {"a1", "a2", "a3", "a4", "q"}}[fam]
         missing = needed - set(vals)
         if missing:
-            raise ValueError(f"family {self.fam} needs parameters {sorted(missing)}")
+            raise ValueError(f"family {fam} needs parameters {sorted(missing)}")
+        object.__setattr__(self, "fam", fam)
         object.__setattr__(self, "values", vals)
-        if self.fam == "AW":
+        if fam == "AW":
             q = vals["q"]
             if not (0 < q < 1):
                 raise ValueError("AW needs 0 < q < 1")
             if _sqrt_fraction(q) is None:
                 raise ValueError("AW needs q to be the square of a rational")
+
+    def __setattr__(self, *_):
+        raise AttributeError("ParamSet is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ParamSet):
+            return NotImplemented
+        return self.fam == other.fam and self.values == other.values
+
+    def __repr__(self) -> str:
+        return f"ParamSet({self.fam!r}, {self.values})"
 
     @property
     def g(self) -> Rat:
@@ -177,19 +187,19 @@ class ParamSet:
         return ParamSet(fam, {"g": values["g"]})
 
 
-@dataclass(frozen=True)
 class MultiIndex:
     """Multi-index D: list of (degree, type) seed labels, each degree an
     int >= 1 (a bool or a float such as 2.9 is rejected, not truncated).
 
     ell = sum(d_j) - M(M-1)/2 + 2 * M_I * M_II  is the number of missing
     low degrees, at most MAX_ELL; entries must be distinct within each type.
+    ``ell`` is computed once, here.
     """
 
-    entries: tuple[tuple[int, str], ...]
+    __slots__ = ("entries", "ell")
 
-    def __post_init__(self):
-        ent = tuple((d, str(t)) for d, t in self.entries)
+    def __init__(self, entries: Sequence[tuple[int, str]]):
+        ent = tuple((d, str(t)) for d, t in entries)
         for d, t in ent:
             if isinstance(d, bool) or not isinstance(d, int):
                 raise ValueError(f"seed degree {d!r} is not an integer")
@@ -202,8 +212,14 @@ class MultiIndex:
             if len(ds) != len(set(ds)):
                 raise ValueError(f"duplicate type-{t} degrees in multi-index")
         object.__setattr__(self, "entries", ent)
-        if self.ell > MAX_ELL:
-            raise ValueError(f"ell = {self.ell} is above the supported bound {MAX_ELL}")
+        M = len(ent)
+        ell = sum(d for d, _ in ent) - M * (M - 1) // 2 + 2 * self.M1 * self.M2
+        if ell > MAX_ELL:
+            raise ValueError(f"ell = {ell} is above the supported bound {MAX_ELL}")
+        object.__setattr__(self, "ell", ell)
+
+    def __setattr__(self, *_):
+        raise AttributeError("MultiIndex is immutable")
 
     @staticmethod
     def parse(text: str) -> "MultiIndex":
@@ -233,11 +249,6 @@ class MultiIndex:
     @property
     def M2(self) -> int:
         return sum(1 for _, t in self.entries if t == "II")
-
-    @property
-    def ell(self) -> int:
-        s = sum(d for d, _ in self.entries)
-        return s - self.M * (self.M - 1) // 2 + 2 * self.M1 * self.M2
 
     def label(self) -> str:
         if not self.entries:

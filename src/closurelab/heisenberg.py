@@ -20,7 +20,6 @@ Ladder operators are never materialized as standalone operators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Iterable
@@ -38,7 +37,6 @@ class NotProportional(Exception):
     eigenpolynomial (falsifies the ladder structure for this instance)."""
 
 
-@dataclass
 class LadderAction:
     """Result of one ladder application a^(j) P(n) = coefficient * P(n+shift).
 
@@ -46,13 +44,17 @@ class LadderAction:
     P(n+k); only k = shift may be nonzero.  ``target`` is P(n+shift), or
     zero below the ground state."""
 
-    j: int
-    n: int
-    shift: int
-    coefficient: Rat
-    coords: dict[int, Rat]
-    alpha: Rat
-    target: EtaPoly
+    __slots__ = ("j", "n", "shift", "coefficient", "coords", "alpha", "target")
+
+    def __init__(self, j: int, n: int, shift: int, coefficient: Rat,
+                 coords: dict[int, Rat], alpha: Rat, target: EtaPoly):
+        self.j = j
+        self.n = n
+        self.shift = shift
+        self.coefficient = coefficient
+        self.coords = coords
+        self.alpha = alpha
+        self.target = target
 
     @property
     def image(self) -> EtaPoly:

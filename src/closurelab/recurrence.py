@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
@@ -33,13 +32,15 @@ def build_X(xi: EtaPoly, Y: EtaPoly) -> EtaPoly:
     return (xi * Y).integrate()
 
 
-@dataclass
 class RecurrenceTable:
     """Expansion coefficients r[n][k] of X*P(n) over P(n+k), |k| <= L."""
 
-    X: EtaPoly
-    L: int
-    rows: dict[int, dict[int, Rat]] = field(default_factory=dict)
+    __slots__ = ("X", "L", "rows")
+
+    def __init__(self, X: EtaPoly, L: int, rows: dict[int, dict[int, Rat]] | None = None):
+        self.X = X
+        self.L = L
+        self.rows = {} if rows is None else rows
 
 
 def expand_in_basis(df: DeformedFamily, X: EtaPoly, n: int) -> dict[int, Rat]:

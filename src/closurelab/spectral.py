@@ -12,7 +12,6 @@ v^2*S.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import Sequence
@@ -33,13 +32,18 @@ class SqrtValueMismatch(ArithmeticError):
     closed form of ``sqrt_value_at_energy`` is wrong for this family."""
 
 
-@dataclass(frozen=True)
 class SqrtExpr:
     """u + v*sqrt(S) with u, v, S exact polynomials (S shared)."""
 
-    u: ParamPoly
-    v: ParamPoly
-    square: ParamPoly
+    __slots__ = ("u", "v", "square")
+
+    def __init__(self, u: ParamPoly, v: ParamPoly, square: ParamPoly):
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "square", square)
+
+    def __setattr__(self, *_):
+        raise AttributeError("SqrtExpr is immutable")
 
     @staticmethod
     def lift(value, square: ParamPoly) -> "SqrtExpr":
@@ -322,25 +326,32 @@ def recursion_vectors(R: Sequence, count: int) -> list[list]:
     return vecs
 
 
-@dataclass(frozen=True)
 class SpectralData:
     """Certified eigendata of a companion matrix with distinct nonzero
     rational eigenvalues, held in the integer form that
     ``eigen_closed_form`` checks: alpha_j = B_j/delta, R_i = S_i/rho,
     P_ij = N_ij/u_i and (P^-1)_j0 = V0_j/v (0-based; every divisor
     positive).  ``alphas`` and ``R`` are the supplied Fractions; ``P`` and
-    ``P_inv`` are the Fraction matrices, built only when read."""
+    ``P_inv`` are the Fraction matrices, built only when read.  N[i][j] is
+    row i, column j."""
 
-    alphas: tuple
-    R: tuple
-    B: tuple
-    delta: int
-    S: tuple
-    rho: int
-    N: tuple          # N[i][j]
-    u: tuple
-    V0: tuple
-    v: int
+    __slots__ = ("alphas", "R", "B", "delta", "S", "rho", "N", "u", "V0", "v")
+
+    def __init__(self, alphas: tuple, R: tuple, B: tuple, delta: int, S: tuple,
+                 rho: int, N: tuple, u: tuple, V0: tuple, v: int):
+        object.__setattr__(self, "alphas", alphas)
+        object.__setattr__(self, "R", R)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "delta", delta)
+        object.__setattr__(self, "S", S)
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "N", N)
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "V0", V0)
+        object.__setattr__(self, "v", v)
+
+    def __setattr__(self, *_):
+        raise AttributeError("SpectralData is immutable")
 
     @property
     def K(self) -> int:
@@ -513,19 +524,33 @@ def spectral_suite(R: Sequence, alphas: Sequence) -> dict:
     In the integer form of eigen_closed_form, rho*A has rho on the
     subdiagonal and S in the last column, so the matrix powers are
     A^n e_1 = X^(n)/rho^n with X^(0) = e_1, X^(n+1)_0 = S_0 X^(n)_(K-1) and
-    X^(n+1)_i = S_i X^(n)_(K-1) + rho X^(n)_(i-1).  The direct recursion
-    (``recursion_vectors``) runs on Fractions, and f = X_i/rho^n exactly
-    when num(f) rho^n = X_i den(f).  Entry i of the decomposition
-    P diag(a^n) P^-1 e_1 is sum_j (N_ij/u_i)(B_j^n/delta^n)(V_j0/v)
-    = (N_i . w)/(u_i v delta^n) with w_j = B_j^n V_j0, carried from n to
-    n + 1 by one integer product; it equals X_i/rho^n exactly when
-    (N_i . w) rho^n = X_i u_i v delta^n.  The initial condition A^K e_1 = R
-    reads X^(K)_i = S_i rho^(K-1).
+    X^(n+1)_i = S_i X^(n)_(K-1) + rho X^(n)_(i-1).
+
+    The direct recursion runs on integers read from the supplied R, not
+    from the integer form it checks (``_monic_integer``): with r the lcm of
+    the denominators of the R_i, T_i = R_i r^(K-i) is an integer, and
+    ``recursion_vectors`` on T gives vecT^(n)_i = r^(n-i) vec^(n)_i, where
+    vec^(n) is the recursion on R.  By induction on n: both start at e_1,
+    and r^(n+1-i) (R_i vec^(n)_(K-1) + vec^(n)_(i-1))
+    = (R_i r^(K-i)) r^(n-K+1) vec^(n)_(K-1) + r^(n-i+1) vec^(n)_(i-1)
+    = T_i vecT^(n)_(K-1) + vecT^(n)_(i-1).  (Equivalently, y = r x turns
+    x^K - sum_i R_i x^i into r^-K (y^K - sum_i T_i y^i), a monic integer
+    polynomial.)  So vec^(n)_i = vecT^(n)_i r^i / r^n, and with r = rho it
+    equals X_i/rho^n exactly when vecT^(n)_i r^i = X_i.  A wrong rho in the
+    integer form, or a wrong power of r, breaks that equality.
+
+    Entry i of the decomposition P diag(a^n) P^-1 e_1 is
+    sum_j (N_ij/u_i)(B_j^n/delta^n)(V_j0/v) = (N_i . w)/(u_i v delta^n)
+    with w_j = B_j^n V_j0, carried from n to n + 1 by one integer product;
+    it equals X_i/rho^n exactly when (N_i . w) rho^n = X_i u_i v delta^n.
+    The initial condition A^K e_1 = R reads X^(K)_i = S_i rho^(K-1).
     """
     sd = eigen_closed_form(R, alphas)
     K = sd.K
     count = K + 3
-    by_recursion = recursion_vectors(sd.R, count)
+    T, r = _monic_integer(sd.R)
+    r_pow = [r ** i for i in range(K)]
+    by_recursion = recursion_vectors(T, count)
     ok_rec = ok_eig = True
     X = [1] + [0] * (K - 1)
     w = list(sd.V0)
@@ -538,9 +563,9 @@ def spectral_suite(R: Sequence, alphas: Sequence) -> dict:
         if n == K:
             # initial conditions: A^K e_1 must reproduce the last column R
             ok_init = X == [s * sd.rho ** (K - 1) for s in sd.S]
-        for i, (f, x) in enumerate(zip(by_recursion[n], X)):
-            if f.numerator * rho_n != x * f.denominator:
-                ok_rec = False
+        if list(map(mul, by_recursion[n], r_pow)) != X:
+            ok_rec = False
+        for i, x in enumerate(X):
             if sum(map(mul, sd.N[i], w)) * rho_n != x * sd.u[i] * sd.v * delta_n:
                 ok_eig = False
         w = [wj * b for wj, b in zip(w, sd.B)]
@@ -548,3 +573,14 @@ def spectral_suite(R: Sequence, alphas: Sequence) -> dict:
         delta_n *= sd.delta
     return {"K": K, "recursion_ok": ok_rec, "eigen_ok": ok_eig,
             "initial_ok": ok_init}
+
+
+def _monic_integer(R: Sequence[Rat]) -> tuple[list[int], int]:
+    """(T, r): r the lcm of the denominators of the R_i and the integers
+    T_i = R_i r^(K-i), so that y^K - sum_i T_i y^i at y = r x is
+    r^K (x^K - sum_i R_i x^i).  R_i r = num(R_i) (r/den(R_i)), an integer,
+    and K - i >= 1 for i < K."""
+    K = len(R)
+    r = math.lcm(*(x.denominator for x in R))
+    return [x.numerator * (r // x.denominator) * r ** (K - 1 - i)
+            for i, x in enumerate(R)], r

@@ -307,6 +307,52 @@ def test_trusted_results_match_the_validating_constructor(p, q, c, k):
     assert p * q == q * p
 
 
+@st.composite
+def _bound_polys(draw):
+    """A polynomial in one to three of z, g, a (up to 6 terms of exponent
+    <= 4) and a numeric value for every one of them, plus an unused name."""
+    vs = draw(st.lists(st.sampled_from(("z", "g", "a")), min_size=1, max_size=3,
+                       unique=True))
+    rats = st.builds(F, st.integers(-9, 9), st.integers(1, 7))
+    keys = st.tuples(*[st.integers(0, 4)] * len(vs))
+    p = ParamPoly(vs, draw(st.dictionaries(keys, rats, max_size=6)))
+    return p, {v: draw(rats) for v in (*vs, "h")}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_bound_polys())
+@example((ParamPoly.zero(("z",)), {"z": F(3)}))
+@example(((z + g) ** 3, {"z": F(-1, 2), "g": F(1, 2)}))  # the value is 0
+def test_numeric_evaluate_matches_substitution(case):
+    p, binding = case
+    got = p.evaluate(binding)
+    assert type(got) is F
+    assert got == p.subs(binding).constant_value()
+    # a variable left unbound: the value or ValueError of the substitution
+    # route (its terms may still cancel at the other values)
+    for v in p.vars:
+        unbound = {k: x for k, x in binding.items() if k != v}
+        assert (_value_or_error(lambda: p.evaluate(unbound))
+                == _value_or_error(lambda: p.subs(unbound).constant_value()))
+
+
+def _value_or_error(fn):
+    try:
+        return fn()
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_evaluate_takes_polynomial_bindings():
+    p = (z + g) ** 2 - z * z - 2 * z * g
+    assert p.evaluate({"z": F(5), "g": ParamPoly.const(3)}) == 9
+    assert p.evaluate({"g": F(3)}) == 9  # z is bound by no term
+    with pytest.raises(ValueError, match=r"not a constant polynomial: 2\*g"):
+        (z * g).evaluate({"z": F(2)})
+    with pytest.raises(ValueError, match="not a constant polynomial"):
+        (z * g).evaluate({"z": F(2), "g": ParamPoly.var("a")})
+
+
 def test_interpolate_linear():
     got = interpolate_param([(0, F(2)), (1, F(3))], 1, "g")
     assert got == g + 2

@@ -1,7 +1,6 @@
 """Ladder operators: exact actions, recurrence-coefficient match, eigenvalue
 shifts, the time-power expansion of the Heisenberg solution."""
 
-import dataclasses
 import pathlib
 from fractions import Fraction as F
 
@@ -12,7 +11,7 @@ from closurelab.exactalg import EtaPoly, ParamPoly
 from closurelab.closure import ClosureData, closure_for_family
 from closurelab.families import (EigenValidationFailed, builtin_deformed,
                                  load_family_plugin)
-from closurelab.heisenberg import (LadderContext, NotProportional,
+from closurelab.heisenberg import (LadderAction, LadderContext, NotProportional,
                                    check_r0_relation, commutation_check,
                                    heisenberg_series_check, ladder_apply,
                                    ladder_suite)
@@ -242,7 +241,8 @@ def test_perturbed_alpha_fails_its_eigenvalue_shift_row(ctx_l1i, monkeypatch):
     def perturbed(ctx, j, n):
         action = real(ctx, j, n)
         if (j, n) == (2, 3):
-            action = dataclasses.replace(action, alpha=action.alpha + 1)
+            action = LadderAction(action.j, action.n, action.shift, action.coefficient,
+                                  action.coords, action.alpha + 1, action.target)
         return action
 
     monkeypatch.setattr(heisenberg, "ladder_apply", perturbed)

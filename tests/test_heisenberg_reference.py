@@ -3,7 +3,6 @@
 entries on L and J with D in {1I, 1II, 2I, 3II}, Y in {1, eta, eta^2} and
 the shipped L[2I] plugin, and negative controls that flip a verdict."""
 
-import dataclasses
 import pathlib
 from fractions import Fraction as F
 
@@ -14,8 +13,9 @@ from closurelab import heisenberg
 from closurelab.closure import closure_for_family, level_coordinates
 from closurelab.exactalg import EtaPoly
 from closurelab.families import ParamSet, builtin_deformed, load_family_plugin
-from closurelab.heisenberg import (LadderContext, NotProportional,
+from closurelab.heisenberg import (LadderAction, LadderContext, NotProportional,
                                    heisenberg_series_check, ladder_apply)
+from closurelab.spectral import SpectralData
 
 PLUGIN = pathlib.Path(__file__).resolve().parent.parent / "plugins" / "laguerre_2I.json"
 Y_POLYS = {"1": EtaPoly.const(1), "eta": EtaPoly((0, 1)), "eta^2": EtaPoly((0, 0, 1))}
@@ -84,7 +84,9 @@ def test_corrupted_eigenvector_numerator_flips_the_ladder_verdict(j_ctx):
     sd, R_minus1 = ctx.spectral_at(n)
     N = [list(row) for row in sd.N]
     N[1][j - 1] += 1
-    ctx._spectral[n] = (dataclasses.replace(sd, N=tuple(map(tuple, N))), R_minus1)
+    corrupted = SpectralData(sd.alphas, sd.R, sd.B, sd.delta, sd.S, sd.rho,
+                             tuple(map(tuple, N)), sd.u, sd.V0, sd.v)
+    ctx._spectral[n] = (corrupted, R_minus1)
     for route in (ladder_apply, ref.ladder_action):
         assert _ladder_ok(route, _fresh(j_ctx), j, n)
         assert not _ladder_ok(route, ctx, j, n)
@@ -126,7 +128,8 @@ def test_perturbed_action_coordinate_flips_the_time_power_verdict(j_ctx):
     action = ladder_apply(ctx, j, n)
     coords = dict(action.coords)
     coords[action.shift] += F(1, 7)
-    bad = dataclasses.replace(action, coords=coords)
+    bad = LadderAction(action.j, action.n, action.shift, action.coefficient,
+                       coords, action.alpha, action.target)
     ctx._actions[(j, n)] = bad
     actions = [ladder_apply(ctx, i, n) for i in range(1, ctx.K + 1)]
     assert actions[j - 1] is bad

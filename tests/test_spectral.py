@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from closurelab.cli import DEFAULT_PARAMS, _random_distinct_rationals
+from closurelab.cli import DEFAULT_PARAMS, _companion_R, _random_distinct_rationals
 from closurelab import spectral
 from closurelab.closure import conjectured_R
 from closurelab.exactalg import ParamPoly, rat
@@ -339,6 +339,35 @@ def test_integer_certificate_matches_fraction_reference():
         sd = eigen_closed_form(R, alphas)
         want = reference_eigen_closed_form(R, alphas)
         assert (sd.alphas, sd.R, sd.P, sd.P_inv) == want
+
+
+def test_integer_expansion_of_random_roots_matches_fractions():
+    for seed in range(5):
+        for R, alphas in _cli_random_spectra(seed):
+            got = _companion_R(alphas)
+            assert got == R and all(type(x) is F for x in got)
+    assert _companion_R([F(1, 2), F(-2, 3)]) == [F(1, 3), F(-1, 6)]
+
+
+@pytest.mark.parametrize("off_by", [1, -1])
+def test_off_by_one_rho_power_flips_the_recursion_verdict(monkeypatch, off_by):
+    # spectra whose R have a denominator, so that rho > 1
+    spectra = [(R, al) for R, al in _cli_random_spectra(0)
+               if math.lcm(*(x.denominator for x in R)) > 1][:10]
+    assert len(spectra) == 10
+    for R, alphas in spectra:
+        assert spectral_suite(R, alphas)["recursion_ok"]
+    real = spectral._monic_integer
+
+    def shifted(R):  # T_i = R_i rho^(K-i+off_by)
+        T, r = real(R)
+        return [t * F(r) ** off_by for t in T], r
+
+    monkeypatch.setattr(spectral, "_monic_integer", shifted)
+    for R, alphas in spectra:
+        suite = spectral_suite(R, alphas)
+        assert not suite["recursion_ok"]
+        assert suite["eigen_ok"] and suite["initial_ok"]
 
 
 def _raised(fn, *args):
