@@ -15,7 +15,6 @@ import functools
 import json
 import math
 import os
-import random
 import sys
 from fractions import Fraction
 
@@ -363,7 +362,8 @@ def cmd_spectrum(args) -> int:
             raise _outside_ordering_range(params, L, exc) from None
         report.add(f"spectrum/companion[n={n}]",
                    suite["recursion_ok"] and suite["eigen_ok"] and suite["initial_ok"])
-    # randomized distinct-rational spectra
+    # randomized distinct-rational spectra; only this command loads random
+    import random
     seed = int(os.environ.get("CLOSURELAB_SEED", "0"))
     rng = random.Random(seed)
     ok_all = True

@@ -23,13 +23,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from fractions import Fraction
-from importlib import resources
 from itertools import count, islice
 from typing import Callable, Iterator, Mapping, Sequence
 
-from .exactalg import (EtaPoly, ParamPoly, Rat, SampleMismatch, interpolate_grid,
-                       rat_str, solve_linear_exact)
+from .exactalg import (EtaPoly, ParamPoly, Rat, SampleMismatch, horner,
+                       interpolate_grid, rat_str, solve_linear_exact)
 from .families import (DeformedFamily, EigenValidationFailed, MultiIndex,
                        ParamSet, SchemaError, builtin_deformed,
                        degenerate_level, seed_degree_drops)
@@ -371,7 +371,8 @@ class IdentityVerdict:
 
 def verify_closure_identity(df: DeformedFamily, X: EtaPoly,
                             cd: ClosureData) -> IdentityVerdict:
-    """Exact verdict on the order-K relation as an operator identity.
+    """Exact verdict on the order-K relation as an operator identity,
+    decided on integer numerators.
 
     The relation A = (ad H)^K X - sum_i (ad H)^i X o R_i(H) - R_-1(H) is a
     differential operator of order at most N = max(K, i + 2 deg R_i,
@@ -387,20 +388,42 @@ def verify_closure_identity(df: DeformedFamily, X: EtaPoly,
     that ``solve_closure`` read are taken from the family's store, where
     each was checked once.  A false verdict names the first nonzero c_{n,k}
     (increasing n, then k); it is a report, not an error.  R data must be
-    numeric in z.
+    numeric in z: data symbolic in a parameter raise ValueError.
+
+    Integer form.  With c the lcm of the denominators of every coefficient
+    of R_0..R_{K-1} and R_-1, R_i(z) = sum_j A_ij z^j / c for integers A_ij,
+    j <= J, the largest z-degree.  At E_n = e/q in lowest terms,
+    a_i = c q^J R_i(E_n) = sum_j A_ij e^j q^(J-j) is an integer
+    (``exactalg.horner``).  At a coordinate with Delta = p/d in lowest terms
+    and r_{n,k} = r_num/r_den, multiplying c_{n,k} by c q^J d^K r_den gives
+    r_num (c q^J p^K - sum_i a_i p^i d^(K-i)) - [k = 0] a_-1 d^K r_den
+    = r_num (c q^J p^K - d H) - [k = 0] a_-1 d^K r_den,
+    H = sum_i a_i p^i d^(K-1-i) (``horner`` again).  The factor
+    c q^J d^K r_den is a positive integer, so this integer is zero exactly
+    when c_{n,k} is, and the witness is the integer over that factor: the
+    same rational c_{n,k}.
     """
     K = cd.K
+    polys = [*cd.R, cd.R_minus1]
     N = max([K, 2 * cd.R_minus1.degree("z")]
             + [i + 2 * Ri.degree("z") for i, Ri in enumerate(cd.R)])
-    for n, coords in enumerate(_levels_through(df, X, N)):
-        R_at, R_minus1_at = cd.values_at(df.E(n))
+    levels = _levels_through(df, X, N)  # a short plugin fails before symbolic data
+    J = max(0, *(poly.degree("z") for poly in polys))
+    coeffs = [[_z_coefficient(poly, j) for j in range(J + 1)] for poly in polys]
+    c = math.lcm(*(x.denominator for row in coeffs for x in row))
+    A = [[x.numerator * (c // x.denominator) for x in row] for row in coeffs]
+    for n, coords in enumerate(levels):
+        En = df.E(n)
+        e, q = En.numerator, En.denominator
+        *a, a_minus1 = (horner(row, e, q) for row in A)
+        cq = c * q ** J
         for k, r, delta in coords:
-            residual = r * (delta ** K - sum(R_i * delta ** i
-                                             for i, R_i in enumerate(R_at)))
+            p, d = delta.numerator, delta.denominator
+            val = r.numerator * (cq * p ** K - d * horner(a, p, d)) if r else 0
             if k == 0:
-                residual -= R_minus1_at
-            if residual:
-                return IdentityVerdict(n, k, residual)
+                val -= a_minus1 * d ** K * r.denominator
+            if val:
+                return IdentityVerdict(n, k, Fraction(val, cq * d ** K * r.denominator))
     return IdentityVerdict()
 
 
@@ -561,11 +584,17 @@ def expand_factored(expr: str) -> ParamPoly:
 def load_reference_tables() -> dict:
     """The shipped inhomogeneous-term reference data, keyed by
     (family, D-label, Y-label).  The JSON is parsed once per process and
-    every call returns the same tables, so callers must not mutate them."""
+    every call returns the same tables, so callers must not mutate them.
+    The file is read next to this module with ``open``, so the package must
+    be installed unzipped; from a zip archive the read fails with an OSError
+    that names the missing path.  ``importlib.resources`` would load
+    pathlib, tempfile, random, shutil and zipfile into every command's cold
+    start."""
     global _TABLES
     if _TABLES is None:
-        path = resources.files("closurelab.data").joinpath("appendix_b.json")
-        payload = json.loads(path.read_text())
+        path = os.path.join(os.path.dirname(__file__), "data", "appendix_b.json")
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
         out = {}
         for entry in payload["entries"]:
             key = (entry["family"], entry["D"], entry.get("Y", "1"))

@@ -64,6 +64,31 @@ def rat_str(value: Rat) -> str:
     return f"{num}/{Decimal(value.denominator)}"
 
 
+def horner(coeffs: Sequence[int], x: int, y: int) -> int:
+    """sum_i coeffs[i] x^i y^(m-1-i), m = len(coeffs) >= 1: the polynomial
+    with these coefficients at x/y, times y^(m-1).  Homogeneous Horner:
+    acc = coeffs[m-1], then acc <- acc x + coeffs[i] y^(m-1-i) for
+    i = m-2..0, the power of y carried from one step to the next."""
+    acc, ypow = coeffs[-1], 1
+    for c in reversed(coeffs[:-1]):
+        ypow *= y
+        acc = acc * x + c * ypow
+    return acc
+
+
+def _numeric_value(terms, xs: Sequence[Rat]) -> Rat:
+    """sum coeff * prod_v xs[v]^e_v over the (exponents, coeff) pairs of
+    ``terms``, whose exponents line up with the numbers ``xs``: the value of
+    a polynomial at a point, and the one such formula of ``ParamPoly``."""
+    total = None
+    for exps, coeff in terms:
+        for x, e in zip(xs, exps):
+            if e:
+                coeff *= x ** e
+        total = coeff if total is None else total + coeff
+    return Fraction(0) if total is None else total
+
+
 class SampleMismatch(Exception):
     """An extra interpolation sample disagrees with the interpolant
     (the degree bound was too small)."""
@@ -327,11 +352,17 @@ class ParamPoly:
             for e, c in self.terms.items() if e[i]})
 
     def subs(self, bindings: Mapping[str, object]) -> "ParamPoly":
-        """Substitute variables by Fractions or ParamPolys."""
+        """Substitute variables by Fractions or ParamPolys.  When every bound
+        variable is bound to a number, each term's coefficient is multiplied
+        by the bound powers and summed on its kept exponents
+        (``_subs_numbers``); a ParamPoly binding takes the term-by-term
+        products below."""
         relevant = {v: bindings[v] for v in self.vars if v in bindings}
         if not relevant:
             return self
         keep = [v for v in self.vars if v not in relevant]
+        if not any(isinstance(x, ParamPoly) for x in relevant.values()):
+            return self._subs_numbers(relevant, keep)
         result = ParamPoly.zero(keep)
         pow_cache: dict[tuple[str, int], ParamPoly] = {}
 
@@ -357,9 +388,30 @@ class ParamPoly:
             result = result + term
         return result
 
+    def _subs_numbers(self, values: Mapping[str, object],
+                      keep: list[str]) -> "ParamPoly":
+        """``subs`` with every bound variable bound to a number: the same
+        variables and terms as the products of the general route.  Those
+        products merge variables in ``_var_key`` order (``_align``) as soon as
+        a term has a positive exponent, so the kept variables come back in
+        that order unless every term is constant.  The terms are grouped by
+        their exponents of the kept variables, each group's coefficient is
+        its value at the bound numbers (``_numeric_value``), and zero
+        coefficients are dropped, as ``__add__`` does."""
+        vs = tuple(sorted(keep, key=_var_key) if any(map(any, self.terms)) else keep)
+        kept = [self.vars.index(v) for v in vs]
+        bound = [i for i, v in enumerate(self.vars) if v in values]
+        xs = [rat(values[self.vars[i]]) for i in bound]
+        groups: dict[tuple[int, ...], list] = {}
+        for exps, coeff in self.terms.items():
+            groups.setdefault(tuple(exps[i] for i in kept), []).append(
+                (tuple(exps[i] for i in bound), coeff))
+        terms = {key: _numeric_value(group, xs) for key, group in groups.items()}
+        return ParamPoly._trusted(vs, {e: c for e, c in terms.items() if c})
+
     def evaluate(self, bindings: Mapping[str, object]) -> Rat:
         """The exact value at ``bindings``.  When every variable is bound to
-        a number this is sum_terms coeff * prod x_v^e_v, read directly;
+        a number this is ``_numeric_value`` of the terms, read directly;
         otherwise (a ParamPoly binding, or a variable left unbound) it is
         ``subs(bindings).constant_value()``, which raises ValueError unless
         the result is constant."""
@@ -369,13 +421,7 @@ class ParamPoly:
             if x is None or isinstance(x, ParamPoly):
                 return self.subs(bindings).constant_value()
             xs.append(rat(x))
-        total = None
-        for exps, coeff in self.terms.items():
-            for x, e in zip(xs, exps):
-                if e:
-                    coeff *= x ** e
-            total = coeff if total is None else total + coeff
-        return Fraction(0) if total is None else total
+        return _numeric_value(self.terms.items(), xs)
 
     def coeffs_in(self, var: str) -> dict[int, "ParamPoly"]:
         """Split into {power of var: coefficient polynomial in the rest}."""

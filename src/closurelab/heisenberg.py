@@ -24,7 +24,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable
 
-from .exactalg import EtaPoly, Rat
+from .exactalg import EtaPoly, Rat, horner
 from .closure import ClosureData, level_coordinates
 from .families import DeformedFamily
 from .recurrence import recurrence_row
@@ -120,7 +120,7 @@ def _ladder_action(ctx: LadderContext, j: int, n: int) -> LadderAction:
     With Delta_{n,k} = p/q in lowest terms (q > 0), every term over the
     common denominator q^(K-1) rho delta^(K-1) gives
     sum_i r Delta^i N_ij/u_i = r T/(q^(K-1) rho delta^(K-1)),
-    T = sum_i N_ij (p delta)^i q^(K-1-i)  (``_horner``),
+    T = sum_i N_ij (p delta)^i q^(K-1-i)  (``exactalg.horner``),
     since (p/q)^i/delta^(K-1-i) = (p delta)^i q^(K-1-i)/(q^(K-1) delta^(K-1)).
     At k = 0 (Delta = 0, so q = 1) the term R_-1/alpha_j = R_-1 delta/B_j is
     added over the product of the two denominators.  Each coordinate is
@@ -138,7 +138,7 @@ def _ladder_action(ctx: LadderContext, j: int, n: int) -> LadderAction:
     coords = {}
     for k, r, delta in level_coordinates(ctx.df, ctx.X, n):
         p, q = delta.numerator, delta.denominator
-        num = r.numerator * _horner(column, p * sd.delta, q)
+        num = r.numerator * horner(column, p * sd.delta, q)
         den = r.denominator * q ** (K - 1) * base
         if k == 0:
             num = (num * R_minus1.denominator * b
@@ -154,17 +154,6 @@ def _ladder_action(ctx: LadderContext, j: int, n: int) -> LadderAction:
         raise NotProportional(f"j={j}, n={n}: image is not proportional to P({target_n})")
     return LadderAction(j, n, shift, coords[shift], coords, alpha_j,
                         ctx.df.P(target_n))
-
-
-def _horner(column: list[int], x: int, y: int) -> int:
-    """sum_i column[i] x^i y^(K-1-i), K = len(column), by homogeneous
-    Horner: acc = column[K-1], then acc <- acc x + column[i] y^(K-1-i) for
-    i = K-2..0, the power of y carried from one step to the next."""
-    acc, ypow = column[-1], 1
-    for c in reversed(column[:-1]):
-        ypow *= y
-        acc = acc * x + c * ypow
-    return acc
 
 
 def ladder_suite(ctx: LadderContext, n_range: Iterable[int]) -> list[dict]:

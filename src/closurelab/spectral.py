@@ -58,6 +58,8 @@ class SqrtExpr:
 
     def __add__(self, other) -> "SqrtExpr":
         other = SqrtExpr.lift(other, self.square)
+        if self.v.is_zero and other.v.is_zero:
+            return SqrtExpr(self.u + other.u, self.v, self.square)
         return SqrtExpr(self.u + other.u, self.v + other.v, self.square)
 
     __radd__ = __add__
@@ -74,6 +76,8 @@ class SqrtExpr:
     def __mul__(self, other) -> "SqrtExpr":
         other = SqrtExpr.lift(other, self.square)
         self._check(other)
+        if self.v.is_zero and other.v.is_zero:
+            return SqrtExpr(self.u * other.u, self.v, self.square)
         return SqrtExpr(self.u * other.u + self.v * other.v * self.square,
                         self.u * other.v + self.v * other.u, self.square)
 
@@ -296,15 +300,31 @@ def elementary_symmetric_R(roots: Sequence) -> list:
     """R_i = -[x^i] prod_j (x - root_j) = (-1)^(K-i+1) e_{K-i}(roots) for
     i < K = len(roots): x^K - sum_i R_i x^i is the companion polynomial with
     these roots.  The one roots -> R expansion, in the ring of the roots:
-    Fractions, or SqrtExpr for the conjectured eigenvalue lists
+    ints, Fractions, or SqrtExpr for the conjectured eigenvalue lists
     (``closure.conjectured_R`` requires those to come out square-root free).
+
+    The roots are taken in pairs j, K-1-j: the product starts at
+    x - r_mid for odd K (1 for even K), and each pair multiplies it by
+    x^2 - s x + p, s = r_j + r_{K-1-j}, p = r_j r_{K-1-j}.  The ring is
+    commutative, so this is the same product.  A conjectured list is
+    ordered creation side first, so each such pair holds the eigenvalues of
+    shifts s and -s, which are conjugate: the sum and product of each are
+    square-root free, and every later product runs on the square-root-free
+    path of ``SqrtExpr``.
     """
-    coeffs = [1]  # prod (x - root) so far, lowest power first
-    for root in roots:
-        coeffs = [0, *coeffs]
-        for i in range(len(coeffs) - 1):
-            coeffs[i] = coeffs[i] - root * coeffs[i + 1]
-    return [-c for c in coeffs[:-1]]
+    K = len(roots)
+    # the product so far, lowest power first, its leading 1 omitted
+    tail: list = [-roots[K // 2]] if K % 2 else []
+    for x, y in zip(roots[:K // 2], reversed(roots[(K + 1) // 2:])):
+        s, p = x + y, x * y
+        # times x^2 - s x + p: t_i <- t_{i-2} - s t_{i-1} + p t_i, where the
+        # omitted leading t_m = 1 gives the p at x^m and the -s at x^(m+1)
+        new = [p * c for c in tail] + [p, -s]
+        for i, c in enumerate(tail):
+            new[i + 1] -= s * c
+            new[i + 2] += c
+        tail = new
+    return [-c for c in tail]
 
 
 # -- companion matrix, closed-form diagonalization -------------------------------

@@ -149,3 +149,15 @@ def reference_spectral_suite(R: Sequence, alphas: Sequence,
     ok_init = by_matrix[K] == list(R)
     return {"K": K, "recursion_ok": ok_rec, "eigen_ok": ok_eig,
             "initial_ok": ok_init}
+
+
+def sequential_elementary_symmetric_R(roots: Sequence) -> list:
+    """R_i = -[x^i] prod_j (x - root_j), the product expanded one linear
+    factor at a time in the order of the roots: the former route of
+    ``spectral.elementary_symmetric_R``, which pairs the roots first."""
+    coeffs = [1]  # prod (x - root) so far, lowest power first
+    for root in roots:
+        coeffs = [0, *coeffs]
+        for i in range(len(coeffs) - 1):
+            coeffs[i] = coeffs[i] - root * coeffs[i + 1]
+    return [-c for c in coeffs[:-1]]

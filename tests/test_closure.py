@@ -247,6 +247,20 @@ def test_values_at_equals_coefficientwise_evaluation(l1i_closure, j1i_closure,
         ClosureData(2, [z, z], z * g).values_at(F(3))
 
 
+def test_identity_certificate_rejects_data_symbolic_in_a_parameter(l1i, l1i_closure):
+    # the certificate reads the z-coefficients as numbers: a parameter left
+    # in R_0..R_{K-1}, or in R_-1 alone, is a ValueError and not a verdict
+    cd, X = l1i_closure
+    with pytest.raises(ValueError):
+        verify_closure_identity(l1i, X, ClosureData(2, [z * g, z], z + g))
+    with pytest.raises(ValueError):
+        verify_closure_identity(l1i, X, ClosureData(cd.K, list(cd.R), cd.R_minus1 + g))
+    # a parameter that no term uses leaves the data numeric
+    widened = ClosureData(cd.K, [Ri.with_vars(("g", "z")) for Ri in cd.R],
+                          cd.R_minus1.with_vars(("g", "z")))
+    assert verify_closure_identity(l1i, X, widened)
+
+
 def test_reconstruct_closure_symbolic_in_g():
     def solve_at(binding):
         ps = ParamSet("L", {"g": binding["g"]})

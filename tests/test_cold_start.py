@@ -1,7 +1,9 @@
 """Cold start: a command imports only what it uses.  ``dataclasses`` (and
 through it ``inspect``, ``ast``, ``dis`` and ``tokenize``) would cost more
 than the rest of ``import closurelab.cli``, so the package must not pull it
-in."""
+in.  Nor may it load ``random`` (only ``spectrum`` draws random spectra) or
+``importlib.resources``, which brings pathlib, tempfile, random, shutil and
+zipfile with it.  ``decimal`` is not tested: ``fractions`` imports it."""
 
 import os
 import pathlib
@@ -19,12 +21,21 @@ print(" ".join(sorted(set(sys.modules) - before)))
 """
 
 
-def test_cli_import_loads_no_dataclasses_or_inspect():
-    # a fresh interpreter, and the modules that the import adds, so that a
-    # site hook that loads either module first does not hide or fake a load
+def _new_modules() -> set[str]:
+    # a fresh interpreter without site (-S), and the modules that the import
+    # adds, so that a site hook that loads a module first does not hide or
+    # fake a load
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
-    out = subprocess.run([sys.executable, "-c", PROBE], env=env, check=True,
+    out = subprocess.run([sys.executable, "-S", "-c", PROBE], env=env, check=True,
                          capture_output=True, text=True).stdout.split()
     assert "closurelab.cli" in out
-    assert not {"dataclasses", "inspect"} & set(out)
+    return set(out)
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    assert not {"dataclasses", "inspect"} & _new_modules()
+
+
+def test_cli_import_loads_no_random_or_resources():
+    assert not {"random", "importlib.resources", "tempfile"} & _new_modules()

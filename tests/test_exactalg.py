@@ -336,6 +336,31 @@ def test_numeric_evaluate_matches_substitution(case):
                 == _value_or_error(lambda: p.subs(unbound).constant_value()))
 
 
+@st.composite
+def _partly_bound_polys(draw):
+    """A polynomial of ``_bound_polys`` with numbers bound to any subset of
+    its variables and the unused name."""
+    p, values = draw(_bound_polys())
+    bound = draw(st.lists(st.sampled_from(sorted(values)), unique=True))
+    return p, {v: values[v] for v in bound}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_partly_bound_polys())
+# the kept variables come back in _var_key order (g before a) once a term
+# has a positive exponent, and in their own order when every term is constant
+@example((ParamPoly(("a", "g", "z"), {(1, 0, 2): F(3), (0, 1, 0): F(-1)}), {"z": F(2)}))
+@example((ParamPoly(("a", "g", "z"), {(0, 0, 0): F(2)}), {"z": F(2)}))
+def test_numeric_subs_matches_the_polynomial_route(case):
+    # numbers give the variables and terms that the same values bound as
+    # constant ParamPolys give
+    p, numeric = case
+    fast = p.subs(numeric)
+    general = p.subs({v: ParamPoly.const(x) for v, x in numeric.items()})
+    assert (fast.vars, fast.terms) == (general.vars, general.terms)
+    _assert_valid(fast)
+
+
 def _value_or_error(fn):
     try:
         return fn()

@@ -105,7 +105,7 @@ def test_off_by_one_power_of_q_flips_the_ladder_verdict(j_ctx, monkeypatch):
     n, j = 2, j_ctx.L
     assert any(delta.denominator > 1
                for _, _, delta in level_coordinates(j_ctx.df, j_ctx.X, n))
-    monkeypatch.setattr(heisenberg, "_horner", shifted)
+    monkeypatch.setattr(heisenberg, "horner", shifted)
     ctx = _fresh(j_ctx)
     assert not _ladder_ok(ladder_apply, ctx, j, n)
     # the Fraction route has no power of q: on the same data it stays green

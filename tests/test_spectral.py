@@ -22,7 +22,8 @@ from closurelab.spectral import (DegenerateSpectrum, SqrtExpr,
                                  sqrt_square, sqrt_value_at_energy)
 from spectral_reference import (CompanionMatrix, reference_det,
                                 reference_eigen_closed_form,
-                                reference_spectral_suite)
+                                reference_spectral_suite,
+                                sequential_elementary_symmetric_R)
 
 z = ParamPoly.var("z")
 a = ParamPoly.var("a")
@@ -146,6 +147,82 @@ def test_expansion_has_the_roots_it_was_built_from():
             assert R[i] == (-1) ** (K - i + 1) * e
     assert elementary_symmetric_R([]) == []
     assert elementary_symmetric_R([F(3)]) == [F(3)]
+
+
+def test_paired_expansion_equals_the_sequential_one(aw_params):
+    # the expansion in pairs j, K-1-j is the product one linear factor at a
+    # time, on random Fraction and int lists with K = 0..9 (odd K included,
+    # repeats allowed) and on the SqrtExpr lists of all four families
+    rng = random.Random(22)
+    for K in range(10):
+        for _ in range(8):
+            ints = [rng.randint(-30, 30) for _ in range(K)]
+            fracs = [F(x, rng.randint(1, 9)) for x in ints]
+            for roots in (ints, fracs):
+                got = elementary_symmetric_R(roots)
+                assert got == sequential_elementary_symmetric_R(roots)
+                assert all(type(c) is type(x) for c, x in zip(got, roots))
+    for fam, ps in (("L", None), ("J", None), ("W", None), ("AW", aw_params)):
+        for L in (1, 2, 3):
+            alphas = alpha_conjecture(fam, L, ps)
+            assert (elementary_symmetric_R(alphas)
+                    == sequential_elementary_symmetric_R(alphas)), (fam, L)
+            assert (elementary_symmetric_R(alphas[:-1])
+                    == sequential_elementary_symmetric_R(alphas[:-1])), (fam, L)
+
+
+def test_conjectured_pairs_are_square_root_free_factors(monkeypatch, aw_params):
+    # the roots j and K-1-j of a conjectured list are conjugate, so each
+    # pair's sum and product are square-root free, and the only products of
+    # the expansion that carry sqrt(S) are pair products r_j r_{K-1-j}
+    general = []
+    real = SqrtExpr.__mul__
+
+    def record(self, other):
+        if not (self.is_sqrt_free and SqrtExpr.lift(other, self.square).is_sqrt_free):
+            general.append(other)
+        return real(self, other)
+
+    for fam, ps in (("L", None), ("J", None), ("W", None), ("AW", aw_params)):
+        for L in (1, 2, 3):
+            alphas = alpha_conjecture(fam, L, ps)
+            K = len(alphas)
+            assert K == 2 * L
+            carried = 0
+            for j in range(L):
+                x, y = alphas[j], alphas[K - 1 - j]
+                assert (x + y).is_sqrt_free and (x * y).is_sqrt_free, (fam, L, j)
+                carried += not (x.is_sqrt_free and y.is_sqrt_free)
+            general.clear()
+            with monkeypatch.context() as m:
+                m.setattr(SqrtExpr, "__mul__", record)
+                elementary_symmetric_R(alphas)
+            assert len(general) == carried, (fam, L)
+            if fam != "L":  # every root of the other three carries sqrt(S)
+                assert carried == L, (fam, L)
+
+
+def test_square_root_free_arithmetic_equals_the_general_formula():
+    # with v = 0 on both sides, + and * skip the sqrt(S) terms; the result
+    # is u + v sqrt(S) by the general formulas, v = 0 included
+    rng = random.Random(5)
+    S = z + a * a
+    zero = ParamPoly.zero(("z",))
+
+    def poly():
+        return sum((F(rng.randint(-9, 9), rng.randint(1, 5)) * z ** j * a ** k
+                    for j in range(3) for k in range(2)), zero)
+
+    for _ in range(30):
+        u1, u2 = poly(), poly()
+        x, y = SqrtExpr(u1, zero, S), SqrtExpr(u2, zero, S)
+        total, prod = x + y, x * y
+        assert (total.u, total.v) == (u1 + u2, zero + zero)
+        assert (prod.u, prod.v) == (u1 * u2 + zero * zero * S, u1 * zero + zero * u2)
+        assert total.is_sqrt_free and prod.is_sqrt_free
+        # one operand with a square root keeps the general route
+        w = SqrtExpr(u2, u1, S)
+        assert (x * w).v == u1 * u1 and (x + w).v == u1
 
 
 def test_conjectured_lists_are_the_elementary_symmetric_functions(aw_params):
