@@ -354,8 +354,9 @@ def cmd_spectrum(args) -> int:
     # conjectured R_i expanded from the same list
     conj = conjectured_R(alpha_list)
     for n in range(min(args.n_max, 4) + 1):
-        alphas = alpha_values_at_energy(params, n, alpha_list)
-        R_vals = [Ri.evaluate({"z": energy(params, n)}) for Ri in conj]
+        En = energy(params, n)
+        alphas = alpha_values_at_energy(params, n, alpha_list, En)
+        R_vals = [Ri.evaluate({"z": En}) for Ri in conj]
         try:
             suite = spectral_suite(R_vals, alphas)
         except DegenerateSpectrum as exc:

@@ -10,26 +10,32 @@ both work in recurrence coordinates (``level_coordinates``): on an
 eigenpolynomial, X P_n = sum_k r_{n,k} P_{n+k} gives
 [(ad H)^i X] P_n = sum_k r_{n,k} (E_{n+k} - E_n)^i P_{n+k}, and every R(H)
 collapses to the rational R(E_n), so neither an operator nor a commutator
-image is ever formed.  Unknown coefficients enter linearly, so one exact
-linear solve per parameter point settles existence and uniqueness; each
-level's rows are reduced in closed form and reach the solver scaled to
-integers.  Parameter dependence is then reconstructed from rational
-samples: each solve is read as its vector of coefficients of z^j in R_i,
-one tensor-grid interpolation (``exactalg.interpolate_grid``) rebuilds
-every coefficient at once, and the result is certified at fresh samples.
+image is ever formed.  Each level's rows are reduced in closed form.  At
+the full levels n = L..K they fix R_i(E_n) outright, so where those levels
+determine the data each R_i is interpolated through them and every level
+is checked by one integer residual pass (``solve_full_levels``); otherwise
+the unknown coefficients, which enter linearly, are settled by one exact
+linear solve of the integer rows (``solve_closure_system``).  Both settle
+existence and uniqueness.  Parameter dependence is then reconstructed from
+rational samples: each solve is read as its vector of coefficients of z^j
+in R_i, one tensor-grid interpolation (``exactalg.interpolate_grid``)
+rebuilds every coefficient at once, and the result is certified at fresh
+samples.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 from fractions import Fraction
 from itertools import count, islice
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .exactalg import (EtaPoly, ParamPoly, Rat, SampleMismatch, horner,
-                       interpolate_grid, rat_str, solve_linear_exact)
+                       interpolate_grid, inverse_vandermonde, rat_str,
+                       solve_linear_exact)
 from .families import (DeformedFamily, EigenValidationFailed, MultiIndex,
                        ParamSet, SchemaError, builtin_deformed,
                        degenerate_level, seed_degree_drops)
@@ -159,6 +165,28 @@ def _unknown_layout(K: int) -> list[tuple[int, int]]:
     return layout
 
 
+def _level_roots(coords: Sequence[tuple[int, Rat, Rat]]) -> tuple[Rat, list[Rat]]:
+    """r_{n,0} and the distinct Delta_{n,k} of the coordinates k != 0 with
+    r_{n,k} != 0, in increasing k, of one level's ``coords``."""
+    roots: list[Rat] = []
+    for k, r, delta in coords:
+        if k == 0:
+            r0 = r
+        elif r and delta not in roots:
+            roots.append(delta)
+    return r0, roots
+
+
+def _root_expansion(roots: Sequence[Rat]) -> tuple[list[int], int]:
+    """(S, d): d the lcm of the roots' denominators and S_i = -[y^i] Qt for
+    the monic integer Qt(y) = prod (y - sigma), sigma = d*root
+    (``spectral.elementary_symmetric_R``), so that
+    -[x^i] prod (x - root) = S_i/d^(m-i), m the number of roots."""
+    d = math.lcm(*(s.denominator for s in roots))
+    S = elementary_symmetric_R([s.numerator * (d // s.denominator) for s in roots])
+    return S, d
+
+
 def level_rows(coords: Sequence[tuple[int, Rat, Rat]],
                K: int) -> list[tuple[list[int], int]]:
     """Level n's order-K closure rows over its unknowns
@@ -200,20 +228,14 @@ def level_rows(coords: Sequence[tuple[int, Rat, Rat]],
     rho_K = S, so its rows are d^(K-i) v_i = S_i from the one integer
     expansion and no recursion runs.
     """
-    rows: list[tuple[list[int], int]] = []
-    roots: list[Rat] = []
-    for k, r, delta in coords:
-        if k == 0:
-            row0 = [0] * (K + 1)
-            row0[0], row0[-1] = r.numerator, r.denominator
-            rows.append((row0, 0))
-        elif r and delta not in roots:
-            roots.append(delta)
+    r0, roots = _level_roots(coords)
+    row0 = [0] * (K + 1)
+    row0[0], row0[-1] = r0.numerator, r0.denominator
+    rows: list[tuple[list[int], int]] = [(row0, 0)]
     if not roots:
         return rows
     m = len(roots)
-    d = math.lcm(*(s.denominator for s in roots))
-    S = elementary_symmetric_R([s.numerator * (d // s.denominator) for s in roots])
+    S, d = _root_expansion(roots)
     if m == K:
         for i in range(K):
             row = [0] * (K + 1)
@@ -296,7 +318,78 @@ def closure_system(df: DeformedFamily, X: EtaPoly,
 
 
 def solve_closure(df: DeformedFamily, X: EtaPoly, K: int) -> ClosureData:
-    """Exact solve of the order-K closure relation at bound parameters.
+    """Exact solve of the order-K closure relation at bound parameters:
+    read off the full levels where they determine it
+    (``solve_full_levels``), and by the linear system otherwise
+    (``solve_closure_system``).  Both give the same ClosureData or raise the
+    same exception, since ``solve_full_levels`` finds the unique solution
+    of the system that the other one solves, or proves there is none."""
+    levels = list(_levels_through(df, X, K))
+    cd = solve_full_levels(df, X.degree, K, levels)
+    return cd if cd is not None else solve_closure_system(df, X, K)
+
+
+def solve_full_levels(df: DeformedFamily, L: int, K: int,
+                      levels: Sequence[list[tuple[int, Rat, Rat]]]
+                      ) -> ClosureData | None:
+    """The order-K closure data read off the full levels, with no linear
+    solve; None when the levels do not determine it this way.
+
+    ``levels`` is ``level_coordinates`` of levels 0..K, for an X of degree
+    L.  The closed form applies when K = 2L, every level n = L..K is full
+    (its K coordinates k != 0 have r_{n,k} != 0 and K distinct
+    Delta_{n,k}), and E_L..E_K are distinct.  Then by ``level_rows`` the
+    rows of level n say exactly v_i = S_i/d^(K-i) (``_root_expansion``)
+    and v_-1 = -r_{n,0} v_0, for v_i = R_i(E_n).
+
+    Uniqueness.  R_i has degree at most b_i <= L (``degree_bounds``), and
+    its values at the b_i + 1 <= L + 1 distinct nodes E_L..E_{L+b_i} are
+    fixed, so exactly one polynomial of that degree takes them: R_i is that
+    interpolant, from one integer-scaled inverse Vandermonde matrix per
+    distinct bound (``exactalg.inverse_vandermonde``; the node lists are
+    prefixes of E_L..E_K), with one Fraction per coefficient.  Every
+    solution of the system agrees with it, and two solutions differ by
+    polynomials of degree <= b_i with b_i + 1 distinct roots, which are
+    zero: kernel_dim = 0.
+
+    Consistency.  The system (``closure_system``) has the solution set of
+    the coordinate rows c_{n,k} = 0, n = 0..K, of
+    ``verify_closure_identity``.  So a solution exists exactly when the
+    interpolants make every c_{n,k} with n <= K vanish, which
+    ``_first_residual`` decides on integers; a nonzero one raises the
+    NoSolution that the inconsistent system raises.
+    """
+    full = range(L, K + 1)
+    nodes = [df.E(n) for n in full]
+    if K != 2 * L or len(set(nodes)) != len(nodes):
+        return None
+    values = []  # per full level: v_0..v_{K-1}, v_-1
+    for n in full:
+        r0, roots = _level_roots(levels[n])
+        if len(roots) != K:
+            return None
+        S, d = _root_expansion(roots)
+        v = [Fraction(S[i], d ** (K - i)) for i in range(K)]
+        values.append([*v, -r0 * v[0]])
+    bounds = degree_bounds(K)
+    inverses = {b: inverse_vandermonde(nodes[:b + 1]) for b in set(bounds.values())}
+    coeffs = []  # z-coefficients of R_0..R_{K-1} and R_-1, padded to degree L
+    for i in [*range(K), -1]:
+        W, s = inverses[bounds[i]]
+        ys = [vals[i] for vals in values[:bounds[i] + 1]]
+        den = math.lcm(*(y.denominator for y in ys))
+        Y = [y.numerator * (den // y.denominator) for y in ys]
+        coeffs.append([Fraction(sum(map(operator.mul, w, Y)), s * den) for w in W]
+                      + [Fraction(0)] * (L - bounds[i]))
+    if not _first_residual(df, K, coeffs, levels):
+        raise NoSolution(f"order-{K} closure relation has no solution")
+    return _solved_data(K, [coeffs[i][j] for i, j in _unknown_layout(K)], 0)
+
+
+def solve_closure_system(df: DeformedFamily, X: EtaPoly, K: int) -> ClosureData:
+    """Exact solve of the order-K closure relation by one linear system,
+    whatever the levels: the route of ``solve_closure`` when the full
+    levels do not determine the data.
 
     The system is ``closure_system`` on the levels n = 0..K.  The degree
     bounds keep every term (ad H)^i X o H^j at operator order i + 2j <= K,
@@ -388,14 +481,32 @@ def verify_closure_identity(df: DeformedFamily, X: EtaPoly,
     that ``solve_closure`` read are taken from the family's store, where
     each was checked once.  A false verdict names the first nonzero c_{n,k}
     (increasing n, then k); it is a report, not an error.  R data must be
-    numeric in z: data symbolic in a parameter raise ValueError.
+    numeric in z: data symbolic in a parameter raise ValueError.  Each
+    c_{n,k} is decided on integer numerators (``_first_residual``).
+    """
+    polys = [*cd.R, cd.R_minus1]
+    N = max([cd.K, 2 * cd.R_minus1.degree("z")]
+            + [i + 2 * Ri.degree("z") for i, Ri in enumerate(cd.R)])
+    levels = _levels_through(df, X, N)  # a short plugin fails before symbolic data
+    J = max(0, *(poly.degree("z") for poly in polys))
+    coeffs = [[_z_coefficient(poly, j) for j in range(J + 1)] for poly in polys]
+    return _first_residual(df, cd.K, coeffs, levels)
 
-    Integer form.  With c the lcm of the denominators of every coefficient
-    of R_0..R_{K-1} and R_-1, R_i(z) = sum_j A_ij z^j / c for integers A_ij,
-    j <= J, the largest z-degree.  At E_n = e/q in lowest terms,
-    a_i = c q^J R_i(E_n) = sum_j A_ij e^j q^(J-j) is an integer
-    (``exactalg.horner``).  At a coordinate with Delta = p/d in lowest terms
-    and r_{n,k} = r_num/r_den, multiplying c_{n,k} by c q^J d^K r_den gives
+
+def _first_residual(df: DeformedFamily, K: int, coeffs: Sequence[Sequence[Rat]],
+                    levels: Iterable[list[tuple[int, Rat, Rat]]]) -> IdentityVerdict:
+    """The verdict on the coordinates c_{n,k} of ``verify_closure_identity``
+    over ``levels``, the ``level_coordinates`` of levels 0, 1, ... in turn:
+    false with the first nonzero c_{n,k} (increasing n, then k), true when
+    every one is zero.  ``coeffs`` lists the z-coefficients of R_0..R_{K-1}
+    and R_-1, every list of the same length J + 1 (padded with zeros).
+
+    Integer form.  With c the lcm of the denominators of every coefficient,
+    R_i(z) = sum_j A_ij z^j / c for integers A_ij, j <= J.  At E_n = e/q in
+    lowest terms, a_i = c q^J R_i(E_n) = sum_j A_ij e^j q^(J-j) is an
+    integer (``exactalg.horner``).  At a coordinate with Delta = p/d in
+    lowest terms and r_{n,k} = r_num/r_den, multiplying c_{n,k} by
+    c q^J d^K r_den gives
     r_num (c q^J p^K - sum_i a_i p^i d^(K-i)) - [k = 0] a_-1 d^K r_den
     = r_num (c q^J p^K - d H) - [k = 0] a_-1 d^K r_den,
     H = sum_i a_i p^i d^(K-1-i) (``horner`` again).  The factor
@@ -403,13 +514,7 @@ def verify_closure_identity(df: DeformedFamily, X: EtaPoly,
     when c_{n,k} is, and the witness is the integer over that factor: the
     same rational c_{n,k}.
     """
-    K = cd.K
-    polys = [*cd.R, cd.R_minus1]
-    N = max([K, 2 * cd.R_minus1.degree("z")]
-            + [i + 2 * Ri.degree("z") for i, Ri in enumerate(cd.R)])
-    levels = _levels_through(df, X, N)  # a short plugin fails before symbolic data
-    J = max(0, *(poly.degree("z") for poly in polys))
-    coeffs = [[_z_coefficient(poly, j) for j in range(J + 1)] for poly in polys]
+    J = len(coeffs[0]) - 1
     c = math.lcm(*(x.denominator for row in coeffs for x in row))
     A = [[x.numerator * (c // x.denominator) for x in row] for row in coeffs]
     for n, coords in enumerate(levels):

@@ -1093,7 +1093,7 @@ def interpolate_grid(samples: Mapping[tuple, Sequence], bounds: Mapping[str, int
 
     Exact scaling.  Entry c of every vector is multiplied once by the lcm
     D_c of its denominators, and each V_v^-1 by the lcm s_v of its
-    entries' denominators (``_inverse_vandermonde``), so every step is a
+    entries' denominators (``inverse_vandermonde``), so every step is a
     product of integer matrices, and the coefficients are the integer
     results over D_c prod_v s_v: one Fraction per term, at the end.  When
     variable v is processed, every value along it carries the same factor
@@ -1124,7 +1124,7 @@ def interpolate_grid(samples: Mapping[tuple, Sequence], bounds: Mapping[str, int
             for vec in grid for x, den in zip(vec, dens)]
     for d in reversed(range(len(vars))):
         var, b = vars[d], bounds[vars[d]]
-        W, s = _inverse_vandermonde(axes[d][:b + 1])
+        W, s = inverse_vandermonde(axes[d][:b + 1])
         dens = [den * s for den in dens]
         n, inner = sizes[d], math.prod(sizes[d + 1:]) * width
         extras = axes[d][b + 1:]
@@ -1156,22 +1156,44 @@ def interpolate_grid(samples: Mapping[tuple, Sequence], bounds: Mapping[str, int
     return [ParamPoly._trusted(out_vars, t) for t in terms]
 
 
-def _inverse_vandermonde(nodes: Sequence[Rat]) -> tuple[list[list[int]], int]:
+def inverse_vandermonde(nodes: Sequence[Rat]) -> tuple[list[list[int]], int]:
     """(W, s) with W/s the inverse of the Vandermonde matrix V_im = x_i^m
     of the distinct ``nodes``: W[m][i]/s = [x^m] prod_{j != i}
     (x - x_j)/(x_i - x_j), and s is the lcm of those Fractions'
-    denominators, so W is an integer matrix."""
-    basis = []
-    for i, xi in enumerate(nodes):
-        poly: list[Rat] = [Fraction(1)]  # low degree to high
-        scale = Fraction(1)
-        for j, xj in enumerate(nodes):
-            if j != i:
-                poly = [a - xj * b for a, b in zip([0, *poly], [*poly, 0])]
-                scale *= xi - xj
-        basis.append([c / scale for c in poly])
-    s = math.lcm(*(c.denominator for col in basis for c in col))
-    return [[(col[m] * s).numerator for col in basis] for m in range(len(nodes))], s
+    denominators, so W is an integer matrix.
+
+    Built on integers.  With q the lcm of the nodes' denominators and
+    x_j = p_j/q, multiplying each factor (x - x_j)/(x_i - x_j) by q/q turns
+    the Lagrange basis polynomial into T_i(q x)/D_i, with
+    T_i(y) = prod_{j != i} (y - p_j) and D_i = prod_{j != i} (p_i - p_j)
+    = T_i(p_i), a nonzero integer.  T_i = P/(y - p_i) for
+    P(y) = prod_j (y - p_j), by synthetic division with zero remainder, so
+    [x^m] of the basis polynomial is q^m [y^m] T_i / D_i.  Column i divided
+    by g_i = +-gcd(D_i, its entries), the sign making D_i/g_i positive, is
+    in lowest terms over D_i/g_i, the lcm of its entries' reduced
+    denominators; s is the lcm of those over i.
+    """
+    q = math.lcm(*(x.denominator for x in nodes))
+    p = [x.numerator * (q // x.denominator) for x in nodes]
+    P = [1]  # prod (y - p_j), low degree to high
+    for pj in p:
+        P = [a - pj * b for a, b in zip([0, *P], [*P, 0])]
+    size = len(p)
+    cols, dens = [], []
+    for pi in p:
+        T = [0] * size  # P(y)/(y - p_i)
+        acc = 0
+        for m in range(size, 0, -1):
+            acc = acc * pi + P[m]
+            T[m - 1] = acc
+        col = [q ** m * t for m, t in enumerate(T)]
+        D = horner(T, pi, 1)
+        g = math.gcd(D, *col) * (1 if D > 0 else -1)
+        cols.append([c // g for c in col])
+        dens.append(D // g)
+    s = math.lcm(*dens)
+    W = [[col[m] * (s // den) for col, den in zip(cols, dens)] for m in range(size)]
+    return W, s
 
 
 # -- tiny polynomial grammar (CLI Y input, data files) -----------------------

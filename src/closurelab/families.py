@@ -25,11 +25,12 @@ are direct images of the classical P_n, so the norm-ratio identities hold
 with no extra constants.  Parameters at which the virtual energy equals an
 eigenvalue make the seed degenerate and are rejected.
 
-The Hamiltonian H = -4*xi^-1*(c2*xi*d^2 + N1*d + N0) is fitted to the
-eigen-equations of P_0..P_2 (``build_H_ansatz``) and kept as the triple
-(c2*xi, N1, N0).  Every eigen-equation (the ansatz rows, each checked level
-and the seed) is decided by one polynomial, ``eigen_residual``, with no
-division and no operator algebra.
+The Hamiltonian H = -4*xi^-1*(c2*xi*d^2 + N1*d + N0) is built in closed
+form from xi and the shifted parameters lambda_D (``cleared_hamiltonian``)
+and kept as the triple (c2*xi, N1, N0).  Every eigen-equation (each checked
+level and the seed) is decided by one polynomial, ``eigen_residual``, with
+no division and no operator algebra, so a wrong H fails the build's own
+checks of P_0..P_VALIDATE_N before any verdict reads it.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactalg import EtaPoly, ParamPoly, Rat, rat, rat_str, solve_linear_exact
+from .exactalg import EtaPoly, ParamPoly, Rat, rat, rat_str
 
 HALF = Fraction(1, 2)
 
@@ -51,11 +52,11 @@ FAMILIES = ("L", "J", "W", "AW")
 VALIDATE_N = 5
 
 # Largest supported number of missing degrees ell, and of ell + deg Y in the
-# CLI.  It bounds the size of the ansatz system and of every P_n a
-# multi-index from a label or a plugin can ask for; every shipped row and
-# plugin has ell <= 5.  `verify-closure --family L --D <ell>I` on a 2-CPU
-# x86-64 host (Python 3.11): ell = 6, 10, 16 take 0.2 s, 0.35 s, 2.0 s (25 MB
-# peak RSS).
+# CLI.  It bounds the degree of every P_n a multi-index from a label or a
+# plugin can ask for; every shipped row and plugin has ell <= 5.
+# `verify-closure --family L --D <ell>I` on a 2-CPU x86-64 host (Python 3.11,
+# byte-compiled, interpreter start included): ell = 6, 10, 16 take 0.07 s,
+# 0.10 s, 0.19 s (17 MB peak RSS).
 MAX_ELL = 16
 
 
@@ -397,13 +398,15 @@ def c2_poly(fam: str) -> EtaPoly:
     raise ValueError("c2 is defined for the differential families L and J")
 
 
-def c1_poly(fam: str, params: ParamSet) -> EtaPoly:
+def c1_poly(fam: str, params: ParamSet, dg: Rat = 0, dh: Rat = 0) -> EtaPoly:
     """First-order coefficient of the classical operator
-    H_cl = -4*(c2*d^2 + c1*d)."""
+    H_cl = -4*(c2*d^2 + c1*d), at the parameters shifted to g + dg (and
+    h + dh for J)."""
     if fam == "L":
-        return EtaPoly((params.g + HALF, -1))
+        return EtaPoly((params.g + dg + HALF, -1))
     if fam == "J":
-        return EtaPoly((params.h - params.g, -(params.g + params.h + 1)))
+        g, h = params.g + dg, params.h + dh
+        return EtaPoly((h - g, -(g + h + 1)))
     raise ValueError("c1 is defined for the differential families L and J")
 
 
@@ -426,48 +429,37 @@ def eigen_residual(A2: EtaPoly, A1: EtaPoly, A0: EtaPoly, W: EtaPoly,
     return EtaPoly.dot([(A2, d1.diff()), (A1, d1), (A0 + W * (rat(E) / 4), f)])
 
 
-def _at(num: Sequence[int], k: int) -> int:
-    return num[k] if 0 <= k < len(num) else 0
+def cleared_hamiltonian(fam: str, D: MultiIndex, params: ParamSet,
+                        xi: EtaPoly) -> tuple[EtaPoly, EtaPoly, EtaPoly]:
+    """The cleared numerators (c2*xi, N1, N0) of the deformed Hamiltonian
+    H = -4*xi^-1*(c2*xi*d^2 + N1*d + N0), in closed form:
 
+        N1 = c1(eta; lambda_D)*xi - 2*c2*xi',
+        N0 = c2*xi'' - c1(eta; lambda_D - 1)*xi',
 
-def build_H_ansatz(fam: str, xi: EtaPoly, pairs: Sequence[tuple[EtaPoly, Rat]]
-                   ) -> tuple[EtaPoly, EtaPoly, EtaPoly]:
-    """The cleared numerators (c2*xi, N1, N0) of the unique operator
-    H = -4*xi^-1*(c2*xi*d^2 + N1*d + N0) fixed by eigen-equations.
+    with c1 the first-order coefficient of the classical operator
+    (``c1_poly``) at the shifted parameters lambda_D: g + M_I - M_II for L,
+    and (g + M_I - M_II, h - M_I + M_II) for J, where lambda_D - 1 lowers
+    every entry by 1.  This is the multi-indexed Laguerre/Jacobi operator of
+    Odake & Sasaki, Phys. Lett. B 702 (2011) 164, arXiv:1105.0508, in the
+    variable eta.  D = {} (xi = 1) gives (c2, c1, 0), the classical operator.
 
-    ``pairs`` supplies (P_n, E_n) for a few low n; the numerator degree
-    bounds follow from the structural form of the transformed Hamiltonian
-    (N1 <= deg xi + 1, N0 <= deg xi).  Each pair makes the eta-coefficients
-    of ``eigen_residual(c2*xi, N1, N0, xi, P_n, E_n)`` vanish: the known part
-    is the residual with N1 = N0 = 0, and the coefficient of eta^m is linear
-    in the unknowns, with [eta^(m-k)]P_n' multiplying the eta^k coefficient
-    of N1 and [eta^(m-k)]P_n that of N0.  Each such row is multiplied by the
-    nonzero P_n.den * base.den, which keeps its solution set and makes every
-    entry an integer.  Raises EigenValidationFailed when no operator of this
-    shape exists or when it is not unique.
+    Nothing here is trusted: every level a family reads is decided against
+    this H by ``eigen_residual`` (``DeformedFamily.check_levels``, from
+    n = 0 at construction), so a wrong formula fails the build and cannot
+    reach a verdict.  For the built-in single seeds of L and J and for the
+    shipped plugins it is the operator that the eigen-equations of P_0..P_2
+    determine uniquely (the tests fit that operator by an exact linear
+    solve and compare).  No multi-seed data ships with the package: for a
+    multi-seed plugin the formula is checked only by the eigen residuals of
+    the levels that are read.
     """
-    zero = EtaPoly()
-    A2 = c2_poly(fam) * xi
-    d1 = xi.degree + 1
-    d0 = d1 - 1
-    rows: list[list[int]] = []
-    rhs: list[int] = []
-    for P, E in pairs:
-        base = eigen_residual(A2, zero, zero, xi, P, E)
-        dP = [k * x for k, x in enumerate(P.num)][1:]  # P_n' over P.den
-        top = max(base.degree, d1 + len(dP) - 1, d0 + P.degree)
-        for m in range(top + 1):
-            rows.append([_at(dP, m - k) * base.den for k in range(d1 + 1)]
-                        + [_at(P.num, m - k) * base.den for k in range(d0 + 1)])
-            rhs.append(-_at(base.num, m) * P.den)
-    sol = solve_linear_exact(rows, rhs)
-    if not sol.consistent:
-        raise EigenValidationFailed(
-            "no operator of the transformed shape matches the eigen-equations")
-    if sol.kernel_basis:
-        raise EigenValidationFailed(
-            "eigen-equations do not pin the operator down (need more levels)")
-    return A2, EtaPoly(sol.solution[:d1 + 1]), EtaPoly(sol.solution[d1 + 1:])
+    s = D.M1 - D.M2
+    c2 = c2_poly(fam)
+    dxi = xi.diff()
+    N1 = EtaPoly.dot([(c1_poly(fam, params, s, -s), xi), (c2 * -2, dxi)])
+    N0 = EtaPoly.dot([(c2, dxi.diff()), (-c1_poly(fam, params, s - 1, -s - 1), dxi)])
+    return c2 * xi, N1, N0
 
 
 def eigen_validate(H_cleared: tuple[EtaPoly, EtaPoly, EtaPoly],
@@ -491,8 +483,8 @@ class DeformedFamily:
     classical P_n (a tuple; the undeformed family is (0, 1) with xi = 1),
     or the explicit list P(0)..P(p_max) of a plugin.  The parameters are
     bound: results symbolic in them come from exact samples
-    (``closure.symbolic_closure``).  The Hamiltonian is fitted to
-    the eigen-equations of P_0..P_2 and held as its cleared numerators
+    (``closure.symbolic_closure``).  The Hamiltonian is built in closed
+    form (``cleared_hamiltonian``) and held as its cleared numerators
     ``H_cleared`` = (c2*xi, N1, N0), so
     H = -4*xi^-1*(c2*xi*d^2 + N1*d + N0), and it is checked on
     P_0..P_VALIDATE_N.  P(n) generation and the energies E(n) are memoized
@@ -521,8 +513,7 @@ class DeformedFamily:
         self.checked_levels: set[int] = set()
         self.recurrence_rows: dict[tuple[EtaPoly, int], dict[int, Rat]] = {}
         self.Etilde = [virtual_energy(params, t, d) for d, t in D.entries]
-        pairs = [(self.P(n), self.E(n)) for n in range(3)]
-        self.H_cleared = build_H_ansatz(fam, xi, pairs)
+        self.H_cleared = cleared_hamiltonian(fam, D, params, xi)
         self.check_levels(VALIDATE_N)
 
     # polynomial eigendata --------------------------------------------------

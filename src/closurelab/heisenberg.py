@@ -80,8 +80,9 @@ class LadderContext:
         roots alpha_j(E_n) and coefficients R_i(E_n), and R_-1(E_n); the
         closure data are evaluated once per level."""
         if n not in self._spectral:
-            alphas = alpha_values_at_energy(self.df.params, n, self._alpha_list)
-            R_vals, R_minus1 = self.cd.values_at(self.df.E(n))
+            En = self.df.E(n)
+            alphas = alpha_values_at_energy(self.df.params, n, self._alpha_list, En)
+            R_vals, R_minus1 = self.cd.values_at(En)
             self._spectral[n] = (eigen_closed_form(R_vals, alphas), R_minus1)
         return self._spectral[n]
 

@@ -204,12 +204,14 @@ def alpha_conjecture(fam: str, L: int,
     return out
 
 
-def alpha_values_at_energy(params: ParamSet, n: int,
-                           alphas: list[SqrtExpr]) -> list[Rat]:
+def alpha_values_at_energy(params: ParamSet, n: int, alphas: list[SqrtExpr],
+                           En: Rat | None = None) -> list[Rat]:
     """alpha_j(E_n), square-root free, as exact rationals, for ``alphas`` =
-    alpha_conjecture(params.fam, L, params).  Raises SqrtValueMismatch
+    alpha_conjecture(params.fam, L, params).  ``En`` is E_n when the caller
+    already holds it (``energy`` otherwise).  Raises SqrtValueMismatch
     unless s = ``sqrt_value_at_energy`` squares to S(E_n)."""
-    En = energy(params, n)
+    if En is None:
+        En = energy(params, n)
     s = sqrt_value_at_energy(params, n)
     S_at = alphas[0].square.evaluate({"z": En})
     if S_at != s * s:
@@ -234,11 +236,14 @@ def check_alpha_spectrum(params: ParamSet, n_range: Sequence[int],
     out = []
     S = alphas[0].square
     L = len(alphas) // 2
+    E: dict[int, Rat] = {}  # E_m for every m read, computed once
     for n in n_range:
-        vals = alpha_values_at_energy(params, n, alphas)
-        En = energy(params, n)
+        for m in range(n - L, n + L + 1):
+            if m not in E:
+                E[m] = energy(params, m)
+        vals = alpha_values_at_energy(params, n, alphas, E[n])
         for j in range(1, 2 * L + 1):
-            expected = energy(params, n + ladder_shift(L, j)) - En
+            expected = E[n + ladder_shift(L, j)] - E[n]
             out.append({
                 "check": "spacing", "n": n, "j": j,
                 "ok": vals[j - 1] == expected,

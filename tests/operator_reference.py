@@ -6,14 +6,20 @@ polynomial residual.  The routes here rebuild H as a ``DiffOp`` with
 rational coefficients (``H_tilde``), or build it independently from the
 printed potentials and prefactors (``build_H_tilde(route='conjugation')``),
 so the tests can compare the two constructions and apply H directly.
+``build_H_ansatz`` fits the cleared numerators to the eigen-equations of a
+few levels by one exact linear solve, the reference for the closed form
+``families.cleared_hamiltonian``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Sequence
 
-from closurelab.exactalg import ParamPoly, RationalFunc
-from closurelab.families import MultiIndex, ParamSet, builtin_deformed
+from closurelab.exactalg import (EtaPoly, ParamPoly, Rat, RationalFunc,
+                                 solve_linear_exact)
+from closurelab.families import (EigenValidationFailed, MultiIndex, ParamSet,
+                                 builtin_deformed, c2_poly, eigen_residual)
 from closurelab.opalg import DiffOp
 
 HALF = Fraction(1, 2)
@@ -28,6 +34,50 @@ def H_tilde(df) -> DiffOp:
     from its cleared numerators ``df.H_cleared``."""
     return DiffOp("eta", {k: RationalFunc(-4 * a.param(), df.xi.param())
                           for k, a in zip((2, 1, 0), df.H_cleared)})
+
+
+def _at(num: Sequence[int], k: int) -> int:
+    return num[k] if 0 <= k < len(num) else 0
+
+
+def build_H_ansatz(fam: str, xi: EtaPoly, pairs: Sequence[tuple[EtaPoly, Rat]]
+                   ) -> tuple[EtaPoly, EtaPoly, EtaPoly]:
+    """The cleared numerators (c2*xi, N1, N0) of the unique operator
+    H = -4*xi^-1*(c2*xi*d^2 + N1*d + N0) fixed by eigen-equations.
+
+    ``pairs`` supplies (P_n, E_n) for a few low n; the numerator degree
+    bounds follow from the structural form of the transformed Hamiltonian
+    (N1 <= deg xi + 1, N0 <= deg xi).  Each pair makes the eta-coefficients
+    of ``eigen_residual(c2*xi, N1, N0, xi, P_n, E_n)`` vanish: the known part
+    is the residual with N1 = N0 = 0, and the coefficient of eta^m is linear
+    in the unknowns, with [eta^(m-k)]P_n' multiplying the eta^k coefficient
+    of N1 and [eta^(m-k)]P_n that of N0.  Each such row is multiplied by the
+    nonzero P_n.den * base.den, which keeps its solution set and makes every
+    entry an integer.  Raises EigenValidationFailed when no operator of this
+    shape exists or when it is not unique.
+    """
+    zero = EtaPoly()
+    A2 = c2_poly(fam) * xi
+    d1 = xi.degree + 1
+    d0 = d1 - 1
+    rows: list[list[int]] = []
+    rhs: list[int] = []
+    for P, E in pairs:
+        base = eigen_residual(A2, zero, zero, xi, P, E)
+        dP = [k * x for k, x in enumerate(P.num)][1:]  # P_n' over P.den
+        top = max(base.degree, d1 + len(dP) - 1, d0 + P.degree)
+        for m in range(top + 1):
+            rows.append([_at(dP, m - k) * base.den for k in range(d1 + 1)]
+                        + [_at(P.num, m - k) * base.den for k in range(d0 + 1)])
+            rhs.append(-_at(base.num, m) * P.den)
+    sol = solve_linear_exact(rows, rhs)
+    if not sol.consistent:
+        raise EigenValidationFailed(
+            "no operator of the transformed shape matches the eigen-equations")
+    if sol.kernel_basis:
+        raise EigenValidationFailed(
+            "eigen-equations do not pin the operator down (need more levels)")
+    return A2, EtaPoly(sol.solution[:d1 + 1]), EtaPoly(sol.solution[d1 + 1:])
 
 
 def swapped(params: ParamSet) -> ParamSet:
@@ -122,7 +172,7 @@ def build_H_tilde(fam: str, D: MultiIndex | str, params: ParamSet,
                   route: str = "ansatz") -> DiffOp:
     """Similarity-transformed Hamiltonian by the requested route.
 
-    route='ansatz' is the family's fitted operator (``H_tilde``);
+    route='ansatz' is the family's closed-form operator (``H_tilde``);
     route='conjugation' transforms the printed potential/prefactor data
     (available for L[1I], J[1I] and J[1II]) and raises RouteDisagreement
     unless it equals the ansatz.

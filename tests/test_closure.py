@@ -6,11 +6,12 @@ consequences."""
 import json
 import random
 import pathlib
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from closurelab import closure, families
+from closurelab import closure, exactalg, families
 from closurelab.cli import main
 from closurelab.exactalg import EtaPoly, ParamPoly, SampleMismatch, solve_linear_exact
 from closurelab.closure import (ClosureData, NoSolution, TableMissing,
@@ -20,7 +21,8 @@ from closurelab.closure import (ClosureData, NoSolution, TableMissing,
                                 level_coordinates, level_rows,
                                 load_reference_tables,
                                 reconstruct_closure, reference_expanded,
-                                solve_closure, symbolic_nodes,
+                                solve_closure, solve_full_levels,
+                                symbolic_closure, symbolic_nodes,
                                 verify_closure_identity)
 from closurelab.families import (VALIDATE_N, DeformedFamily,
                                  EigenValidationFailed, MultiIndex, ParamSet,
@@ -781,3 +783,153 @@ def test_closure_rows_solve_alike_in_any_order(case, l1i, j1ii, l_classical):
         order = rng.sample(range(len(rows)), len(rows))
         assert solve_linear_exact([rows[i] for i in order],
                                   [rhs[i] for i in order]) == got
+
+
+# -- the solve read off the full levels against the linear system ----------------
+
+SOLVE_LABELS = ("", "1I", "1II", "2I", "2II", "3I", "4II")
+SOLVE_PARAMS = {
+    "L": ({"g": F(7, 3)}, {"g": F(5, 2)}, {"g": F(11, 4)}, {"g": F(3)},
+          {"g": F(1, 3)}),
+    # the last two have a = g + h = 1, where the solution set has a kernel
+    "J": ({"g": F(17, 2), "h": F(19, 3)}, {"g": F(5, 2), "h": F(13, 3)},
+          {"g": F(9, 2), "h": F(7, 2)}, {"g": F(3, 4), "h": F(1, 4)},
+          {"g": F(2), "h": F(-1)}),
+}
+SOLVE_YS = (ONE, ETA, EtaPoly((1, 0, 1)))
+
+
+def _outcome(solve):
+    """(R, R_-1, kernel_dim) of a solve, the NoSolution it raised, or None
+    when it declined."""
+    try:
+        cd = solve()
+    except NoSolution as exc:
+        return "NoSolution", str(exc)
+    return None if cd is None else (cd.R, cd.R_minus1, cd.kernel_dim)
+
+
+def _full_levels(df, X, K):
+    levels = [level_coordinates(df, X, n) for n in range(K + 1)]
+    return _outcome(lambda: solve_full_levels(df, X.degree, K, levels))
+
+
+@pytest.mark.parametrize("fam", ["L", "J"])
+@pytest.mark.parametrize("label", SOLVE_LABELS, ids=lambda s: s or "classical")
+def test_full_level_solve_equals_the_linear_system(fam, label):
+    # every built configuration: the closed form, where it applies, and
+    # solve_closure give the generic solve's R, R_-1 and kernel_dim, or its
+    # exception; on these configurations the closed form declines exactly
+    # where the solution set has a kernel (J at a = 1)
+    taken = 0
+    for values in SOLVE_PARAMS[fam]:
+        ps = ParamSet(fam, values)
+        try:
+            df = builtin_deformed(fam, label, ps)
+        except ValueError:  # a seed degenerate at these parameters
+            continue
+        for Y in SOLVE_YS:
+            X = build_X(df.xi, Y)
+            K = 2 * X.degree
+            generic = _outcome(lambda: closure.solve_closure_system(df, X, K))
+            assert _outcome(lambda: solve_closure(df, X, K)) == generic
+            closed = _full_levels(df, X, K)
+            if closed is None:
+                assert generic[-1] > 0 and fam == "J" and ps.a == 1
+            else:
+                assert closed == generic
+                taken += 1
+    assert taken >= len(SOLVE_YS)
+
+
+@pytest.mark.parametrize("name", ["l1i", "j1i"])
+def test_perturbed_root_at_a_full_level_has_no_solution(name, request, monkeypatch):
+    # negative control: Delta_{n,1} + 1 at one full level n = L..K keeps the
+    # level full, so the closed form reads it; both paths find no solution
+    df = request.getfixturevalue(name)
+    X = build_X(df.xi, ONE)
+    L, K = X.degree, 2 * X.degree
+    real = closure.level_coordinates
+    for bad in range(L, K + 1):
+        def perturbed(df, X, n):
+            return [(k, r, delta + 1 if (n, k) == (bad, 1) else delta)
+                    for k, r, delta in real(df, X, n)]
+
+        monkeypatch.setattr(closure, "level_coordinates", perturbed)
+        levels = [perturbed(df, X, n) for n in range(K + 1)]
+        message = f"order-{K} closure relation has no solution"
+        with pytest.raises(NoSolution, match=message):
+            solve_full_levels(df, L, K, levels)
+        for solve in (solve_closure, closure.solve_closure_system):
+            with pytest.raises(NoSolution, match=message):
+                solve(df, X, K)
+
+
+def test_kernel_at_a_equal_one_takes_the_linear_system():
+    # J at a = 1: the closed form declines, and solve_closure reports the
+    # linear system's kernel_dim and conjectured point
+    df = builtin_deformed("J", "1I", ParamSet("J", {"g": F(3, 4), "h": F(1, 4)}))
+    X = build_X(df.xi, ONE)
+    K = 2 * X.degree
+    assert _full_levels(df, X, K) is None
+    cd = solve_closure(df, X, K)
+    assert cd.kernel_dim == 3
+    assert _outcome(lambda: cd) == _outcome(
+        lambda: closure.solve_closure_system(df, X, K))
+
+
+def test_symbolic_reconstruction_makes_no_linear_solve(monkeypatch):
+    # every sample of a symbolic J[1I] reconstruction is read off its full
+    # levels, and its family is built in closed form: no exact linear solve
+    calls = []
+    real = exactalg.solve_linear_exact
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "closurelab" and \
+                getattr(module, "solve_linear_exact", None) is real:
+            monkeypatch.setattr(module, "solve_linear_exact",
+                                lambda *args: calls.append(args) or real(*args))
+    cd = symbolic_closure("J", "1I", ONE)
+    assert cd.unique and calls == []
+
+
+def _synthetic_levels(E, K, root):
+    """Levels 0..K of an order-K relation with every r_{n,k} = 1: level n <
+    K/2 holds only its k = 0 coordinate, and a full level n holds the K
+    shifts Delta = k, with Delta = root(E_n) at k = 1.  Every v_i is then
+    a polynomial in E_n of degree at most deg root, and v_-1 = -v_0 makes
+    the k = 0 rows of the partial levels vanish."""
+    L = K // 2
+    return [[(0, F(1), F(0))] if n < L else
+            [(k, F(1), root(E(n)) if k == 1 else F(k)) for k in range(-L, L + 1)]
+            for n in range(K + 1)]
+
+
+@pytest.mark.parametrize("root, solvable", [(lambda E: F(3, 7), True),
+                                             (lambda E: E + 1, False)],
+                         ids=["constant", "linear"])
+def test_each_coefficient_keeps_its_own_degree_bound(l1i, monkeypatch, root, solvable):
+    # R_{K-1} has degree bound 0.  Roots that are constant give constant
+    # v_i, which both paths solve alike; a root linear in E_n makes
+    # v_{K-1} = -(sum of roots) linear in E_n, which a degree <= L
+    # interpolant through every full level would fit, but which has no
+    # solution within the bounds: both paths raise NoSolution
+    X = build_X(l1i.xi, ONE)
+    K = 2 * X.degree
+    levels = _synthetic_levels(l1i.E, K, root)
+    monkeypatch.setattr(closure, "level_coordinates", lambda df, X, n: levels[n])
+    generic = _outcome(lambda: closure.solve_closure_system(l1i, X, K))
+    assert _outcome(lambda: solve_full_levels(l1i, X.degree, K, levels)) == generic
+    assert (generic[0] == "NoSolution") != solvable
+
+
+def test_repeated_energy_takes_the_linear_system(l1i):
+    # E_L..E_K must be distinct interpolation nodes: a repeated energy
+    # declines the closed form instead of dividing by zero
+    class RepeatedEnergy:
+        def E(self, n):
+            return F(min(n, 3))
+
+    X = build_X(l1i.xi, ONE)
+    K = 2 * X.degree
+    levels = _synthetic_levels(RepeatedEnergy().E, K, lambda E: F(3, 7))
+    assert solve_full_levels(RepeatedEnergy(), X.degree, K, levels) is None

@@ -3,15 +3,18 @@ deformations, Hamiltonian routes, norm ratios, plugin loading."""
 
 import json
 import math
+import pathlib
 from fractions import Fraction as F
 
 import pytest
 
+from closurelab import families
 from closurelab.exactalg import EtaPoly, ParamPoly, RationalFunc, solve_linear_exact
 from closurelab.families import (DegreeMismatch, EigenValidationFailed,
                                  MultiIndex, ParamSet, SchemaError,
                                  builtin_deformed, c1_poly,
                                  c2_poly, canonical_seed, check_seed,
+                                 cleared_hamiltonian,
                                  classical_family, classical_h_step,
                                  classical_poly, eigen_residual, energy,
                                  family_from_plugin_dict, load_family_plugin,
@@ -20,7 +23,8 @@ from closurelab.families import (DegreeMismatch, EigenValidationFailed,
                                  seed_degree_drops, virtual_energy)
 from closurelab.opalg import DiffOp
 from closurelab.recurrence import compute_table
-from operator_reference import H_tilde, build_H_tilde, gauge_transform, swapped
+from operator_reference import (H_tilde, build_H_ansatz, build_H_tilde,
+                                gauge_transform, swapped)
 
 eta = ParamPoly.var("eta")
 E = EtaPoly.from_param
@@ -516,3 +520,54 @@ def test_plugin_serialization_round_trip(lag_params, jac_params, explicit_plugin
     assert plugin_dict_from_family(loaded) == data
     with pytest.raises(SchemaError, match="only up to n=11"):
         loaded.P(12)
+
+
+HAMILTONIAN_LABELS = ("", "1I", "1II", "2I", "2II", "3I", "3II")
+HAMILTONIAN_PARAMS = {
+    "L": ({"g": F(7, 3)}, {"g": F(11, 4)}, {"g": F(17, 5)}, {"g": F(4)}),
+    "J": ({"g": F(2), "h": F(3)}, {"g": F(17, 2), "h": F(19, 3)},
+          {"g": F(7, 3), "h": F(11, 5)}, {"g": F(9, 4), "h": F(13, 3)}),
+}
+
+
+def _fitted_H(df):
+    """The reference fit of the family's Hamiltonian to P_0..P_2."""
+    return build_H_ansatz(df.fam, df.xi, [(df.P(n), df.E(n)) for n in range(3)])
+
+
+@pytest.mark.parametrize("fam", ["L", "J"])
+@pytest.mark.parametrize("label", HAMILTONIAN_LABELS, ids=lambda s: s or "classical")
+def test_closed_form_hamiltonian_equals_the_fit(fam, label):
+    # the closed form (c2*xi, N1, N0) at lambda_D is the unique operator of
+    # the transformed shape that the eigen-equations of P_0..P_2 fix
+    for values in HAMILTONIAN_PARAMS[fam]:
+        df = builtin_deformed(fam, label, ParamSet(fam, values))
+        assert df.H_cleared == _fitted_H(df)
+        assert df.H_cleared == cleared_hamiltonian(fam, df.D, df.params, df.xi)
+
+
+def test_closed_form_hamiltonian_of_the_shipped_plugins():
+    paths = sorted((pathlib.Path(__file__).resolve().parent.parent
+                    / "plugins").glob("*.json"))
+    assert len(paths) == 6
+    for path in paths:
+        df = load_family_plugin(str(path))
+        assert df.H_cleared == _fitted_H(df), path.name
+
+
+@pytest.mark.parametrize("fam, shift", [("L", "g"), ("J", "g"), ("J", "h")])
+@pytest.mark.parametrize("label", HAMILTONIAN_LABELS[1:])
+def test_hamiltonian_with_lambda_off_by_one_fails_at_level_zero(fam, shift, label,
+                                                                monkeypatch):
+    # negative control: lambda_D raised by 1 in one parameter (both c1
+    # factors move with it) fails the first eigen-equation the build checks
+    real = families.cleared_hamiltonian
+
+    def off_by_one(fam, D, params, xi):
+        values = dict(params.values)
+        values[shift] += 1
+        return real(fam, D, ParamSet(fam, values), xi)
+
+    monkeypatch.setattr(families, "cleared_hamiltonian", off_by_one)
+    with pytest.raises(EigenValidationFailed, match=r"eigen-equation fails at n=0$"):
+        builtin_deformed(fam, label, ParamSet(fam, HAMILTONIAN_PARAMS[fam][1]))

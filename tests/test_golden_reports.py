@@ -75,12 +75,22 @@ def test_ladder_and_spectrum_reports_never_build_fraction_matrices(monkeypatch):
 # The seed-0 jobs above reach ell <= 2.  These reports cover the ell-scaling
 # path (P_n of degree ell + n, xi of degree ell) at ell = 6 and at a J seed
 # of type II; their digests were recorded before the eta polynomials moved
-# to integer numerators, and every later change must keep them.
+# to integer numerators, and every later change must keep them.  The L[10I]
+# and L[16I] reports (K = 22 and 34) and the J[1II] report at a = 1, whose
+# solution set has a kernel (kernel_dim 3) so that the solve takes the
+# linear system, were recorded before the Hamiltonian and the closure solve
+# moved to closed forms.
 ELL_REPORTS = {
     ("--family", "L", "--D", "6I"):
         "fb186e5d68130986b7f7071711ea144e9b98f517ce0f207c3fadc17d2552a07b",
     ("--family", "J", "--D", "3II"):
         "d339d41cb09ece8ce1d6125021248ade8589b36a8e24ea5ecc6ec4c1863f6011",
+    ("--family", "L", "--D", "10I"):
+        "df5943a0c84db26a06e62b2b75da530e65074151abb9c162ae3ee6b244fc7f53",
+    ("--family", "L", "--D", "16I"):
+        "ec06d40aeb7fdc6a1e93cb25daf592b282cc696af67346497685d46a4cbcae33",
+    ("--family", "J", "--D", "1II", "--params", "g=3/4", "h=1/4"):
+        "8f36ea7a9044a2ed4baf539c203da9cf95dcdcd0e9407deee901112259460c96",
 }
 
 
@@ -99,7 +109,8 @@ def test_ell_report_matches_golden_digest(argv):
 # their exit codes.  J[2I] fails: the a-degree bound 6 is too small for its
 # R_-1, and the report names the coefficient and the fresh sample.  The
 # digests were recorded before the reconstruction moved to one integer
-# interpolation of every coefficient, and every later change must keep them.
+# interpolation of every coefficient (L[7II]: before the sample solves moved
+# to the closed form), and every later change must keep them.
 SYMBOLIC_REPORTS = {
     ("--family", "L", "--D", "2II"):
         (0, "df90ffee1224c022c3baddd9da47a08b25441b17cd9e2e70fa1f8eeb7b98834b"),
@@ -109,6 +120,8 @@ SYMBOLIC_REPORTS = {
         (0, "1fb292f9d9f5bd8b6bd902f7c692328bfb4425e28c4ab0a31e8d5f13956b30a8"),
     ("--family", "J", "--D", "2I"):
         (1, "beda3cd512db913771fe537ab99dffedf3ae0bcdcda2854e66643c30410b7961"),
+    ("--family", "L", "--D", "7II"):
+        (0, "9888e83cc87534f0a37fbaf3be62705f312fc52288054d4f09622c5e11295ff7"),
 }
 
 

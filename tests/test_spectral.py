@@ -307,6 +307,24 @@ def test_spacing_all_families(lag_params, wil_params, aw_params):
             assert all(e["ok"] for e in rep), (fam, L)
 
 
+def test_spacing_checks_compute_each_energy_once(lag_params, wil_params, aw_params,
+                                                 monkeypatch):
+    # the spacing checks at n = 0..8 read E_m for m = n - L..n + L, and
+    # each E_m is computed once per call
+    seen = []
+    real = spectral.energy
+    monkeypatch.setattr(spectral, "energy",
+                        lambda params, m: seen.append(m) or real(params, m))
+    jac = ParamSet("J", {"g": F(2), "h": F(3)})
+    for L in (1, 2):
+        for fam, ps in (("L", lag_params), ("J", jac),
+                        ("W", wil_params), ("AW", aw_params)):
+            seen.clear()
+            rep = check_alpha_spectrum(ps, range(9), alpha_conjecture(fam, L, ps))
+            assert all(e["ok"] for e in rep)
+            assert sorted(seen) == list(range(-L, 9 + L)), (fam, L)
+
+
 def test_ordering_boundary_is_detected():
     # J with a exactly at the boundary 2L-1 degenerates at z = 0
     ps = ParamSet("J", {"g": F(2), "h": F(3)})
