@@ -38,7 +38,8 @@ from .exactalg import (EtaPoly, ParamPoly, Rat, SampleMismatch, horner,
                        solve_linear_exact)
 from .families import (DeformedFamily, EigenValidationFailed, MultiIndex,
                        ParamSet, SchemaError, builtin_deformed,
-                       degenerate_level, seed_degree_drops)
+                       degenerate_level, jacobi_degenerate_level,
+                       seed_degree_drops)
 from .opalg import DiffOp
 from .recurrence import NonzeroRemainder, build_X, recurrence_row
 from .spectral import (SqrtExpr, alpha_conjecture, elementary_symmetric_R,
@@ -323,10 +324,17 @@ def solve_closure(df: DeformedFamily, X: EtaPoly, K: int) -> ClosureData:
     (``solve_full_levels``), and by the linear system otherwise
     (``solve_closure_system``).  Both give the same ClosureData or raise the
     same exception, since ``solve_full_levels`` finds the unique solution
-    of the system that the other one solves, or proves there is none."""
+    of the system that the other one solves, or proves there is none.
+    Data read off the full levels come with every coordinate c_{n,k} on
+    levels 0..K decided to be zero, and the family records them in
+    ``certified_closures`` under (X, K), so the certificate of the same
+    data does not decide those coordinates again."""
     levels = list(_levels_through(df, X, K))
     cd = solve_full_levels(df, X.degree, K, levels)
-    return cd if cd is not None else solve_closure_system(df, X, K)
+    if cd is None:
+        return solve_closure_system(df, X, K)
+    df.certified_closures[(X, K)] = (*cd.R, cd.R_minus1)
+    return cd
 
 
 def solve_full_levels(df: DeformedFamily, L: int, K: int,
@@ -483,11 +491,21 @@ def verify_closure_identity(df: DeformedFamily, X: EtaPoly,
     (increasing n, then k); it is a report, not an error.  R data must be
     numeric in z: data symbolic in a parameter raise ValueError.  Each
     c_{n,k} is decided on integer numerators (``_first_residual``).
+
+    When ``solve_closure`` read these very data off the full levels of
+    this family (equal R_0..R_{K-1}, R_-1 in ``certified_closures`` under
+    (X, K)), it has already decided c_{n,k} = 0 for n = 0..K.  Those data
+    are within the degree bounds, so N = K and that is the whole verdict:
+    it is returned without deciding the levels again.  Any other data, a
+    perturbed or a hand-built relation among them, are decided here, with
+    the same witness.
     """
     polys = [*cd.R, cd.R_minus1]
     N = max([cd.K, 2 * cd.R_minus1.degree("z")]
             + [i + 2 * Ri.degree("z") for i, Ri in enumerate(cd.R)])
     levels = _levels_through(df, X, N)  # a short plugin fails before symbolic data
+    if df.certified_closures.get((X, cd.K)) == tuple(polys):
+        return IdentityVerdict()
     J = max(0, *(poly.degree("z") for poly in polys))
     coeffs = [[_z_coefficient(poly, j) for j in range(J + 1)] for poly in polys]
     return _first_residual(df, cd.K, coeffs, levels)
@@ -616,35 +634,36 @@ def symbolic_nodes(fam: str, D: MultiIndex, bounds: Mapping[str, int]
     built-in family (fam, D) under the given degree bounds.
 
     A point is usable when no seed of D is degenerate there: no virtual
-    energy equals an eigenvalue (``degenerate_level``) and no seed loses
-    degree (``seed_degree_drops``, which for J depends on b alone).  Each
-    parameter takes the first bound + 3 accepted values of its walk
-    (``_NODE_START`` in steps of 1/2): the first bound + 1 are its nodes, and
-    value bound + 1 + k is its coordinate of fresh point k.  L accepts the
-    usable values of g.  J accepts the values of b where no seed loses
-    degree, then a value of a only when it is usable with every one of
-    them, so every grid point and both fresh points are usable.  The walks
-    end: a seed of degree d is degenerate at level n only where
+    energy equals an eigenvalue (``degenerate_level``; for J a function of
+    (a, b) alone, ``jacobi_degenerate_level``) and no seed loses degree
+    (``seed_degree_drops``, which for J depends on b alone).  Each parameter
+    takes the first bound + 3 accepted values of its walk (``_NODE_START``
+    in steps of 1/2): the first bound + 1 are its nodes, and value
+    bound + 1 + k is its coordinate of fresh point k.  L accepts the usable
+    values of g.  J accepts the values of b where no seed loses degree,
+    then a value of a only when no seed is degenerate at (a, b) for every
+    one of them, so every grid point and both fresh points are usable; each
+    b is decided once for the degree and each (a, b) once for degeneracy.
+    The walks end: a seed of degree d is degenerate at level n only where
     g = d + 1/2 - n (L type II; L type I never for g > 0) or
     2n + a = +-(b + 2d + 1) (J type I; b - 2d - 1 for type II), finitely
     many g, and finitely many a for each b; it loses degree at d values of b.
     """
-    def usable(binding: Mapping[str, Rat]) -> bool:
-        ps = ParamSet.at_reference(fam, binding)
-        return all(degenerate_level(ps, t, d) is None
-                   and not seed_degree_drops(ps, t, d) for d, t in D.entries)
-
     if fam == "L":
-        g_walk = (g for g in _walk("g") if usable({"g": g}))
-        values = {"g": list(islice(g_walk, bounds["g"] + 3))}
+        def usable(g: Rat) -> bool:
+            # L seeds never lose degree (``seed_degree_drops``)
+            ps = ParamSet("L", {"g": g})
+            return all(degenerate_level(ps, t, d) is None for d, t in D.entries)
+
+        values = {"g": list(islice(filter(usable, _walk("g")), bounds["g"] + 3))}
     else:
         a0 = _NODE_START["a"]
         b_walk = (b for b in _walk("b") if not any(
             seed_degree_drops(ParamSet.at_reference(fam, {"a": a0, "b": b}), t, d)
             for d, t in D.entries))
         bs = list(islice(b_walk, bounds["b"] + 3))
-        a_walk = (a for a in _walk("a")
-                  if all(usable({"a": a, "b": b}) for b in bs))
+        a_walk = (a for a in _walk("a") if all(
+            jacobi_degenerate_level(a, b, t, d) is None for b in bs for d, t in D.entries))
         values = {"a": list(islice(a_walk, bounds["a"] + 3)), "b": bs}
     nodes = {name: vals[:bounds[name] + 1] for name, vals in values.items()}
     fresh = [{name: vals[bounds[name] + 1 + k] for name, vals in values.items()}

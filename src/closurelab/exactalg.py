@@ -623,7 +623,8 @@ class EtaPoly:
                                     self.den * c.denominator)
         if not isinstance(other, EtaPoly):
             return NotImplemented
-        return EtaPoly._reduced(_convolve(self.num, other.num), self.den * other.den)
+        return EtaPoly._reduced(convolve_sum([(self.num, other.num)]),
+                                self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -634,15 +635,9 @@ class EtaPoly:
         a_i.den*b_i.den, and the sum is reduced once."""
         dens = [a.den * b.den for a, b in pairs]
         common = math.lcm(*dens)
-        out: list[int] = []
-        for (a, b), d in zip(pairs, dens):
-            prod = _convolve(a.num, b.num)
-            scale = common // d
-            if len(prod) > len(out):
-                out.extend([0] * (len(prod) - len(out)))
-            for k, x in enumerate(prod):
-                out[k] += x * scale
-        return EtaPoly._reduced(out, common)
+        scaled = [([x * (common // d) for x in a.num], b.num)
+                  for (a, b), d in zip(pairs, dens)]
+        return EtaPoly._reduced(convolve_sum(scaled), common)
 
     def diff(self) -> "EtaPoly":
         return EtaPoly._reduced([k * x for k, x in enumerate(self.num)][1:], self.den)
@@ -683,18 +678,19 @@ def _lowest(num: list[int], den: int) -> tuple[tuple[int, ...], int]:
     return tuple(x // g for x in num[:top]), den // g
 
 
-def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Coefficients of the product of two integer polynomials (low to
-    high); a zero factor gives []."""
-    if not a or not b:
-        return []
-    if len(a) < len(b):
-        a, b = b, a
-    na = len(a)
-    out = [0] * (na + len(b) - 1)
-    for j, y in enumerate(b):
-        if y:
-            out[j:j + na] = map(operator.add, out[j:j + na], map(y.__mul__, a))
+def convolve_sum(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[int]:
+    """Coefficients of sum_i a_i*b_i over the integer polynomials (a_i, b_i)
+    in ``pairs`` (low to high), accumulated in one list; untrimmed, so a
+    zero sum may come back as a list of zeros."""
+    out = [0] * max((len(a) + len(b) - 1 for a, b in pairs if a and b), default=0)
+    add = operator.add
+    for a, b in pairs:
+        if len(a) < len(b):
+            a, b = b, a
+        na = len(a)
+        for j, y in enumerate(b):
+            if y:
+                out[j:j + na] = map(add, out[j:j + na], map(y.__mul__, a))
     return out
 
 

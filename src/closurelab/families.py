@@ -31,16 +31,25 @@ and kept as the triple (c2*xi, N1, N0).  Every eigen-equation (each checked
 level and the seed) is decided by one polynomial, ``eigen_residual``, with
 no division and no operator algebra, so a wrong H fails the build's own
 checks of P_0..P_VALIDATE_N before any verdict reads it.
+
+A build runs on integer numerators.  Each eigen residual is one integer
+combination over one common denominator (``_residual_numerators``),
+reduced once; the seed check uses the numerators of a constant-p prefactor
+(``seed_numerators``) and only tests the combination for zero.  The
+Hamiltonian's numerators and each intertwined P(n) are likewise one
+combination reduced once, and the degenerate levels of a seed come from a
+closed form (``degenerate_level``).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactalg import EtaPoly, ParamPoly, Rat, rat, rat_str
+from .exactalg import EtaPoly, ParamPoly, Rat, convolve_sum, rat, rat_str
 
 HALF = Fraction(1, 2)
 
@@ -359,6 +368,12 @@ def classical_poly(fam: str, n: int, params: ParamSet) -> EtaPoly:
 
     summed by Horner's rule in eta - 1 on the integer numerators.
     """
+    return EtaPoly._reduced(*_classical_numerators(fam, n, params))
+
+
+def _classical_numerators(fam: str, n: int, params: ParamSet) -> tuple[list[int], int]:
+    """``classical_poly`` as integer numerators over a positive denominator,
+    not yet in lowest terms."""
     if n < 0:
         raise ValueError("need n >= 0")
     if fam == "L":
@@ -369,7 +384,7 @@ def classical_poly(fam: str, n: int, params: ParamSet) -> EtaPoly:
         for k in range(n, -1, -1):
             num[k] = (-1) ** k * math.comb(n, k) * q ** k * T
             T *= p + k * q
-        return EtaPoly._reduced(num, q ** n * math.factorial(n))
+        return num, q ** n * math.factorial(n)
     if fam == "J":
         alpha, beta = params.g - HALF, params.h - HALF
         q = math.lcm(alpha.denominator, beta.denominator)
@@ -385,7 +400,7 @@ def classical_poly(fam: str, n: int, params: ParamSet) -> EtaPoly:
             num = [hi - lo for lo, hi in zip([*num, 0], [0, *num])]
             num[0] += math.comb(n, m) * T * B[m] << (n - m)
             T *= p + m * q
-        return EtaPoly._reduced(num, (2 * q) ** n * math.factorial(n))
+        return num, (2 * q) ** n * math.factorial(n)
     raise ValueError("classical polynomials are provided for L and J only")
 
 
@@ -421,12 +436,41 @@ def eigen_residual(A2: EtaPoly, A1: EtaPoly, A0: EtaPoly, W: EtaPoly,
     H f - E f = -4*W^-1*(A2*f'' + A1*f' + A0*f + (E/4)*W*f), and W is a
     nonzero polynomial, so the residual is zero exactly when H f = E f.
     No division is needed, and a wrong f whose image H f is not even a
-    polynomial simply gives a nonzero residual.  The three products are
-    summed on integer numerators over the lcm of their denominators
-    (``EtaPoly.dot``), so the zero test is a test of one integer list.
+    polynomial simply gives a nonzero residual.
+
+    Integer form.  With D the lcm of the denominators of A2, A1, A0 and W,
+    a_i = D*A_i and w = D*W are integer lists; with f = F/t and E = e/q in
+    lowest terms, 4*q*D*t times the residual is the one integer combination
+    ``_residual_numerators`` of a2, a1, a0, w, F, e and q.  Every product
+    in it is multiplied by the same positive integer 4*q*D*t, so the
+    combination is zero exactly when the residual is, and reduced once over
+    4*q*D*t it is the residual itself.  E is read through its numerator and
+    denominator, so an int E builds no Fraction.
     """
-    d1 = f.diff()
-    return EtaPoly.dot([(A2, d1.diff()), (A1, d1), (A0 + W * (rat(E) / 4), f)])
+    D = math.lcm(A2.den, A1.den, A0.den, W.den)
+    a2, a1, a0, w = (_scaled(A, D) for A in (A2, A1, A0, W))
+    e, q = E.numerator, E.denominator
+    return EtaPoly._reduced(_residual_numerators(a2, a1, a0, w, f.num, e, q),
+                            4 * q * D * f.den)
+
+
+def _scaled(A: EtaPoly, D: int) -> Sequence[int]:
+    """The numerators of A over D, a multiple of A.den."""
+    return A.num if A.den == D else [x * (D // A.den) for x in A.num]
+
+
+def _residual_numerators(a2: Sequence[int], a1: Sequence[int], a0: Sequence[int],
+                         w: Sequence[int], F: Sequence[int], e: int, q: int) -> list[int]:
+    """4*q*(a2*F'' + a1*F' + (a0 + (e/q)/4*w)*F) on integer lists, formed as
+    a2*(4q*F'') + a1*(4q*F') + (4q*a0 + e*w)*F in one accumulated sum
+    (``exactalg.convolve_sum``); untrimmed."""
+    q4 = 4 * q
+    F1 = [q4 * k * x for k, x in enumerate(F)][1:]
+    F2 = [k * x for k, x in enumerate(F1)][1:]
+    B = [q4 * x for x in a0]
+    B.extend([0] * (len(w) - len(B)))
+    B[:len(w)] = map(operator.add, B, map(e.__mul__, w))
+    return convolve_sum([(a2, F2), (a1, F1), (B, F)])
 
 
 def cleared_hamiltonian(fam: str, D: MultiIndex, params: ParamSet,
@@ -443,6 +487,10 @@ def cleared_hamiltonian(fam: str, D: MultiIndex, params: ParamSet,
     every entry by 1.  This is the multi-indexed Laguerre/Jacobi operator of
     Odake & Sasaki, Phys. Lett. B 702 (2011) 164, arXiv:1105.0508, in the
     variable eta.  D = {} (xi = 1) gives (c2, c1, 0), the classical operator.
+    Each numerator is one integer combination over one denominator: c2 has
+    integer coefficients, so with xi = X/t, and c1 = C/u at lambda_D and
+    C'/u' at lambda_D - 1, N1 = (C*X - 2u*c2*X')/(u*t) and
+    N0 = (u'*c2*X'' - C'*X')/(u'*t).
 
     Nothing here is trusted: every level a family reads is decided against
     this H by ``eigen_residual`` (``DeformedFamily.check_levels``, from
@@ -455,11 +503,15 @@ def cleared_hamiltonian(fam: str, D: MultiIndex, params: ParamSet,
     the levels that are read.
     """
     s = D.M1 - D.M2
-    c2 = c2_poly(fam)
-    dxi = xi.diff()
-    N1 = EtaPoly.dot([(c1_poly(fam, params, s, -s), xi), (c2 * -2, dxi)])
-    N0 = EtaPoly.dot([(c2, dxi.diff()), (-c1_poly(fam, params, s - 1, -s - 1), dxi)])
-    return c2 * xi, N1, N0
+    c2 = c2_poly(fam).num
+    X, t = xi.num, xi.den
+    X1 = [k * x for k, x in enumerate(X)][1:]
+    X2 = [k * x for k, x in enumerate(X1)][1:]
+    ca, cb = c1_poly(fam, params, s, -s), c1_poly(fam, params, s - 1, -s - 1)
+    N1 = convolve_sum([(ca.num, X), ([-2 * ca.den * c for c in c2], X1)])
+    N0 = convolve_sum([([cb.den * c for c in c2], X2), ([-c for c in cb.num], X1)])
+    return (EtaPoly._reduced(convolve_sum([(c2, X)]), t),
+            EtaPoly._reduced(N1, ca.den * t), EtaPoly._reduced(N0, cb.den * t))
 
 
 def eigen_validate(H_cleared: tuple[EtaPoly, EtaPoly, EtaPoly],
@@ -492,8 +544,11 @@ class DeformedFamily:
     the ladders read (``closure.level_coordinates``):
     ``checked_levels``, the levels m whose H P_m = E_m P_m has been checked
     by ``check_levels`` (P_0..P_VALIDATE_N at construction, further levels
-    when they are first read), and ``recurrence_rows``, the zero-remainder
-    expansions of X*P_n by (X, n) (``recurrence.recurrence_row``).
+    when they are first read), ``recurrence_rows``, the zero-remainder
+    expansions of X*P_n by (X, n) (``recurrence.recurrence_row``), and
+    ``certified_closures``, the closure data (R_0..R_{K-1}, R_-1) by (X, K)
+    whose coordinates on levels 0..K the closed-form solve decided to be
+    zero (``closure.solve_closure``).
     Instances are otherwise immutable, so a stored entry is what a fresh
     computation gives; parallel tasks should each own their instance.
     """
@@ -512,6 +567,7 @@ class DeformedFamily:
         self._E_cache: dict[int, Rat] = {}
         self.checked_levels: set[int] = set()
         self.recurrence_rows: dict[tuple[EtaPoly, int], dict[int, Rat]] = {}
+        self.certified_closures: dict[tuple[EtaPoly, int], tuple[ParamPoly, ...]] = {}
         self.Etilde = [virtual_energy(params, t, d) for d, t in D.entries]
         self.H_cleared = cleared_hamiltonian(fam, D, params, xi)
         self.check_levels(VALIDATE_N)
@@ -536,9 +592,13 @@ class DeformedFamily:
                                       f"only up to n={self.p_max}")
                 p = self.rule[n]
             else:
+                # A*P_n' + B*P_n on the numerators F/t of the classical P_n
                 A, B = self.rule
-                Pn = classical_poly(self.fam, n, self.params)
-                p = EtaPoly.dot([(A, Pn.diff()), (B, Pn)])
+                F, t = _classical_numerators(self.fam, n, self.params)
+                D = math.lcm(A.den, B.den)
+                p = EtaPoly._reduced(convolve_sum([
+                    (_scaled(A, D), [k * x for k, x in enumerate(F)][1:]),
+                    (_scaled(B, D), F)]), D * t)
             expected = self.D.ell + n
             if p.degree != expected:
                 raise DegreeMismatch(
@@ -626,6 +686,36 @@ def canonical_seed(fam: str, t: str, d: int, params: ParamSet) -> EtaPoly:
     return seed
 
 
+def seed_numerators(fam: str, t: str, params: ParamSet
+                    ) -> tuple[list[int], list[int], list[int], list[int], int]:
+    """The numerators (A2, A1, A0, W) of ``check_seed`` for the type-t seed,
+    as integer lists over one positive denominator, returned last.
+
+    In every case of ``seed_data`` p is a constant and q a polynomial of
+    degree <= 1 with integer coefficients, so p' = 0, q' is the integer q1
+    (the coefficient of eta) and the general numerators collapse to
+
+        A2 = c2*q^2,  A1 = q*(2p*c2 + c1*q),  A0 = p*(c2*(p - q1) + c1*q),
+        W = q^2.
+
+    With p = P/s in lowest terms and c1 = C/u, their common denominator is
+    s^2*u, over which they are the integer lists
+    s^2*u*c2*q^2, s*q*(2P*u*c2 + s*C*q), P*(u*(P - s*q1)*c2 + s*C*q) and
+    s^2*u*q^2.
+    """
+    p, q = seed_data(fam, t, params)
+    P, s = p.num[0] if p else 0, p.den
+    Q, q1 = q.num, q.num[1] if q.degree == 1 else 0
+    c1 = c1_poly(fam, params)
+    C, u = c1.num, c1.den
+    c2 = c2_poly(fam).num
+    qq = convolve_sum([(Q, Q)])
+    W = [s * s * u * x for x in qq]
+    A1 = convolve_sum([(Q, [2 * P * u * s * c for c in c2]), (qq, [s * s * c for c in C])])
+    A0 = convolve_sum([([P * u * (P - s * q1)], c2), (Q, [P * s * c for c in C])])
+    return convolve_sum([(c2, W)]), A1, A0, W, s * s * u
+
+
 def check_seed(fam: str, t: str, d: int, params: ParamSet, seed: EtaPoly) -> None:
     """Raise EigenValidationFailed unless rho*seed is an eigenfunction of the
     classical operator H_cl = -4*(c2*d^2 + c1*d) at the virtual energy Et
@@ -641,15 +731,16 @@ def check_seed(fam: str, t: str, d: int, params: ParamSet, seed: EtaPoly) -> Non
 
     vanishes: it is ``eigen_residual`` with W = q^2 and these three
     numerators.  rho and q are nonzero, so this polynomial is zero exactly
-    when rho*xi is the quasi-eigenfunction.
+    when rho*xi is the quasi-eigenfunction.  Every seed prefactor has a
+    constant p (``seed_numerators``, which builds the numerators on
+    integers over one denominator S), so the residual is decided as the
+    integer list ``_residual_numerators``: the residual times the positive
+    integer 4*q_E*S*t, for Et = e/q_E and seed = F/t, zero exactly when the
+    residual is.
     """
-    p, q = seed_data(fam, t, params)
-    c2, c1 = c2_poly(fam), c1_poly(fam, params)
-    residual = eigen_residual(
-        c2 * q * q, 2 * c2 * p * q + c1 * q * q,
-        c2 * (p.diff() * q - p * q.diff() + p * p) + c1 * p * q,
-        q * q, seed, virtual_energy(params, t, d))
-    if residual:
+    A2, A1, A0, W, _ = seed_numerators(fam, t, params)
+    Et = virtual_energy(params, t, d)
+    if any(_residual_numerators(A2, A1, A0, W, seed.num, Et.numerator, Et.denominator)):
         raise EigenValidationFailed(
             f"{fam} type {t} degree-{d}: the seed is not a quasi-eigenfunction "
             f"at the virtual energy")
@@ -682,17 +773,35 @@ def one_step_family(fam: str, t: str, d: int, params: ParamSet) -> DeformedFamil
 
 
 def degenerate_level(params: ParamSet, t: str, d: int) -> int | None:
-    """The level n >= 0 with E_n equal to the virtual energy Et of the seed,
-    or None.  L: 4n = Et.  J: 4n(n + a) = Et, so n is a root of
-    n^2 + a*n - Et/4, rational only when the discriminant is a square."""
-    et = virtual_energy(params, t, d)
-    if params.fam == "L":
-        roots = [et / 4]
-    else:
-        root = _sqrt_fraction(params.a ** 2 + et)
-        roots = [] if root is None else [(-params.a - root) / 2,
-                                         (-params.a + root) / 2]
-    return next((int(n) for n in roots if n >= 0 and n.denominator == 1), None)
+    """The least level n >= 0 with E_n equal to the virtual energy Et of the
+    seed, or None.  L: 4n = Et.  J: ``jacobi_degenerate_level`` at
+    a = g + h and b = g - h."""
+    if params.fam != "L":
+        return jacobi_degenerate_level(params.a, params.b, t, d)
+    n = virtual_energy(params, t, d) / 4
+    return int(n) if n >= 0 and n.denominator == 1 else None
+
+
+def jacobi_degenerate_level(a: Rat, b: Rat, t: str, d: int) -> int | None:
+    """The least level n >= 0 of J at (a, b) whose energy E_n = 4n(n + a)
+    equals the virtual energy Et of the degree-d type-t seed, or None.
+
+    n is a root (-a -+ sqrt(a^2 + Et))/2 of n^2 + a*n - Et/4, and the
+    discriminant is always a square: Et = -4*u*v with u + v = g + h = a,
+    for (u, v) = (g + d + 1/2, h - d - 1/2) (type I) or
+    (g - d - 1/2, h + d + 1/2) (type II), so a^2 + Et = (u - v)^2 with
+    u - v = b + 2d + 1 (type I) or b - 2d - 1 (type II).  The roots are
+    n = (-a -+ c)/2 for c = |u - v|, the smaller first.  On integers, with
+    a = A/m and c = C/m over the lcm m of the denominators of a and b,
+    n = (-A -+ C)/(2m) is a level exactly when that numerator is >= 0 and
+    divisible by 2m.
+    """
+    m = math.lcm(a.denominator, b.denominator)
+    A = a.numerator * (m // a.denominator)
+    shift = 2 * d + 1 if t == "I" else -2 * d - 1
+    C = abs(b.numerator * (m // b.denominator) + shift * m)
+    return next((x // (2 * m) for x in (-A - C, -A + C)
+                 if x >= 0 and not x % (2 * m)), None)
 
 
 def seed_degree_drops(params: ParamSet, t: str, d: int) -> bool:

@@ -48,21 +48,21 @@ def expand_in_basis(df: DeformedFamily, X: EtaPoly, n: int) -> dict[int, Rat]:
     |k| <= L = deg X.
 
     Successive leading-term elimination from degree ell+n+L downward, on
-    integers.  The remainder is held as s*T, a Fraction s times an integer
-    list T (at the start X*P(n) = (1/den)*num).  At shift k, with m = n + k
-    and P(m) = num_m/den_m of leading numerator p, the eta^(ell+m)
-    coefficient of the remainder is s*c for c = T[ell+m], so
-    r_{n,k} = s*c*den_m/p, the one Fraction of the step, and
+    integers.  The remainder is held as T/v, an integer list T over a
+    nonzero integer v (at the start X*P(n) = num/den).  At shift k, with
+    m = n + k and P(m) = num_m/den_m of leading numerator p, the
+    eta^(ell+m) coefficient of the remainder is c/v for c = T[ell+m], so
+    r_{n,k} = c*den_m/(v*p), the one Fraction of the step, and
 
-        s*T - r_{n,k}*P(m) = (s*g/p) * ((p/g)*T - (c/g)*num_m),   g = gcd(p, c),
+        T/v - r_{n,k}*P(m) = ((p/g)*T - (c/g)*num_m) / (v*p/g),   g = gcd(p, c),
 
-    an integer update that zeroes T[ell+m].  s is nonzero throughout, so
-    the remainder after the last basis element is zero exactly when T is;
-    that is the substantive span check.
+    an integer update that zeroes T[ell+m]; no other number is formed.  The
+    remainder after the last basis element is zero exactly when T is; that
+    is the substantive span check.
     """
     L = X.degree
     Xn = X * df.P(n)
-    T, s = list(Xn.num), Fraction(1, Xn.den)
+    T, v = list(Xn.num), Xn.den
     row: dict[int, Rat] = {}
     for k in range(L, -L - 1, -1):
         m = n + k
@@ -73,10 +73,10 @@ def expand_in_basis(df: DeformedFamily, X: EtaPoly, n: int) -> dict[int, Rat]:
             continue
         Pm = df.P(m)
         p = Pm.num[-1]
-        row[k] = s * Fraction(c * Pm.den, p)
+        row[k] = Fraction(c * Pm.den, v * p)
         g = math.gcd(p, c)
-        s *= Fraction(g, p)
         p, c = p // g, c // g
+        v *= p
         # P(m) has degree top, and T is zero above top
         T[:top + 1] = map(operator.sub, map(p.__mul__, T[:top + 1]),
                           map(c.__mul__, Pm.num))

@@ -402,6 +402,122 @@ def test_symbolic_nodes_avoid_degenerate_seeds():
     assert F(5, 2) not in values and F(15, 2) not in values
 
 
+# symbolic_nodes for L and J x {1I, 1II, 2I, 2II, 3I, 3II} x deg Y in
+# {0, 1}, under the bounds of symbolic_closure (K = 2*(ell + deg Y + 1)),
+# recorded before the degenerate levels of J moved to their closed form:
+# (nodes, fresh points) per parameter, the nodes first.
+_H = F(1, 2)
+RECORDED_NODES = {
+    ("L", "1I", 0): {"g": ([2, 5 * _H, 3], [7 * _H, 4])},
+    ("L", "1I", 1): {"g": ([2, 5 * _H, 3, 7 * _H], [4, 9 * _H])},
+    ("L", "1II", 0): {"g": ([2, 5 * _H, 3], [7 * _H, 4])},
+    ("L", "1II", 1): {"g": ([2, 5 * _H, 3, 7 * _H], [4, 9 * _H])},
+    ("L", "2I", 0): {"g": ([2, 5 * _H, 3, 7 * _H], [4, 9 * _H])},
+    ("L", "2I", 1): {"g": ([2, 5 * _H, 3, 7 * _H, 4], [9 * _H, 5])},
+    ("L", "2II", 0): {"g": ([2, 3, 7 * _H, 4], [9 * _H, 5])},
+    ("L", "2II", 1): {"g": ([2, 3, 7 * _H, 4, 9 * _H], [5, 11 * _H])},
+    ("L", "3I", 0): {"g": ([2, 5 * _H, 3, 7 * _H, 4], [9 * _H, 5])},
+    ("L", "3I", 1): {"g": ([2, 5 * _H, 3, 7 * _H, 4, 9 * _H], [5, 11 * _H])},
+    ("L", "3II", 0): {"g": ([2, 3, 4, 9 * _H, 5], [11 * _H, 6])},
+    ("L", "3II", 1): {"g": ([2, 3, 4, 9 * _H, 5, 11 * _H], [6, 13 * _H])},
+    ("J", "1I", 0): {"a": (16, 4, [21, 22]), "b": (-2, 3, [2, 3])},
+    ("J", "1I", 1): {"a": (16, 6, [23, 24]), "b": (-2, 5, [4, 5])},
+    ("J", "1II", 0): {"a": (16, 4, [21, 22]), "b": (-2, 3, [2, 3])},
+    ("J", "1II", 1): {"a": (16, 6, [23, 24]), "b": (-2, 5, [5, 6])},
+    ("J", "2I", 0): {"a": (16, 6, [23, 24]), "b": (-2, 5, [4, 5])},
+    ("J", "2I", 1): {"a": (18, 8, [27, 28]), "b": (-2, 7, [6, 7])},
+    ("J", "2II", 0): {"a": (16, 6, [23, 24]), "b": (-2, 5, [4, 5])},
+    ("J", "2II", 1): {"a": (16, 8, [25, 26]), "b": (-2, 7, [7, 9])},
+    ("J", "3I", 0): {"a": (22, 8, [31, 32]), "b": (-2, 7, [6, 7])},
+    ("J", "3I", 1): {"a": (24, 10, [35, 36]), "b": (-2, 9, [8, 9])},
+    ("J", "3II", 0): {"a": (17, 8, [26, 27]), "b": (-2, 7, [6, 7])},
+    ("J", "3II", 1): {"a": (17, 10, [28, 29]), "b": (-2, 9, [9, 11])},
+}
+
+
+def _recorded_nodes(fam, label, dY):
+    """The recorded (nodes, fresh).  An L entry lists its g values; a J
+    entry gives each of a and b as (2*first node, last node index, 2*fresh
+    values), its nodes being consecutive halves."""
+    entry = RECORDED_NODES[(fam, label, dY)]
+    if fam == "L":
+        nodes, fresh = entry["g"]
+        return ({"g": [F(v) for v in nodes]}, [{"g": F(v)} for v in fresh])
+    nodes, fresh = {}, [{}, {}]
+    for name, (start, last, twice_fresh) in entry.items():
+        nodes[name] = [F(start + k, 2) for k in range(last + 1)]
+        for point, v in zip(fresh, twice_fresh):
+            point[name] = F(v, 2)
+    return nodes, fresh
+
+
+@pytest.mark.parametrize("fam", ["L", "J"])
+@pytest.mark.parametrize("label", ["1I", "1II", "2I", "2II", "3I", "3II"])
+@pytest.mark.parametrize("dY", [0, 1], ids=["Y=1", "Y=eta"])
+def test_symbolic_nodes_are_unchanged(fam, label, dY):
+    D = MultiIndex.parse(label)
+    K = 2 * (D.ell + dY + 1)
+    bounds = {"g": K // 2} if fam == "L" else {"a": K, "b": K - 1}
+    assert symbolic_nodes(fam, D, bounds) == _recorded_nodes(fam, label, dY)
+
+
+@pytest.mark.parametrize("fam, label, builds", [("J", "1I", 22), ("L", "1II", 5)])
+def test_symbolic_reconstruction_decides_every_build(fam, label, builds, monkeypatch):
+    # the bench jobs: J[1I] solves a 5 x 4 grid and 2 fresh points, L[1II]
+    # 3 nodes and 2 fresh points.  Every build decides its seed and the
+    # eigen-equations of P_0..P_VALIDATE_N, and the closure reads
+    # P_0..P_{K+L} = P_0..P_6 (K = 4, L = 2), each level checked once
+    counts = {"build": 0, "seed": 0, "level": 0}
+
+    def counting(name, real):
+        def wrapper(*args):
+            counts[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(closure, "builtin_deformed",
+                        counting("build", closure.builtin_deformed))
+    monkeypatch.setattr(families, "check_seed", counting("seed", families.check_seed))
+    monkeypatch.setattr(families, "eigen_validate",
+                        counting("level", families.eigen_validate))
+    assert symbolic_closure(fam, label, ONE).unique
+    assert counts == {"build": builds, "seed": builds, "level": 7 * builds}
+
+
+def test_certificate_reads_the_solve_record(monkeypatch):
+    # a solve read off the full levels records its data, and the
+    # certificate of those data returns true without a residual pass, also
+    # when equal data are built by hand
+    df = builtin_deformed("J", "1I", ParamSet("J", {"g": F(5, 2), "h": F(13, 3)}))
+    cd, X = closure_for_family(df, ONE)
+    assert len(df.certified_closures) == 1
+    passes = []
+    real = closure._first_residual
+    monkeypatch.setattr(closure, "_first_residual",
+                        lambda *args: passes.append(args) or real(*args))
+    assert verify_closure_identity(df, X, cd)
+    assert verify_closure_identity(df, X, ClosureData(cd.K, list(cd.R), cd.R_minus1))
+    assert passes == []
+    # other data, another X and another family are decided afresh, with
+    # the witness of a family that never solved
+    fresh = builtin_deformed("J", "1I", df.params)
+    broken = ClosureData(cd.K, list(cd.R), cd.R_minus1 + 1)
+    got, want = (verify_closure_identity(f, X, broken) for f in (df, fresh))
+    assert not got and (got.n, got.k, got.residual) == (want.n, want.k, want.residual)
+    assert verify_closure_identity(fresh, X, cd) and len(passes) == 3
+    assert not verify_closure_identity(df, build_X(df.xi, ETA), cd)
+    assert len(passes) == 4
+
+
+def test_linear_system_solves_are_not_recorded():
+    # J at a = 1 takes the linear system: nothing is recorded, and the
+    # certificate decides the data itself
+    df = builtin_deformed("J", "1I", ParamSet("J", {"g": F(3, 4), "h": F(1, 4)}))
+    cd, X = closure_for_family(df, ONE)
+    assert cd.kernel_dim == 3 and df.certified_closures == {}
+    assert verify_closure_identity(df, X, cd)
+
+
 def test_kernel_reporting_on_padded_order(l_classical):
     # asking for order 4 on the classical system: consistent but non-unique;
     # the solve returns the conjectured point of the solution set

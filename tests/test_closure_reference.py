@@ -14,7 +14,7 @@ import pytest
 
 import closure_reference as ref
 from closurelab import cli, closure
-from closurelab.closure import (ClosureData, closure_for_family,
+from closurelab.closure import (ClosureData, NoSolution, closure_for_family,
                                 verify_closure_identity)
 from closurelab.exactalg import EtaPoly, ParamPoly
 from closurelab.families import ParamSet, builtin_deformed
@@ -109,7 +109,13 @@ def test_perturbed_data_give_the_reference_witness(golden_cases, fractional_j):
 def test_off_by_one_power_of_q_flips_the_certificate(fractional_j, monkeypatch):
     # negative control: a Horner pass that starts the carried power of y at
     # y instead of 1 scales every coefficient but the leading one by one
-    # more power of q (or d), which is visible only when q or d > 1
+    # more power of q (or d), which is visible only when q or d > 1.  The
+    # fixture's family read these data off its full levels, so its
+    # certificate takes the verdict from its record and runs no Horner pass;
+    # a fresh family of the same parameters decides every coordinate with
+    # the broken pass, and so does a fresh closed-form solve
+    df, X, cd = fractional_j
+
     def shifted(coeffs, x, y):
         acc, ypow = coeffs[-1], y
         for c in reversed(coeffs[:-1]):
@@ -118,5 +124,9 @@ def test_off_by_one_power_of_q_flips_the_certificate(fractional_j, monkeypatch):
         return acc
 
     monkeypatch.setattr(closure, "horner", shifted)
-    assert not verify_closure_identity(*fractional_j)
-    assert ref.verify_closure_identity(*fractional_j)
+    assert verify_closure_identity(df, X, cd)
+    fresh = builtin_deformed("J", "1I", df.params)
+    assert not verify_closure_identity(fresh, X, cd)
+    assert ref.verify_closure_identity(fresh, X, cd)
+    with pytest.raises(NoSolution):
+        closure_for_family(builtin_deformed("J", "1I", df.params), EtaPoly.const(1))

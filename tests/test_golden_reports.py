@@ -110,8 +110,14 @@ def test_ell_report_matches_golden_digest(argv):
 # R_-1, and the report names the coefficient and the fresh sample.  The
 # digests were recorded before the reconstruction moved to one integer
 # interpolation of every coefficient (L[7II]: before the sample solves moved
-# to the closed form), and every later change must keep them.
+# to the closed form; J[1I] and L[1II], the two closure-symbolic bench jobs:
+# before the sample builds moved to integer numerators), and every later
+# change must keep them.
 SYMBOLIC_REPORTS = {
+    ("--family", "J", "--D", "1I"):
+        (0, "2018fd96394ba371e98a52af1f28b29e1663aeaa6aa9e1aeed3151d9c2f1831b"),
+    ("--family", "L", "--D", "1II"):
+        (0, "45cd081712eb96575f10a28065464667b9c0c0db9ca15fe9c045461ac93a8e35"),
     ("--family", "L", "--D", "2II"):
         (0, "df90ffee1224c022c3baddd9da47a08b25441b17cd9e2e70fa1f8eeb7b98834b"),
     ("--family", "L", "--D", "3I"):
