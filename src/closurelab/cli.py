@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -34,8 +33,7 @@ from .recurrence import (NonzeroRemainder, build_X, check_h_symmetry,
                          table_formulas_L1I)
 from .spectral import (DegenerateSpectrum, alpha_conjecture,
                        alpha_values_at_energy, check_alpha_spectrum,
-                       elementary_symmetric_R, pairing_identities,
-                       spectral_suite)
+                       pairing_identities, root_expansion, spectral_suite)
 from .heisenberg import (LadderContext, check_r0_relation, commutation_check,
                          heisenberg_series_check, ladder_suite)
 
@@ -370,23 +368,13 @@ def cmd_spectrum(args) -> int:
     ok_all = True
     for _ in range(args.random_spectra):
         alphas = _random_distinct_rationals(rng, rng.choice([2, 3, 4, 5, 6, 7, 8]))
-        suite = spectral_suite(_companion_R(alphas), alphas)
+        S, d = root_expansion(alphas)
+        R = [Fraction(s, d ** (len(S) - i)) for i, s in enumerate(S)]
+        suite = spectral_suite(R, alphas)
         ok_all &= suite["recursion_ok"] and suite["eigen_ok"] and suite["initial_ok"]
     report.add(f"spectrum/random-spectra[count={args.random_spectra},seed={seed}]",
                ok_all)
     return _emit(report, args)
-
-
-def _companion_R(alphas: list[Fraction]) -> list[Fraction]:
-    """``elementary_symmetric_R(alphas)``, expanded on integers.  With
-    delta the lcm of the denominators, alpha_j = B_j/delta for integers B_j,
-    and prod_j (x - alpha_j) = delta^-K prod_j (y - B_j) at y = delta x.  So
-    [x^i] of the left side is delta^(i-K) [y^i] of the right, and
-    R_i = c_i/delta^(K-i) for c = ``elementary_symmetric_R`` on the B_j."""
-    K = len(alphas)
-    delta = math.lcm(*(a.denominator for a in alphas))
-    c = elementary_symmetric_R([a.numerator * (delta // a.denominator) for a in alphas])
-    return [Fraction(ci, delta ** (K - i)) for i, ci in enumerate(c)]
 
 
 def _random_distinct_rationals(rng, K):

@@ -43,7 +43,7 @@ from .families import (DeformedFamily, EigenValidationFailed, MultiIndex,
 from .opalg import DiffOp
 from .recurrence import NonzeroRemainder, build_X, recurrence_row
 from .spectral import (SqrtExpr, alpha_conjecture, elementary_symmetric_R,
-                       recursion_vectors)
+                       recursion_vectors, root_expansion)
 
 
 class NoSolution(Exception):
@@ -178,16 +178,6 @@ def _level_roots(coords: Sequence[tuple[int, Rat, Rat]]) -> tuple[Rat, list[Rat]
     return r0, roots
 
 
-def _root_expansion(roots: Sequence[Rat]) -> tuple[list[int], int]:
-    """(S, d): d the lcm of the roots' denominators and S_i = -[y^i] Qt for
-    the monic integer Qt(y) = prod (y - sigma), sigma = d*root
-    (``spectral.elementary_symmetric_R``), so that
-    -[x^i] prod (x - root) = S_i/d^(m-i), m the number of roots."""
-    d = math.lcm(*(s.denominator for s in roots))
-    S = elementary_symmetric_R([s.numerator * (d // s.denominator) for s in roots])
-    return S, d
-
-
 def level_rows(coords: Sequence[tuple[int, Rat, Rat]],
                K: int) -> list[tuple[list[int], int]]:
     """Level n's order-K closure rows over its unknowns
@@ -214,20 +204,17 @@ def level_rows(coords: Sequence[tuple[int, Rat, Rat]],
     spaces.  Zero rows (i > K when m > K + 1) are dropped; an order K < m
     leaves the row 0 = 1 at i = K, so the level has no solution.
 
-    Integer rows.  With d the lcm of the denominators of S, the roots are
-    sigma/d for integers sigma, and d^m Q(x) = Qt(y) at y = d x, where
-    Qt = prod (y - sigma) is monic with integer coefficients
-    (``spectral.elementary_symmetric_R`` on the sigma gives
-    S_i = -[y^i] Qt).  Reducing y^f mod Qt stays in the integers
+    Integer rows.  With (S, d) = ``spectral.root_expansion`` of the roots,
+    d^m Q(x) = Qt(y) at y = d x for the monic integer
+    Qt(y) = y^m - sum_i S_i y^i.  Reducing y^f mod Qt stays in the integers
     (rho_f = ``spectral.recursion_vectors`` on S), and substituting y = d x
     gives x^f mod Q = rho_f(d x)/d^f, so [x^i](x^f mod Q) = rho_{f,i} d^(i-f).
     Row i times d^(M-i), M = max(K, m - 1), reads
     sum_f rho_{f,i} d^(M-f) v_f = rho_{K,i} d^(M-K), and the k = 0 row times
     den(r_{n,0}) reads num(r_{n,0}) v_0 + den(r_{n,0}) v_-1 = 0.  Scaling a
     row by a nonzero number keeps the row space, so these integer rows
-    span the row space above.  A full level reads rho_f = y^f for f < K and
-    rho_K = S, so its rows are d^(K-i) v_i = S_i from the one integer
-    expansion and no recursion runs.
+    span the row space above.  A full level has rho_f = y^f for f < K and
+    rho_K = S, so its rows are d^(K-i) v_i = S_i.
     """
     r0, roots = _level_roots(coords)
     row0 = [0] * (K + 1)
@@ -236,13 +223,7 @@ def level_rows(coords: Sequence[tuple[int, Rat, Rat]],
     if not roots:
         return rows
     m = len(roots)
-    S, d = _root_expansion(roots)
-    if m == K:
-        for i in range(K):
-            row = [0] * (K + 1)
-            row[i] = d ** (K - i)
-            rows.append((row, S[i]))
-        return rows
+    S, d = root_expansion(roots)
     rem = recursion_vectors(S, K)  # y^f mod Qt, f = 0..K
     M = max(K, m - 1)
     for i in range(m):
@@ -347,8 +328,9 @@ def solve_full_levels(df: DeformedFamily, L: int, K: int,
     L.  The closed form applies when K = 2L, every level n = L..K is full
     (its K coordinates k != 0 have r_{n,k} != 0 and K distinct
     Delta_{n,k}), and E_L..E_K are distinct.  Then by ``level_rows`` the
-    rows of level n say exactly v_i = S_i/d^(K-i) (``_root_expansion``)
-    and v_-1 = -r_{n,0} v_0, for v_i = R_i(E_n).
+    rows of level n say exactly v_i = S_i/d^(K-i)
+    (``spectral.root_expansion``) and v_-1 = -r_{n,0} v_0, for
+    v_i = R_i(E_n).
 
     Uniqueness.  R_i has degree at most b_i <= L (``degree_bounds``), and
     its values at the b_i + 1 <= L + 1 distinct nodes E_L..E_{L+b_i} are
@@ -376,7 +358,7 @@ def solve_full_levels(df: DeformedFamily, L: int, K: int,
         r0, roots = _level_roots(levels[n])
         if len(roots) != K:
             return None
-        S, d = _root_expansion(roots)
+        S, d = root_expansion(roots)
         v = [Fraction(S[i], d ** (K - i)) for i in range(K)]
         values.append([*v, -r0 * v[0]])
     bounds = degree_bounds(K)
@@ -690,19 +672,7 @@ def symbolic_closure(fam: str, D_label: str, Y: EtaPoly) -> ClosureData:
 
 # -- reference tables -------------------------------------------------------------
 
-_FACTORED_NAMES = ("z", "g", "a", "b", "b1", "b2", "b3", "b4",
-                   "s1", "s2", "sp1", "sp2", "q", "r")
 _TABLES: dict | None = None
-
-
-def expand_factored(expr: str) -> ParamPoly:
-    """Expand a transcribed factored reference expression (in the names of
-    _FACTORED_NAMES, with F = Fraction) to a polynomial in the variables it
-    uses."""
-    env = {name: ParamPoly.var(name) for name in _FACTORED_NAMES}
-    env["F"] = Fraction
-    value = eval(expr, {"__builtins__": {}}, env)  # noqa: S307
-    return value.trimmed() if isinstance(value, ParamPoly) else ParamPoly.const(value)
 
 
 def load_reference_tables() -> dict:

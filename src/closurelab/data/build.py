@@ -1,7 +1,12 @@
 """Build the frozen reference-table JSON from the source transcriptions.
 
-Run as a module to regenerate src/closurelab/data/appendix_b.json after
-editing tables_source.py:  python -m closurelab.data.build
+Each transcription in tables_source.py is read by ``exactalg.parse_poly``
+(the grammar of ``--Y`` and of every printed polynomial: integer or p/q
+coefficients, ``*``, ``+``, ``-``, parentheses and ``^`` for nonnegative
+integer powers) and frozen next to its string as an exact record; no
+source string is evaluated as Python.  Run as a module to regenerate
+src/closurelab/data/appendix_b.json after editing tables_source.py:
+python -m closurelab.data.build
 """
 
 from __future__ import annotations
@@ -11,8 +16,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from ..closure import expand_factored
-from ..exactalg import ParamPoly
+from ..exactalg import ParamPoly, parse_poly
 from . import tables_source as src
 
 
@@ -41,31 +45,31 @@ def build_payload() -> dict:
         return entry
 
     for key, expr in src.LAGUERRE.items():
-        base_entry("L", key, expand_factored(expr), factored=expr,
+        base_entry("L", key, parse_poly(expr), factored=expr,
                    source=f"reference-table/L/{key[0]}/Y={key[1]}")
     for key, expr in src.JACOBI.items():
-        base_entry("J", key, expand_factored(expr), factored=expr,
+        base_entry("J", key, parse_poly(expr), factored=expr,
                    source=f"reference-table/J/{key[0]}/Y={key[1]}")
     for key, rule in src.JACOBI_DERIVED.items():
-        base = expand_factored(src.JACOBI[rule["base"]])
+        base = parse_poly(src.JACOBI[rule["base"]])
         expanded = _apply_transform(base, rule["transform"], rule["scale"])
         base_entry("J", key, expanded,
                    derived_from=list(rule["base"]), transform=rule["transform"],
                    scale=rule["scale"],
                    source=f"reference-table/J/{key[0]}/Y={key[1]}")
     for key, expr in src.WILSON.items():
-        base_entry("W", key, expand_factored(expr), factored=expr,
+        base_entry("W", key, parse_poly(expr), factored=expr,
                    status="reference-only",
                    source=f"reference-table/W/{key[0]}/Y={key[1]}")
     for key, rule in src.WILSON_DERIVED.items():
-        base = expand_factored(src.WILSON[rule["base"]])
+        base = parse_poly(src.WILSON[rule["base"]])
         expanded = _apply_transform(base, rule["transform"], rule["scale"])
         base_entry("W", key, expanded, status="reference-only",
                    derived_from=list(rule["base"]), transform=rule["transform"],
                    scale=rule["scale"],
                    source=f"reference-table/W/{key[0]}/Y={key[1]}")
     for key, parts in src.ASKEY_WILSON.items():
-        bracket = expand_factored(parts["bracket"])
+        bracket = parse_poly(parts["bracket"])
         D, Y = key
         entries.append({
             "family": "AW", "D": D, "Y": Y, "status": "reference-only",
@@ -76,7 +80,7 @@ def build_payload() -> dict:
             "source": f"reference-table/AW/{D}/Y={Y}",
         })
     for key, rule in src.ASKEY_WILSON_DERIVED.items():
-        base = expand_factored(src.ASKEY_WILSON[rule["base"]]["bracket"])
+        base = parse_poly(src.ASKEY_WILSON[rule["base"]]["bracket"])
         bracket = _apply_transform(base, rule["transform"], rule["scale"])
         D, Y = key
         entries.append({

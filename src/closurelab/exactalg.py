@@ -1202,7 +1202,9 @@ def parse_poly(text: str) -> ParamPoly:
     """Parse 'c*var^k' terms joined by +/-, e.g. '1/2*eta^2 - 3*eta + 1'.
 
     Supports parentheses and products; exponents are nonnegative integers;
-    coefficients are integers or p/q.
+    coefficients are integers or p/q.  '^' binds tighter than a sign, so
+    -x^2 and 2*-x^2 negate x^2, while (-x)^2 = x^2.  This is the grammar of
+    ``str(ParamPoly)``, of ``--Y`` and of the reference-table transcriptions.
     """
     tokens: list[tuple[str, str]] = []
     pos = 0
@@ -1242,7 +1244,9 @@ def parse_poly(text: str) -> ParamPoly:
                 raise ValueError("unbalanced parentheses")
             return inner
         if (kind, val) == ("op", "-"):
-            return -parse_atom()
+            # a sign after '*' negates the power that follows, as a sign
+            # that starts a sum does: 2*-eta^2 = -2*eta^2
+            return -parse_power()
         raise ValueError(f"unexpected token {val!r}")
 
     def parse_power() -> ParamPoly:

@@ -332,6 +332,21 @@ def elementary_symmetric_R(roots: Sequence) -> list:
     return [-c for c in tail]
 
 
+def root_expansion(roots: Sequence[Rat]) -> tuple[list[int], int]:
+    """``elementary_symmetric_R`` of rational roots, expanded on integers:
+    (S, d) with R_i = -[x^i] prod_j (x - root_j) = S_i/d^(K-i), K the
+    number of roots.
+
+    With d the lcm of the roots' denominators, root_j = sigma_j/d for
+    integers sigma_j, and prod_j (x - root_j) = d^-K Qt(y) at y = d x,
+    where Qt(y) = prod_j (y - sigma_j) is monic with integer coefficients.
+    So [x^i] of the left side is d^(i-K) [y^i] Qt, and S_i = -[y^i] Qt is
+    ``elementary_symmetric_R`` on the sigma_j."""
+    d = math.lcm(*(s.denominator for s in roots))
+    S = elementary_symmetric_R([s.numerator * (d // s.denominator) for s in roots])
+    return S, d
+
+
 # -- companion matrix, closed-form diagonalization -------------------------------
 
 

@@ -275,7 +275,7 @@ def test_criterion_11_reference_data_and_plugin_path():
     import pathlib
     from importlib import resources
 
-    from closurelab.closure import expand_factored
+    from closurelab.exactalg import parse_poly
 
     tables = load_reference_tables()
     ok = True
@@ -302,7 +302,7 @@ def test_criterion_11_reference_data_and_plugin_path():
     for key, entry in tables.items():
         if key == "_meta" or "factored" not in entry:
             continue
-        factored = expand_factored(entry["factored"])
+        factored = parse_poly(entry["factored"])
         for point in points:
             ok = ok and factored.evaluate(point) == bracket(entry).evaluate(point)
     # checksum

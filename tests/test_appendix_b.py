@@ -5,9 +5,8 @@ import hashlib
 import json
 from fractions import Fraction as F
 
-from closurelab.closure import (expand_factored, load_reference_tables,
-                                reference_expanded)
-from closurelab.exactalg import ParamPoly
+from closurelab.closure import load_reference_tables, reference_expanded
+from closurelab.exactalg import ParamPoly, parse_poly
 
 EVAL_POINTS = [
     {"z": F(1, 3), "g": F(9, 4), "a": F(13, 3), "b": F(-2, 5),
@@ -41,7 +40,7 @@ def test_factored_expansion_matches_frozen_records():
     for key, entry in tables.items():
         if key == "_meta" or "factored" not in entry:
             continue
-        assert expand_factored(entry["factored"]) == _bracket(entry), key
+        assert parse_poly(entry["factored"]) == _bracket(entry), key
         checked += 1
     assert checked >= 20
 
@@ -51,7 +50,7 @@ def test_three_point_evaluation_factored_vs_expanded():
     for key, entry in tables.items():
         if key == "_meta" or "factored" not in entry:
             continue
-        factored = expand_factored(entry["factored"])
+        factored = parse_poly(entry["factored"])
         expanded = _bracket(entry)
         for point in EVAL_POINTS:
             assert factored.evaluate(point) == expanded.evaluate(point), key

@@ -50,6 +50,16 @@ def test_verify_closure_higher_Y(tmp_path):
     assert r6["detail"]["value"] == "480"
 
 
+def test_signed_factor_of_Y_negates_its_power(tmp_path):
+    # --Y 2*-eta^2 is -2 eta^2, as -2*eta^2 is: the report echoes the X
+    # that the closure is built from
+    report = tmp_path / "r.json"
+    code = run_cli("verify-closure", "--family", "L", "--D", "1I",
+                   "--Y", "2*-eta^2", "--report", str(report))
+    assert code == 0
+    assert json.loads(report.read_text())["config"]["Y"] == "-2*eta^2"
+
+
 def test_verify_closure_wilson_spectral_notice(tmp_path):
     report = tmp_path / "r.json"
     code = run_cli("verify-closure", "--family", "W", "--D", "1I",

@@ -721,7 +721,16 @@ def test_level_rows_reduce_the_raw_rows(case, K, coords):
         Q_coeffs = Q.coeffs_in("x")
         v = [-Q_coeffs[i].constant_value() for i in range(K)]
         assert got.solution == v + [-coords[2][1] * v[0]]
-        assert sorted(sum(1 for x in a if x) for a, _ in reduced) == [1, 1, 1, 1, 2]
+        # exactly the rows r_{n,0} v_0 + v_-1 = 0 (scaled to integers) and
+        # d^(K-i) v_i = S_i, d = 2 the lcm of the Delta denominators: each
+        # touches one unknown, or v_0 and v_-1
+        r0 = coords[2][1]
+        want = [([r0.numerator, 0, 0, 0, r0.denominator], 0)]
+        for i in range(K):
+            row = [0] * (K + 1)
+            row[i] = 2 ** (K - i)
+            want.append((row, v[i] * 2 ** (K - i)))
+        assert reduced == want
 
 
 @pytest.mark.parametrize("k, new_r", [(0, lambda r: r + 1),

@@ -431,8 +431,36 @@ def test_parse_poly_grammar():
     assert parse_poly("1/2*eta^2 - 3*eta + 1") == eta ** 2 * F(1, 2) - 3 * eta + 1
     assert parse_poly("-eta") == -eta
     assert parse_poly("2*(eta+1)") == 2 * eta + 2
+    # '^' binds tighter than a sign, after '*' as at the start of a sum
+    assert parse_poly("-eta^2") == -eta ** 2
+    assert parse_poly("2*-eta^2") == -2 * eta ** 2
+    assert parse_poly("3*-2^2") == -12
+    assert parse_poly("(-eta)^2") == eta ** 2
+    assert parse_poly("2*-(eta+1)^2*g") == -2 * (eta + 1) ** 2 * g
+    assert parse_poly("1/8*(g-1)^2") == F(1, 8) * (g - 1) ** 2
     with pytest.raises(ValueError):
         parse_poly("eta^")
+
+
+@st.composite
+def _printable_polys(draw):
+    """Polynomials in one to three of eta, z, sp1 and i_: up to 6 terms of
+    exponent <= 4, coefficients p/q with |p| <= 9 and q <= 7 (zeros
+    included, so some drop and the zero polynomial occurs)."""
+    vs = draw(st.lists(st.sampled_from(("eta", "z", "sp1", "i_")), min_size=1,
+                       max_size=3, unique=True))
+    keys = st.tuples(*[st.integers(0, 4)] * len(vs))
+    coeffs = st.builds(F, st.integers(-9, 9), st.integers(1, 7))
+    return ParamPoly(vs, draw(st.dictionaries(keys, coeffs, max_size=6)))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_printable_polys())
+@example(ParamPoly.zero(("eta",)))
+@example(ParamPoly(("eta", "z"), {(2, 0): F(-1), (0, 1): F(-3, 4), (0, 0): F(-1)}))
+def test_printed_polynomials_parse_back(p):
+    # every polynomial a report prints reads back in the grammar of --Y
+    assert parse_poly(str(p)) == p
 
 
 def test_records_round_trip():

@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from closurelab.cli import DEFAULT_PARAMS, _companion_R, _random_distinct_rationals
+from closurelab.cli import DEFAULT_PARAMS, _random_distinct_rationals
 from closurelab import spectral
 from closurelab.closure import conjectured_R
 from closurelab.exactalg import ParamPoly, rat
@@ -18,8 +18,9 @@ from closurelab.spectral import (DegenerateSpectrum, SqrtExpr,
                                  alpha_conjecture, alpha_values_at_energy,
                                  check_alpha_spectrum, eigen_closed_form,
                                  elementary_symmetric_R, pairing_identities,
-                                 recursion_vectors, spectral_suite, sqrt_sign,
-                                 sqrt_square, sqrt_value_at_energy)
+                                 recursion_vectors, root_expansion,
+                                 spectral_suite, sqrt_sign, sqrt_square,
+                                 sqrt_value_at_energy)
 from spectral_reference import (CompanionMatrix, reference_det,
                                 reference_eigen_closed_form,
                                 reference_spectral_suite,
@@ -436,12 +437,20 @@ def test_integer_certificate_matches_fraction_reference():
         assert (sd.alphas, sd.R, sd.P, sd.P_inv) == want
 
 
+def _expanded_R(roots):
+    """R_i = S_i/d^(K-i) from the integer expansion (S, d) of the roots."""
+    S, d = root_expansion(roots)
+    return [F(s, d ** (len(S) - i)) for i, s in enumerate(S)]
+
+
 def test_integer_expansion_of_random_roots_matches_fractions():
     for seed in range(5):
         for R, alphas in _cli_random_spectra(seed):
-            got = _companion_R(alphas)
+            S, d = root_expansion(alphas)
+            assert all(type(x) is int for x in (*S, d)) and d > 0
+            got = _expanded_R(alphas)
             assert got == R and all(type(x) is F for x in got)
-    assert _companion_R([F(1, 2), F(-2, 3)]) == [F(1, 3), F(-1, 6)]
+    assert _expanded_R([F(1, 2), F(-2, 3)]) == [F(1, 3), F(-1, 6)]
 
 
 @pytest.mark.parametrize("off_by", [1, -1])

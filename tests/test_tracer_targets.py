@@ -2,7 +2,8 @@
 lists must still resolve, or a traced run stops at install, and the
 reconstruction metrics it reads off the spans must keep their meaning.
 Apart from those names, every module-level function and class of the
-package has a reader in the package itself."""
+package has a reader in the package itself, and no module evaluates
+source text."""
 
 import ast
 import contextlib
@@ -81,6 +82,20 @@ def test_every_function_parameter_is_read():
             unread += [f"{name}: {p.arg} ({path.relative_to(SRC)}:{node.lineno})"
                        for p in params if p.arg not in {"self", "cls", "_"} | loaded]
     assert unread == []
+
+
+def test_package_evaluates_no_source():
+    # every polynomial the package reads as text goes through parse_poly;
+    # a bare-name call to eval, exec or compile would evaluate source
+    # (re.compile and other attribute calls are not bare names)
+    calls = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        calls += [f"{node.func.id} ({path.relative_to(SRC)}:{node.lineno})"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in {"eval", "exec", "compile"}]
+    assert calls == []
 
 
 def test_symbolic_trace_keeps_the_reconstruction_metrics():
