@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -134,15 +135,20 @@ def _validate_ranges(params: ParamSet, L: int) -> list[str]:
 
 
 def _parse_Y(text: str) -> ParamPoly:
-    """--Y as a nonzero exact polynomial in eta; empty means Y = 1."""
+    """--Y as a nonzero exact polynomial in eta; empty means Y = 1.  Other
+    names are refused before parsing: under the parser's degree cap, a
+    polynomial in many variables can still have millions of terms."""
+    not_eta = ConfigError(f"--Y {text!r}: Y must be a nonzero polynomial in eta")
+    if set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", text)) - {"eta"}:
+        raise not_eta
     try:
         Y = parse_poly(text) if text else ParamPoly.const(1)
     except ValueError as exc:
         raise ConfigError(f"--Y {text!r}: {exc}") from None
     except ZeroDivisionError:
         raise ConfigError(f"--Y {text!r}: zero denominator") from None
-    if Y.is_zero or Y.used_vars() not in ((), ("eta",)):
-        raise ConfigError(f"--Y {text!r}: Y must be a nonzero polynomial in eta")
+    if Y.is_zero:
+        raise not_eta
     return Y
 
 
@@ -460,8 +466,7 @@ def cmd_appendix_b(args) -> int:
         _add_reference(report, label,
                        compare_reference(fam, D, Ylabel, cd,
                                          df.params.reference_values()))
-    meta = tables["_meta"].get("extension_targets", {})
-    for fam, by_K in sorted(meta.items()):
+    for fam, by_K in sorted(tables["_meta"]["extension_targets"].items()):
         for K, labels in sorted(by_K.items()):
             report.add(f"appendix-b/{fam}/K={K}/extension-targets", None,
                        targets=", ".join(labels), notice="no printed values")

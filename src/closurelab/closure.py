@@ -689,11 +689,8 @@ def load_reference_tables() -> dict:
         path = os.path.join(os.path.dirname(__file__), "data", "appendix_b.json")
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        out = {}
-        for entry in payload["entries"]:
-            key = (entry["family"], entry["D"], entry.get("Y", "1"))
-            out[key] = entry
-        out["_meta"] = payload.get("meta", {})
+        out = {(e["family"], e["D"], e["Y"]): e for e in payload["entries"]}
+        out["_meta"] = payload["meta"]
         _TABLES = out
     return _TABLES
 

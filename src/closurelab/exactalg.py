@@ -1194,6 +1194,8 @@ def inverse_vandermonde(nodes: Sequence[Rat]) -> tuple[list[list[int]], int]:
 
 # -- tiny polynomial grammar (CLI Y input, data files) -----------------------
 
+MAX_PARSE_DEGREE = 32  # the shipped transcriptions reach 18; --Y stops at 16
+
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
                     r"|(?P<op>[-+*^()]))")
 
@@ -1205,6 +1207,8 @@ def parse_poly(text: str) -> ParamPoly:
     coefficients are integers or p/q.  '^' binds tighter than a sign, so
     -x^2 and 2*-x^2 negate x^2, while (-x)^2 = x^2.  This is the grammar of
     ``str(ParamPoly)``, of ``--Y`` and of the reference-table transcriptions.
+    A power or product of total degree above MAX_PARSE_DEGREE is a
+    ValueError, raised before it is expanded.
     """
     tokens: list[tuple[str, str]] = []
     pos = 0
@@ -1249,6 +1253,11 @@ def parse_poly(text: str) -> ParamPoly:
             return -parse_power()
         raise ValueError(f"unexpected token {val!r}")
 
+    def capped(degree: int) -> None:
+        if degree > MAX_PARSE_DEGREE:
+            raise ValueError(f"total degree {degree} is above the parser's "
+                             f"bound {MAX_PARSE_DEGREE}")
+
     def parse_power() -> ParamPoly:
         base = parse_atom()
         while peek() == ("op", "^"):
@@ -1256,6 +1265,7 @@ def parse_poly(text: str) -> ParamPoly:
             kind, val = take()
             if kind != "num" or "/" in val:
                 raise ValueError("exponent must be a nonnegative integer")
+            capped(int(val) * base.degree())
             base = base ** int(val)
         return base
 
@@ -1263,7 +1273,9 @@ def parse_poly(text: str) -> ParamPoly:
         acc = parse_power()
         while peek() == ("op", "*"):
             take()
-            acc = acc * parse_power()
+            factor = parse_power()
+            capped(acc.degree() + factor.degree())
+            acc = acc * factor
         return acc
 
     def parse_sum() -> ParamPoly:

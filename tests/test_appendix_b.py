@@ -1,12 +1,23 @@
-"""Transcription self-checks for the shipped reference tables: factored vs
-expanded forms, checksum, degree bounds, derived-row rules."""
+"""Self-checks of the shipped reference tables: factored vs expanded forms,
+checksum, schema, degree bounds, derived-row rules.
+
+``src/closurelab/data/appendix_b.json`` is the transcription of record; no
+other copy of the factored forms exists.  To add a row, write its
+``factored`` string in the grammar of ``parse_poly``, set ``R_minus1`` (AW:
+``R_minus1_bracket``) to ``parse_poly(factored).record()``, recompute
+``meta.checksum_sha256`` as ``test_checksum_matches_entries`` does, and write
+the file as ``json.dumps(payload, indent=1, sort_keys=True) + "\\n"``.  A row
+derived from another carries ``derived_from``, ``transform`` and ``scale``
+in place of ``factored``."""
 
 import hashlib
 import json
 from fractions import Fraction as F
+from importlib import resources
 
-from closurelab.closure import load_reference_tables, reference_expanded
+from closurelab.closure import degree_bounds, load_reference_tables
 from closurelab.exactalg import ParamPoly, parse_poly
+from closurelab.families import MultiIndex
 
 EVAL_POINTS = [
     {"z": F(1, 3), "g": F(9, 4), "a": F(13, 3), "b": F(-2, 5),
@@ -56,54 +67,81 @@ def test_three_point_evaluation_factored_vs_expanded():
             assert factored.evaluate(point) == expanded.evaluate(point), key
 
 
-def test_checksum_matches_entries():
-    from importlib import resources
+def _payload_text() -> str:
+    return resources.files("closurelab.data").joinpath("appendix_b.json").read_text()
 
-    payload = json.loads(resources.files("closurelab.data")
-                         .joinpath("appendix_b.json").read_text())
+
+def test_checksum_matches_entries():
+    text = _payload_text()
+    payload = json.loads(text)
     body = json.dumps(payload["entries"], sort_keys=True)
     digest = hashlib.sha256(body.encode()).hexdigest()
     assert digest == payload["meta"]["checksum_sha256"]
+    assert text == json.dumps(payload, indent=1, sort_keys=True) + "\n"
+
+
+def test_every_entry_carries_its_fields():
+    payload = json.loads(_payload_text())
+    assert sorted(payload) == ["entries", "meta"]
+    assert sorted(payload["meta"]) == ["checksum_sha256", "description",
+                                       "extension_targets"]
+    for entry in payload["entries"]:
+        fam = entry["family"]
+        want = {"family", "D", "Y", "source"}
+        if fam == "AW":
+            want |= {"R_minus1_bracket", "prefactor_num", "prefactor_den"}
+        else:
+            want.add("R_minus1")
+        if fam in ("W", "AW"):
+            want.add("status")
+        if "factored" in entry:
+            want.add("factored")
+        else:
+            want |= {"derived_from", "transform", "scale"}
+        assert set(entry) == want, (fam, entry["D"], entry["Y"])
 
 
 def test_degree_bounds_respected():
+    # every L/J row at the order verify-closure solves it,
+    # K = 2(ell_D + deg Y + 1)
     tables = load_reference_tables()
-    for key, entry in tables.items():
-        if key == "_meta":
-            continue
-        fam = entry["family"]
-        deg = _bracket(entry).degree("z")
-        if fam in ("L", "J"):
-            assert entry["K"] == 2 * deg, key
-        else:
-            assert deg in (entry.get("K", deg), deg)
+    rows = [key for key in tables if key != "_meta" and key[0] in ("L", "J")]
+    for key in rows:
+        _, D, Y = key
+        K = 2 * (MultiIndex.parse(D).ell + parse_poly(Y).degree("eta") + 1)
+        assert _bracket(tables[key]).degree("z") <= degree_bounds(K)[-1], key
+    assert len(rows) == 23
+
+
+SIGMA_SWAP = {"s1": "sp1", "sp1": "s1", "s2": "sp2", "sp2": "s2"}
+
+
+def _transformed(poly: ParamPoly, transform: str) -> ParamPoly:
+    if transform == "b->-b":
+        return poly.subs({"b": -ParamPoly.var("b")})
+    assert transform == "sigma-swap", transform
+    return poly.subs({v: ParamPoly.var(w) for v, w in SIGMA_SWAP.items()})
 
 
 def test_derived_rows_follow_their_rules():
+    # a derived R_-1 is its base's under the transform, times the scale; an
+    # AW row's prefactors are its base's under the transform
     tables = load_reference_tables()
-    b = ParamPoly.var("b")
-    base = reference_expanded(tables[("J", "1I", "1")])
-    derived = reference_expanded(tables[("J", "1II", "1")])
-    assert derived == base.subs({"b": -b})
-    base6 = reference_expanded(tables[("J", "2I", "1")])
-    derived6 = reference_expanded(tables[("J", "2II", "1")])
-    assert derived6 == -base6.subs({"b": -b})
-    w_base = reference_expanded(tables[("W", "1I", "1")])
-    w_swap = reference_expanded(tables[("W", "1II", "1")])
-    swap = {"s1": ParamPoly.var("sp1"), "sp1": ParamPoly.var("s1"),
-            "s2": ParamPoly.var("sp2"), "sp2": ParamPoly.var("s2")}
-    assert w_swap == w_base.subs(swap)
-
-
-def test_rebuild_is_idempotent(tmp_path):
-    from closurelab.data.build import build_payload
-    from importlib import resources
-
-    frozen = json.loads(resources.files("closurelab.data")
-                        .joinpath("appendix_b.json").read_text())
-    rebuilt = build_payload()
-    assert rebuilt["entries"] == frozen["entries"]
-    assert rebuilt["meta"]["checksum_sha256"] == frozen["meta"]["checksum_sha256"]
+    derived = sorted(key for key, entry in tables.items()
+                     if key != "_meta" and "derived_from" in entry)
+    for key in derived:
+        entry = tables[key]
+        base = tables[(entry["family"], *entry["derived_from"])]
+        assert "factored" in base, key
+        rule = entry["transform"]
+        assert _bracket(entry) == (_transformed(_bracket(base), rule)
+                                   * F(entry["scale"])), key
+        if entry["family"] == "AW":
+            for field in ("prefactor_num", "prefactor_den"):
+                assert (parse_poly(entry[field])
+                        == _transformed(parse_poly(base[field]), rule)), (key, field)
+    assert derived == [("AW", "1II", "1"), ("J", "1II", "1"), ("J", "1II,2II", "1"),
+                       ("J", "2II", "1"), ("W", "1II", "1")]
 
 
 def test_extension_targets_listed_without_values():

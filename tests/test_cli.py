@@ -149,6 +149,8 @@ def test_Y_degree_is_capped_with_ell():
     ["recurrence", "--Y", "eta^16", "--D", "1I"],
     ["spectrum", "--Y", "eta^16", "--D", "1I"],
     ["heisenberg", "--Y", "eta^16", "--D", "1I"],
+    ["verify-closure", "--Y", "(eta+1)^1600"],
+    ["verify-closure", "--Y", "(a+b+c+d+e+f+g+h)^32"],
 ], ids=["params", "W-recurrence", "AW-q", "Y", "D", "truncated-plugin",
         "missing-plugin", "plugin-levels", "multi-seed", "J-range-spectrum",
         "J-range-heisenberg", "ell-bound", "ell-bound-plugin",
@@ -165,7 +167,8 @@ def test_Y_degree_is_capped_with_ell():
         "negative-random-spectra", "negative-n-max", "seed-loses-degree",
         "seed-loses-degree-heisenberg", "J-norm-ratio-pole", "J1I-table-pole",
         "Y-degree-bound", "Y-degree-bound-symbolic", "Y-degree-bound-recurrence",
-        "Y-degree-bound-spectrum", "Y-degree-bound-heisenberg"])
+        "Y-degree-bound-spectrum", "Y-degree-bound-heisenberg",
+        "Y-parse-degree-bound", "Y-param-var-power"])
 def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
     shipped = (ROOT / "plugins" / "laguerre_2I.json").read_text()
     truncated = tmp_path / "truncated.json"
@@ -222,8 +225,11 @@ def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
     if Y == "eta^16":
         assert err == ("configuration error: --Y 'eta^16': ell + deg Y = 17 is "
                        f"above the supported bound {MAX_ELL}\n")
-    if Y in ("g", "0"):
+    if Y in ("g", "0", "(a+b+c+d+e+f+g+h)^32"):
         assert f"--Y '{Y}': Y must be a nonzero polynomial in eta" in err
+    if Y == "(eta+1)^1600":
+        assert err == ("configuration error: --Y '(eta+1)^1600': total degree "
+                       "1600 is above the parser's bound 32\n")
     if Y == "1/0":
         assert "--Y '1/0': zero denominator" in err
     if "g=1/0" in argv:

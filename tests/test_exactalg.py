@@ -8,11 +8,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from closurelab.exactalg import (EtaPoly, LinearSolution, ParamPoly, RationalFunc,
-                                 SampleMismatch, interpolate_grid,
-                                 interpolate_param, parse_poly, poly_div_exact,
-                                 poly_gcd_univar, rat,
-                                 rat_str, solve_linear_exact)
+from closurelab.exactalg import (MAX_PARSE_DEGREE, EtaPoly, LinearSolution,
+                                 ParamPoly, RationalFunc, SampleMismatch,
+                                 interpolate_grid, interpolate_param,
+                                 parse_poly, poly_div_exact, poly_gcd_univar,
+                                 rat, rat_str, solve_linear_exact)
 
 eta = ParamPoly.var("eta")
 g = ParamPoly.var("g")
@@ -440,6 +440,25 @@ def test_parse_poly_grammar():
     assert parse_poly("1/8*(g-1)^2") == F(1, 8) * (g - 1) ** 2
     with pytest.raises(ValueError):
         parse_poly("eta^")
+
+
+def test_parse_poly_caps_the_degree_before_expanding(monkeypatch):
+    def refuse(self, n):
+        raise AssertionError("the power was expanded")
+
+    assert parse_poly(f"(eta+1)^{MAX_PARSE_DEGREE}") == (eta + 1) ** MAX_PARSE_DEGREE
+    assert parse_poly("(eta+1)^16*(eta+1)^16") == (eta + 1) ** 32
+    # a power above the cap is refused before it is expanded
+    monkeypatch.setattr(ParamPoly, "__pow__", refuse)
+    with pytest.raises(ValueError, match="total degree 1600 is above the "
+                                         "parser's bound 32"):
+        parse_poly("(eta+1)^1600")
+    monkeypatch.undo()
+    # so is a product, and an intermediate above the cap that later cancels
+    for text, degree in (("(eta+1)^16*(eta+1)^16*(eta+1)", 33),
+                         ("(eta^40 - eta^40 + eta)", 40), ("eta^2^17", 34)):
+        with pytest.raises(ValueError, match=f"total degree {degree} is above"):
+            parse_poly(text)
 
 
 @st.composite
