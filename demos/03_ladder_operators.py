@@ -27,7 +27,7 @@ for j in range(1, cd.K + 1):
 
 below = ladder_apply(ctx, cd.K, 0)
 print(f"lowering twice from the ground state annihilates: a^({cd.K}) P(0) ="
-      f" {below.image}")
+      f" {below.coefficient}")
 
 assert all(e["ok"] for e in ladder_suite(ctx, range(7)))
 assert all(e["ok"] for e in check_r0_relation(ctx, range(9)))

@@ -15,7 +15,11 @@ from closurelab.spectral import (alpha_conjecture, alpha_values_at_energy,
 
 # 2x2 worked example: eigenvalues (2, -3) so R_1 = -1, R_0 = 6
 sd = eigen_closed_form([6, -1], [2, -3])
-print("2x2 example: P =", sd.P, " P^-1 =", sd.P_inv)
+# the certified integer form: P_ij = N_ij/u_i, (P^-1)_jk = V0_j B_j^k/(v delta^k)
+P = tuple(tuple(Fraction(x, ui) for x in row) for row, ui in zip(sd.N, sd.u))
+P_inv = tuple(tuple(Fraction(vj * bj ** k, sd.v * sd.delta ** k) for k in range(sd.K))
+              for vj, bj in zip(sd.V0, sd.B))
+print("2x2 example: P =", P, " P^-1 =", P_inv)
 suite = spectral_suite([6, -1], [2, -3])
 print("recursion/eigen/initial all exact:",
       suite["recursion_ok"], suite["eigen_ok"], suite["initial_ok"])

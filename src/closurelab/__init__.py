@@ -8,9 +8,7 @@ from .exactalg import (
     EtaPoly,
     ParamPoly,
     Rat,
-    RationalFunc,
     interpolate_grid,
-    interpolate_param,
     parse_poly,
     rat,
     rat_str,
@@ -21,9 +19,7 @@ __all__ = [
     "EtaPoly",
     "ParamPoly",
     "Rat",
-    "RationalFunc",
     "interpolate_grid",
-    "interpolate_param",
     "parse_poly",
     "rat",
     "rat_str",

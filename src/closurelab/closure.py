@@ -40,7 +40,6 @@ from .families import (DeformedFamily, EigenValidationFailed, MultiIndex,
                        ParamSet, SchemaError, builtin_deformed,
                        degenerate_level, jacobi_degenerate_level,
                        seed_degree_drops)
-from .opalg import DiffOp
 from .recurrence import NonzeroRemainder, build_X, recurrence_row
 from .spectral import (SqrtExpr, alpha_conjecture, elementary_symmetric_R,
                        recursion_vectors, root_expansion)
@@ -108,6 +107,8 @@ def ad_powers(H: DiffOp, X: EtaPoly, count: int) -> list[DiffOp]:
     ``level_coordinates`` against it.  Entry 0 is the multiplication
     operator by X.
     """
+    from .opalg import DiffOp  # here, so that no command loads the operator algebra
+
     ads = [DiffOp.mul_by(X.param(), H.var)]
     for _ in range(count):
         ads.append(H.commutator(ads[-1]))
@@ -695,10 +696,6 @@ def load_reference_tables() -> dict:
     return _TABLES
 
 
-def reference_expanded(entry: Mapping) -> ParamPoly:
-    return ParamPoly.from_record(entry["R_minus1"])
-
-
 def compare_reference(fam: str, D_label: str, Y_label: str,
                       solved: ClosureData,
                       bindings: Mapping[str, Rat] | None = None) -> dict:
@@ -712,7 +709,7 @@ def compare_reference(fam: str, D_label: str, Y_label: str,
     if key not in tables:
         raise TableMissing(f"no stored reference row for {key}")
     entry = tables[key]
-    expected = reference_expanded(entry)
+    expected = ParamPoly.from_record(entry["R_minus1"])
     if bindings:
         expected = expected.subs(bindings)
     got = solved.R_minus1

@@ -1046,15 +1046,23 @@ def _gcd_reduced(row: dict[int, int]) -> dict[int, int]:
 def interpolate_param(samples: Sequence[tuple], degree_bound: int,
                       var: str = "g") -> ParamPoly:
     """Unique interpolant of degree <= degree_bound in ``var`` through exact
-    (point, value) samples: ``interpolate_grid`` on one variable, so the
-    points are read in increasing order, the first degree_bound + 1 of them
-    determine the polynomial and every further one checks it
-    (SampleMismatch)."""
-    pts = [rat(p) for p, _ in samples]
-    if len(set(pts)) != len(pts):
+    (point, value) samples.  The points are read in increasing order: the
+    first degree_bound + 1 of them determine the polynomial
+    (``interpolate_grid`` on one variable), and every further one checks
+    it, in increasing order; the first disagreement raises SampleMismatch
+    naming the point and the degree bound."""
+    pts = sorted((rat(p), rat(v)) for p, v in samples)
+    if len({p for p, _ in pts}) != len(pts):
         raise ValueError("sample points must be distinct")
-    grid = {(p,): [v] for p, (_, v) in zip(pts, samples)}
-    return interpolate_grid(grid, {var: degree_bound}, [var])[0]
+    if len(pts) < degree_bound + 1:
+        raise ValueError("need at least degree_bound+1 samples")
+    nodes = {(p,): [v] for p, v in pts[:degree_bound + 1]}
+    poly = interpolate_grid(nodes, {var: degree_bound}, [var])[0]
+    for x, y in pts[degree_bound + 1:]:
+        if poly.evaluate({var: x}) != y:
+            raise SampleMismatch(f"sample at {var}={rat_str(x)} disagrees "
+                                 f"with degree-{degree_bound} interpolant")
+    return poly
 
 
 def interpolate_grid(samples: Mapping[tuple, Sequence], bounds: Mapping[str, int],
@@ -1064,16 +1072,10 @@ def interpolate_grid(samples: Mapping[tuple, Sequence], bounds: Mapping[str, int
 
     ``samples`` maps coordinate tuples (aligned with ``vars``) to
     equal-length sequences of exact values, and must cover the cartesian
-    product of one value set per variable.  Along each variable the values
-    are read in increasing order: the first bounds[v] + 1 are the nodes
-    that determine the interpolant, and every further value is an extra
-    node whose samples check it.  Variables are processed last to first;
-    along one variable the checks run over the grid points of the earlier
-    variables in increasing order, then over the extra nodes, and each
-    compares the polynomials in the later variables.  The first
-    disagreement raises SampleMismatch naming the variable, the extra node
-    and the degree bound.  The polynomials hold the variables in the
-    canonical order of ``_VAR_PRIORITY``.
+    product of one value set per variable, with exactly bounds[v] + 1
+    distinct values of each v: the nodes that determine the interpolant.
+    The polynomials hold the variables in the canonical order of
+    ``_VAR_PRIORITY``.
 
     Uniqueness.  Along one variable with distinct nodes x_0..x_b, the
     Vandermonde matrix V (V_im = x_i^m) has determinant
@@ -1091,13 +1093,7 @@ def interpolate_grid(samples: Mapping[tuple, Sequence], bounds: Mapping[str, int
     D_c of its denominators, and each V_v^-1 by the lcm s_v of its
     entries' denominators (``inverse_vandermonde``), so every step is a
     product of integer matrices, and the coefficients are the integer
-    results over D_c prod_v s_v: one Fraction per term, at the end.  When
-    variable v is processed, every value along it carries the same factor
-    D_c prod_{u after v} s_u, so the check at an extra node x = p/q,
-    sum_m T_m x^m = s_v y with T = s_v V_v^-1 y applied to the nodes,
-    multiplied by the nonzero q^b, reads
-    sum_m T_m p^m q^(b-m) = s_v q^b y in the integers and holds exactly when
-    the rational equation does.
+    results over D_c prod_v s_v: one Fraction per term, at the end.
     """
     vars = list(vars)
     axes = [sorted({rat(point[d]) for point in samples}) for d in range(len(vars))]
@@ -1107,8 +1103,8 @@ def interpolate_grid(samples: Mapping[tuple, Sequence], bounds: Mapping[str, int
     for var, values in zip(vars, axes):
         if bounds[var] < 0:
             raise ValueError("degree bound must be >= 0")
-        if len(values) < bounds[var] + 1:
-            raise ValueError("need at least degree_bound+1 samples")
+        if len(values) != bounds[var] + 1:
+            raise ValueError("need exactly degree_bound+1 nodes per variable")
     # equal rationals hash alike, so the Fraction grid points find the keys
     grid = [[rat(x) for x in samples[point]] for point in itertools.product(*axes)]
     width = len(grid[0])
@@ -1119,26 +1115,17 @@ def interpolate_grid(samples: Mapping[tuple, Sequence], bounds: Mapping[str, int
     data = [x.numerator * (den // x.denominator)
             for vec in grid for x, den in zip(vec, dens)]
     for d in reversed(range(len(vars))):
-        var, b = vars[d], bounds[vars[d]]
-        W, s = inverse_vandermonde(axes[d][:b + 1])
+        W, s = inverse_vandermonde(axes[d])
         dens = [den * s for den in dens]
         n, inner = sizes[d], math.prod(sizes[d + 1:]) * width
-        extras = axes[d][b + 1:]
-        checks = [(x, [x.numerator ** m * x.denominator ** (b - m) for m in range(b + 1)],
-                   s * x.denominator ** b) for x in extras]
         out: list[int] = []
         for base in range(0, len(data), n * inner):
-            rows = [data[base + i * inner:base + (i + 1) * inner] for i in range(n)]
-            cols = list(zip(*rows[:b + 1]))
+            cols = list(zip(*(data[base + i * inner:base + (i + 1) * inner]
+                              for i in range(n))))
             coeffs = [[sum(map(operator.mul, w, col)) for col in cols] for w in W]
-            for (x, powers, scale), row in zip(checks, rows[b + 1:]):
-                at_x = [sum(map(operator.mul, powers, col)) for col in zip(*coeffs)]
-                if at_x != [scale * y for y in row]:
-                    raise SampleMismatch(f"sample at {var}={rat_str(x)} disagrees "
-                                         f"with degree-{b} interpolant")
             for row in coeffs:
                 out.extend(row)
-        data, sizes[d] = out, b + 1
+        data = out
     order = sorted(range(len(vars)), key=lambda d: _var_key(vars[d]))
     terms: list[dict[tuple[int, ...], Rat]] = [{} for _ in range(width)]
     pos = 0
@@ -1208,7 +1195,9 @@ def parse_poly(text: str) -> ParamPoly:
     -x^2 and 2*-x^2 negate x^2, while (-x)^2 = x^2.  This is the grammar of
     ``str(ParamPoly)``, of ``--Y`` and of the reference-table transcriptions.
     A power or product of total degree above MAX_PARSE_DEGREE is a
-    ValueError, raised before it is expanded.
+    ValueError, raised before it is expanded, and so is an exponent above
+    MAX_PARSE_DEGREE, which bounds the powers of a constant too.  A chain
+    x^m^n is the one power x^(m*n), and both m and m*n are capped.
     """
     tokens: list[tuple[str, str]] = []
     pos = 0
@@ -1259,15 +1248,19 @@ def parse_poly(text: str) -> ParamPoly:
                              f"bound {MAX_PARSE_DEGREE}")
 
     def parse_power() -> ParamPoly:
-        base = parse_atom()
+        base, exponent = parse_atom(), 1
         while peek() == ("op", "^"):
             take()
             kind, val = take()
             if kind != "num" or "/" in val:
                 raise ValueError("exponent must be a nonnegative integer")
-            capped(int(val) * base.degree())
-            base = base ** int(val)
-        return base
+            n = int(val)
+            exponent *= n
+            capped(exponent * base.degree())
+            if max(n, exponent) > MAX_PARSE_DEGREE:
+                raise ValueError(f"exponent {max(n, exponent)} is above "
+                                 f"the parser's bound {MAX_PARSE_DEGREE}")
+        return base if exponent == 1 else base ** exponent
 
     def parse_product() -> ParamPoly:
         acc = parse_power()

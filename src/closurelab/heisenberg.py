@@ -41,25 +41,20 @@ class LadderAction:
     """Result of one ladder application a^(j) P(n) = coefficient * P(n+shift).
 
     ``coords`` maps each k with n + k >= 0 to the image's coordinate at
-    P(n+k); only k = shift may be nonzero.  ``target`` is P(n+shift), or
-    zero below the ground state."""
+    P(n+k); only k = shift may be nonzero.  Below the ground state
+    (n + shift < 0) the image is zero and so is ``coefficient``; the image
+    is never formed as a polynomial."""
 
-    __slots__ = ("j", "n", "shift", "coefficient", "coords", "alpha", "target")
+    __slots__ = ("j", "n", "shift", "coefficient", "coords", "alpha")
 
     def __init__(self, j: int, n: int, shift: int, coefficient: Rat,
-                 coords: dict[int, Rat], alpha: Rat, target: EtaPoly):
+                 coords: dict[int, Rat], alpha: Rat):
         self.j = j
         self.n = n
         self.shift = shift
         self.coefficient = coefficient
         self.coords = coords
         self.alpha = alpha
-        self.target = target
-
-    @property
-    def image(self) -> EtaPoly:
-        """The image as a polynomial in eta."""
-        return self.target * self.coefficient
 
 
 class LadderContext:
@@ -150,11 +145,10 @@ def _ladder_action(ctx: LadderContext, j: int, n: int) -> LadderAction:
     if target_n < 0:
         if any(coords.values()):
             raise NotProportional(f"j={j}, n={n}: expected zero below the ground state")
-        return LadderAction(j, n, shift, Fraction(0), coords, alpha_j, EtaPoly())
+        return LadderAction(j, n, shift, Fraction(0), coords, alpha_j)
     if any(c for k, c in coords.items() if k != shift):
         raise NotProportional(f"j={j}, n={n}: image is not proportional to P({target_n})")
-    return LadderAction(j, n, shift, coords[shift], coords, alpha_j,
-                        ctx.df.P(target_n))
+    return LadderAction(j, n, shift, coords[shift], coords, alpha_j)
 
 
 def ladder_suite(ctx: LadderContext, n_range: Iterable[int]) -> list[dict]:

@@ -371,9 +371,9 @@ class SpectralData:
     rational eigenvalues, held in the integer form that
     ``eigen_closed_form`` checks: alpha_j = B_j/delta, R_i = S_i/rho,
     P_ij = N_ij/u_i and (P^-1)_j0 = V0_j/v (0-based; every divisor
-    positive).  ``alphas`` and ``R`` are the supplied Fractions; ``P`` and
-    ``P_inv`` are the Fraction matrices, built only when read.  N[i][j] is
-    row i, column j."""
+    positive).  ``alphas`` and ``R`` are the supplied Fractions; every
+    consumer reads the integer fields, so no Fraction matrix is built.
+    N[i][j] is row i, column j."""
 
     __slots__ = ("alphas", "R", "B", "delta", "S", "rho", "N", "u", "V0", "v")
 
@@ -396,20 +396,6 @@ class SpectralData:
     @property
     def K(self) -> int:
         return len(self.alphas)
-
-    @property
-    def P(self) -> tuple:
-        """P[i][j] = N_ij/u_i."""
-        return tuple(tuple(Fraction(x, ui) for x in row)
-                     for row, ui in zip(self.N, self.u))
-
-    @property
-    def P_inv(self) -> tuple:
-        """P_inv[j][k] = B_j^k delta^(K-1-k)/E_j = V0_j B_j^k/(v delta^k),
-        since V0_j = (v/E_j) delta^(K-1)."""
-        return tuple(tuple(Fraction(vj * b ** k, self.v * self.delta ** k)
-                           for k in range(self.K))
-                     for vj, b in zip(self.V0, self.B))
 
 
 def eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:

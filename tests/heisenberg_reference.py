@@ -5,9 +5,10 @@ integer one.
 decide the ladder actions and the time-power series on the integer
 numerators of ``spectral.SpectralData``.  These are their former versions,
 with one Fraction operation per term as the formulas read: the companion
-eigenvector column and S^-1[j][0] come from the Fraction views
-``SpectralData.P`` and ``P_inv``, and Delta_{n,k}^i and alpha_j^m are
-Fraction powers.  The tests cross-check the two routes against each other.
+eigenvector column and S^-1[j][0] come from the Fraction matrices P and
+P^-1 (``spectral_reference.fraction_views``), and Delta_{n,k}^i and
+alpha_j^m are Fraction powers.  The tests cross-check the two routes
+against each other.
 """
 
 from __future__ import annotations
@@ -15,9 +16,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from closurelab.closure import level_coordinates
-from closurelab.exactalg import EtaPoly, Rat
+from closurelab.exactalg import Rat
 from closurelab.heisenberg import LadderAction, LadderContext, NotProportional
 from closurelab.spectral import ladder_shift
+from spectral_reference import fraction_views
 
 
 def ad_coords(ctx: LadderContext, i: int, n: int) -> dict[int, Rat]:
@@ -35,7 +37,7 @@ def ladder_action(ctx: LadderContext, j: int, n: int) -> LadderAction:
     shift = ladder_shift(ctx.L, j)
     sd, R_minus1 = ctx.spectral_at(n)
     alpha_j = sd.alphas[j - 1]
-    P, P_inv = sd.P, sd.P_inv
+    P, P_inv = fraction_views(sd)
     column = [P[i][j - 1] for i in range(K)]
     scale = P_inv[j - 1][0]
     coords = {}
@@ -48,11 +50,10 @@ def ladder_action(ctx: LadderContext, j: int, n: int) -> LadderAction:
     if target_n < 0:
         if any(coords.values()):
             raise NotProportional(f"j={j}, n={n}: expected zero below the ground state")
-        return LadderAction(j, n, shift, Fraction(0), coords, alpha_j, EtaPoly())
+        return LadderAction(j, n, shift, Fraction(0), coords, alpha_j)
     if any(c for k, c in coords.items() if k != shift):
         raise NotProportional(f"j={j}, n={n}: image is not proportional to P({target_n})")
-    return LadderAction(j, n, shift, coords[shift], coords, alpha_j,
-                        ctx.df.P(target_n))
+    return LadderAction(j, n, shift, coords[shift], coords, alpha_j)
 
 
 def heisenberg_series_check(ctx: LadderContext, n: int, m_max: int,

@@ -6,8 +6,8 @@ applying one inverse Vandermonde matrix per variable to integer numerators.
 These are its former versions: Newton divided differences on ``ParamPoly``
 values, one variable at a time and one coefficient per call, with every
 sample checked by substitution into the interpolant.  The tests cross-check
-the two routes: equal polynomials, and the same SampleMismatch message for
-a disagreeing extra node.
+the two routes: equal polynomials, and the same SampleMismatch message from
+``exactalg.interpolate_param`` for a disagreeing extra point.
 """
 
 from __future__ import annotations

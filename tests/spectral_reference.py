@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from closurelab.exactalg import rat
-from closurelab.spectral import DegenerateSpectrum, recursion_vectors
+from closurelab.spectral import DegenerateSpectrum, SpectralData, recursion_vectors
 
 
 @dataclass(frozen=True)
@@ -53,10 +53,21 @@ class CompanionMatrix:
         return acc
 
 
+def fraction_views(sd: SpectralData) -> tuple[tuple, tuple]:
+    """(P, P_inv): the eigenvector matrix and its inverse as Fraction
+    matrices, read off the certified integer form.  P[i][j] = N_ij/u_i and
+    P_inv[j][k] = B_j^k delta^(K-1-k)/E_j = V0_j B_j^k/(v delta^k), since
+    V0_j = (v/E_j) delta^(K-1)."""
+    P = tuple(tuple(Fraction(x, ui) for x in row) for row, ui in zip(sd.N, sd.u))
+    P_inv = tuple(tuple(Fraction(vj * b ** k, sd.v * sd.delta ** k) for k in range(sd.K))
+                  for vj, b in zip(sd.V0, sd.B))
+    return P, P_inv
+
+
 def reference_eigen_closed_form(R: Sequence, alphas: Sequence) -> tuple:
     """Closed-form eigendata with every check made on Fractions, as the
     tuple (alphas, R, P, P_inv) of ``SpectralData``'s Fraction fields and
-    views."""
+    its ``fraction_views``."""
     K = len(R)
     alphas = [rat(a) for a in alphas]
     R = [rat(r) for r in R]

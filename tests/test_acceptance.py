@@ -19,7 +19,7 @@ import pytest
 from closurelab.exactalg import EtaPoly, ParamPoly
 from closurelab.closure import (closure_for_family, compare_reference,
                                 conjectured_R, load_reference_tables,
-                                reference_expanded, symbolic_closure)
+                                symbolic_closure)
 from closurelab.families import (ParamSet, builtin_deformed, classical_family,
                                  energy, load_family_plugin)
 from closurelab.heisenberg import (LadderContext, check_r0_relation,
@@ -76,10 +76,10 @@ def test_criterion_02_laguerre_higher_Y_symbolic(cd_L1I_Y1_sym, cd_L1I_Y2_sym):
     cd6, cd8 = cd_L1I_Y1_sym, cd_L1I_Y2_sym
     tables = load_reference_tables()
     ok6 = ([r.constant_value() for r in cd6.R] == [147456, 0, -12544, 0, 224, 0]
-           and cd6.R_minus1 == reference_expanded(tables[("L", "1I", "eta")]))
+           and cd6.R_minus1 == ParamPoly.from_record(tables[("L", "1I", "eta")]["R_minus1"]))
     ok8 = ([r.constant_value() for r in cd8.R]
            == [-37748736, 0, 3358720, 0, -69888, 0, 480, 0]
-           and cd8.R_minus1 == reference_expanded(tables[("L", "1I", "eta^2")]))
+           and cd8.R_minus1 == ParamPoly.from_record(tables[("L", "1I", "eta^2")]["R_minus1"]))
     _record(2, ok6 and ok8, "L[1I], Y=eta (K=6) and Y=eta^2 (K=8): solved data "
                             "matches the printed tables symbolically in g")
 
@@ -100,10 +100,10 @@ def test_criterion_04_jacobi_both_types_symbolic():
            and cd1.R[2] == 80 * (z + a * a) - 528
            and cd1.R[1] == -1024 * (z + a * a - F(5, 2))
            and cd1.R[0] == -1024 * (z + a * a - 1) * (z + a * a - 4))
-    ok1 = okR and cd1.R_minus1 == reference_expanded(tables[("J", "1I", "1")])
+    ok1 = okR and cd1.R_minus1 == ParamPoly.from_record(tables[("J", "1I", "1")]["R_minus1"])
     cd2 = symbolic_closure("J", "1II", ONE)
     ok2 = (all(cd2.R[i] == cd1.R[i] for i in range(4))
-           and cd2.R_minus1 == reference_expanded(tables[("J", "1II", "1")])
+           and cd2.R_minus1 == ParamPoly.from_record(tables[("J", "1II", "1")]["R_minus1"])
            and cd2.R_minus1 == cd1.R_minus1.subs({"b": -b}))
     _record(4, ok1 and ok2, "J[1I] and J[1II], Y=1: solved data matches the "
                             "printed forms symbolically in (a, b), type II "
@@ -295,16 +295,13 @@ def test_criterion_11_reference_data_and_plugin_path():
          "q": F(9, 16), "r": F(3, 4)},
     ]
 
-    def bracket(entry):
-        rec = entry.get("R_minus1") or entry.get("R_minus1_bracket")
-        return ParamPoly.from_record(rec)
-
     for key, entry in tables.items():
-        if key == "_meta" or "factored" not in entry:
+        if key == "_meta" or "factored" not in entry or "R_minus1" not in entry:
             continue
         factored = parse_poly(entry["factored"])
+        expanded = ParamPoly.from_record(entry["R_minus1"])
         for point in points:
-            ok = ok and factored.evaluate(point) == bracket(entry).evaluate(point)
+            ok = ok and factored.evaluate(point) == expanded.evaluate(point)
     # checksum
     payload = jsonlib.loads(resources.files("closurelab.data")
                             .joinpath("appendix_b.json").read_text())

@@ -1,10 +1,16 @@
 """Self-checks of the shipped reference tables: factored vs expanded forms,
-checksum, schema, degree bounds, derived-row rules.
+checksum, schema, degree bounds, derived-row rules, and the pinned
+expansions of the W/AW rows.
 
 ``src/closurelab/data/appendix_b.json`` is the transcription of record; no
 other copy of the factored forms exists.  To add a row, write its
-``factored`` string in the grammar of ``parse_poly``, set ``R_minus1`` (AW:
-``R_minus1_bracket``) to ``parse_poly(factored).record()``, recompute
+``factored`` string in the grammar of ``parse_poly`` (AW: the bracket, with
+its prefactor in ``prefactor_num``/``prefactor_den``).  An L or J row also
+carries ``R_minus1``, set to ``parse_poly(factored).record()``:
+``verify-closure`` compares its solve against that expansion, and reading
+the record is faster than parsing the string.  A W or AW row carries no
+expansion, because no command compares against it; pin the sha256 of its
+expansion in ``WAW_EXPANSION_SHA256`` instead.  Then recompute
 ``meta.checksum_sha256`` as ``test_checksum_matches_entries`` does, and write
 the file as ``json.dumps(payload, indent=1, sort_keys=True) + "\\n"``.  A row
 derived from another carries ``derived_from``, ``transform`` and ``scale``
@@ -35,9 +41,8 @@ EVAL_POINTS = [
 ]
 
 
-def _bracket(entry):
-    rec = entry.get("R_minus1") or entry.get("R_minus1_bracket")
-    return ParamPoly.from_record(rec)
+def _expanded(entry):
+    return ParamPoly.from_record(entry["R_minus1"])
 
 
 def test_tables_are_parsed_once():
@@ -49,20 +54,20 @@ def test_factored_expansion_matches_frozen_records():
     tables = load_reference_tables()
     checked = 0
     for key, entry in tables.items():
-        if key == "_meta" or "factored" not in entry:
+        if key == "_meta" or "factored" not in entry or "R_minus1" not in entry:
             continue
-        assert parse_poly(entry["factored"]) == _bracket(entry), key
+        assert parse_poly(entry["factored"]) == _expanded(entry), key
         checked += 1
-    assert checked >= 20
+    assert checked == 20
 
 
 def test_three_point_evaluation_factored_vs_expanded():
     tables = load_reference_tables()
     for key, entry in tables.items():
-        if key == "_meta" or "factored" not in entry:
+        if key == "_meta" or "factored" not in entry or "R_minus1" not in entry:
             continue
         factored = parse_poly(entry["factored"])
-        expanded = _bracket(entry)
+        expanded = _expanded(entry)
         for point in EVAL_POINTS:
             assert factored.evaluate(point) == expanded.evaluate(point), key
 
@@ -88,12 +93,12 @@ def test_every_entry_carries_its_fields():
     for entry in payload["entries"]:
         fam = entry["family"]
         want = {"family", "D", "Y", "source"}
-        if fam == "AW":
-            want |= {"R_minus1_bracket", "prefactor_num", "prefactor_den"}
-        else:
+        if fam in ("L", "J"):
             want.add("R_minus1")
-        if fam in ("W", "AW"):
+        else:
             want.add("status")
+        if fam == "AW":
+            want |= {"prefactor_num", "prefactor_den"}
         if "factored" in entry:
             want.add("factored")
         else:
@@ -109,7 +114,7 @@ def test_degree_bounds_respected():
     for key in rows:
         _, D, Y = key
         K = 2 * (MultiIndex.parse(D).ell + parse_poly(Y).degree("eta") + 1)
-        assert _bracket(tables[key]).degree("z") <= degree_bounds(K)[-1], key
+        assert _expanded(tables[key]).degree("z") <= degree_bounds(K)[-1], key
     assert len(rows) == 23
 
 
@@ -123,9 +128,17 @@ def _transformed(poly: ParamPoly, transform: str) -> ParamPoly:
     return poly.subs({v: ParamPoly.var(w) for v, w in SIGMA_SWAP.items()})
 
 
+def _derived_expansion(tables, entry) -> ParamPoly:
+    """A derived row's R_-1 (AW: its bracket): the base's parsed factored
+    form under the transform, times the scale."""
+    base = tables[(entry["family"], *entry["derived_from"])]
+    return _transformed(parse_poly(base["factored"]), entry["transform"]) * F(entry["scale"])
+
+
 def test_derived_rows_follow_their_rules():
-    # a derived R_-1 is its base's under the transform, times the scale; an
-    # AW row's prefactors are its base's under the transform
+    # a stored derived R_-1 is its base's under the transform, times the
+    # scale (W and AW store none: WAW_EXPANSION_SHA256 pins theirs); an AW
+    # row's prefactors are its base's under the transform
     tables = load_reference_tables()
     derived = sorted(key for key, entry in tables.items()
                      if key != "_meta" and "derived_from" in entry)
@@ -134,8 +147,8 @@ def test_derived_rows_follow_their_rules():
         base = tables[(entry["family"], *entry["derived_from"])]
         assert "factored" in base, key
         rule = entry["transform"]
-        assert _bracket(entry) == (_transformed(_bracket(base), rule)
-                                   * F(entry["scale"])), key
+        if "R_minus1" in entry:
+            assert _expanded(entry) == _derived_expansion(tables, entry), key
         if entry["family"] == "AW":
             for field in ("prefactor_num", "prefactor_den"):
                 assert (parse_poly(entry[field])
@@ -151,3 +164,30 @@ def test_extension_targets_listed_without_values():
     assert len(targets["10"]) == 12 and len(targets["12"]) == 19
     # no stored rows for them
     assert ("L", "4I", "1") not in tables
+
+
+# sha256 of json.dumps(record, sort_keys=True) of each W/AW row's expanded
+# R_-1 (AW: the bracket), as the file stored it before the expansions were
+# dropped; the expansion is recomputed from the factored transcription
+WAW_EXPANSION_SHA256 = {
+    ("W", "{}", "1"): "411da61ff25ec9bd70ea3d2a8dc13fb6cb1a6b92d926cc9356da07479286a102",
+    ("W", "1I", "1"): "df356070005e73c7e97463b573fe7d6cce40fbc6505152bbd1e4ef93ffaabf5a",
+    ("W", "1II", "1"): "b7307703d5f374c68c0bcd8332e9facf555d70ac6bac40ab064ac6cfc7632eb8",
+    ("AW", "{}", "1"): "4ace2880c454acdd68f2c3af600eeaaf4b42d362115f43cdb74aab6dd97f1b60",
+    ("AW", "1I", "1"): "a44818982271fadd688ea44467967412dd5aee8539a9a6ee325b5bf72ed04ace",
+    ("AW", "1II", "1"): "dc7e58c4f312395eb5c69b5355afa7a2819e2090a66d05b2e8578c346a869ee9",
+}
+
+
+def test_wilson_askey_wilson_expansions_match_their_digests():
+    tables = load_reference_tables()
+    rows = sorted(key for key in tables if key != "_meta" and key[0] in ("W", "AW"))
+    assert rows == sorted(WAW_EXPANSION_SHA256)
+    for key in rows:
+        entry = tables[key]
+        if "factored" in entry:
+            poly = parse_poly(entry["factored"])
+        else:
+            poly = _derived_expansion(tables, entry)
+        body = json.dumps(poly.record(), sort_keys=True)
+        assert hashlib.sha256(body.encode()).hexdigest() == WAW_EXPANSION_SHA256[key], key

@@ -151,6 +151,7 @@ def test_Y_degree_is_capped_with_ell():
     ["heisenberg", "--Y", "eta^16", "--D", "1I"],
     ["verify-closure", "--Y", "(eta+1)^1600"],
     ["verify-closure", "--Y", "(a+b+c+d+e+f+g+h)^32"],
+    ["verify-closure", "--Y", "3^100000*eta"],
 ], ids=["params", "W-recurrence", "AW-q", "Y", "D", "truncated-plugin",
         "missing-plugin", "plugin-levels", "multi-seed", "J-range-spectrum",
         "J-range-heisenberg", "ell-bound", "ell-bound-plugin",
@@ -168,7 +169,7 @@ def test_Y_degree_is_capped_with_ell():
         "seed-loses-degree-heisenberg", "J-norm-ratio-pole", "J1I-table-pole",
         "Y-degree-bound", "Y-degree-bound-symbolic", "Y-degree-bound-recurrence",
         "Y-degree-bound-spectrum", "Y-degree-bound-heisenberg",
-        "Y-parse-degree-bound", "Y-param-var-power"])
+        "Y-parse-degree-bound", "Y-param-var-power", "Y-constant-power"])
 def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
     shipped = (ROOT / "plugins" / "laguerre_2I.json").read_text()
     truncated = tmp_path / "truncated.json"
@@ -230,6 +231,9 @@ def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
     if Y == "(eta+1)^1600":
         assert err == ("configuration error: --Y '(eta+1)^1600': total degree "
                        "1600 is above the parser's bound 32\n")
+    if Y == "3^100000*eta":
+        assert err == ("configuration error: --Y '3^100000*eta': exponent "
+                       "100000 is above the parser's bound 32\n")
     if Y == "1/0":
         assert "--Y '1/0': zero denominator" in err
     if "g=1/0" in argv:

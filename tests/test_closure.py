@@ -20,7 +20,7 @@ from closurelab.closure import (ClosureData, NoSolution, TableMissing,
                                 conjectured_R, degree_bounds,
                                 level_coordinates, level_rows,
                                 load_reference_tables,
-                                reconstruct_closure, reference_expanded,
+                                reconstruct_closure,
                                 solve_closure, solve_full_levels,
                                 symbolic_closure, symbolic_nodes,
                                 verify_closure_identity)

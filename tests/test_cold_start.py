@@ -3,7 +3,9 @@ through it ``inspect``, ``ast``, ``dis`` and ``tokenize``) would cost more
 than the rest of ``import closurelab.cli``, so the package must not pull it
 in.  Nor may it load ``random`` (only ``spectrum`` draws random spectra) or
 ``importlib.resources``, which brings pathlib, tempfile, random, shutil and
-zipfile with it.  ``decimal`` is not tested: ``fractions`` imports it."""
+zipfile with it, or ``closurelab.opalg``, the reference operator algebra
+that no command runs.  ``decimal`` is not tested: ``fractions`` imports
+it."""
 
 import os
 import pathlib
@@ -39,3 +41,7 @@ def test_cli_import_loads_no_dataclasses_or_inspect():
 
 def test_cli_import_loads_no_random_or_resources():
     assert not {"random", "importlib.resources", "tempfile"} & _new_modules()
+
+
+def test_cli_import_loads_no_operator_algebra():
+    assert "closurelab.opalg" not in _new_modules()

@@ -3,6 +3,7 @@ solving, interpolation."""
 
 import math
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -416,13 +417,20 @@ def test_interpolate_grid_two_parameters():
     target = (a + 1) * (b - 2) + a * a
     other = F(1, 3) * a * b - 7
     samples = {}
-    for av in (0, 1, 2, 5):
-        for bv in (0, 1, 3):
+    for av in (0, 1, 5):
+        for bv in (0, 3):
             at = {"a": F(av), "b": F(bv)}
             samples[(F(av), F(bv))] = [target.evaluate(at), other.evaluate(at)]
     got = interpolate_grid(samples, {"a": 2, "b": 1}, ["a", "b"])
     assert got == [target, other]
     assert all(p.vars == ("a", "b") for p in got)
+    # exactly bound + 1 nodes per variable: a fourth value of a is refused
+    extra = dict(samples)
+    for bv in (0, 3):
+        at = {"a": F(2), "b": F(bv)}
+        extra[(F(2), F(bv))] = [target.evaluate(at), other.evaluate(at)]
+    with pytest.raises(ValueError, match="exactly degree_bound"):
+        interpolate_grid(extra, {"a": 2, "b": 1}, ["a", "b"])
 
 
 def test_parse_poly_grammar():
@@ -459,6 +467,18 @@ def test_parse_poly_caps_the_degree_before_expanding(monkeypatch):
                          ("(eta^40 - eta^40 + eta)", 40), ("eta^2^17", 34)):
         with pytest.raises(ValueError, match=f"total degree {degree} is above"):
             parse_poly(text)
+    # a constant has degree 0, so its exponent is capped on its own; a chain
+    # x^m^n is the one power x^(m*n)
+    assert parse_poly(f"3^{MAX_PARSE_DEGREE}") == ParamPoly.const(3 ** MAX_PARSE_DEGREE)
+    assert parse_poly("2^4^8") == ParamPoly.const(2 ** 32)
+    monkeypatch.setattr(ParamPoly, "__pow__", refuse)
+    for text, exponent in (("3^33", 33), ("3^10000000", 10000000),
+                           ("3^32^32", 1024), ("3^0^33", 33)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"^exponent {exponent} is above the "
+                                             "parser's bound 32$"):
+            parse_poly(text)
+        assert time.perf_counter() - start < 0.1
 
 
 @st.composite

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from closurelab import cli, spectral
+from closurelab import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH = ROOT / "bench"
@@ -52,24 +52,6 @@ def test_seed0_report_matches_expected(job, monkeypatch):
     assert code == 0
     assert (summary["pass"], summary["skip"]) == (want["pass"], want["skip"])
     assert hashlib.sha256(out.encode()).hexdigest() == want["sha256"]
-
-
-GUARDED_JOBS = ("heisenberg-L1I", "heisenberg-J1II", "heisenberg-L1II-eta",
-                "spectrum-W1I", "spectrum-AW1I")
-
-
-def test_ladder_and_spectrum_reports_never_build_fraction_matrices(monkeypatch):
-    # production reads the companion eigendata in their certified integer
-    # form; SpectralData.P and P_inv are Fraction views for demos and tests
-    def refuse(sd):
-        raise AssertionError("the Fraction matrices were built")
-
-    for name in ("P", "P_inv"):
-        monkeypatch.setattr(spectral.SpectralData, name, property(refuse))
-    jobs = [job for job in SEED0_JOBS if job.name in GUARDED_JOBS]
-    assert sorted(job.name for job in jobs) == sorted(GUARDED_JOBS)
-    for job in jobs:
-        test_seed0_report_matches_expected(job, monkeypatch)
 
 
 # The seed-0 jobs above reach ell <= 2.  These reports cover the ell-scaling

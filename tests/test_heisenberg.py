@@ -29,7 +29,7 @@ def round_trip_check(ctx, n_range):
     for n in n_range:
         up = ladder_apply(ctx, L, n)          # raises by one
         assert up.shift == 1
-        if not up.image:
+        if not up.coefficient:
             continue
         # apply the lowering combination to the raised polynomial: n+1 state
         down = ladder_apply(ctx, L + 1, n + 1)
@@ -87,11 +87,12 @@ def _reference_commutation_check(ctx, n_range):
         for j in range(1, ctx.K + 1):
             action = heisenberg.ladder_apply(ctx, j, n)
             entry = {"check": "eigenvalue-shift", "j": j, "n": n}
-            if not action.image:
+            if not action.coefficient:
                 entry["ok"] = True
             else:
-                lhs = H.apply_poly(action.image.param())
-                rhs = (action.image * (ctx.df.E(n) + action.alpha)).param()
+                image = ctx.df.P(n + action.shift) * action.coefficient
+                lhs = H.apply_poly(image.param())
+                rhs = (image * (ctx.df.E(n) + action.alpha)).param()
                 sign_ok = (action.alpha > 0) if j <= ctx.L else (action.alpha < 0)
                 entry["ok"] = (lhs == rhs) and sign_ok
             out.append(entry)
@@ -100,7 +101,7 @@ def _reference_commutation_check(ctx, n_range):
 
 def test_annihilation_below_ground_state(ctx_l1i):
     action = ladder_apply(ctx_l1i, 4, 0)  # j = 2L lowers by L
-    assert not action.image and action.coefficient == 0
+    assert action.coefficient == 0 and not any(action.coords.values())
 
 
 def test_single_step_ladder_coefficients(ctx_l1i, lag_params):
@@ -159,7 +160,7 @@ def test_eigenvalue_shifts(ctx_l1i, ctx_j1i, jac_params):
     assert energy(jac_params, 1) + action.alpha == 0
     # the double-step annihilator from n = 1 gives the zero vector
     below = ladder_apply(ctx_j1i, 4, 1)
-    assert below.shift == -2 and not below.image
+    assert below.shift == -2 and below.coefficient == 0
 
 
 def test_eigenvalue_shift_example(ctx_l1i):
@@ -242,7 +243,7 @@ def test_perturbed_alpha_fails_its_eigenvalue_shift_row(ctx_l1i, monkeypatch):
         action = real(ctx, j, n)
         if (j, n) == (2, 3):
             action = LadderAction(action.j, action.n, action.shift, action.coefficient,
-                                  action.coords, action.alpha + 1, action.target)
+                                  action.coords, action.alpha + 1)
         return action
 
     monkeypatch.setattr(heisenberg, "ladder_apply", perturbed)

@@ -57,7 +57,6 @@ def test_integer_route_matches_the_fraction_route(case, lag_params):
             assert got.coords == want.coords
             assert (got.shift, got.coefficient, got.alpha) == (
                 want.shift, want.coefficient, want.alpha)
-            assert got.target == want.target
             assert _ladder_ok(ladder_apply, ctx, j, n)
     for n in range(4):
         rows = heisenberg_series_check(ctx, n, ctx.K + 2)
@@ -129,7 +128,7 @@ def test_perturbed_action_coordinate_flips_the_time_power_verdict(j_ctx):
     coords = dict(action.coords)
     coords[action.shift] += F(1, 7)
     bad = LadderAction(action.j, action.n, action.shift, action.coefficient,
-                       coords, action.alpha, action.target)
+                       coords, action.alpha)
     ctx._actions[(j, n)] = bad
     actions = [ladder_apply(ctx, i, n) for i in range(1, ctx.K + 1)]
     assert actions[j - 1] is bad

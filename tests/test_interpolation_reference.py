@@ -3,8 +3,8 @@ former per-coefficient Newton route (tests/interpolation_reference.py): on
 random polynomials in one to three parameters, sampled on grids of
 distinct, unevenly spaced rational nodes (as ``closure.symbolic_nodes``
 gives them where it skips degenerate values), both routes return the same
-polynomials, and an extra node that disagrees raises the same
-SampleMismatch message on both."""
+polynomials.  ``interpolate_param`` checks its extra points itself, and one
+that disagrees raises the same SampleMismatch message on both routes."""
 
 import itertools
 from fractions import Fraction as F
@@ -28,15 +28,14 @@ _coeffs = st.one_of(st.just(F(0)), st.fractions(min_value=-9, max_value=9,
 @st.composite
 def _grid_problems(draw):
     """(vars, bounds, node lists, target polynomials, samples): each
-    variable gets bound + 1 + extra nodes, a cumulative sum of random
-    positive gaps, and every target has degree <= bound in each variable."""
+    variable gets bound + 1 nodes, a cumulative sum of random positive
+    gaps, and every target has degree <= bound in each variable."""
     vars = draw(st.permutations(NAMES))[:draw(st.integers(1, 3))]
     bounds = {v: draw(st.integers(0, 3)) for v in vars}
     nodes = {}
     for v in vars:
         start = draw(st.fractions(min_value=-4, max_value=4, max_denominator=3))
-        gaps = draw(st.lists(_gaps, min_size=bounds[v] + 1 + draw(st.integers(0, 2)),
-                             max_size=bounds[v] + 3))
+        gaps = draw(st.lists(_gaps, min_size=bounds[v] + 1, max_size=bounds[v] + 1))
         nodes[v] = list(itertools.accumulate(gaps, initial=start))[1:]
     width = draw(st.integers(1, 3))
     exps = list(itertools.product(*(range(bounds[v] + 1) for v in vars)))
@@ -60,26 +59,6 @@ def test_vector_interpolation_matches_the_newton_route(problem):
     assert [p.vars for p in got] == [p.vars for p in want]
 
 
-@settings(max_examples=80, deadline=None, database=None)
-@given(_grid_problems(), st.data())
-def test_a_disagreeing_extra_node_fails_alike_on_both_routes(problem, data):
-    vars, bounds, nodes, _, samples = problem
-    with_extra = [v for v in vars if len(nodes[v]) > bounds[v] + 1]
-    if not with_extra:
-        return
-    axis = data.draw(st.sampled_from(with_extra))
-    point = tuple(data.draw(st.sampled_from(nodes[v][bounds[v] + 1:] if v == axis
-                                            else nodes[v])) for v in vars)
-    entry = data.draw(st.integers(0, len(samples[point]) - 1))
-    bad = dict(samples)
-    bad[point] = [x + (c == entry) for c, x in enumerate(samples[point])]
-    with pytest.raises(SampleMismatch) as got:
-        interpolate_grid(bad, bounds, vars)
-    with pytest.raises(SampleMismatch) as want:
-        reference_interpolate_vectors(bad, bounds, vars)
-    assert str(got.value) == str(want.value)
-
-
 def test_interpolate_param_is_the_one_variable_grid():
     # the points are read in increasing order whatever order they come in:
     # -1, 0, 2/3 and 9/4 are the nodes, 7/2 and 5 the extra nodes, so a
@@ -93,6 +72,16 @@ def test_interpolate_param_is_the_one_variable_grid():
     with pytest.raises(SampleMismatch, match=r"^sample at g=7/2 disagrees "
                                              r"with degree-3 interpolant$"):
         interpolate_param(bad, 3)
+    # given in increasing order, the reference route checks the points in
+    # the same order, so an extra point off by one fails alike on both
+    ordered = sorted(samples)
+    bad = ordered[:-1] + [(ordered[-1][0], ordered[-1][1] + 1)]
+    with pytest.raises(SampleMismatch) as got:
+        interpolate_param(bad, 3)
+    with pytest.raises(SampleMismatch) as want:
+        reference_interpolate_param(bad, 3)
+    assert str(got.value) == str(want.value) == ("sample at g=5 disagrees "
+                                                 "with degree-3 interpolant")
     with pytest.raises(ValueError, match="distinct"):
         interpolate_param(samples + samples[:1], 3)
     with pytest.raises(ValueError, match="degree_bound"):

@@ -21,7 +21,7 @@ from closurelab.spectral import (DegenerateSpectrum, SqrtExpr,
                                  recursion_vectors, root_expansion,
                                  spectral_suite, sqrt_sign, sqrt_square,
                                  sqrt_value_at_energy)
-from spectral_reference import (CompanionMatrix, reference_det,
+from spectral_reference import (CompanionMatrix, fraction_views, reference_det,
                                 reference_eigen_closed_form,
                                 reference_spectral_suite,
                                 sequential_elementary_symmetric_R)
@@ -33,9 +33,10 @@ b1 = ParamPoly.var("b1")
 
 def test_two_by_two_worked_example():
     sd = eigen_closed_form([6, -1], [2, -3])
-    assert sd.P == ((3, -2), (1, 1))
-    assert sd.P_inv[0][0] == F(1, 5) and sd.P_inv[1][0] == F(-1, 5)
-    assert sum((1 / al) * sd.P_inv[j][0] for j, al in enumerate(sd.alphas)) == F(1, 6)
+    P, P_inv = fraction_views(sd)
+    assert P == ((3, -2), (1, 1))
+    assert P_inv[0][0] == F(1, 5) and P_inv[1][0] == F(-1, 5)
+    assert sum((1 / al) * P_inv[j][0] for j, al in enumerate(sd.alphas)) == F(1, 6)
 
 
 def test_degenerate_spectrum_rejected():
@@ -395,7 +396,7 @@ def test_eigen_closed_form_matches_term_by_term_reference():
     for _ in range(40):
         R, alphas = _random_spectrum(rng)
         sd = eigen_closed_form(R, alphas)
-        assert (sd.P, sd.P_inv) == _reference_closed_form(R, alphas)
+        assert fraction_views(sd) == _reference_closed_form(R, alphas)
 
 
 def _cli_random_spectra(seed):
@@ -434,7 +435,7 @@ def test_integer_certificate_matches_fraction_reference():
         assert suite["recursion_ok"] and suite["eigen_ok"] and suite["initial_ok"]
         sd = eigen_closed_form(R, alphas)
         want = reference_eigen_closed_form(R, alphas)
-        assert (sd.alphas, sd.R, sd.P, sd.P_inv) == want
+        assert (sd.alphas, sd.R, *fraction_views(sd)) == want
 
 
 def _expanded_R(roots):

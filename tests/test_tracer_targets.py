@@ -2,8 +2,8 @@
 lists must still resolve, or a traced run stops at install, and the
 reconstruction metrics it reads off the spans must keep their meaning.
 Apart from those names, every module-level function and class of the
-package has a reader in the package itself, and no module evaluates
-source text."""
+package, and every method and property of its classes, has a reader in
+the package itself, and no module evaluates source text."""
 
 import ast
 import contextlib
@@ -21,6 +21,13 @@ SRC = ROOT / "src" / "closurelab"
 # Read from outside src/: bench/record.py and demos/05_build_plugins.py
 # write plugins with it.
 OUTSIDE_READERS = {"plugin_dict_from_family"}
+# Members read by a caller outside the package's own code: argparse calls
+# _Parser.error on a bad command line.
+CALLBACK_MEMBERS = {"_Parser.error"}
+# Reference classes pinned whole by the tracer (RationalFunc.__init__ and
+# DiffOp.compose/apply_poly): their members serve the reference routes the
+# tests compare against.
+PINNED_CLASSES = {"RationalFunc", "DiffOp"}
 
 
 def _tracer_module():
@@ -43,22 +50,32 @@ def test_every_tracer_target_resolves():
 
 
 def test_every_package_definition_has_a_reader():
-    # a reader is a loaded name or an attribute access anywhere in src/
+    # a reader is a loaded name or an attribute access anywhere in src/;
+    # a class member (method or property) is keyed Class.member, dunders
+    # are exempt, and so is every member of a pinned reference class
     defined, read = {}, set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defined[node.name] = f"{path.relative_to(SRC)}:{node.lineno}"
+            if isinstance(node, ast.ClassDef) and node.name not in PINNED_CLASSES:
+                for member in node.body:
+                    if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                            and not (member.name.startswith("__")
+                                     and member.name.endswith("__"))):
+                        defined[f"{node.name}.{member.name}"] = (
+                            f"{path.relative_to(SRC)}:{member.lineno}")
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    assert defined
-    pinned = {attr.split(".")[0] for _, attr, _ in _tracer_targets()} | OUTSIDE_READERS
+    assert "LadderContext.spectral_at" in defined and "SpectralData.K" in defined
+    pinned = ({attr.split(".")[0] for _, attr, _ in _tracer_targets()}
+              | OUTSIDE_READERS | CALLBACK_MEMBERS)
     unread = sorted(f"{name} ({where})" for name, where in defined.items()
-                    if name not in read and name not in pinned)
+                    if name.rpartition(".")[2] not in read and name not in pinned)
     assert unread == []
 
 
