@@ -24,10 +24,9 @@ from .families import (MAX_ELL, DeformedFamily, EigenValidationFailed,
                        MultiIndex, ParameterPole, ParamSet, SchemaError,
                        DegreeMismatch, builtin_deformed, energy,
                        load_family_plugin, require_builtin)
-from .closure import (NoSolution, TableMissing,
-                      closure_for_family, compare_reference, conjectured_R,
-                      load_reference_tables, symbolic_closure,
-                      verify_closure_identity)
+from .closure import (SOLVE_FAILURES, TableMissing, closure_for_family,
+                      compare_reference, conjectured_R, load_reference_tables,
+                      symbolic_closure, verify_closure_identity)
 from .recurrence import (NonzeroRemainder, build_X, check_h_symmetry,
                          closed_form_compare, compute_table,
                          leading_coeff_identity, table_formulas_J1I,
@@ -256,8 +255,7 @@ def cmd_verify_closure(args) -> int:
             raise ConfigError(str(exc)) from None
         try:
             cd = symbolic_closure(fam, D.label(), Y)
-        except (SampleMismatch, NoSolution, EigenValidationFailed,
-                NonzeroRemainder) as exc:
+        except (SampleMismatch, *SOLVE_FAILURES) as exc:
             report.add("closure/solve", False, error=str(exc), mode="symbolic")
             return _emit(report, args)
         report.add("closure/solve", True, K=cd.K, unique=cd.unique,
@@ -267,7 +265,7 @@ def cmd_verify_closure(args) -> int:
     df = _family_instance(args, D, params)
     try:
         cd, X = closure_for_family(df, Y)
-    except (NoSolution, EigenValidationFailed, NonzeroRemainder) as exc:
+    except SOLVE_FAILURES as exc:
         report.add("closure/solve", False, error=str(exc))
         return _emit(report, args)
     report.add("closure/solve", True, K=cd.K, unique=cd.unique,
@@ -405,7 +403,7 @@ def cmd_heisenberg(args) -> int:
         report.add(f"range/{note}", None)
     try:
         cd, X = closure_for_family(df, Y)
-    except (NoSolution, EigenValidationFailed, NonzeroRemainder) as exc:
+    except SOLVE_FAILURES as exc:
         report.add("heisenberg/closure", False, error=str(exc))
         return _emit(report, args)
     n_top = min(args.n_max, 6)
@@ -460,7 +458,7 @@ def cmd_appendix_b(args) -> int:
         Y = EtaPoly.from_param(parse_poly(Ylabel))
         try:
             cd, X = closure_for_family(df, Y)
-        except (NoSolution, EigenValidationFailed, NonzeroRemainder) as exc:
+        except SOLVE_FAILURES as exc:
             report.add(label, False, error=str(exc))
             continue
         _add_reference(report, label,

@@ -54,6 +54,10 @@ class TableMissing(Exception):
     """No stored reference row for this (family, D) pair."""
 
 
+# The exceptions of a failed solve, which every command reports as a check.
+SOLVE_FAILURES = (NoSolution, EigenValidationFailed, NonzeroRemainder)
+
+
 def degree_bounds(K: int) -> dict[int, int]:
     """Degree bounds for R_i (i = -1 stands for the inhomogeneous term) of
     the order-K relation of an L or J family: deg R_i <= (K - i)/2 and
@@ -192,30 +196,29 @@ def level_rows(coords: Sequence[tuple[int, Rat, Rat]],
     r_{n,0} v_0 + v_-1 = 0 (K >= 1), a row with r_{n,k} = 0 is zero, and
     every other row, divided by r_{n,k}, says V(s) = s^K at s = Delta_{n,k}
     for V(x) = sum_{i<K} v_i x^i.  Let S be the distinct such s, m = |S|
-    and Q(x) = prod_{s in S} (x - s).  The reduced rows say
-    V mod Q = x^K mod Q: for i < m,
-    sum_{f<K} [x^i](x^f mod Q) v_f = [x^i](x^K mod Q), where x^f mod Q = x^f
-    for f < m.  A full level (m = K) gives v_i = -[x^i] Q.
+    (m <= K, the number of shifts k != 0 of an X of degree K/2) and
+    Q(x) = prod_{s in S} (x - s).  The reduced rows say V mod Q = x^K mod Q:
+    for i < m, sum_{f<K} [x^i](x^f mod Q) v_f = [x^i](x^K mod Q), where
+    x^f mod Q = x^f for f < m.  A full level (m = K) gives v_i = -[x^i] Q.
 
     The two blocks span the same augmented row space.  Applied to a vector
     (u_0, ..., u_K), the right-hand side taken as column K, the evaluation
     row at s gives p(s) and the remainder row i gives [x^i](p mod Q), for
     p = sum_f u_f x^f.  Both blocks vanish exactly on the p that Q divides,
     since the s are simple roots of Q; equal null spaces give equal row
-    spaces.  Zero rows (i > K when m > K + 1) are dropped; an order K < m
-    leaves the row 0 = 1 at i = K, so the level has no solution.
+    spaces.
 
     Integer rows.  With (S, d) = ``spectral.root_expansion`` of the roots,
     d^m Q(x) = Qt(y) at y = d x for the monic integer
     Qt(y) = y^m - sum_i S_i y^i.  Reducing y^f mod Qt stays in the integers
     (rho_f = ``spectral.recursion_vectors`` on S), and substituting y = d x
     gives x^f mod Q = rho_f(d x)/d^f, so [x^i](x^f mod Q) = rho_{f,i} d^(i-f).
-    Row i times d^(M-i), M = max(K, m - 1), reads
-    sum_f rho_{f,i} d^(M-f) v_f = rho_{K,i} d^(M-K), and the k = 0 row times
-    den(r_{n,0}) reads num(r_{n,0}) v_0 + den(r_{n,0}) v_-1 = 0.  Scaling a
-    row by a nonzero number keeps the row space, so these integer rows
-    span the row space above.  A full level has rho_f = y^f for f < K and
-    rho_K = S, so its rows are d^(K-i) v_i = S_i.
+    Row i times d^(K-i) reads sum_f rho_{f,i} d^(K-f) v_f = rho_{K,i}, and
+    the k = 0 row times den(r_{n,0}) reads num(r_{n,0}) v_0
+    + den(r_{n,0}) v_-1 = 0.  Scaling a row by a nonzero number keeps the
+    row space, so these integer rows span the row space above.  A full
+    level has rho_f = y^f for f < K and rho_K = S, so its rows are
+    d^(K-i) v_i = S_i.
     """
     r0, roots = _level_roots(coords)
     row0 = [0] * (K + 1)
@@ -223,23 +226,18 @@ def level_rows(coords: Sequence[tuple[int, Rat, Rat]],
     rows: list[tuple[list[int], int]] = [(row0, 0)]
     if not roots:
         return rows
-    m = len(roots)
     S, d = root_expansion(roots)
     rem = recursion_vectors(S, K)  # y^f mod Qt, f = 0..K
-    M = max(K, m - 1)
-    for i in range(m):
-        row = [rem[f][i] * d ** (M - f) for f in range(K)] + [0]
-        t = rem[K][i] * d ** (M - K)
-        if any(row) or t:
-            rows.append((row, t))
+    for i in range(len(roots)):
+        rows.append(([rem[f][i] * d ** (K - f) for f in range(K)] + [0], rem[K][i]))
     return rows
 
 
-def closure_system(df: DeformedFamily, X: EtaPoly,
-                   K: int) -> tuple[list[tuple[int, int]], list[list[int]], list[int]]:
-    """The order-K closure system (unknown layout, integer rows, right-hand
-    side) in recurrence coordinates on the levels n = K, K-1, ..., 0, each
-    level reduced in closed form (``level_rows``).
+def closure_system(df: DeformedFamily,
+                   X: EtaPoly) -> tuple[list[tuple[int, int]], list[list[int]], list[int]]:
+    """The order-K closure system, K = 2 deg X (unknown layout, integer
+    rows, right-hand side) in recurrence coordinates on the levels
+    n = K, K-1, ..., 0, each level reduced in closed form (``level_rows``).
 
     The unknown coefficient of z^j in R_i contributes E_n^j [(ad H)^i X] P_n
     (E_n^j P_n for i = -1) and the target is [(ad H)^K X] P_n.  By
@@ -284,6 +282,7 @@ def closure_system(df: DeformedFamily, X: EtaPoly,
     augmented row space, and with it the reduced row echelon form and every
     ``LinearSolution`` read off it, is unchanged.
     """
+    K = 2 * X.degree
     layout = _unknown_layout(K)
     top_j = max(j for _, j in layout)
     rows: list[list[int]] = []
@@ -300,35 +299,35 @@ def closure_system(df: DeformedFamily, X: EtaPoly,
     return layout, rows, rhs
 
 
-def solve_closure(df: DeformedFamily, X: EtaPoly, K: int) -> ClosureData:
-    """Exact solve of the order-K closure relation at bound parameters:
-    read off the full levels where they determine it
+def solve_closure(df: DeformedFamily, X: EtaPoly) -> ClosureData:
+    """Exact solve of the closure relation of X at bound parameters, of
+    order K = 2 deg X: read off the full levels where they determine it
     (``solve_full_levels``), and by the linear system otherwise
     (``solve_closure_system``).  Both give the same ClosureData or raise the
     same exception, since ``solve_full_levels`` finds the unique solution
     of the system that the other one solves, or proves there is none.
     Data read off the full levels come with every coordinate c_{n,k} on
     levels 0..K decided to be zero, and the family records them in
-    ``certified_closures`` under (X, K), so the certificate of the same
-    data does not decide those coordinates again."""
-    levels = list(_levels_through(df, X, K))
-    cd = solve_full_levels(df, X.degree, K, levels)
+    ``certified_closures`` under X, so the certificate of the same data
+    does not decide those coordinates again."""
+    levels = list(_levels_through(df, X, 2 * X.degree))
+    cd = solve_full_levels(df, X.degree, levels)
     if cd is None:
-        return solve_closure_system(df, X, K)
-    df.certified_closures[(X, K)] = (*cd.R, cd.R_minus1)
+        return solve_closure_system(df, X)
+    df.certified_closures[X] = (*cd.R, cd.R_minus1)
     return cd
 
 
-def solve_full_levels(df: DeformedFamily, L: int, K: int,
+def solve_full_levels(df: DeformedFamily, L: int,
                       levels: Sequence[list[tuple[int, Rat, Rat]]]
                       ) -> ClosureData | None:
-    """The order-K closure data read off the full levels, with no linear
-    solve; None when the levels do not determine it this way.
+    """The order-K closure data, K = 2L, read off the full levels, with no
+    linear solve; None when the levels do not determine it this way.
 
     ``levels`` is ``level_coordinates`` of levels 0..K, for an X of degree
-    L.  The closed form applies when K = 2L, every level n = L..K is full
-    (its K coordinates k != 0 have r_{n,k} != 0 and K distinct
-    Delta_{n,k}), and E_L..E_K are distinct.  Then by ``level_rows`` the
+    L.  The closed form applies when every level n = L..K is full (its K
+    coordinates k != 0 have r_{n,k} != 0 and K distinct Delta_{n,k}), and
+    E_L..E_K are distinct.  Then by ``level_rows`` the
     rows of level n say exactly v_i = S_i/d^(K-i)
     (``spectral.root_expansion``) and v_-1 = -r_{n,0} v_0, for
     v_i = R_i(E_n).
@@ -350,9 +349,10 @@ def solve_full_levels(df: DeformedFamily, L: int, K: int,
     ``_first_residual`` decides on integers; a nonzero one raises the
     NoSolution that the inconsistent system raises.
     """
+    K = 2 * L
     full = range(L, K + 1)
     nodes = [df.E(n) for n in full]
-    if K != 2 * L or len(set(nodes)) != len(nodes):
+    if len(set(nodes)) != len(nodes):
         return None
     values = []  # per full level: v_0..v_{K-1}, v_-1
     for n in full:
@@ -372,15 +372,15 @@ def solve_full_levels(df: DeformedFamily, L: int, K: int,
         Y = [y.numerator * (den // y.denominator) for y in ys]
         coeffs.append([Fraction(sum(map(operator.mul, w, Y)), s * den) for w in W]
                       + [Fraction(0)] * (L - bounds[i]))
-    if not _first_residual(df, K, coeffs, levels):
+    if not _first_residual(df, coeffs, levels):
         raise NoSolution(f"order-{K} closure relation has no solution")
     return _solved_data(K, [coeffs[i][j] for i, j in _unknown_layout(K)], 0)
 
 
-def solve_closure_system(df: DeformedFamily, X: EtaPoly, K: int) -> ClosureData:
-    """Exact solve of the order-K closure relation by one linear system,
-    whatever the levels: the route of ``solve_closure`` when the full
-    levels do not determine the data.
+def solve_closure_system(df: DeformedFamily, X: EtaPoly) -> ClosureData:
+    """Exact solve of the closure relation of X, of order K = 2 deg X, by
+    one linear system, whatever the levels: the route of ``solve_closure``
+    when the full levels do not determine the data.
 
     The system is ``closure_system`` on the levels n = 0..K.  The degree
     bounds keep every term (ad H)^i X o H^j at operator order i + 2j <= K,
@@ -397,14 +397,14 @@ def solve_closure_system(df: DeformedFamily, X: EtaPoly, K: int) -> ClosureData:
     Raises NoSolution when the linear system is inconsistent, or when the
     conjectured point lies outside a nontrivial solution set.
     """
-    layout, rows, rhs = closure_system(df, X, K)
+    layout, rows, rhs = closure_system(df, X)
     sol = solve_linear_exact(rows, rhs)
     if not sol.consistent:
-        raise NoSolution(f"order-{K} closure relation has no solution")
+        raise NoSolution(f"order-{2 * X.degree} closure relation has no solution")
     kernel_dim = len(sol.kernel_basis)
     point = sol.solution
     if kernel_dim:
-        conj = conjectured_R(alpha_conjecture(df.fam, K // 2, df.params))
+        conj = conjectured_R(alpha_conjecture(df.fam, X.degree, df.params))
         known = [idx for idx, (i, _) in enumerate(layout) if i >= 0]
         diff = [_z_coefficient(conj[layout[idx][0]], layout[idx][1])
                 - point[idx] for idx in known]
@@ -415,7 +415,7 @@ def solve_closure_system(df: DeformedFamily, X: EtaPoly, K: int) -> ClosureData:
         point = [x + sum(c * vec[idx]
                          for c, vec in zip(fit.solution, sol.kernel_basis))
                  for idx, x in enumerate(point)]
-    return _solved_data(K, point, kernel_dim)
+    return _solved_data(2 * X.degree, point, kernel_dim)
 
 
 def _solved_data(K: int, coeffs: Sequence, kernel_dim: int) -> ClosureData:
@@ -477,7 +477,7 @@ def verify_closure_identity(df: DeformedFamily, X: EtaPoly,
 
     When ``solve_closure`` read these very data off the full levels of
     this family (equal R_0..R_{K-1}, R_-1 in ``certified_closures`` under
-    (X, K)), it has already decided c_{n,k} = 0 for n = 0..K.  Those data
+    X), it has already decided c_{n,k} = 0 for n = 0..K.  Those data
     are within the degree bounds, so N = K and that is the whole verdict:
     it is returned without deciding the levels again.  Any other data, a
     perturbed or a hand-built relation among them, are decided here, with
@@ -487,20 +487,20 @@ def verify_closure_identity(df: DeformedFamily, X: EtaPoly,
     N = max([cd.K, 2 * cd.R_minus1.degree("z")]
             + [i + 2 * Ri.degree("z") for i, Ri in enumerate(cd.R)])
     levels = _levels_through(df, X, N)  # a short plugin fails before symbolic data
-    if df.certified_closures.get((X, cd.K)) == tuple(polys):
+    if df.certified_closures.get(X) == tuple(polys):
         return IdentityVerdict()
     J = max(0, *(poly.degree("z") for poly in polys))
     coeffs = [[_z_coefficient(poly, j) for j in range(J + 1)] for poly in polys]
-    return _first_residual(df, cd.K, coeffs, levels)
+    return _first_residual(df, coeffs, levels)
 
 
-def _first_residual(df: DeformedFamily, K: int, coeffs: Sequence[Sequence[Rat]],
+def _first_residual(df: DeformedFamily, coeffs: Sequence[Sequence[Rat]],
                     levels: Iterable[list[tuple[int, Rat, Rat]]]) -> IdentityVerdict:
     """The verdict on the coordinates c_{n,k} of ``verify_closure_identity``
     over ``levels``, the ``level_coordinates`` of levels 0, 1, ... in turn:
     false with the first nonzero c_{n,k} (increasing n, then k), true when
     every one is zero.  ``coeffs`` lists the z-coefficients of R_0..R_{K-1}
-    and R_-1, every list of the same length J + 1 (padded with zeros).
+    and R_-1 (K + 1 lists, each of length J + 1, padded with zeros).
 
     Integer form.  With c the lcm of the denominators of every coefficient,
     R_i(z) = sum_j A_ij z^j / c for integers A_ij, j <= J.  At E_n = e/q in
@@ -515,7 +515,7 @@ def _first_residual(df: DeformedFamily, K: int, coeffs: Sequence[Sequence[Rat]],
     when c_{n,k} is, and the witness is the integer over that factor: the
     same rational c_{n,k}.
     """
-    J = len(coeffs[0]) - 1
+    K, J = len(coeffs) - 1, len(coeffs[0]) - 1
     c = math.lcm(*(x.denominator for row in coeffs for x in row))
     A = [[x.numerator * (c // x.denominator) for x in row] for row in coeffs]
     for n, coords in enumerate(levels):
@@ -554,12 +554,12 @@ def _solve_sample(solve_at: Callable[[Mapping[str, Rat]], ClosureData],
     """solve_at(binding); a solve that fails names the sample it failed at."""
     try:
         return solve_at(binding)
-    except (NoSolution, EigenValidationFailed, NonzeroRemainder) as exc:
+    except SOLVE_FAILURES as exc:
         raise type(exc)(f"at the sample {_sample_str(binding)}: {exc}") from exc
 
 
 def reconstruct_closure(solve_at: Callable[[Mapping[str, Rat]], ClosureData],
-                        K: int, nodes: Mapping[str, Sequence[Rat]],
+                        nodes: Mapping[str, Sequence[Rat]],
                         fresh: Sequence[Mapping[str, Rat]]) -> ClosureData:
     """Solve at rational parameter samples and rebuild symbolic coefficients.
 
@@ -567,19 +567,20 @@ def reconstruct_closure(solve_at: Callable[[Mapping[str, Rat]], ClosureData],
     parameter's degree bound is m - 1, and the samples are the tensor grid
     of the node lists.  Every grid point and every ``fresh`` point is solved
     once, and each solve is read as its vector of coefficients of z^j in
-    R_i, in ``_unknown_layout`` order.  One ``interpolate_grid`` call
-    interpolates every coefficient on the grid, and each is certified at
-    the fresh points: the first disagreement raises SampleMismatch naming
+    R_i, in ``_unknown_layout`` order of the solves' order K.  One
+    ``interpolate_grid`` call interpolates every coefficient on the grid,
+    and each is certified at the fresh points: the first disagreement raises SampleMismatch naming
     R_i z^j and the fresh point.  A NoSolution, EigenValidationFailed or
     NonzeroRemainder raised by a solve names its sample.
     """
     names = list(nodes)
     bounds = {name: len(nodes[name]) - 1 for name in names}
-    layout = _unknown_layout(K)
     points: list[tuple] = [()]
     for name in names:
         points = [p + (v,) for p in points for v in nodes[name]]
     grid = {p: _solve_sample(solve_at, dict(zip(names, p))) for p in points}
+    K = next(iter(grid.values())).K
+    layout = _unknown_layout(K)
     rebuilt = interpolate_grid({p: [cd.coefficient(i, j) for i, j in layout]
                                 for p, cd in grid.items()}, bounds, names)
     for binding in fresh:
@@ -598,7 +599,7 @@ def closure_for_family(df: DeformedFamily,
     """Solve the closure relation for one family instance at its bound
     parameters, with the minimal-or-higher X built from (xi, Y)."""
     X = build_X(df.xi, Y)
-    return solve_closure(df, X, 2 * X.degree), X
+    return solve_closure(df, X), X
 
 
 # Symbolic reconstruction walks each parameter from its start in steps of
@@ -668,7 +669,7 @@ def symbolic_closure(fam: str, D_label: str, Y: EtaPoly) -> ClosureData:
         df = builtin_deformed(fam, D, ParamSet.at_reference(fam, binding))
         return closure_for_family(df, Y)[0]
 
-    return reconstruct_closure(solve_at, K, nodes, fresh)
+    return reconstruct_closure(solve_at, nodes, fresh)
 
 
 # -- reference tables -------------------------------------------------------------

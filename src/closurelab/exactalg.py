@@ -42,14 +42,23 @@ def _var_key(name: str) -> tuple[int, str]:
     return (_VAR_RANK.get(name, len(_VAR_PRIORITY)), name)
 
 
+# The one number grammar, as rat_str prints a magnitude and parse_poly reads
+# a coefficient: with no exponent, a short string names no huge number.
+_NUMBER = r"\d+(?:/\d+)?"
+_SIGNED_NUMBER = re.compile(rf"\s*[-+]?{_NUMBER}\s*")
+
+
 def rat(value) -> Rat:
-    """Coerce ints, Fractions and 'p/q' strings to an exact Fraction."""
+    """Coerce ints, Fractions and strings of an optional sign and a
+    ``_NUMBER`` to an exact Fraction; any other string is a ValueError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        if not _SIGNED_NUMBER.fullmatch(value):
+            raise ValueError(f"not an exact rational p/q: {value!r}")
+        return Fraction(value)
     raise TypeError(f"not an exact rational: {value!r}")
 
 
@@ -89,12 +98,26 @@ def _numeric_value(terms, xs: Sequence[Rat]) -> Rat:
     return Fraction(0) if total is None else total
 
 
+class Frozen:
+    """Base of the immutable value types: a constructor sets the fields
+    once, through ``_set``; any later assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *_):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+
 class SampleMismatch(Exception):
     """An extra interpolation sample disagrees with the interpolant
     (the degree bound was too small)."""
 
 
-class ParamPoly:
+class ParamPoly(Frozen):
     """Sparse exact polynomial in named variables.
 
     terms maps exponent tuples (one entry per variable, aligned with
@@ -151,8 +174,7 @@ class ParamPoly:
                 if any(k < 0 for k in e):
                     raise ValueError("negative exponent")
                 cleaned[e] = coeff
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "terms", cleaned)
+        self._set(vars=vs, terms=cleaned)
 
     @classmethod
     def _trusted(cls, vars: tuple[str, ...],
@@ -164,9 +186,6 @@ class ParamPoly:
         object.__setattr__(p, "vars", vars)
         object.__setattr__(p, "terms", terms)
         return p
-
-    def __setattr__(self, *_):
-        raise AttributeError("ParamPoly is immutable")
 
     # -- constructors ------------------------------------------------------
 
@@ -511,7 +530,7 @@ class ParamPoly:
         return ParamPoly(vars, terms)
 
 
-class EtaPoly:
+class EtaPoly(Frozen):
     """Exact polynomial in the one variable eta, on integer numerators.
 
     ``num`` holds the integer numerators of the coefficients of eta^0,
@@ -536,8 +555,7 @@ class EtaPoly:
         cs = [rat(c) for c in coeffs]
         den = math.lcm(*(c.denominator for c in cs))
         num, den = _lowest([c.numerator * (den // c.denominator) for c in cs], den)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self._set(num=num, den=den)
 
     @classmethod
     def _reduced(cls, num: list[int], den: int) -> "EtaPoly":
@@ -547,9 +565,6 @@ class EtaPoly:
         object.__setattr__(p, "num", num)
         object.__setattr__(p, "den", den)
         return p
-
-    def __setattr__(self, *_):
-        raise AttributeError("EtaPoly is immutable")
 
     @staticmethod
     def const(value) -> "EtaPoly":
@@ -789,7 +804,7 @@ def poly_gcd_univar(a: ParamPoly, b: ParamPoly, var: str) -> ParamPoly:
     return ParamPoly.univar(var, {k: Fraction(c) / lead for k, c in enumerate(fa)})
 
 
-class RationalFunc:
+class RationalFunc(Frozen):
     """Reduced quotient of two ParamPolys.
 
     Univariate quotients (both parts in the same single variable) are fully
@@ -807,11 +822,7 @@ class RationalFunc:
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         num, den = _reduce_ratio(*num._align(den))
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *_):
-        raise AttributeError("RationalFunc is immutable")
+        self._set(num=num, den=den)
 
     @property
     def is_zero(self) -> bool:
@@ -929,7 +940,7 @@ def _reduce_ratio(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]
 # -- exact linear algebra ----------------------------------------------------
 
 
-class LinearSolution:
+class LinearSolution(Frozen):
     """Outcome of an exact linear solve.
 
     ``consistent`` False is a normal, reported outcome (no solution exists);
@@ -940,12 +951,7 @@ class LinearSolution:
     __slots__ = ("consistent", "solution", "kernel_basis")
 
     def __init__(self, consistent: bool, solution: list | None, kernel_basis: list):
-        object.__setattr__(self, "consistent", consistent)
-        object.__setattr__(self, "solution", solution)
-        object.__setattr__(self, "kernel_basis", kernel_basis)
-
-    def __setattr__(self, *_):
-        raise AttributeError("LinearSolution is immutable")
+        self._set(consistent=consistent, solution=solution, kernel_basis=kernel_basis)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearSolution):
@@ -1182,8 +1188,9 @@ def inverse_vandermonde(nodes: Sequence[Rat]) -> tuple[list[list[int]], int]:
 # -- tiny polynomial grammar (CLI Y input, data files) -----------------------
 
 MAX_PARSE_DEGREE = 32  # the shipped transcriptions reach 18; --Y stops at 16
+MAX_PARSE_BITS = 4096  # exponent times coefficient bits of one power
 
-_TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+_TOKEN = re.compile(rf"\s*(?:(?P<num>{_NUMBER})|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
                     r"|(?P<op>[-+*^()]))")
 
 
@@ -1197,7 +1204,9 @@ def parse_poly(text: str) -> ParamPoly:
     A power or product of total degree above MAX_PARSE_DEGREE is a
     ValueError, raised before it is expanded, and so is an exponent above
     MAX_PARSE_DEGREE, which bounds the powers of a constant too.  A chain
-    x^m^n is the one power x^(m*n), and both m and m*n are capped.
+    x^m^n is the one power x^(m*n), and both m and m*n are capped.  So is
+    the exponent times the largest bit length of the base's coefficients,
+    by MAX_PARSE_BITS: (3^32)^32 parses, ((3^32)^32)^32 is refused unformed.
     """
     tokens: list[tuple[str, str]] = []
     pos = 0
@@ -1249,6 +1258,8 @@ def parse_poly(text: str) -> ParamPoly:
 
     def parse_power() -> ParamPoly:
         base, exponent = parse_atom(), 1
+        bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                    for c in base.terms.values()), default=0)
         while peek() == ("op", "^"):
             take()
             kind, val = take()
@@ -1260,6 +1271,9 @@ def parse_poly(text: str) -> ParamPoly:
             if max(n, exponent) > MAX_PARSE_DEGREE:
                 raise ValueError(f"exponent {max(n, exponent)} is above "
                                  f"the parser's bound {MAX_PARSE_DEGREE}")
+            if exponent * bits > MAX_PARSE_BITS:
+                raise ValueError(f"a power of {exponent} on {bits}-bit coefficients "
+                                 f"is above the parser's bound {MAX_PARSE_BITS} bits")
         return base if exponent == 1 else base ** exponent
 
     def parse_product() -> ParamPoly:

@@ -49,7 +49,7 @@ import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactalg import EtaPoly, ParamPoly, Rat, convolve_sum, rat, rat_str
+from .exactalg import EtaPoly, Frozen, ParamPoly, Rat, convolve_sum, rat, rat_str
 
 HALF = Fraction(1, 2)
 
@@ -104,7 +104,7 @@ def _sqrt_fraction(q: Rat) -> Rat | None:
     return None
 
 
-class ParamSet:
+class ParamSet(Frozen):
     """Exact parameter values for one family.
 
     L: g;  J: g, h (derived a = g+h, b = g-h);  W: a1..a4;  AW: a1..a4, q
@@ -124,17 +124,13 @@ class ParamSet:
         missing = needed - set(vals)
         if missing:
             raise ValueError(f"family {fam} needs parameters {sorted(missing)}")
-        object.__setattr__(self, "fam", fam)
-        object.__setattr__(self, "values", vals)
+        self._set(fam=fam, values=vals)
         if fam == "AW":
             q = vals["q"]
             if not (0 < q < 1):
                 raise ValueError("AW needs 0 < q < 1")
             if _sqrt_fraction(q) is None:
                 raise ValueError("AW needs q to be the square of a rational")
-
-    def __setattr__(self, *_):
-        raise AttributeError("ParamSet is immutable")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ParamSet):
@@ -197,7 +193,7 @@ class ParamSet:
         return ParamSet(fam, {"g": values["g"]})
 
 
-class MultiIndex:
+class MultiIndex(Frozen):
     """Multi-index D: list of (degree, type) seed labels, each degree an
     int >= 1 (a bool or a float such as 2.9 is rejected, not truncated).
 
@@ -221,15 +217,12 @@ class MultiIndex:
             ds = [d for d, tt in ent if tt == t]
             if len(ds) != len(set(ds)):
                 raise ValueError(f"duplicate type-{t} degrees in multi-index")
-        object.__setattr__(self, "entries", ent)
+        self._set(entries=ent)
         M = len(ent)
         ell = sum(d for d, _ in ent) - M * (M - 1) // 2 + 2 * self.M1 * self.M2
         if ell > MAX_ELL:
             raise ValueError(f"ell = {ell} is above the supported bound {MAX_ELL}")
-        object.__setattr__(self, "ell", ell)
-
-    def __setattr__(self, *_):
-        raise AttributeError("MultiIndex is immutable")
+        self._set(ell=ell)
 
     @staticmethod
     def parse(text: str) -> "MultiIndex":
@@ -546,9 +539,9 @@ class DeformedFamily:
     by ``check_levels`` (P_0..P_VALIDATE_N at construction, further levels
     when they are first read), ``recurrence_rows``, the zero-remainder
     expansions of X*P_n by (X, n) (``recurrence.recurrence_row``), and
-    ``certified_closures``, the closure data (R_0..R_{K-1}, R_-1) by (X, K)
-    whose coordinates on levels 0..K the closed-form solve decided to be
-    zero (``closure.solve_closure``).
+    ``certified_closures``, the closure data (R_0..R_{K-1}, R_-1) by X,
+    of order K = 2 deg X, whose coordinates on levels 0..K the closed-form
+    solve decided to be zero (``closure.solve_closure``).
     Instances are otherwise immutable, so a stored entry is what a fresh
     computation gives; parallel tasks should each own their instance.
     """
@@ -567,7 +560,7 @@ class DeformedFamily:
         self._E_cache: dict[int, Rat] = {}
         self.checked_levels: set[int] = set()
         self.recurrence_rows: dict[tuple[EtaPoly, int], dict[int, Rat]] = {}
-        self.certified_closures: dict[tuple[EtaPoly, int], tuple[ParamPoly, ...]] = {}
+        self.certified_closures: dict[EtaPoly, tuple[ParamPoly, ...]] = {}
         self.Etilde = [virtual_energy(params, t, d) for d, t in D.entries]
         self.H_cleared = cleared_hamiltonian(fam, D, params, xi)
         self.check_levels(VALIDATE_N)

@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping
 
-from .exactalg import (ParamPoly, RationalFunc, _coerce_rf, poly_div_exact,
-                       poly_gcd_univar)
+from .exactalg import (Frozen, ParamPoly, RationalFunc, _coerce_rf,
+                       poly_div_exact, poly_gcd_univar)
 
 class AlgebraMismatch(Exception):
     """Operands live in different operator algebras."""
@@ -31,7 +31,7 @@ class NonPolynomialImage(Exception):
     (wrong operator or wrong family data)."""
 
 
-class DiffOp:
+class DiffOp(Frozen):
     """Differential operator sum_k f_k(var) d^k with RationalFunc
     coefficients (ints, Fractions and ParamPolys are coerced).
 
@@ -48,12 +48,7 @@ class DiffOp:
             rf = _coerce_rf(f)
             if not rf.is_zero:
                 cleaned[k] = rf
-        object.__setattr__(self, "var", var)
-        object.__setattr__(self, "coeffs", cleaned)
-        object.__setattr__(self, "_cleared", None)
-
-    def __setattr__(self, *_):
-        raise AttributeError("DiffOp is immutable")
+        self._set(var=var, coeffs=cleaned, _cleared=None)
 
     @staticmethod
     def zero(var: str) -> "DiffOp":

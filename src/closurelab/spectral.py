@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
-from .exactalg import ParamPoly, Rat, rat
+from .exactalg import Frozen, ParamPoly, Rat, rat
 from .families import ParamSet, energy
 
 HALF = Fraction(1, 2)
@@ -32,18 +32,13 @@ class SqrtValueMismatch(ArithmeticError):
     closed form of ``sqrt_value_at_energy`` is wrong for this family."""
 
 
-class SqrtExpr:
+class SqrtExpr(Frozen):
     """u + v*sqrt(S) with u, v, S exact polynomials (S shared)."""
 
     __slots__ = ("u", "v", "square")
 
     def __init__(self, u: ParamPoly, v: ParamPoly, square: ParamPoly):
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "square", square)
-
-    def __setattr__(self, *_):
-        raise AttributeError("SqrtExpr is immutable")
+        self._set(u=u, v=v, square=square)
 
     @staticmethod
     def lift(value, square: ParamPoly) -> "SqrtExpr":
@@ -366,7 +361,7 @@ def recursion_vectors(R: Sequence, count: int) -> list[list]:
     return vecs
 
 
-class SpectralData:
+class SpectralData(Frozen):
     """Certified eigendata of a companion matrix with distinct nonzero
     rational eigenvalues, held in the integer form that
     ``eigen_closed_form`` checks: alpha_j = B_j/delta, R_i = S_i/rho,
@@ -379,19 +374,8 @@ class SpectralData:
 
     def __init__(self, alphas: tuple, R: tuple, B: tuple, delta: int, S: tuple,
                  rho: int, N: tuple, u: tuple, V0: tuple, v: int):
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "R", R)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "S", S)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "N", N)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "V0", V0)
-        object.__setattr__(self, "v", v)
-
-    def __setattr__(self, *_):
-        raise AttributeError("SpectralData is immutable")
+        self._set(alphas=alphas, R=R, B=B, delta=delta, S=S, rho=rho, N=N, u=u,
+                  V0=V0, v=v)
 
     @property
     def K(self) -> int:

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -301,6 +302,41 @@ def test_params_parse_or_are_a_config_error(items):
         except ConfigError:
             continue
         assert isinstance(params, ParamSet)
+
+
+# Numbers in a notation other than the package's one grammar (sign, digits,
+# optional /digits): an exponent would make a 10-character value a number
+# of a million digits, so each is refused before it is read.
+@pytest.mark.parametrize("argv", [
+    ["verify-closure", "--family", "L", "--D", "1I", "--params", "g=1e999999"],
+    ["spectrum", "--family", "AW", "--params", "a1=1e99999"],
+    ["verify-closure", "--D", "2I", "--plugin", "{parameter}"],
+    ["verify-closure", "--D", "2I", "--plugin", "{coefficient}"],
+    ["verify-closure", "--family", "L", "--D", "1I", "--Y", "(((3^32)^32)^32)^32*eta"],
+    ["verify-closure", "--family", "L", "--D", "1I",
+     "--Y", "((((3^32)^32)^32)^32)^32*eta"],
+], ids=["params", "AW-params", "plugin-parameter", "plugin-coefficient",
+        "Y-nested-power", "Y-nested-power-5"])
+def test_huge_numbers_are_refused_at_once(argv, tmp_path, capsys):
+    data = json.loads((ROOT / "plugins" / "laguerre_2I.json").read_text())
+    data["parameters"]["g"] = "1e999999"
+    (tmp_path / "parameter.json").write_text(json.dumps(data))
+    data = json.loads((ROOT / "plugins" / "laguerre_2I.json").read_text())
+    data["P"]["P_coeff"]["terms"][0]["coefficient"] = "1e999999"
+    (tmp_path / "coefficient.json").write_text(json.dumps(data))
+    start = time.perf_counter()
+    code = run_cli(*(str(tmp_path / f"{a[1:-1]}.json") if a.startswith("{") else a
+                     for a in argv))
+    assert code == 2 and time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    if "--Y" in argv:
+        assert err.endswith(": a power of 32 on 1624-bit coefficients is above "
+                            "the parser's bound 4096 bits\n")
+    else:
+        assert err.endswith("not an exact rational p/q: '1e999999'\n"
+                            if "AW" not in argv else
+                            "not an exact rational p/q: '1e99999'\n")
 
 
 SHIPPED_PLUGINS = sorted(p.name for p in (ROOT / "plugins").glob("*.json"))

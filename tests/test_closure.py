@@ -60,10 +60,10 @@ def coordinate_images(df, X, n, count):
                 EtaPoly()).param() for i in range(count + 1)]
 
 
-def eta_rows(df, X, K):
-    """Reference assembly of the order-K system: each eta-coefficient of
-    each level n = 0..K of the images is one row."""
-    layout = closure_system(df, X, K)[0]
+def eta_rows(df, X):
+    """Reference assembly of the order-K system, K = 2 deg X: each
+    eta-coefficient of each level n = 0..K of the images is one row."""
+    layout, K = closure_system(df, X)[0], 2 * X.degree
     rows, rhs = [], []
     for n in range(K + 1):
         images = ad_images(df, X, n, K)
@@ -86,11 +86,11 @@ def raw_level_rows(coords, K):
             for k, r, delta in coords]
 
 
-def coordinate_rows(df, X, K):
-    """Reference assembly of the order-K system from the raw coordinate
-    rows of each level n = 0..K, expanded over the unknown layout as
-    ``closure_system`` expands the reduced ones."""
-    layout = closure_system(df, X, K)[0]
+def coordinate_rows(df, X):
+    """Reference assembly of the order-K system, K = 2 deg X, from the raw
+    coordinate rows of each level n = 0..K, expanded over the unknown layout
+    as ``closure_system`` expands the reduced ones."""
+    layout, K = closure_system(df, X)[0], 2 * X.degree
     rows, rhs = [], []
     for n in range(K + 1):
         En = df.E(n)
@@ -196,13 +196,6 @@ def test_reference_comparison_and_missing(l1i_closure, lag_params):
         compare_reference("L", "9I", "1", cd)
 
 
-def test_no_solution_for_understated_order(l1i, l1i_closure):
-    # order 2 cannot close for the deformed system (needs K = 4)
-    _, X = l1i_closure
-    with pytest.raises(NoSolution):
-        solve_closure(l1i, X, 2)
-
-
 def test_spectral_consequence_beta_identity(lag_params, jac_params, wil_params,
                                             aw_params):
     # beta = E_{n+k} - E_n satisfies beta^K = sum_i R_i(E_n) beta^i for
@@ -272,7 +265,7 @@ def test_reconstruct_closure_symbolic_in_g():
 
     nodes = {"g": [F(2), F(7, 3), F(3)]}
     fresh = [{"g": F(11, 2)}, {"g": F(6)}]
-    cd = reconstruct_closure(solve_at, 4, nodes, fresh)
+    cd = reconstruct_closure(solve_at, nodes, fresh)
     assert cd.R_minus1 == 64 * (3 * z ** 2 + 2 * (10 * g + 11) * z
                                 + 2 * (2 * g + 1) * (6 * g + 13))
     cmp = compare_reference("L", "1I", "1", cd)
@@ -289,8 +282,7 @@ def test_reconstruct_rejects_a_bound_too_small():
                            ParamPoly.zero(("z",)))
 
     with pytest.raises(SampleMismatch) as info:
-        reconstruct_closure(solve_at, 2, {"g": [F(1)]},
-                            [{"g": F(3, 2)}, {"g": F(2)}])
+        reconstruct_closure(solve_at, {"g": [F(1)]}, [{"g": F(3, 2)}, {"g": F(2)}])
     assert str(info.value) == ("R_0 z^0 disagrees with its interpolant "
                                "(g <= 0) at the fresh sample g=3/2")
 
@@ -300,7 +292,7 @@ def test_reconstruct_names_the_sample_a_solve_fails_at():
         raise NoSolution("order-2 closure relation has no solution")
 
     with pytest.raises(NoSolution, match=r"^at the sample g=1: order-2"):
-        reconstruct_closure(solve_at, 2, {"g": [F(1)]}, [])
+        reconstruct_closure(solve_at, {"g": [F(1)]}, [])
 
 
 J1I = MultiIndex.parse("1I")
@@ -317,7 +309,7 @@ def test_reconstruct_rejects_an_a_bound_one_too_small():
     # interpolant of R_0 z^0 misses the first fresh sample
     nodes, fresh = symbolic_nodes("J", J1I, {"a": 3, "b": 3})
     with pytest.raises(SampleMismatch) as info:
-        reconstruct_closure(_solve_j1i, 4, nodes, fresh)
+        reconstruct_closure(_solve_j1i, nodes, fresh)
     assert str(info.value) == ("R_0 z^0 disagrees with its interpolant "
                                "(a <= 3, b <= 3) at the fresh sample a=10, b=1")
 
@@ -341,9 +333,9 @@ def test_reconstruct_catches_one_perturbed_grid_coefficient(i, j):
             R[i] = R[i] + z ** j
         return ClosureData(cd.K, R, R_minus1, cd.kernel_dim)
 
-    assert reconstruct_closure(_solve_j1i, 4, nodes, fresh).unique
+    assert reconstruct_closure(_solve_j1i, nodes, fresh).unique
     with pytest.raises(SampleMismatch) as info:
-        reconstruct_closure(perturbed, 4, nodes, fresh)
+        reconstruct_closure(perturbed, nodes, fresh)
     assert str(info.value) == (f"R_{i} z^{j} disagrees with its interpolant "
                                "(a <= 4, b <= 3) at the fresh sample a=21/2, b=1")
 
@@ -358,8 +350,8 @@ def test_reconstructed_kernel_dim_is_the_grid_maximum():
         cd = _solve_j1i(binding)
         return ClosureData(cd.K, cd.R, cd.R_minus1, 2 if binding == bad else 0)
 
-    plain = reconstruct_closure(_solve_j1i, 4, nodes, fresh)
-    got = reconstruct_closure(with_kernel, 4, nodes, fresh)
+    plain = reconstruct_closure(_solve_j1i, nodes, fresh)
+    got = reconstruct_closure(with_kernel, nodes, fresh)
     assert (plain.kernel_dim, got.kernel_dim) == (0, 2)
     assert (got.R, got.R_minus1) == (plain.R, plain.R_minus1)
 
@@ -518,14 +510,23 @@ def test_linear_system_solves_are_not_recorded():
     assert verify_closure_identity(df, X, cd)
 
 
-def test_kernel_reporting_on_padded_order(l_classical):
-    # asking for order 4 on the classical system: consistent but non-unique;
-    # the solve returns the conjectured point of the solution set
-    X = ETA
-    cd = solve_closure(l_classical, X, 4)
-    assert cd.kernel_dim > 0 and not cd.unique
-    assert cd.R == conjectured_R(alpha_conjecture("L", 2, l_classical.params))
-    assert verify_closure_identity(l_classical, X, cd)
+def _fallback_inputs():
+    """The two (family, Y) whose solution sets have a kernel (kernel_dim 3),
+    so that the solve takes the linear system: J[1I] at a = 1
+    (g = 3/4, h = 1/4), and the classical J at g = h = 5/2 with Y = eta."""
+    return [(builtin_deformed("J", "1I", ParamSet("J", {"g": F(3, 4), "h": F(1, 4)})),
+             ONE),
+            (classical_family("J", ParamSet("J", {"g": F(5, 2), "h": F(5, 2)})), ETA)]
+
+
+def test_kernel_reporting_on_padded_order():
+    # on each fallback input the system is consistent but non-unique; the
+    # solve returns the conjectured point of the solution set
+    for df, Y in _fallback_inputs():
+        cd, X = closure_for_family(df, Y)
+        assert cd.kernel_dim == 3 and not cd.unique
+        assert cd.R == conjectured_R(alpha_conjecture("J", cd.K // 2, df.params))
+        assert verify_closure_identity(df, X, cd)
 
 
 @pytest.mark.parametrize("D, params", [("1I", ["g=3/4", "h=1/4"]),
@@ -557,18 +558,19 @@ def test_conjectured_data_is_built_only_for_a_kernel(l_classical, l1i,
         cd, _ = closure_for_family(df, ONE)
         assert cd.unique
     assert built == []
-    # the padded classical system (order 4 for X = eta) has a kernel: the
-    # conjectured point is built once, at the family's parameters, and must
-    # lie in the solution set
-    params = l_classical.params
-    cd = solve_closure(l_classical, ETA, 4)
-    assert cd.kernel_dim > 0 and built == [(alpha_conjecture("L", 2, params),)]
-    # negative control: a conjectured R_0 off by one lies outside it
-    conj = real(alpha_conjecture("L", 2, params))
-    monkeypatch.setattr(closure, "conjectured_R",
-                        lambda *args: [conj[0] + 1, *conj[1:]])
-    with pytest.raises(NoSolution, match="conjectured data lies outside"):
-        solve_closure(l_classical, ETA, 4)
+    # each fallback input has a kernel: the conjectured point is built once,
+    # at the family's parameters, and must lie in the solution set
+    for df, Y in _fallback_inputs():
+        built.clear()
+        cd, X = closure_for_family(df, Y)
+        alphas = alpha_conjecture("J", cd.K // 2, df.params)
+        assert cd.kernel_dim > 0 and built == [(alphas,)]
+        # negative control: a conjectured R_0 off by one lies outside it
+        conj = real(alphas)
+        with monkeypatch.context() as m:
+            m.setattr(closure, "conjectured_R", lambda *args: [conj[0] + 1, *conj[1:]])
+            with pytest.raises(NoSolution, match="conjectured data lies outside"):
+                solve_closure(df, X)
 
 
 def test_eigenbasis_images_match_operator_reference(l_classical, l1i, j1i):
@@ -631,15 +633,16 @@ def test_each_level_is_eigen_checked_once(lag_params, monkeypatch):
     assert df.checked_levels == set(range(top + 1))
 
 
+# (family parameters, D, Y, whether the solution set has a kernel)
 _SYSTEMS = {
-    "L1I": ("L", "1I", 1, 0), "L1II": ("L", "1II", 1, 0),
-    "J1I": ("J", "1I", 1, 0), "J1II": ("J", "1II", 1, 0),
-    "L2I-plugin": ("L", "plugin", 1, 0), "Y=eta": ("L", "1I", ETA, 0),
-    "padded-classical": ("L", None, 1, 2),
-    "J-classical-g=h": ("J=", None, 1, 0), "J1II-g=h": ("J=", "1II", 1, 0),
-    "L1I-padded": ("L", "1I", 1, 2), "J1I-eta-padded": ("J", "1I", ETA, 2),
-    "L2I": ("L", "2I", 1, 0), "L3I": ("L", "3I", 1, 0),
-    "J2I": ("J", "2I", 1, 0), "J3I": ("J", "3I", 1, 0),
+    "L1I": ("L", "1I", 1, False), "L1II": ("L", "1II", 1, False),
+    "J1I": ("J", "1I", 1, False), "J1II": ("J", "1II", 1, False),
+    "L2I-plugin": ("L", "plugin", 1, False), "Y=eta": ("L", "1I", ETA, False),
+    "J-classical-g=h-eta": ("J=", None, ETA, True),
+    "J-classical-g=h": ("J=", None, 1, False), "J1II-g=h": ("J=", "1II", 1, False),
+    "J1I-a=1": ("Ja=1", "1I", 1, True), "J1I-eta-a=1": ("Ja=1", "1I", ETA, True),
+    "L2I": ("L", "2I", 1, False), "L3I": ("L", "3I", 1, False),
+    "J2I": ("J", "2I", 1, False), "J3I": ("J", "3I", 1, False),
 }
 
 
@@ -647,11 +650,12 @@ _SYSTEMS = {
 def test_coordinate_rows_solve_like_eta_rows(case, lag_params, jac_params):
     # the level-reduced system, the raw coordinate system and the
     # eta-coefficient reference have the same augmented row space, hence
-    # the same LinearSolution; only the padded systems have a kernel.  At
-    # g = h (b = 0) the classical J diagonal r_{n,0} is zero.
-    fam, D, Y, pad = _SYSTEMS[case]
+    # the same LinearSolution; only the fallback inputs have a kernel.  At
+    # g = h (b = 0) the classical J diagonal r_{n,0} of X = eta is zero.
+    fam, D, Y, kernel = _SYSTEMS[case]
     params = {"L": lag_params, "J": jac_params,
-              "J=": ParamSet("J", {"g": F(5, 2), "h": F(5, 2)})}[fam]
+              "J=": ParamSet("J", {"g": F(5, 2), "h": F(5, 2)}),
+              "Ja=1": ParamSet("J", {"g": F(3, 4), "h": F(1, 4)})}[fam]
     plugin = (pathlib.Path(__file__).resolve().parent.parent / "plugins"
               / "laguerre_2I.json")
     if D == "plugin":
@@ -661,18 +665,18 @@ def test_coordinate_rows_solve_like_eta_rows(case, lag_params, jac_params):
     else:
         df = builtin_deformed(params.fam, D, params)
     X = build_X(df.xi, ONE if Y == 1 else Y)
-    K = 2 * X.degree + pad
-    layout, rows, rhs = closure_system(df, X, K)
-    coord_layout, coord_rows, coord_rhs = coordinate_rows(df, X, K)
-    ref_layout, ref_rows, ref_rhs = eta_rows(df, X, K)
+    K = 2 * X.degree
+    layout, rows, rhs = closure_system(df, X)
+    coord_layout, coord_rows, coord_rhs = coordinate_rows(df, X)
+    ref_layout, ref_rows, ref_rhs = eta_rows(df, X)
     assert layout == coord_layout == ref_layout
     assert len(rows) <= len(coord_rows)
     got = solve_linear_exact(rows, rhs)
     assert got.consistent
     assert got == solve_linear_exact(coord_rows, coord_rhs)
     assert got == solve_linear_exact(ref_rows, ref_rhs)
-    assert (len(got.kernel_basis) > 0) == (pad > 0)
-    if fam == "J=" and D is None:
+    assert (len(got.kernel_basis) > 0) == kernel
+    if case == "J-classical-g=h":
         assert all(r == 0 for n in range(K + 1)
                    for k, r, _ in level_coordinates(df, X, n) if k == 0)
 
@@ -752,15 +756,15 @@ def test_perturbed_level_coordinate(l1i, l1i_closure, monkeypatch, k, new_r):
                 for kk, r, delta in real(df, X, n)]
 
     monkeypatch.setattr(closure, "level_coordinates", perturbed)
-    _, rows, rhs = closure_system(l1i, X, cd.K)
+    _, rows, rhs = closure_system(l1i, X)
     got = solve_linear_exact(rows, rhs)
-    assert got == solve_linear_exact(*coordinate_rows(l1i, X, cd.K)[1:])
+    assert got == solve_linear_exact(*coordinate_rows(l1i, X)[1:])
     if k == 0:
         assert not got.consistent
         with pytest.raises(NoSolution):
-            solve_closure(l1i, X, cd.K)
+            solve_closure(l1i, X)
     else:
-        solved = solve_closure(l1i, X, cd.K)
+        solved = solve_closure(l1i, X)
         assert (solved.R, solved.R_minus1) == (cd.R, cd.R_minus1)
 
 
@@ -822,7 +826,7 @@ def test_eigen_failure_beyond_validation_names_the_level(l1i):
     match = f"n={broken}"
     for _ in range(2):  # the level store never records the failed level
         with pytest.raises(EigenValidationFailed, match=match):
-            solve_closure(bad, X, cd.K)
+            solve_closure(bad, X)
         with pytest.raises(EigenValidationFailed, match=match):
             verify_closure_identity(bad, X, cd)
         with pytest.raises(EigenValidationFailed, match=match):
@@ -870,11 +874,11 @@ def test_eigen_failure_in_plugin_is_a_failing_check(explicit_plugin, tmp_path):
         assert all(c["status"] != "pass" for c in checks)
 
 
-def _rows_by_level(df, X, K):
-    """The expanded ``level_rows`` of each level n = 0..K, as (rows, rhs)
-    per level, in increasing n, each row times den(E_n)^J for J the largest
-    z-degree of the layout."""
-    layout = closure_system(df, X, K)[0]
+def _rows_by_level(df, X):
+    """The expanded ``level_rows`` of each level n = 0..K, K = 2 deg X, as
+    (rows, rhs) per level, in increasing n, each row times den(E_n)^J for J
+    the largest z-degree of the layout."""
+    layout, K = closure_system(df, X)[0], 2 * X.degree
     top_j = max(j for _, j in layout)
     out = []
     for n in range(K + 1):
@@ -886,20 +890,23 @@ def _rows_by_level(df, X, K):
     return out
 
 
-@pytest.mark.parametrize("case", ["L1I", "J1II-eta", "padded-classical"])
-def test_closure_rows_solve_alike_in_any_order(case, l1i, j1ii, l_classical):
+@pytest.mark.parametrize("case", ["L1I", "J1II-eta", "J-classical-g=h-eta"])
+def test_closure_rows_solve_alike_in_any_order(case, l1i, j1ii):
     # closure_system stacks the levels highest first; the rows in increasing
     # level order and shuffled rows give the same LinearSolution, kernel
-    # included (the padded classical system has one)
-    df, X, K = {"L1I": (l1i, build_X(l1i.xi, ONE), 4),
-                "J1II-eta": (j1ii, build_X(j1ii.xi, ETA), 6),
-                "padded-classical": (l_classical, ETA, 4)}[case]
-    layout, rows, rhs = closure_system(df, X, K)
-    levels = _rows_by_level(df, X, K)
+    # included (the classical J at g = h with Y = eta has one)
+    if case == "J-classical-g=h-eta":
+        df, Y = _fallback_inputs()[1]
+    else:
+        df, Y = {"L1I": (l1i, ONE), "J1II-eta": (j1ii, ETA)}[case]
+    X = build_X(df.xi, Y)
+    layout, rows, rhs = closure_system(df, X)
+    levels = _rows_by_level(df, X)
     assert rows == [r for block, _ in reversed(levels) for r in block]
     assert rhs == [t for _, ts in reversed(levels) for t in ts]
     got = solve_linear_exact(rows, rhs)
-    assert got.consistent and (len(got.kernel_basis) > 0) == (case == "padded-classical")
+    assert got.consistent
+    assert (len(got.kernel_basis) > 0) == (case == "J-classical-g=h-eta")
     in_order = ([r for block, _ in levels for r in block],
                 [t for _, ts in levels for t in ts])
     assert solve_linear_exact(*in_order) == got
@@ -916,10 +923,11 @@ SOLVE_LABELS = ("", "1I", "1II", "2I", "2II", "3I", "4II")
 SOLVE_PARAMS = {
     "L": ({"g": F(7, 3)}, {"g": F(5, 2)}, {"g": F(11, 4)}, {"g": F(3)},
           {"g": F(1, 3)}),
-    # the last two have a = g + h = 1, where the solution set has a kernel
+    # the fourth and fifth have a = g + h = 1, where the solution set has a
+    # kernel; at the last, g = h (b = 0), the classical J has one for Y != 1
     "J": ({"g": F(17, 2), "h": F(19, 3)}, {"g": F(5, 2), "h": F(13, 3)},
           {"g": F(9, 2), "h": F(7, 2)}, {"g": F(3, 4), "h": F(1, 4)},
-          {"g": F(2), "h": F(-1)}),
+          {"g": F(2), "h": F(-1)}, {"g": F(5, 2), "h": F(5, 2)}),
 }
 SOLVE_YS = (ONE, ETA, EtaPoly((1, 0, 1)))
 
@@ -934,9 +942,9 @@ def _outcome(solve):
     return None if cd is None else (cd.R, cd.R_minus1, cd.kernel_dim)
 
 
-def _full_levels(df, X, K):
-    levels = [level_coordinates(df, X, n) for n in range(K + 1)]
-    return _outcome(lambda: solve_full_levels(df, X.degree, K, levels))
+def _full_levels(df, X):
+    levels = [level_coordinates(df, X, n) for n in range(2 * X.degree + 1)]
+    return _outcome(lambda: solve_full_levels(df, X.degree, levels))
 
 
 @pytest.mark.parametrize("fam", ["L", "J"])
@@ -945,7 +953,8 @@ def test_full_level_solve_equals_the_linear_system(fam, label):
     # every built configuration: the closed form, where it applies, and
     # solve_closure give the generic solve's R, R_-1 and kernel_dim, or its
     # exception; on these configurations the closed form declines exactly
-    # where the solution set has a kernel (J at a = 1)
+    # where the solution set has a kernel (J at a = 1, and the classical J
+    # at b = 0 with Y != 1)
     taken = 0
     for values in SOLVE_PARAMS[fam]:
         ps = ParamSet(fam, values)
@@ -955,12 +964,12 @@ def test_full_level_solve_equals_the_linear_system(fam, label):
             continue
         for Y in SOLVE_YS:
             X = build_X(df.xi, Y)
-            K = 2 * X.degree
-            generic = _outcome(lambda: closure.solve_closure_system(df, X, K))
-            assert _outcome(lambda: solve_closure(df, X, K)) == generic
-            closed = _full_levels(df, X, K)
+            generic = _outcome(lambda: closure.solve_closure_system(df, X))
+            assert _outcome(lambda: solve_closure(df, X)) == generic
+            closed = _full_levels(df, X)
             if closed is None:
-                assert generic[-1] > 0 and fam == "J" and ps.a == 1
+                assert generic[-1] > 0 and fam == "J"
+                assert ps.a == 1 or (label == "" and ps.b == 0 and Y != ONE)
             else:
                 assert closed == generic
                 taken += 1
@@ -984,10 +993,10 @@ def test_perturbed_root_at_a_full_level_has_no_solution(name, request, monkeypat
         levels = [perturbed(df, X, n) for n in range(K + 1)]
         message = f"order-{K} closure relation has no solution"
         with pytest.raises(NoSolution, match=message):
-            solve_full_levels(df, L, K, levels)
+            solve_full_levels(df, L, levels)
         for solve in (solve_closure, closure.solve_closure_system):
             with pytest.raises(NoSolution, match=message):
-                solve(df, X, K)
+                solve(df, X)
 
 
 def test_kernel_at_a_equal_one_takes_the_linear_system():
@@ -995,12 +1004,10 @@ def test_kernel_at_a_equal_one_takes_the_linear_system():
     # linear system's kernel_dim and conjectured point
     df = builtin_deformed("J", "1I", ParamSet("J", {"g": F(3, 4), "h": F(1, 4)}))
     X = build_X(df.xi, ONE)
-    K = 2 * X.degree
-    assert _full_levels(df, X, K) is None
-    cd = solve_closure(df, X, K)
+    assert _full_levels(df, X) is None
+    cd = solve_closure(df, X)
     assert cd.kernel_dim == 3
-    assert _outcome(lambda: cd) == _outcome(
-        lambda: closure.solve_closure_system(df, X, K))
+    assert _outcome(lambda: cd) == _outcome(lambda: closure.solve_closure_system(df, X))
 
 
 def test_symbolic_reconstruction_makes_no_linear_solve(monkeypatch):
@@ -1042,8 +1049,8 @@ def test_each_coefficient_keeps_its_own_degree_bound(l1i, monkeypatch, root, sol
     K = 2 * X.degree
     levels = _synthetic_levels(l1i.E, K, root)
     monkeypatch.setattr(closure, "level_coordinates", lambda df, X, n: levels[n])
-    generic = _outcome(lambda: closure.solve_closure_system(l1i, X, K))
-    assert _outcome(lambda: solve_full_levels(l1i, X.degree, K, levels)) == generic
+    generic = _outcome(lambda: closure.solve_closure_system(l1i, X))
+    assert _outcome(lambda: solve_full_levels(l1i, X.degree, levels)) == generic
     assert (generic[0] == "NoSolution") != solvable
 
 
@@ -1057,4 +1064,4 @@ def test_repeated_energy_takes_the_linear_system(l1i):
     X = build_X(l1i.xi, ONE)
     K = 2 * X.degree
     levels = _synthetic_levels(RepeatedEnergy().E, K, lambda E: F(3, 7))
-    assert solve_full_levels(RepeatedEnergy(), X.degree, K, levels) is None
+    assert solve_full_levels(RepeatedEnergy(), X.degree, levels) is None

@@ -9,11 +9,12 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from closurelab.exactalg import (MAX_PARSE_DEGREE, EtaPoly, LinearSolution,
-                                 ParamPoly, RationalFunc, SampleMismatch,
-                                 interpolate_grid, interpolate_param,
-                                 parse_poly, poly_div_exact, poly_gcd_univar,
-                                 rat, rat_str, solve_linear_exact)
+from closurelab.exactalg import (MAX_PARSE_BITS, MAX_PARSE_DEGREE, EtaPoly,
+                                 LinearSolution, ParamPoly, RationalFunc,
+                                 SampleMismatch, interpolate_grid,
+                                 interpolate_param, parse_poly, poly_div_exact,
+                                 poly_gcd_univar, rat, rat_str,
+                                 solve_linear_exact)
 
 eta = ParamPoly.var("eta")
 g = ParamPoly.var("g")
@@ -479,6 +480,40 @@ def test_parse_poly_caps_the_degree_before_expanding(monkeypatch):
                                              "parser's bound 32$"):
             parse_poly(text)
         assert time.perf_counter() - start < 0.1
+
+
+def test_parse_poly_bounds_the_bits_of_nested_powers():
+    # the exponent times the largest coefficient bit length is capped at
+    # MAX_PARSE_BITS: (3^32)^32 is 32 * 51 bits, and the next level,
+    # 32 * 1624 bits, is refused before it is formed, at any depth
+    assert parse_poly("(3^32)^32*eta") == 3 ** 1024 * eta
+    assert parse_poly("(1/3)^32") == ParamPoly.const(F(1, 3 ** 32))
+    for text in ("(((3^32)^32)^32)^32*eta", "((((3^32)^32)^32)^32)^32*eta",
+                 "((3^32)^32)^32"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^a power of 32 on 1624-bit coefficients "
+                                             f"is above the parser's bound {MAX_PARSE_BITS}"):
+            parse_poly(text)
+        assert time.perf_counter() - start < 0.1
+    # a chain x^m^n counts its whole exponent m*n
+    assert parse_poly("((3^32)^32)^2") == ParamPoly.const(3 ** 2048)
+    with pytest.raises(ValueError, match="^a power of 4 on 1624-bit"):
+        parse_poly("((3^32)^32)^2^2")
+
+
+def test_rat_reads_only_the_number_grammar():
+    # an optional sign, digits and an optional /digits, as rat_str prints
+    for text, value in (("7/3", F(7, 3)), ("-5", F(-5)), ("+2", F(2)),
+                        (" 3/4 ", F(3, 4))):
+        assert rat(text) == value
+    # other notations that Fraction reads are refused, an exponent at once
+    for text in ("1.5", "1e2", "1_000", "1e999999", "3 / 4", "", "--1", "1/-2"):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="^not an exact rational p/q: "):
+            rat(text)
+        assert time.perf_counter() - start < 0.1
+    with pytest.raises(ZeroDivisionError):
+        rat("1/0")
 
 
 @st.composite

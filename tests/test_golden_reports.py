@@ -61,7 +61,9 @@ def test_seed0_report_matches_expected(job, monkeypatch):
 # and L[16I] reports (K = 22 and 34) and the J[1II] report at a = 1, whose
 # solution set has a kernel (kernel_dim 3) so that the solve takes the
 # linear system, were recorded before the Hamiltonian and the closure solve
-# moved to closed forms.
+# moved to closed forms.  The classical J at g = h = 5/2 with Y = eta, the
+# other input whose solution set has a kernel (9 pass, 1 skip), was
+# recorded before the solve entry points stopped taking the order.
 ELL_REPORTS = {
     ("--family", "L", "--D", "6I"):
         "fb186e5d68130986b7f7071711ea144e9b98f517ce0f207c3fadc17d2552a07b",
@@ -73,6 +75,8 @@ ELL_REPORTS = {
         "ec06d40aeb7fdc6a1e93cb25daf592b282cc696af67346497685d46a4cbcae33",
     ("--family", "J", "--D", "1II", "--params", "g=3/4", "h=1/4"):
         "8f36ea7a9044a2ed4baf539c203da9cf95dcdcd0e9407deee901112259460c96",
+    ("--family", "J", "--D", "", "--Y", "eta", "--params", "g=5/2", "h=5/2"):
+        "dd4f34b2b6cfc298fa01162092868604865ceac154ba0c85d9f9cf1308d1d425",
 }
 
 
