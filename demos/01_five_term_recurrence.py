@@ -6,14 +6,14 @@ compare every coefficient with the closed forms, exactly.
 from fractions import Fraction
 
 from closurelab.exactalg import EtaPoly, interpolate_param
-from closurelab.families import ParamSet, builtin_deformed
+from closurelab.families import MultiIndex, ParamSet, builtin_deformed
 from closurelab.recurrence import (build_X, check_h_symmetry,
                                    closed_form_compare, compute_table,
                                    table_formulas_L1I)
 
 g = Fraction(7, 3)
 params = ParamSet("L", {"g": g})
-family = builtin_deformed("L", "1I", params)
+family = builtin_deformed("L", MultiIndex.parse("1I"), params)
 print(f"family {family.label}: missing degrees below {family.ell},",
       f"denominator polynomial xi = {family.xi}")
 
@@ -41,7 +41,7 @@ print(f"norm-ratio symmetry r(n,-l) = (h_n/h_(n-l)) r(n-l,l): "
 samples = [Fraction(k, 2) for k in range(3, 9)]
 tables = []
 for gv in samples:
-    df = builtin_deformed("L", "1I", ParamSet("L", {"g": gv}))
+    df = builtin_deformed("L", MultiIndex.parse("1I"), ParamSet("L", {"g": gv}))
     tables.append(compute_table(df, build_X(df.xi, EtaPoly.const(1)), range(4)))
 print(f"\nsymbolic coefficients (polynomials in g, from {len(samples)} "
       f"exact samples):")

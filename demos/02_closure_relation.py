@@ -15,11 +15,11 @@ from fractions import Fraction
 from closurelab.exactalg import EtaPoly, ParamPoly
 from closurelab.closure import (ClosureData, closure_for_family, conjectured_R,
                                 compare_reference, verify_closure_identity)
-from closurelab.families import ParamSet, builtin_deformed
+from closurelab.families import MultiIndex, ParamSet, builtin_deformed
 from closurelab.spectral import alpha_conjecture
 
 params = ParamSet("L", {"g": Fraction(7, 3)})
-family = builtin_deformed("L", "1I", params)
+family = builtin_deformed("L", MultiIndex.parse("1I"), params)
 
 cd, X = closure_for_family(family, EtaPoly.const(1))
 print(f"order K = {cd.K}, unique solution: {cd.unique}")

@@ -9,13 +9,13 @@ from fractions import Fraction
 
 from closurelab.exactalg import EtaPoly
 from closurelab.closure import closure_for_family
-from closurelab.families import ParamSet, builtin_deformed
+from closurelab.families import MultiIndex, ParamSet, builtin_deformed
 from closurelab.heisenberg import (LadderContext, check_r0_relation,
                                    commutation_check, heisenberg_series_check,
                                    ladder_apply, ladder_suite)
 
 params = ParamSet("L", {"g": Fraction(7, 3)})
-family = builtin_deformed("L", "1I", params)
+family = builtin_deformed("L", MultiIndex.parse("1I"), params)
 cd, X = closure_for_family(family, EtaPoly.const(1))
 ctx = LadderContext(family, cd, X)
 

@@ -9,7 +9,7 @@ family eigenvalue lists, and on randomized distinct-rational spectra.
 import random
 from fractions import Fraction
 
-from closurelab.families import ParamSet
+from closurelab.families import ParamSet, energy
 from closurelab.spectral import (alpha_conjecture, alpha_values_at_energy,
                                  eigen_closed_form, spectral_suite)
 
@@ -28,7 +28,7 @@ print("recursion/eigen/initial all exact:",
 params = ParamSet("J", {"g": Fraction(2), "h": Fraction(3)})
 alpha_list = alpha_conjecture("J", 2, params)
 for n in (0, 1, 3):
-    alphas = alpha_values_at_energy(params, n, alpha_list)
+    alphas = alpha_values_at_energy(params, n, alpha_list, energy(params, n))
     print(f"J, L=2, n={n}: alphas at E_n = {alphas}")
 
 # randomized spectra, deterministic seed

@@ -44,6 +44,8 @@ DEFAULT_PARAMS = {
     "AW": {"a1": "1/4", "a2": "1/5", "a3": "1/10", "a4": "1/10", "q": "4/9"},
 }
 
+RANDOM_SPECTRA = 50  # the seeded random spectra that `spectrum` checks
+
 
 class ConfigError(Exception):
     pass
@@ -254,7 +256,7 @@ def cmd_verify_closure(args) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         try:
-            cd = symbolic_closure(fam, D.label(), Y)
+            cd = symbolic_closure(fam, D, Y)
         except (SampleMismatch, *SOLVE_FAILURES) as exc:
             report.add("closure/solve", False, error=str(exc), mode="symbolic")
             return _emit(report, args)
@@ -370,13 +372,13 @@ def cmd_spectrum(args) -> int:
     seed = int(os.environ.get("CLOSURELAB_SEED", "0"))
     rng = random.Random(seed)
     ok_all = True
-    for _ in range(args.random_spectra):
+    for _ in range(RANDOM_SPECTRA):
         alphas = _random_distinct_rationals(rng, rng.choice([2, 3, 4, 5, 6, 7, 8]))
         S, d = root_expansion(alphas)
         R = [Fraction(s, d ** (len(S) - i)) for i, s in enumerate(S)]
         suite = spectral_suite(R, alphas)
         ok_all &= suite["recursion_ok"] and suite["eigen_ok"] and suite["initial_ok"]
-    report.add(f"spectrum/random-spectra[count={args.random_spectra},seed={seed}]",
+    report.add(f"spectrum/random-spectra[count={RANDOM_SPECTRA},seed={seed}]",
                ok_all)
     return _emit(report, args)
 
@@ -505,7 +507,7 @@ def _config_echo(args, params: ParamSet, Y: EtaPoly) -> dict:
 
 
 def _count(text: str) -> int:
-    """A nonnegative integer flag value (--n-max, --random-spectra)."""
+    """A nonnegative integer flag value (--n-max)."""
     try:
         value = int(text)
     except ValueError:
@@ -559,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_recurrence)
     p = sub.add_parser("spectrum", help="eigenvalue lists, pairing and matrix suite")
     _add_common(p, with_plugin=False)  # spectral data come from the formulas alone
-    p.add_argument("--random-spectra", type=_count, default=50)
     p.set_defaults(fn=cmd_spectrum)
     p = sub.add_parser("heisenberg", help="ladder-operator and time-power checks")
     _add_common(p)

@@ -655,12 +655,11 @@ def symbolic_nodes(fam: str, D: MultiIndex, bounds: Mapping[str, int]
     return nodes, fresh
 
 
-def symbolic_closure(fam: str, D_label: str, Y: EtaPoly) -> ClosureData:
-    """Closure data of the built-in family (fam, D_label) symbolically in its
+def symbolic_closure(fam: str, D: MultiIndex, Y: EtaPoly) -> ClosureData:
+    """Closure data of the built-in family (fam, D) symbolically in its
     parameters: g for L, (a, b) for J.  Exact solves on the grid of
     ``symbolic_nodes`` with degree bounds K/2 in g, K in a and K - 1 in b,
     then certification at its two fresh points (``reconstruct_closure``)."""
-    D = MultiIndex.parse(D_label)
     K = 2 * (D.ell + Y.degree + 1)
     bounds = {"g": K // 2} if fam == "L" else {"a": K, "b": K - 1}
     nodes, fresh = symbolic_nodes(fam, D, bounds)

@@ -1188,7 +1188,10 @@ def inverse_vandermonde(nodes: Sequence[Rat]) -> tuple[list[list[int]], int]:
 # -- tiny polynomial grammar (CLI Y input, data files) -----------------------
 
 MAX_PARSE_DEGREE = 32  # the shipped transcriptions reach 18; --Y stops at 16
-MAX_PARSE_BITS = 4096  # exponent times coefficient bits of one power
+MAX_PARSE_BITS = 4096  # coefficient bits of one power or product
+# Nested parentheses and signs (the transcriptions reach 4): each level costs
+# a few frames, so this stays well under the recursion limit of any caller.
+MAX_PARSE_NESTING = 100
 
 _TOKEN = re.compile(rf"\s*(?:(?P<num>{_NUMBER})|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
                     r"|(?P<op>[-+*^()]))")
@@ -1207,6 +1210,10 @@ def parse_poly(text: str) -> ParamPoly:
     x^m^n is the one power x^(m*n), and both m and m*n are capped.  So is
     the exponent times the largest bit length of the base's coefficients,
     by MAX_PARSE_BITS: (3^32)^32 parses, ((3^32)^32)^32 is refused unformed.
+    A product is refused unformed when the largest coefficient bit lengths
+    of its two factors add up to more than MAX_PARSE_BITS, so a product of
+    many constants cannot grow with the length of the text.  Parentheses,
+    and signs that follow '*', nest at most MAX_PARSE_NESTING deep.
     """
     tokens: list[tuple[str, str]] = []
     pos = 0
@@ -1222,7 +1229,7 @@ def parse_poly(text: str) -> ParamPoly:
                 tokens.append((kind, m.group(kind)))
                 break
     tokens.append(("end", ""))
-    idx = 0
+    idx = depth = 0
 
     def peek():
         return tokens[idx]
@@ -1234,22 +1241,32 @@ def parse_poly(text: str) -> ParamPoly:
         return tok
 
     def parse_atom() -> ParamPoly:
+        nonlocal depth
         kind, val = take()
         if kind == "num":
             return ParamPoly.const(Fraction(val))
         if kind == "name":
             return ParamPoly.var(val)
-        if (kind, val) == ("op", "("):
+        if (kind, val) not in (("op", "("), ("op", "-")):
+            raise ValueError(f"unexpected token {val!r}")
+        depth += 1
+        if depth > MAX_PARSE_NESTING:
+            raise ValueError(f"parentheses and signs nest deeper than the "
+                             f"parser's bound {MAX_PARSE_NESTING}")
+        if val == "(":
             inner = parse_sum()
-            kind2, val2 = take()
-            if (kind2, val2) != ("op", ")"):
+            if take() != ("op", ")"):
                 raise ValueError("unbalanced parentheses")
-            return inner
-        if (kind, val) == ("op", "-"):
+        else:
             # a sign after '*' negates the power that follows, as a sign
             # that starts a sum does: 2*-eta^2 = -2*eta^2
-            return -parse_power()
-        raise ValueError(f"unexpected token {val!r}")
+            inner = -parse_power()
+        depth -= 1
+        return inner
+
+    def bits(p: ParamPoly) -> int:  # of its largest numerator or denominator
+        return max((max(c.numerator.bit_length(), c.denominator.bit_length())
+                    for c in p.terms.values()), default=0)
 
     def capped(degree: int) -> None:
         if degree > MAX_PARSE_DEGREE:
@@ -1258,8 +1275,7 @@ def parse_poly(text: str) -> ParamPoly:
 
     def parse_power() -> ParamPoly:
         base, exponent = parse_atom(), 1
-        bits = max((max(c.numerator.bit_length(), c.denominator.bit_length())
-                    for c in base.terms.values()), default=0)
+        base_bits = bits(base)
         while peek() == ("op", "^"):
             take()
             kind, val = take()
@@ -1271,8 +1287,8 @@ def parse_poly(text: str) -> ParamPoly:
             if max(n, exponent) > MAX_PARSE_DEGREE:
                 raise ValueError(f"exponent {max(n, exponent)} is above "
                                  f"the parser's bound {MAX_PARSE_DEGREE}")
-            if exponent * bits > MAX_PARSE_BITS:
-                raise ValueError(f"a power of {exponent} on {bits}-bit coefficients "
+            if exponent * base_bits > MAX_PARSE_BITS:
+                raise ValueError(f"a power of {exponent} on {base_bits}-bit coefficients "
                                  f"is above the parser's bound {MAX_PARSE_BITS} bits")
         return base if exponent == 1 else base ** exponent
 
@@ -1282,6 +1298,10 @@ def parse_poly(text: str) -> ParamPoly:
             take()
             factor = parse_power()
             capped(acc.degree() + factor.degree())
+            if bits(acc) + bits(factor) > MAX_PARSE_BITS:
+                raise ValueError(f"a product of {bits(acc)}- and {bits(factor)}-bit "
+                                 f"coefficients is above the parser's bound "
+                                 f"{MAX_PARSE_BITS} bits")
             acc = acc * factor
         return acc
 

@@ -1,8 +1,8 @@
 """Family data and built-in deformed systems.
 
 Covers the four polynomial families (Laguerre L, Jacobi J, Wilson W,
-Askey-Wilson AW): exact energies, virtual-state energies, norm ratios
-and classical polynomial generators for L/J, the built-in single-seed
+Askey-Wilson AW): exact energies; virtual-state energies, norm ratios
+and classical polynomial generators for L/J; the built-in single-seed
 deformations (any degree, types I and II, for L and J), the
 similarity-transformed Hamiltonian held as its cleared numerators, and a
 JSON plugin loader for externally supplied multi-index data.
@@ -165,11 +165,8 @@ class ParamSet(Frozen):
 
     @property
     def r(self) -> Rat:
-        r = _sqrt_fraction(self.values["q"])
-        if r is None:
-            raise ValueError(f"q = {rat_str(self.values['q'])} is not the square "
-                             "of a rational")
-        return r
+        """q^(1/2) (AW), rational by construction."""
+        return _sqrt_fraction(self.values["q"])
 
     @property
     def b4(self) -> Rat:
@@ -277,7 +274,7 @@ def energy(params: ParamSet, n: int) -> Rat:
 
 
 def virtual_energy(params: ParamSet, t: str, v: int) -> Rat:
-    """Energy of the degree-v type I/II virtual state."""
+    """Energy of the degree-v type I/II virtual state of L or J."""
     if t not in ("I", "II"):
         raise ValueError("type must be 'I' or 'II'")
     if params.fam == "L":
@@ -288,16 +285,7 @@ def virtual_energy(params: ParamSet, t: str, v: int) -> Rat:
         if t == "I":
             return -4 * (g + v + HALF) * (h - v - HALF)
         return -4 * (g - v - HALF) * (h + v + HALF)
-    if params.fam == "W":
-        a1, a2, a3, a4 = params.a_list()
-        if t == "I":
-            return -(a1 + a2 - v - 1) * (a3 + a4 + v)
-        return -(a3 + a4 - v - 1) * (a1 + a2 + v)
-    q = params.q
-    a1, a2, a3, a4 = params.a_list()
-    if t == "I":
-        return -(1 - a1 * a2 * q ** (-v - 1)) * (1 - a3 * a4 * q ** v)
-    return -(1 - a3 * a4 * q ** (-v - 1)) * (1 - a1 * a2 * q ** v)
+    raise ValueError("virtual energies are provided for L and J")
 
 
 # -- norm ratios ---------------------------------------------------------------
@@ -624,11 +612,9 @@ class DeformedFamily:
 
     def h_ratio(self, n: int, l: int) -> tuple[Rat, Rat]:
         """h_{D,n} / h_{D,n-l} as a pair of Fractions (num, den) with
-        den != 0, exact and free of Gamma factors (0 <= l <= n)."""
-        if not 0 <= l <= n:
-            raise ValueError("need 0 <= l <= n")
-        if l == 0:
-            return Fraction(1), Fraction(1)
+        den != 0, exact and free of Gamma factors (1 <= l <= n)."""
+        if not 1 <= l <= n:
+            raise ValueError("need 1 <= l <= n")
         num = Fraction(1)
         for m in range(n - l + 1, n + 1):
             num *= classical_h_step(self.params, m)
@@ -845,12 +831,10 @@ def require_builtin(D: MultiIndex) -> None:
         raise ValueError(f"no built-in family for D={D.label()} (supply a plugin)")
 
 
-def builtin_deformed(fam: str, D: MultiIndex | str, params: ParamSet) -> DeformedFamily:
+def builtin_deformed(fam: str, D: MultiIndex, params: ParamSet) -> DeformedFamily:
     """Built-in systems: the undeformed family for D = {} and the one-step
     deformation for a single L/J seed of any degree; other multi-indices
     need a plugin."""
-    if isinstance(D, str):
-        D = MultiIndex.parse(D)
     require_builtin(D)
     if D.entries == ():
         return classical_family(fam, params)

@@ -45,12 +45,10 @@ class LadderAction:
     (n + shift < 0) the image is zero and so is ``coefficient``; the image
     is never formed as a polynomial."""
 
-    __slots__ = ("j", "n", "shift", "coefficient", "coords", "alpha")
+    __slots__ = ("shift", "coefficient", "coords", "alpha")
 
-    def __init__(self, j: int, n: int, shift: int, coefficient: Rat,
-                 coords: dict[int, Rat], alpha: Rat):
-        self.j = j
-        self.n = n
+    def __init__(self, shift: int, coefficient: Rat, coords: dict[int, Rat],
+                 alpha: Rat):
         self.shift = shift
         self.coefficient = coefficient
         self.coords = coords
@@ -145,10 +143,10 @@ def _ladder_action(ctx: LadderContext, j: int, n: int) -> LadderAction:
     if target_n < 0:
         if any(coords.values()):
             raise NotProportional(f"j={j}, n={n}: expected zero below the ground state")
-        return LadderAction(j, n, shift, Fraction(0), coords, alpha_j)
+        return LadderAction(shift, Fraction(0), coords, alpha_j)
     if any(c for k, c in coords.items() if k != shift):
         raise NotProportional(f"j={j}, n={n}: image is not proportional to P({target_n})")
-    return LadderAction(j, n, shift, coords[shift], coords, alpha_j)
+    return LadderAction(shift, coords[shift], coords, alpha_j)
 
 
 def ladder_suite(ctx: LadderContext, n_range: Iterable[int]) -> list[dict]:

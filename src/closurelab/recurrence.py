@@ -124,8 +124,9 @@ def check_h_symmetry(df: DeformedFamily, table: RecurrenceTable) -> list[dict]:
     l = 1..L, tested as r_{n,-l} * den == num * r_{n-l,l} with (num, den) =
     ``df.h_ratio(n, l)``; den is nonzero, so the two tests agree.
 
-    Vacuous rows (n-l < 0, both sides zero by the empty-basis convention)
-    pass automatically.  Failures become report entries, not exceptions.
+    The table holds rows 0..N, so row n-l >= 0 is present.  Vacuous rows
+    (n-l < 0, both sides zero by the empty-basis convention) pass
+    automatically.  Failures become report entries, not exceptions.
     """
     out = []
     for n in sorted(table.rows):
@@ -133,8 +134,6 @@ def check_h_symmetry(df: DeformedFamily, table: RecurrenceTable) -> list[dict]:
             entry = {"check": "norm-ratio-symmetry", "n": n, "l": l}
             if n - l < 0:
                 entry["ok"] = table.rows[n].get(-l, Fraction(0)) == 0
-            elif n - l not in table.rows:
-                continue
             else:
                 num, den = df.h_ratio(n, l)
                 entry["ok"] = bool(table.rows[n][-l] * den

@@ -132,20 +132,19 @@ def sqrt_sign(u: Rat, v: Rat, S: Rat) -> int:
 
 
 def sqrt_square(fam: str, params: ParamSet | None = None) -> ParamPoly:
-    """The radicand S(z) entering the eigenvalue formulas."""
+    """The radicand S(z) entering the eigenvalue formulas; symbolic in the
+    parameters (``params`` None) for L and J only."""
     z = ParamPoly.var("z")
     if fam == "L":
         return ParamPoly.const(1)
     if fam == "J":
         a = ParamPoly.const(params.a) if params is not None else ParamPoly.var("a")
         return z + a * a
+    if fam in ("W", "AW") and params is None:
+        raise ValueError("W and AW eigenvalue data need bound parameters")
     if fam == "W":
-        b1 = (ParamPoly.const(sum(params.a_list())) if params is not None
-              else ParamPoly.var("b1"))
-        return 4 * z + (b1 - 1) ** 2
+        return 4 * z + (sum(params.a_list()) - 1) ** 2
     if fam == "AW":
-        if params is None:
-            raise ValueError("AW eigenvalue data needs bound q and b4")
         zp = z + 1 + params.b4 / params.q
         return zp * zp - 4 * params.b4 / params.q
     raise ValueError(f"unknown family {fam!r}")
@@ -200,13 +199,11 @@ def alpha_conjecture(fam: str, L: int,
 
 
 def alpha_values_at_energy(params: ParamSet, n: int, alphas: list[SqrtExpr],
-                           En: Rat | None = None) -> list[Rat]:
+                           En: Rat) -> list[Rat]:
     """alpha_j(E_n), square-root free, as exact rationals, for ``alphas`` =
-    alpha_conjecture(params.fam, L, params).  ``En`` is E_n when the caller
-    already holds it (``energy`` otherwise).  Raises SqrtValueMismatch
-    unless s = ``sqrt_value_at_energy`` squares to S(E_n)."""
-    if En is None:
-        En = energy(params, n)
+    alpha_conjecture(params.fam, L, params) and ``En`` = E_n.  Raises
+    SqrtValueMismatch unless s = ``sqrt_value_at_energy`` squares to
+    S(E_n)."""
     s = sqrt_value_at_energy(params, n)
     S_at = alphas[0].square.evaluate({"z": En})
     if S_at != s * s:
@@ -245,11 +242,11 @@ def check_alpha_spectrum(params: ParamSet, n_range: Sequence[int],
             })
         ordering = all(vals[i] > vals[i + 1] for i in range(len(vals) - 1))
         out.append({"check": "ordering-at-energy", "n": n, "ok": ordering})
+    diffs = [alphas[i] - alphas[i + 1] for i in range(len(alphas) - 1)]
     for zval in ORDERING_GRID:
         Sv = S.evaluate({"z": zval})
         ok = True
-        for i in range(len(alphas) - 1):
-            diff = alphas[i] - alphas[i + 1]
+        for diff in diffs:
             sign = sqrt_sign(diff.u.evaluate({"z": zval}),
                              diff.v.evaluate({"z": zval}), Sv)
             if sign <= 0:

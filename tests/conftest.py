@@ -8,8 +8,8 @@ import pytest
 
 from closurelab.exactalg import EtaPoly
 from closurelab.closure import closure_for_family
-from closurelab.families import (ParamSet, builtin_deformed, classical_family,
-                                 load_family_plugin)
+from closurelab.families import (MultiIndex, ParamSet, builtin_deformed,
+                                 classical_family, load_family_plugin)
 from closurelab.recurrence import build_X, compute_table
 
 # Distinct g at which the L[1I] tables n = 0..8 are checked: 14 samples make
@@ -69,22 +69,22 @@ def j_classical(jac_params):
 
 @pytest.fixture(scope="session")
 def l1i(lag_params):
-    return builtin_deformed("L", "1I", lag_params)
+    return builtin_deformed("L", MultiIndex.parse("1I"), lag_params)
 
 
 @pytest.fixture(scope="session")
 def l1ii(lag_params):
-    return builtin_deformed("L", "1II", lag_params)
+    return builtin_deformed("L", MultiIndex.parse("1II"), lag_params)
 
 
 @pytest.fixture(scope="session")
 def j1i(jac_params):
-    return builtin_deformed("J", "1I", jac_params)
+    return builtin_deformed("J", MultiIndex.parse("1I"), jac_params)
 
 
 @pytest.fixture(scope="session")
 def j1ii(jac_params):
-    return builtin_deformed("J", "1II", jac_params)
+    return builtin_deformed("J", MultiIndex.parse("1II"), jac_params)
 
 
 @pytest.fixture(scope="session")
@@ -125,7 +125,7 @@ def l1i_g_sweep():
     L1I_SWEEP_G."""
     out = []
     for gv in L1I_SWEEP_G:
-        df = builtin_deformed("L", "1I", ParamSet("L", {"g": gv}))
+        df = builtin_deformed("L", MultiIndex.parse("1I"), ParamSet("L", {"g": gv}))
         out.append((df, compute_table(df, build_X(df.xi, EtaPoly.const(1)),
                                       range(9))))
     return out

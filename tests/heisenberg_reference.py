@@ -50,10 +50,10 @@ def ladder_action(ctx: LadderContext, j: int, n: int) -> LadderAction:
     if target_n < 0:
         if any(coords.values()):
             raise NotProportional(f"j={j}, n={n}: expected zero below the ground state")
-        return LadderAction(j, n, shift, Fraction(0), coords, alpha_j)
+        return LadderAction(shift, Fraction(0), coords, alpha_j)
     if any(c for k, c in coords.items() if k != shift):
         raise NotProportional(f"j={j}, n={n}: image is not proportional to P({target_n})")
-    return LadderAction(j, n, shift, coords[shift], coords, alpha_j)
+    return LadderAction(shift, coords[shift], coords, alpha_j)
 
 
 def heisenberg_series_check(ctx: LadderContext, n: int, m_max: int,

@@ -1,7 +1,7 @@
 """Mutants of the package's exactness shortcuts and guards, as data.
 
 Each entry replaces one exact ``snippet`` of ``file`` (a path below
-``src/closurelab``) by ``replacement``; ``attacks`` names the function whose
+``src/closurelab``, data files included) by ``replacement``; ``attacks`` names the function whose
 proof or guard the change breaks, and ``tests`` is the pytest selection
 that must fail on the mutated copy.  ``test_mutants.py`` checks that every
 snippet occurs exactly once in its file; ``run_mutants.py`` applies the
@@ -106,10 +106,98 @@ MUTANTS = [
     {
         "name": "parser-without-bit-bound",
         "file": "exactalg.py",
-        "snippet": "            if exponent * bits > MAX_PARSE_BITS:",
+        "snippet": "            if exponent * base_bits > MAX_PARSE_BITS:",
         "replacement": "            if False:",
         "attacks": "exactalg.parse_poly",
         "tests": ["tests/test_exactalg.py::test_parse_poly_bounds_the_bits_of_nested_powers"],
+    },
+    {
+        "name": "residual-every-a-times-q",
+        "file": "closure.py",
+        "snippet": "*a, a_minus1 = (horner(row, e, q) for row in A)",
+        "replacement": "*a, a_minus1 = (q * horner(row, e, q) for row in A)",
+        "attacks": "closure._first_residual",
+        "tests": ["tests/test_closure.py::test_certificate_reads_the_solve_record"],
+    },
+    {
+        "name": "N0-with-g-unshifted",
+        "file": "families.py",
+        "snippet": "c1_poly(fam, params, s - 1, -s - 1)",
+        "replacement": "c1_poly(fam, params, s, -s - 1)",
+        "attacks": "families.cleared_hamiltonian",
+        "tests": ["tests/test_families.py"],
+    },
+    {
+        "name": "full-levels-interpolated-at-degree-L",
+        "file": "closure.py",
+        "snippet": "    bounds = degree_bounds(K)\n    inverses",
+        "replacement": "    bounds = dict.fromkeys(degree_bounds(K), L)\n    inverses",
+        "attacks": "closure.solve_full_levels",
+        "tests": ["tests/test_closure.py::test_each_coefficient_keeps_its_own_degree_bound"],
+    },
+    {
+        "name": "degenerate-level-divisible-by-m",
+        "file": "families.py",
+        "snippet": "not x % (2 * m)",
+        "replacement": "not x % m",
+        "attacks": "families.jacobi_degenerate_level",
+        "tests": ["tests/test_families.py", "tests/test_eta_reference.py"],
+    },
+    {
+        "name": "degenerate-level-types-swapped",
+        "file": "families.py",
+        "snippet": "shift = 2 * d + 1 if t == \"I\" else -2 * d - 1",
+        "replacement": "shift = -2 * d - 1 if t == \"I\" else 2 * d + 1",
+        "attacks": "families.jacobi_degenerate_level",
+        "tests": ["tests/test_families.py", "tests/test_eta_reference.py"],
+    },
+    {
+        "name": "N0-without-c1-denominator",
+        "file": "families.py",
+        "snippet": "[cb.den * c for c in c2]",
+        "replacement": "list(c2)",
+        "attacks": "families.cleared_hamiltonian",
+        "tests": ["tests/test_families.py"],
+    },
+    {
+        "name": "rule-B-unscaled",
+        "file": "families.py",
+        "snippet": "(_scaled(B, D), F)",
+        "replacement": "(B.num, F)",
+        "attacks": "families.DeformedFamily.P",
+        "tests": ["tests/test_families.py"],
+    },
+    {
+        "name": "system-solve-recorded",
+        "file": "closure.py",
+        "snippet": "        return solve_closure_system(df, X)\n    df.certified_closures",
+        "replacement": "        cd = solve_closure_system(df, X)\n    df.certified_closures",
+        "attacks": "closure.solve_closure",
+        "tests": ["tests/test_closure.py::test_linear_system_solves_are_not_recorded"],
+    },
+    {
+        "name": "factored-exponent",
+        "file": "data/appendix_b.json",
+        "snippet": "-1536*(10*z^3 + 3*(26*g+33)*z^2",
+        "replacement": "-1536*(10*z^3 + 3*(26*g+33)*z^3",
+        "attacks": "data/appendix_b.json (the L[1I] Y=eta transcription)",
+        "tests": ["tests/test_appendix_b.py"],
+    },
+    {
+        "name": "parser-without-product-bit-bound",
+        "file": "exactalg.py",
+        "snippet": "            if bits(acc) + bits(factor) > MAX_PARSE_BITS:",
+        "replacement": "            if False:",
+        "attacks": "exactalg.parse_poly",
+        "tests": ["tests/test_exactalg.py::test_parse_poly_bounds_the_bits_of_products"],
+    },
+    {
+        "name": "parser-without-nesting-bound",
+        "file": "exactalg.py",
+        "snippet": "        if depth > MAX_PARSE_NESTING:",
+        "replacement": "        if False:",
+        "attacks": "exactalg.parse_poly",
+        "tests": ["tests/test_exactalg.py::test_parse_poly_bounds_the_nesting"],
     },
     {
         "name": "frozen-allows-assignment",

@@ -20,8 +20,8 @@ from closurelab.exactalg import EtaPoly, ParamPoly
 from closurelab.closure import (closure_for_family, compare_reference,
                                 conjectured_R, load_reference_tables,
                                 symbolic_closure)
-from closurelab.families import (ParamSet, builtin_deformed, classical_family,
-                                 energy, load_family_plugin)
+from closurelab.families import (MultiIndex, ParamSet, builtin_deformed,
+                                 classical_family, energy, load_family_plugin)
 from closurelab.heisenberg import (LadderContext, check_r0_relation,
                                    commutation_check, heisenberg_series_check,
                                    ladder_suite)
@@ -49,17 +49,17 @@ def _record(num: int, ok: bool, text: str):
 
 @pytest.fixture(scope="module")
 def cd_L1I_sym():
-    return symbolic_closure("L", "1I", ONE)
+    return symbolic_closure("L", MultiIndex.parse("1I"), ONE)
 
 
 @pytest.fixture(scope="module")
 def cd_L1I_Y1_sym():
-    return symbolic_closure("L", "1I", ETA)
+    return symbolic_closure("L", MultiIndex.parse("1I"), ETA)
 
 
 @pytest.fixture(scope="module")
 def cd_L1I_Y2_sym():
-    return symbolic_closure("L", "1I", ETA2)
+    return symbolic_closure("L", MultiIndex.parse("1I"), ETA2)
 
 
 def test_criterion_01_laguerre_1I_order4_symbolic(cd_L1I_sym):
@@ -85,7 +85,7 @@ def test_criterion_02_laguerre_higher_Y_symbolic(cd_L1I_Y1_sym, cd_L1I_Y2_sym):
 
 
 def test_criterion_03_laguerre_1II_symbolic():
-    cd = symbolic_closure("L", "1II", ONE)
+    cd = symbolic_closure("L", MultiIndex.parse("1II"), ONE)
     ok = ([r.constant_value() for r in cd.R] == [-1024, 0, 80, 0]
           and cd.R_minus1 == -64 * (3 * z ** 2 + 2 * (10 * g - 9) * z
                                     + 2 * (2 * g - 3) * (6 * g + 1)))
@@ -95,13 +95,13 @@ def test_criterion_03_laguerre_1II_symbolic():
 
 def test_criterion_04_jacobi_both_types_symbolic():
     tables = load_reference_tables()
-    cd1 = symbolic_closure("J", "1I", ONE)
+    cd1 = symbolic_closure("J", MultiIndex.parse("1I"), ONE)
     okR = (cd1.R[3] == ParamPoly.const(40)
            and cd1.R[2] == 80 * (z + a * a) - 528
            and cd1.R[1] == -1024 * (z + a * a - F(5, 2))
            and cd1.R[0] == -1024 * (z + a * a - 1) * (z + a * a - 4))
     ok1 = okR and cd1.R_minus1 == ParamPoly.from_record(tables[("J", "1I", "1")]["R_minus1"])
-    cd2 = symbolic_closure("J", "1II", ONE)
+    cd2 = symbolic_closure("J", MultiIndex.parse("1II"), ONE)
     ok2 = (all(cd2.R[i] == cd1.R[i] for i in range(4))
            and cd2.R_minus1 == ParamPoly.from_record(tables[("J", "1II", "1")]["R_minus1"])
            and cd2.R_minus1 == cd1.R_minus1.subs({"b": -b}))
@@ -120,7 +120,7 @@ def test_criterion_05_recurrence_tables(l1i_g_sweep):
     okJ = True
     for gh in ((F(2), F(3)), (F(5, 2), F(4)), (F(3), F(7, 2))):
         ps = ParamSet("J", {"g": gh[0], "h": gh[1]})
-        df = builtin_deformed("J", "1I", ps)
+        df = builtin_deformed("J", MultiIndex.parse("1I"), ps)
         tj = compute_table(df, build_X(df.xi, ONE), range(6))
         repJ = closed_form_compare(tj, table_formulas_J1I(ps))
         okJ = okJ and all(e["ok"] for e in repJ)
@@ -149,8 +149,8 @@ def test_criterion_07_companion_matrix_suite(l1i_closure, j1i_closure,
         L = cd.K // 2
         alpha_list = alpha_conjecture(fam, L, ps)
         for n in range(4):
-            alphas = alpha_values_at_energy(ps, n, alpha_list)
             En = energy(ps, n)
+            alphas = alpha_values_at_energy(ps, n, alpha_list, En)
             R_vals = [Ri.evaluate({"z": En}) for Ri in cd.R]
             suite = spectral_suite(R_vals, alphas)
             ok = ok and suite["recursion_ok"] and suite["eigen_ok"] \
@@ -181,7 +181,7 @@ def test_criterion_07_companion_matrix_suite(l1i_closure, j1i_closure,
                    "determinant, column sum, three-way power recursion)")
 
 
-def test_criterion_08_conjectured_coefficients(aw_params, pairing_params,
+def test_criterion_08_conjectured_coefficients(wil_params, aw_params, pairing_params,
                                                lag_params,
                                                l1i_closure, l1ii_closure,
                                                j1i_closure, l1i, j1i,
@@ -208,14 +208,13 @@ def test_criterion_08_conjectured_coefficients(aw_params, pairing_params,
         for L in (1, 2, 3, 4):
             rep = pairing_identities(ps, alpha_conjecture(ps.fam, L, ps))
             ok = ok and all(e["ok"] for e in rep)
-    # and the expansion itself is square-root free, symbolically in a and b1
-    for fam, ps in (("L", None), ("J", None), ("W", None), ("AW", aw_params)):
+    # and the expansion itself is square-root free, symbolically in a
+    for fam, ps in (("L", None), ("J", None), ("W", wil_params), ("AW", aw_params)):
         for L in (1, 2, 3, 4):
             conjectured_R(alpha_conjecture(fam, L, ps))
     # printed difference-family forms at L = 2
-    Rw = conjectured_R(alpha_conjecture("W", 2))
-    b1 = ParamPoly.var("b1")
-    zp = 4 * z + (b1 - 1) ** 2
+    Rw = conjectured_R(alpha_conjecture("W", 2, wil_params))
+    zp = 4 * z + (sum(wil_params.a_list()) - 1) ** 2
     ok = ok and Rw == [-4 * (zp - 1) * (zp - 4), -8 * (2 * zp - 5),
                        5 * zp - 33, ParamPoly.const(10)]
     q, b4 = aw_params.q, aw_params.b4

@@ -139,7 +139,7 @@ def test_Y_degree_is_capped_with_ell():
     ["verify-closure", "--D", "1I", "--plugin", "{shipped}"],
     ["recurrence", "--family", "L", "--D", "2I", "--plugin", "{jacobi}"],
     ["heisenberg", "--D", "2II", "--plugin", "{shipped}"],
-    ["spectrum", "--random-spectra", "-3"],
+    ["spectrum", "--random-spectra", "3"],
     ["verify-closure", "--n-max", "-2"],
     ["verify-closure", "--family", "J", "--D", "1II", "--params", "g=3", "h=1"],
     ["heisenberg", "--family", "J", "--D", "2II", "--params", "g=7/2", "h=1/2"],
@@ -153,6 +153,11 @@ def test_Y_degree_is_capped_with_ell():
     ["verify-closure", "--Y", "(eta+1)^1600"],
     ["verify-closure", "--Y", "(a+b+c+d+e+f+g+h)^32"],
     ["verify-closure", "--Y", "3^100000*eta"],
+    ["spectrum", "--family", "W", "--params", "a1=1/4", "a2=1/4", "a3=1/4", "a4=1/4"],
+    ["spectrum", "--family", "AW", "--params", "a1=1/2", "a2=1/2", "a3=1/2", "a4=1/2",
+     "q=1/4"],
+    ["heisenberg", "--family", "W"],
+    ["heisenberg", "--family", "AW"],
 ], ids=["params", "W-recurrence", "AW-q", "Y", "D", "truncated-plugin",
         "missing-plugin", "plugin-levels", "multi-seed", "J-range-spectrum",
         "J-range-heisenberg", "ell-bound", "ell-bound-plugin",
@@ -166,11 +171,12 @@ def test_Y_degree_is_capped_with_ell():
         "spectrum-plugin", "W-plugin", "AW-plugin", "symbolic-params",
         "symbolic-multi-seed", "symbolic-plugin", "plugin-other-D",
         "plugin-other-family", "plugin-other-D-heisenberg",
-        "negative-random-spectra", "negative-n-max", "seed-loses-degree",
+        "random-spectra-unknown", "negative-n-max", "seed-loses-degree",
         "seed-loses-degree-heisenberg", "J-norm-ratio-pole", "J1I-table-pole",
         "Y-degree-bound", "Y-degree-bound-symbolic", "Y-degree-bound-recurrence",
         "Y-degree-bound-spectrum", "Y-degree-bound-heisenberg",
-        "Y-parse-degree-bound", "Y-param-var-power", "Y-constant-power"])
+        "Y-parse-degree-bound", "Y-param-var-power", "Y-constant-power",
+        "W-range-spectrum", "AW-range-spectrum", "W-heisenberg", "AW-heisenberg"])
 def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
     shipped = (ROOT / "plugins" / "laguerre_2I.json").read_text()
     truncated = tmp_path / "truncated.json"
@@ -271,10 +277,17 @@ def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
         assert err.endswith(f" holds L[2I], not --family L --D {D}\n")
     if "{jacobi}" in argv:
         assert err.endswith(" holds J[2I], not --family L --D 2I\n")
-    for flag in ("--random-spectra", "--n-max"):
-        if flag in argv and argv[argv.index(flag) + 1].startswith("-"):
-            assert err.endswith(f"argument {flag}: must be nonnegative, got "
-                                f"{argv[argv.index(flag) + 1]}\n")
+    if "--n-max" in argv and argv[argv.index("--n-max") + 1].startswith("-"):
+        assert err.endswith(f"argument --n-max: must be nonnegative, got "
+                            f"{argv[argv.index('--n-max') + 1]}\n")
+    if "--random-spectra" in argv:  # the count is the constant RANDOM_SPECTRA
+        assert err.endswith(": unrecognized arguments: --random-spectra 3\n")
+    if "a1=1/4" in argv:
+        assert err == "configuration error: b1 is not above the ordering bound 2L\n"
+    if "q=1/4" in argv:
+        assert err == "configuration error: b4 is not below the ordering bound q^(2L)\n"
+    if argv[0] == "heisenberg" and ("W" in argv or "AW" in argv):
+        assert err.endswith(": the ladder suite needs polynomial family data (L or J)\n")
     if "{d-float}" in argv:
         assert err.endswith(": bad multi-index: seed degree 2.9 is not an integer\n")
     if "{d-bool}" in argv:
@@ -306,7 +319,9 @@ def test_params_parse_or_are_a_config_error(items):
 
 # Numbers in a notation other than the package's one grammar (sign, digits,
 # optional /digits): an exponent would make a 10-character value a number
-# of a million digits, so each is refused before it is read.
+# of a million digits, so each is refused before it is read.  So are --Y
+# powers and products whose coefficients would outgrow MAX_PARSE_BITS, and
+# nesting deep enough to exhaust the recursion limit.
 @pytest.mark.parametrize("argv", [
     ["verify-closure", "--family", "L", "--D", "1I", "--params", "g=1e999999"],
     ["spectrum", "--family", "AW", "--params", "a1=1e99999"],
@@ -315,8 +330,14 @@ def test_params_parse_or_are_a_config_error(items):
     ["verify-closure", "--family", "L", "--D", "1I", "--Y", "(((3^32)^32)^32)^32*eta"],
     ["verify-closure", "--family", "L", "--D", "1I",
      "--Y", "((((3^32)^32)^32)^32)^32*eta"],
+    ["verify-closure", "--family", "L", "--D", "1I", "--Y", "*".join(["(3^32)^32"] * 1000)
+     + "*eta"],
+    ["verify-closure", "--family", "L", "--D", "1I", "--Y", "(" * 250 + "eta" + ")" * 250],
+    ["verify-closure", "--family", "L", "--D", "1I",
+     "--Y", "(" * 20000 + "eta" + ")" * 20000],
 ], ids=["params", "AW-params", "plugin-parameter", "plugin-coefficient",
-        "Y-nested-power", "Y-nested-power-5"])
+        "Y-nested-power", "Y-nested-power-5", "Y-product-1000", "Y-nesting-250",
+        "Y-nesting-20000"])
 def test_huge_numbers_are_refused_at_once(argv, tmp_path, capsys):
     data = json.loads((ROOT / "plugins" / "laguerre_2I.json").read_text())
     data["parameters"]["g"] = "1e999999"
@@ -330,7 +351,14 @@ def test_huge_numbers_are_refused_at_once(argv, tmp_path, capsys):
     assert code == 2 and time.perf_counter() - start < 0.5
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
-    if "--Y" in argv:
+    Y = argv[-1]
+    if Y.startswith("(" * 250):
+        assert err.endswith(": parentheses and signs nest deeper than the parser's "
+                            "bound 100\n")
+    elif Y.startswith("(3^32)^32*"):
+        assert err.endswith(": a product of 3247- and 1624-bit coefficients is above "
+                            "the parser's bound 4096 bits\n")
+    elif "--Y" in argv:
         assert err.endswith(": a power of 32 on 1624-bit coefficients is above "
                             "the parser's bound 4096 bits\n")
     else:
@@ -522,22 +550,41 @@ def test_appendix_b_filter_selects_whole_labels(tmp_path):
                     "appendix-b/L/1I,3I/Y=1"}
 
 
+@pytest.mark.parametrize("fam, values, note", [
+    ("W", ["a1=1/2", "a2=1/2", "a3=1/2", "a4=1/3"],
+     "b1 is not above the ordering bound 2L"),
+    ("AW", ["a1=9/10", "a2=9/10", "a3=9/10", "a4=9/10"],
+     "b4 is not below the ordering bound q^(2L)"),
+], ids=["W", "AW"])
+def test_difference_family_outside_the_ordering_range(fam, values, note, tmp_path):
+    # the range note is a skip and the ordering checks fail; where the
+    # companion spectrum degenerates too, the note is a configuration error
+    # (test_config_error_exit_code)
+    report = tmp_path / "r.json"
+    assert run_cli("spectrum", "--family", fam, "--params", *values,
+                   "--report", str(report)) == 1
+    status = {c["id"]: c["status"] for c in json.loads(report.read_text())["checks"]}
+    assert status[f"range/{note}"] == "skip"
+    assert status["spectrum/ordering-at-energy[n=0]"] == "fail"
+
+
 def test_spectrum_seed_env(tmp_path, monkeypatch):
     r1, r2 = tmp_path / "a.json", tmp_path / "b.json"
     monkeypatch.setenv("CLOSURELAB_SEED", "5")
     assert run_cli("spectrum", "--family", "L", "--D", "1I", "--n-max", "3",
-                   "--random-spectra", "6", "--report", str(r1)) == 0
+                   "--report", str(r1)) == 0
     assert run_cli("spectrum", "--family", "L", "--D", "1I", "--n-max", "3",
-                   "--random-spectra", "6", "--report", str(r2)) == 0
+                   "--report", str(r2)) == 0
     assert r1.read_bytes() == r2.read_bytes()
     payload = json.loads(r1.read_text())
-    assert any("seed=5" in c["id"] for c in payload["checks"])
+    assert any(c["id"] == "spectrum/random-spectra[count=50,seed=5]"
+               for c in payload["checks"])
 
 
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "closurelab.cli", "spectrum", "--family", "J",
-         "--D", "1I", "--n-max", "2", "--random-spectra", "3", "--json"],
+         "--D", "1I", "--n-max", "2", "--json"],
         capture_output=True, text=True)
     assert proc.returncode == 0
     payload = json.loads(proc.stdout)
@@ -691,8 +738,7 @@ def test_symbolic_mode_failure_is_a_failing_check(tmp_path, capsys):
 def test_commands_repeat_in_one_process(capsys):
     # main reuses one parser: the second run of each command prints what
     # the first printed
-    argvs = [["spectrum", "--family", "W", "--n-max", "2",
-              "--random-spectra", "1"],
+    argvs = [["spectrum", "--family", "W", "--n-max", "2"],
              ["recurrence", "--family", "J", "--n-max", "2"]]
     outputs = []
     for argv in argvs + argvs:
@@ -708,7 +754,7 @@ def test_commands_repeat_in_one_process(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["spectrum", "--family", "W", "--n-max", "12", "--random-spectra", "2"],
+    ["spectrum", "--family", "W", "--n-max", "12"],
     ["verify-closure", "--family", "AW", "--n-max", "6"],
 ])
 def test_alpha_list_is_built_once_per_command(argv, monkeypatch):

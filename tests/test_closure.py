@@ -222,7 +222,7 @@ def test_alpha_values_are_closure_roots(l1i_closure, lag_params):
         En = energy(lag_params, n)
         R_at = [Ri.evaluate({"z": En}) for Ri in cd.R]
         for al in alpha_values_at_energy(lag_params, n,
-                                         alpha_conjecture("L", 2, lag_params)):
+                                         alpha_conjecture("L", 2, lag_params), En):
             assert al ** 4 == sum(R_at[i] * al ** i for i in range(4))
 
 
@@ -259,7 +259,7 @@ def test_identity_certificate_rejects_data_symbolic_in_a_parameter(l1i, l1i_clos
 def test_reconstruct_closure_symbolic_in_g():
     def solve_at(binding):
         ps = ParamSet("L", {"g": binding["g"]})
-        df = builtin_deformed("L", "1I", ps)
+        df = builtin_deformed("L", MultiIndex.parse("1I"), ps)
         cd, _ = closure_for_family(df, ONE)
         return cd
 
@@ -472,7 +472,7 @@ def test_symbolic_reconstruction_decides_every_build(fam, label, builds, monkeyp
     monkeypatch.setattr(families, "check_seed", counting("seed", families.check_seed))
     monkeypatch.setattr(families, "eigen_validate",
                         counting("level", families.eigen_validate))
-    assert symbolic_closure(fam, label, ONE).unique
+    assert symbolic_closure(fam, MultiIndex.parse(label), ONE).unique
     assert counts == {"build": builds, "seed": builds, "level": 7 * builds}
 
 
@@ -480,7 +480,8 @@ def test_certificate_reads_the_solve_record(monkeypatch):
     # a solve read off the full levels records its data, and the
     # certificate of those data returns true without a residual pass, also
     # when equal data are built by hand
-    df = builtin_deformed("J", "1I", ParamSet("J", {"g": F(5, 2), "h": F(13, 3)}))
+    df = builtin_deformed("J", MultiIndex.parse("1I"),
+                          ParamSet("J", {"g": F(5, 2), "h": F(13, 3)}))
     cd, X = closure_for_family(df, ONE)
     assert len(df.certified_closures) == 1
     passes = []
@@ -492,7 +493,7 @@ def test_certificate_reads_the_solve_record(monkeypatch):
     assert passes == []
     # other data, another X and another family are decided afresh, with
     # the witness of a family that never solved
-    fresh = builtin_deformed("J", "1I", df.params)
+    fresh = builtin_deformed("J", MultiIndex.parse("1I"), df.params)
     broken = ClosureData(cd.K, list(cd.R), cd.R_minus1 + 1)
     got, want = (verify_closure_identity(f, X, broken) for f in (df, fresh))
     assert not got and (got.n, got.k, got.residual) == (want.n, want.k, want.residual)
@@ -504,7 +505,7 @@ def test_certificate_reads_the_solve_record(monkeypatch):
 def test_linear_system_solves_are_not_recorded():
     # J at a = 1 takes the linear system: nothing is recorded, and the
     # certificate decides the data itself
-    df = builtin_deformed("J", "1I", ParamSet("J", {"g": F(3, 4), "h": F(1, 4)}))
+    df = builtin_deformed("J", MultiIndex.parse("1I"), ParamSet("J", {"g": F(3, 4), "h": F(1, 4)}))
     cd, X = closure_for_family(df, ONE)
     assert cd.kernel_dim == 3 and df.certified_closures == {}
     assert verify_closure_identity(df, X, cd)
@@ -514,7 +515,8 @@ def _fallback_inputs():
     """The two (family, Y) whose solution sets have a kernel (kernel_dim 3),
     so that the solve takes the linear system: J[1I] at a = 1
     (g = 3/4, h = 1/4), and the classical J at g = h = 5/2 with Y = eta."""
-    return [(builtin_deformed("J", "1I", ParamSet("J", {"g": F(3, 4), "h": F(1, 4)})),
+    return [(builtin_deformed("J", MultiIndex.parse("1I"),
+                              ParamSet("J", {"g": F(3, 4), "h": F(1, 4)})),
              ONE),
             (classical_family("J", ParamSet("J", {"g": F(5, 2), "h": F(5, 2)})), ETA)]
 
@@ -610,7 +612,7 @@ def test_verify_reuses_the_images_of_the_solve(lag_params, monkeypatch):
     # levels n = 0..K, whose recurrence rows and eigen checks (P_0..P_{K+L})
     # solve_closure has already stored on the family: it neither checks an
     # eigen-equation nor applies an operator
-    df = builtin_deformed("L", "1I", lag_params)
+    df = builtin_deformed("L", MultiIndex.parse("1I"), lag_params)
     cd, X = closure_for_family(df, ONE)
     calls = _count_eigen_checks(monkeypatch)
     original = DiffOp.apply_poly
@@ -624,7 +626,7 @@ def test_each_level_is_eigen_checked_once(lag_params, monkeypatch):
     # construction checks P_0..P_VALIDATE_N; solve and certificate of
     # L[1I] add the levels up to K + L and never check a level twice
     calls = _count_eigen_checks(monkeypatch)
-    df = builtin_deformed("L", "1I", lag_params)
+    df = builtin_deformed("L", MultiIndex.parse("1I"), lag_params)
     cd, X = closure_for_family(df, ONE)
     assert verify_closure_identity(df, X, cd)
     top = cd.K + X.degree
@@ -663,7 +665,7 @@ def test_coordinate_rows_solve_like_eta_rows(case, lag_params, jac_params):
     elif D is None:
         df = classical_family(params.fam, params)
     else:
-        df = builtin_deformed(params.fam, D, params)
+        df = builtin_deformed(params.fam, MultiIndex.parse(D), params)
     X = build_X(df.xi, ONE if Y == 1 else Y)
     K = 2 * X.degree
     layout, rows, rhs = closure_system(df, X)
@@ -839,7 +841,7 @@ def test_nonpolynomial_image_is_a_failing_residual(lag_params):
     # H(eta) = -4*(N1 + N0*eta)/xi is no polynomial: the residual check
     # names level 6 with no division, where the reference operator route
     # finds a remainder
-    df = builtin_deformed("L", "1I", lag_params)
+    df = builtin_deformed("L", MultiIndex.parse("1I"), lag_params)
     broken = VALIDATE_N + 1
 
     polys = [df.P(n) + EtaPoly.from_param(eta ** df.ell) if n == broken else df.P(n)
@@ -959,7 +961,7 @@ def test_full_level_solve_equals_the_linear_system(fam, label):
     for values in SOLVE_PARAMS[fam]:
         ps = ParamSet(fam, values)
         try:
-            df = builtin_deformed(fam, label, ps)
+            df = builtin_deformed(fam, MultiIndex.parse(label), ps)
         except ValueError:  # a seed degenerate at these parameters
             continue
         for Y in SOLVE_YS:
@@ -1002,7 +1004,7 @@ def test_perturbed_root_at_a_full_level_has_no_solution(name, request, monkeypat
 def test_kernel_at_a_equal_one_takes_the_linear_system():
     # J at a = 1: the closed form declines, and solve_closure reports the
     # linear system's kernel_dim and conjectured point
-    df = builtin_deformed("J", "1I", ParamSet("J", {"g": F(3, 4), "h": F(1, 4)}))
+    df = builtin_deformed("J", MultiIndex.parse("1I"), ParamSet("J", {"g": F(3, 4), "h": F(1, 4)}))
     X = build_X(df.xi, ONE)
     assert _full_levels(df, X) is None
     cd = solve_closure(df, X)
@@ -1020,7 +1022,7 @@ def test_symbolic_reconstruction_makes_no_linear_solve(monkeypatch):
                 getattr(module, "solve_linear_exact", None) is real:
             monkeypatch.setattr(module, "solve_linear_exact",
                                 lambda *args: calls.append(args) or real(*args))
-    cd = symbolic_closure("J", "1I", ONE)
+    cd = symbolic_closure("J", MultiIndex.parse("1I"), ONE)
     assert cd.unique and calls == []
 
 

@@ -17,7 +17,7 @@ from closurelab import cli, closure
 from closurelab.closure import (ClosureData, NoSolution, closure_for_family,
                                 verify_closure_identity)
 from closurelab.exactalg import EtaPoly, ParamPoly
-from closurelab.families import ParamSet, builtin_deformed
+from closurelab.families import MultiIndex, ParamSet, builtin_deformed
 from test_golden_reports import SEED0_JOBS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -59,7 +59,8 @@ def golden_cases():
 def fractional_j():
     """J[1I] at g = 5/2, h = 13/3 (a = 41/6): E_n and Delta_{n,k} have
     denominators > 1."""
-    df = builtin_deformed("J", "1I", ParamSet("J", {"g": F(5, 2), "h": F(13, 3)}))
+    df = builtin_deformed("J", MultiIndex.parse("1I"),
+                          ParamSet("J", {"g": F(5, 2), "h": F(13, 3)}))
     cd, X = closure_for_family(df, EtaPoly.const(1))
     assert any(df.E(n).denominator > 1 for n in range(cd.K + 1))
     assert any(delta.denominator > 1
@@ -125,8 +126,9 @@ def test_off_by_one_power_of_q_flips_the_certificate(fractional_j, monkeypatch):
 
     monkeypatch.setattr(closure, "horner", shifted)
     assert verify_closure_identity(df, X, cd)
-    fresh = builtin_deformed("J", "1I", df.params)
+    fresh = builtin_deformed("J", MultiIndex.parse("1I"), df.params)
     assert not verify_closure_identity(fresh, X, cd)
     assert ref.verify_closure_identity(fresh, X, cd)
     with pytest.raises(NoSolution):
-        closure_for_family(builtin_deformed("J", "1I", df.params), EtaPoly.const(1))
+        closure_for_family(builtin_deformed("J", MultiIndex.parse("1I"), df.params),
+                           EtaPoly.const(1))

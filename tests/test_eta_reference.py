@@ -16,7 +16,7 @@ import eta_reference as ref
 from closurelab.closure import closure_for_family
 from closurelab.exactalg import EtaPoly
 from closurelab.families import (VALIDATE_N, DeformedFamily,
-                                 EigenValidationFailed, ParamSet,
+                                 EigenValidationFailed, MultiIndex, ParamSet,
                                  builtin_deformed, canonical_seed, check_seed,
                                  degenerate_level, eigen_residual,
                                  eigen_validate, energy, load_family_plugin,
@@ -37,7 +37,8 @@ def families(lag_params, jac_params):
         if fam == "plugin":
             out[(fam, D)] = load_family_plugin(PLUGINS / D)
         else:
-            out[(fam, D)] = builtin_deformed(fam, D, lag_params if fam == "L" else jac_params)
+            out[(fam, D)] = builtin_deformed(fam, MultiIndex.parse(D),
+                                             lag_params if fam == "L" else jac_params)
     return out
 
 
@@ -220,9 +221,9 @@ def test_energy_off_by_one_at_one_level_fails(monkeypatch, lag_params, jac_param
                 match = f"fails at n={bad}"
                 if bad <= VALIDATE_N:
                     with pytest.raises(EigenValidationFailed, match=match):
-                        builtin_deformed(fam, D, ps)
+                        builtin_deformed(fam, MultiIndex.parse(D), ps)
                 else:
-                    df = builtin_deformed(fam, D, ps)
+                    df = builtin_deformed(fam, MultiIndex.parse(D), ps)
                     with pytest.raises(EigenValidationFailed, match=match):
                         closure_for_family(df, EtaPoly((0, 1)))
 

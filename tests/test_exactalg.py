@@ -9,7 +9,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from closurelab.exactalg import (MAX_PARSE_BITS, MAX_PARSE_DEGREE, EtaPoly,
+from closurelab.exactalg import (MAX_PARSE_BITS, MAX_PARSE_DEGREE,
+                                 MAX_PARSE_NESTING, EtaPoly,
                                  LinearSolution, ParamPoly, RationalFunc,
                                  SampleMismatch, interpolate_grid,
                                  interpolate_param, parse_poly, poly_div_exact,
@@ -499,6 +500,33 @@ def test_parse_poly_bounds_the_bits_of_nested_powers():
     assert parse_poly("((3^32)^32)^2") == ParamPoly.const(3 ** 2048)
     with pytest.raises(ValueError, match="^a power of 4 on 1624-bit"):
         parse_poly("((3^32)^32)^2^2")
+
+
+def test_parse_poly_bounds_the_bits_of_products():
+    # the largest coefficient bit lengths of the two factors of a product add
+    # up to at most MAX_PARSE_BITS: two factors of (3^32)^32 (1624 bits each)
+    # parse, and a third is refused before it is formed, however many follow
+    assert parse_poly("(3^32)^32*(3^32)^32*eta") == 3 ** 2048 * eta
+    for k in (3, 1000):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^a product of 3247- and 1624-bit coefficients "
+                                             f"is above the parser's bound {MAX_PARSE_BITS}"):
+            parse_poly("*".join(["(3^32)^32"] * k) + "*eta")
+        assert time.perf_counter() - start < 0.1
+
+
+def test_parse_poly_bounds_the_nesting():
+    # parentheses and signs nest at most MAX_PARSE_NESTING deep, far below
+    # the recursion limit; a sign that starts a sum nests nothing
+    n = MAX_PARSE_NESTING
+    assert parse_poly("(" * n + "eta" + ")" * n) == eta
+    assert parse_poly("2*" + "-(" * (n // 2) + "eta" + ")" * (n // 2)) == 2 * eta
+    assert parse_poly("-" * (5 * n + 1) + "eta") == -eta
+    for text in ("(" * (n + 1) + "eta" + ")" * (n + 1), "2*" + "-" * (n + 1) + "eta",
+                 "(" * 20000 + "eta" + ")" * 20000):
+        with pytest.raises(ValueError, match=f"^parentheses and signs nest deeper "
+                                             f"than the parser's bound {n}$"):
+            parse_poly(text)
 
 
 def test_rat_reads_only_the_number_grammar():

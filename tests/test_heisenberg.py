@@ -9,8 +9,8 @@ import pytest
 from closurelab import cli, families, heisenberg
 from closurelab.exactalg import EtaPoly, ParamPoly
 from closurelab.closure import ClosureData, closure_for_family
-from closurelab.families import (EigenValidationFailed, builtin_deformed,
-                                 load_family_plugin)
+from closurelab.families import (EigenValidationFailed, MultiIndex,
+                                 builtin_deformed, load_family_plugin)
 from closurelab.heisenberg import (LadderAction, LadderContext, NotProportional,
                                    check_r0_relation, commutation_check,
                                    heisenberg_series_check, ladder_apply,
@@ -228,7 +228,7 @@ def test_eigenvalue_shifts_match_the_H_applying_route(case, request):
 def test_broken_level_above_the_solve_is_named(lag_params):
     # the closure solve reads P_0..P_6; commutation_check on n <= 6 reads
     # level 6, so check_levels(8) meets the broken P_8 first
-    df = builtin_deformed("L", "1I", lag_params)
+    df = builtin_deformed("L", MultiIndex.parse("1I"), lag_params)
     cd, X = closure_for_family(df, EtaPoly.const(1))
     assert 8 not in df.checked_levels
     df._P_cache[8] = df.P(8) + df.P(7)
@@ -242,8 +242,8 @@ def test_perturbed_alpha_fails_its_eigenvalue_shift_row(ctx_l1i, monkeypatch):
     def perturbed(ctx, j, n):
         action = real(ctx, j, n)
         if (j, n) == (2, 3):
-            action = LadderAction(action.j, action.n, action.shift, action.coefficient,
-                                  action.coords, action.alpha + 1)
+            action = LadderAction(action.shift, action.coefficient, action.coords,
+                                  action.alpha + 1)
         return action
 
     monkeypatch.setattr(heisenberg, "ladder_apply", perturbed)
@@ -326,5 +326,5 @@ def test_each_level_evaluates_its_closure_data_once(monkeypatch):
     monkeypatch.setattr(ClosureData, "values_at", counted)
     assert cli.main(["heisenberg", "--family", "J", "--D", "1II"]) == 0
     # J[1II] with --n-max 8: levels n = 0..6
-    df = builtin_deformed("J", "1II", cli._parse_params("J", None))
+    df = builtin_deformed("J", MultiIndex.parse("1II"), cli._parse_params("J", None))
     assert energies == [df.E(n) for n in range(7)]

@@ -12,7 +12,8 @@ import heisenberg_reference as ref
 from closurelab import heisenberg
 from closurelab.closure import closure_for_family, level_coordinates
 from closurelab.exactalg import EtaPoly
-from closurelab.families import ParamSet, builtin_deformed, load_family_plugin
+from closurelab.families import (MultiIndex, ParamSet, builtin_deformed,
+                                 load_family_plugin)
 from closurelab.heisenberg import (LadderAction, LadderContext, NotProportional,
                                    heisenberg_series_check, ladder_apply)
 from closurelab.spectral import SpectralData
@@ -33,7 +34,7 @@ def _context(case, lag_params):
     if fam == "plugin":
         df = load_family_plugin(PLUGIN)
     else:
-        df = builtin_deformed(fam, D, lag_params if fam == "L" else J_PARAMS)
+        df = builtin_deformed(fam, MultiIndex.parse(D), lag_params if fam == "L" else J_PARAMS)
     cd, X = closure_for_family(df, Y_POLYS[Y])
     return LadderContext(df, cd, X)
 
@@ -127,8 +128,7 @@ def test_perturbed_action_coordinate_flips_the_time_power_verdict(j_ctx):
     action = ladder_apply(ctx, j, n)
     coords = dict(action.coords)
     coords[action.shift] += F(1, 7)
-    bad = LadderAction(action.j, action.n, action.shift, action.coefficient,
-                       coords, action.alpha)
+    bad = LadderAction(action.shift, action.coefficient, coords, action.alpha)
     ctx._actions[(j, n)] = bad
     actions = [ladder_apply(ctx, i, n) for i in range(1, ctx.K + 1)]
     assert actions[j - 1] is bad

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from closurelab.exactalg import EtaPoly, ParamPoly
-from closurelab.families import builtin_deformed
+from closurelab.families import MultiIndex, builtin_deformed
 from closurelab.recurrence import (NonzeroRemainder, RecurrenceTable, build_X,
                                    check_h_symmetry,
                                    closed_form_compare, compute_table,
@@ -117,7 +117,7 @@ def test_J1I_table_at_three_samples():
 
     for gh in ((F(2), F(3)), (F(5, 2), F(4)), (F(3), F(7, 2))):
         ps = ParamSet("J", {"g": gh[0], "h": gh[1]})
-        df = builtin_deformed("J", "1I", ps)
+        df = builtin_deformed("J", MultiIndex.parse("1I"), ps)
         table = compute_table(df, build_X(df.xi, ONE), range(6))
         rep = closed_form_compare(table, table_formulas_J1I(ps))
         assert all(e["ok"] for e in rep), gh
@@ -174,7 +174,7 @@ def test_perturbed_entries_fail_exactly_their_rows(lag_params):
     # the cross-product comparisons: r_{3,-1} + 1 spoils symmetry row
     # (3, 1), r_{1,2} + 1 spoils symmetry row (3, 2), leading row 1 and the
     # two closed-form entries
-    df = builtin_deformed("L", "1I", lag_params)
+    df = builtin_deformed("L", MultiIndex.parse("1I"), lag_params)
     table = compute_table(df, build_X(df.xi, ONE), range(5))
     bad = RecurrenceTable(table.X, table.L,
                           {n: dict(row) for n, row in table.rows.items()})

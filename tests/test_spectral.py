@@ -28,7 +28,6 @@ from spectral_reference import (CompanionMatrix, fraction_views, reference_det,
 
 z = ParamPoly.var("z")
 a = ParamPoly.var("a")
-b1 = ParamPoly.var("b1")
 
 
 def test_two_by_two_worked_example():
@@ -54,8 +53,8 @@ def test_laguerre_alpha_list():
 
 
 def test_jacobi_alpha_sqrt_free_at_energy(jac_params):
-    vals = alpha_values_at_energy(jac_params, 3,
-                                  alpha_conjecture("J", 2, jac_params))
+    vals = alpha_values_at_energy(jac_params, 3, alpha_conjecture("J", 2, jac_params),
+                                  energy(jac_params, 3))
     av = jac_params.a
     s = 2 * 3 + av
     assert vals == [16 + 8 * s, 4 + 4 * s, 4 - 4 * s, 16 - 8 * s]
@@ -85,16 +84,15 @@ def test_sqrt_value_that_does_not_square_to_S_is_rejected(jac_params,
     real = spectral.sqrt_value_at_energy
     monkeypatch.setattr(spectral, "sqrt_value_at_energy",
                         lambda ps, n: real(ps, n) + (n == 3))
-    assert alpha_values_at_energy(jac_params, 2, alphas)
+    assert alpha_values_at_energy(jac_params, 2, alphas, energy(jac_params, 2))
     with pytest.raises(SqrtValueMismatch, match=r"^J: sqrt\(S\(E_3\)\) = 12"):
-        alpha_values_at_energy(jac_params, 3, alphas)
+        alpha_values_at_energy(jac_params, 3, alphas, energy(jac_params, 3))
     assert issubclass(SqrtValueMismatch, ArithmeticError)
 
 
 def test_aw_alpha_collapse_at_energy(aw_params):
-    vals = alpha_values_at_energy(aw_params, 2,
-                                  alpha_conjecture("AW", 1, aw_params))
     E = energy(aw_params, 2)
+    vals = alpha_values_at_energy(aw_params, 2, alpha_conjecture("AW", 1, aw_params), E)
     assert vals[0] == energy(aw_params, 3) - E
     assert vals[1] == energy(aw_params, 1) - E
 
@@ -107,9 +105,9 @@ def test_conjectured_R_jacobi_symbolic():
     assert R[0] == -1024 * (z + a * a - 1) * (z + a * a - 4)
 
 
-def test_conjectured_R_wilson_symbolic():
-    R = conjectured_R(alpha_conjecture("W", 2))
-    zp = 4 * z + (b1 - 1) ** 2
+def test_conjectured_R_wilson_bound(wil_params):
+    R = conjectured_R(alpha_conjecture("W", 2, wil_params))
+    zp = 4 * z + (sum(wil_params.a_list()) - 1) ** 2
     assert R[3] == ParamPoly.const(10)
     assert R[2] == 5 * zp - 33
     assert R[1] == -8 * (2 * zp - 5)
@@ -151,7 +149,7 @@ def test_expansion_has_the_roots_it_was_built_from():
     assert elementary_symmetric_R([F(3)]) == [F(3)]
 
 
-def test_paired_expansion_equals_the_sequential_one(aw_params):
+def test_paired_expansion_equals_the_sequential_one(wil_params, aw_params):
     # the expansion in pairs j, K-1-j is the product one linear factor at a
     # time, on random Fraction and int lists with K = 0..9 (odd K included,
     # repeats allowed) and on the SqrtExpr lists of all four families
@@ -164,7 +162,7 @@ def test_paired_expansion_equals_the_sequential_one(aw_params):
                 got = elementary_symmetric_R(roots)
                 assert got == sequential_elementary_symmetric_R(roots)
                 assert all(type(c) is type(x) for c, x in zip(got, roots))
-    for fam, ps in (("L", None), ("J", None), ("W", None), ("AW", aw_params)):
+    for fam, ps in (("L", None), ("J", None), ("W", wil_params), ("AW", aw_params)):
         for L in (1, 2, 3):
             alphas = alpha_conjecture(fam, L, ps)
             assert (elementary_symmetric_R(alphas)
@@ -173,7 +171,8 @@ def test_paired_expansion_equals_the_sequential_one(aw_params):
                     == sequential_elementary_symmetric_R(alphas[:-1])), (fam, L)
 
 
-def test_conjectured_pairs_are_square_root_free_factors(monkeypatch, aw_params):
+def test_conjectured_pairs_are_square_root_free_factors(monkeypatch, wil_params,
+                                                        aw_params):
     # the roots j and K-1-j of a conjectured list are conjugate, so each
     # pair's sum and product are square-root free, and the only products of
     # the expansion that carry sqrt(S) are pair products r_j r_{K-1-j}
@@ -185,7 +184,7 @@ def test_conjectured_pairs_are_square_root_free_factors(monkeypatch, aw_params):
             general.append(other)
         return real(self, other)
 
-    for fam, ps in (("L", None), ("J", None), ("W", None), ("AW", aw_params)):
+    for fam, ps in (("L", None), ("J", None), ("W", wil_params), ("AW", aw_params)):
         for L in (1, 2, 3):
             alphas = alpha_conjecture(fam, L, ps)
             K = len(alphas)
@@ -227,11 +226,12 @@ def test_square_root_free_arithmetic_equals_the_general_formula():
         assert (x * w).v == u1 * u1 and (x + w).v == u1
 
 
-def test_conjectured_lists_are_the_elementary_symmetric_functions(aw_params):
+def test_conjectured_lists_are_the_elementary_symmetric_functions(wil_params,
+                                                                 aw_params):
     # the conjectured R_i are (-1)^(K-i+1) e_(K-i)(alpha) summed term by term
     # over the SqrtExpr eigenvalue list, square-root free, for all four
     # families
-    for fam, ps in (("L", None), ("J", None), ("W", None), ("AW", aw_params)):
+    for fam, ps in (("L", None), ("J", None), ("W", wil_params), ("AW", aw_params)):
         for L in (1, 2, 3):
             alphas = alpha_conjecture(fam, L, ps)
             K = 2 * L
@@ -252,9 +252,9 @@ def test_conjectured_lists_are_the_elementary_symmetric_functions(aw_params):
         conjectured_R(unpaired)
 
 
-def test_char_poly_identity_all_families(aw_params):
+def test_char_poly_identity_all_families(wil_params, aw_params):
     # expanding prod(x - alpha_j) reproduces x^K - sum R_i x^i
-    for fam, ps in (("L", None), ("J", None), ("W", None), ("AW", aw_params)):
+    for fam, ps in (("L", None), ("J", None), ("W", wil_params), ("AW", aw_params)):
         for L in (1, 2, 3):
             alphas = alpha_conjecture(fam, L, ps)
             A = CompanionMatrix(tuple(conjectured_R(alpha_conjecture(fam, L, ps))))
@@ -279,7 +279,7 @@ def test_pairing_identities_all_families(pairing_params, aw_params):
             assert all(e["ok"] for e in rep), (ps, L)
 
 
-def test_pairing_example_values():
+def test_pairing_example_values(wil_params):
     # J, L=2, j=1: sum 32, product 16*4*(4 - z - a^2)
     alphas = alpha_conjecture("J", 2, None)
     total = alphas[0] + alphas[3]
@@ -287,7 +287,8 @@ def test_pairing_example_values():
     assert total.poly_part() == ParamPoly.const(32)
     assert prod.poly_part() == 64 * (ParamPoly.const(4) - z - a * a)
     # W, L=1, j=1: sum 2, product 1 - 4z - (b1-1)^2
-    aw = alpha_conjecture("W", 1, None)
+    aw = alpha_conjecture("W", 1, wil_params)
+    b1 = sum(wil_params.a_list())
     assert (aw[0] + aw[1]).poly_part() == ParamPoly.const(2)
     assert (aw[0] * aw[1]).poly_part() == 1 - 4 * z - (b1 - 1) ** 2
     # L: sums vanish
@@ -416,7 +417,7 @@ def _energy_spectrum(fam, L, n):
     En = energy(ps, n)
     return ([Ri.subs({"z": En}).constant_value()
              for Ri in conjectured_R(alpha_conjecture(fam, L, ps))],
-            alpha_values_at_energy(ps, n, alpha_conjecture(fam, L, ps)))
+            alpha_values_at_energy(ps, n, alpha_conjecture(fam, L, ps), En))
 
 
 def _energy_spectra():
@@ -518,11 +519,11 @@ def test_bareiss_determinant_matches_rational_elimination():
     assert _det_bareiss(cases[1]) == 1
 
 
-def test_order2_specialization_of_eigenvalue_pair(aw_params, lag_params):
+def test_order2_specialization_of_eigenvalue_pair(wil_params, aw_params, lag_params):
     # K = 2: the pair is alpha_+- = (R_1 +- sqrt(R_1^2 + 4 R_0))/2, i.e.
     # R_1 = alpha_+ + alpha_-, R_0 = -alpha_+ alpha_-, and the discriminant
     # identity (alpha_+ - alpha_-)^2 = R_1^2 + 4 R_0 holds identically in z.
-    for fam, ps in (("L", lag_params), ("J", None), ("W", None), ("AW", aw_params)):
+    for fam, ps in (("L", lag_params), ("J", None), ("W", wil_params), ("AW", aw_params)):
         ap, am = alpha_conjecture(fam, 1, ps)
         R0, R1 = (c.poly_part() for c in elementary_symmetric_R([ap, am]))
         total = ap + am
