@@ -19,8 +19,8 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .exactalg import EtaPoly, ParamPoly, SampleMismatch, parse_poly, rat, rat_str
-from .families import (MAX_ELL, DeformedFamily, EigenValidationFailed,
+from .exactalg import EtaPoly, ParamPoly, SampleMismatch, count, parse_poly, rat_str
+from .families import (MAX_ELL, PARAMETERS, DeformedFamily, EigenValidationFailed,
                        MultiIndex, ParameterPole, ParamSet, SchemaError,
                        DegreeMismatch, builtin_deformed, energy,
                        load_family_plugin, require_builtin)
@@ -30,7 +30,7 @@ from .closure import (SOLVE_FAILURES, TableMissing, closure_for_family,
 from .recurrence import (NonzeroRemainder, build_X, check_h_symmetry,
                          closed_form_compare, compute_table,
                          leading_coeff_identity, table_formulas_J1I,
-                         table_formulas_L1I)
+                         table_formulas_L1I, x_degree)
 from .spectral import (DegenerateSpectrum, alpha_conjecture,
                        alpha_values_at_energy, check_alpha_spectrum,
                        pairing_identities, root_expansion, spectral_suite)
@@ -92,7 +92,7 @@ class Report:
 def _param_items(items: list[str] | None, fams: tuple[str, ...]) -> dict[str, str]:
     """--params entries as {name: value}; a name that none of the families
     ``fams`` has is a configuration error naming their parameters."""
-    known = sorted({k for fam in fams for k in DEFAULT_PARAMS[fam]})
+    known = sorted({k for fam in fams for k in PARAMETERS[fam]})
     given = {}
     for item in items or []:
         if "=" not in item:
@@ -109,17 +109,18 @@ def _parse_params(fam: str, items: list[str] | None) -> ParamSet:
     return _param_set(fam, _param_items(items, (fam,)))
 
 
+def _read(what: str, reader, *args):
+    """reader(*args), with its ValueError a configuration error naming ``what``."""
+    try:
+        return reader(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
 def _param_set(fam: str, given: dict[str, str]) -> ParamSet:
     """The family's defaults overridden by the given values."""
-    vals = dict(DEFAULT_PARAMS[fam])
-    vals.update(given)
-    try:
-        return ParamSet(fam, {k: rat(v) for k, v in vals.items()})
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from None
-    except ZeroDivisionError:
-        raise ConfigError(f"--params {' '.join(f'{k}={v}' for k, v in given.items())}"
-                          ": zero denominator") from None
+    return _read(f"--params {' '.join(f'{k}={v}' for k, v in given.items())}",
+                 ParamSet, fam, {**DEFAULT_PARAMS[fam], **given})
 
 
 def _validate_ranges(params: ParamSet, L: int) -> list[str]:
@@ -142,31 +143,21 @@ def _parse_Y(text: str) -> ParamPoly:
     not_eta = ConfigError(f"--Y {text!r}: Y must be a nonzero polynomial in eta")
     if set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", text)) - {"eta"}:
         raise not_eta
-    try:
-        Y = parse_poly(text) if text else ParamPoly.const(1)
-    except ValueError as exc:
-        raise ConfigError(f"--Y {text!r}: {exc}") from None
-    except ZeroDivisionError:
-        raise ConfigError(f"--Y {text!r}: zero denominator") from None
+    Y = _read(f"--Y {text!r}", parse_poly, text) if text else ParamPoly.const(1)
     if Y.is_zero:
         raise not_eta
     return Y
 
 
-def _parse_D(text: str) -> MultiIndex:
-    try:
-        return MultiIndex.parse(text)
-    except ValueError as exc:
-        raise ConfigError(f"--D {text!r}: {exc}") from None
-
-
 def _parse_D_Y(args) -> tuple[MultiIndex, EtaPoly]:
     """--D and --Y, with ell + deg Y = deg X - 1 capped by MAX_ELL like ell;
     Y becomes an EtaPoly once that cap has bounded its degree."""
-    D, Y = _parse_D(args.D), _parse_Y(args.Y)
-    if D.ell + Y.degree("eta") > MAX_ELL:
-        raise ConfigError(f"--Y {args.Y!r}: ell + deg Y = {D.ell + Y.degree('eta')}"
-                          f" is above the supported bound {MAX_ELL}")
+    D = _read(f"--D {args.D!r}", MultiIndex.parse, args.D)
+    Y = _parse_Y(args.Y)
+    top = x_degree(D.ell, Y.degree("eta")) - 1
+    if top > MAX_ELL:
+        raise ConfigError(f"--Y {args.Y!r}: ell + deg Y = {top} is above the "
+                          f"supported bound {MAX_ELL}")
     return D, EtaPoly.from_param(Y)
 
 
@@ -241,7 +232,7 @@ def cmd_verify_closure(args) -> int:
         if args.plugin:
             raise ConfigError("--plugin: W and AW closure is checked spectrally "
                               "and reads no plugin")
-        L = D.ell + Y.degree + 1
+        L = x_degree(D.ell, Y.degree)
         _alpha_checks(report, "spectral", L, params, args.n_max)
         report.add("operator-level", None, notice="not implemented: "
                    "operator-level closure for difference operators")
@@ -351,7 +342,7 @@ def _alpha_checks(report: Report, prefix: str, L: int, params: ParamSet,
 def cmd_spectrum(args) -> int:
     params = _parse_params(args.family, args.params)
     D, Y = _parse_D_Y(args)
-    L = D.ell + Y.degree + 1
+    L = x_degree(D.ell, Y.degree)
     report = Report("spectrum", _config_echo(args, params, Y))
     alpha_list = _alpha_checks(report, "spectrum", L, params, args.n_max)
     # companion-matrix suite at the first few energy points, with the
@@ -369,7 +360,7 @@ def cmd_spectrum(args) -> int:
                    suite["recursion_ok"] and suite["eigen_ok"] and suite["initial_ok"])
     # randomized distinct-rational spectra; only this command loads random
     import random
-    seed = int(os.environ.get("CLOSURELAB_SEED", "0"))
+    seed = _read("CLOSURELAB_SEED", count, os.environ.get("CLOSURELAB_SEED", "0"))
     rng = random.Random(seed)
     ok_all = True
     for _ in range(RANDOM_SPECTRA):
@@ -401,7 +392,7 @@ def cmd_heisenberg(args) -> int:
     if args.family in ("W", "AW"):
         raise ConfigError("the ladder suite needs polynomial family data (L or J)")
     df = _family_instance(args, D, params)
-    for note in _validate_ranges(df.params, D.ell + Y.degree + 1):
+    for note in _validate_ranges(df.params, x_degree(D.ell, Y.degree)):
         report.add(f"range/{note}", None)
     try:
         cd, X = closure_for_family(df, Y)
@@ -446,7 +437,7 @@ def cmd_appendix_b(args) -> int:
         elif D_idx.M <= 1:
             if fam not in params:
                 params[fam] = _param_set(fam, {k: v for k, v in given.items()
-                                               if k in DEFAULT_PARAMS[fam]})
+                                               if k in PARAMETERS[fam]})
             try:
                 df = _builtin(fam, D_idx, params[fam])
             except ConfigError as exc:
@@ -509,12 +500,9 @@ def _config_echo(args, params: ParamSet, Y: EtaPoly) -> dict:
 def _count(text: str) -> int:
     """A nonnegative integer flag value (--n-max)."""
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
-    return value
+        return count(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _add_common(p, with_family=True, with_plugin=True):

@@ -40,7 +40,7 @@ from .families import (DeformedFamily, EigenValidationFailed, MultiIndex,
                        ParamSet, SchemaError, builtin_deformed,
                        degenerate_level, jacobi_degenerate_level,
                        seed_degree_drops)
-from .recurrence import NonzeroRemainder, build_X, recurrence_row
+from .recurrence import NonzeroRemainder, build_X, recurrence_row, x_degree
 from .spectral import (SqrtExpr, alpha_conjecture, elementary_symmetric_R,
                        recursion_vectors, root_expansion)
 
@@ -660,7 +660,7 @@ def symbolic_closure(fam: str, D: MultiIndex, Y: EtaPoly) -> ClosureData:
     parameters: g for L, (a, b) for J.  Exact solves on the grid of
     ``symbolic_nodes`` with degree bounds K/2 in g, K in a and K - 1 in b,
     then certification at its two fresh points (``reconstruct_closure``)."""
-    K = 2 * (D.ell + Y.degree + 1)
+    K = 2 * x_degree(D.ell, Y.degree)
     bounds = {"g": K // 2} if fam == "L" else {"a": K, "b": K - 1}
     nodes, fresh = symbolic_nodes(fam, D, bounds)
 

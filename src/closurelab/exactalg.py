@@ -44,22 +44,44 @@ def _var_key(name: str) -> tuple[int, str]:
 
 # The one number grammar, as rat_str prints a magnitude and parse_poly reads
 # a coefficient: with no exponent, a short string names no huge number.
-_NUMBER = r"\d+(?:/\d+)?"
-_SIGNED_NUMBER = re.compile(rf"\s*[-+]?{_NUMBER}\s*")
+# Digits are ASCII: [0-9], not \d, which matches every Unicode digit.
+_DIGITS = "[0-9]+"
+_NUMBER = rf"{_DIGITS}(?:/{_DIGITS})?"
+_SIGNED_NUMBER = re.compile(rf"\s*([-+]?)({_DIGITS})(?:/({_DIGITS}))?\s*")
+_INTEGER = re.compile(rf"\s*(-?){_DIGITS}\s*")
 
 
 def rat(value) -> Rat:
     """Coerce ints, Fractions and strings of an optional sign and a
-    ``_NUMBER`` to an exact Fraction; any other string is a ValueError."""
+    ``_NUMBER`` to an exact Fraction.  Any other string, p/0 and a number of
+    more than MAX_DIGITS digits are ValueErrors, the last raised before it
+    is read; a bool or another type is a TypeError.  Decimal reads digits
+    past Python's int-string limit (3.11+), as rat_str writes them."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        if not _SIGNED_NUMBER.fullmatch(value):
-            raise ValueError(f"not an exact rational p/q: {value!r}")
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
+    if not isinstance(value, str):
+        raise TypeError(f"not an exact rational: {value!r}")
+    if not (m := _SIGNED_NUMBER.fullmatch(value)):
+        raise ValueError(f"not an exact rational p/q: {value!r}")
+    sign, num, den = m.groups("1")
+    if max(len(num), len(den)) > MAX_DIGITS:
+        raise ValueError(f"a number of {max(len(num), len(den))} digits is above "
+                         f"the reader's bound {MAX_DIGITS} digits")
+    q = int(Decimal(den))
+    if not q:
+        raise ValueError("zero denominator")
+    return Fraction(int(Decimal(sign + num)), q)
+
+
+def count(text: str) -> int:
+    """The nonnegative integer in ASCII digits of --n-max, CLOSURELAB_SEED, a
+    --D seed degree or a ``parse_poly`` exponent; else a ValueError."""
+    if not (m := _INTEGER.fullmatch(text)) or m[1]:
+        raise ValueError(f"must be nonnegative, got {text.strip()}" if m else
+                         f"not an integer in ASCII digits: {text!r}")
+    return rat(text).numerator
 
 
 def rat_str(value: Rat) -> str:
@@ -129,7 +151,7 @@ class ParamPoly(Frozen):
     (I2) every value of ``terms`` is a nonzero Fraction.
 
     The public constructor ``ParamPoly(vars, terms)`` establishes them from
-    any input: it coerces each coefficient with ``Fraction``, drops zeros and
+    any input: it reads each coefficient with ``rat``, drops zeros and
     checks each exponent tuple.  It is the path for outside data
     (``from_record`` for plugins, ``parse_poly`` for ``--Y``, ``univar``).
     Everything else builds its results with ``_trusted``, which checks
@@ -166,7 +188,7 @@ class ParamPoly(Frozen):
         vs = tuple(vars)
         cleaned = {}
         for exps, coeff in terms.items():
-            coeff = Fraction(coeff)
+            coeff = rat(coeff)
             if coeff:
                 e = tuple(exps)
                 if len(e) != len(vs):
@@ -212,7 +234,7 @@ class ParamPoly(Frozen):
             items = coeffs.items()
         else:
             items = enumerate(coeffs)
-        return ParamPoly((name,), {(k,): rat(c) for k, c in items if rat(c)})
+        return ParamPoly((name,), {(k,): c for k, c in items})
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -526,7 +548,7 @@ class ParamPoly(Frozen):
         if not all(isinstance(v, str) for v in vars) or len(set(vars)) < len(vars):
             raise ValueError("variables must be distinct strings, "
                              f"got {rec['variables']!r}")
-        terms = {tuple(row["exponents"]): rat(row["coefficient"]) for row in rec["terms"]}
+        terms = {tuple(row["exponents"]): row["coefficient"] for row in rec["terms"]}
         return ParamPoly(vars, terms)
 
 
@@ -1189,6 +1211,9 @@ def inverse_vandermonde(nodes: Sequence[Rat]) -> tuple[list[list[int]], int]:
 
 MAX_PARSE_DEGREE = 32  # the shipped transcriptions reach 18; --Y stops at 16
 MAX_PARSE_BITS = 4096  # coefficient bits of one power or product
+# Digits of one numerator or denominator that rat reads: int(Decimal(s)) is
+# quadratic, 0.1 s at 50 000 digits on an x86-64 host (Python 3.11).
+MAX_DIGITS = 50_000
 # Nested parentheses and signs (the transcriptions reach 4): each level costs
 # a few frames, so this stays well under the recursion limit of any caller.
 MAX_PARSE_NESTING = 100
@@ -1244,7 +1269,7 @@ def parse_poly(text: str) -> ParamPoly:
         nonlocal depth
         kind, val = take()
         if kind == "num":
-            return ParamPoly.const(Fraction(val))
+            return ParamPoly.const(val)
         if kind == "name":
             return ParamPoly.var(val)
         if (kind, val) not in (("op", "("), ("op", "-")):
@@ -1281,7 +1306,7 @@ def parse_poly(text: str) -> ParamPoly:
             kind, val = take()
             if kind != "num" or "/" in val:
                 raise ValueError("exponent must be a nonnegative integer")
-            n = int(val)
+            n = count(val)
             exponent *= n
             capped(exponent * base.degree())
             if max(n, exponent) > MAX_PARSE_DEGREE:

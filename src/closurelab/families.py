@@ -49,11 +49,14 @@ import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .exactalg import EtaPoly, Frozen, ParamPoly, Rat, convolve_sum, rat, rat_str
+from .exactalg import (EtaPoly, Frozen, ParamPoly, Rat, convolve_sum, count, rat,
+                       rat_str)
 
 HALF = Fraction(1, 2)
 
-FAMILIES = ("L", "J", "W", "AW")
+# The parameter names of each family, the one table that ParamSet reads.
+PARAMETERS = {"L": ("g",), "J": ("g", "h"), "W": ("a1", "a2", "a3", "a4"),
+              "AW": ("a1", "a2", "a3", "a4", "q")}
 
 # Every family checks H P_n = E_n P_n for
 # n = 0..VALIDATE_N when it is built (plugins: when they are loaded), and
@@ -105,25 +108,19 @@ def _sqrt_fraction(q: Rat) -> Rat | None:
 
 
 class ParamSet(Frozen):
-    """Exact parameter values for one family.
-
-    L: g;  J: g, h (derived a = g+h, b = g-h);  W: a1..a4;  AW: a1..a4, q
-    with q required to be the square of a rational (so q^(1/2) is exact).
-    Two sets are equal when their family and values are.
+    """Exact parameter values for one family, the one reader of a parameter
+    map: exactly the names of PARAMETERS[fam], each value read by ``rat``.
+    J derives a = g+h and b = g-h; AW needs q to be the square of a rational
+    (so q^(1/2) is exact).  Two sets are equal when their family and values are.
     """
 
     __slots__ = ("fam", "values")
 
-    def __init__(self, fam: str, values: Mapping[str, Rat]):
-        if fam not in FAMILIES:
-            raise ValueError(f"unknown family {fam!r}")
+    def __init__(self, fam: str, values: Mapping[str, Rat | str]):
+        if set(values) != set(PARAMETERS[fam]):
+            raise ValueError(f"the parameters of {fam} are {', '.join(PARAMETERS[fam])}, "
+                             f"got {', '.join(sorted(values)) or 'none'}")
         vals = {k: rat(v) for k, v in values.items()}
-        needed = {"L": {"g"}, "J": {"g", "h"},
-                  "W": {"a1", "a2", "a3", "a4"},
-                  "AW": {"a1", "a2", "a3", "a4", "q"}}[fam]
-        missing = needed - set(vals)
-        if missing:
-            raise ValueError(f"family {fam} needs parameters {sorted(missing)}")
         self._set(fam=fam, values=vals)
         if fam == "AW":
             q = vals["q"]
@@ -230,12 +227,8 @@ class MultiIndex(Frozen):
         out = []
         for part in text.split(","):
             part = part.strip()
-            if part.endswith("II"):
-                out.append((int(part[:-2]), "II"))
-            elif part.endswith("I"):
-                out.append((int(part[:-1]), "I"))
-            else:
-                raise ValueError(f"bad multi-index entry {part!r}")
+            degree = part.rstrip("I")
+            out.append((count(degree), part[len(degree):]))
         return MultiIndex(tuple(out))
 
     @property
@@ -855,7 +848,11 @@ def load_family_plugin(path: str) -> DeformedFamily:
     validated on load.
     """
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise SchemaError("plugin nests deeper than the JSON reader's "
+                              "recursion limit") from None
     return family_from_plugin_dict(data)
 
 
@@ -873,11 +870,9 @@ def family_from_plugin_dict(data: Mapping) -> DeformedFamily:
     if not isinstance(data["parameters"], Mapping):
         raise SchemaError("parameters must be an object of name: 'p/q' entries")
     try:
-        params = ParamSet(fam, {k: rat(v) for k, v in data["parameters"].items()})
+        params = ParamSet(fam, data["parameters"])
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"bad parameters: {exc}") from None
-    except ZeroDivisionError:
-        raise SchemaError("bad parameters: zero denominator") from None
     try:
         D = MultiIndex(tuple((entry["d"], entry["type"]) for entry in data["D"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -928,7 +923,7 @@ def _eta_record(rec, what: str, bound: int, above: str) -> EtaPoly:
     """
     try:
         p = ParamPoly.from_record(rec)
-    except Exception as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"{what}: {exc}") from None
     if p.used_vars() not in ((), ("eta",)):
         raise SchemaError(f"{what}: a polynomial in eta is needed, got one in "

@@ -24,10 +24,16 @@ class NonzeroRemainder(Exception):
     (falsifies the constant-coefficient recurrence for this X)."""
 
 
+def x_degree(ell: int, y_degree: int) -> int:
+    """deg X = ell + deg Y + 1: the degree of ``build_X(xi, Y)`` for
+    deg xi = ell, which is L = K/2, the half-order of the closure."""
+    return ell + y_degree + 1
+
+
 def build_X(xi: EtaPoly, Y: EtaPoly) -> EtaPoly:
     """X(eta) = integral_0^eta xi(y) Y(y) dy (differential families).
 
-    Degree is deg(xi) + deg(Y) + 1 and X(0) = 0.
+    Degree is x_degree(deg xi, deg Y) and X(0) = 0.
     """
     return (xi * Y).integrate()
 

@@ -44,7 +44,7 @@ class SqrtExpr(Frozen):
     def lift(value, square: ParamPoly) -> "SqrtExpr":
         if isinstance(value, SqrtExpr):
             return value
-        u = value if isinstance(value, ParamPoly) else ParamPoly.const(rat(value))
+        u = value if isinstance(value, ParamPoly) else ParamPoly.const(value)
         return SqrtExpr(u, ParamPoly.zero(u.vars), square)
 
     def _check(self, other: "SqrtExpr"):

@@ -98,10 +98,66 @@ MUTANTS = [
     {
         "name": "rat-reads-any-fraction-string",
         "file": "exactalg.py",
-        "snippet": "        if not _SIGNED_NUMBER.fullmatch(value):",
-        "replacement": "        if False:",
+        "snippet": '        raise ValueError(f"not an exact rational p/q: {value!r}")',
+        "replacement": "        return Fraction(value)",
         "attacks": "exactalg.rat",
         "tests": ["tests/test_exactalg.py::test_rat_reads_only_the_number_grammar"],
+    },
+    {
+        "name": "number-grammar-unicode-digits",
+        "file": "exactalg.py",
+        "snippet": '_DIGITS = "[0-9]+"',
+        "replacement": '_DIGITS = r"\\d+"',
+        "attacks": "exactalg.rat",
+        "tests": ["tests/test_exactalg.py::test_rat_reads_only_the_number_grammar"],
+    },
+    {
+        "name": "rat-reads-a-bool",
+        "file": "exactalg.py",
+        "snippet": "    if isinstance(value, int) and not isinstance(value, bool):",
+        "replacement": "    if isinstance(value, int):",
+        "attacks": "exactalg.rat",
+        "tests": ["tests/test_exactalg.py::test_rat_reads_only_the_number_grammar"],
+    },
+    {
+        "name": "rat-without-zero-denominator",
+        "file": "exactalg.py",
+        "snippet": "    if not q:",
+        "replacement": "    if False:",
+        "attacks": "exactalg.rat",
+        "tests": ["tests/test_exactalg.py::test_rat_reads_only_the_number_grammar"],
+    },
+    {
+        "name": "rat-without-digit-bound",
+        "file": "exactalg.py",
+        "snippet": "    if max(len(num), len(den)) > MAX_DIGITS:",
+        "replacement": "    if False:",
+        "attacks": "exactalg.rat",
+        "tests": ["tests/test_exactalg.py::test_rat_reads_only_the_number_grammar"],
+    },
+    {
+        "name": "paramset-accepts-unknown-names",
+        "file": "families.py",
+        "snippet": "        if set(values) != set(PARAMETERS[fam]):",
+        "replacement": "        if not set(PARAMETERS[fam]) <= set(values):",
+        "attacks": "families.ParamSet",
+        "tests": ["tests/test_cli.py::test_config_error_exit_code[plugin-parameters-extra]"],
+    },
+    {
+        "name": "plugin-json-depth-uncaught",
+        "file": "families.py",
+        "snippet": "        except RecursionError:",
+        "replacement": "        except ZeroDivisionError:",
+        "attacks": "families.load_family_plugin",
+        "tests": ["tests/test_cli.py::test_huge_numbers_are_refused_at_once[plugin-nesting]"],
+    },
+    {
+        "name": "seed-read-by-int",
+        "file": "cli.py",
+        "snippet": '    seed = _read("CLOSURELAB_SEED", count, os.environ.get("CLOSURELAB_SEED", "0"))',
+        "replacement": '    seed = _read("CLOSURELAB_SEED", int, os.environ.get("CLOSURELAB_SEED", "0"))',
+        "attacks": "cli.cmd_spectrum",
+        "tests": ["tests/test_cli.py::test_config_error_exit_code[seed-underscore]"],
     },
     {
         "name": "parser-without-bit-bound",

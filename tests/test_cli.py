@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from closurelab.cli import (DEFAULT_PARAMS, ConfigError, _param_items,
                             _param_set, _parse_D_Y, _parse_Y, main)
+from closurelab.exactalg import MAX_DIGITS
 from closurelab.families import (MAX_ELL, DegreeMismatch, ParamSet, SchemaError,
                                  family_from_plugin_dict, load_family_plugin)
 
@@ -158,6 +159,17 @@ def test_Y_degree_is_capped_with_ell():
      "q=1/4"],
     ["heisenberg", "--family", "W"],
     ["heisenberg", "--family", "AW"],
+    ["spectrum", "CLOSURELAB_SEED=abc"],
+    ["spectrum", "CLOSURELAB_SEED=1_0"],
+    ["spectrum", "CLOSURELAB_SEED=-3"],
+    ["verify-closure", "--D", "1_0I"],
+    ["verify-closure", "--D", "\uff11I"],  # a fullwidth 1
+    ["verify-closure", "--D", "+1I"],
+    ["verify-closure", "--n-max", "1_0"],
+    ["verify-closure", "--params", "g=\uff17/\uff13"],  # a fullwidth 7/3
+    ["verify-closure", "--D", "2I", "--plugin", "{parameters-extra}"],
+    ["verify-closure", "--D", "2I", "--plugin", "{parameters-bool}"],
+    ["verify-closure", "--D", "2I", "--plugin", "{coefficient-bool}"],
 ], ids=["params", "W-recurrence", "AW-q", "Y", "D", "truncated-plugin",
         "missing-plugin", "plugin-levels", "multi-seed", "J-range-spectrum",
         "J-range-heisenberg", "ell-bound", "ell-bound-plugin",
@@ -176,9 +188,13 @@ def test_Y_degree_is_capped_with_ell():
         "Y-degree-bound", "Y-degree-bound-symbolic", "Y-degree-bound-recurrence",
         "Y-degree-bound-spectrum", "Y-degree-bound-heisenberg",
         "Y-parse-degree-bound", "Y-param-var-power", "Y-constant-power",
-        "W-range-spectrum", "AW-range-spectrum", "W-heisenberg", "AW-heisenberg"])
-def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
+        "W-range-spectrum", "AW-range-spectrum", "W-heisenberg", "AW-heisenberg",
+        "seed-letters", "seed-underscore", "seed-negative", "D-underscore",
+        "D-fullwidth", "D-plus", "n-max-underscore", "params-fullwidth",
+        "plugin-parameters-extra", "plugin-parameters-bool", "plugin-coefficient-bool"])
+def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys, monkeypatch):
     shipped = (ROOT / "plugins" / "laguerre_2I.json").read_text()
+    plugin = json.loads(shipped)
     truncated = tmp_path / "truncated.json"
     truncated.write_text(shipped[:200])
 
@@ -188,6 +204,12 @@ def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(data))
         return str(path)
+
+    seed = next((a.split("=", 1)[1] for a in argv
+                 if a.startswith("CLOSURELAB_SEED=")), None)
+    if seed is not None:
+        monkeypatch.setenv("CLOSURELAB_SEED", seed)
+        argv = [a for a in argv if not a.startswith("CLOSURELAB_SEED=")]
 
     files = {"{truncated}": str(truncated),
              "{missing}": str(tmp_path / "missing.json"),
@@ -201,7 +223,15 @@ def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
              "{shipped}": str(ROOT / "plugins" / "laguerre_2I.json"),
              "{jacobi}": str(ROOT / "plugins" / "jacobi_2I.json"),
              "{d-float}": replaced("d-float", "D", [{"d": 2.9, "type": "I"}]),
-             "{d-bool}": replaced("d-bool", "D", [{"d": True, "type": "I"}])}
+             "{d-bool}": replaced("d-bool", "D", [{"d": True, "type": "I"}]),
+             "{parameters-extra}": replaced(
+                 "parameters-extra", "parameters",
+                 {**plugin["parameters"], "q": "1/2", "bogus": "3"}),
+             "{parameters-bool}": replaced("parameters-bool", "parameters", {"g": True}),
+             "{coefficient-bool}": replaced(
+                 "coefficient-bool", "xi",
+                 {**plugin["xi"], "terms": [{"coefficient": True, "exponents": [0]},
+                                            *plugin["xi"]["terms"][1:]]})}
     assert run_cli(*(files.get(a, a) for a in argv)) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and err.count("\n") == 1
@@ -292,6 +322,25 @@ def test_config_error_exit_code(argv, tmp_path, explicit_plugin, capsys):
         assert err.endswith(": bad multi-index: seed degree 2.9 is not an integer\n")
     if "{d-bool}" in argv:
         assert err.endswith(": bad multi-index: seed degree True is not an integer\n")
+    if seed is not None:
+        assert err == ("configuration error: CLOSURELAB_SEED: " +
+                       ("must be nonnegative, got -3\n" if seed == "-3" else
+                        f"not an integer in ASCII digits: {seed!r}\n"))
+    D = argv[argv.index("--D") + 1] if "--D" in argv else None
+    if D in ("1_0I", "\uff11I", "+1I"):
+        assert err == (f"configuration error: --D {D!r}: not an integer in ASCII "
+                       f"digits: {D[:-1]!r}\n")
+    if "1_0" in argv:
+        assert err.endswith(": argument --n-max: not an integer in ASCII digits: '1_0'\n")
+    if "g=\uff17/\uff13" in argv:
+        assert err == ("configuration error: --params g=\uff17/\uff13: not an exact "
+                       "rational p/q: '\uff17/\uff13'\n")
+    if "{parameters-extra}" in argv:
+        assert err.endswith(": bad parameters: the parameters of L are g, got bogus, g, q\n")
+    if "{parameters-bool}" in argv:
+        assert err.endswith(": bad parameters: not an exact rational: True\n")
+    if "{coefficient-bool}" in argv:
+        assert err.endswith(": bad xi record: not an exact rational: True\n")
 
 
 # Short inputs over the characters of the syntax: long enough to reach
@@ -319,9 +368,11 @@ def test_params_parse_or_are_a_config_error(items):
 
 # Numbers in a notation other than the package's one grammar (sign, digits,
 # optional /digits): an exponent would make a 10-character value a number
-# of a million digits, so each is refused before it is read.  So are --Y
-# powers and products whose coefficients would outgrow MAX_PARSE_BITS, and
-# nesting deep enough to exhaust the recursion limit.
+# of a million digits, so each is refused before it is read, and so is a
+# number of more than MAX_DIGITS digits.  So are --Y powers and products
+# whose coefficients would outgrow MAX_PARSE_BITS, and nesting deep enough
+# to exhaust the recursion limit, in --Y or in a plugin file; plugin-validate
+# reports a plugin it cannot read as a failed load (exit 1).
 @pytest.mark.parametrize("argv", [
     ["verify-closure", "--family", "L", "--D", "1I", "--params", "g=1e999999"],
     ["spectrum", "--family", "AW", "--params", "a1=1e99999"],
@@ -335,9 +386,14 @@ def test_params_parse_or_are_a_config_error(items):
     ["verify-closure", "--family", "L", "--D", "1I", "--Y", "(" * 250 + "eta" + ")" * 250],
     ["verify-closure", "--family", "L", "--D", "1I",
      "--Y", "(" * 20000 + "eta" + ")" * 20000],
+    ["verify-closure", "--family", "L", "--D", "1I", "--params",
+     "g=1/" + "3" * (MAX_DIGITS + 1)],
+    ["plugin-validate", "--plugin", "{deep}", "--json"],
+    ["verify-closure", "--D", "2I", "--plugin", "{deep}"],
 ], ids=["params", "AW-params", "plugin-parameter", "plugin-coefficient",
         "Y-nested-power", "Y-nested-power-5", "Y-product-1000", "Y-nesting-250",
-        "Y-nesting-20000"])
+        "Y-nesting-20000", "params-digits", "plugin-nesting-validate",
+        "plugin-nesting"])
 def test_huge_numbers_are_refused_at_once(argv, tmp_path, capsys):
     data = json.loads((ROOT / "plugins" / "laguerre_2I.json").read_text())
     data["parameters"]["g"] = "1e999999"
@@ -345,14 +401,27 @@ def test_huge_numbers_are_refused_at_once(argv, tmp_path, capsys):
     data = json.loads((ROOT / "plugins" / "laguerre_2I.json").read_text())
     data["P"]["P_coeff"]["terms"][0]["coefficient"] = "1e999999"
     (tmp_path / "coefficient.json").write_text(json.dumps(data))
+    (tmp_path / "deep.json").write_text("[" * 100000)
     start = time.perf_counter()
     code = run_cli(*(str(tmp_path / f"{a[1:-1]}.json") if a.startswith("{") else a
                      for a in argv))
-    assert code == 2 and time.perf_counter() - start < 0.5
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert time.perf_counter() - start < 0.5
+    out, err = capsys.readouterr()
+    if argv[0] == "plugin-validate":  # a failed load is a failing check
+        (load,) = json.loads(out)["checks"]
+        assert code == 1 and load["status"] == "fail"
+        err = load["detail"]["error"] + "\n"
+    else:
+        assert code == 2 and err.startswith("configuration error: ")
+    assert err.count("\n") == 1
     Y = argv[-1]
-    if Y.startswith("(" * 250):
+    if "{deep}" in argv:
+        assert err.endswith(": plugin nests deeper than the JSON reader's "
+                            "recursion limit\n")
+    elif Y.startswith("g=1/"):
+        assert err.endswith(f": a number of {MAX_DIGITS + 1} digits is above the "
+                            f"reader's bound {MAX_DIGITS} digits\n")
+    elif Y.startswith("(" * 250):
         assert err.endswith(": parentheses and signs nest deeper than the parser's "
                             "bound 100\n")
     elif Y.startswith("(3^32)^32*"):
@@ -604,6 +673,9 @@ def test_values_above_the_int_string_limit_are_rendered():
     assert payload["summary"]["fail"] == 0
     assert max(len(v) for c in payload["checks"]
                for v in c.get("detail", {}).values() if isinstance(v, str)) > 4300
+    # and a parameter of more digits than int(str) reads is read
+    assert run_cli("recurrence", "--family", "L", "--D", "1I", "--params",
+                   "g=1" + "0" * 4400, "--n-max", "0") == 0
 
 
 def test_heisenberg_command(tmp_path):

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from closurelab.exactalg import (MAX_PARSE_BITS, MAX_PARSE_DEGREE,
+from closurelab.exactalg import (MAX_DIGITS, MAX_PARSE_BITS, MAX_PARSE_DEGREE,
                                  MAX_PARSE_NESTING, EtaPoly,
                                  LinearSolution, ParamPoly, RationalFunc,
                                  SampleMismatch, interpolate_grid,
@@ -534,14 +534,27 @@ def test_rat_reads_only_the_number_grammar():
     for text, value in (("7/3", F(7, 3)), ("-5", F(-5)), ("+2", F(2)),
                         (" 3/4 ", F(3, 4))):
         assert rat(text) == value
-    # other notations that Fraction reads are refused, an exponent at once
-    for text in ("1.5", "1e2", "1_000", "1e999999", "3 / 4", "", "--1", "1/-2"):
+    # other notations that Fraction reads are refused, an exponent at once,
+    # and so are digits other than ASCII ones
+    for text in ("1.5", "1e2", "1_000", "1e999999", "3 / 4", "", "--1", "1/-2",
+                 "７/３", "１"):
         start = time.perf_counter()
         with pytest.raises(ValueError, match="^not an exact rational p/q: "):
             rat(text)
         assert time.perf_counter() - start < 0.1
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match="^zero denominator$"):
         rat("1/0")
+    with pytest.raises(TypeError):  # a JSON true is not the number 1
+        rat(True)
+    # rat reads back what rat_str prints past Python's int-string limit, up
+    # to MAX_DIGITS digits, and refuses a longer number before reading it
+    for value in (F(10 ** 5000, 7), F(-(3 ** 9000), 10 ** 4400 + 1)):
+        assert rat(rat_str(value)) == value
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^a number of {MAX_DIGITS + 1} digits "
+                                         f"is above the reader's bound {MAX_DIGITS}"):
+        rat("1/" + "7" * (MAX_DIGITS + 1))
+    assert time.perf_counter() - start < 0.1
 
 
 @st.composite

@@ -345,6 +345,10 @@ def test_h_step_is_for_L_and_J_only(wil_params, aw_params):
 def test_paramset_validation():
     with pytest.raises(ValueError):
         ParamSet("L", {})
+    with pytest.raises(ValueError, match="^the parameters of L are g, got g, q$"):
+        ParamSet("L", {"g": 1, "q": F(1, 2)})
+    with pytest.raises(TypeError):  # a bool is not a number
+        ParamSet("L", {"g": True})
     with pytest.raises(ValueError):
         ParamSet("AW", {"a1": 1, "a2": 1, "a3": 1, "a4": 1, "q": F(1, 2)})  # not a square
     ps = ParamSet("AW", {"a1": 1, "a2": 1, "a3": 1, "a4": 1, "q": F(4, 9)})
