@@ -71,6 +71,13 @@ VALIDATE_N = 5
 # 0.10 s, 0.19 s (17 MB peak RSS).
 MAX_ELL = 16
 
+# Largest supported --n-max: the commands check the levels n = 0..n_max.
+# At n_max = 100 on the same host, `recurrence --family J --D 16II`, the
+# slowest command measured whose time grows with n_max, takes 1.0 s;
+# `spectrum --family J --D 16I --params g=40` takes 1.9 s, as at n_max = 8
+# (its companion suites have K = 34).
+MAX_N = 100
+
 
 class EigenValidationFailed(Exception):
     """Constructed Hamiltonian fails its eigen-equation (family data inconsistent)."""

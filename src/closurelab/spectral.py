@@ -550,6 +550,12 @@ def spectral_suite(R: Sequence, alphas: Sequence) -> dict:
     sum_j (N_ij/u_i)(B_j^n/delta^n)(V_j0/v) = (N_i . w)/(u_i v delta^n)
     with w_j = B_j^n V_j0, carried from n to n + 1 by one integer product;
     it equals X_i/rho^n exactly when (N_i . w) rho^n = X_i u_i v delta^n.
+    For n < K the inverse check of eigen_closed_form has already formed
+    N_i . w: V_jn = c_j B_j^n delta^(K-1-n) = delta^-n B_j^n V_j0, so
+    w_j = delta^n V_jn and N_i . w = delta^n (N V)_in, and that check
+    certified (N V)_in = [i = n] u_i v, or it raised.  So only
+    n = K..K+3 take new dot products; each equation is decided on the
+    same integers as with the product formed anew.
     The initial condition A^K e_1 = R reads X^(K)_i = S_i rho^(K-1).
     """
     sd = eigen_closed_form(R, alphas)
@@ -573,7 +579,12 @@ def spectral_suite(R: Sequence, alphas: Sequence) -> dict:
         if list(map(mul, by_recursion[n], r_pow)) != X:
             ok_rec = False
         for i, x in enumerate(X):
-            if sum(map(mul, sd.N[i], w)) * rho_n != x * sd.u[i] * sd.v * delta_n:
+            if n < K:
+                # delta^n (N V)_in, as the inverse check certified it
+                dot = sd.u[i] * sd.v * delta_n if i == n else 0
+            else:
+                dot = sum(map(mul, sd.N[i], w))
+            if dot * rho_n != x * sd.u[i] * sd.v * delta_n:
                 ok_eig = False
         w = [wj * b for wj, b in zip(w, sd.B)]
         rho_n *= sd.rho

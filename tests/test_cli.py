@@ -14,11 +14,13 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from closurelab.cli import (DEFAULT_PARAMS, ConfigError, _param_items,
-                            _param_set, _parse_D_Y, _parse_Y, main)
+from closurelab.cli import (DEFAULT_PARAMS, RANDOM_SPECTRA, ConfigError,
+                            _param_items, _param_set, _parse_D_Y, _parse_Y,
+                            build_parser, main)
 from closurelab.exactalg import MAX_DIGITS
-from closurelab.families import (MAX_ELL, DegreeMismatch, ParamSet, SchemaError,
-                                 family_from_plugin_dict, load_family_plugin)
+from closurelab.families import (MAX_ELL, MAX_N, DegreeMismatch, ParamSet,
+                                 SchemaError, family_from_plugin_dict,
+                                 load_family_plugin)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -650,6 +652,60 @@ def test_spectrum_seed_env(tmp_path, monkeypatch):
                for c in payload["checks"])
 
 
+def test_spectrum_reports_repeat_in_process_and_match_a_fresh_process(
+        tmp_path, monkeypatch):
+    import closurelab.cli as cli
+    monkeypatch.setattr(cli, "_RANDOM_SPECTRA_OK", {})
+    monkeypatch.setenv("CLOSURELAB_SEED", "3")
+    argv = ["spectrum", "--family", "W", "--D", "1I", "--n-max", "2"]
+    paths = [tmp_path / f"{k}.json" for k in range(3)]
+    # the first run certifies the random spectra, the second reads its verdict
+    for path in paths[:2]:
+        assert run_cli(*argv, "--report", str(path)) == 0
+    subprocess.run([sys.executable, "-m", "closurelab.cli", *argv,
+                    "--report", str(paths[2])], check=True, capture_output=True)
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+
+def test_random_spectra_are_certified_once_per_seed(monkeypatch, capsys):
+    import closurelab.cli as cli
+    monkeypatch.setattr(cli, "_RANDOM_SPECTRA_OK", {})
+    calls = []
+
+    def counted(*args, _orig=cli.spectral_suite):
+        calls.append(args)
+        return _orig(*args)
+
+    monkeypatch.setattr(cli, "spectral_suite", counted)
+    counts = []
+    for seed in ("3", "3", "4"):
+        monkeypatch.setenv("CLOSURELAB_SEED", seed)
+        assert run_cli("spectrum", "--family", "W", "--D", "1I") == 0
+        counts.append(len(calls))
+        calls.clear()
+    # 5 companion suites (n <= 4) every run; a new seed draws its spectra anew
+    assert counts == [5 + RANDOM_SPECTRA, 5, 5 + RANDOM_SPECTRA]
+    assert "PASS  spectrum/random-spectra[count=50,seed=4]" in capsys.readouterr().out
+
+
+def test_closed_stdout_ends_without_a_traceback():
+    # the reader of stdout is gone before the report is written, as in
+    # `closurelab spectrum ... --json | head -1` with a slow command
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    # stdout block-buffered, as it is on a pipe by default: the report is
+    # still buffered when the command returns
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "closurelab.cli", "spectrum", "--family", "W",
+             "--D", "1I", "--n-max", "2", "--json"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "closurelab.cli", "spectrum", "--family", "J",
@@ -776,6 +832,18 @@ def test_negative_n_max_is_a_config_error(command, capsys):
     assert capsys.readouterr().err == (
         f"configuration error: closurelab {command}: argument --n-max: "
         "must be nonnegative, got -2\n")
+
+
+@pytest.mark.parametrize("command", ["verify-closure", "spectrum", "recurrence",
+                                     "heisenberg"])
+def test_n_max_is_bounded_where_the_flags_are_read(command):
+    # refused by the parser, so no command runs at a level above MAX_N
+    parser = build_parser()
+    assert parser.parse_args([command, "--n-max", str(MAX_N)]).n_max == MAX_N
+    with pytest.raises(ConfigError) as info:
+        parser.parse_args([command, "--n-max", str(MAX_N + 1)])
+    assert str(info.value) == (f"closurelab {command}: argument --n-max: "
+                               f"must be at most {MAX_N}, got {MAX_N + 1}")
 
 
 @pytest.mark.parametrize("D", ["3II", "4II"])

@@ -439,6 +439,21 @@ def test_integer_certificate_matches_fraction_reference():
         assert (sd.alphas, sd.R, *fraction_views(sd)) == want
 
 
+def test_inverse_check_holds_the_decomposition_products_below_K():
+    # spectral_suite reads N_i . w for n < K, w_j = B_j^n V_j0, from the
+    # inverse check of eigen_closed_form: delta^n [i = n] u_i v
+    spectra = _cli_random_spectra(0)[:20] + _energy_spectra()[::6]
+    assert any(eigen_closed_form(R, al).delta > 1 for R, al in spectra)
+    for R, alphas in spectra:
+        sd = eigen_closed_form(R, alphas)
+        w = list(sd.V0)
+        for n in range(sd.K):
+            for i in range(sd.K):
+                want = sd.u[i] * sd.v * sd.delta ** n if i == n else 0
+                assert sum(a * b for a, b in zip(sd.N[i], w)) == want
+            w = [wj * b for wj, b in zip(w, sd.B)]
+
+
 def _expanded_R(roots):
     """R_i = S_i/d^(K-i) from the integer expansion (S, d) of the roots."""
     S, d = root_expansion(roots)
