@@ -132,16 +132,53 @@ def _z_coefficient(poly: ParamPoly, j: int) -> Rat:
 class ClosureData:
     """Order-K closure data solved from the operator identity: R_0..R_{K-1}
     and the inhomogeneous R_-1.  ``kernel_dim`` logs solver
-    under-determination."""
+    under-determination.
 
-    __slots__ = ("K", "R", "R_minus1", "kernel_dim")
+    Built from the polynomials, or by a solve from its coefficient vector
+    (``from_vector``): the coefficients of z^j in R_i in
+    ``_unknown_layout(K)`` order, Rats or ParamPolys in the parameters.
+    Data built from a vector form the polynomials R and R_minus1 when they
+    are first read (``_layout_polys``), so a sample that symbolic
+    reconstruction reads only as a vector builds none.  Data built from
+    the polynomials read their vector back from them (``vector``)."""
+
+    __slots__ = ("K", "kernel_dim", "_polys", "_vector")
 
     def __init__(self, K: int, R: list[ParamPoly], R_minus1: ParamPoly,
                  kernel_dim: int = 0):
         self.K = K
-        self.R = R
-        self.R_minus1 = R_minus1
         self.kernel_dim = kernel_dim
+        self._polys = (R, R_minus1)
+        self._vector = None
+
+    @staticmethod
+    def from_vector(K: int, vector: Sequence, kernel_dim: int) -> "ClosureData":
+        cd = object.__new__(ClosureData)
+        cd.K, cd.kernel_dim, cd._polys, cd._vector = K, kernel_dim, None, tuple(vector)
+        return cd
+
+    def _pair(self) -> tuple[list[ParamPoly], ParamPoly]:
+        if self._polys is None:
+            self._polys = _layout_polys(self.K, self._vector)
+        return self._polys
+
+    @property
+    def R(self) -> list[ParamPoly]:
+        return self._pair()[0]
+
+    @property
+    def R_minus1(self) -> ParamPoly:
+        return self._pair()[1]
+
+    @property
+    def vector(self) -> tuple:
+        """The coefficients of z^j in R_i in ``_unknown_layout(K)`` order,
+        as the solve gave them, or read off polynomials that must be
+        numeric in every variable but z (``_z_coefficient``)."""
+        if self._vector is not None:
+            return self._vector
+        return tuple(_z_coefficient(self.R_minus1 if i == -1 else self.R[i], j)
+                     for i, j in _unknown_layout(self.K))
 
     @property
     def unique(self) -> bool:
@@ -151,9 +188,6 @@ class ClosureData:
         bounds = degree_bounds(self.K)
         return all(poly.degree("z") <= bounds[i]
                    for i, poly in [*enumerate(self.R), (-1, self.R_minus1)])
-
-    def coefficient(self, i: int, j: int) -> Rat:
-        return _z_coefficient(self.R_minus1 if i == -1 else self.R[i], j)
 
     def values_at(self, E: Rat) -> tuple[list[Rat], Rat]:
         """(R_0(E), ..., R_{K-1}(E)) and R_-1(E), exact.  Data symbolic in a
@@ -307,14 +341,15 @@ def solve_closure(df: DeformedFamily, X: EtaPoly) -> ClosureData:
     same exception, since ``solve_full_levels`` finds the unique solution
     of the system that the other one solves, or proves there is none.
     Data read off the full levels come with every coordinate c_{n,k} on
-    levels 0..K decided to be zero, and the family records them in
-    ``certified_closures`` under X, so the certificate of the same data
-    does not decide those coordinates again."""
+    levels 0..K decided to be zero, and the family records their
+    coefficient vector (``ClosureData.vector``) in ``certified_closures``
+    under X, so the certificate of the same data does not decide those
+    coordinates again."""
     levels = list(_levels_through(df, X, 2 * X.degree))
     cd = solve_full_levels(df, X.degree, levels)
     if cd is None:
         return solve_closure_system(df, X)
-    df.certified_closures[X] = (*cd.R, cd.R_minus1)
+    df.certified_closures[X] = cd.vector
     return cd
 
 
@@ -342,6 +377,12 @@ def solve_full_levels(df: DeformedFamily, L: int,
     polynomials of degree <= b_i with b_i + 1 distinct roots, which are
     zero: kernel_dim = 0.
 
+    The nodes and the roots alone fix R_0..R_{K-1} and the inverse
+    Vandermonde matrix of R_-1 (``_full_level_data``, shared between solves
+    with equal exact nodes and roots); R_-1 is interpolated here from
+    v_-1 = -num(r_{n,0}) S_0 / (den(r_{n,0}) d^K), on the integer
+    numerators over their lcm.
+
     Consistency.  The system (``closure_system``) has the solution set of
     the coordinate rows c_{n,k} = 0, n = 0..K, of
     ``verify_closure_identity``.  So a solution exists exactly when the
@@ -351,30 +392,79 @@ def solve_full_levels(df: DeformedFamily, L: int,
     """
     K = 2 * L
     full = range(L, K + 1)
-    nodes = [df.E(n) for n in full]
+    nodes = tuple(df.E(n) for n in full)
     if len(set(nodes)) != len(nodes):
         return None
-    values = []  # per full level: v_0..v_{K-1}, v_-1
+    r0s, roots = [], []
     for n in full:
-        r0, roots = _level_roots(levels[n])
-        if len(roots) != K:
+        r0, level_roots = _level_roots(levels[n])
+        if len(level_roots) != K:
             return None
-        S, d = root_expansion(roots)
-        v = [Fraction(S[i], d ** (K - i)) for i in range(K)]
-        values.append([*v, -r0 * v[0]])
-    bounds = degree_bounds(K)
-    inverses = {b: inverse_vandermonde(nodes[:b + 1]) for b in set(bounds.values())}
-    coeffs = []  # z-coefficients of R_0..R_{K-1} and R_-1, padded to degree L
-    for i in [*range(K), -1]:
-        W, s = inverses[bounds[i]]
-        ys = [vals[i] for vals in values[:bounds[i] + 1]]
-        den = math.lcm(*(y.denominator for y in ys))
-        Y = [y.numerator * (den // y.denominator) for y in ys]
-        coeffs.append([Fraction(sum(map(operator.mul, w, Y)), s * den) for w in W]
-                      + [Fraction(0)] * (L - bounds[i]))
+        r0s.append(r0)
+        roots.append(tuple(level_roots))
+    R, S0, dK, (W, s) = _full_level_data(nodes, tuple(roots))
+    dens = [r0.denominator * dk for r0, dk in zip(r0s, dK)]
+    den = math.lcm(*dens)
+    Y = [-r0.numerator * s0 * (den // d) for r0, s0, d in zip(r0s, S0, dens)]
+    coeffs = [*R, [Fraction(sum(map(operator.mul, w, Y)), s * den) for w in W]]
     if not _first_residual(df, coeffs, levels):
         raise NoSolution(f"order-{K} closure relation has no solution")
-    return _solved_data(K, [coeffs[i][j] for i, j in _unknown_layout(K)], 0)
+    return ClosureData.from_vector(K, [coeffs[i][j] for i, j in _unknown_layout(K)], 0)
+
+
+# _full_level_data's values by (nodes, roots), oldest first; at most
+# _FULL_LEVEL_DATA_MAX entries
+_FULL_LEVEL_DATA: dict[tuple, tuple] = {}
+_FULL_LEVEL_DATA_MAX = 64
+
+
+def _full_level_data(nodes: tuple[Rat, ...],
+                     roots: tuple[tuple[Rat, ...], ...]) -> tuple:
+    """The part of ``solve_full_levels`` that reads only the distinct nodes
+    E_L..E_K and the roots of the full levels L..K (each level's K distinct
+    Delta_{n,k}, in increasing k): (R, S0, dK, (W, s)), with R the
+    z-coefficients of R_0..R_{K-1}, each padded with zeros to degree L; S0
+    and dK the integers S_0 and d^K of each level's (S, d) =
+    ``spectral.root_expansion``; and W/s the inverse Vandermonde matrix of
+    the nodes (``exactalg.inverse_vandermonde``), which interpolates R_-1.
+
+    R_i for i < K is the degree-b_i interpolant of v_i = S_i/d^(K-i)
+    through the first b_i + 1 nodes: the values are multiplied by the lcm
+    of their denominators d^(K-i), the integer inverse applied, and one
+    Fraction formed per coefficient.
+
+    Why reuse is exact.  Every value is a function of (nodes, roots) alone,
+    and the key compares them as exact rationals: Fractions are equal
+    exactly when they are the same rational, and equal rationals hash alike,
+    so a stored entry is what a fresh computation from the same nodes and
+    roots gives.  The values are tuples of ints and Fractions, which no
+    caller can change.  The store keeps at most _FULL_LEVEL_DATA_MAX entries
+    and drops the oldest first: a symbolic J reconstruction meets one node
+    set per value of a, an L one a single set.
+    """
+    key = (nodes, roots)
+    data = _FULL_LEVEL_DATA.get(key)
+    if data is None:
+        L = len(nodes) - 1
+        K = 2 * L
+        expansions = [root_expansion(level) for level in roots]
+        bounds = degree_bounds(K)
+        inverses = {b: inverse_vandermonde(nodes[:b + 1]) for b in set(bounds.values())}
+        R = []
+        for i in range(K):
+            W, s = inverses[bounds[i]]
+            dens = [d ** (K - i) for _, d in expansions[:bounds[i] + 1]]
+            den = math.lcm(*dens)
+            Y = [S[i] * (den // dd) for (S, _), dd in zip(expansions, dens)]
+            R.append(tuple(Fraction(sum(map(operator.mul, w, Y)), s * den) for w in W)
+                     + (Fraction(0),) * (L - bounds[i]))
+        W, s = inverses[bounds[-1]]
+        data = (tuple(R), tuple(S[0] for S, _ in expansions),
+                tuple(d ** K for _, d in expansions), (tuple(map(tuple, W)), s))
+        if len(_FULL_LEVEL_DATA) >= _FULL_LEVEL_DATA_MAX:
+            del _FULL_LEVEL_DATA[next(iter(_FULL_LEVEL_DATA))]
+        _FULL_LEVEL_DATA[key] = data
+    return data
 
 
 def solve_closure_system(df: DeformedFamily, X: EtaPoly) -> ClosureData:
@@ -415,11 +505,11 @@ def solve_closure_system(df: DeformedFamily, X: EtaPoly) -> ClosureData:
         point = [x + sum(c * vec[idx]
                          for c, vec in zip(fit.solution, sol.kernel_basis))
                  for idx, x in enumerate(point)]
-    return _solved_data(2 * X.degree, point, kernel_dim)
+    return ClosureData.from_vector(2 * X.degree, point, kernel_dim)
 
 
-def _solved_data(K: int, coeffs: Sequence, kernel_dim: int) -> ClosureData:
-    """ClosureData from the coefficients of z^j in R_i, listed in
+def _layout_polys(K: int, coeffs: Sequence) -> tuple[list[ParamPoly], ParamPoly]:
+    """(R_0..R_{K-1}, R_-1) from the coefficients of z^j in R_i, listed in
     ``_unknown_layout(K)`` order: Rats, or ParamPolys in the parameters that
     all hold the same variables, as ``interpolate_grid`` returns them.  Each
     R_i is built from its terms; the parameters rank after z in
@@ -433,7 +523,7 @@ def _solved_data(K: int, coeffs: Sequence, kernel_dim: int) -> ClosureData:
         elif c:
             terms[i][(j,)] = c
     R = [ParamPoly(("z", *params), terms[i]) for i in [*range(K), -1]]
-    return ClosureData(K, R[:-1], R[-1], kernel_dim)
+    return R[:-1], R[-1]
 
 
 class IdentityVerdict:
@@ -476,18 +566,22 @@ def verify_closure_identity(df: DeformedFamily, X: EtaPoly,
     c_{n,k} is decided on integer numerators (``_first_residual``).
 
     When ``solve_closure`` read these very data off the full levels of
-    this family (equal R_0..R_{K-1}, R_-1 in ``certified_closures`` under
-    X), it has already decided c_{n,k} = 0 for n = 0..K.  Those data
-    are within the degree bounds, so N = K and that is the whole verdict:
-    it is returned without deciding the levels again.  Any other data, a
-    perturbed or a hand-built relation among them, are decided here, with
-    the same witness.
+    this family, it has already decided c_{n,k} = 0 for n = 0..K.  It
+    recorded their coefficient vector under X in ``certified_closures``.
+    Data within the degree bounds (N = K) are fixed by their vector, so
+    when the vector of such data equals the record they are those data,
+    and N = K makes that the whole verdict: it is returned without deciding
+    the levels again.  Data above the bounds have N > K and are never read
+    off the record, since their vector drops the terms above the bounds.
+    Any other data, a perturbed or a hand-built relation among them, are
+    decided here, with the same witness.
     """
     polys = [*cd.R, cd.R_minus1]
     N = max([cd.K, 2 * cd.R_minus1.degree("z")]
             + [i + 2 * Ri.degree("z") for i, Ri in enumerate(cd.R)])
     levels = _levels_through(df, X, N)  # a short plugin fails before symbolic data
-    if df.certified_closures.get(X) == tuple(polys):
+    record = df.certified_closures.get(X)
+    if record is not None and N == cd.K and record == cd.vector:
         return IdentityVerdict()
     J = max(0, *(poly.degree("z") for poly in polys))
     coeffs = [[_z_coefficient(poly, j) for j in range(J + 1)] for poly in polys]
@@ -567,7 +661,8 @@ def reconstruct_closure(solve_at: Callable[[Mapping[str, Rat]], ClosureData],
     parameter's degree bound is m - 1, and the samples are the tensor grid
     of the node lists.  Every grid point and every ``fresh`` point is solved
     once, and each solve is read as its vector of coefficients of z^j in
-    R_i, in ``_unknown_layout`` order of the solves' order K.  One
+    R_i, in ``_unknown_layout`` order of the solves' order K
+    (``ClosureData.vector``, as the solve gave it).  One
     ``interpolate_grid`` call interpolates every coefficient on the grid,
     and each is certified at the fresh points: the first disagreement raises SampleMismatch naming
     R_i z^j and the fresh point.  A NoSolution, EigenValidationFailed or
@@ -581,17 +676,16 @@ def reconstruct_closure(solve_at: Callable[[Mapping[str, Rat]], ClosureData],
     grid = {p: _solve_sample(solve_at, dict(zip(names, p))) for p in points}
     K = next(iter(grid.values())).K
     layout = _unknown_layout(K)
-    rebuilt = interpolate_grid({p: [cd.coefficient(i, j) for i, j in layout]
-                                for p, cd in grid.items()}, bounds, names)
+    rebuilt = interpolate_grid({p: cd.vector for p, cd in grid.items()}, bounds, names)
     for binding in fresh:
-        got = _solve_sample(solve_at, binding)
-        for (i, j), poly in zip(layout, rebuilt):
-            if poly.evaluate(binding) != got.coefficient(i, j):
+        got = _solve_sample(solve_at, binding).vector
+        for (i, j), poly, value in zip(layout, rebuilt, got):
+            if poly.evaluate(binding) != value:
                 degrees = ", ".join(f"{name} <= {b}" for name, b in bounds.items())
                 raise SampleMismatch(
                     f"R_{i} z^{j} disagrees with its interpolant ({degrees}) "
                     f"at the fresh sample {_sample_str(binding)}")
-    return _solved_data(K, rebuilt, max(cd.kernel_dim for cd in grid.values()))
+    return ClosureData.from_vector(K, rebuilt, max(cd.kernel_dim for cd in grid.values()))
 
 
 def closure_for_family(df: DeformedFamily,

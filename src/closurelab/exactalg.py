@@ -719,15 +719,16 @@ def convolve_sum(pairs: Sequence[tuple[Sequence[int], Sequence[int]]]) -> list[i
     """Coefficients of sum_i a_i*b_i over the integer polynomials (a_i, b_i)
     in ``pairs`` (low to high), accumulated in one list; untrimmed, so a
     zero sum may come back as a list of zeros."""
-    out = [0] * max((len(a) + len(b) - 1 for a, b in pairs if a and b), default=0)
-    add = operator.add
+    out: list[int] = []
     for a, b in pairs:
-        if len(a) < len(b):
-            a, b = b, a
-        na = len(a)
-        for j, y in enumerate(b):
-            if y:
-                out[j:j + na] = map(add, out[j:j + na], map(y.__mul__, a))
+        if a and b:
+            extra = len(a) + len(b) - 1 - len(out)
+            if extra > 0:
+                out += [0] * extra
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        out[j] += x * y
     return out
 
 

@@ -27,18 +27,20 @@ eigenvalue make the seed degenerate and are rejected.
 
 The Hamiltonian H = -4*xi^-1*(c2*xi*d^2 + N1*d + N0) is built in closed
 form from xi and the shifted parameters lambda_D (``cleared_hamiltonian``)
-and kept as the triple (c2*xi, N1, N0).  Every eigen-equation (each checked
-level and the seed) is decided by one polynomial, ``eigen_residual``, with
-no division and no operator algebra, so a wrong H fails the build's own
-checks of P_0..P_VALIDATE_N before any verdict reads it.
+and kept as the triple (c2*xi, N1, N0).  Every eigen-equation (each
+checked level and the seed) is decided by one polynomial residual
+(``eigen_validate``), with no division and no operator algebra, so a wrong
+H fails the build's own checks of P_0..P_VALIDATE_N before any verdict
+reads it.
 
 A build runs on integer numerators.  Each eigen residual is one integer
-combination over one common denominator (``_residual_numerators``),
-reduced once; the seed check uses the numerators of a constant-p prefactor
-(``seed_numerators``) and only tests the combination for zero.  The
-Hamiltonian's numerators and each intertwined P(n) are likewise one
-combination reduced once, and the degenerate levels of a seed come from a
-closed form (``degenerate_level``).
+combination over one common denominator (``_residual_numerators``), and
+only tested for zero: a family converts its Hamiltonian to integer
+numerators once (``_cleared_numerators``), and the seed check uses the
+numerators of a constant-p prefactor (``seed_numerators``).  The
+Hamiltonian's numerators and each intertwined P(n) are one combination
+reduced once, and the degenerate levels of a seed come from a closed form
+(``degenerate_level``).
 """
 
 from __future__ import annotations
@@ -68,14 +70,15 @@ VALIDATE_N = 5
 # plugin can ask for; every shipped row and plugin has ell <= 5.
 # `verify-closure --family L --D <ell>I` on a 2-CPU x86-64 host (Python 3.11,
 # byte-compiled, interpreter start included): ell = 6, 10, 16 take 0.07 s,
-# 0.10 s, 0.19 s (17 MB peak RSS).
+# 0.10 s, 0.19 s (17 MB peak RSS).  `spectrum --family AW --D <ell>I
+# --n-max 0` takes 0.23 s, 0.50 s and 1.6 s at ell = 10, 12, 16.
 MAX_ELL = 16
 
 # Largest supported --n-max: the commands check the levels n = 0..n_max.
 # At n_max = 100 on the same host, `recurrence --family J --D 16II`, the
 # slowest command measured whose time grows with n_max, takes 1.0 s;
-# `spectrum --family J --D 16I --params g=40` takes 1.9 s, as at n_max = 8
-# (its companion suites have K = 34).
+# `spectrum --family J --D 16I --params g=40` takes 0.24 s (0.16 s at
+# n_max = 8; its companion suites have K = 34).
 MAX_N = 100
 
 
@@ -265,7 +268,8 @@ def energy(params: ParamSet, n: int) -> Rat:
     if params.fam == "L":
         return Fraction(4 * n)
     if params.fam == "J":
-        return 4 * n * (n + params.a)
+        a = params.a  # 4n(n + A/m) = 4n(nm + A)/m
+        return Fraction(4 * n * (n * a.denominator + a.numerator), a.denominator)
     if params.fam == "W":
         b1 = sum(params.a_list())
         return n * (n + b1 - 1)
@@ -349,90 +353,91 @@ def classical_poly(fam: str, n: int, params: ParamSet) -> EtaPoly:
 
     summed by Horner's rule in eta - 1 on the integer numerators.
     """
-    return EtaPoly._reduced(*_classical_numerators(fam, n, params))
-
-
-def _classical_numerators(fam: str, n: int, params: ParamSet) -> tuple[list[int], int]:
-    """``classical_poly`` as integer numerators over a positive denominator,
-    not yet in lowest terms."""
     if n < 0:
         raise ValueError("need n >= 0")
+    return EtaPoly._reduced(*_classical_numerators(fam, n, _classical_constants(fam, params)))
+
+
+def _classical_constants(fam: str, params: ParamSet) -> tuple[int, int, int]:
+    """The integers (p, q, s) of ``classical_poly``, which depend on the
+    parameters alone: alpha = p/q, and for J alpha + beta = s/q over the
+    same q (s = 0 for L)."""
     if fam == "L":
         alpha = params.g - HALF
-        p, q = alpha.numerator, alpha.denominator
+        return alpha.numerator, alpha.denominator, 0
+    if fam == "J":
+        alpha, beta = params.g - HALF, params.h - HALF
+        q = math.lcm(alpha.denominator, beta.denominator)
+        p = alpha.numerator * (q // alpha.denominator)
+        return p, q, p + beta.numerator * (q // beta.denominator)
+    raise ValueError("classical polynomials are provided for L and J only")
+
+
+def _classical_numerators(fam: str, n: int, constants: tuple[int, int, int]
+                          ) -> tuple[list[int], int]:
+    """``classical_poly`` of degree n >= 0 as integer numerators over a
+    positive denominator, not yet in lowest terms, from the
+    ``_classical_constants`` (p, q, s) of its parameters."""
+    p, q, s = constants
+    if fam == "L":
         num = [0] * (n + 1)
         T = 1  # T_k, from k = n down
         for k in range(n, -1, -1):
             num[k] = (-1) ** k * math.comb(n, k) * q ** k * T
             T *= p + k * q
         return num, q ** n * math.factorial(n)
-    if fam == "J":
-        alpha, beta = params.g - HALF, params.h - HALF
-        q = math.lcm(alpha.denominator, beta.denominator)
-        p = alpha.numerator * (q // alpha.denominator)
-        s = p + beta.numerator * (q // beta.denominator)
-        B = [1]
-        for m in range(1, n + 1):
-            B.append(B[-1] * (s + (n + m) * q))
-        num: list[int] = []  # numerators, low to high
-        T = 1  # T_m, from m = n down
-        for m in range(n, -1, -1):
-            # num <- num * (eta - 1) + C(n,m) T_m B_m 2^(n-m)
-            num = [hi - lo for lo, hi in zip([*num, 0], [0, *num])]
-            num[0] += math.comb(n, m) * T * B[m] << (n - m)
-            T *= p + m * q
-        return num, (2 * q) ** n * math.factorial(n)
-    raise ValueError("classical polynomials are provided for L and J only")
+    B = [1]
+    for m in range(1, n + 1):
+        B.append(B[-1] * (s + (n + m) * q))
+    num: list[int] = []  # numerators, low to high
+    T = 1  # T_m, from m = n down
+    for m in range(n, -1, -1):
+        # num <- num * (eta - 1) + C(n,m) T_m B_m 2^(n-m)
+        num = [hi - lo for lo, hi in zip([*num, 0], [0, *num])]
+        num[0] += math.comb(n, m) * T * B[m] << (n - m)
+        T *= p + m * q
+    return num, (2 * q) ** n * math.factorial(n)
 
 
 def c2_poly(fam: str) -> EtaPoly:
     """Second-order coefficient of the similarity-transformed Hamiltonian."""
     if fam == "L":
-        return EtaPoly((0, 1))  # eta
+        return EtaPoly._reduced([0, 1], 1)  # eta
     if fam == "J":
-        return EtaPoly((1, 0, -1))  # 1 - eta^2
+        return EtaPoly._reduced([1, 0, -1], 1)  # 1 - eta^2
     raise ValueError("c2 is defined for the differential families L and J")
 
 
-def c1_poly(fam: str, params: ParamSet, dg: Rat = 0, dh: Rat = 0) -> EtaPoly:
+def c1_poly(fam: str, params: ParamSet, dg: int = 0, dh: int = 0) -> EtaPoly:
     """First-order coefficient of the classical operator
-    H_cl = -4*(c2*d^2 + c1*d), at the parameters shifted to g + dg (and
-    h + dh for J)."""
+    H_cl = -4*(c2*d^2 + c1*d), at the parameters shifted by the integers
+    dg and dh to g + dg (and h + dh for J): g + dg + 1/2 - eta for L and
+    (h - g) - (g + h + 1)*eta for J.  Built on integers: with g = G/m (and
+    h = H/m over the same m), g + dg = (G + dg*m)/m."""
+    g = params.g
     if fam == "L":
-        return EtaPoly((params.g + dg + HALF, -1))
+        m = g.denominator
+        G = 2 * (g.numerator + dg * m)
+        return EtaPoly._reduced([G + m, -2 * m], 2 * m)
     if fam == "J":
-        g, h = params.g + dg, params.h + dh
-        return EtaPoly((h - g, -(g + h + 1)))
+        h = params.h
+        m = math.lcm(g.denominator, h.denominator)
+        G = g.numerator * (m // g.denominator) + dg * m
+        H = h.numerator * (m // h.denominator) + dh * m
+        return EtaPoly._reduced([H - G, -(G + H + m)], m)
     raise ValueError("c1 is defined for the differential families L and J")
 
 
 # -- Hamiltonian builders --------------------------------------------------------
 
 
-def eigen_residual(A2: EtaPoly, A1: EtaPoly, A0: EtaPoly, W: EtaPoly,
-                   f: EtaPoly, E: Rat) -> EtaPoly:
-    """A2*f'' + A1*f' + (A0 + (E/4)*W)*f: the eigen-equation of the cleared
-    operator H = -4*W^-1*(A2*d^2 + A1*d + A0) at energy E, in eta.
-
-    H f - E f = -4*W^-1*(A2*f'' + A1*f' + A0*f + (E/4)*W*f), and W is a
-    nonzero polynomial, so the residual is zero exactly when H f = E f.
-    No division is needed, and a wrong f whose image H f is not even a
-    polynomial simply gives a nonzero residual.
-
-    Integer form.  With D the lcm of the denominators of A2, A1, A0 and W,
-    a_i = D*A_i and w = D*W are integer lists; with f = F/t and E = e/q in
-    lowest terms, 4*q*D*t times the residual is the one integer combination
-    ``_residual_numerators`` of a2, a1, a0, w, F, e and q.  Every product
-    in it is multiplied by the same positive integer 4*q*D*t, so the
-    combination is zero exactly when the residual is, and reduced once over
-    4*q*D*t it is the residual itself.  E is read through its numerator and
-    denominator, so an int E builds no Fraction.
-    """
+def _cleared_numerators(A2: EtaPoly, A1: EtaPoly, A0: EtaPoly, W: EtaPoly
+                        ) -> tuple[Sequence[int], ...]:
+    """(a2, a1, a0, w): the integer numerators D*A2, D*A1, D*A0 and D*W of
+    the cleared operator H = -4*W^-1*(A2*d^2 + A1*d + A0), over the lcm D
+    of the four denominators."""
     D = math.lcm(A2.den, A1.den, A0.den, W.den)
-    a2, a1, a0, w = (_scaled(A, D) for A in (A2, A1, A0, W))
-    e, q = E.numerator, E.denominator
-    return EtaPoly._reduced(_residual_numerators(a2, a1, a0, w, f.num, e, q),
-                            4 * q * D * f.den)
+    return tuple(_scaled(A, D) for A in (A2, A1, A0, W))
 
 
 def _scaled(A: EtaPoly, D: int) -> Sequence[int]:
@@ -474,7 +479,7 @@ def cleared_hamiltonian(fam: str, D: MultiIndex, params: ParamSet,
     N0 = (u'*c2*X'' - C'*X')/(u'*t).
 
     Nothing here is trusted: every level a family reads is decided against
-    this H by ``eigen_residual`` (``DeformedFamily.check_levels``, from
+    this H by ``eigen_validate`` (``DeformedFamily.check_levels``, from
     n = 0 at construction), so a wrong formula fails the build and cannot
     reach a verdict.  For the built-in single seeds of L and J and for the
     shipped plugins it is the operator that the eigen-equations of P_0..P_2
@@ -495,13 +500,27 @@ def cleared_hamiltonian(fam: str, D: MultiIndex, params: ParamSet,
             EtaPoly._reduced(N1, ca.den * t), EtaPoly._reduced(N0, cb.den * t))
 
 
-def eigen_validate(H_cleared: tuple[EtaPoly, EtaPoly, EtaPoly],
-                   xi: EtaPoly, pn: EtaPoly, En: Rat, n: int) -> None:
-    """H P_n = E_n P_n exactly, for H = -4*xi^-1*(A2*d^2 + A1*d + A0) with
-    (A2, A1, A0) = H_cleared: one ``eigen_residual``, zero exactly when the
-    equation holds (xi has degree ell >= 0, so it is nonzero).
+def eigen_validate(H_numerators: tuple[Sequence[int], ...], pn: EtaPoly,
+                   En: Rat, n: int) -> None:
+    """H P_n = E_n P_n exactly, for H = -4*W^-1*(A2*d^2 + A1*d + A0) with
+    W = xi, held as ``H_numerators`` = ``_cleared_numerators(A2, A1, A0, W)``
+    = (a2, a1, a0, w) over the lcm D of the denominators.
+
+    The residual A2*f'' + A1*f' + (A0 + (E/4)*W)*f at f = P_n, E = E_n is
+    the eigen-equation in eta: H f - E f = -4*W^-1*(A2*f'' + A1*f' + A0*f
+    + (E/4)*W*f), and W = xi is a nonzero polynomial (degree ell >= 0), so
+    the residual is zero exactly when H f = E f.  No division is needed,
+    and a wrong f whose image H f is not even a polynomial simply gives a
+    nonzero residual.
+
+    Integer form.  With f = F/t and E = e/q in lowest terms, 4*q*D*t times
+    the residual is the one integer combination ``_residual_numerators`` of
+    a2, a1, a0, w, F, e and q: every product in it is multiplied by the same
+    positive integer 4*q*D*t, so the equation holds exactly when every entry
+    of that list is zero.  Nothing is reduced, and E is read through its
+    numerator and denominator, so an int E builds no Fraction.
     EigenValidationFailed names n otherwise."""
-    if eigen_residual(*H_cleared, xi, pn, En):
+    if any(_residual_numerators(*H_numerators, pn.num, En.numerator, En.denominator)):
         raise EigenValidationFailed(f"eigen-equation fails at n={n}")
 
 
@@ -520,16 +539,22 @@ class DeformedFamily:
     form (``cleared_hamiltonian``) and held as its cleared numerators
     ``H_cleared`` = (c2*xi, N1, N0), so
     H = -4*xi^-1*(c2*xi*d^2 + N1*d + N0), and it is checked on
-    P_0..P_VALIDATE_N.  P(n) generation and the energies E(n) are memoized
-    per instance, and so is the level store that the closure engine and
-    the ladders read (``closure.level_coordinates``):
+    P_0..P_VALIDATE_N.  What every level reads is converted once, at
+    construction: ``H_numerators``, the integer numerators of
+    (c2*xi, N1, N0, xi) over one denominator, which ``eigen_validate``
+    reads, and for a classical combination the numerators of (A, B) over
+    one denominator and the ``_classical_constants`` of the parameters,
+    from which P(n) is formed.  P(n) generation and the energies E(n) are
+    memoized per instance, and so is the level store that the closure
+    engine and the ladders read (``closure.level_coordinates``):
     ``checked_levels``, the levels m whose H P_m = E_m P_m has been checked
     by ``check_levels`` (P_0..P_VALIDATE_N at construction, further levels
     when they are first read), ``recurrence_rows``, the zero-remainder
     expansions of X*P_n by (X, n) (``recurrence.recurrence_row``), and
-    ``certified_closures``, the closure data (R_0..R_{K-1}, R_-1) by X,
-    of order K = 2 deg X, whose coordinates on levels 0..K the closed-form
-    solve decided to be zero (``closure.solve_closure``).
+    ``certified_closures``, the coefficient vectors of the closure data
+    (R_0..R_{K-1}, R_-1) by X (``closure.ClosureData.vector``), of order
+    K = 2 deg X, whose coordinates on levels 0..K the closed-form solve
+    decided to be zero (``closure.solve_closure``).
     Instances are otherwise immutable, so a stored entry is what a fresh
     computation gives; parallel tasks should each own their instance.
     """
@@ -548,9 +573,15 @@ class DeformedFamily:
         self._E_cache: dict[int, Rat] = {}
         self.checked_levels: set[int] = set()
         self.recurrence_rows: dict[tuple[EtaPoly, int], dict[int, Rat]] = {}
-        self.certified_closures: dict[EtaPoly, tuple[ParamPoly, ...]] = {}
+        self.certified_closures: dict[EtaPoly, tuple[Rat, ...]] = {}
         self.Etilde = [virtual_energy(params, t, d) for d, t in D.entries]
         self.H_cleared = cleared_hamiltonian(fam, D, params, xi)
+        self.H_numerators = _cleared_numerators(*self.H_cleared, xi)
+        if isinstance(rule, tuple):
+            A, B = rule
+            den = math.lcm(A.den, B.den)
+            self._rule_numerators = (_scaled(A, den), _scaled(B, den), den)
+            self._classical = _classical_constants(fam, params)
         self.check_levels(VALIDATE_N)
 
     # polynomial eigendata --------------------------------------------------
@@ -574,12 +605,10 @@ class DeformedFamily:
                 p = self.rule[n]
             else:
                 # A*P_n' + B*P_n on the numerators F/t of the classical P_n
-                A, B = self.rule
-                F, t = _classical_numerators(self.fam, n, self.params)
-                D = math.lcm(A.den, B.den)
+                A, B, den = self._rule_numerators
+                F, t = _classical_numerators(self.fam, n, self._classical)
                 p = EtaPoly._reduced(convolve_sum([
-                    (_scaled(A, D), [k * x for k, x in enumerate(F)][1:]),
-                    (_scaled(B, D), F)]), D * t)
+                    (A, [k * x for k, x in enumerate(F)][1:]), (B, F)]), den * t)
             expected = self.D.ell + n
             if p.degree != expected:
                 raise DegreeMismatch(
@@ -594,7 +623,7 @@ class DeformedFamily:
         for m in range(top + 1):
             if m not in self.checked_levels:
                 try:
-                    eigen_validate(self.H_cleared, self.xi, self.P(m), self.E(m), m)
+                    eigen_validate(self.H_numerators, self.P(m), self.E(m), m)
                 except EigenValidationFailed as exc:
                     raise EigenValidationFailed(f"{self.label}: {exc}") from None
                 self.checked_levels.add(m)
@@ -635,13 +664,17 @@ def seed_data(fam: str, t: str, params: ParamSet) -> tuple[EtaPoly, EtaPoly]:
     prefactor rho (the same for every seed degree), as the pair (p, q)."""
     if fam == "L":
         if t == "I":
-            return EtaPoly.const(1), EtaPoly.const(1)  # rho = exp(eta)
-        return EtaPoly.const(HALF - params.g), EtaPoly((0, 1))  # rho = eta^(1/2-g)
-    if fam == "J":
+            p, q = Fraction(1), [1]  # rho = exp(eta)
+        else:
+            p, q = HALF - params.g, [0, 1]  # rho = eta^(1/2-g)
+    elif fam == "J":
         if t == "I":
-            return EtaPoly.const(HALF - params.h), EtaPoly((1, 1))  # rho = (1+eta)^(1/2-h)
-        return EtaPoly.const(HALF - params.g), EtaPoly((-1, 1))  # rho = (1-eta)^(1/2-g)
-    raise ValueError("seed data is provided for L and J")
+            p, q = HALF - params.h, [1, 1]  # rho = (1+eta)^(1/2-h)
+        else:
+            p, q = HALF - params.g, [-1, 1]  # rho = (1-eta)^(1/2-g)
+    else:
+        raise ValueError("seed data is provided for L and J")
+    return EtaPoly._reduced([p.numerator], p.denominator), EtaPoly._reduced(q, 1)
 
 
 def canonical_seed(fam: str, t: str, d: int, params: ParamSet) -> EtaPoly:
@@ -708,14 +741,14 @@ def check_seed(fam: str, t: str, d: int, params: ParamSet, seed: EtaPoly) -> Non
         c2*q^2*xi'' + (2*c2*p*q + c1*q^2)*xi'
           + (c2*(p'q - pq' + p^2) + c1*p*q)*xi + (Et/4)*q^2*xi
 
-    vanishes: it is ``eigen_residual`` with W = q^2 and these three
-    numerators.  rho and q are nonzero, so this polynomial is zero exactly
-    when rho*xi is the quasi-eigenfunction.  Every seed prefactor has a
-    constant p (``seed_numerators``, which builds the numerators on
-    integers over one denominator S), so the residual is decided as the
-    integer list ``_residual_numerators``: the residual times the positive
-    integer 4*q_E*S*t, for Et = e/q_E and seed = F/t, zero exactly when the
-    residual is.
+    vanishes: it is the residual of ``eigen_validate`` with W = q^2 and
+    these three numerators.  rho and q are nonzero, so this polynomial is
+    zero exactly when rho*xi is the quasi-eigenfunction.  Every seed
+    prefactor has a constant p (``seed_numerators``, which builds the
+    numerators on integers over one denominator S), so the residual is
+    decided as the integer list ``_residual_numerators``: the residual
+    times the positive integer 4*q_E*S*t, for Et = e/q_E and seed = F/t,
+    zero exactly when the residual is.
     """
     A2, A1, A0, W, _ = seed_numerators(fam, t, params)
     Et = virtual_energy(params, t, d)
@@ -746,8 +779,15 @@ def one_step_family(fam: str, t: str, d: int, params: ParamSet) -> DeformedFamil
         raise ValueError(f"{fam}[{d}{t}]: the seed has degree below {d} at "
                          f"b = {rat_str(params.b)}, so it is degenerate at "
                          f"these parameters")
+    # with p = P/s, q = Q and seed = F/u: A = q*seed = Q*F/u and
+    # B = -(p*seed + q*seed') = -(P*F + s*Q*F')/(s*u)
     p, q = seed_data(fam, t, params)
-    rule = (q * seed, -EtaPoly.dot([(p, seed), (q, seed.diff())]))
+    P, s = p.num[0] if p else 0, p.den
+    F, u = seed.num, seed.den
+    F1 = [k * x for k, x in enumerate(F)][1:]
+    rule = (EtaPoly._reduced(convolve_sum([(q.num, F)]), u),
+            EtaPoly._reduced(convolve_sum([([-P], F), ([-s * c for c in q.num], F1)]),
+                             s * u))
     return DeformedFamily(fam, MultiIndex(((d, t),)), params, seed, rule)
 
 

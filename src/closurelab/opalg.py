@@ -5,7 +5,7 @@ uses the generalized Leibniz rule and reduces every coefficient after each
 step, so operator equality is decided coefficient-wise (never by sampling).
 No production path builds a DiffOp: a family holds its Hamiltonian as
 cleared numerators and checks eigen-equations by one polynomial residual
-(``families.eigen_residual``).  This module is the reference algebra the
+(``families.eigen_validate``).  This module is the reference algebra the
 tests cross-check against: composition, ``power``, ``right_mul_poly_of_H``,
 the cleared-form action ``apply_poly`` (polynomial products and a single
 exact division) and the RationalFunc route ``apply``.

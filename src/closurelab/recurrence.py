@@ -15,7 +15,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping
 
-from .exactalg import EtaPoly, Rat
+from .exactalg import EtaPoly, Rat, convolve_sum
 from .families import DeformedFamily, ParamSet, _rising, nonzero_factors
 
 
@@ -55,7 +55,8 @@ def expand_in_basis(df: DeformedFamily, X: EtaPoly, n: int) -> dict[int, Rat]:
 
     Successive leading-term elimination from degree ell+n+L downward, on
     integers.  The remainder is held as T/v, an integer list T over a
-    nonzero integer v (at the start X*P(n) = num/den).  At shift k, with
+    nonzero integer v: at the start T = X.num * P(n).num (one
+    ``convolve_sum``, not reduced) and v = X.den * P(n).den.  At shift k, with
     m = n + k and P(m) = num_m/den_m of leading numerator p, the
     eta^(ell+m) coefficient of the remainder is c/v for c = T[ell+m], so
     r_{n,k} = c*den_m/(v*p), the one Fraction of the step, and
@@ -67,8 +68,8 @@ def expand_in_basis(df: DeformedFamily, X: EtaPoly, n: int) -> dict[int, Rat]:
     is the substantive span check.
     """
     L = X.degree
-    Xn = X * df.P(n)
-    T, v = list(Xn.num), Xn.den
+    Pn = df.P(n)
+    T, v = convolve_sum([(X.num, Pn.num)]), X.den * Pn.den
     row: dict[int, Rat] = {}
     for k in range(L, -L - 1, -1):
         m = n + k

@@ -390,8 +390,9 @@ def eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
              = a_j p_ij - R_(i-1).
 
     Validates the characteristic polynomial at every a_j, A p_j = a_j p_j,
-    P P^-1 = I, det P = Vandermonde product and
-    sum_j a_j^-1 (P^-1)_j1 = R_0^-1, all exactly and all on integers.
+    P P^-1 = I and sum_j a_j^-1 (P^-1)_j1 = R_0^-1, all exactly and all on
+    integers; det P = Vandermonde product follows from P P^-1 = I (proof
+    below), so it needs no elimination.
 
     Integer form (0-based from here on).  delta is the lcm of the
     denominators of the a_j and rho that of the R_i, so a_j = B_j/delta and
@@ -419,11 +420,20 @@ def eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
       rho^2 delta^(K-i): S_0 N_(K-1)j delta^K = rho B_j N_0j and
       S_i N_(K-1)j delta^(K-i) + rho N_(i-1)j = rho B_j N_ij;
     - P P^-1 = I, times u_i v: sum_j N_ij V_jk = [i = k] u_i v;
-    - det P = prod_{i<j} (a_i - a_j): det P = det N / prod_i u_i by row
-      scaling, and the product is prod_{i<j} (B_i - B_j) / delta^(K(K-1)/2);
-      times prod_i u_i delta^(K(K-1)/2):
-      det N delta^(K(K-1)/2) = prod_{i<j} (B_i - B_j) prod_i u_i, with det N
-      by Bareiss elimination (``_det_bareiss``, exact on integers);
+    - det P = prod_{i<j} (a_i - a_j) holds whenever that check passes.  By
+      row scaling det P = det N / prod_i u_i, and the product is
+      vand / delta^(K(K-1)/2) with vand = prod_{i<j} (B_i - B_j), so the
+      claim is det N delta^(K(K-1)/2) = vand prod_i u_i.  The check
+      certified N V = v diag(u), so det N det V = v^K prod_i u_i.  With
+      rows j and columns k, V = diag(c) [B_j^k] diag(delta^(K-1-k)), so
+      det V = prod_j c_j * prod_{i<j} (B_j - B_i) * delta^(K(K-1)/2), since
+      sum_k (K-1-k) = K(K-1)/2, and the Vandermonde product
+      prod_{i<j} (B_j - B_i) is (-1)^(K(K-1)/2) vand.  Next
+      prod_j c_j = v^K / prod_j E_j, and prod_j E_j takes every pair i < j
+      twice, as (B_i - B_j)(B_j - B_i): prod_j E_j = (-1)^(K(K-1)/2) vand^2.
+      So det V = v^K delta^(K(K-1)/2) / vand, and dividing
+      det N det V = v^K prod_i u_i by it gives the claim (vand != 0, the
+      B_j being distinct);
     - the column sum, with a_j^-1 = delta/B_j, (P^-1)_j0 = V_j0/v and
       1/R_0 = rho/S_0 (R_0 = (-1)^(K+1) prod_j a_j is nonzero once the
       roots match), times S_0 v prod_j B_j:
@@ -476,50 +486,12 @@ def eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
         for k in range(K):
             if sum(map(mul, N[i], V_cols[k])) != (u[i] * v if i == k else 0):
                 raise DegenerateSpectrum("closed-form inverse check failed")
-    vand = math.prod(B[i] - B[j] for i in range(K) for j in range(i + 1, K))
-    if _det_bareiss(N) * delta ** (K * (K - 1) // 2) != vand * math.prod(u):
-        raise DegenerateSpectrum("determinant is not the Vandermonde product")
     B_prod = math.prod(B)
     if (S[0] * delta * sum(vj * (B_prod // b) for vj, b in zip(V_cols[0], B))
             != rho * v * B_prod):
         raise DegenerateSpectrum("inverse-eigenvalue column sum check failed")
     return SpectralData(tuple(alphas), tuple(R), tuple(B), delta, tuple(S), rho,
                         tuple(map(tuple, N)), tuple(u), tuple(V_cols[0]), v)
-
-
-def _det_bareiss(m: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by Bareiss's fraction-free
-    elimination (E. H. Bareiss, Math. Comp. 22 (1968) 565-578).
-
-    Step c (0-based) replaces each entry right of and below the pivot by
-    m_ij <- (m_cc m_ij - m_ic m_cj) / p, p the previous pivot (1 at c = 0).
-    By Sylvester's identity the new m_ij is the minor of the input on rows
-    0..c, i and columns 0..c, j, an integer, so the division is exact and
-    ``//`` loses nothing; the last pivot is the determinant.  A zero pivot is
-    exchanged with a later row that is nonzero in its column: that is a row
-    permutation of the input made before elimination, and it flips the
-    sign.  If there is none, every minor on rows 0..c-1, i and columns 0..c
-    vanishes while the leading c x c minor (the previous pivot) does not, so
-    column c is a combination of columns 0..c-1 and the determinant is 0.
-    """
-    m = [list(row) for row in m]
-    n = len(m)
-    sign, prev = 1, 1
-    for c in range(n - 1):
-        if not m[c][c]:
-            pivot = next((i for i in range(c + 1, n) if m[i][c]), None)
-            if pivot is None:
-                return 0
-            m[c], m[pivot] = m[pivot], m[c]
-            sign = -sign
-        top = m[c]
-        pc = top[c]
-        for row in m[c + 1:]:
-            f = row[c]
-            for k in range(c + 1, n):
-                row[k] = (pc * row[k] - f * top[k]) // prev
-        prev = pc
-    return sign * m[n - 1][n - 1] if n else 1
 
 
 def spectral_suite(R: Sequence, alphas: Sequence) -> dict:

@@ -2,11 +2,13 @@
 references for the integer one.
 
 The package holds every P_n, xi, Hamiltonian numerator and X as an
-``EtaPoly`` on integer numerators.  These are the former versions of
-``families.eigen_residual`` and ``recurrence.expand_in_basis`` on
+``EtaPoly`` on integer numerators, and decides each eigen-equation by the
+zero test of one integer list (``families.eigen_validate``).  Here are
+that list reduced to the residual polynomial (``integer_residual``); the
+former versions of the residual and of ``recurrence.expand_in_basis`` on
 ``ParamPoly``, with one Fraction operation per coefficient; the former
-``eigen_residual`` built from EtaPoly operations (``eigen_residual_eta``);
-the general seed numerators with p' and q' (``seed_numerators``); and the
+residual built from EtaPoly operations (``eigen_residual_eta``); the
+general seed numerators with p' and q' (``seed_numerators``); and the
 square-root route of ``families.degenerate_level``, so the tests can
 cross-check the integer route against them.
 """
@@ -17,9 +19,23 @@ import math
 from fractions import Fraction
 
 from closurelab.exactalg import EtaPoly, ParamPoly, Rat
-from closurelab.families import (ParamSet, c1_poly, c2_poly, seed_data,
-                                 virtual_energy)
+from closurelab.families import (ParamSet, _cleared_numerators,
+                                 _residual_numerators, c1_poly, c2_poly,
+                                 seed_data, virtual_energy)
 from closurelab.recurrence import NonzeroRemainder
+
+
+def integer_residual(A2: EtaPoly, A1: EtaPoly, A0: EtaPoly, W: EtaPoly,
+                     f: EtaPoly, E: Rat) -> EtaPoly:
+    """A2*f'' + A1*f' + (A0 + (E/4)*W)*f, the residual whose integer list
+    ``families.eigen_validate`` tests for zero: ``_residual_numerators`` of
+    ``_cleared_numerators(A2, A1, A0, W)``, f = F/t and E = e/q, reduced
+    once over 4*q*D*t, D the lcm of the denominators of A2, A1, A0 and W."""
+    D = math.lcm(A2.den, A1.den, A0.den, W.den)
+    e, q = E.numerator, E.denominator
+    return EtaPoly._reduced(
+        _residual_numerators(*_cleared_numerators(A2, A1, A0, W), f.num, e, q),
+        4 * q * D * f.den)
 
 
 def eigen_residual(A2: ParamPoly, A1: ParamPoly, A0: ParamPoly, W: ParamPoly,

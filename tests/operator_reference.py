@@ -19,8 +19,9 @@ from typing import Sequence
 from closurelab.exactalg import (EtaPoly, ParamPoly, Rat, RationalFunc,
                                  solve_linear_exact)
 from closurelab.families import (EigenValidationFailed, MultiIndex, ParamSet,
-                                 builtin_deformed, c2_poly, eigen_residual)
+                                 builtin_deformed, c2_poly)
 from closurelab.opalg import DiffOp
+from eta_reference import integer_residual
 
 HALF = Fraction(1, 2)
 
@@ -48,7 +49,7 @@ def build_H_ansatz(fam: str, xi: EtaPoly, pairs: Sequence[tuple[EtaPoly, Rat]]
     ``pairs`` supplies (P_n, E_n) for a few low n; the numerator degree
     bounds follow from the structural form of the transformed Hamiltonian
     (N1 <= deg xi + 1, N0 <= deg xi).  Each pair makes the eta-coefficients
-    of ``eigen_residual(c2*xi, N1, N0, xi, P_n, E_n)`` vanish: the known part
+    of ``integer_residual(c2*xi, N1, N0, xi, P_n, E_n)`` vanish: the known part
     is the residual with N1 = N0 = 0, and the coefficient of eta^m is linear
     in the unknowns, with [eta^(m-k)]P_n' multiplying the eta^k coefficient
     of N1 and [eta^(m-k)]P_n that of N0.  Each such row is multiplied by the
@@ -63,7 +64,7 @@ def build_H_ansatz(fam: str, xi: EtaPoly, pairs: Sequence[tuple[EtaPoly, Rat]]
     rows: list[list[int]] = []
     rhs: list[int] = []
     for P, E in pairs:
-        base = eigen_residual(A2, zero, zero, xi, P, E)
+        base = integer_residual(A2, zero, zero, xi, P, E)
         dP = [k * x for k, x in enumerate(P.num)][1:]  # P_n' over P.den
         top = max(base.degree, d1 + len(dP) - 1, d0 + P.degree)
         for m in range(top + 1):

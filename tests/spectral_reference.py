@@ -7,7 +7,11 @@ with one ``Fraction`` operation per step, as the formulas read: the
 characteristic polynomial through powers, the eigenvector check through a
 matrix-vector product, P*P^-1 and the three-way A^n e_1 agreement as
 rational sums, and the determinant by rational Gaussian elimination.  Both
-must return equal eigendata and raise the same exceptions.
+must return equal eigendata and raise the same exceptions.  The package
+decides no determinant: det P follows from its inverse check (proof in
+``spectral.eigen_closed_form``), which the tests confirm with
+``reference_det``; Bareiss's fraction-free elimination (``_det_bareiss``)
+is a second, integer route to the determinant.
 """
 
 from __future__ import annotations
@@ -136,6 +140,41 @@ def reference_det(m: list[list]) -> Fraction:
                 f = m[i][c] * inv
                 m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return det
+
+
+def _det_bareiss(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination (E. H. Bareiss, Math. Comp. 22 (1968) 565-578).
+
+    Step c (0-based) replaces each entry right of and below the pivot by
+    m_ij <- (m_cc m_ij - m_ic m_cj) / p, p the previous pivot (1 at c = 0).
+    By Sylvester's identity the new m_ij is the minor of the input on rows
+    0..c, i and columns 0..c, j, an integer, so the division is exact and
+    ``//`` loses nothing; the last pivot is the determinant.  A zero pivot is
+    exchanged with a later row that is nonzero in its column: that is a row
+    permutation of the input made before elimination, and it flips the
+    sign.  If there is none, every minor on rows 0..c-1, i and columns 0..c
+    vanishes while the leading c x c minor (the previous pivot) does not, so
+    column c is a combination of columns 0..c-1 and the determinant is 0.
+    """
+    m = [list(row) for row in m]
+    n = len(m)
+    sign, prev = 1, 1
+    for c in range(n - 1):
+        if not m[c][c]:
+            pivot = next((i for i in range(c + 1, n) if m[i][c]), None)
+            if pivot is None:
+                return 0
+            m[c], m[pivot] = m[pivot], m[c]
+            sign = -sign
+        top = m[c]
+        pc = top[c]
+        for row in m[c + 1:]:
+            f = row[c]
+            for k in range(c + 1, n):
+                row[k] = (pc * row[k] - f * top[k]) // prev
+        prev = pc
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def reference_spectral_suite(R: Sequence, alphas: Sequence,

@@ -652,6 +652,14 @@ def test_spectrum_seed_env(tmp_path, monkeypatch):
                for c in payload["checks"])
 
 
+def test_spectrum_at_the_largest_ell(tmp_path):
+    # ell = MAX_ELL = 16: companion suites of K = 34 at every level n <= 8
+    report = tmp_path / "r.json"
+    assert run_cli("spectrum", "--family", "J", "--D", f"{MAX_ELL}I", "--params", "g=40",
+                   "--report", str(report)) == 0
+    assert json.loads(report.read_text())["summary"] == {"pass": 367, "fail": 0, "skip": 0}
+
+
 def test_spectrum_reports_repeat_in_process_and_match_a_fresh_process(
         tmp_path, monkeypatch):
     import closurelab.cli as cli

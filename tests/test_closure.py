@@ -502,6 +502,16 @@ def test_certificate_reads_the_solve_record(monkeypatch):
     assert len(passes) == 4
 
 
+def test_certificate_record_is_read_only_within_the_degree_bounds(l1i, l1i_closure):
+    # R_-1 + z^(L+1) has the coefficient vector of the solved data, which
+    # stops at the degree bounds, but N > K: the certificate decides it on
+    # P_0..P_N and says no
+    cd, X = l1i_closure
+    high = ClosureData(cd.K, list(cd.R), cd.R_minus1 + z ** (cd.K // 2 + 1))
+    assert high.vector == cd.vector and not high.bounds_ok()
+    assert not verify_closure_identity(l1i, X, high)
+
+
 def test_linear_system_solves_are_not_recorded():
     # J at a = 1 takes the linear system: nothing is recorded, and the
     # certificate decides the data itself
@@ -599,9 +609,9 @@ def _count_eigen_checks(monkeypatch) -> list:
     calls = []
     original = families.eigen_validate
 
-    def counted(H_cleared, xi, pn, En, n):
+    def counted(H_numerators, pn, En, n):
         calls.append(pn)
-        return original(H_cleared, xi, pn, En, n)
+        return original(H_numerators, pn, En, n)
 
     monkeypatch.setattr(families, "eigen_validate", counted)
     return calls
@@ -1067,3 +1077,43 @@ def test_repeated_energy_takes_the_linear_system(l1i):
     K = 2 * X.degree
     levels = _synthetic_levels(RepeatedEnergy().E, K, lambda E: F(3, 7))
     assert solve_full_levels(RepeatedEnergy(), X.degree, levels) is None
+
+
+def test_full_level_data_is_shared_by_exact_value(l1i, monkeypatch):
+    # L[1I] levels with every energy and Delta divided by 5 keep the
+    # numerators of the nodes E_n = 4n (n = 2..4) and of the roots 4k, and
+    # solve to R_i(z) -> 5^(i-K) R_i(5z), the relation of H/5: a store keyed
+    # on numerators would hand their solve the unscaled R_0..R_{K-1}
+    X = build_X(l1i.xi, ONE)
+    L, K = X.degree, 2 * X.degree
+    levels = [level_coordinates(l1i, X, n) for n in range(K + 1)]
+    scaled = [[(k, r, delta / 5) for k, r, delta in level] for level in levels]
+
+    class Scaled:
+        def E(self, n):
+            return l1i.E(n) / 5
+
+    monkeypatch.setattr(closure, "_FULL_LEVEL_DATA", {})
+    fresh = solve_full_levels(Scaled(), L, scaled)
+    closure._FULL_LEVEL_DATA.clear()
+    cd = solve_full_levels(l1i, L, levels)
+    assert solve_full_levels(l1i, L, levels).vector == cd.vector
+    assert len(closure._FULL_LEVEL_DATA) == 1
+    shared = solve_full_levels(Scaled(), L, scaled)
+    assert shared.vector == fresh.vector != cd.vector
+    assert len(closure._FULL_LEVEL_DATA) == 2
+    for i, (R, R5) in enumerate(zip([*cd.R, cd.R_minus1], [*fresh.R, fresh.R_minus1])):
+        power = K if i == K else K - i
+        assert R5 == R.subs({"z": 5 * z}) * F(1, 5 ** power)
+
+
+def test_full_level_data_store_is_bounded(monkeypatch):
+    # L = 1: nodes E_1, E_2 and two roots per full level; the store keeps
+    # the newest _FULL_LEVEL_DATA_MAX node sets
+    monkeypatch.setattr(closure, "_FULL_LEVEL_DATA", {})
+    roots = ((F(-1), F(1)), (F(-1), F(1)))
+    for m in range(closure._FULL_LEVEL_DATA_MAX + 3):
+        closure._full_level_data((F(m), F(m + 1)), roots)
+    store = closure._FULL_LEVEL_DATA
+    assert len(store) == closure._FULL_LEVEL_DATA_MAX
+    assert next(iter(store)) == ((F(3), F(4)), roots)

@@ -18,8 +18,8 @@ from closurelab.exactalg import EtaPoly
 from closurelab.families import (VALIDATE_N, DeformedFamily,
                                  EigenValidationFailed, MultiIndex, ParamSet,
                                  builtin_deformed, canonical_seed, check_seed,
-                                 degenerate_level, eigen_residual,
-                                 eigen_validate, energy, load_family_plugin,
+                                 degenerate_level, eigen_validate, energy,
+                                 load_family_plugin,
                                  seed_data, seed_numerators, virtual_energy)
 from closurelab.recurrence import NonzeroRemainder, build_X, expand_in_basis
 
@@ -46,11 +46,11 @@ def families(lag_params, jac_params):
 def test_eigen_residual_matches_the_param_poly_route(case, families):
     df = families[case]
     for n in range(9):
-        got = eigen_residual(*df.H_cleared, df.xi, df.P(n), df.E(n))
+        got = ref.integer_residual(*df.H_cleared, df.xi, df.P(n), df.E(n))
         assert not got and not ref.family_residual(df, n)
         # off the spectrum the residual is a nonzero polynomial, the same one
         wrong = df.E(n) + F(1, 3)
-        got = eigen_residual(*df.H_cleared, df.xi, df.P(n), wrong)
+        got = ref.integer_residual(*df.H_cleared, df.xi, df.P(n), wrong)
         assert got and got.param() == ref.family_residual(df, n, wrong)
 
 
@@ -75,20 +75,20 @@ def test_perturbed_coefficient_fails_eigen_validate(case, families):
         coeffs[k] += F(1, 7)
         bad = EtaPoly(coeffs)
         with pytest.raises(EigenValidationFailed, match=f"fails at n={n}"):
-            eigen_validate(df.H_cleared, df.xi, bad, df.E(n), n)
+            eigen_validate(df.H_numerators, bad, df.E(n), n)
         A2, A1, A0 = (a.param() for a in df.H_cleared)
         assert ref.eigen_residual(A2, A1, A0, df.xi.param(), bad.param(), df.E(n))
-    eigen_validate(df.H_cleared, df.xi, Pn * F(-5, 2), df.E(n), n)  # linear
+    eigen_validate(df.H_numerators, Pn * F(-5, 2), df.E(n), n)  # linear
 
 
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_wrong_energy_fails_eigen_validate(case, families):
     df = families[case]
     for n in range(6):
-        eigen_validate(df.H_cleared, df.xi, df.P(n), df.E(n), n)
+        eigen_validate(df.H_numerators, df.P(n), df.E(n), n)
         for wrong in (df.E(n) + 1, df.E(n + 1), -df.E(n) - F(1, 2)):
             with pytest.raises(EigenValidationFailed, match=f"fails at n={n}"):
-                eigen_validate(df.H_cleared, df.xi, df.P(n), wrong, n)
+                eigen_validate(df.H_numerators, df.P(n), wrong, n)
 
 
 @pytest.mark.parametrize("case", [c for c in CASES if c[1] != "{}"],
@@ -134,18 +134,19 @@ _poly = st.lists(_coefficient, max_size=7).map(EtaPoly)
 @given(_poly, _poly, _poly, _poly, _poly,
        st.one_of(st.integers(-400, 400), st.fractions(-400, 400, max_denominator=60)))
 def test_eigen_residual_equals_the_eta_operation_route(A2, A1, A0, W, f, E):
-    got = eigen_residual(A2, A1, A0, W, f, E)
+    got = ref.integer_residual(A2, A1, A0, W, f, E)
     assert got == ref.eigen_residual_eta(A2, A1, A0, W, f, E)
     assert got.param() == ref.eigen_residual(A2.param(), A1.param(), A0.param(),
                                              W.param(), f.param(), E)
 
 
 @pytest.mark.parametrize("case", [("L", "1I"), ("J", "1II")], ids=["L-1I", "J-1II"])
-def test_eigen_residual_builds_one_eta_poly_and_no_fraction(case, families, monkeypatch):
-    # the residual is one integer combination reduced once; an int energy
+def test_eigen_validate_builds_no_eta_poly_and_no_fraction(case, families, monkeypatch):
+    # a level is decided by the zero test of one integer list over the
+    # family's integer Hamiltonian: nothing is reduced, and an int energy
     # is read as its numerator and denominator, so no Fraction is built
     df = families[case]
-    args = (*df.H_cleared, df.xi, df.P(3))
+    Pn = df.P(3)
     E = int(df.E(3))
     assert E == df.E(3)
     reduced, made = [], []
@@ -161,10 +162,15 @@ def test_eigen_residual_builds_one_eta_poly_and_no_fraction(case, families, monk
 
     monkeypatch.setattr(EtaPoly, "_reduced", classmethod(counting_reduced))
     monkeypatch.setattr(F, "__new__", counting_new)
-    on, off = eigen_residual(*args, E), eigen_residual(*args, E + 1)
+    eigen_validate(df.H_numerators, Pn, E, 3)
+    failed = None
+    try:
+        eigen_validate(df.H_numerators, Pn, E + 1, 3)
+    except EigenValidationFailed as exc:
+        failed = str(exc)
     monkeypatch.undo()
-    assert not on and off
-    assert len(reduced) == 2 and made == []
+    assert failed == "eigen-equation fails at n=3"
+    assert reduced == [] and made == []
 
 
 SEED_PARAMS = {

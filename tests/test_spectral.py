@@ -14,15 +14,14 @@ from closurelab.closure import conjectured_R
 from closurelab.exactalg import ParamPoly, rat
 from closurelab.families import ParamSet, energy
 from closurelab.spectral import (DegenerateSpectrum, SqrtExpr,
-                                 SqrtValueMismatch, _det_bareiss,
-                                 alpha_conjecture, alpha_values_at_energy,
+                                 SqrtValueMismatch, alpha_conjecture, alpha_values_at_energy,
                                  check_alpha_spectrum, eigen_closed_form,
                                  elementary_symmetric_R, pairing_identities,
                                  recursion_vectors, root_expansion,
                                  spectral_suite, sqrt_sign, sqrt_square,
                                  sqrt_value_at_energy)
-from spectral_reference import (CompanionMatrix, fraction_views, reference_det,
-                                reference_eigen_closed_form,
+from spectral_reference import (CompanionMatrix, _det_bareiss, fraction_views,
+                                reference_det, reference_eigen_closed_form,
                                 reference_spectral_suite,
                                 sequential_elementary_symmetric_R)
 
@@ -427,16 +426,32 @@ def _energy_spectra():
             for L in (1, 2, 3) if (fam, L) != ("J", 3) for n in range(5)]
 
 
+def _certificate_spectra():
+    """Seeds 0-4's CLI random spectra and the energy spectra."""
+    return [sp for seed in range(5) for sp in _cli_random_spectra(seed)] + _energy_spectra()
+
+
 def test_integer_certificate_matches_fraction_reference():
-    spectra = [sp for seed in range(5) for sp in _cli_random_spectra(seed)]
-    spectra += _energy_spectra()
-    for R, alphas in spectra:
+    for R, alphas in _certificate_spectra():
         suite = spectral_suite(R, alphas)
         assert suite == reference_spectral_suite(R, alphas)
         assert suite["recursion_ok"] and suite["eigen_ok"] and suite["initial_ok"]
         sd = eigen_closed_form(R, alphas)
         want = reference_eigen_closed_form(R, alphas)
         assert (sd.alphas, sd.R, *fraction_views(sd)) == want
+
+
+def test_inverse_check_implies_the_vandermonde_determinant():
+    # eigen_closed_form decides no determinant: the N V = v diag(u) that it
+    # certifies gives det N delta^(K(K-1)/2) = vand prod_i u_i
+    spectra = _certificate_spectra()
+    assert any(eigen_closed_form(R, al).delta > 1 for R, al in spectra)
+    for R, alphas in spectra:
+        sd = eigen_closed_form(R, alphas)
+        K, B = sd.K, sd.B
+        vand = math.prod(B[i] - B[j] for i in range(K) for j in range(i + 1, K))
+        det = reference_det([list(row) for row in sd.N])
+        assert det * sd.delta ** (K * (K - 1) // 2) == vand * math.prod(sd.u)
 
 
 def test_inverse_check_holds_the_decomposition_products_below_K():
