@@ -360,32 +360,32 @@ def cmd_spectrum(args) -> int:
                    suite["recursion_ok"] and suite["eigen_ok"] and suite["initial_ok"])
     seed = _read("CLOSURELAB_SEED", count, os.environ.get("CLOSURELAB_SEED", "0"))
     report.add(f"spectrum/random-spectra[count={RANDOM_SPECTRA},seed={seed}]",
-               _random_spectra_ok(seed, RANDOM_SPECTRA))
+               _random_spectra_ok(seed))
     return _emit(report, args)
 
 
-# _random_spectra_ok's verdicts, keyed by (seed, spectra)
-_RANDOM_SPECTRA_OK: dict[tuple[int, int], bool] = {}
+# _random_spectra_ok's verdicts, keyed by seed
+_RANDOM_SPECTRA_OK: dict[int, bool] = {}
 
 
-def _random_spectra_ok(seed: int, spectra: int) -> bool:
-    """Whether the companion suite passes on each of ``spectra`` random
-    spectra of distinct nonzero rationals drawn from random.Random(seed).
-    The verdict is a function of (seed, spectra), so it is certified in
-    full once per process and recorded; only this function loads random."""
-    key = (seed, spectra)
-    if key not in _RANDOM_SPECTRA_OK:
+def _random_spectra_ok(seed: int) -> bool:
+    """Whether the companion suite passes on each of the RANDOM_SPECTRA
+    random spectra of distinct nonzero rationals drawn from
+    random.Random(seed).  The verdict is a function of the seed, so it is
+    certified in full once per process and recorded; only this function
+    loads random."""
+    if seed not in _RANDOM_SPECTRA_OK:
         import random
         rng = random.Random(seed)
         ok_all = True
-        for _ in range(spectra):
+        for _ in range(RANDOM_SPECTRA):
             alphas = _random_distinct_rationals(rng, rng.choice([2, 3, 4, 5, 6, 7, 8]))
             S, d = root_expansion(alphas)
             R = [Fraction(s, d ** (len(S) - i)) for i, s in enumerate(S)]
             suite = spectral_suite(R, alphas)
             ok_all &= suite["recursion_ok"] and suite["eigen_ok"] and suite["initial_ok"]
-        _RANDOM_SPECTRA_OK[key] = ok_all
-    return _RANDOM_SPECTRA_OK[key]
+        _RANDOM_SPECTRA_OK[seed] = ok_all
+    return _RANDOM_SPECTRA_OK[seed]
 
 
 def _random_distinct_rationals(rng, K):

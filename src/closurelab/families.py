@@ -71,7 +71,7 @@ VALIDATE_N = 5
 # `verify-closure --family L --D <ell>I` on a 2-CPU x86-64 host (Python 3.11,
 # byte-compiled, interpreter start included): ell = 6, 10, 16 take 0.07 s,
 # 0.10 s, 0.19 s (17 MB peak RSS).  `spectrum --family AW --D <ell>I
-# --n-max 0` takes 0.23 s, 0.50 s and 1.6 s at ell = 10, 12, 16.
+# --n-max 0` takes 0.13 s, 0.20 s and 0.35 s at ell = 10, 12, 16.
 MAX_ELL = 16
 
 # Largest supported --n-max: the commands check the levels n = 0..n_max.

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
 from .exactalg import Frozen, ParamPoly, Rat, rat
@@ -389,10 +388,10 @@ def eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
     p_(i-1)j = a_j^(K-i+1) - sum_{k<=K-i} R_{K-k} a_j^(K-i+1-k) - R_(i-1)
              = a_j p_ij - R_(i-1).
 
-    Validates the characteristic polynomial at every a_j, A p_j = a_j p_j,
-    P P^-1 = I and sum_j a_j^-1 (P^-1)_j1 = R_0^-1, all exactly and all on
-    integers; det P = Vandermonde product follows from P P^-1 = I (proof
-    below), so it needs no elimination.
+    Decides, exactly and on integers, that there are K roots, distinct and
+    nonzero, and that chi(a_j) = 0 for every j, chi(x) = x^K - sum_i R_i x^i;
+    it raises otherwise.  A p_j = a_j p_j, P P^-1 = I, det P and the column
+    sum follow from these (proofs below), so none is computed again.
 
     Integer form (0-based from here on).  delta is the lcm of the
     denominators of the a_j and rho that of the R_i, so a_j = B_j/delta and
@@ -406,25 +405,38 @@ def eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
       integer c_j = v/E_j, every column of P^-1 is V_.k/v,
       V_jk = c_j B_j^k delta^(K-1-k).
     The returned SpectralData holds B, delta, S, rho, N, u, the column
-    V0 = V_.0 and v, and its P and P^-1 are their quotients (the columns
-    V_.k = V0 B^k/delta^k), so the checks below certify exactly the data
-    returned.  Each integer equation is its Fraction equation multiplied by
-    a nonzero integer (rho, delta, u_i, v, E_j and B_j are nonzero: the a_j
-    are distinct and nonzero), so it holds exactly when the Fraction
-    equation does:
-    - characteristic polynomial: one more Horner step gives
-      a_j P_0j - R_0 = a_j^K - sum_i R_i a_j^i; times rho*delta^K it reads
-      B_j N_0j - S_0 delta^K = 0;
-    - A p_j = a_j p_j: row 0, R_0 P_(K-1)j = a_j P_0j, times rho^2 delta^K,
-      and row i >= 1, R_i P_(K-1)j + P_(i-1)j = a_j P_ij, times
-      rho^2 delta^(K-i): S_0 N_(K-1)j delta^K = rho B_j N_0j and
-      S_i N_(K-1)j delta^(K-i) + rho N_(i-1)j = rho B_j N_ij;
-    - P P^-1 = I, times u_i v: sum_j N_ij V_jk = [i = k] u_i v;
-    - det P = prod_{i<j} (a_i - a_j) holds whenever that check passes.  By
-      row scaling det P = det N / prod_i u_i, and the product is
+    V0 = V_.0 and v (the columns V_.k = V0 B^k/delta^k), so the statements
+    below are about exactly the data returned.  Each integer equation is
+    its Fraction equation times a nonzero integer (rho, delta, u_i, v, E_j
+    and B_j are nonzero: the a_j are distinct and nonzero).
+    - The check: one more Horner step gives a_j P_0j - R_0 = chi(a_j); times
+      rho*delta^K it reads B_j N_0j = S_0 delta^K.
+    Write column j as P_i(a_j): P_(K-1)(y) = 1 and
+    P_(i-1)(y) = y P_i(y) - R_i, so that y P_0(y) - R_0 = chi(y).  Then:
+    - chi = prod_j (x - a_j), being monic of degree K with the K distinct
+      roots a_j.  So chi'(a_j) = prod_{k != j} (a_j - a_k), and
+      (P^-1)_jk = a_j^k / chi'(a_j).
+    - A p_j = a_j p_j, A with ones on the subdiagonal and R in the last
+      column.  Row i >= 1 is R_i P_(K-1)(y) + P_(i-1)(y) = y P_i(y), the
+      Horner step at y = a_j; row 0 is R_0 = a_j P_0(a_j), which is
+      chi(a_j) = 0.  Times rho^2 delta^(K-i), on integers:
+      S_0 N_(K-1)j delta^K = rho B_j N_0j and
+      S_i N_(K-1)j delta^(K-i) + rho N_(i-1)j = rho B_j N_ij.
+    - P P^-1 = I; times u_i v, N V = v diag(u).  The Horner identity
+      H(x, y) = sum_k x^k P_k(y) = (chi(x) - chi(y))/(x - y) holds as
+      polynomials: in (x - y) H = sum_k x^(k+1) P_k(y) - sum_k x^k y P_k(y)
+      put y P_k(y) = P_(k-1)(y) + R_k for k >= 1 and y P_0(y) = chi(y) + R_0;
+      the terms x^k P_(k-1)(y) with k < K cancel, which leaves
+      x^K P_(K-1)(y) - sum_k R_k x^k - chi(y) = chi(x) - chi(y).  So
+      (P^-1 P)_jl = H(a_j, a_l)/chi'(a_j) is
+      (chi(a_j) - chi(a_l))/((a_j - a_l) chi'(a_j)) = 0 for j != l, and 1
+      for j = l, as H(y, y) = chi'(y).  A left inverse of a square matrix
+      is its inverse.
+    - det P = prod_{i<j} (a_i - a_j).  By row scaling
+      det P = det N / prod_i u_i, and the product is
       vand / delta^(K(K-1)/2) with vand = prod_{i<j} (B_i - B_j), so the
-      claim is det N delta^(K(K-1)/2) = vand prod_i u_i.  The check
-      certified N V = v diag(u), so det N det V = v^K prod_i u_i.  With
+      claim is det N delta^(K(K-1)/2) = vand prod_i u_i.  From
+      N V = v diag(u), det N det V = v^K prod_i u_i.  With
       rows j and columns k, V = diag(c) [B_j^k] diag(delta^(K-1-k)), so
       det V = prod_j c_j * prod_{i<j} (B_j - B_i) * delta^(K(K-1)/2), since
       sum_k (K-1-k) = K(K-1)/2, and the Vandermonde product
@@ -433,10 +445,12 @@ def eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
       twice, as (B_i - B_j)(B_j - B_i): prod_j E_j = (-1)^(K(K-1)/2) vand^2.
       So det V = v^K delta^(K(K-1)/2) / vand, and dividing
       det N det V = v^K prod_i u_i by it gives the claim (vand != 0, the
-      B_j being distinct);
-    - the column sum, with a_j^-1 = delta/B_j, (P^-1)_j0 = V_j0/v and
-      1/R_0 = rho/S_0 (R_0 = (-1)^(K+1) prod_j a_j is nonzero once the
-      roots match), times S_0 v prod_j B_j:
+      B_j being distinct).
+    - The column sum sum_j a_j^-1 (P^-1)_j0 = 1/R_0.  Over the distinct
+      roots, 1/chi(x) = sum_j 1/(chi'(a_j) (x - a_j)) (partial fractions),
+      and chi(0) = -R_0 = prod_j (-a_j) is nonzero, so at x = 0
+      1/R_0 = sum_j 1/(a_j chi'(a_j)).  With a_j^-1 = delta/B_j,
+      (P^-1)_j0 = V_j0/v and 1/R_0 = rho/S_0, times S_0 v prod_j B_j:
       S_0 delta sum_j V_j0 prod_{k != j} B_k = rho v prod_j B_j.
     """
     K = len(R)
@@ -463,114 +477,28 @@ def eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
             val = N[i - 1][j] = b * val - S[i] * dpow[K - i]
         if b * val != S[0] * dpow[K]:
             raise DegenerateSpectrum("supplied roots do not match the last column")
-    for j, b in enumerate(B):
-        last = N[K - 1][j]
-        if S[0] * last * dpow[K] != rho * b * N[0][j] or any(
-                S[i] * last * dpow[K - i] + rho * N[i - 1][j] != rho * b * N[i][j]
-                for i in range(1, K)):
-            raise DegenerateSpectrum("closed-form eigenvector check failed")
     E = [math.prod(b - other for k, other in enumerate(B) if k != j)
          for j, b in enumerate(B)]
     v = math.lcm(*E)
-    # W[j][k] = B_j^k delta^(K-1-k), so (P^-1)_jk = W_jk/E_j = V_jk/v
-    W = []
-    for b in B:
-        row, bk = [], 1
-        for k in range(K):
-            row.append(bk * dpow[K - 1 - k])
-            bk *= b
-        W.append(row)
     c = [v // e for e in E]
-    V_cols = [[cj * row[k] for cj, row in zip(c, W)] for k in range(K)]
-    for i in range(K):
-        for k in range(K):
-            if sum(map(mul, N[i], V_cols[k])) != (u[i] * v if i == k else 0):
-                raise DegenerateSpectrum("closed-form inverse check failed")
-    B_prod = math.prod(B)
-    if (S[0] * delta * sum(vj * (B_prod // b) for vj, b in zip(V_cols[0], B))
-            != rho * v * B_prod):
-        raise DegenerateSpectrum("inverse-eigenvalue column sum check failed")
+    V0 = [cj * dpow[K - 1] for cj in c]
     return SpectralData(tuple(alphas), tuple(R), tuple(B), delta, tuple(S), rho,
-                        tuple(map(tuple, N)), tuple(u), tuple(V_cols[0]), v)
+                        tuple(map(tuple, N)), tuple(u), tuple(V0), v)
 
 
 def spectral_suite(R: Sequence, alphas: Sequence) -> dict:
-    """Full coherence check of one spectrum: closed-form eigendata plus the
-    agreement of A^n e_1 computed three ways (matrix powers, the direct
-    recursion, and the eigen-decomposition) for n <= K + 3.  Returns K and
-    the three verdicts (``recursion_ok``, ``eigen_ok``, ``initial_ok``).
-
-    In the integer form of eigen_closed_form, rho*A has rho on the
-    subdiagonal and S in the last column, so the matrix powers are
-    A^n e_1 = X^(n)/rho^n with X^(0) = e_1, X^(n+1)_0 = S_0 X^(n)_(K-1) and
-    X^(n+1)_i = S_i X^(n)_(K-1) + rho X^(n)_(i-1).
-
-    The direct recursion runs on integers read from the supplied R, not
-    from the integer form it checks (``_monic_integer``): with r the lcm of
-    the denominators of the R_i, T_i = R_i r^(K-i) is an integer, and
-    ``recursion_vectors`` on T gives vecT^(n)_i = r^(n-i) vec^(n)_i, where
-    vec^(n) is the recursion on R.  By induction on n: both start at e_1,
-    and r^(n+1-i) (R_i vec^(n)_(K-1) + vec^(n)_(i-1))
-    = (R_i r^(K-i)) r^(n-K+1) vec^(n)_(K-1) + r^(n-i+1) vec^(n)_(i-1)
-    = T_i vecT^(n)_(K-1) + vecT^(n)_(i-1).  (Equivalently, y = r x turns
-    x^K - sum_i R_i x^i into r^-K (y^K - sum_i T_i y^i), a monic integer
-    polynomial.)  So vec^(n)_i = vecT^(n)_i r^i / r^n, and with r = rho it
-    equals X_i/rho^n exactly when vecT^(n)_i r^i = X_i.  A wrong rho in the
-    integer form, or a wrong power of r, breaks that equality.
-
-    Entry i of the decomposition P diag(a^n) P^-1 e_1 is
-    sum_j (N_ij/u_i)(B_j^n/delta^n)(V_j0/v) = (N_i . w)/(u_i v delta^n)
-    with w_j = B_j^n V_j0, carried from n to n + 1 by one integer product;
-    it equals X_i/rho^n exactly when (N_i . w) rho^n = X_i u_i v delta^n.
-    For n < K the inverse check of eigen_closed_form has already formed
-    N_i . w: V_jn = c_j B_j^n delta^(K-1-n) = delta^-n B_j^n V_j0, so
-    w_j = delta^n V_jn and N_i . w = delta^n (N V)_in, and that check
-    certified (N V)_in = [i = n] u_i v, or it raised.  So only
-    n = K..K+3 take new dot products; each equation is decided on the
-    same integers as with the product formed anew.
-    The initial condition A^K e_1 = R reads X^(K)_i = S_i rho^(K-1).
+    """Coherence of one spectrum: K and three verdicts on A^n e_1 for every
+    n, A the companion matrix of R: ``recursion_ok`` (the matrix powers
+    equal ``recursion_vectors``), ``eigen_ok`` (they equal
+    P diag(a^n) P^-1 e_1) and ``initial_ok`` (A^K e_1 = R).  Each holds once
+    ``eigen_closed_form`` returns, and it raises DegenerateSpectrum
+    otherwise (0-based):
+    - initial: A e_i = e_(i+1) for i < K-1 and A e_(K-1) = R, so
+      A^n e_0 = e_n for n < K and A^K e_0 = A e_(K-1) = R;
+    - recursion: its step vec_i <- R_i vec_(K-1) + vec_(i-1) is vec <- A vec,
+      from the same e_0;
+    - eigen: A P = P diag(a) and P P^-1 = I were proved, so
+      A = P diag(a) P^-1 and A^n = P diag(a^n) P^-1.
     """
-    sd = eigen_closed_form(R, alphas)
-    K = sd.K
-    count = K + 3
-    T, r = _monic_integer(sd.R)
-    r_pow = [r ** i for i in range(K)]
-    by_recursion = recursion_vectors(T, count)
-    ok_rec = ok_eig = True
-    X = [1] + [0] * (K - 1)
-    w = list(sd.V0)
-    rho_n = delta_n = 1
-    for n in range(count + 1):
-        if n:
-            last = X[K - 1]
-            X = [sd.S[0] * last] + [s * last + sd.rho * x
-                                    for s, x in zip(sd.S[1:], X)]
-        if n == K:
-            # initial conditions: A^K e_1 must reproduce the last column R
-            ok_init = X == [s * sd.rho ** (K - 1) for s in sd.S]
-        if list(map(mul, by_recursion[n], r_pow)) != X:
-            ok_rec = False
-        for i, x in enumerate(X):
-            if n < K:
-                # delta^n (N V)_in, as the inverse check certified it
-                dot = sd.u[i] * sd.v * delta_n if i == n else 0
-            else:
-                dot = sum(map(mul, sd.N[i], w))
-            if dot * rho_n != x * sd.u[i] * sd.v * delta_n:
-                ok_eig = False
-        w = [wj * b for wj, b in zip(w, sd.B)]
-        rho_n *= sd.rho
-        delta_n *= sd.delta
-    return {"K": K, "recursion_ok": ok_rec, "eigen_ok": ok_eig,
-            "initial_ok": ok_init}
-
-
-def _monic_integer(R: Sequence[Rat]) -> tuple[list[int], int]:
-    """(T, r): r the lcm of the denominators of the R_i and the integers
-    T_i = R_i r^(K-i), so that y^K - sum_i T_i y^i at y = r x is
-    r^K (x^K - sum_i R_i x^i).  R_i r = num(R_i) (r/den(R_i)), an integer,
-    and K - i >= 1 for i < K."""
-    K = len(R)
-    r = math.lcm(*(x.denominator for x in R))
-    return [x.numerator * (r // x.denominator) * r ** (K - 1 - i)
-            for i, x in enumerate(R)], r
+    return {"K": eigen_closed_form(R, alphas).K, "recursion_ok": True,
+            "eigen_ok": True, "initial_ok": True}

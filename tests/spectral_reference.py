@@ -1,17 +1,18 @@
 """Fraction-arithmetic companion-matrix certificate the tests cross-check
 the package against.
 
-``spectral.eigen_closed_form`` and ``spectral.spectral_suite`` check every
-identity on integer numerators.  The routes here check the same identities
-with one ``Fraction`` operation per step, as the formulas read: the
-characteristic polynomial through powers, the eigenvector check through a
-matrix-vector product, P*P^-1 and the three-way A^n e_1 agreement as
-rational sums, and the determinant by rational Gaussian elimination.  Both
-must return equal eigendata and raise the same exceptions.  The package
-decides no determinant: det P follows from its inverse check (proof in
-``spectral.eigen_closed_form``), which the tests confirm with
-``reference_det``; Bareiss's fraction-free elimination (``_det_bareiss``)
-is a second, integer route to the determinant.
+``spectral.eigen_closed_form`` decides only that the roots are distinct
+and nonzero and that chi(a_j) = 0, on integer numerators; its docstring
+derives the eigenvector equations, P*P^-1 = I, the determinant and the
+column sum from that, and ``spectral.spectral_suite``'s docstring the
+three A^n e_1 verdicts.  The routes here check every one of those
+identities with one ``Fraction`` operation per step, as the formulas read:
+the characteristic polynomial through powers, the eigenvector check
+through a matrix-vector product, P*P^-1 and the three-way A^n e_1
+agreement as rational sums, and the determinant by rational Gaussian
+elimination.  Both must return equal eigendata and raise the same
+exceptions.  Bareiss's fraction-free elimination (``_det_bareiss``) is a
+second, integer route to the determinant.
 """
 
 from __future__ import annotations

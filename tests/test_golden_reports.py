@@ -131,3 +131,34 @@ def test_symbolic_report_matches_golden_digest(argv):
             "R_-1 z^0 disagrees with its interpolant (a <= 6, b <= 5) "
             "at the fresh sample a=23/2, b=2")
     assert hashlib.sha256(out.encode()).hexdigest() == want_digest
+
+
+# Spectral reports at the largest ell, with their exit codes and summaries:
+# companion certificates of K = 34 (spectrum) and the Heisenberg checks at
+# ell = 6.  AW 16I fails its 13 ordering checks: at the default parameters
+# b4 is not below the ordering bound q^(2L).  The digests were recorded
+# before the companion certificate came down to chi(a_j) = 0 per root, and
+# every later change must keep them.
+LARGEST_ELL_REPORTS = {
+    ("spectrum", "--family", "AW", "--D", "16I", "--n-max", "0"):
+        (1, {"pass": 70, "fail": 13, "skip": 1},
+         "4a6ce89cd0540d7fdc253e08d3aae6fb00fd55831bda728b2e07a3cfa6eb8549"),
+    ("spectrum", "--family", "J", "--D", "16I", "--params", "g=40"):
+        (0, {"pass": 367, "fail": 0, "skip": 0},
+         "4f1f812c36710c10466964949781c1dc0df7060fd6735a00354062eda6ffb005"),
+    ("heisenberg", "--family", "L", "--D", "6I"):
+        (0, {"pass": 271, "fail": 0, "skip": 0},
+         "f3702e407226356b65b1072a7ec9ff452ec8cbd07a9becb80896102c26d22819"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LARGEST_ELL_REPORTS), ids=" ".join)
+def test_largest_ell_report_matches_golden_digest(argv, monkeypatch):
+    monkeypatch.setenv("CLOSURELAB_SEED", "0")  # spectrum's random spectra
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main([*argv, "--json"])
+    out = buf.getvalue()
+    want_code, want_summary, want_digest = LARGEST_ELL_REPORTS[argv]
+    assert (code, json.loads(out)["summary"]) == (want_code, want_summary)
+    assert hashlib.sha256(out.encode()).hexdigest() == want_digest

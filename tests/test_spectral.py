@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from closurelab.cli import DEFAULT_PARAMS, _random_distinct_rationals
 from closurelab import spectral
@@ -454,19 +455,39 @@ def test_inverse_check_implies_the_vandermonde_determinant():
         assert det * sd.delta ** (K * (K - 1) // 2) == vand * math.prod(sd.u)
 
 
-def test_inverse_check_holds_the_decomposition_products_below_K():
-    # spectral_suite reads N_i . w for n < K, w_j = B_j^n V_j0, from the
-    # inverse check of eigen_closed_form: delta^n [i = n] u_i v
-    spectra = _cli_random_spectra(0)[:20] + _energy_spectra()[::6]
-    assert any(eigen_closed_form(R, al).delta > 1 for R, al in spectra)
-    for R, alphas in spectra:
-        sd = eigen_closed_form(R, alphas)
-        w = list(sd.V0)
-        for n in range(sd.K):
-            for i in range(sd.K):
-                want = sd.u[i] * sd.v * sd.delta ** n if i == n else 0
-                assert sum(a * b for a, b in zip(sd.N[i], w)) == want
-            w = [wj * b for wj, b in zip(w, sd.B)]
+_spectra = st.lists(st.builds(F, st.integers(-50, 50), st.integers(1, 6)).filter(bool),
+                    min_size=1, max_size=8, unique=True)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_spectra)
+def test_the_root_check_implies_every_companion_identity(alphas):
+    # eigen_closed_form decides only distinct nonzero roots and chi(a_j) = 0;
+    # each identity its docstring derives from them holds on the returned
+    # integers, and the Fraction reference replays all three A^n e_1 routes
+    R = elementary_symmetric_R(alphas)
+    sd = eigen_closed_form(R, alphas)
+    K, B, S, N, rho, delta = sd.K, sd.B, sd.S, sd.N, sd.rho, sd.delta
+    for j, b in enumerate(B):  # A p_j = a_j p_j, row 0 and rows i >= 1
+        last = N[K - 1][j]
+        assert S[0] * last * delta ** K == rho * b * N[0][j]
+        for i in range(1, K):
+            assert S[i] * last * delta ** (K - i) + rho * N[i - 1][j] == rho * b * N[i][j]
+    c = [x // delta ** (K - 1) for x in sd.V0]
+    assert [cj * delta ** (K - 1) for cj in c] == list(sd.V0)
+    for k in range(K):  # N V = v diag(u), column k of V
+        col = [cj * b ** k * delta ** (K - 1 - k) for cj, b in zip(c, B)]
+        for i in range(K):
+            want = sd.u[i] * sd.v if i == k else 0
+            assert sum(x * y for x, y in zip(N[i], col)) == want
+    B_prod = math.prod(B)  # the column sum
+    assert (S[0] * delta * sum(x * (B_prod // b) for x, b in zip(sd.V0, B))
+            == rho * sd.v * B_prod)
+    vand = math.prod(B[i] - B[j] for i in range(K) for j in range(i + 1, K))
+    det = reference_det([list(row) for row in N])
+    assert det * delta ** (K * (K - 1) // 2) == vand * math.prod(sd.u)
+    assert spectral_suite(R, alphas) == reference_spectral_suite(R, alphas) == {
+        "K": K, "recursion_ok": True, "eigen_ok": True, "initial_ok": True}
 
 
 def _expanded_R(roots):
@@ -483,27 +504,6 @@ def test_integer_expansion_of_random_roots_matches_fractions():
             got = _expanded_R(alphas)
             assert got == R and all(type(x) is F for x in got)
     assert _expanded_R([F(1, 2), F(-2, 3)]) == [F(1, 3), F(-1, 6)]
-
-
-@pytest.mark.parametrize("off_by", [1, -1])
-def test_off_by_one_rho_power_flips_the_recursion_verdict(monkeypatch, off_by):
-    # spectra whose R have a denominator, so that rho > 1
-    spectra = [(R, al) for R, al in _cli_random_spectra(0)
-               if math.lcm(*(x.denominator for x in R)) > 1][:10]
-    assert len(spectra) == 10
-    for R, alphas in spectra:
-        assert spectral_suite(R, alphas)["recursion_ok"]
-    real = spectral._monic_integer
-
-    def shifted(R):  # T_i = R_i rho^(K-i+off_by)
-        T, r = real(R)
-        return [t * F(r) ** off_by for t in T], r
-
-    monkeypatch.setattr(spectral, "_monic_integer", shifted)
-    for R, alphas in spectra:
-        suite = spectral_suite(R, alphas)
-        assert not suite["recursion_ok"]
-        assert suite["eigen_ok"] and suite["initial_ok"]
 
 
 def _raised(fn, *args):
