@@ -6,20 +6,34 @@ forms that this demo checks exactly, on a 2x2 worked example, on the
 family eigenvalue lists, and on randomized distinct-rational spectra.
 """
 
+import math
 import random
 from fractions import Fraction
 
 from closurelab.families import ParamSet, energy
 from closurelab.spectral import (alpha_conjecture, alpha_values_at_energy,
-                                 eigen_closed_form, spectral_suite)
+                                 spectral_suite)
+
+
+def closed_forms(R, alphas):
+    """P and P^-1 from their closed forms (1-based i):
+    p_ij = a_j^(K-i) - sum_{k=1}^{K-i} R_{K-k} a_j^(K-i-k) and
+    (P^-1)_ji = a_j^(i-1) / prod_{k != j} (a_j - a_k).  The package checks
+    only that the a_j are distinct nonzero roots, and builds neither."""
+    K = len(R)
+    P = tuple(tuple(a ** (K - i) - sum(R[K - k] * a ** (K - i - k)
+                                       for k in range(1, K - i + 1))
+                    for a in alphas) for i in range(1, K + 1))
+    P_inv = tuple(tuple(a ** (i - 1) / math.prod(a - b for b in alphas if b != a)
+                        for i in range(1, K + 1)) for a in alphas)
+    return P, P_inv
+
 
 # 2x2 worked example: eigenvalues (2, -3) so R_1 = -1, R_0 = 6
-sd = eigen_closed_form([6, -1], [2, -3])
-# the certified integer form: P_ij = N_ij/u_i, (P^-1)_jk = V0_j B_j^k/(v delta^k)
-P = tuple(tuple(Fraction(x, ui) for x in row) for row, ui in zip(sd.N, sd.u))
-P_inv = tuple(tuple(Fraction(vj * bj ** k, sd.v * sd.delta ** k) for k in range(sd.K))
-              for vj, bj in zip(sd.V0, sd.B))
+P, P_inv = closed_forms([Fraction(6), Fraction(-1)], [Fraction(2), Fraction(-3)])
 print("2x2 example: P =", P, " P^-1 =", P_inv)
+assert all(sum(P[i][j] * P_inv[j][k] for j in range(2)) == (i == k)
+           for i in range(2) for k in range(2))
 suite = spectral_suite([6, -1], [2, -3])
 print("recursion/eigen/initial all exact:",
       suite["recursion_ok"], suite["eigen_ok"], suite["initial_ok"])

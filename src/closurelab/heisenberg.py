@@ -11,9 +11,11 @@ Heisenberg solution are all decided exactly on coordinate vectors.  Every
 check reads the family's level store alone: the recurrence rows
 (``recurrence.recurrence_row``) and the levels whose eigen-equation
 ``DeformedFamily.check_levels`` has proved, so no check applies H again.
-The companion eigendata are read in the certified integer form of
-``spectral.SpectralData``, so the ladder actions and the time-power series
-are decided on integer numerators, with one Fraction per coordinate.
+Each ladder action is the Lagrange basis polynomial of the certified
+companion roots at the level differences (``_ladder_action``), read in the
+integer form of ``spectral.SpectralData``, so the ladder actions and the
+time-power series are decided on integer numerators, with one Fraction per
+coordinate.
 Ladder operators are never materialized as standalone operators.
 """
 
@@ -24,7 +26,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable
 
-from .exactalg import EtaPoly, Rat, horner
+from .exactalg import EtaPoly, Rat
 from .closure import ClosureData, level_coordinates
 from .families import DeformedFamily
 from .recurrence import recurrence_row
@@ -99,54 +101,58 @@ def _ladder_action(ctx: LadderContext, j: int, n: int) -> LadderAction:
     """a^(j) P(n) evaluated exactly; the image must be r_{n,shift} P(n+shift).
 
     shift = ``ladder_shift(L, j)``.
-    The image is sum_i ((ad H)^i X) P(n) S[i][j] + (R_-1(E_n)/alpha_j) P(n),
-    scaled by S^-1[j][0] (S the companion eigenvector matrix at E_n), so its
-    coordinate at P(n+k) is
-    S^-1[j][0] (sum_i r_{n,k} Delta_{n,k}^i S[i][j] + [k = 0] R_-1(E_n)/alpha_j).
+    With P the companion eigenvector matrix at E_n, the image is
+    sum_i ((ad H)^i X) P(n) P_ij (P^-1)_j0 + (R_-1(E_n)/alpha_j) (P^-1)_j0 P(n)
+    (0-based i and j), so its coordinate at P(n+k) is
+    (P^-1)_j0 (r_{n,k} sum_i Delta_{n,k}^i P_ij + [k = 0] R_-1(E_n)/alpha_j).
     The P(n+k) are independent, so the image is a multiple of P(n+shift)
     exactly when every other coordinate is zero, and zero exactly when all
     are.  Raises NotProportional when the image is not a scalar multiple of
     the target eigenpolynomial.
 
-    On integers (0-based i and j, the notation of
-    ``spectral.eigen_closed_form``): S[i][j] = N_ij/u_i with
-    u_i = rho delta^(K-1-i), S^-1[j][0] = V0_j/v and alpha_j = B_j/delta.
-    With Delta_{n,k} = p/q in lowest terms (q > 0), every term over the
-    common denominator q^(K-1) rho delta^(K-1) gives
-    sum_i r Delta^i N_ij/u_i = r T/(q^(K-1) rho delta^(K-1)),
-    T = sum_i N_ij (p delta)^i q^(K-1-i)  (``exactalg.horner``),
-    since (p/q)^i/delta^(K-1-i) = (p delta)^i q^(K-1-i)/(q^(K-1) delta^(K-1)).
-    At k = 0 (Delta = 0, so q = 1) the term R_-1/alpha_j = R_-1 delta/B_j is
-    added over the product of the two denominators.  Each coordinate is
-    then one Fraction of integers, the same rational as the sum it
-    rewrites, so the coordinates are equal to the Fraction route's.
+    The Lagrange form.  ``spectral.eigen_closed_form`` has certified that
+    the alpha_m are distinct, nonzero and roots of chi, and its docstring
+    proves (P^-1)_j0 = 1/chi'(alpha_j) and, from the Horner identity,
+    sum_i x^i P_ij = prod_{m != j} (x - alpha_m) at every x, x = alpha_j
+    included.  So the coordinate at P(n+k) is
+    r_{n,k} prod_{m != j} (Delta_{n,k} - alpha_m)/chi'(alpha_j)
+    + [k = 0] R_-1(E_n)/(alpha_j chi'(alpha_j)), the same rational.
+
+    On integers (``spectral.SpectralData``): alpha_m = B_m/delta,
+    chi'(alpha_j) = E_j/delta^(K-1), and with r_{n,k} = r_num/r_den and
+    Delta_{n,k} = p/q in lowest terms (q > 0),
+    prod_{m != j} (p/q - B_m/delta) = prod_{m != j} (p delta - q B_m)/(q delta)^(K-1),
+    so the first term is r_num prod_{m != j} (p delta - q B_m)/(r_den q^(K-1) E_j)
+    and the second R_-1 delta^K/(B_j E_j).  At k = 0 (Delta = 0, so q = 1)
+    the two are added over the product of their denominators.  Each
+    coordinate is then one Fraction of integers, equal to the eigenvector
+    route's sum (``tests/heisenberg_reference.py``).
     """
     K = ctx.K
     if not 1 <= j <= K:
         raise ValueError("need 1 <= j <= K")
     shift = ladder_shift(ctx.L, j)
     sd, R_minus1 = ctx.spectral_at(n)
-    alpha_j, b, V0 = sd.alphas[j - 1], sd.B[j - 1], sd.V0[j - 1]
-    column = [row[j - 1] for row in sd.N]
-    base = sd.rho * sd.delta ** (K - 1)
+    d, b, e = sd.delta, sd.B[j - 1], sd.E[j - 1]
+    others = sd.B[:j - 1] + sd.B[j:]
     coords = {}
     for k, r, delta in level_coordinates(ctx.df, ctx.X, n):
         p, q = delta.numerator, delta.denominator
-        num = r.numerator * horner(column, p * sd.delta, q)
-        den = r.denominator * q ** (K - 1) * base
-        if k == 0:
+        num = r.numerator * math.prod(p * d - q * bm for bm in others)
+        den = r.denominator * q ** (K - 1) * e
+        if k == 0:  # q = 1, so den = r_den E_j
             num = (num * R_minus1.denominator * b
-                   + R_minus1.numerator * sd.delta * den)
+                   + R_minus1.numerator * d ** K * r.denominator)
             den *= R_minus1.denominator * b
-        coords[k] = Fraction(num * V0, den * sd.v)
+        coords[k] = Fraction(num, den)
     target_n = n + shift
     if target_n < 0:
         if any(coords.values()):
             raise NotProportional(f"j={j}, n={n}: expected zero below the ground state")
-        return LadderAction(shift, Fraction(0), coords, alpha_j)
+        return LadderAction(shift, Fraction(0), coords, sd.alphas[j - 1])
     if any(c for k, c in coords.items() if k != shift):
         raise NotProportional(f"j={j}, n={n}: image is not proportional to P({target_n})")
-    return LadderAction(shift, coords[shift], coords, alpha_j)
+    return LadderAction(shift, coords[shift], coords, sd.alphas[j - 1])
 
 
 def ladder_suite(ctx: LadderContext, n_range: Iterable[int]) -> list[dict]:

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .exactalg import Frozen, ParamPoly, Rat, rat
+from .exactalg import Frozen, ParamPoly, Rat, horner, rat
 from .families import ParamSet, energy
 
 HALF = Fraction(1, 2)
@@ -359,19 +359,15 @@ def recursion_vectors(R: Sequence, count: int) -> list[list]:
 
 class SpectralData(Frozen):
     """Certified eigendata of a companion matrix with distinct nonzero
-    rational eigenvalues, held in the integer form that
-    ``eigen_closed_form`` checks: alpha_j = B_j/delta, R_i = S_i/rho,
-    P_ij = N_ij/u_i and (P^-1)_j0 = V0_j/v (0-based; every divisor
-    positive).  ``alphas`` and ``R`` are the supplied Fractions; every
-    consumer reads the integer fields, so no Fraction matrix is built.
-    N[i][j] is row i, column j."""
+    rational eigenvalues, in the integer form that ``eigen_closed_form``
+    checks: alpha_j = B_j/delta (delta > 0) and
+    E_j = prod_{k != j} (B_j - B_k) = delta^(K-1) chi'(alpha_j), 0-based.
+    ``alphas`` and ``R`` are the supplied Fractions."""
 
-    __slots__ = ("alphas", "R", "B", "delta", "S", "rho", "N", "u", "V0", "v")
+    __slots__ = ("alphas", "R", "B", "delta", "E")
 
-    def __init__(self, alphas: tuple, R: tuple, B: tuple, delta: int, S: tuple,
-                 rho: int, N: tuple, u: tuple, V0: tuple, v: int):
-        self._set(alphas=alphas, R=R, B=B, delta=delta, S=S, rho=rho, N=N, u=u,
-                  V0=V0, v=v)
+    def __init__(self, alphas: tuple, R: tuple, B: tuple, delta: int, E: tuple):
+        self._set(alphas=alphas, R=R, B=B, delta=delta, E=E)
 
     @property
     def K(self) -> int:
@@ -380,49 +376,33 @@ class SpectralData(Frozen):
 
 def eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
     """Closed-form eigenvectors p_ij = a_j^(K-i) - sum_k R_{K-k} a_j^(K-i-k)
-    and inverse (P^-1)_ji = a_j^(i-1) / prod_{k != j} (a_j - a_k).
-
-    Each column is the closed form expanded by Horner's rule from the
-    bottom row (rows 1-based, R 0-based): p_Kj = a_j^0 = 1, and splitting
-    off the k = K-i+1 term of the sum gives
-    p_(i-1)j = a_j^(K-i+1) - sum_{k<=K-i} R_{K-k} a_j^(K-i+1-k) - R_(i-1)
-             = a_j p_ij - R_(i-1).
+    and inverse (P^-1)_ji = a_j^(i-1) / prod_{k != j} (a_j - a_k) of the
+    companion matrix A of R (ones on the subdiagonal, R in the last column).
 
     Decides, exactly and on integers, that there are K roots, distinct and
     nonzero, and that chi(a_j) = 0 for every j, chi(x) = x^K - sum_i R_i x^i;
-    it raises otherwise.  A p_j = a_j p_j, P P^-1 = I, det P and the column
-    sum follow from these (proofs below), so none is computed again.
+    it raises otherwise.  A p_j = a_j p_j, P P^-1 = I, the Lagrange form,
+    det P and the column sum follow from these (proofs below), so neither P
+    nor P^-1 is built.
 
-    Integer form (0-based from here on).  delta is the lcm of the
-    denominators of the a_j and rho that of the R_i, so a_j = B_j/delta and
-    R_i = S_i/rho with integers B_j, S_i.
-    - Row scaling: multiplying P_(i-1)j = a_j P_ij - R_i by
-      u_(i-1) = rho*delta^(K-i) gives P_ij = N_ij/u_i, u_i = rho*delta^(K-1-i),
-      with N_(K-1)j = rho and N_(i-1)j = B_j N_ij - S_i delta^(K-i).
-    - Column scaling: E_j = prod_{k != j} (B_j - B_k) is
-      delta^(K-1) prod_{k != j} (a_j - a_k), so
-      (P^-1)_jk = B_j^k delta^(K-1-k) / E_j.  With v = lcm_j |E_j| and the
-      integer c_j = v/E_j, every column of P^-1 is V_.k/v,
-      V_jk = c_j B_j^k delta^(K-1-k).
-    The returned SpectralData holds B, delta, S, rho, N, u, the column
-    V0 = V_.0 and v (the columns V_.k = V0 B^k/delta^k), so the statements
-    below are about exactly the data returned.  Each integer equation is
-    its Fraction equation times a nonzero integer (rho, delta, u_i, v, E_j
-    and B_j are nonzero: the a_j are distinct and nonzero).
-    - The check: one more Horner step gives a_j P_0j - R_0 = chi(a_j); times
-      rho*delta^K it reads B_j N_0j = S_0 delta^K.
-    Write column j as P_i(a_j): P_(K-1)(y) = 1 and
-    P_(i-1)(y) = y P_i(y) - R_i, so that y P_0(y) - R_0 = chi(y).  Then:
+    The check (0-based from here on).  delta is the lcm of the denominators
+    of the a_j and rho that of the R_i, so a_j = B_j/delta and R_i = S_i/rho
+    with integers B_j, S_i.  Then
+    rho delta^K chi(a_j) = rho B_j^K - sum_i S_i B_j^i delta^(K-i), which is
+    ``horner`` on the coefficients (-S_0, ..., -S_(K-1), rho) at B_j/delta;
+    rho and delta are nonzero, so it vanishes exactly when chi(a_j) does.
+
+    Each column is the closed form expanded by Horner's rule from the
+    bottom row: write column j as P_i(a_j), with P_(K-1)(y) = 1 and
+    P_(i-1)(y) = y P_i(y) - R_i (splitting off the last term of the sum), so
+    that y P_0(y) - R_0 = chi(y).  Then:
     - chi = prod_j (x - a_j), being monic of degree K with the K distinct
-      roots a_j.  So chi'(a_j) = prod_{k != j} (a_j - a_k), and
-      (P^-1)_jk = a_j^k / chi'(a_j).
-    - A p_j = a_j p_j, A with ones on the subdiagonal and R in the last
-      column.  Row i >= 1 is R_i P_(K-1)(y) + P_(i-1)(y) = y P_i(y), the
-      Horner step at y = a_j; row 0 is R_0 = a_j P_0(a_j), which is
-      chi(a_j) = 0.  Times rho^2 delta^(K-i), on integers:
-      S_0 N_(K-1)j delta^K = rho B_j N_0j and
-      S_i N_(K-1)j delta^(K-i) + rho N_(i-1)j = rho B_j N_ij.
-    - P P^-1 = I; times u_i v, N V = v diag(u).  The Horner identity
+      roots a_j.  So chi'(a_j) = prod_{k != j} (a_j - a_k) = E_j/delta^(K-1),
+      E_j = prod_{k != j} (B_j - B_k) != 0, and (P^-1)_jk = a_j^k/chi'(a_j).
+    - A p_j = a_j p_j.  Row i >= 1 is R_i P_(K-1)(y) + P_(i-1)(y) = y P_i(y),
+      the Horner step at y = a_j; row 0 is R_0 = a_j P_0(a_j), which is
+      chi(a_j) = 0.
+    - P P^-1 = I.  The Horner identity
       H(x, y) = sum_k x^k P_k(y) = (chi(x) - chi(y))/(x - y) holds as
       polynomials: in (x - y) H = sum_k x^(k+1) P_k(y) - sum_k x^k y P_k(y)
       put y P_k(y) = P_(k-1)(y) + R_k for k >= 1 and y P_0(y) = chi(y) + R_0;
@@ -432,26 +412,22 @@ def eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
       (chi(a_j) - chi(a_l))/((a_j - a_l) chi'(a_j)) = 0 for j != l, and 1
       for j = l, as H(y, y) = chi'(y).  A left inverse of a square matrix
       is its inverse.
-    - det P = prod_{i<j} (a_i - a_j).  By row scaling
-      det P = det N / prod_i u_i, and the product is
-      vand / delta^(K(K-1)/2) with vand = prod_{i<j} (B_i - B_j), so the
-      claim is det N delta^(K(K-1)/2) = vand prod_i u_i.  From
-      N V = v diag(u), det N det V = v^K prod_i u_i.  With
-      rows j and columns k, V = diag(c) [B_j^k] diag(delta^(K-1-k)), so
-      det V = prod_j c_j * prod_{i<j} (B_j - B_i) * delta^(K(K-1)/2), since
-      sum_k (K-1-k) = K(K-1)/2, and the Vandermonde product
-      prod_{i<j} (B_j - B_i) is (-1)^(K(K-1)/2) vand.  Next
-      prod_j c_j = v^K / prod_j E_j, and prod_j E_j takes every pair i < j
-      twice, as (B_i - B_j)(B_j - B_i): prod_j E_j = (-1)^(K(K-1)/2) vand^2.
-      So det V = v^K delta^(K(K-1)/2) / vand, and dividing
-      det N det V = v^K prod_i u_i by it gives the claim (vand != 0, the
-      B_j being distinct).
+    - The Lagrange form.  At y = a_j, chi(a_j) = 0 gives
+      (x - a_j) H(x, a_j) = chi(x) = (x - a_j) prod_{m != j} (x - a_m), so
+      H(x, a_j) = prod_{m != j} (x - a_m) as polynomials in x (cancel
+      x - a_j), hence at every x, x = a_j included, where both sides are
+      chi'(a_j).  So sum_i x^i P_ij (P^-1)_j0 = H(x, a_j)/chi'(a_j) is
+      l_j(x), the Lagrange basis polynomial of the a_j
+      (``heisenberg._ladder_action``).
+    - det P = prod_{i<j} (a_i - a_j) =: vand.  P^-1 = diag(1/chi'(a_j)) W
+      with W_jk = a_j^k, det W = prod_{i<j} (a_j - a_i) =
+      (-1)^(K(K-1)/2) vand, and prod_j chi'(a_j) takes every pair i < j
+      twice, as (a_i - a_j)(a_j - a_i): it is (-1)^(K(K-1)/2) vand^2.  So
+      det P^-1 = 1/vand, and det P = vand (vand != 0, the a_j distinct).
     - The column sum sum_j a_j^-1 (P^-1)_j0 = 1/R_0.  Over the distinct
       roots, 1/chi(x) = sum_j 1/(chi'(a_j) (x - a_j)) (partial fractions),
       and chi(0) = -R_0 = prod_j (-a_j) is nonzero, so at x = 0
-      1/R_0 = sum_j 1/(a_j chi'(a_j)).  With a_j^-1 = delta/B_j,
-      (P^-1)_j0 = V_j0/v and 1/R_0 = rho/S_0, times S_0 v prod_j B_j:
-      S_0 delta sum_j V_j0 prod_{k != j} B_k = rho v prod_j B_j.
+      1/R_0 = sum_j 1/(a_j chi'(a_j)).
     """
     K = len(R)
     alphas = [rat(a) for a in alphas]
@@ -463,27 +439,12 @@ def eigen_closed_form(R: Sequence, alphas: Sequence) -> SpectralData:
     delta = math.lcm(*(a.denominator for a in alphas))
     B = [a.numerator * (delta // a.denominator) for a in alphas]
     rho = math.lcm(*(r.denominator for r in R))
-    S = [r.numerator * (rho // r.denominator) for r in R]
-    dpow = [1]
-    for _ in range(K):
-        dpow.append(dpow[-1] * delta)
-    u = [rho * dpow[K - 1 - i] for i in range(K)]
-    # N by Horner, column by column; the step below row 0 is the
-    # characteristic polynomial at a_j
-    N = [[0] * K for _ in range(K)]
-    for j, b in enumerate(B):
-        val = N[K - 1][j] = rho
-        for i in range(K - 1, 0, -1):
-            val = N[i - 1][j] = b * val - S[i] * dpow[K - i]
-        if b * val != S[0] * dpow[K]:
-            raise DegenerateSpectrum("supplied roots do not match the last column")
+    chi = [-r.numerator * (rho // r.denominator) for r in R] + [rho]
+    if any(horner(chi, b, delta) for b in B):
+        raise DegenerateSpectrum("supplied roots do not match the last column")
     E = [math.prod(b - other for k, other in enumerate(B) if k != j)
          for j, b in enumerate(B)]
-    v = math.lcm(*E)
-    c = [v // e for e in E]
-    V0 = [cj * dpow[K - 1] for cj in c]
-    return SpectralData(tuple(alphas), tuple(R), tuple(B), delta, tuple(S), rho,
-                        tuple(map(tuple, N)), tuple(u), tuple(V0), v)
+    return SpectralData(tuple(alphas), tuple(R), tuple(B), delta, tuple(E))
 
 
 def spectral_suite(R: Sequence, alphas: Sequence) -> dict:

@@ -1,14 +1,16 @@
-"""The Fraction route for the ladder checks, kept as a reference for the
-integer one.
+"""The eigenvector route for the ladder checks, kept as a reference for the
+package's integer route.
 
-``heisenberg._ladder_action`` and ``heisenberg.heisenberg_series_check``
-decide the ladder actions and the time-power series on the integer
-numerators of ``spectral.SpectralData``.  These are their former versions,
-with one Fraction operation per term as the formulas read: the companion
-eigenvector column and S^-1[j][0] come from the Fraction matrices P and
-P^-1 (``spectral_reference.fraction_views``), and Delta_{n,k}^i and
-alpha_j^m are Fraction powers.  The tests cross-check the two routes
-against each other.
+``heisenberg._ladder_action`` computes each ladder coordinate from the
+certified companion roots alone, as the Lagrange basis polynomial
+l_j(Delta_{n,k}) on integer numerators, and
+``heisenberg.heisenberg_series_check`` decides the time-power series on
+them.  This is the eigenvector route, with one Fraction operation per term
+as the formulas read: the companion eigenvector column and S^-1[j][0] come
+from the Fraction matrices P and P^-1, built from R and the roots alone
+(``spectral_reference.fraction_views``), and Delta_{n,k}^i and alpha_j^m
+are Fraction powers.  The tests cross-check the two routes against each
+other.
 """
 
 from __future__ import annotations

@@ -3,20 +3,23 @@ the package against.
 
 ``spectral.eigen_closed_form`` decides only that the roots are distinct
 and nonzero and that chi(a_j) = 0, on integer numerators; its docstring
-derives the eigenvector equations, P*P^-1 = I, the determinant and the
-column sum from that, and ``spectral.spectral_suite``'s docstring the
-three A^n e_1 verdicts.  The routes here check every one of those
-identities with one ``Fraction`` operation per step, as the formulas read:
-the characteristic polynomial through powers, the eigenvector check
-through a matrix-vector product, P*P^-1 and the three-way A^n e_1
-agreement as rational sums, and the determinant by rational Gaussian
-elimination.  Both must return equal eigendata and raise the same
-exceptions.  Bareiss's fraction-free elimination (``_det_bareiss``) is a
-second, integer route to the determinant.
+derives the eigenvector equations, P*P^-1 = I, the Lagrange form, the
+determinant and the column sum from that, and
+``spectral.spectral_suite``'s docstring the three A^n e_1 verdicts.  The
+package builds neither P nor P^-1.  The eigenvector route here builds
+both and checks every one of those identities with one ``Fraction``
+operation per step, as the formulas read: the characteristic polynomial
+through powers, the eigenvector check through a matrix-vector product,
+P*P^-1 and the three-way A^n e_1 agreement as rational sums, and the
+determinant by rational Gaussian elimination.  Both must return equal
+eigendata and raise the same exceptions.  ``integer_eigen_form`` is the
+same route on integer numerators, and Bareiss's fraction-free elimination
+(``_det_bareiss``) a second, integer route to the determinant.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -59,20 +62,64 @@ class CompanionMatrix:
 
 
 def fraction_views(sd: SpectralData) -> tuple[tuple, tuple]:
-    """(P, P_inv): the eigenvector matrix and its inverse as Fraction
-    matrices, read off the certified integer form.  P[i][j] = N_ij/u_i and
-    P_inv[j][k] = B_j^k delta^(K-1-k)/E_j = V0_j B_j^k/(v delta^k), since
-    V0_j = (v/E_j) delta^(K-1)."""
-    P = tuple(tuple(Fraction(x, ui) for x in row) for row, ui in zip(sd.N, sd.u))
-    P_inv = tuple(tuple(Fraction(vj * b ** k, sd.v * sd.delta ** k) for k in range(sd.K))
-                  for vj, b in zip(sd.V0, sd.B))
-    return P, P_inv
+    """(P, P_inv): the eigenvector matrix and its inverse of the spectrum
+    ``sd`` as Fraction matrices, built by ``reference_eigen_closed_form``
+    from its R and roots alone."""
+    return reference_eigen_closed_form(sd.R, sd.alphas)[2:]
+
+
+@dataclass(frozen=True)
+class IntegerEigenForm:
+    """The eigenvector route on integers (0-based): a_j = B_j/delta,
+    R_i = S_i/rho, P_ij = N_ij/u_i with u_i = rho delta^(K-1-i), and
+    (P^-1)_jk = V0_j B_j^k/(v delta^k) with v = lcm_j |E_j| and
+    V0_j = (v/E_j) delta^(K-1).  N[i][j] is row i, column j."""
+
+    B: tuple
+    delta: int
+    S: tuple
+    rho: int
+    N: tuple
+    u: tuple
+    V0: tuple
+    v: int
+
+    @property
+    def K(self) -> int:
+        return len(self.B)
+
+
+def integer_eigen_form(R: Sequence, alphas: Sequence) -> IntegerEigenForm:
+    """P and the first column of P^-1 on integer numerators, for distinct
+    nonzero roots of chi: multiplying P_(i-1)j = a_j P_ij - R_i by
+    u_(i-1) gives N_(K-1)j = rho and N_(i-1)j = B_j N_ij - S_i delta^(K-i);
+    E_j = prod_{k != j} (B_j - B_k) = delta^(K-1) chi'(a_j) gives
+    (P^-1)_jk = B_j^k delta^(K-1-k)/E_j."""
+    alphas = [rat(a) for a in alphas]
+    R = [rat(r) for r in R]
+    K = len(R)
+    delta = math.lcm(*(a.denominator for a in alphas))
+    B = [a.numerator * (delta // a.denominator) for a in alphas]
+    rho = math.lcm(*(r.denominator for r in R))
+    S = [r.numerator * (rho // r.denominator) for r in R]
+    N = [[0] * K for _ in range(K)]
+    for j, b in enumerate(B):
+        val = N[K - 1][j] = rho
+        for i in range(K - 1, 0, -1):
+            val = N[i - 1][j] = b * val - S[i] * delta ** (K - i)
+    E = [math.prod(b - other for k, other in enumerate(B) if k != j)
+         for j, b in enumerate(B)]
+    v = math.lcm(*E)
+    V0 = [v // e * delta ** (K - 1) for e in E]
+    return IntegerEigenForm(tuple(B), delta, tuple(S), rho, tuple(map(tuple, N)),
+                            tuple(rho * delta ** (K - 1 - i) for i in range(K)),
+                            tuple(V0), v)
 
 
 def reference_eigen_closed_form(R: Sequence, alphas: Sequence) -> tuple:
-    """Closed-form eigendata with every check made on Fractions, as the
-    tuple (alphas, R, P, P_inv) of ``SpectralData``'s Fraction fields and
-    its ``fraction_views``."""
+    """The eigenvector route: closed-form eigendata with every check made
+    on Fractions, as the tuple (alphas, R, P, P_inv), alphas and R the
+    Fraction fields of ``SpectralData``."""
     K = len(R)
     alphas = [rat(a) for a in alphas]
     R = [rat(r) for r in R]

@@ -1,5 +1,6 @@
 """Demos: the walkthroughs run, and the plugin builder reproduces plugins/."""
 
+import hashlib
 import importlib.util
 import os
 import pathlib
@@ -10,6 +11,17 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
+
+
+# sha256 of the stdout of the demos whose output is pinned: the ladder
+# actions (03) and the companion eigenvectors and inverse (04), recorded
+# while the package still built the eigenvector matrix and its inverse
+STDOUT_DIGESTS = {
+    "03_ladder_operators.py":
+        "a1a429ca62b813fdabb1c83d9a42f30f300e385d00dc57ad00ec6cd053c08e6c",
+    "04_companion_matrix.py":
+        "74cbad6929203429e33ec6e6b6df96eeaff12980cf9b865e4d8adc41ed78bbc9",
+}
 
 
 @pytest.mark.parametrize("name", [
@@ -26,6 +38,8 @@ def test_demo_runs(name):
     proc = subprocess.run([sys.executable, str(DEMOS / name)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    if name in STDOUT_DIGESTS:
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT_DIGESTS[name]
 
 
 def test_build_plugins_reproduces_shipped_plugins(tmp_path):

@@ -162,3 +162,31 @@ def test_largest_ell_report_matches_golden_digest(argv, monkeypatch):
     want_code, want_summary, want_digest = LARGEST_ELL_REPORTS[argv]
     assert (code, json.loads(out)["summary"]) == (want_code, want_summary)
     assert hashlib.sha256(out.encode()).hexdigest() == want_digest
+
+
+# Heisenberg reports beyond the seed-0 jobs: J[3II] at g = 11/2, h = 9/2,
+# L[3II] with Y = eta^2 (K = 12) and the shipped L[2I] plugin with
+# Y = eta.  The digests were recorded before the
+# ladder actions moved to the Lagrange form on the companion roots, and
+# every later change must keep them.
+LADDER_REPORTS = {
+    ("--family", "J", "--D", "3II", "--params", "g=11/2", "h=9/2"):
+        (163, "4aa89a49a8655039683fcdd9ecffa3a29cf8cfa9de864a01912f5f48777efe00"),
+    ("--family", "L", "--D", "3II", "--Y", "eta^2"):
+        (235, "aa8375509a5020c3a5c993bc7deb35728d21c2f698280628883aa27f465e082b"),
+    ("--family", "L", "--D", "2I", "--plugin", "plugins/laguerre_2I.json", "--Y", "eta"):
+        (163, "ed48b82547fce30449a0ac2dc840ccb9eaa3b360014764fd9e40afc818b2712d"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(LADDER_REPORTS), ids=" ".join)
+def test_ladder_report_matches_golden_digest(argv, monkeypatch):
+    monkeypatch.chdir(ROOT)  # the plugin path is relative to the root
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main(["heisenberg", *argv, "--json"])
+    out = buf.getvalue()
+    want_pass, want_digest = LADDER_REPORTS[argv]
+    assert (code, json.loads(out)["summary"]) == (
+        0, {"pass": want_pass, "fail": 0, "skip": 0})
+    assert hashlib.sha256(out.encode()).hexdigest() == want_digest

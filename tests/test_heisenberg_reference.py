@@ -1,8 +1,10 @@
-"""The integer route for the ladder checks against the Fraction route
-(tests/heisenberg_reference.py): identical ladder actions and time-power
+"""The package's Lagrange route for the ladder checks against the
+eigenvector route on Fractions (tests/heisenberg_reference.py): identical
+ladder actions and time-power
 entries on L and J with D in {1I, 1II, 2I, 3II}, Y in {1, eta, eta^2} and
 the shipped L[2I] plugin, and negative controls that flip a verdict."""
 
+import inspect
 import pathlib
 from fractions import Fraction as F
 
@@ -78,34 +80,32 @@ def _fresh(ctx):
     return LadderContext(ctx.df, ctx.cd, ctx.X)
 
 
-def test_corrupted_eigenvector_numerator_flips_the_ladder_verdict(j_ctx):
+def test_corrupted_E_j_flips_the_ladder_verdict(j_ctx):
+    # the eigenvector route builds P and P^-1 from R and the roots alone,
+    # so a wrong chi'(a_j) in the certified data flips only the package
     n, j = 2, j_ctx.L  # a^(L) raises by one
     ctx = _fresh(j_ctx)
     sd, R_minus1 = ctx.spectral_at(n)
-    N = [list(row) for row in sd.N]
-    N[1][j - 1] += 1
-    corrupted = SpectralData(sd.alphas, sd.R, sd.B, sd.delta, sd.S, sd.rho,
-                             tuple(map(tuple, N)), sd.u, sd.V0, sd.v)
-    ctx._spectral[n] = (corrupted, R_minus1)
-    for route in (ladder_apply, ref.ladder_action):
-        assert _ladder_ok(route, _fresh(j_ctx), j, n)
-        assert not _ladder_ok(route, ctx, j, n)
+    E = list(sd.E)
+    E[j - 1] += 1
+    ctx._spectral[n] = (SpectralData(sd.alphas, sd.R, sd.B, sd.delta, tuple(E)),
+                        R_minus1)
+    assert _ladder_ok(ladder_apply, _fresh(j_ctx), j, n)
+    assert not _ladder_ok(ladder_apply, ctx, j, n)
+    assert _ladder_ok(ref.ladder_action, ctx, j, n)
 
 
 def test_off_by_one_power_of_q_flips_the_ladder_verdict(j_ctx, monkeypatch):
-    # T = sum_i N_ij (p delta)^i q^(K-1-i); starting the carried power of q
-    # at q instead of 1 gives q^(K-i), which is visible only when q > 1
-    def shifted(column, x, y):
-        acc, ypow = column[-1], y
-        for c in reversed(column[:-1]):
-            ypow *= y
-            acc = acc * x + c * ypow
-        return acc
-
+    # the coordinate's denominator carries q^(K-1), one q per factor
+    # p delta - q B_m; q^K instead is visible only when q > 1
+    source = inspect.getsource(heisenberg._ladder_action)
+    assert source.count("q ** (K - 1)") == 1
+    namespace = dict(vars(heisenberg))
+    exec(source.replace("q ** (K - 1)", "q ** K"), namespace)
     n, j = 2, j_ctx.L
     assert any(delta.denominator > 1
                for _, _, delta in level_coordinates(j_ctx.df, j_ctx.X, n))
-    monkeypatch.setattr(heisenberg, "horner", shifted)
+    monkeypatch.setattr(heisenberg, "_ladder_action", namespace["_ladder_action"])
     ctx = _fresh(j_ctx)
     assert not _ladder_ok(ladder_apply, ctx, j, n)
     # the Fraction route has no power of q: on the same data it stays green

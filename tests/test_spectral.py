@@ -22,7 +22,8 @@ from closurelab.spectral import (DegenerateSpectrum, SqrtExpr,
                                  spectral_suite, sqrt_sign, sqrt_square,
                                  sqrt_value_at_energy)
 from spectral_reference import (CompanionMatrix, _det_bareiss, fraction_views,
-                                reference_det, reference_eigen_closed_form,
+                                integer_eigen_form, reference_det,
+                                reference_eigen_closed_form,
                                 reference_spectral_suite,
                                 sequential_elementary_symmetric_R)
 
@@ -438,21 +439,24 @@ def test_integer_certificate_matches_fraction_reference():
         assert suite == reference_spectral_suite(R, alphas)
         assert suite["recursion_ok"] and suite["eigen_ok"] and suite["initial_ok"]
         sd = eigen_closed_form(R, alphas)
-        want = reference_eigen_closed_form(R, alphas)
-        assert (sd.alphas, sd.R, *fraction_views(sd)) == want
+        ref_alphas, ref_R, _, P_inv = reference_eigen_closed_form(R, alphas)
+        assert (sd.alphas, sd.R) == (ref_alphas, ref_R)
+        assert [F(b, sd.delta) for b in sd.B] == list(sd.alphas)
+        # (P^-1)_j0 = 1/chi'(a_j) = delta^(K-1)/E_j
+        assert [F(sd.delta ** (sd.K - 1), e) for e in sd.E] == [row[0] for row in P_inv]
 
 
 def test_inverse_check_implies_the_vandermonde_determinant():
-    # eigen_closed_form decides no determinant: the N V = v diag(u) that it
-    # certifies gives det N delta^(K(K-1)/2) = vand prod_i u_i
+    # eigen_closed_form decides no determinant: on the eigenvector route's
+    # integers, N V = v diag(u) gives det N delta^(K(K-1)/2) = vand prod_i u_i
     spectra = _certificate_spectra()
     assert any(eigen_closed_form(R, al).delta > 1 for R, al in spectra)
     for R, alphas in spectra:
-        sd = eigen_closed_form(R, alphas)
-        K, B = sd.K, sd.B
+        form = integer_eigen_form(R, alphas)
+        K, B = form.K, form.B
         vand = math.prod(B[i] - B[j] for i in range(K) for j in range(i + 1, K))
-        det = reference_det([list(row) for row in sd.N])
-        assert det * sd.delta ** (K * (K - 1) // 2) == vand * math.prod(sd.u)
+        det = reference_det([list(row) for row in form.N])
+        assert det * form.delta ** (K * (K - 1) // 2) == vand * math.prod(form.u)
 
 
 _spectra = st.lists(st.builds(F, st.integers(-50, 50), st.integers(1, 6)).filter(bool),
@@ -463,31 +467,60 @@ _spectra = st.lists(st.builds(F, st.integers(-50, 50), st.integers(1, 6)).filter
 @given(_spectra)
 def test_the_root_check_implies_every_companion_identity(alphas):
     # eigen_closed_form decides only distinct nonzero roots and chi(a_j) = 0;
-    # each identity its docstring derives from them holds on the returned
-    # integers, and the Fraction reference replays all three A^n e_1 routes
+    # each identity its docstring derives from them holds on the eigenvector
+    # route's integers, built here from R and the roots with the returned
+    # E_j, and the Fraction reference replays all three A^n e_1 routes
     R = elementary_symmetric_R(alphas)
     sd = eigen_closed_form(R, alphas)
-    K, B, S, N, rho, delta = sd.K, sd.B, sd.S, sd.N, sd.rho, sd.delta
+    form = integer_eigen_form(R, alphas)
+    K, B, S, N, rho, delta = form.K, form.B, form.S, form.N, form.rho, form.delta
+    assert (sd.B, sd.delta) == (B, delta)
     for j, b in enumerate(B):  # A p_j = a_j p_j, row 0 and rows i >= 1
         last = N[K - 1][j]
         assert S[0] * last * delta ** K == rho * b * N[0][j]
         for i in range(1, K):
             assert S[i] * last * delta ** (K - i) + rho * N[i - 1][j] == rho * b * N[i][j]
-    c = [x // delta ** (K - 1) for x in sd.V0]
-    assert [cj * delta ** (K - 1) for cj in c] == list(sd.V0)
+    c = [form.v // e for e in sd.E]
+    assert [cj * e for cj, e in zip(c, sd.E)] == [form.v] * K
     for k in range(K):  # N V = v diag(u), column k of V
         col = [cj * b ** k * delta ** (K - 1 - k) for cj, b in zip(c, B)]
         for i in range(K):
-            want = sd.u[i] * sd.v if i == k else 0
+            want = form.u[i] * form.v if i == k else 0
             assert sum(x * y for x, y in zip(N[i], col)) == want
     B_prod = math.prod(B)  # the column sum
-    assert (S[0] * delta * sum(x * (B_prod // b) for x, b in zip(sd.V0, B))
-            == rho * sd.v * B_prod)
+    assert (S[0] * delta * sum(x * (B_prod // b) for x, b in zip(form.V0, B))
+            == rho * form.v * B_prod)
     vand = math.prod(B[i] - B[j] for i in range(K) for j in range(i + 1, K))
     det = reference_det([list(row) for row in N])
-    assert det * delta ** (K * (K - 1) // 2) == vand * math.prod(sd.u)
+    assert det * delta ** (K * (K - 1) // 2) == vand * math.prod(form.u)
+    # the Lagrange form: sum_i x^i P_ij (P^-1)_j0 = prod_{m != j} (x - a_m)
+    # delta^(K-1)/E_j, at the roots themselves and off them
+    P, P_inv = fraction_views(sd)
+    for x in (*sd.alphas, F(0), F(1, 7), F(-5, 3)):
+        for j in range(K):
+            lhs = sum(x ** i * P[i][j] for i in range(K)) * P_inv[j][0]
+            rhs = math.prod(x - a for m, a in enumerate(sd.alphas) if m != j)
+            assert lhs == rhs * F(delta ** (K - 1), sd.E[j])
     assert spectral_suite(R, alphas) == reference_spectral_suite(R, alphas) == {
         "K": K, "recursion_ok": True, "eigen_ok": True, "initial_ok": True}
+
+
+def test_root_check_is_chi_at_every_root():
+    # eigen_closed_form rejects a spectrum exactly when chi, evaluated on
+    # Fractions, misses one of the roots; the spectra with delta > 1 and
+    # rho > 1 make both scalings of the integer check visible
+    spectra = _certificate_spectra()
+    assert any(eigen_closed_form(R, al).delta > 1 for R, al in spectra)
+    assert any(math.lcm(*(F(r).denominator for r in R)) > 1 for R, _ in spectra)
+    for R, alphas in spectra:
+        eigen_closed_form(R, alphas)
+        for i in range(len(R)):
+            bad = list(R)
+            bad[i] += F(1, 3)
+            A = CompanionMatrix(tuple(map(F, bad)))
+            assert any(A.char_poly_at(a) for a in alphas)
+            with pytest.raises(DegenerateSpectrum, match="do not match the last column"):
+                eigen_closed_form(bad, alphas)
 
 
 def _expanded_R(roots):
